@@ -169,4 +169,7 @@ echo "$drill_out" | grep -q "after restart" \
 echo "== serve protocol battery (malformed sweep + admission + torture)"
 timeout 300 cargo test -q --offline -p serve
 
+echo "== benchmark smoke (benchmark/ is its own workspace: keep its frozen product surface compiling and correct)"
+bash benchmark/run.sh --smoke > /dev/null
+
 echo "CI green."

@@ -272,9 +272,9 @@ struct LiveCapture {
 
 /// Poll `Stats` until `stop` is set, asserting every reply parses and the
 /// counters are consistent: monotone across replies, and the sampled
-/// cumulative tally never ahead of the live atomic (workers bump the
-/// atomic *before* recording the histogram the sampler folds, so sampled
-/// ≤ live always holds — the bounded-drift direction).
+/// cumulative tally never ahead of the live atomic (a connection thread
+/// bumps the atomic *before* it folds the histogram the sampler diffs, so
+/// sampled ≤ live always holds — the bounded-drift direction).
 fn poll_stats(addr: &str, stop: &AtomicBool) -> Vec<Sample> {
     let mut client = Client::connect(addr).expect("stats poller connect");
     let started = Instant::now();
@@ -631,7 +631,7 @@ fn run_chaos_tier<P: pagestore::Scrubbable + Send + Sync + 'static>(
             .copied()
             .unwrap_or(0),
         0,
-        "{tier}: no worker may die under chaos"
+        "{tier}: no query may panic under chaos"
     );
     assert!(chaos.ok > 0, "{tier}: nothing survived the chaos phase");
     let availability = chaos.ok as f64 / chaos.attempted.max(1) as f64;

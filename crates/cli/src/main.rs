@@ -38,7 +38,10 @@
 //! wire-protocol server (see the `serve` crate) on the given port (0 =
 //! ephemeral; the chosen address is printed as `listening on ADDR`), and
 //! runs until the `--shutdown-file` path appears — the orchestration
-//! hook: touch the file, the server drains and prints its summary.
+//! hook: touch the file, the server drains and prints its summary. Every
+//! request runs on its connection's thread; `--workers` bounds how many
+//! execute at once, `--max-inflight` how many may be admitted (executing
+//! or waiting) before further ones are shed with `Overloaded`.
 //!
 //! `top` connects to a *running* server and polls the `Stats` frame every
 //! second, rendering a one-screen live dashboard (plain ANSI). `--once`
@@ -560,7 +563,10 @@ fn run(args: &[String]) -> Result<(), String> {
             let rest = &args[1..];
             let Some(dir) = rest.first().filter(|a| !a.starts_with("--")) else {
                 return Err("usage: uindex-cli serve <db-dir> [--port N] [--workers N] \
-                     [--max-inflight N] [--shutdown-file PATH]"
+                     [--max-inflight N] [--shutdown-file PATH] [--slow-query-us N] \
+                     [--sample-interval-ms N] [--read-deadline-ms N]\n\
+                     --workers: queries executing at once; \
+                     --max-inflight: queries admitted (executing or waiting) before shedding"
                     .into());
             };
             let flag = |name: &str| {

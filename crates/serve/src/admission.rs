@@ -1,6 +1,6 @@
 //! Admission control: a fixed bound on in-flight queries. Requests that
 //! would exceed the bound are shed with a typed `Overloaded` error before
-//! they touch the planner, the worker pool, or the buffer pool — shedding
+//! they touch the planner, an execution slot, or the buffer pool — shedding
 //! must stay cheap precisely when the server is busiest.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};

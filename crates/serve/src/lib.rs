@@ -8,9 +8,10 @@
 //!   load is shed with a typed `Overloaded` error before touching the
 //!   engine.
 //! - [`cache`] — the prepared-plan cache keyed on normalized UQL text.
-//! - [`server`] / [`client`] — a blocking TCP server multiplexing N
-//!   client connections over a fixed worker pool of
-//!   [`uindex::DatabaseReader`] handles, and the reference client.
+//! - [`server`] / [`client`] — a blocking TCP server running each request
+//!   on its connection's thread, at most `workers` of them executing on
+//!   the served [`uindex::DatabaseReader`] at once, and the reference
+//!   client.
 //! - [`retry`] — client-side fault survival: bounded, deterministic
 //!   retry/backoff and a reconnecting client that re-prepares statements
 //!   before any `Execute` retry.

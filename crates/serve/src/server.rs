@@ -1,38 +1,40 @@
-//! Blocking TCP server: one acceptor, one IO thread per connection, and a
-//! fixed worker pool of [`DatabaseReader`] handles executing queries.
+//! Blocking TCP server: one acceptor, one thread per connection, and a
+//! sampler. A request never leaves its connection's thread: the thread
+//! parses the frame, consults the plan cache, passes admission, takes one
+//! of `workers` execution slots, runs the query and writes the rows.
 //!
-//! The split keeps the expensive resource — query execution over the
-//! buffer pool — bounded by `workers` regardless of how many clients
-//! connect, while admission control bounds how many requests may *wait*
-//! for those workers. A connection thread only parses frames, consults
-//! the plan cache, and shuttles results; it holds no snapshot and no
-//! pages, so thousands of idle connections cost only their threads.
+//! The expensive resource — query execution over the buffer pool — stays
+//! bounded by `workers` regardless of how many clients connect (a query
+//! executes only while holding a slot), while admission control bounds
+//! how many requests may *wait* for a slot. An idle connection is a thread
+//! blocked in `read`; it holds no snapshot, no slot and no pages.
 //!
 //! Each query executes against a fresh snapshot pinned for just that
 //! query, so a long-lived server never pins old writer epochs (see the
 //! reader-lifetime tests in `uindex` and `btree`).
 //!
-//! Shutdown protocol: set the stop flag; the acceptor (non-blocking
-//! accept + poll) exits, connection threads notice via their read
-//! timeouts and close, then workers drain the job queue and exit. Every
-//! thread's telemetry registry is merged into one [`telemetry::Snapshot`]
-//! handed back in the final [`ServeReport`], so counters add up exactly
-//! as if the whole run were single-threaded.
+//! Shutdown protocol: set the stop flag, wake every blocked thread — the
+//! sampler through its condvar, the acceptor with a throw-away connect,
+//! each connection with `shutdown(Read)` on its socket — and join them. A
+//! connection busy with a request finishes and answers it first, so every
+//! admitted query is answered. Each thread folds its telemetry registry
+//! into one [`telemetry::Snapshot`] (after every query and as it exits)
+//! handed back in the final [`ServeReport`], so counters add up exactly as
+//! if the whole run were single-threaded.
 
-use std::collections::VecDeque;
+use std::collections::HashMap;
 use std::io::{ErrorKind, Read};
-use std::net::{TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc;
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use pagestore::PageStore;
 use telemetry::Span;
-use uindex::DatabaseReader;
+use uindex::{DatabaseReader, QueryHit, ScanStats};
 
-use crate::admission::{AdmissionGate, Permit};
+use crate::admission::AdmissionGate;
 use crate::cache::{CachedPlan, PlanCache};
 use crate::proto::{
     self, DoneInfo, ErrorCode, Frame, ProtoError, WireRow, DEFAULT_MAX_PAYLOAD, HEADER_LEN,
@@ -40,11 +42,23 @@ use crate::proto::{
 use crate::slowlog::{SlowLog, SlowQueryEntry};
 use crate::stats::{self, LiveStats, SamplerState, WorkerSlot};
 
+pub use crate::stats::ServeStats;
+
 /// Rows per [`Frame::RowBatch`]; large results span several batches.
 const BATCH_ROWS: usize = 512;
 
+/// Pause after a failed `accept()` (fd exhaustion, aborted handshakes): a
+/// blocking accept that fails persistently must not spin.
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(10);
+
 /// Type-erased UQL parser bound to the served reader's metadata.
 type ParseFn = Box<dyn Fn(&str) -> Result<uindex::Query, String> + Send + Sync>;
+
+/// Type-erased guarded execution against a fresh snapshot: the snapshot's
+/// epoch, and the hits, scan counters and degraded flag (or the error).
+type ExecFn = Box<
+    dyn Fn(&uindex::Query) -> (u64, uindex::Result<(Vec<QueryHit>, ScanStats, bool)>) + Send + Sync,
+>;
 
 /// Server configuration.
 #[derive(Debug, Clone)]
@@ -52,18 +66,17 @@ pub struct ServeOptions {
     /// Bind address; port 0 picks an ephemeral port (see
     /// [`Server::local_addr`]).
     pub addr: String,
-    /// Worker threads executing queries (each owns a reader clone).
+    /// Execution slots: at most this many queries execute at once, each on
+    /// its connection's thread.
     pub workers: usize,
-    /// Admission bound: queries in flight (executing or queued) before
-    /// requests are shed with `Overloaded`.
+    /// Admission bound: queries in flight (executing or waiting for a
+    /// slot) before requests are shed with `Overloaded`.
     pub max_inflight: usize,
     /// Per-frame payload cap; oversized frames are rejected before any
     /// allocation.
     pub max_payload: u32,
     /// Bound on the prepared-plan cache (insertion-order eviction).
     pub plan_cache_capacity: usize,
-    /// How often blocked accept/read loops re-check the stop flag.
-    pub poll_interval: Duration,
     /// Per-frame read deadline for untrusted clients: once the first byte
     /// of a frame arrives, the rest must follow within this budget or the
     /// connection is closed with a typed fatal error (counted as
@@ -76,10 +89,10 @@ pub struct ServeOptions {
     /// competes (the log still retains only the worst N).
     pub slow_query_us: u64,
     /// Worst-N retention of the slow-query log; 0 disables slow-query
-    /// capture entirely (no per-query registry snapshots are taken).
+    /// capture entirely.
     pub slow_log_capacity: usize,
-    /// Sampling interval for the rolling stats window — how often worker
-    /// registries are folded into one interval delta.
+    /// Sampling interval for the rolling stats window — how often the
+    /// server-wide telemetry merge is diffed into one interval delta.
     pub sample_interval: Duration,
     /// Intervals retained by the rolling window (e.g. 60 × 1s).
     pub window_capacity: usize,
@@ -93,7 +106,6 @@ impl Default for ServeOptions {
             max_inflight: 64,
             max_payload: DEFAULT_MAX_PAYLOAD,
             plan_cache_capacity: 1024,
-            poll_interval: Duration::from_millis(25),
             read_deadline: Some(Duration::from_secs(5)),
             slow_query_us: 0,
             slow_log_capacity: 32,
@@ -101,40 +113,6 @@ impl Default for ServeOptions {
             window_capacity: 60,
         }
     }
-}
-
-/// Monotonic counters describing a server's lifetime, readable live via
-/// [`Server::stats`] and returned finally in [`ServeReport`].
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct ServeStats {
-    /// Connections accepted.
-    pub connections: u64,
-    /// Request frames handled (queries, prepares, pings).
-    pub requests: u64,
-    /// Queries executed to completion (success or exec error).
-    pub queries: u64,
-    /// Requests shed by admission control.
-    pub shed: u64,
-    /// Protocol violations observed (fatal and recoverable).
-    pub proto_errors: u64,
-    /// Result rows written to clients.
-    pub rows_sent: u64,
-    /// Connections that ended with a transport error (abrupt disconnect),
-    /// as opposed to a clean close at a frame boundary.
-    pub disconnects: u64,
-    /// Plan-cache hits.
-    pub plan_cache_hits: u64,
-    /// Plan-cache misses (statements parsed).
-    pub plan_cache_misses: u64,
-    /// Connections closed for exceeding the per-frame read deadline.
-    pub deadline_closed: u64,
-    /// Queries answered from the degraded fallback path (object-store
-    /// evaluation) instead of the index — still correct answers, flagged
-    /// per-response in [`DoneInfo::degraded`].
-    pub degraded_answers: u64,
-    /// Whether the served reader's index is currently quarantined —
-    /// every query is answering degraded until a clean `check()`.
-    pub degraded: bool,
 }
 
 #[derive(Default)]
@@ -158,74 +136,28 @@ pub struct ServeReport {
     pub metrics: telemetry::Snapshot,
 }
 
-/// What a worker hands back for one query: the rows plus execution
-/// footprint, or a typed error for the wire.
+/// What executing one query yields: the rows plus execution footprint, or
+/// a typed error for the wire.
 type QueryOutcome = Result<(Vec<WireRow>, DoneInfo), (ErrorCode, String)>;
 
-/// One admitted query on its way to the worker pool. The admission
-/// [`Permit`] rides inside and is released when the worker finishes — or
-/// when the job is dropped unexecuted during shutdown.
-struct Job {
-    plan: Arc<CachedPlan>,
-    cached: bool,
-    permit: Permit,
-    reply: mpsc::Sender<QueryOutcome>,
-}
-
-struct JobQueue {
-    jobs: Mutex<VecDeque<Job>>,
-    cv: Condvar,
-}
-
-/// Outcome of one bounded wait on the job queue.
-enum Pop {
-    /// A job to execute.
-    Job(Job),
-    /// The wait timed out with no work — the worker gets control back so
-    /// it can publish its telemetry snapshot for the sampler.
-    Idle,
-    /// Stop is set and the queue is drained (admitted queries are always
-    /// answered before workers exit).
-    Stopped,
-}
-
-impl JobQueue {
-    fn push(&self, job: Job) {
-        self.jobs.lock().unwrap().push_back(job);
-        self.cv.notify_one();
-    }
-
-    /// Pop a job, waiting at most one `poll` interval. Unlike a blocking
-    /// pop, this hands control back to the worker on every timeout so the
-    /// worker can service the sampler between jobs.
-    fn pop_timeout(&self, stop: &AtomicBool, poll: Duration) -> Pop {
-        let mut jobs = self.jobs.lock().unwrap();
-        if let Some(job) = jobs.pop_front() {
-            return Pop::Job(job);
-        }
-        if stop.load(Ordering::Acquire) {
-            return Pop::Stopped;
-        }
-        let (mut jobs, _) = self.cv.wait_timeout(jobs, poll).unwrap();
-        if let Some(job) = jobs.pop_front() {
-            return Pop::Job(job);
-        }
-        if stop.load(Ordering::Acquire) {
-            return Pop::Stopped;
-        }
-        Pop::Idle
-    }
+/// Open connections, so `shutdown` can wake and join their threads. A
+/// connection's entry leaves `open` when its thread exits; the handle
+/// waits in `finished` until the acceptor (or `shutdown`) joins it.
+#[derive(Default)]
+struct ConnRegistry {
+    /// Per connection id: a clone of the socket (to `shutdown(Read)` a
+    /// blocked read) and the thread's handle.
+    open: HashMap<u64, (TcpStream, JoinHandle<()>)>,
+    finished: Vec<JoinHandle<()>>,
 }
 
 struct Shared {
+    /// Set once by `shutdown`; every thread exits at its next check, a
+    /// connection thread only between requests.
     stop: AtomicBool,
-    /// Set only after every connection thread has been joined, so a late
-    /// job enqueued by a draining connection always finds a live worker.
-    stop_workers: AtomicBool,
     stats: StatCells,
     gate: Arc<AdmissionGate>,
     cache: PlanCache,
-    queue: JobQueue,
     /// Parses UQL against the served reader's captured metadata. Boxed so
     /// `Shared` stays monomorphic over page stores.
     parse: ParseFn,
@@ -233,31 +165,96 @@ struct Shared {
     /// the index is quarantined and every answer is degraded. Always
     /// `false` for readers without a fallback source.
     degraded_probe: Box<dyn Fn() -> bool + Send + Sync>,
-    /// Telemetry folded in by every server thread as it exits.
+    /// Runs one query on the served reader.
+    execute: ExecFn,
+    /// Telemetry folded in by every server thread: after each query it
+    /// executes and as it exits.
     metrics: Mutex<telemetry::Snapshot>,
     options: ServeOptions,
-    /// Monotonic query ids, assigned by workers at execution.
+    /// Monotonic query ids, assigned at execution.
     query_ids: AtomicU64,
     /// Worst-N slow-query log (see [`crate::slowlog`]).
     slow_log: Mutex<SlowLog>,
     /// Rolling-window sampler state; written by the sampler thread once
-    /// per interval, read by Stats handlers. Never held together with
-    /// `slow_log` or a worker slot lock (strict lock ordering: slots →
-    /// sampler, slow_log alone).
+    /// per interval, read by Stats handlers. Lock order: `sampler` before
+    /// `metrics` or `free_slots`; `slow_log` and `conns` are held alone.
     sampler: Mutex<SamplerState>,
-    /// Bumped by the sampler each tick; workers publish their registry
-    /// snapshot into their slot when they see a new epoch.
-    sample_epoch: AtomicU64,
-    /// One publication slot per worker.
+    /// Wakes the sampler out of its interval wait at shutdown.
+    sampler_wake: Condvar,
+    /// Indices of the execution slots nobody holds (a counting semaphore
+    /// that also names the slot, for the per-slot tallies).
+    free_slots: Mutex<Vec<usize>>,
+    slot_freed: Condvar,
+    /// Per-slot tallies, the `workers` array of the Stats document.
     worker_slots: Vec<WorkerSlot>,
+    conns: Mutex<ConnRegistry>,
 }
 
 impl Shared {
-    /// Fold this thread's telemetry registry into the server-wide merge.
-    /// Called exactly once, as each server thread exits.
-    fn fold_telemetry(&self) {
-        let snap = telemetry::snapshot();
-        self.metrics.lock().unwrap().merge(&snap);
+    /// Fold what this thread's registry recorded since `folded` (its state
+    /// at the previous fold) into the server-wide merge; returns that
+    /// delta.
+    fn fold_telemetry(&self, folded: &mut telemetry::Snapshot) -> telemetry::Snapshot {
+        let now = telemetry::snapshot();
+        let delta = now.delta(folded);
+        self.metrics.lock().unwrap().merge(&delta);
+        *folded = now;
+        delta
+    }
+
+    /// Block until an execution slot is free and take it.
+    fn take_slot(&self) -> ExecSlot<'_> {
+        let free = self.free_slots.lock().unwrap();
+        let mut free = self.slot_freed.wait_while(free, |f| f.is_empty()).unwrap();
+        let index = free.pop().expect("waited for a free slot");
+        ExecSlot {
+            shared: self,
+            index,
+        }
+    }
+
+    /// The one place the live counters are read.
+    fn live_stats(&self) -> LiveStats {
+        let s = &self.stats;
+        let (plan_cache_hits, plan_cache_misses) = self.cache.stats();
+        let workers = self.worker_slots.len();
+        let executing = workers - self.free_slots.lock().unwrap().len();
+        let inflight = self.gate.inflight();
+        LiveStats {
+            counters: ServeStats {
+                connections: s.connections.load(Ordering::Relaxed),
+                requests: s.requests.load(Ordering::Relaxed),
+                queries: s.queries.load(Ordering::Relaxed),
+                shed: self.gate.shed(),
+                proto_errors: s.proto_errors.load(Ordering::Relaxed),
+                rows_sent: s.rows_sent.load(Ordering::Relaxed),
+                disconnects: s.disconnects.load(Ordering::Relaxed),
+                plan_cache_hits,
+                plan_cache_misses,
+                deadline_closed: s.deadline_closed.load(Ordering::Relaxed),
+                degraded_answers: s.degraded_answers.load(Ordering::Relaxed),
+                degraded: (self.degraded_probe)(),
+            },
+            inflight,
+            queued: inflight.saturating_sub(executing),
+            max_inflight: self.gate.limit(),
+            workers,
+        }
+    }
+}
+
+/// RAII execution slot: dropping it frees the slot for the next waiter.
+struct ExecSlot<'a> {
+    shared: &'a Shared,
+    index: usize,
+}
+
+impl Drop for ExecSlot<'_> {
+    fn drop(&mut self) {
+        if let Ok(mut free) = self.shared.free_slots.lock() {
+            free.push(self.index);
+        }
+        self.shared.slot_freed.notify_one();
     }
 }
 
@@ -265,16 +262,14 @@ impl Shared {
 /// the background threads; call `shutdown` to stop and join everything.
 pub struct Server {
     shared: Arc<Shared>,
-    local_addr: std::net::SocketAddr,
+    local_addr: SocketAddr,
     acceptor: Option<JoinHandle<()>>,
-    workers: Vec<JoinHandle<()>>,
     sampler: Option<JoinHandle<()>>,
-    conns: Arc<Mutex<Vec<JoinHandle<()>>>>,
 }
 
 impl Server {
-    /// Bind, spawn the worker pool and acceptor, and start serving
-    /// `reader`'s database. Returns once the listener is live.
+    /// Bind, spawn the acceptor and sampler, and start serving `reader`'s
+    /// database. Returns once the listener is live.
     pub fn start<P>(reader: DatabaseReader<P>, options: ServeOptions) -> std::io::Result<Server>
     where
         P: PageStore + Send + Sync + 'static,
@@ -283,24 +278,22 @@ impl Server {
             TcpListener::bind(options.addr.to_socket_addrs()?.next().ok_or_else(|| {
                 std::io::Error::new(ErrorKind::InvalidInput, "unresolvable addr")
             })?)?;
-        listener.set_nonblocking(true)?;
         let local_addr = listener.local_addr()?;
 
         let parse_reader = reader.clone();
         let probe_reader = reader.clone();
-        let worker_count = options.workers.max(1);
+        let slots = options.workers.max(1);
         let shared = Arc::new(Shared {
             stop: AtomicBool::new(false),
-            stop_workers: AtomicBool::new(false),
             stats: StatCells::default(),
             gate: AdmissionGate::new(options.max_inflight),
             cache: PlanCache::new(options.plan_cache_capacity),
-            queue: JobQueue {
-                jobs: Mutex::new(VecDeque::new()),
-                cv: Condvar::new(),
-            },
             parse: Box::new(move |text| parse_reader.parse_uql(text).map_err(|e| e.to_string())),
             degraded_probe: Box::new(move || probe_reader.quarantined()),
+            execute: Box::new(move |query| {
+                let snap = reader.snapshot();
+                (snap.epoch(), reader.query_guarded_at(&snap, query))
+            }),
             metrics: Mutex::new(telemetry::Snapshot::default()),
             query_ids: AtomicU64::new(0),
             slow_log: Mutex::new(SlowLog::new(options.slow_log_capacity)),
@@ -308,21 +301,13 @@ impl Server {
                 options.window_capacity,
                 options.sample_interval,
             )),
-            sample_epoch: AtomicU64::new(0),
-            worker_slots: (0..worker_count).map(|_| WorkerSlot::default()).collect(),
-            options: options.clone(),
+            sampler_wake: Condvar::new(),
+            free_slots: Mutex::new((0..slots).rev().collect()),
+            slot_freed: Condvar::new(),
+            worker_slots: (0..slots).map(|_| WorkerSlot::default()).collect(),
+            conns: Mutex::new(ConnRegistry::default()),
+            options,
         });
-
-        let mut workers = Vec::with_capacity(worker_count);
-        for i in 0..worker_count {
-            let shared = Arc::clone(&shared);
-            let reader = reader.clone();
-            workers.push(
-                std::thread::Builder::new()
-                    .name(format!("serve-worker-{i}"))
-                    .spawn(move || worker_loop(reader, shared, i))?,
-            );
-        }
 
         let sampler = {
             let shared = Arc::clone(&shared);
@@ -330,28 +315,23 @@ impl Server {
                 .name("serve-sampler".into())
                 .spawn(move || sampler_loop(shared))?
         };
-
-        let conns: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
         let acceptor = {
             let shared = Arc::clone(&shared);
-            let conns = Arc::clone(&conns);
             std::thread::Builder::new()
                 .name("serve-acceptor".into())
-                .spawn(move || accept_loop(listener, shared, conns))?
+                .spawn(move || accept_loop(listener, shared))?
         };
 
         Ok(Server {
             shared,
             local_addr,
             acceptor: Some(acceptor),
-            workers,
             sampler: Some(sampler),
-            conns,
         })
     }
 
     /// The bound address (resolves port 0 to the actual ephemeral port).
-    pub fn local_addr(&self) -> std::net::SocketAddr {
+    pub fn local_addr(&self) -> SocketAddr {
         self.local_addr
     }
 
@@ -363,22 +343,7 @@ impl Server {
 
     /// Live lifetime counters (monotonic; safe to poll while serving).
     pub fn stats(&self) -> ServeStats {
-        let s = &self.shared.stats;
-        let (plan_cache_hits, plan_cache_misses) = self.shared.cache.stats();
-        ServeStats {
-            connections: s.connections.load(Ordering::Relaxed),
-            requests: s.requests.load(Ordering::Relaxed),
-            queries: s.queries.load(Ordering::Relaxed),
-            shed: self.shared.gate.shed(),
-            proto_errors: s.proto_errors.load(Ordering::Relaxed),
-            rows_sent: s.rows_sent.load(Ordering::Relaxed),
-            disconnects: s.disconnects.load(Ordering::Relaxed),
-            plan_cache_hits,
-            plan_cache_misses,
-            deadline_closed: s.deadline_closed.load(Ordering::Relaxed),
-            degraded_answers: s.degraded_answers.load(Ordering::Relaxed),
-            degraded: (self.shared.degraded_probe)(),
-        }
+        self.shared.live_stats().counters
     }
 
     /// Whether the served reader is currently quarantined (every answer
@@ -392,25 +357,46 @@ impl Server {
         self.shared.gate.inflight()
     }
 
-    /// Stop accepting, drain in-flight work, join every thread, and
-    /// return the final counters plus merged telemetry.
+    /// Connection threads not yet joined: open connections plus the few
+    /// that closed since the acceptor last reaped.
+    pub fn open_connections(&self) -> usize {
+        let conns = self.shared.conns.lock().unwrap();
+        conns.open.len() + conns.finished.len()
+    }
+
+    /// Stop accepting, let every connection finish the request it is
+    /// handling, join every thread, and return the final counters plus
+    /// merged telemetry.
     pub fn shutdown(mut self) -> ServeReport {
         self.shared.stop.store(true, Ordering::Release);
+        // The sampler holds its mutex from checking the flag to waiting,
+        // so once the mutex has been ours it is either waiting (and gets
+        // the notify) or yet to check (and sees the flag).
+        drop(self.shared.sampler.lock().unwrap());
+        self.shared.sampler_wake.notify_all();
+        // The acceptor is blocked in accept(): hand it one connection; it
+        // checks the flag after every accept.
+        let mut wake_addr = self.local_addr;
+        if wake_addr.ip().is_unspecified() {
+            wake_addr.set_ip(match wake_addr {
+                SocketAddr::V4(_) => std::net::Ipv4Addr::LOCALHOST.into(),
+                SocketAddr::V6(_) => std::net::Ipv6Addr::LOCALHOST.into(),
+            });
+        }
+        let _ = TcpStream::connect_timeout(&wake_addr, Duration::from_secs(1));
         if let Some(acceptor) = self.acceptor.take() {
             let _ = acceptor.join();
         }
-        // Connection threads observe the stop flag via their read
-        // timeouts; the acceptor has stopped adding new ones.
-        let conns = std::mem::take(&mut *self.conns.lock().unwrap());
-        for handle in conns {
-            let _ = handle.join();
+        // No new connections from here on. Idle ones are blocked in
+        // read(): shutting the read half down returns 0 to them; a busy
+        // one sees the flag once its request is answered.
+        let ConnRegistry { open, finished } =
+            std::mem::take(&mut *self.shared.conns.lock().unwrap());
+        for (socket, _) in open.values() {
+            let _ = socket.shutdown(Shutdown::Read);
         }
-        // With no connection threads left, no new jobs can arrive;
-        // workers drain whatever remains, then exit.
-        self.shared.stop_workers.store(true, Ordering::Release);
-        self.shared.queue.cv.notify_all();
-        for worker in self.workers.drain(..) {
-            let _ = worker.join();
+        for handle in open.into_values().map(|(_, h)| h).chain(finished) {
+            let _ = handle.join();
         }
         if let Some(sampler) = self.sampler.take() {
             let _ = sampler.join();
@@ -421,44 +407,63 @@ impl Server {
     }
 }
 
-fn accept_loop(listener: TcpListener, shared: Arc<Shared>, conns: Arc<Mutex<Vec<JoinHandle<()>>>>) {
+fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
     let mut next_conn = 0u64;
-    while !shared.stop.load(Ordering::Acquire) {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                shared.stats.connections.fetch_add(1, Ordering::Relaxed);
-                telemetry::counter("serve.connections").inc();
-                let shared_conn = Arc::clone(&shared);
-                let handle = std::thread::Builder::new()
-                    .name(format!("serve-conn-{next_conn}"))
-                    .spawn(move || connection_loop(stream, shared_conn));
-                next_conn += 1;
-                match handle {
-                    Ok(h) => conns.lock().unwrap().push(h),
-                    Err(_) => {
-                        shared.stats.disconnects.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
+    loop {
+        let accepted = listener.accept();
+        if shared.stop.load(Ordering::Acquire) {
+            break;
+        }
+        let stream = match accepted {
+            Ok((stream, _)) => stream,
+            Err(_) => {
+                telemetry::counter("serve.accept_errors").inc();
+                std::thread::sleep(ACCEPT_BACKOFF);
+                continue;
             }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                std::thread::sleep(shared.options.poll_interval);
+        };
+        shared.stats.connections.fetch_add(1, Ordering::Relaxed);
+        telemetry::counter("serve.connections").inc();
+        let id = next_conn;
+        next_conn += 1;
+        // Register under the lock the exiting thread takes to deregister,
+        // so even a connection that closes at once finds its entry.
+        let mut conns = shared.conns.lock().unwrap();
+        let spawned = stream.try_clone().and_then(|socket| {
+            let shared = Arc::clone(&shared);
+            let handle = std::thread::Builder::new()
+                .name(format!("serve-conn-{id}"))
+                .spawn(move || connection_loop(stream, shared, id))?;
+            Ok((socket, handle))
+        });
+        match spawned {
+            Ok(entry) => {
+                conns.open.insert(id, entry);
             }
-            Err(_) => std::thread::sleep(shared.options.poll_interval),
+            Err(_) => {
+                shared.stats.disconnects.fetch_add(1, Ordering::Relaxed);
+            }
+        }
+        let finished = std::mem::take(&mut conns.finished);
+        drop(conns);
+        for handle in finished {
+            let _ = handle.join();
         }
     }
-    shared.fold_telemetry();
+    shared.fold_telemetry(&mut telemetry::Snapshot::default());
 }
 
-/// Read exactly `buf.len()` bytes, re-checking the stop flag on every
-/// read timeout. `idle` distinguishes "waiting for the next frame" (EOF
-/// and stop are clean) from "mid-frame" (EOF is truncation; stop still
-/// aborts, reported as `Closed` so the caller drops the connection).
+/// Read exactly `buf.len()` bytes with blocking reads. `idle`
+/// distinguishes "waiting for the next frame" (EOF is a clean close) from
+/// "mid-frame" (EOF is truncation — unless the server is stopping, when
+/// the EOF is `shutdown`'s wake-up and the connection just closes).
 ///
 /// `deadline` bounds how long a *partially received* frame may stall: for
 /// idle reads the clock starts at the first byte (a quiet connection that
-/// has sent nothing is never killed), for payload reads at entry — the
-/// header already arrived, so the connection is mid-frame by definition.
-fn read_exact_polling(
+/// has sent nothing blocks without a timeout and is never killed), for
+/// payload reads at entry — the header already arrived, so the connection
+/// is mid-frame by definition.
+fn read_exact_deadline(
     stream: &mut TcpStream,
     buf: &mut [u8],
     idle: bool,
@@ -466,46 +471,60 @@ fn read_exact_polling(
     deadline: Option<Duration>,
 ) -> Result<(), ProtoError> {
     let mut got = 0;
-    let mut started: Option<Instant> = if idle { None } else { Some(Instant::now()) };
-    while got < buf.len() {
+    let mut started = (!idle).then(Instant::now);
+    let mut armed = false;
+    let result = loop {
+        if got == buf.len() {
+            break Ok(());
+        }
         if let (Some(limit), Some(t0)) = (deadline, started) {
-            if t0.elapsed() > limit {
-                return Err(ProtoError::ReadDeadline);
+            let left = limit.saturating_sub(t0.elapsed());
+            if left.is_zero() {
+                break Err(ProtoError::ReadDeadline);
             }
+            let _ = stream.set_read_timeout(Some(left));
+            armed = true;
         }
         match stream.read(&mut buf[got..]) {
-            Ok(0) if got == 0 && idle => return Err(ProtoError::Closed),
-            Ok(0) => return Err(ProtoError::Truncated),
+            Ok(0) if (got == 0 && idle) || stop.load(Ordering::Acquire) => {
+                break Err(ProtoError::Closed)
+            }
+            Ok(0) => break Err(ProtoError::Truncated),
             Ok(n) => {
                 got += n;
                 started.get_or_insert_with(Instant::now);
             }
-            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
-                if stop.load(Ordering::Acquire) {
-                    return Err(ProtoError::Closed);
-                }
-            }
-            Err(e) if e.kind() == ErrorKind::Interrupted => {}
-            Err(e) => return Err(ProtoError::Io(e)),
+            // The armed timeout fired or a signal arrived: the deadline
+            // check at the top of the loop decides.
+            Err(e)
+                if matches!(
+                    e.kind(),
+                    ErrorKind::WouldBlock | ErrorKind::TimedOut | ErrorKind::Interrupted
+                ) => {}
+            Err(e) => break Err(ProtoError::Io(e)),
         }
+    };
+    if armed {
+        let _ = stream.set_read_timeout(None);
     }
-    Ok(())
+    result
 }
 
-fn connection_loop(mut stream: TcpStream, shared: Arc<Shared>) {
-    let _ = stream.set_read_timeout(Some(shared.options.poll_interval));
+fn connection_loop(mut stream: TcpStream, shared: Arc<Shared>, id: u64) {
     let _ = stream.set_nodelay(true);
     let max_payload = shared.options.max_payload;
     let deadline = shared.options.read_deadline;
+    // This thread's registry as of its last fold into `Shared::metrics`.
+    let mut folded = telemetry::Snapshot::default();
 
-    loop {
+    while !shared.stop.load(Ordering::Acquire) {
         // Header first (idle: a close here is clean), then payload.
         let mut header = [0u8; HEADER_LEN];
-        let read = read_exact_polling(&mut stream, &mut header, true, &shared.stop, deadline)
+        let read = read_exact_deadline(&mut stream, &mut header, true, &shared.stop, deadline)
             .and_then(|()| proto::parse_header(&header, max_payload))
             .and_then(|(ty, len, crc)| {
                 let mut payload = vec![0u8; len as usize];
-                read_exact_polling(&mut stream, &mut payload, false, &shared.stop, deadline)?;
+                read_exact_deadline(&mut stream, &mut payload, false, &shared.stop, deadline)?;
                 proto::verify_crc(crc, &payload)?;
                 proto::parse_payload(ty, &payload)
             });
@@ -531,11 +550,7 @@ fn connection_loop(mut stream: TcpStream, shared: Arc<Shared>) {
                     code: ErrorCode::Proto,
                     message: err.to_string(),
                 };
-                if proto::write_frame(&mut stream, &reply).is_err() {
-                    shared.stats.disconnects.fetch_add(1, Ordering::Relaxed);
-                    break;
-                }
-                if err.is_fatal() {
+                if !send(&mut stream, &reply, &shared) || err.is_fatal() {
                     break;
                 }
                 continue;
@@ -544,91 +559,97 @@ fn connection_loop(mut stream: TcpStream, shared: Arc<Shared>) {
 
         shared.stats.requests.fetch_add(1, Ordering::Relaxed);
         telemetry::counter("serve.requests").inc();
-        if !handle_request(&mut stream, frame, &shared) {
+        if !handle_request(&mut stream, frame, &shared, &mut folded) {
             break;
         }
     }
-    shared.fold_telemetry();
+    shared.fold_telemetry(&mut folded);
+    // Deregister: dropping the registry's clone of the socket (with ours,
+    // at return) closes the connection; the handle waits to be joined.
+    let mut conns = shared.conns.lock().unwrap();
+    if let Some((_socket, handle)) = conns.open.remove(&id) {
+        conns.finished.push(handle);
+    }
+}
+
+/// Write one frame; `false` (and a counted disconnect) when the transport
+/// failed and the connection must close.
+fn send(stream: &mut TcpStream, frame: &Frame, shared: &Shared) -> bool {
+    let ok = proto::write_frame(stream, frame).is_ok();
+    if !ok {
+        shared.stats.disconnects.fetch_add(1, Ordering::Relaxed);
+    }
+    ok
 }
 
 /// Handle one request frame; returns `false` when the connection must
 /// close (transport failure writing the response).
-fn handle_request(stream: &mut TcpStream, frame: Frame, shared: &Shared) -> bool {
-    let reply_and_continue = |stream: &mut TcpStream, frame: &Frame| {
-        if proto::write_frame(stream, frame).is_err() {
-            shared.stats.disconnects.fetch_add(1, Ordering::Relaxed);
-            false
-        } else {
-            true
-        }
+fn handle_request(
+    stream: &mut TcpStream,
+    frame: Frame,
+    shared: &Shared,
+    folded: &mut telemetry::Snapshot,
+) -> bool {
+    let parse_error = |message| Frame::Error {
+        code: ErrorCode::Parse,
+        message,
     };
-
     match frame {
-        Frame::Ping => reply_and_continue(stream, &Frame::Pong),
+        Frame::Ping => send(stream, &Frame::Pong, shared),
         Frame::Prepare { uql } => {
             match shared
                 .cache
-                .lookup_or_parse(&uql, |text| parse_plan(shared, text))
+                .lookup_or_parse(&uql, |text| (shared.parse)(text))
             {
                 Ok((id, _, hit)) => {
                     record_cache_outcome(hit);
-                    reply_and_continue(stream, &Frame::Prepared { id })
+                    send(stream, &Frame::Prepared { id }, shared)
                 }
-                Err(msg) => reply_and_continue(
-                    stream,
-                    &Frame::Error {
-                        code: ErrorCode::Parse,
-                        message: msg,
-                    },
-                ),
+                Err(msg) => send(stream, &parse_error(msg), shared),
             }
         }
         Frame::Query { uql } => {
             match shared
                 .cache
-                .lookup_or_parse(&uql, |text| parse_plan(shared, text))
+                .lookup_or_parse(&uql, |text| (shared.parse)(text))
             {
                 Ok((_, plan, hit)) => {
                     record_cache_outcome(hit);
-                    dispatch_query(stream, plan, hit, shared)
+                    serve_query(stream, &plan, hit, shared, folded)
                 }
-                Err(msg) => reply_and_continue(
-                    stream,
-                    &Frame::Error {
-                        code: ErrorCode::Parse,
-                        message: msg,
-                    },
-                ),
+                Err(msg) => send(stream, &parse_error(msg), shared),
             }
         }
         Frame::Execute { id } => match shared.cache.by_id(id) {
-            Some(plan) => dispatch_query(stream, plan, true, shared),
-            None => reply_and_continue(
+            Some(plan) => serve_query(stream, &plan, true, shared, folded),
+            None => send(
                 stream,
                 &Frame::Error {
                     code: ErrorCode::UnknownStatement,
                     message: format!("prepared statement {id} is unknown or evicted"),
                 },
+                shared,
             ),
         },
-        // Answered inline on the connection thread: no admission permit,
-        // no worker dispatch, no snapshot, no buffer-pool traffic. An
-        // overloaded server — even one configured with max_inflight = 0 —
-        // must still answer Stats; that is the whole point of the frame.
+        // Answered without an admission permit, an execution slot, a
+        // snapshot or any buffer-pool traffic. An overloaded server — even
+        // one configured with max_inflight = 0 — must still answer Stats;
+        // that is the whole point of the frame.
         Frame::Stats { window_s } => {
             let json = build_stats_reply(shared, window_s);
-            reply_and_continue(stream, &Frame::StatsReply { json })
+            send(stream, &Frame::StatsReply { json }, shared)
         }
         Frame::Trace { id } => {
             let entry = shared.slow_log.lock().unwrap().get(id);
             match entry {
-                Some(e) => reply_and_continue(stream, &Frame::TraceReply { json: e.to_json() }),
-                None => reply_and_continue(
+                Some(e) => send(stream, &Frame::TraceReply { json: e.to_json() }, shared),
+                None => send(
                     stream,
                     &Frame::Error {
                         code: ErrorCode::NotFound,
                         message: format!("query {id} is not in the slow-query log"),
                     },
+                    shared,
                 ),
             }
         }
@@ -643,7 +664,7 @@ fn handle_request(stream: &mut TcpStream, frame: Frame, shared: &Shared) -> bool
         | Frame::TraceReply { .. }) => {
             shared.stats.proto_errors.fetch_add(1, Ordering::Relaxed);
             telemetry::counter("serve.proto_errors").inc();
-            reply_and_continue(
+            send(
                 stream,
                 &Frame::Error {
                     code: ErrorCode::Proto,
@@ -660,34 +681,21 @@ fn handle_request(stream: &mut TcpStream, frame: Frame, shared: &Shared) -> bool
                         }
                     }),
                 },
+                shared,
             )
         }
     }
 }
 
 /// Gather every input for a `StatsReply` without touching the admission
-/// gate, the worker pool, or the buffer pool, and build the document.
+/// gate, an execution slot, or the buffer pool, and build the document.
 fn build_stats_reply(shared: &Shared, window_s: u32) -> String {
-    let s = &shared.stats;
-    let (plan_cache_hits, plan_cache_misses) = shared.cache.stats();
-    let live = LiveStats {
-        connections: s.connections.load(Ordering::Relaxed),
-        requests: s.requests.load(Ordering::Relaxed),
-        queries: s.queries.load(Ordering::Relaxed),
-        shed: shared.gate.shed(),
-        proto_errors: s.proto_errors.load(Ordering::Relaxed),
-        rows_sent: s.rows_sent.load(Ordering::Relaxed),
-        disconnects: s.disconnects.load(Ordering::Relaxed),
-        deadline_closed: s.deadline_closed.load(Ordering::Relaxed),
-        plan_cache_hits,
-        plan_cache_misses,
-        inflight: shared.gate.inflight(),
-        queued: shared.queue.jobs.lock().unwrap().len(),
-        max_inflight: shared.gate.limit(),
-        workers: shared.worker_slots.len(),
-        degraded_answers: s.degraded_answers.load(Ordering::Relaxed),
-        degraded: (shared.degraded_probe)(),
-    };
+    let slow = shared.slow_log.lock().unwrap().entries();
+    // The sampled cumulative tally only moves under this lock, and every
+    // thread bumps the live atomics before it folds: reading the live
+    // counters with the lock held keeps "sampled ≤ live" exact.
+    let sampler = shared.sampler.lock().unwrap();
+    let live = shared.live_stats();
     let workers: Vec<(u64, u64)> = shared
         .worker_slots
         .iter()
@@ -698,21 +706,20 @@ fn build_stats_reply(shared: &Shared, window_s: u32) -> String {
             )
         })
         .collect();
-    let slow = shared.slow_log.lock().unwrap().entries();
-    let sampler = shared.sampler.lock().unwrap();
     stats::build_stats_json(&sampler, window_s, &live, &workers, &slow)
 }
 
-/// Admit, enqueue, await the worker's result, and stream it back.
-/// Returns `false` when the connection must close.
-fn dispatch_query(
+/// Admit, execute on this thread, stream the answer back, then account
+/// for it. Returns `false` when the connection must close.
+fn serve_query(
     stream: &mut TcpStream,
-    plan: Arc<CachedPlan>,
+    plan: &CachedPlan,
     cached: bool,
     shared: &Shared,
+    folded: &mut telemetry::Snapshot,
 ) -> bool {
     // Admission first: a shed request must cost nothing downstream — no
-    // worker dispatch, no snapshot, no buffer-pool traffic.
+    // execution slot, no snapshot, no buffer-pool traffic.
     let Some(permit) = shared.gate.try_admit() else {
         telemetry::counter("serve.shed").inc();
         let reply = Frame::Error {
@@ -722,58 +729,119 @@ fn dispatch_query(
                 shared.gate.limit()
             ),
         };
-        if proto::write_frame(stream, &reply).is_err() {
-            shared.stats.disconnects.fetch_add(1, Ordering::Relaxed);
-            return false;
-        }
-        return true;
+        return send(stream, &reply, shared);
     };
-
     telemetry::counter("serve.queries").inc();
-    let (tx, rx) = mpsc::channel();
-    shared.queue.push(Job {
-        plan,
-        cached,
-        permit,
-        reply: tx,
-    });
 
-    // The worker always sends exactly one reply (or drops the sender on
-    // shutdown, surfacing as RecvError → a retryable Unavailable).
-    let result = rx
-        .recv()
-        .unwrap_or_else(|_| Err((ErrorCode::Unavailable, "server shutting down".to_string())));
+    let slot = shared.take_slot();
+    let id = shared.query_ids.fetch_add(1, Ordering::Relaxed) + 1;
+    let started = Instant::now();
+    // Guarded execution behind a panic boundary: a storage fault degrades
+    // or maps to a typed `Unavailable`, a panicking query to a typed
+    // `Exec` — the slot and permit are released and the connection keeps
+    // serving either way.
+    let result = {
+        let _span = Span::enter("serve.execute");
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            (shared.execute)(&plan.query)
+        }))
+    };
+    let micros = started.elapsed().as_micros() as u64;
+    shared.stats.queries.fetch_add(1, Ordering::Relaxed);
+    telemetry::histogram("serve.query_us").record(micros);
+    let tally = &shared.worker_slots[slot.index];
+    tally.queries.fetch_add(1, Ordering::Relaxed);
+    tally.busy_us.fetch_add(micros, Ordering::Relaxed);
 
-    match result {
+    let mut executed = None; // (snapshot epoch, rows, ScanStats) on success
+    let outcome: QueryOutcome = match result {
+        Err(panic) => {
+            telemetry::counter("serve.worker.panics").inc();
+            Err((
+                ErrorCode::Exec,
+                format!("query execution panicked: {}", panic_message(&*panic)),
+            ))
+        }
+        Ok((_, Err(e))) => Err((error_code_for(&e), e.to_string())),
+        Ok((epoch, Ok((hits, stats, degraded)))) => {
+            if degraded {
+                shared
+                    .stats
+                    .degraded_answers
+                    .fetch_add(1, Ordering::Relaxed);
+                telemetry::counter("serve.degraded_answers").inc();
+            }
+            executed = Some((epoch, hits.len() as u64, stats));
+            match hits
+                .iter()
+                .map(WireRow::from_hit)
+                .collect::<Result<Vec<_>, _>>()
+            {
+                Err(e) => Err((ErrorCode::Exec, e.to_string())),
+                Ok(rows) => {
+                    telemetry::histogram("serve.rows").record(rows.len() as u64);
+                    Ok((
+                        rows,
+                        DoneInfo {
+                            rows: hits.len() as u64,
+                            pages_read: stats.pages_read,
+                            entries_examined: stats.entries_examined,
+                            seeks: stats.seeks,
+                            micros,
+                            cached_plan: cached,
+                            degraded,
+                        },
+                    ))
+                }
+            }
+        }
+    };
+    // Execution is over: the slot and the admission permit go back before
+    // the socket is written, so a slow reader holds neither.
+    drop(slot);
+    drop(permit);
+
+    let alive = match outcome {
         Ok((rows, done)) => {
             shared
                 .stats
                 .rows_sent
                 .fetch_add(done.rows, Ordering::Relaxed);
-            for chunk in rows.chunks(BATCH_ROWS.max(1)) {
-                let frame = Frame::RowBatch {
-                    rows: chunk.to_vec(),
-                };
-                if proto::write_frame(stream, &frame).is_err() {
-                    shared.stats.disconnects.fetch_add(1, Ordering::Relaxed);
-                    return false;
+            let mut rows = rows.into_iter();
+            loop {
+                let batch: Vec<WireRow> = rows.by_ref().take(BATCH_ROWS).collect();
+                if batch.is_empty() {
+                    break send(stream, &Frame::Done(done), shared);
+                }
+                if !send(stream, &Frame::RowBatch { rows: batch }, shared) {
+                    break false;
                 }
             }
-            if proto::write_frame(stream, &Frame::Done(done)).is_err() {
-                shared.stats.disconnects.fetch_add(1, Ordering::Relaxed);
-                return false;
-            }
-            true
         }
-        Err((code, message)) => {
-            let reply = Frame::Error { code, message };
-            if proto::write_frame(stream, &reply).is_err() {
-                shared.stats.disconnects.fetch_add(1, Ordering::Relaxed);
-                return false;
-            }
-            true
+        Err((code, message)) => send(stream, &Frame::Error { code, message }, shared),
+    };
+
+    // With the answer on the wire, publish what this thread recorded since
+    // its last fold (the live `queries` atomic was bumped above, so the
+    // sampled tally can never run ahead of it). The same delta — this
+    // request's frame handling, cache lookup and execution — is the
+    // slow-query entry's registry delta.
+    let delta = shared.fold_telemetry(folded);
+    if let Some((snapshot_epoch, rows, stats)) = executed {
+        if shared.options.slow_log_capacity > 0 && micros >= shared.options.slow_query_us {
+            shared.slow_log.lock().unwrap().offer(SlowQueryEntry {
+                id,
+                uql: plan.text.clone(),
+                micros,
+                rows,
+                cached_plan: cached,
+                snapshot_epoch,
+                stats,
+                delta,
+            });
         }
     }
+    alive
 }
 
 fn record_cache_outcome(hit: bool) {
@@ -784,197 +852,28 @@ fn record_cache_outcome(hit: bool) {
     }
 }
 
-/// Worker loop: each worker owns a reader clone and executes queries
-/// against a fresh snapshot pinned only for the duration of one query.
-///
-/// Between jobs the worker services the sampler: when the sample epoch
-/// advances, it publishes its full thread-local registry snapshot into
-/// its [`WorkerSlot`]. Publication is opportunistic — a worker stuck in
-/// a long query publishes late and the sampler merges its previous
-/// snapshot meanwhile, which under-reports but never over-reports.
-fn worker_loop<P: PageStore + Send + Sync>(
-    reader: DatabaseReader<P>,
-    shared: Arc<Shared>,
-    index: usize,
-) {
-    let slot = &shared.worker_slots[index];
-    let mut last_epoch = 0u64;
-    loop {
-        let epoch = shared.sample_epoch.load(Ordering::Acquire);
-        if epoch != last_epoch {
-            *slot.snap.lock().unwrap() = telemetry::snapshot();
-            slot.published.store(epoch, Ordering::Release);
-            last_epoch = epoch;
-        }
-
-        let job = match shared
-            .queue
-            .pop_timeout(&shared.stop_workers, shared.options.poll_interval)
-        {
-            Pop::Job(job) => job,
-            Pop::Idle => continue,
-            Pop::Stopped => break,
-        };
-        let Job {
-            plan,
-            cached,
-            permit,
-            reply,
-        } = job;
-
-        let id = shared.query_ids.fetch_add(1, Ordering::Relaxed) + 1;
-        // Slow-query capture needs a registry snapshot *before* execution
-        // so the entry can carry the per-query delta; skip the cost
-        // entirely when the log is disabled.
-        let slow_enabled = shared.options.slow_log_capacity > 0;
-        let before = slow_enabled.then(telemetry::snapshot);
-
-        let snap = reader.snapshot();
-        let snapshot_epoch = snap.epoch();
-        let started = Instant::now();
-        // Guarded execution behind a panic boundary: a storage fault
-        // degrades or maps to a typed `Unavailable`, and a worker never
-        // dies mid-job — the permit is released and the client gets a
-        // typed error either way.
-        let result = {
-            let _span = Span::enter("serve.execute");
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                reader.query_guarded_at(&snap, &plan.query)
-            }))
-        };
-        let micros = started.elapsed().as_micros() as u64;
-        shared.stats.queries.fetch_add(1, Ordering::Relaxed);
-        telemetry::histogram("serve.query_us").record(micros);
-        slot.queries.fetch_add(1, Ordering::Relaxed);
-        slot.busy_us.fetch_add(micros, Ordering::Relaxed);
-
-        let mut executed = None; // (rows, ScanStats) on success
-        let outcome = match result {
-            Err(panic) => {
-                telemetry::counter("serve.worker.panics").inc();
-                Err((
-                    ErrorCode::Exec,
-                    format!("query execution panicked: {}", panic_message(&*panic)),
-                ))
-            }
-            Ok(Err(e)) => Err((error_code_for(&e), e.to_string())),
-            Ok(Ok((hits, stats, degraded))) => {
-                if degraded {
-                    shared
-                        .stats
-                        .degraded_answers
-                        .fetch_add(1, Ordering::Relaxed);
-                    telemetry::counter("serve.degraded_answers").inc();
-                }
-                executed = Some((hits.len() as u64, stats));
-                let mut rows = Vec::with_capacity(hits.len());
-                let mut encode_err = None;
-                for hit in &hits {
-                    match WireRow::from_hit(hit) {
-                        Ok(row) => rows.push(row),
-                        Err(e) => {
-                            encode_err = Some((ErrorCode::Exec, e.to_string()));
-                            break;
-                        }
-                    }
-                }
-                match encode_err {
-                    Some(err) => Err(err),
-                    None => {
-                        telemetry::histogram("serve.rows").record(rows.len() as u64);
-                        Ok((
-                            rows,
-                            DoneInfo {
-                                rows: hits.len() as u64,
-                                pages_read: stats.pages_read,
-                                entries_examined: stats.entries_examined,
-                                seeks: stats.seeks,
-                                micros,
-                                cached_plan: cached,
-                                degraded,
-                            },
-                        ))
-                    }
-                }
-            }
-        };
-
-        if micros >= shared.options.slow_query_us {
-            if let (Some(before), Some((rows, stats))) = (before, executed) {
-                let delta = telemetry::snapshot().delta(&before);
-                shared.slow_log.lock().unwrap().offer(SlowQueryEntry {
-                    id,
-                    uql: plan.text.clone(),
-                    micros,
-                    rows,
-                    cached_plan: cached,
-                    snapshot_epoch,
-                    stats,
-                    delta,
-                });
-            }
-        }
-
-        // The connection may have vanished mid-query; a dead receiver
-        // just means nobody wants the answer. The permit drops either
-        // way, so abandoned queries never leak admission slots.
-        let _ = reply.send(outcome);
-        drop(permit);
-    }
-    shared.fold_telemetry();
-}
-
-/// Sampler loop: once per `sample_interval`, bump the epoch, give the
-/// workers a bounded head start to publish, then fold their latest
-/// snapshots into the rolling window. The wall clock lives only here —
-/// the window itself (and everything Stats computes from it) is a pure
-/// function of the pushed intervals.
+/// Sampler loop: once per `sample_interval`, diff the server-wide
+/// telemetry merge into the rolling window. The wall clock lives only
+/// here — the window itself (and everything Stats computes from it) is a
+/// pure function of the pushed intervals. The thread holds the sampler
+/// mutex except while it waits, which is where Stats handlers get in.
 fn sampler_loop(shared: Arc<Shared>) {
     let interval = shared.options.sample_interval.max(Duration::from_millis(1));
-    let poll = shared.options.poll_interval.max(Duration::from_millis(1));
-    let mut epoch = 0u64;
+    let mut state = shared.sampler.lock().unwrap();
     loop {
-        // Sleep one interval in poll-size chunks so shutdown is prompt.
-        let wake = Instant::now() + interval;
-        loop {
-            let now = Instant::now();
-            if now >= wake || shared.stop_workers.load(Ordering::Acquire) {
-                break;
-            }
-            std::thread::sleep(poll.min(wake - now));
+        let (guard, wait) = shared
+            .sampler_wake
+            .wait_timeout_while(state, interval, |_| !shared.stop.load(Ordering::Acquire))
+            .unwrap();
+        state = guard;
+        if !wait.timed_out() {
+            break; // woken by shutdown
         }
-        if shared.stop_workers.load(Ordering::Acquire) {
-            break;
-        }
-
-        epoch += 1;
-        shared.sample_epoch.store(epoch, Ordering::Release);
-        // Nudge idle workers out of their queue wait so they publish
-        // promptly even with long poll intervals.
-        shared.queue.cv.notify_all();
-        let deadline = Instant::now() + poll * 4;
-        while Instant::now() < deadline {
-            let all_published = shared
-                .worker_slots
-                .iter()
-                .all(|s| s.published.load(Ordering::Acquire) >= epoch);
-            if all_published {
-                break;
-            }
-            std::thread::sleep(Duration::from_millis(1));
-        }
-
-        let mut merged = telemetry::Snapshot::default();
-        for slot in &shared.worker_slots {
-            merged.merge(&slot.snap.lock().unwrap());
-        }
-        shared.sampler.lock().unwrap().advance(merged);
+        let merged = shared.metrics.lock().unwrap().clone();
+        state.advance(merged);
     }
-    shared.fold_telemetry();
-}
-
-fn parse_plan(shared: &Shared, text: &str) -> Result<uindex::Query, String> {
-    (shared.parse)(text)
+    drop(state);
+    shared.fold_telemetry(&mut telemetry::Snapshot::default());
 }
 
 /// Map an engine error to the wire code. Storage trouble — pages or the

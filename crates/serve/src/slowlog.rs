@@ -21,7 +21,7 @@ use uindex::ScanStats;
 /// `Trace` readers via `Arc`).
 #[derive(Debug, Clone)]
 pub struct SlowQueryEntry {
-    /// Monotonic query id, assigned at dispatch across all workers.
+    /// Monotonic query id, assigned at execution across all connections.
     pub id: u64,
     /// The normalized UQL the plan was parsed from.
     pub uql: String,
@@ -35,8 +35,10 @@ pub struct SlowQueryEntry {
     pub snapshot_epoch: u64,
     /// Scan cost counters, exactly as returned to the client in `Done`.
     pub stats: ScanStats,
-    /// Telemetry registry delta over the execution — the counters a live
-    /// `EXPLAIN ANALYZE` of this query would have reported.
+    /// What the executing thread's telemetry registry recorded for this
+    /// request (frame handling, cache lookup, execution) — the counters a
+    /// live `EXPLAIN ANALYZE` of this query would have reported, plus the
+    /// request's own `serve.*` ones.
     pub delta: telemetry::Snapshot,
 }
 

@@ -1,17 +1,17 @@
-//! Live-stats plumbing: per-worker snapshot slots the sampler polls, the
-//! rolling-window sampler state, and the `StatsReply` JSON builder.
+//! Live-stats data: the per-slot execution tallies, the rolling-window
+//! sampler state, the lifetime counters, and the `StatsReply` JSON builder.
 //!
 //! Division of labor with `server.rs`: the server owns the threads (the
-//! sampler loop, the workers publishing into their slots) and gathers the
-//! live atomic counters; this module owns the *data* — how interval
-//! deltas are derived from cumulative worker snapshots, how windows are
-//! folded, and how the reply document is laid out. Everything here is
-//! clock-free and deterministic, so the window math is testable with
-//! synthetic snapshots.
+//! sampler loop, the connection threads folding their telemetry into the
+//! server-wide merge) and gathers the live atomic counters; this module
+//! owns the *data* — how interval deltas are derived from the cumulative
+//! merge, how windows are folded, and how the reply document is laid out.
+//! Everything here is clock-free and deterministic, so the window math is
+//! testable with synthetic snapshots.
 
 use std::fmt::Write as _;
 use std::sync::atomic::AtomicU64;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Duration;
 
 use telemetry::{json, RollingWindow, Snapshot};
@@ -24,20 +24,14 @@ const ROWS: &str = "serve.rows";
 const POOL_HITS: &str = "pagestore.pool.hits";
 const POOL_MISSES: &str = "pagestore.pool.misses";
 
-/// One worker's publication slot. The worker overwrites `snap` with its
-/// full (cumulative) thread-local registry snapshot whenever the sampler
-/// bumps the epoch; the sampler merges whatever was last published, so a
-/// worker stuck in a long query simply contributes its previous snapshot
-/// until it surfaces.
+/// Live tallies of one execution slot (an entry of the `Stats` document's
+/// `workers` array): a query runs on its connection's thread, but only
+/// while holding one of the `workers` slots.
 #[derive(Default)]
 pub struct WorkerSlot {
-    /// Latest cumulative registry snapshot published by this worker.
-    pub snap: Mutex<Snapshot>,
-    /// The sample epoch `snap` was published for (lags during long queries).
-    pub published: AtomicU64,
-    /// Queries this worker has finished (live atomic, not sampled).
+    /// Queries finished while holding this slot.
     pub queries: AtomicU64,
-    /// Microseconds this worker has spent executing (live atomic).
+    /// Microseconds spent executing while holding this slot.
     pub busy_us: AtomicU64,
 }
 
@@ -46,8 +40,8 @@ pub struct WorkerSlot {
 /// in `Shared`; the sampler writes once per interval, Stats handlers read.
 pub struct SamplerState {
     window: RollingWindow,
-    /// Merge of the most recent published snapshot from every worker.
-    /// Monotone because each worker's registry is monotone.
+    /// The server-wide telemetry merge as of the newest tick. Monotone
+    /// because every thread only ever folds non-negative deltas into it.
     cumulative: Snapshot,
     interval: Duration,
 }
@@ -61,9 +55,9 @@ impl SamplerState {
         }
     }
 
-    /// Fold one sampling tick: `merged` is the merge of every worker's
-    /// latest published snapshot. The interval delta (vs the previous
-    /// cumulative) goes into the window; `merged` becomes the new basis.
+    /// Fold one sampling tick: `merged` is the server-wide telemetry merge
+    /// right now. The interval delta (vs the previous cumulative) goes
+    /// into the window; `merged` becomes the new basis.
     pub fn advance(&mut self, merged: Snapshot) {
         let delta = merged.delta(&self.cumulative);
         self.window.push(delta);
@@ -88,29 +82,54 @@ impl SamplerState {
     }
 }
 
-/// Live (un-sampled) counter values the server reads straight from its
-/// atomics at Stats time. Always current, unlike the sampled window.
+/// Monotonic counters describing a server's lifetime, readable live via
+/// [`crate::Server::stats`], reported in the `Stats` document's `live`
+/// object and returned finally in [`crate::ServeReport`].
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct ServeStats {
+    /// Connections accepted.
+    pub connections: u64,
+    /// Request frames handled (queries, prepares, pings).
+    pub requests: u64,
+    /// Queries executed to completion (success or exec error).
+    pub queries: u64,
+    /// Requests shed by admission control.
+    pub shed: u64,
+    /// Protocol violations observed (fatal and recoverable).
+    pub proto_errors: u64,
+    /// Result rows written to clients.
+    pub rows_sent: u64,
+    /// Connections that ended with a transport error (abrupt disconnect),
+    /// as opposed to a clean close at a frame boundary.
+    pub disconnects: u64,
+    /// Plan-cache hits.
+    pub plan_cache_hits: u64,
+    /// Plan-cache misses (statements parsed).
+    pub plan_cache_misses: u64,
+    /// Connections closed for exceeding the per-frame read deadline.
+    pub deadline_closed: u64,
+    /// Queries answered from the degraded fallback path (object-store
+    /// evaluation) instead of the index — still correct answers, flagged
+    /// per-response in [`crate::DoneInfo::degraded`].
+    pub degraded_answers: u64,
+    /// Whether the served reader's index is currently quarantined —
+    /// every query is answering degraded until a clean `check()`.
+    pub degraded: bool,
+}
+
+/// Everything the `Stats` document's `live` object reports: the lifetime
+/// counters plus the instantaneous occupancy, read straight from the
+/// server's atomics at Stats time. Always current, unlike the sampled
+/// window.
 #[derive(Debug, Clone, Default)]
 pub struct LiveStats {
-    pub connections: u64,
-    pub requests: u64,
-    pub queries: u64,
-    pub shed: u64,
-    pub proto_errors: u64,
-    pub rows_sent: u64,
-    pub disconnects: u64,
-    pub deadline_closed: u64,
-    pub plan_cache_hits: u64,
-    pub plan_cache_misses: u64,
+    pub counters: ServeStats,
+    /// Queries admitted and not yet finished.
     pub inflight: usize,
+    /// Admitted queries waiting for an execution slot.
     pub queued: usize,
     pub max_inflight: usize,
     pub workers: usize,
-    /// Queries answered from the degraded fallback path so far.
-    pub degraded_answers: u64,
-    /// Whether the served index is currently quarantined (every answer
-    /// degraded until a clean check).
-    pub degraded: bool,
 }
 
 fn hist_count(s: &Snapshot, name: &str) -> u64 {
@@ -168,6 +187,7 @@ pub fn build_stats_json(
     let pool_misses = counter(&win, POOL_MISSES);
 
     let cum = sampler.cumulative();
+    let c = &live.counters;
 
     let mut out = String::with_capacity(1024);
     let _ = write!(
@@ -206,23 +226,23 @@ pub fn build_stats_json(
          \"plan_cache_hits\": {}, \"plan_cache_misses\": {}, \"plan_cache_hit_rate\": {:.4}, \
          \"inflight\": {}, \"queued\": {}, \"max_inflight\": {}, \"workers\": {}, \
          \"degraded_answers\": {}, \"degraded\": {}}},",
-        live.connections,
-        live.requests,
-        live.queries,
-        live.shed,
-        live.proto_errors,
-        live.rows_sent,
-        live.disconnects,
-        live.deadline_closed,
-        live.plan_cache_hits,
-        live.plan_cache_misses,
-        ratio(live.plan_cache_hits, live.plan_cache_misses),
+        c.connections,
+        c.requests,
+        c.queries,
+        c.shed,
+        c.proto_errors,
+        c.rows_sent,
+        c.disconnects,
+        c.deadline_closed,
+        c.plan_cache_hits,
+        c.plan_cache_misses,
+        ratio(c.plan_cache_hits, c.plan_cache_misses),
         live.inflight,
         live.queued,
         live.max_inflight,
         live.workers,
-        live.degraded_answers,
-        live.degraded,
+        c.degraded_answers,
+        c.degraded,
     );
     out.push_str("  \"workers\": [");
     for (i, (queries, busy_us)) in workers.iter().enumerate() {
@@ -332,8 +352,10 @@ mod tests {
     fn empty_sampler_yields_parseable_zeros() {
         let st = SamplerState::new(60, Duration::from_secs(1));
         let live = LiveStats {
-            shed: 7,
-            max_inflight: 0,
+            counters: ServeStats {
+                shed: 7,
+                ..ServeStats::default()
+            },
             ..LiveStats::default()
         };
         let doc = build_stats_json(&st, 60, &live, &[(0, 0)], &[]);
