@@ -27,6 +27,13 @@ cargo bench --no-run --offline --workspace
 echo "== scanperf --smoke (scan-path invariants on a small database)"
 cargo run -q --release --offline -p bench --bin scanperf -- --smoke
 
+echo "== node codec (hostile-bytes corpus; arena decoder == reference decoder, encode(decode(page)) == page)"
+cargo test -q --offline -p btree --test decode_fuzz
+cargo test -q --offline -p btree --lib differential
+
+echo "== allocation budget (0 per entry examined, <= 2 per hit, 2 per leaf decode; counting allocator)"
+cargo test -q --offline -p uindex --test alloc_budget
+
 echo "== telemetry JSON round-trip (export -> vendored parser -> verify)"
 cargo test -q --offline -p telemetry json_round_trip
 

@@ -8,9 +8,9 @@
 
 use pagestore::{BufferPool, Error, PageId, PageStore, Result};
 
-use crate::codec::{common_prefix_len, truncate_separator, varint_len};
+use crate::codec::{common_prefix_len, truncate_separator};
 use crate::config::{BTreeConfig, Capacity};
-use crate::node::{Entry, InternalNode, LeafNode, Node, INTERIOR_HEADER, LEAF_HEADER};
+use crate::node::{entry_size, InternalNode, LeafNode, Node, INTERIOR_HEADER, LEAF_HEADER};
 use crate::tree::BTree;
 
 impl<S: PageStore> BTree<S> {
@@ -47,10 +47,7 @@ impl<S: PageStore> BTree<S> {
 
         // ---- pack the leaf level (no page ids yet) ----
         let mut leaves: Vec<LeafNode> = Vec::new();
-        let mut cur = LeafNode {
-            entries: Vec::new(),
-            next: PageId::NULL,
-        };
+        let mut cur = LeafNode::new(PageId::NULL);
         let mut cur_size = LEAF_HEADER;
         let mut prev_key: Option<Vec<u8>> = None;
         let mut count: u64 = 0;
@@ -66,58 +63,40 @@ impl<S: PageStore> BTree<S> {
             if key.len() + value.len() > max_entry {
                 return Err(Error::Corrupt("bulk_load entry too large".into()));
             }
-            let plen = if compress && !cur.entries.is_empty() {
+            let plen = if compress && !cur.is_empty() {
                 common_prefix_len(prev_key.as_deref().unwrap_or(&[]), &key)
             } else {
                 0
             };
-            let esize = varint_len(plen as u32)
-                + varint_len((key.len() - plen) as u32)
-                + (key.len() - plen)
-                + varint_len(value.len() as u32)
-                + value.len();
+            let esize = entry_size(plen, key.len(), Some(value.len()));
             let full = match config.capacity {
-                Capacity::Bytes => !cur.entries.is_empty() && cur_size + esize > page_size,
-                Capacity::Entries(m) => cur.entries.len() >= m,
+                Capacity::Bytes => !cur.is_empty() && cur_size + esize > page_size,
+                Capacity::Entries(m) => cur.len() >= m,
             };
             if full {
-                leaves.push(std::mem::replace(
-                    &mut cur,
-                    LeafNode {
-                        entries: Vec::new(),
-                        next: PageId::NULL,
-                    },
-                ));
-                cur_size = LEAF_HEADER
-                    + varint_len(0)
-                    + varint_len(key.len() as u32)
-                    + key.len()
-                    + varint_len(value.len() as u32)
-                    + value.len();
+                leaves.push(std::mem::replace(&mut cur, LeafNode::new(PageId::NULL)));
+                cur_size = LEAF_HEADER + entry_size(0, key.len(), Some(value.len()));
             } else {
                 cur_size += esize;
             }
-            prev_key = Some(key.clone());
-            cur.entries.push(Entry { key, value });
+            cur.push(&key, &value);
+            prev_key = Some(key);
             count += 1;
         }
-        if !cur.entries.is_empty() || leaves.is_empty() {
+        if !cur.is_empty() || leaves.is_empty() {
             leaves.push(cur);
         }
 
         // Redistribute an underfull tail leaf with its left neighbour.
-        if leaves.len() >= 2 && tree.is_underfull_node(&Node::Leaf(leaves.last().unwrap().clone()))
-        {
-            let tail = leaves.pop().unwrap();
-            let prev = leaves.last_mut().unwrap();
-            prev.entries.extend(tail.entries);
-            if !tree.fits(&Node::Leaf(prev.clone())) {
-                let k = tree.leaf_split_index(prev)?;
-                let right_entries = prev.entries.split_off(k);
-                leaves.push(LeafNode {
-                    entries: right_entries,
-                    next: PageId::NULL,
-                });
+        if let [.., prev, tail] = leaves.as_mut_slice() {
+            if tree.is_underfull_size(tail.len(), tail.encoded_size(compress)) {
+                prev.append(tail);
+                if tree.fits_size(prev.len(), prev.encoded_size(compress)) {
+                    leaves.pop();
+                } else {
+                    let k = tree.leaf_split_index(prev)?;
+                    *tail = prev.split_off(k);
+                }
             }
         }
 
@@ -127,67 +106,49 @@ impl<S: PageStore> BTree<S> {
             let (id, _) = tree.allocate_page()?;
             leaf_ids.push(id);
         }
-        for (i, leaf) in leaves.iter_mut().enumerate() {
-            leaf.next = if i + 1 < leaf_ids.len() {
-                leaf_ids[i + 1]
-            } else {
-                PageId::NULL
-            };
-            tree.store_node(leaf_ids[i], &Node::Leaf(leaf.clone()))?;
-        }
-
         // Separators between adjacent leaves.
         let mut seps: Vec<Vec<u8>> = leaves
             .windows(2)
             .map(|w| {
-                let left_max = &w[0].entries.last().expect("packed leaf non-empty").key;
-                let right_min = &w[1].entries[0].key;
+                let left_max = w[0].key(w[0].len() - 1);
+                let right_min = w[1].key(0);
                 if config.suffix_truncation {
                     truncate_separator(left_max, right_min)
                 } else {
-                    right_min.clone()
+                    right_min.to_vec()
                 }
             })
             .collect();
+        for (i, mut leaf) in leaves.into_iter().enumerate() {
+            leaf.next = leaf_ids.get(i + 1).copied().unwrap_or(PageId::NULL);
+            tree.store_node(leaf_ids[i], &Node::Leaf(leaf))?;
+        }
         let mut level = leaf_ids;
 
         // ---- pack interior levels until a single root remains ----
         while level.len() > 1 {
             let mut nodes: Vec<InternalNode> = Vec::new();
             let mut proms: Vec<Vec<u8>> = Vec::new();
-            let mut cur = InternalNode {
-                seps: Vec::new(),
-                children: vec![level[0]],
-            };
+            let mut cur = InternalNode::new(level[0]);
             let mut cur_size = INTERIOR_HEADER;
             let mut prev_sep: Option<&Vec<u8>> = None;
             for (i, sep) in seps.iter().enumerate() {
                 let child = level[i + 1];
                 let plen = match (prev_sep, compress) {
-                    (Some(p), true) if !cur.seps.is_empty() => common_prefix_len(p, sep),
+                    (Some(p), true) if !cur.is_empty() => common_prefix_len(p, sep),
                     _ => 0,
                 };
-                let esize = varint_len(plen as u32)
-                    + varint_len((sep.len() - plen) as u32)
-                    + (sep.len() - plen)
-                    + 4;
+                let esize = entry_size(plen, sep.len(), None);
                 let full = match config.capacity {
-                    Capacity::Bytes => !cur.seps.is_empty() && cur_size + esize > page_size,
-                    Capacity::Entries(m) => cur.seps.len() >= m,
+                    Capacity::Bytes => !cur.is_empty() && cur_size + esize > page_size,
+                    Capacity::Entries(m) => cur.len() >= m,
                 };
                 if full {
-                    nodes.push(std::mem::replace(
-                        &mut cur,
-                        InternalNode {
-                            seps: Vec::new(),
-                            children: vec![child],
-                        },
-                    ));
+                    nodes.push(std::mem::replace(&mut cur, InternalNode::new(child)));
                     proms.push(sep.clone());
                     cur_size = INTERIOR_HEADER;
                 } else {
-                    cur.seps.push(sep.clone());
-                    cur.children.push(child);
+                    cur.push(sep, child);
                     cur_size += esize;
                 }
                 prev_sep = Some(sep);
@@ -195,32 +156,25 @@ impl<S: PageStore> BTree<S> {
             nodes.push(cur);
 
             // Redistribute an underfull tail interior node.
-            if nodes.len() >= 2
-                && tree.is_underfull_node(&Node::Internal(nodes.last().unwrap().clone()))
-            {
-                let tail = nodes.pop().unwrap();
-                let between = proms.pop().expect("promoted sep exists");
-                let prev = nodes.last_mut().unwrap();
-                prev.seps.push(between);
-                prev.seps.extend(tail.seps);
-                prev.children.extend(tail.children);
-                if !tree.fits(&Node::Internal(prev.clone())) {
-                    let p = tree.internal_split_index(prev)?;
-                    let right_seps = prev.seps.split_off(p + 1);
-                    let promoted = prev.seps.pop().expect("valid promote");
-                    let right_children = prev.children.split_off(p + 1);
-                    nodes.push(InternalNode {
-                        seps: right_seps,
-                        children: right_children,
-                    });
-                    proms.push(promoted);
+            if let [.., prev, tail] = nodes.as_mut_slice() {
+                if tree.is_underfull_size(tail.len(), tail.encoded_size(compress)) {
+                    let between = proms.pop().expect("promoted sep exists");
+                    prev.append(&between, tail);
+                    if tree.fits_size(prev.len(), prev.encoded_size(compress)) {
+                        nodes.pop();
+                    } else {
+                        let p = tree.internal_split_index(prev)?;
+                        let (promoted, right) = prev.split_off(p);
+                        *tail = right;
+                        proms.push(promoted);
+                    }
                 }
             }
 
             let mut ids = Vec::with_capacity(nodes.len());
-            for node in &nodes {
+            for node in nodes {
                 let (id, _) = tree.allocate_page()?;
-                tree.store_node(id, &Node::Internal(node.clone()))?;
+                tree.store_node(id, &Node::Internal(node))?;
                 ids.push(id);
             }
             level = ids;

@@ -2,16 +2,21 @@
 
 use pagestore::{Error, Result};
 
-/// Append `v` as a LEB128 varint.
-pub fn write_varint(buf: &mut Vec<u8>, mut v: u32) {
+/// Write `v` as a LEB128 varint at `*pos`, advancing it.
+///
+/// # Panics
+/// Panics if `buf` is too short (callers size it with [`varint_len`]).
+pub fn write_varint(buf: &mut [u8], pos: &mut usize, mut v: u32) {
     loop {
         let byte = (v & 0x7F) as u8;
         v >>= 7;
         if v == 0 {
-            buf.push(byte);
+            buf[*pos] = byte;
+            *pos += 1;
             return;
         }
-        buf.push(byte | 0x80);
+        buf[*pos] = byte | 0x80;
+        *pos += 1;
     }
 }
 
@@ -49,7 +54,22 @@ pub fn read_varint(buf: &[u8], pos: &mut usize) -> Result<u32> {
 /// Length of the longest common prefix of `a` and `b`.
 #[inline]
 pub fn common_prefix_len(a: &[u8], b: &[u8]) -> usize {
-    a.iter().zip(b.iter()).take_while(|(x, y)| x == y).count()
+    // Eight bytes at a time: the first differing byte of a little-endian
+    // word is its lowest set bit after XOR.
+    let mut n = 0;
+    for (x, y) in a.chunks_exact(8).zip(b.chunks_exact(8)) {
+        let diff =
+            u64::from_le_bytes(x.try_into().unwrap()) ^ u64::from_le_bytes(y.try_into().unwrap());
+        if diff != 0 {
+            return n + (diff.trailing_zeros() / 8) as usize;
+        }
+        n += 8;
+    }
+    n + a[n..]
+        .iter()
+        .zip(&b[n..])
+        .take_while(|(x, y)| x == y)
+        .count()
 }
 
 /// Shortest separator `t` with `left_max < t <= right_min`.
@@ -72,31 +92,33 @@ mod tests {
 
     #[test]
     fn varint_roundtrip() {
-        let mut buf = Vec::new();
+        let mut buf = [0u8; 64];
         let values = [0u32, 1, 127, 128, 300, 16383, 16384, 1 << 20, u32::MAX];
+        let mut end = 0;
         for &v in &values {
-            write_varint(&mut buf, v);
+            write_varint(&mut buf, &mut end, v);
         }
         let mut pos = 0;
         for &v in &values {
-            assert_eq!(read_varint(&buf, &mut pos).unwrap(), v);
+            assert_eq!(read_varint(&buf[..end], &mut pos).unwrap(), v);
         }
-        assert_eq!(pos, buf.len());
+        assert_eq!(pos, end);
     }
 
     #[test]
     fn varint_len_matches_encoding() {
         for v in [0u32, 5, 127, 128, 16383, 16384, 1 << 21, u32::MAX] {
-            let mut buf = Vec::new();
-            write_varint(&mut buf, v);
-            assert_eq!(buf.len(), varint_len(v), "value {v}");
+            let mut buf = [0u8; 5];
+            let mut end = 0;
+            write_varint(&mut buf, &mut end, v);
+            assert_eq!(end, varint_len(v), "value {v}");
         }
     }
 
     #[test]
     fn varint_truncated_errors() {
-        let mut buf = Vec::new();
-        write_varint(&mut buf, 300);
+        let mut buf = [0u8; 2];
+        write_varint(&mut buf, &mut 0, 300);
         let mut pos = 0;
         assert!(read_varint(&buf[..1], &mut pos).is_err());
     }
@@ -108,6 +130,14 @@ mod tests {
         assert_eq!(common_prefix_len(b"abc", b"abc"), 3);
         assert_eq!(common_prefix_len(b"abc", b"abcdef"), 3);
         assert_eq!(common_prefix_len(b"xyz", b"abc"), 0);
+        // Across and at the eight-byte word boundaries.
+        let a = b"0123456789abcdefghij";
+        for cut in 0..a.len() {
+            let mut b = a.to_vec();
+            b[cut] ^= 0x40;
+            assert_eq!(common_prefix_len(a, &b), cut);
+            assert_eq!(common_prefix_len(&a[..cut], a), cut);
+        }
     }
 
     #[test]

@@ -25,16 +25,18 @@
 //!    by a tree mutation (detected through the tree's epoch counter).
 //!
 //! Because skip targets and ranges never need owned key bytes, the scan
-//! hot path reads entries through [`EntryRef`] — a borrowed view into the
-//! shared decoded leaf — instead of cloning every key and value it
-//! examines. `EntryRef` holds `Arc<Node>`, so it is `Send`: worker threads
-//! can hand scan results around freely.
+//! hot path reads entries through [`ReadView::cursor_peek`] — slices
+//! borrowed from the cursor's handle on the shared decoded leaf's arena —
+//! instead of cloning every key and value it examines. [`EntryRef`] is the
+//! same view with its own `Arc<Node>`, for callers that keep an entry
+//! while the cursor moves; it is `Send`, so worker threads can hand scan
+//! results around freely.
 
 use std::sync::Arc;
 
 use pagestore::{PageId, PageStore, Result};
 
-use crate::node::Node;
+use crate::node::{LeafNode, Node};
 use crate::tree::{decode_node, metrics, BTree, TreeReader, TreeShared, TreeSnapshot};
 
 /// One retained level of a cursor's descent path: an interior node plus
@@ -125,6 +127,14 @@ impl Cursor {
         self.stats
     }
 
+    /// The decoded node the cursor holds, if it is a leaf.
+    fn cached_leaf(&self) -> Option<&LeafNode> {
+        match self.cached.as_ref().map(|(_, node)| &**node) {
+            Some(Node::Leaf(leaf)) => Some(leaf),
+            _ => None,
+        }
+    }
+
     /// Step to the next entry (within-leaf; leaf chaining happens in
     /// [`ReadView::cursor_entry_ref`]).
     pub fn advance(&mut self) {
@@ -132,7 +142,7 @@ impl Cursor {
     }
 }
 
-/// A borrowed view of the entry under a cursor.
+/// A shared view of the entry under a cursor.
 ///
 /// Holds a reference-counted handle to the decoded leaf (shared with the
 /// pool's decode cache), so no key or value bytes are copied, and the view
@@ -144,7 +154,7 @@ pub struct EntryRef {
 }
 
 impl EntryRef {
-    fn leaf(&self) -> &crate::node::LeafNode {
+    fn leaf(&self) -> &LeafNode {
         match &*self.node {
             Node::Leaf(l) => l,
             Node::Internal(_) => unreachable!("EntryRef is only built over leaves"),
@@ -153,18 +163,17 @@ impl EntryRef {
 
     /// The entry's key bytes.
     pub fn key(&self) -> &[u8] {
-        &self.leaf().entries[self.slot].key
+        self.leaf().key(self.slot)
     }
 
     /// The entry's value bytes.
     pub fn value(&self) -> &[u8] {
-        &self.leaf().entries[self.slot].value
+        self.leaf().value(self.slot)
     }
 
     /// Clone the entry into owned `(key, value)` vectors.
     pub fn to_pair(&self) -> (Vec<u8>, Vec<u8>) {
-        let e = &self.leaf().entries[self.slot];
-        (e.key.clone(), e.value.clone())
+        (self.key().to_vec(), self.value().to_vec())
     }
 }
 
@@ -266,13 +275,9 @@ impl<S: PageStore> ReadView<'_, S> {
         loop {
             let node = self.load_cached(id)?;
             match &*node {
-                Node::Internal(int) => id = int.children[int.route(key)],
+                Node::Internal(int) => id = int.child(int.route(key)),
                 Node::Leaf(leaf) => {
-                    return Ok(leaf
-                        .entries
-                        .binary_search_by(|e| e.key.as_slice().cmp(key))
-                        .ok()
-                        .map(|i| leaf.entries[i].value.clone()));
+                    return Ok(leaf.search(key).ok().map(|i| leaf.value(i).to_vec()));
                 }
             }
         }
@@ -327,22 +332,22 @@ impl<S: PageStore> ReadView<'_, S> {
             match &*node {
                 Node::Internal(int) => {
                     let ci = int.route(key);
-                    let child = int.children[ci];
+                    let child = int.child(ci);
                     let child_lo = if ci == 0 {
                         lo.clone()
                     } else {
-                        int.seps[ci - 1].clone()
+                        int.sep(ci - 1).to_vec()
                     };
-                    let child_hi = if ci == int.seps.len() {
+                    let child_hi = if ci == int.len() {
                         hi.clone()
                     } else {
-                        Some(int.seps[ci].clone())
+                        Some(int.sep(ci).to_vec())
                     };
                     cur.path.push(PathLevel { id, node, lo, hi });
                     (id, lo, hi) = (child, child_lo, child_hi);
                 }
                 Node::Leaf(leaf) => {
-                    cur.slot = leaf.entries.partition_point(|e| e.key.as_slice() < key);
+                    cur.slot = leaf.search(key).unwrap_or_else(|at| at);
                     cur.leaf = id;
                     cur.cached = Some((id, node));
                     cur.fence_lo = lo;
@@ -386,21 +391,7 @@ impl<S: PageStore> ReadView<'_, S> {
             // target is past its last entry, the chain walk in
             // `cursor_entry_ref` reaches it — the next leaf starts at or
             // above the fence, which is above the target).
-            let needs_load = match &cur.cached {
-                Some((id, _)) => *id != cur.leaf,
-                None => true,
-            };
-            if needs_load {
-                let node = self.load_cached(cur.leaf)?;
-                cur.cached = Some((cur.leaf, node));
-            }
-            let (_, node) = cur.cached.as_ref().expect("just loaded");
-            let Node::Leaf(leaf) = &**node else {
-                return Err(pagestore::Error::Corrupt(
-                    "cursor leaf is not a leaf".into(),
-                ));
-            };
-            cur.slot = leaf.entries.partition_point(|e| e.key.as_slice() < key);
+            cur.slot = self.leaf(cur)?.search(key).unwrap_or_else(|at| at);
             cur.stats.leaf_reseeks += 1;
             metrics(|m| m.reseek_leaf.inc());
             return Ok(());
@@ -416,51 +407,44 @@ impl<S: PageStore> ReadView<'_, S> {
             return Err(pagestore::Error::Corrupt("cursor path holds a leaf".into()));
         };
         let ci = int.route(key);
-        let child = int.children[ci];
+        let child = int.child(ci);
         let child_lo = if ci == 0 {
             lvl.lo.clone()
         } else {
-            int.seps[ci - 1].clone()
+            int.sep(ci - 1).to_vec()
         };
-        let child_hi = if ci == int.seps.len() {
+        let child_hi = if ci == int.len() {
             lvl.hi.clone()
         } else {
-            Some(int.seps[ci].clone())
+            Some(int.sep(ci).to_vec())
         };
         metrics(|m| m.reseek_lca.inc());
         self.descend(cur, depth + 1, child, child_lo, child_hi, key)
     }
 
-    /// A borrowed view of the entry under the cursor, advancing across leaf
-    /// boundaries as needed. Returns `None` when the cursor is past the
-    /// last entry. This is the allocation-free scan hot path; see
-    /// [`ReadView::cursor_entry`] for the owned variant.
-    pub fn cursor_entry_ref(&self, cur: &mut Cursor) -> Result<Option<EntryRef>> {
+    /// The decoded leaf the cursor points into, loaded (through the pool,
+    /// so counted) if the cursor still holds another.
+    fn leaf<'c>(&self, cur: &'c mut Cursor) -> Result<&'c LeafNode> {
+        if cur.cached.as_ref().is_none_or(|(id, _)| *id != cur.leaf) {
+            cur.cached = Some((cur.leaf, self.load_cached(cur.leaf)?));
+        }
+        cur.cached_leaf()
+            .ok_or_else(|| pagestore::Error::Corrupt("cursor leaf is not a leaf".into()))
+    }
+
+    /// Settle the cursor on an entry, chaining across exhausted leaves.
+    /// `false` when the cursor is past the last entry.
+    fn settle(&self, cur: &mut Cursor) -> Result<bool> {
         loop {
-            let needs_load = match &cur.cached {
-                Some((id, _)) => *id != cur.leaf,
-                None => true,
-            };
-            if needs_load {
-                let node = self.load_cached(cur.leaf)?;
-                cur.cached = Some((cur.leaf, node));
+            let leaf = self.leaf(cur)?;
+            let (len, next) = (leaf.len(), leaf.next);
+            if cur.slot < len {
+                return Ok(true);
             }
-            let (_, node) = cur.cached.as_ref().expect("just loaded");
-            let Node::Leaf(leaf) = &**node else {
-                return Err(pagestore::Error::Corrupt(
-                    "cursor leaf is not a leaf".into(),
-                ));
-            };
-            if cur.slot < leaf.entries.len() {
-                return Ok(Some(EntryRef {
-                    node: node.clone(),
-                    slot: cur.slot,
-                }));
+            if next.is_null() {
+                return Ok(false);
             }
-            if leaf.next.is_null() {
-                return Ok(None);
-            }
-            cur.leaf = leaf.next;
+            cur.leaf = next;
             cur.slot = 0;
             // Chaining leaves the descent fences behind: the new leaf's
             // separators are unknown, so within-leaf reseek is off until
@@ -469,11 +453,42 @@ impl<S: PageStore> ReadView<'_, S> {
         }
     }
 
+    /// The key and value under the cursor, advancing across leaf boundaries
+    /// as needed; `None` when the cursor is past the last entry. The slices
+    /// borrow the cursor's own handle on the decoded leaf, so this is the
+    /// scan hot path: no allocation, no copy, no reference-count traffic
+    /// per entry. See [`ReadView::cursor_entry_ref`] for a view that
+    /// outlives cursor movement.
+    pub fn cursor_peek<'c>(&self, cur: &'c mut Cursor) -> Result<Option<(&'c [u8], &'c [u8])>> {
+        if !self.settle(cur)? {
+            return Ok(None);
+        }
+        let leaf = cur.cached_leaf().expect("settled on a leaf");
+        Ok(Some((leaf.key(cur.slot), leaf.value(cur.slot))))
+    }
+
+    /// A shared view of the entry under the cursor (same positioning as
+    /// [`ReadView::cursor_peek`]). The view holds its own reference to the
+    /// decoded leaf, so it stays valid while the cursor moves on; that
+    /// costs one reference-count increment and decrement per entry.
+    pub fn cursor_entry_ref(&self, cur: &mut Cursor) -> Result<Option<EntryRef>> {
+        if !self.settle(cur)? {
+            return Ok(None);
+        }
+        let (_, node) = cur.cached.as_ref().expect("settled");
+        Ok(Some(EntryRef {
+            node: node.clone(),
+            slot: cur.slot,
+        }))
+    }
+
     /// The entry under the cursor as owned vectors (compatibility and
     /// collection helpers; the scan hot path uses
-    /// [`ReadView::cursor_entry_ref`]).
+    /// [`ReadView::cursor_peek`]).
     pub fn cursor_entry(&self, cur: &mut Cursor) -> Result<Option<(Vec<u8>, Vec<u8>)>> {
-        Ok(self.cursor_entry_ref(cur)?.map(|e| e.to_pair()))
+        Ok(self
+            .cursor_peek(cur)?
+            .map(|(k, v)| (k.to_vec(), v.to_vec())))
     }
 
     /// Step the cursor to the next entry.
@@ -485,11 +500,11 @@ impl<S: PageStore> ReadView<'_, S> {
     pub fn range(&self, lo: &[u8], hi: &[u8]) -> Result<Vec<(Vec<u8>, Vec<u8>)>> {
         let mut out = Vec::new();
         let mut cur = self.seek(lo)?;
-        while let Some(e) = self.cursor_entry_ref(&mut cur)? {
-            if e.key() >= hi {
+        while let Some((k, v)) = self.cursor_peek(&mut cur)? {
+            if k >= hi {
                 break;
             }
-            out.push(e.to_pair());
+            out.push((k.to_vec(), v.to_vec()));
             cur.advance();
         }
         Ok(out)
@@ -499,11 +514,11 @@ impl<S: PageStore> ReadView<'_, S> {
     pub fn prefix_scan(&self, prefix: &[u8]) -> Result<Vec<(Vec<u8>, Vec<u8>)>> {
         let mut out = Vec::new();
         let mut cur = self.seek(prefix)?;
-        while let Some(e) = self.cursor_entry_ref(&mut cur)? {
-            if !e.key().starts_with(prefix) {
+        while let Some((k, v)) = self.cursor_peek(&mut cur)? {
+            if !k.starts_with(prefix) {
                 break;
             }
-            out.push(e.to_pair());
+            out.push((k.to_vec(), v.to_vec()));
             cur.advance();
         }
         Ok(out)
@@ -513,8 +528,8 @@ impl<S: PageStore> ReadView<'_, S> {
     pub fn scan_all(&self) -> Result<Vec<(Vec<u8>, Vec<u8>)>> {
         let mut out = Vec::new();
         let mut cur = self.seek_first()?;
-        while let Some(e) = self.cursor_entry_ref(&mut cur)? {
-            out.push(e.to_pair());
+        while let Some((k, v)) = self.cursor_peek(&mut cur)? {
+            out.push((k.to_vec(), v.to_vec()));
             cur.advance();
         }
         Ok(out)

@@ -42,9 +42,7 @@ use pagestore::{BufferPool, Error, PageId, PageRef, PageStore, Result};
 
 use crate::codec::truncate_separator;
 use crate::config::{BTreeConfig, Capacity};
-use crate::node::{
-    segment_sizes, Entry, InternalNode, LeafNode, Node, INTERIOR_HEADER, LEAF_HEADER,
-};
+use crate::node::{segment_sizes, InternalNode, LeafNode, Node, INTERIOR_HEADER, LEAF_HEADER};
 
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|e| e.into_inner())
@@ -596,7 +594,8 @@ impl<S: PageStore> BTree<S> {
         decode_node(&page)
     }
 
-    /// Load an owned node for mutation.
+    /// Load an owned node for mutation (an arena node clones in two
+    /// `memcpy`s).
     pub(crate) fn load(&self, id: PageId) -> Result<Node> {
         Ok((*self.load_cached(id)?).clone())
     }
@@ -650,21 +649,33 @@ impl<S: PageStore> BTree<S> {
     }
 
     pub(crate) fn fits(&self, node: &Node) -> bool {
+        self.fits_size(
+            node.count(),
+            node.encoded_size(self.config.front_compression),
+        )
+    }
+
+    /// Whether a node of `count` entries encoding to `size` bytes fits.
+    pub(crate) fn fits_size(&self, count: usize, size: usize) -> bool {
         match self.config.capacity {
-            Capacity::Bytes => node.encoded_size(self.config.front_compression) <= self.page_size(),
-            Capacity::Entries(m) => {
-                node.count() <= m
-                    && node.encoded_size(self.config.front_compression) <= self.page_size()
-            }
+            Capacity::Bytes => size <= self.page_size(),
+            Capacity::Entries(m) => count <= m && size <= self.page_size(),
         }
     }
 
     pub(crate) fn is_underfull_node(&self, node: &Node) -> bool {
+        self.is_underfull_size(
+            node.count(),
+            node.encoded_size(self.config.front_compression),
+        )
+    }
+
+    /// Whether a node of `count` entries encoding to `size` bytes should be
+    /// rebalanced.
+    pub(crate) fn is_underfull_size(&self, count: usize, size: usize) -> bool {
         match self.config.capacity {
-            Capacity::Bytes => {
-                node.encoded_size(self.config.front_compression) < self.page_size() / 4
-            }
-            Capacity::Entries(_) => node.count() < self.config.min_entries(),
+            Capacity::Bytes => size < self.page_size() / 4,
+            Capacity::Entries(_) => count < self.config.min_entries(),
         }
     }
 
@@ -697,11 +708,9 @@ impl<S: PageStore> BTree<S> {
                 // right sibling as children.
                 let old_root = self.root;
                 let (new_root, page) = self.allocate_page()?;
-                let node = Node::Internal(InternalNode {
-                    seps: vec![sep],
-                    children: vec![old_root, right],
-                });
-                node.encode(&mut page.write(), self.config.front_compression)?;
+                let mut node = InternalNode::new(old_root);
+                node.push(&sep, right);
+                Node::Internal(node).encode(&mut page.write(), self.config.front_compression)?;
                 drop(page);
                 self.root = new_root;
                 old
@@ -714,21 +723,20 @@ impl<S: PageStore> BTree<S> {
     }
 
     fn insert_rec(&mut self, id: PageId, key: &[u8], value: &[u8]) -> Result<Ins> {
-        match self.load(id)? {
-            Node::Leaf(mut leaf) => {
-                let old = match leaf.entries.binary_search_by(|e| e.key.as_slice().cmp(key)) {
-                    Ok(i) => Some(std::mem::replace(
-                        &mut leaf.entries[i].value,
-                        value.to_vec(),
-                    )),
+        // Only the node that changes is copied out of the decode cache: the
+        // leaf always, an interior node when its child split.
+        let node = self.load_cached(id)?;
+        match &*node {
+            Node::Leaf(leaf) => {
+                let mut leaf = leaf.clone();
+                let old = match leaf.search(key) {
+                    Ok(i) => {
+                        let old = leaf.value(i).to_vec();
+                        leaf.set_value(i, value);
+                        Some(old)
+                    }
                     Err(i) => {
-                        leaf.entries.insert(
-                            i,
-                            Entry {
-                                key: key.to_vec(),
-                                value: value.to_vec(),
-                            },
-                        );
+                        leaf.insert_at(i, key, value);
                         None
                     }
                 };
@@ -741,17 +749,10 @@ impl<S: PageStore> BTree<S> {
                     unreachable!()
                 };
                 let split_at = self.leaf_split_index(&leaf)?;
-                let right_entries = leaf.entries.split_off(split_at);
+                let right = leaf.split_off(split_at);
                 let (right_id, _) = self.allocate_page()?;
-                let right = LeafNode {
-                    entries: right_entries,
-                    next: leaf.next,
-                };
                 leaf.next = right_id;
-                let sep = self.separator(
-                    &leaf.entries.last().expect("left non-empty").key,
-                    &right.entries[0].key,
-                );
+                let sep = self.separator(leaf.key(leaf.len() - 1), right.key(0));
                 self.store_node(id, &Node::Leaf(leaf))?;
                 self.store_node(right_id, &Node::Leaf(right))?;
                 metrics(|m| m.splits.inc());
@@ -761,13 +762,13 @@ impl<S: PageStore> BTree<S> {
                     old,
                 })
             }
-            Node::Internal(mut int) => {
+            Node::Internal(int) => {
                 let ci = int.route(key);
-                match self.insert_rec(int.children[ci], key, value)? {
+                match self.insert_rec(int.child(ci), key, value)? {
                     Ins::Done(old) => Ok(Ins::Done(old)),
                     Ins::Split { sep, right, old } => {
-                        int.seps.insert(ci, sep);
-                        int.children.insert(ci + 1, right);
+                        let mut int = int.clone();
+                        int.insert_at(ci, &sep, right);
                         let node = Node::Internal(int);
                         if self.fits(&node) {
                             self.store_node(id, &node)?;
@@ -777,16 +778,8 @@ impl<S: PageStore> BTree<S> {
                             unreachable!()
                         };
                         let promote = self.internal_split_index(&int)?;
-                        // left keeps seps[..promote], children[..promote+1];
-                        // seps[promote] moves up; right gets the rest.
-                        let right_seps = int.seps.split_off(promote + 1);
-                        let promoted = int.seps.pop().expect("promote index valid");
-                        let right_children = int.children.split_off(promote + 1);
+                        let (promoted, right) = int.split_off(promote);
                         let (right_id, _) = self.allocate_page()?;
-                        let right = InternalNode {
-                            seps: right_seps,
-                            children: right_children,
-                        };
                         self.store_node(id, &Node::Internal(int))?;
                         self.store_node(right_id, &Node::Internal(right))?;
                         metrics(|m| m.splits.inc());
@@ -804,16 +797,13 @@ impl<S: PageStore> BTree<S> {
     /// Pick the index at which to split an over-full leaf so both halves fit
     /// and are byte-balanced.
     pub(crate) fn leaf_split_index(&self, leaf: &LeafNode) -> Result<usize> {
-        let n = leaf.entries.len();
+        let n = leaf.len();
         debug_assert!(n >= 2, "cannot split a leaf with < 2 entries");
         if let Capacity::Entries(_) = self.config.capacity {
             return Ok(n / 2 + (n % 2));
         }
-        let keys: Vec<&[u8]> = leaf.entries.iter().map(|e| e.key.as_slice()).collect();
-        let vlens: Vec<usize> = leaf.entries.iter().map(|e| e.value.len()).collect();
         let (comp, first) = segment_sizes(
-            keys.iter().copied(),
-            Some(&vlens),
+            (0..n).map(|i| (leaf.key(i), Some(leaf.value(i).len()))),
             self.config.front_compression,
         );
         // prefix[i] = sum of comp[0..i]
@@ -842,14 +832,13 @@ impl<S: PageStore> BTree<S> {
 
     /// Pick the promote index for an over-full interior node.
     pub(crate) fn internal_split_index(&self, int: &InternalNode) -> Result<usize> {
-        let n = int.seps.len();
+        let n = int.len();
         debug_assert!(n >= 3, "cannot split interior with < 3 separators");
         if let Capacity::Entries(_) = self.config.capacity {
             return Ok(n / 2);
         }
         let (comp, first) = segment_sizes(
-            int.seps.iter().map(|s| s.as_slice()),
-            None,
+            (0..n).map(|i| (int.sep(i), None)),
             self.config.front_compression,
         );
         let mut prefix = vec![0usize; n + 1];
@@ -887,10 +876,10 @@ impl<S: PageStore> BTree<S> {
         };
         self.len -= 1;
         // Collapse the root if it became a pass-through interior node.
-        if let Node::Internal(int) = self.load(self.root)? {
-            if int.seps.is_empty() {
+        if let Node::Internal(int) = &*self.load_cached(self.root)? {
+            if int.is_empty() {
                 let old_root = self.root;
-                self.root = int.children[0];
+                self.root = int.child(0);
                 self.free_page(old_root)?;
             }
         }
@@ -898,29 +887,31 @@ impl<S: PageStore> BTree<S> {
     }
 
     fn delete_rec(&mut self, id: PageId, key: &[u8]) -> Result<Del> {
-        match self.load(id)? {
-            Node::Leaf(mut leaf) => {
-                match leaf.entries.binary_search_by(|e| e.key.as_slice().cmp(key)) {
-                    Err(_) => Ok(Del::NotFound),
-                    Ok(i) => {
-                        let old = leaf.entries.remove(i).value;
-                        let node = Node::Leaf(leaf);
-                        let under = self.is_underfull_node(&node);
-                        self.store_node(id, &node)?;
-                        Ok(if under {
-                            Del::Underflow(old)
-                        } else {
-                            Del::Done(old)
-                        })
-                    }
+        let node = self.load_cached(id)?;
+        match &*node {
+            Node::Leaf(leaf) => match leaf.search(key) {
+                Err(_) => Ok(Del::NotFound),
+                Ok(i) => {
+                    let mut leaf = leaf.clone();
+                    let old = leaf.value(i).to_vec();
+                    leaf.remove_at(i);
+                    let node = Node::Leaf(leaf);
+                    let under = self.is_underfull_node(&node);
+                    self.store_node(id, &node)?;
+                    Ok(if under {
+                        Del::Underflow(old)
+                    } else {
+                        Del::Done(old)
+                    })
                 }
-            }
-            Node::Internal(mut int) => {
+            },
+            Node::Internal(int) => {
                 let ci = int.route(key);
-                match self.delete_rec(int.children[ci], key)? {
+                match self.delete_rec(int.child(ci), key)? {
                     Del::NotFound => Ok(Del::NotFound),
                     Del::Done(v) => Ok(Del::Done(v)),
                     Del::Underflow(v) => {
+                        let mut int = int.clone();
                         self.rebalance_child(&mut int, ci)?;
                         let node = Node::Internal(int);
                         let under = self.is_underfull_node(&node);
@@ -940,80 +931,57 @@ impl<S: PageStore> BTree<S> {
     /// redistributing from an adjacent sibling. `int` is mutated in place;
     /// the caller stores it.
     fn rebalance_child(&mut self, int: &mut InternalNode, ci: usize) -> Result<()> {
-        if int.children.len() < 2 {
+        if int.is_empty() {
             return Ok(()); // no sibling (root child chain); nothing to do
         }
         // Pair the underfull child with its left sibling when possible so we
         // always merge right-into-left.
         let (li, ri) = if ci > 0 { (ci - 1, ci) } else { (ci, ci + 1) };
-        let left_id = int.children[li];
-        let right_id = int.children[ri];
+        let left_id = int.child(li);
+        let right_id = int.child(ri);
         let left = self.load(left_id)?;
-        let right = self.load(right_id)?;
-        match (left, right) {
+        let right = self.load_cached(right_id)?;
+        match (left, &*right) {
             (Node::Leaf(mut l), Node::Leaf(r)) => {
-                let merged_next = r.next;
-                l.entries.extend(r.entries);
-                let combined = Node::Leaf(LeafNode {
-                    entries: std::mem::take(&mut l.entries),
-                    next: merged_next,
-                });
+                l.append(r);
+                l.next = r.next;
+                let combined = Node::Leaf(l);
                 if self.fits(&combined) {
                     self.store_node(left_id, &combined)?;
                     self.free_page(right_id)?;
-                    int.seps.remove(li);
-                    int.children.remove(ri);
+                    int.remove_at(li);
                     metrics(|m| m.merges.inc());
                 } else {
                     let Node::Leaf(mut combined) = combined else {
                         unreachable!()
                     };
                     let k = self.leaf_split_index(&combined)?;
-                    let right_entries = combined.entries.split_off(k);
-                    let new_right = LeafNode {
-                        entries: right_entries,
-                        next: combined.next,
-                    };
+                    let new_right = combined.split_off(k);
                     combined.next = right_id;
-                    let sep = self.separator(
-                        &combined.entries.last().expect("non-empty").key,
-                        &new_right.entries[0].key,
-                    );
+                    let sep = self.separator(combined.key(combined.len() - 1), new_right.key(0));
                     self.store_node(left_id, &Node::Leaf(combined))?;
                     self.store_node(right_id, &Node::Leaf(new_right))?;
-                    int.seps[li] = sep;
+                    int.set_sep(li, &sep);
                 }
             }
             (Node::Internal(mut l), Node::Internal(r)) => {
                 // Pull the parent separator down between the two sep lists.
-                let parent_sep = int.seps[li].clone();
-                l.seps.push(parent_sep);
-                l.seps.extend(r.seps);
-                l.children.extend(r.children);
+                l.append(int.sep(li), r);
                 let combined = Node::Internal(l);
                 if self.fits(&combined) {
                     self.store_node(left_id, &combined)?;
                     self.free_page(right_id)?;
-                    int.seps.remove(li);
-                    int.children.remove(ri);
+                    int.remove_at(li);
                     metrics(|m| m.merges.inc());
                 } else {
                     let Node::Internal(mut combined) = combined else {
                         unreachable!()
                     };
                     let p = self.internal_split_index(&combined)?;
-                    let right_seps = combined.seps.split_off(p + 1);
-                    let promoted = combined.seps.pop().expect("promote valid");
-                    let right_children = combined.children.split_off(p + 1);
+                    let (promoted, new_right) = combined.split_off(p);
                     self.store_node(left_id, &Node::Internal(combined))?;
-                    self.store_node(
-                        right_id,
-                        &Node::Internal(InternalNode {
-                            seps: right_seps,
-                            children: right_children,
-                        }),
-                    )?;
-                    int.seps[li] = promoted;
+                    self.store_node(right_id, &Node::Internal(new_right))?;
+                    int.set_sep(li, &promoted);
                 }
             }
             _ => return Err(Error::Corrupt("sibling nodes at different levels".into())),

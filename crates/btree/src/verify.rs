@@ -53,7 +53,8 @@ impl<S: PageStore> BTree<S> {
         let mut id = *leaves_in_order.first().expect("at least one leaf");
         loop {
             chain.push(id);
-            let Node::Leaf(leaf) = self.load(id)? else {
+            let node = self.load_cached(id)?;
+            let Node::Leaf(leaf) = &*node else {
                 return Err(Error::Corrupt("leaf chain hit interior node".into()));
             };
             if leaf.next.is_null() {
@@ -85,65 +86,61 @@ impl<S: PageStore> BTree<S> {
         stats: &mut TreeStats,
         leaves: &mut Vec<PageId>,
     ) -> Result<usize> {
-        let node = self.load(id)?;
+        let node = self.load_cached(id)?;
         if !self.fits(&node) {
             return Err(Error::Corrupt(format!("node {id} over capacity")));
         }
-        match node {
+        match &*node {
             Node::Leaf(leaf) => {
                 stats.leaf_nodes += 1;
-                stats.entries += leaf.entries.len() as u64;
+                stats.entries += leaf.len() as u64;
                 leaves.push(id);
                 let mut prev: Option<&[u8]> = None;
-                for e in &leaf.entries {
+                for key in (0..leaf.len()).map(|i| leaf.key(i)) {
                     if let Some(p) = prev {
-                        if p >= e.key.as_slice() {
+                        if p >= key {
                             return Err(Error::Corrupt(format!(
                                 "leaf {id} keys not strictly increasing"
                             )));
                         }
                     }
                     if let Some(lo) = lower {
-                        if e.key.as_slice() < lo {
+                        if key < lo {
                             return Err(Error::Corrupt(format!(
                                 "leaf {id} key below separator bound"
                             )));
                         }
                     }
                     if let Some(hi) = upper {
-                        if e.key.as_slice() >= hi {
+                        if key >= hi {
                             return Err(Error::Corrupt(format!(
                                 "leaf {id} key at/above separator bound"
                             )));
                         }
                     }
-                    prev = Some(&e.key);
+                    prev = Some(key);
                 }
                 Ok(1)
             }
             Node::Internal(int) => {
                 stats.internal_nodes += 1;
-                if int.children.len() != int.seps.len() + 1 || int.seps.is_empty() && !is_root {
+                if int.is_empty() && !is_root {
                     return Err(Error::Corrupt(format!("interior {id} shape invalid")));
                 }
-                for w in int.seps.windows(2) {
-                    if w[0] >= w[1] {
+                for i in 1..int.len() {
+                    if int.sep(i - 1) >= int.sep(i) {
                         return Err(Error::Corrupt(format!(
                             "interior {id} separators not increasing"
                         )));
                     }
                 }
                 let mut child_height = None;
-                for (i, child) in int.children.iter().enumerate() {
-                    let lo = if i == 0 {
-                        lower
-                    } else {
-                        Some(int.seps[i - 1].as_slice())
-                    };
-                    let hi = if i == int.seps.len() {
+                for (i, child) in int.children().iter().enumerate() {
+                    let lo = if i == 0 { lower } else { Some(int.sep(i - 1)) };
+                    let hi = if i == int.len() {
                         upper
                     } else {
-                        Some(int.seps[i].as_slice())
+                        Some(int.sep(i))
                     };
                     let h = self.verify_rec(*child, lo, hi, false, stats, leaves)?;
                     match child_height {

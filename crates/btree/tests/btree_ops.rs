@@ -432,3 +432,62 @@ fn stats_shape_reasonable() {
     assert!(s.height <= 4, "height {}", s.height);
     assert!(s.internal_nodes < s.leaf_nodes);
 }
+
+/// Grow, churn and drain a tree on 256-byte pages against a `BTreeMap`,
+/// running `verify()` after every step, with front compression on and off.
+/// The split and merge counters prove the sequence really went through
+/// leaf and interior splits, merges and redistributions — every arena
+/// writer (`insert_at`, `set_value`, `remove_at`, `split_off`, `append`).
+#[test]
+fn arena_nodes_match_model_through_splits_and_merges() {
+    use std::collections::BTreeMap;
+
+    for config in [
+        BTreeConfig::default(),
+        BTreeConfig::default().without_compression(),
+    ] {
+        let splits0 = telemetry::counter_value("btree.splits");
+        let merges0 = telemetry::counter_value("btree.merges");
+        let mut t = new_tree(256, config);
+        let mut model: BTreeMap<Vec<u8>, Vec<u8>> = BTreeMap::new();
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        let mut max_height = 0;
+        // Phase 0 grows (inserts dominate), 1 churns, 2 drains.
+        for step in 0..6000u32 {
+            let phase = step / 2000;
+            let r = next();
+            let k = format!("shared/prefix/{:04}", r % 900).into_bytes();
+            let insert = match phase {
+                0 => (r >> 32) & 7 != 0,
+                1 => (r >> 32) & 1 != 0,
+                _ => (r >> 32) & 7 == 0,
+            };
+            if insert {
+                // Re-inserting a live key replaces its value with one of
+                // another length.
+                let v = vec![step as u8; (r >> 40) as usize % 14];
+                assert_eq!(t.insert(&k, &v).unwrap(), model.insert(k, v), "step {step}");
+            } else {
+                assert_eq!(t.delete(&k).unwrap(), model.remove(&k), "step {step}");
+            }
+            let stats = t
+                .verify()
+                .unwrap_or_else(|e| panic!("verify after step {step}: {e}"));
+            assert_eq!(stats.entries, model.len() as u64, "step {step}");
+            max_height = max_height.max(stats.height);
+        }
+        let all: Vec<(Vec<u8>, Vec<u8>)> = model.into_iter().collect();
+        assert_eq!(t.scan_all().unwrap(), all);
+        assert!(max_height >= 3, "interior nodes split too: {max_height}");
+        let splits = telemetry::counter_value("btree.splits") - splits0;
+        let merges = telemetry::counter_value("btree.merges") - merges0;
+        assert!(splits >= 40, "only {splits} splits");
+        assert!(merges >= 20, "only {merges} merges");
+    }
+}

@@ -1,0 +1,282 @@
+//! Hostile-bytes corpus for [`Node::decode`] (ROADMAP 6b).
+//!
+//! A page reaches the decoder after its checksum verified, so the bytes are
+//! "valid" as far as the page store can tell and the decoder is the last
+//! line of defence. The contract checked here, on arbitrary bytes and on
+//! real encoded leaves/interiors with bit flips, truncations and spliced
+//! varints:
+//!
+//! * `Node::decode` returns `Ok(node)` or a typed [`Error::Corrupt`] — it
+//!   never panics and never indexes out of bounds;
+//! * an accepted node re-encodes (front compression on) into a page of the
+//!   same size and decodes back to itself;
+//! * the bytes an accepted node reconstructs stay within the stated bound
+//!   `count × page_len` keys plus `page_len` values (a forged
+//!   `prefix_len`/`suffix_len` chain can make every key as long as the
+//!   page, but no longer).
+//!
+//! The corpus only goes through API the `Vec<Entry>` decoder also had
+//! (`Node::decode`/`encode`/`count`, `BTree`, the pool), except for
+//! [`reconstructed_len`]; it was run against that decoder before the arena
+//! decoder replaced it (CHANGES.md, PR 16).
+
+use std::sync::OnceLock;
+
+use btree::{BTree, BTreeConfig, Error, Node};
+use pagestore::{BufferPool, MemStore, PageId};
+use proptest::prelude::*;
+
+const PAGE: usize = 256;
+
+/// Key and value bytes the decoded node holds.
+fn reconstructed_len(node: &Node) -> usize {
+    node.arena_len()
+}
+
+/// The decode contract on one page image.
+fn check(page: &[u8]) {
+    match Node::decode(page) {
+        Ok(node) => {
+            let bound = node.count() * page.len() + page.len();
+            assert!(
+                reconstructed_len(&node) <= bound,
+                "decoded {} bytes from a {}-byte page holding {} entries",
+                reconstructed_len(&node),
+                page.len(),
+                node.count()
+            );
+            let mut out = vec![0u8; page.len()];
+            node.encode(&mut out, true)
+                .expect("an accepted node re-encodes into a page of the same size");
+            assert_eq!(Node::decode(&out).expect("own encoding decodes"), node);
+        }
+        Err(Error::Corrupt(_)) => {}
+        Err(e) => panic!("decode failed with an untyped error: {e:?}"),
+    }
+}
+
+/// Every page (leaves and interiors) of small trees built with front
+/// compression on and off, by bulk load and by random-order inserts.
+fn real_pages() -> &'static [Vec<u8>] {
+    static PAGES: OnceLock<Vec<Vec<u8>>> = OnceLock::new();
+    PAGES.get_or_init(|| {
+        let mut pages = Vec::new();
+        for config in [
+            BTreeConfig::default(),
+            BTreeConfig::default().without_compression(),
+        ] {
+            let items: Vec<(Vec<u8>, Vec<u8>)> = (0..1500u32)
+                .map(|i| {
+                    (
+                        format!("shared/prefix/{:04}/{}", i / 7, i).into_bytes(),
+                        vec![i as u8; (i % 5) as usize],
+                    )
+                })
+                .collect();
+            let mut sorted = items.clone();
+            sorted.sort();
+            let pool = BufferPool::new(MemStore::new(PAGE), 4096);
+            let bulk = BTree::bulk_load(pool, config, sorted).unwrap();
+            let pool = BufferPool::new(MemStore::new(PAGE), 4096);
+            let mut grown = BTree::create(pool, config).unwrap();
+            for i in 0..items.len() {
+                // 769 is coprime to the item count: every index once, in
+                // scrambled order, so leaves split and refill mid-node.
+                let (k, v) = &items[(i * 769) % items.len()];
+                grown.insert(k, v).unwrap();
+            }
+            for tree in [&bulk, &grown] {
+                let live = tree.pool().live_pages();
+                let mut seen = 0;
+                let mut id = 0u32;
+                while seen < live {
+                    if let Ok(page) = tree.pool().fetch(PageId(id)) {
+                        pages.push(page.read().to_vec());
+                        seen += 1;
+                    }
+                    id += 1;
+                }
+            }
+        }
+        assert!(pages.iter().any(|p| p[0] == 0), "corpus has interiors");
+        assert!(pages.iter().any(|p| p[0] == 1), "corpus has leaves");
+        pages
+    })
+}
+
+#[derive(Debug, Clone)]
+enum Mutation {
+    /// Flip one bit.
+    Flip { at: usize, bit: u8 },
+    /// Cut the page short.
+    Truncate { len: usize },
+    /// Overwrite bytes with a (possibly overlong or maximal) varint.
+    Varint { at: usize, value: u32, pad: u8 },
+    /// Overwrite the entry count.
+    Count { value: u16 },
+}
+
+fn arb_mutation() -> impl Strategy<Value = Mutation> {
+    prop_oneof![
+        4 => (0..PAGE, 0..8u8).prop_map(|(at, bit)| Mutation::Flip { at, bit }),
+        1 => (0..PAGE).prop_map(|len| Mutation::Truncate { len }),
+        3 => (0..PAGE, prop_oneof![any::<u32>(), 0..300u32, Just(u32::MAX)], 0..3u8)
+            .prop_map(|(at, value, pad)| Mutation::Varint { at, value, pad }),
+        1 => any::<u16>().prop_map(|value| Mutation::Count { value }),
+    ]
+}
+
+fn mutate(page: &mut Vec<u8>, m: &Mutation) {
+    match *m {
+        Mutation::Flip { at, bit } => {
+            if let Some(b) = page.get_mut(at) {
+                *b ^= 1 << bit;
+            }
+        }
+        Mutation::Truncate { len } => page.truncate(len),
+        Mutation::Varint { at, value, pad } => {
+            // LEB128, padded with `pad` redundant continuation groups.
+            let mut bytes = Vec::new();
+            let mut v = value;
+            loop {
+                let group = (v & 0x7F) as u8;
+                v >>= 7;
+                if v == 0 && pad == 0 {
+                    bytes.push(group);
+                    break;
+                }
+                bytes.push(group | 0x80);
+                if v == 0 {
+                    bytes.extend(std::iter::repeat_n(0x80, pad as usize - 1));
+                    bytes.push(0);
+                    break;
+                }
+            }
+            for (slot, b) in page.iter_mut().skip(at).zip(bytes) {
+                *slot = b;
+            }
+        }
+        Mutation::Count { value } => {
+            // Leaf count sits at 5..7, interior count at 1..3.
+            let at = if page.first() == Some(&1) { 5 } else { 1 };
+            if page.len() >= at + 2 {
+                page[at..at + 2].copy_from_slice(&value.to_le_bytes());
+            }
+        }
+    }
+}
+
+#[test]
+fn real_pages_decode_and_reencode_to_themselves() {
+    for page in real_pages() {
+        let node = Node::decode(page).unwrap();
+        let mut out = vec![0xAAu8; page.len()];
+        // The corpus mixes compressed and uncompressed trees; a page
+        // re-encodes to itself under the setting it was written with.
+        node.encode(&mut out, true).unwrap();
+        if out != *page {
+            node.encode(&mut out, false).unwrap();
+        }
+        assert_eq!(&out, page);
+        check(page);
+    }
+}
+
+#[test]
+fn every_single_bit_flip_of_a_leaf_and_an_interior() {
+    let pages = real_pages();
+    let leaf = pages.iter().find(|p| p[0] == 1).unwrap();
+    let interior = pages.iter().find(|p| p[0] == 0).unwrap();
+    for page in [leaf, interior] {
+        for at in 0..page.len() {
+            for bit in 0..8 {
+                let mut m = page.clone();
+                m[at] ^= 1 << bit;
+                check(&m);
+            }
+        }
+    }
+}
+
+#[test]
+fn every_truncation_of_a_leaf_and_an_interior() {
+    let pages = real_pages();
+    let leaf = pages.iter().find(|p| p[0] == 1).unwrap();
+    let interior = pages.iter().find(|p| p[0] == 0).unwrap();
+    for page in [leaf, interior] {
+        for len in 0..page.len() {
+            check(&page[..len]);
+        }
+    }
+}
+
+#[test]
+fn forged_prefix_chain_stays_within_the_bound() {
+    // One 100-byte key, then as many entries as fit, each claiming the
+    // whole previous key as its prefix: the most bytes a page can ask for.
+    let mut page = vec![0u8; PAGE];
+    page[0] = 1;
+    page[1..5].copy_from_slice(&PageId::NULL.to_bytes());
+    let mut pos = 7;
+    page[pos..pos + 2].copy_from_slice(&[0, 100]);
+    pos += 2 + 100;
+    page[pos] = 0;
+    pos += 1;
+    let mut count = 1u16;
+    while pos + 3 <= PAGE {
+        page[pos..pos + 3].copy_from_slice(&[100, 0, 0]);
+        pos += 3;
+        count += 1;
+    }
+    page[5..7].copy_from_slice(&count.to_le_bytes());
+    let node = Node::decode(&page).unwrap();
+    assert_eq!(node.count(), count as usize);
+    assert_eq!(reconstructed_len(&node), 100 * count as usize);
+    check(&page);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2000))]
+
+    #[test]
+    fn arbitrary_bytes(tag in 0..3u8, mut bytes in proptest::collection::vec(any::<u8>(), 0..600)) {
+        check(&bytes);
+        // Most random first bytes are no node tag at all; force one so the
+        // entry loops see the noise too.
+        if let Some(b) = bytes.first_mut() {
+            *b = tag;
+        }
+        check(&bytes);
+    }
+
+    #[test]
+    fn arbitrary_bytes_with_a_plausible_header(
+        leaf in any::<bool>(),
+        count in 0..40u16,
+        body in proptest::collection::vec(prop_oneof![0..4u8, any::<u8>()], 0..300),
+    ) {
+        let mut page = vec![u8::from(leaf)];
+        if leaf {
+            page.extend_from_slice(&[0; 4]);
+            page.extend_from_slice(&count.to_le_bytes());
+        } else {
+            page.extend_from_slice(&count.to_le_bytes());
+            page.extend_from_slice(&[0; 4]);
+        }
+        page.extend_from_slice(&body);
+        check(&page);
+    }
+
+    #[test]
+    fn mutated_real_pages(
+        which in any::<usize>(),
+        mutations in proptest::collection::vec(arb_mutation(), 1..4),
+    ) {
+        let pages = real_pages();
+        let mut page = pages[which % pages.len()].clone();
+        for m in &mutations {
+            mutate(&mut page, m);
+        }
+        check(&page);
+    }
+}

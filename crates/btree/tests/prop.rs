@@ -35,7 +35,37 @@ fn arb_op() -> impl Strategy<Value = Op> {
     ]
 }
 
+/// Keys of 9–26 bytes over a long shared prefix, from a space of ~1000:
+/// a few hundred fill dozens of 256-byte leaves, so a sequence splits
+/// leaves and interiors, replaces values in place (length changes shift
+/// the arena behind them) and, with deletes weighted up, merges back.
+fn arb_wide_key() -> impl Strategy<Value = Vec<u8>> {
+    (0..1000u32, any::<bool>()).prop_map(|(i, long)| {
+        if long {
+            format!("shared/prefix/{:03}/{i}", i / 10).into_bytes()
+        } else {
+            format!("sp/{i:06}").into_bytes()
+        }
+    })
+}
+
+fn arb_mutation() -> impl Strategy<Value = Op> {
+    prop_oneof![
+        5 => (arb_wide_key(), proptest::collection::vec(any::<u8>(), 0..12))
+            .prop_map(|(k, v)| Op::Insert(k, v)),
+        4 => arb_wide_key().prop_map(Op::Delete),
+    ]
+}
+
 fn run_model(ops: Vec<Op>, config: BTreeConfig, page_size: usize) {
+    run_model_checked(ops, config, page_size, false)
+}
+
+/// Replay `ops` against the tree and a `BTreeMap`; with `verify_each`, every
+/// structural invariant is re-checked after every single mutation, so a
+/// split, merge or redistribution that corrupts a node is caught at the
+/// step that did it rather than at the end.
+fn run_model_checked(ops: Vec<Op>, config: BTreeConfig, page_size: usize, verify_each: bool) {
     let pool = BufferPool::new(MemStore::new(page_size), 4096);
     let mut tree = BTree::create(pool, config).unwrap();
     let mut model: BTreeMap<Vec<u8>, Vec<u8>> = BTreeMap::new();
@@ -65,6 +95,12 @@ fn run_model(ops: Vec<Op>, config: BTreeConfig, page_size: usize) {
             }
         }
         assert_eq!(tree.len(), model.len() as u64);
+        if verify_each {
+            let stats = tree
+                .verify()
+                .unwrap_or_else(|e| panic!("verify after op #{i}: {e}"));
+            assert_eq!(stats.entries, model.len() as u64, "after op #{i}");
+        }
     }
     let stats = tree.verify().unwrap();
     assert_eq!(stats.entries, model.len() as u64);
@@ -95,6 +131,20 @@ proptest! {
     #[test]
     fn matches_btreemap_entry_capacity_ten(ops in proptest::collection::vec(arb_op(), 0..300)) {
         run_model(ops, BTreeConfig::with_max_entries(10), 1024);
+    }
+
+    #[test]
+    fn verified_after_every_step_compressed(
+        ops in proptest::collection::vec(arb_mutation(), 0..700),
+    ) {
+        run_model_checked(ops, BTreeConfig::default(), 256, true);
+    }
+
+    #[test]
+    fn verified_after_every_step_uncompressed(
+        ops in proptest::collection::vec(arb_mutation(), 0..700),
+    ) {
+        run_model_checked(ops, BTreeConfig::default().without_compression(), 256, true);
     }
 
     #[test]

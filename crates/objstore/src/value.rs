@@ -60,6 +60,23 @@ impl fmt::Display for ValueKind {
     }
 }
 
+/// Extent of the string encoding at the front of `bytes` (which starts
+/// with `TAG_STR`): the offset just past its terminating `0x00`, and the
+/// number of `0x00 0xFF` escapes inside. `None` if the terminator is
+/// missing.
+fn str_extent(bytes: &[u8]) -> Option<(usize, usize)> {
+    let mut i = 1;
+    let mut escapes = 0;
+    loop {
+        i += bytes[i..].iter().position(|&b| b == 0)? + 1;
+        if bytes.get(i) != Some(&0xFF) {
+            return Some((i, escapes));
+        }
+        escapes += 1;
+        i += 1;
+    }
+}
+
 impl Value {
     /// The value's kind.
     pub fn kind(&self) -> ValueKind {
@@ -126,6 +143,38 @@ impl Value {
         Some(out)
     }
 
+    /// Length of the encoding at the front of `bytes`, validated exactly as
+    /// [`Value::decode_ordered`] would (tag, width, string terminator and
+    /// UTF-8) but without building the value: `ordered_len(b)` equals
+    /// `decode_ordered(b).map(|(_, n)| n)` on every input. This is what a
+    /// key parser needs to find the field after the value, and it
+    /// allocates nothing.
+    pub fn ordered_len(bytes: &[u8]) -> Option<usize> {
+        match *bytes.first()? {
+            TAG_BOOL => (bytes.len() >= 2).then_some(2),
+            TAG_INT | TAG_FLOAT => (bytes.len() >= 9).then_some(9),
+            TAG_STR => {
+                let (end, escapes) = str_extent(bytes)?;
+                let body = &bytes[1..end - 1];
+                if escapes == 0 {
+                    std::str::from_utf8(body).ok()?;
+                } else {
+                    // An escape is `0x00 0xFF`, and 0xFF is never valid
+                    // UTF-8, so validate the runs between escapes. A NUL
+                    // is a whole character: no sequence spans an escape.
+                    let mut rest = body;
+                    while let Some(at) = rest.iter().position(|&b| b == 0) {
+                        std::str::from_utf8(&rest[..at]).ok()?;
+                        rest = &rest[at + 2..];
+                    }
+                    std::str::from_utf8(rest).ok()?;
+                }
+                Some(end)
+            }
+            _ => None,
+        }
+    }
+
     /// Decode an encoding produced by [`Value::encode_ordered`], returning
     /// the value and the number of bytes consumed.
     pub fn decode_ordered(bytes: &[u8]) -> Option<(Value, usize)> {
@@ -148,24 +197,18 @@ impl Value {
                 Some((Value::Float(f64::from_bits(bits)), 9))
             }
             TAG_STR => {
-                let mut s = Vec::new();
-                let mut i = 1;
-                loop {
-                    let b = *bytes.get(i)?;
-                    i += 1;
-                    if b == 0 {
-                        match bytes.get(i) {
-                            Some(0xFF) => {
-                                s.push(0);
-                                i += 1;
-                            }
-                            _ => break,
-                        }
-                    } else {
-                        s.push(b);
-                    }
+                let (end, escapes) = str_extent(bytes)?;
+                // One buffer of the exact decoded size, filled a run at a
+                // time: each escape contributes its NUL and drops its 0xFF.
+                let mut s = Vec::with_capacity(end - 2 - escapes);
+                let mut rest = &bytes[1..end - 1];
+                for _ in 0..escapes {
+                    let at = rest.iter().position(|&b| b == 0)?;
+                    s.extend_from_slice(&rest[..=at]);
+                    rest = &rest[at + 2..];
                 }
-                Some((Value::Str(String::from_utf8(s).ok()?), i))
+                s.extend_from_slice(rest);
+                Some((Value::Str(String::from_utf8(s).ok()?), end))
             }
             _ => None,
         }

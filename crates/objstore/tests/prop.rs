@@ -65,4 +65,44 @@ proptest! {
         let b = v.clone().encode_ordered().unwrap();
         prop_assert_eq!(a, b);
     }
+
+    /// `ordered_len` is `decode_ordered` without the value: same accepted
+    /// inputs, same length — on real encodings (strings with embedded NULs
+    /// encode to `0x00 0xFF` escapes) and on hostile bytes: every tag,
+    /// truncated widths, escape/terminator soup, invalid UTF-8.
+    #[test]
+    fn ordered_len_agrees_with_decode_ordered(
+        tag in prop_oneof![Just(0x08u8), Just(0x10), Just(0x18), Just(0x20), any::<u8>()],
+        body in proptest::collection::vec(
+            prop_oneof![3 => Just(0x00u8), 2 => Just(0xFF), 2 => Just(0xC3), 6 => any::<u8>()],
+            0..24,
+        ),
+        v in arb_value(),
+        nuls in proptest::collection::vec(0..12usize, 0..4),
+    ) {
+        let mut bytes = vec![tag];
+        bytes.extend_from_slice(&body);
+        prop_assert_eq!(
+            Value::ordered_len(&bytes),
+            Value::decode_ordered(&bytes).map(|(_, n)| n),
+            "on {:?}", &bytes
+        );
+        // A real value, with NULs forced into strings, in key context.
+        let v = match v {
+            Value::Str(mut s) => {
+                for at in nuls {
+                    let at = (0..=at.min(s.len())).rev().find(|&i| s.is_char_boundary(i)).unwrap();
+                    s.insert(at, '\0');
+                }
+                Value::Str(s)
+            }
+            v => v,
+        };
+        let mut key = v.encode_ordered().unwrap();
+        let len = key.len();
+        prop_assert_eq!(Value::ordered_len(&key), Some(len));
+        key.extend_from_slice(&[0x00, b'N', 1]);
+        prop_assert_eq!(Value::ordered_len(&key), Some(len));
+        prop_assert_eq!(Value::decode_ordered(&key), Some((v, len)));
+    }
 }

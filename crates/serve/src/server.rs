@@ -23,7 +23,7 @@
 //! if the whole run were single-threaded.
 
 use std::collections::HashMap;
-use std::io::{ErrorKind, Read};
+use std::io::{ErrorKind, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -194,11 +194,9 @@ impl Shared {
     /// Fold what this thread's registry recorded since `folded` (its state
     /// at the previous fold) into the server-wide merge; returns that
     /// delta.
-    fn fold_telemetry(&self, folded: &mut telemetry::Snapshot) -> telemetry::Snapshot {
-        let now = telemetry::snapshot();
-        let delta = now.delta(folded);
+    fn fold_telemetry(&self, folded: &mut telemetry::Baseline) -> telemetry::Snapshot {
+        let delta = telemetry::delta_since(folded);
         self.metrics.lock().unwrap().merge(&delta);
-        *folded = now;
         delta
     }
 
@@ -450,7 +448,7 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
             let _ = handle.join();
         }
     }
-    shared.fold_telemetry(&mut telemetry::Snapshot::default());
+    shared.fold_telemetry(&mut telemetry::Baseline::default());
 }
 
 /// Read exactly `buf.len()` bytes with blocking reads. `idle`
@@ -515,7 +513,7 @@ fn connection_loop(mut stream: TcpStream, shared: Arc<Shared>, id: u64) {
     let max_payload = shared.options.max_payload;
     let deadline = shared.options.read_deadline;
     // This thread's registry as of its last fold into `Shared::metrics`.
-    let mut folded = telemetry::Snapshot::default();
+    let mut folded = telemetry::Baseline::default();
 
     while !shared.stop.load(Ordering::Acquire) {
         // Header first (idle: a close here is clean), then payload.
@@ -575,7 +573,12 @@ fn connection_loop(mut stream: TcpStream, shared: Arc<Shared>, id: u64) {
 /// Write one frame; `false` (and a counted disconnect) when the transport
 /// failed and the connection must close.
 fn send(stream: &mut TcpStream, frame: &Frame, shared: &Shared) -> bool {
-    let ok = proto::write_frame(stream, frame).is_ok();
+    send_bytes(stream, &proto::encode_frame(frame), shared)
+}
+
+/// [`send`] for frames already encoded.
+fn send_bytes(stream: &mut TcpStream, bytes: &[u8], shared: &Shared) -> bool {
+    let ok = stream.write_all(bytes).is_ok();
     if !ok {
         shared.stats.disconnects.fetch_add(1, Ordering::Relaxed);
     }
@@ -588,7 +591,7 @@ fn handle_request(
     stream: &mut TcpStream,
     frame: Frame,
     shared: &Shared,
-    folded: &mut telemetry::Snapshot,
+    folded: &mut telemetry::Baseline,
 ) -> bool {
     let parse_error = |message| Frame::Error {
         code: ErrorCode::Parse,
@@ -716,7 +719,7 @@ fn serve_query(
     plan: &CachedPlan,
     cached: bool,
     shared: &Shared,
-    folded: &mut telemetry::Snapshot,
+    folded: &mut telemetry::Baseline,
 ) -> bool {
     // Admission first: a shed request must cost nothing downstream — no
     // execution slot, no snapshot, no buffer-pool traffic.
@@ -807,15 +810,27 @@ fn serve_query(
                 .stats
                 .rows_sent
                 .fetch_add(done.rows, Ordering::Relaxed);
+            // One `write` per full batch; the last (or only) batch leaves
+            // with `Done` in the same `write`, so a small reply is one
+            // segment and wakes its reader once.
             let mut rows = rows.into_iter();
+            let mut out = Vec::new();
             loop {
                 let batch: Vec<WireRow> = rows.by_ref().take(BATCH_ROWS).collect();
-                if batch.is_empty() {
-                    break send(stream, &Frame::Done(done), shared);
+                let last = batch.len() < BATCH_ROWS;
+                if !batch.is_empty() {
+                    out.extend(proto::encode_frame(&Frame::RowBatch { rows: batch }));
                 }
-                if !send(stream, &Frame::RowBatch { rows: batch }, shared) {
+                if last {
+                    out.extend(proto::encode_frame(&Frame::Done(done)));
+                }
+                if !send_bytes(stream, &out, shared) {
                     break false;
                 }
+                if last {
+                    break true;
+                }
+                out.clear();
             }
         }
         Err((code, message)) => send(stream, &Frame::Error { code, message }, shared),
@@ -873,7 +888,7 @@ fn sampler_loop(shared: Arc<Shared>) {
         state.advance(merged);
     }
     drop(state);
-    shared.fold_telemetry(&mut telemetry::Snapshot::default());
+    shared.fold_telemetry(&mut telemetry::Baseline::default());
 }
 
 /// Map an engine error to the wire code. Storage trouble — pages or the

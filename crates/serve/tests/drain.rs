@@ -213,3 +213,51 @@ fn closed_connections_leave_the_registry() {
     assert_eq!(report.stats.connections, 200);
     assert_eq!(report.stats.requests, 200);
 }
+
+#[test]
+fn a_small_reply_is_one_write_and_a_large_one_keeps_its_batches() {
+    use std::io::Read as _;
+    const VEHICLES: usize = 1_500; // more than two full row batches
+    let (_db, server) = server_with(VEHICLES, ServeOptions::default());
+    let addr = server.local_addr();
+
+    // A reader woken by a small reply finds all of it: the rows and `Done`
+    // arrive in one segment, so one `read` returns both frames whole.
+    let query = proto::encode_frame(&Frame::Query {
+        uql: "color: Color = 'Red'".into(),
+    });
+    let mut stream = std::net::TcpStream::connect(addr).unwrap();
+    stream.set_nodelay(true).unwrap();
+    let mut buf = vec![0u8; 1 << 16];
+    let mut small_rows = 0;
+    for _ in 0..100 {
+        stream.write_all(&query).unwrap();
+        let n = stream.read(&mut buf).unwrap();
+        let mut bytes = &buf[..n];
+        let first = proto::read_frame(&mut bytes, proto::DEFAULT_MAX_PAYLOAD);
+        let rows = match first {
+            Ok(Frame::RowBatch { rows }) => rows.len() as u64,
+            other => panic!("wanted the rows first, got {other:?}"),
+        };
+        match proto::read_frame(&mut bytes, proto::DEFAULT_MAX_PAYLOAD) {
+            Ok(Frame::Done(done)) => assert_eq!(done.rows, rows),
+            other => panic!("Done did not come with the rows: {other:?}"),
+        }
+        assert!(bytes.is_empty());
+        small_rows += rows;
+    }
+    drop(stream);
+
+    let mut c = Client::connect(addr).unwrap();
+    let ages: Vec<String> = (0..200).map(|i| i.to_string()).collect();
+    let reply = c
+        .query(&format!("age: Age in ({})", ages.join(", ")))
+        .unwrap();
+    assert_eq!(reply.rows.len(), VEHICLES);
+    assert_eq!(reply.done.rows, VEHICLES as u64);
+    drop(c);
+    assert_eq!(
+        server.shutdown().stats.rows_sent,
+        small_rows + VEHICLES as u64
+    );
+}

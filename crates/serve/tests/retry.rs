@@ -172,7 +172,7 @@ fn read_timeout_unwedges_a_swallowed_reply() {
     let mut client = RetryClient::new(
         addr.to_string(),
         RetryPolicy {
-            read_timeout: Some(Duration::from_millis(50)),
+            read_timeout: Some(Duration::from_millis(250)),
             ..fast_policy()
         },
     );

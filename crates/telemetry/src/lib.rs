@@ -6,8 +6,11 @@
 //! work rolls up explicitly: each worker takes a [`snapshot()`] of its own
 //! registry when it finishes, and the coordinator combines them with
 //! [`Snapshot::merge`] or folds them into its own registry with
-//! [`absorb`]. The JSON export is unchanged — a merged snapshot serializes
-//! bit-identically to the same events recorded on one thread.
+//! [`absorb`]. A thread that reports as it goes instead (a server's
+//! connection thread, after every request) takes [`delta_since`] its own
+//! [`Baseline`], which costs what the request touched and not the
+//! registry's size. The JSON export is unchanged — a merged snapshot
+//! serializes bit-identically to the same events recorded on one thread.
 //!
 //! Three metric kinds live in a named registry:
 //!
@@ -88,6 +91,7 @@ impl Gauge {
 /// Number of log₂ buckets: one for zero plus one per bit position.
 pub const HIST_BUCKETS: usize = 65;
 
+#[derive(Clone)]
 struct HistData {
     buckets: [u64; HIST_BUCKETS],
     count: u64,
@@ -290,19 +294,94 @@ pub fn snapshot() -> Snapshot {
     })
 }
 
+/// A thread's registry as [`delta_since`] last saw it. Starts empty, so
+/// the first delta is everything the thread has recorded. It belongs to
+/// the thread it was first used on.
+#[derive(Default)]
+pub struct Baseline {
+    // Sorted by name like the registry, and walked in step with it.
+    counters: Vec<(&'static str, u64)>,
+    gauges: Vec<(&'static str, i64)>,
+    histograms: Vec<(&'static str, HistData)>,
+}
+
+/// The slot for `name` at position `i` of a baseline column, made on first
+/// sight. Names never leave a registry, so a baseline made from an earlier
+/// state of it differs from it only by insertions.
+fn baseline_slot<'a, T>(
+    column: &'a mut Vec<(&'static str, T)>,
+    i: usize,
+    name: &'static str,
+    new: impl FnOnce() -> T,
+) -> &'a mut T {
+    if column.get(i).map(|slot| slot.0) != Some(name) {
+        column.insert(i, (name, new()));
+    }
+    &mut column[i].1
+}
+
+/// What the thread's registry recorded since the previous call with this
+/// `base`, which is moved up to now: `snapshot().delta(&earlier)` without
+/// building either snapshot. Only the metrics that moved are materialised,
+/// so the cost follows what one request touched, not the registry's size.
+pub fn delta_since(base: &mut Baseline) -> Snapshot {
+    REGISTRY.with(|r| {
+        let r = r.borrow();
+        let mut out = Snapshot::default();
+        for (i, (&name, c)) in r.counters.iter().enumerate() {
+            let was = baseline_slot(&mut base.counters, i, name, || 0);
+            let d = c.get().saturating_sub(*was);
+            *was = c.get();
+            if d > 0 {
+                out.counters.insert(name.to_string(), d);
+            }
+        }
+        for (i, (&name, g)) in r.gauges.iter().enumerate() {
+            let was = baseline_slot(&mut base.gauges, i, name, || 0);
+            let d = g.get().wrapping_sub(*was);
+            *was = g.get();
+            if d != 0 {
+                out.gauges.insert(name.to_string(), d);
+            }
+        }
+        for (i, (&name, h)) in r.histograms.iter().enumerate() {
+            let was = baseline_slot(&mut base.histograms, i, name, HistData::new);
+            let now = h.0.borrow();
+            if now.count == was.count {
+                continue;
+            }
+            let buckets = (0..HIST_BUCKETS)
+                .filter(|&b| now.buckets[b] > was.buckets[b])
+                .map(|b| {
+                    let (lo, hi) = bucket_bounds(b);
+                    (lo, hi, now.buckets[b] - was.buckets[b])
+                })
+                .collect();
+            let d = HistogramSnapshot {
+                count: now.count.saturating_sub(was.count),
+                sum: now.sum.wrapping_sub(was.sum),
+                buckets,
+            };
+            *was = now.clone();
+            if d.count > 0 {
+                out.histograms.insert(name.to_string(), d);
+            }
+        }
+        out
+    })
+}
+
 impl HistogramSnapshot {
     /// Combine another histogram snapshot into this one: bucket counts are
     /// added by bucket (keyed on bounds), counts and sums accumulate.
     pub fn merge(&mut self, other: &HistogramSnapshot) {
-        let mut by_lo: BTreeMap<u64, (u64, u64)> = self
-            .buckets
-            .iter()
-            .map(|&(lo, hi, c)| (lo, (hi, c)))
-            .collect();
+        // `buckets` ascend by lower bound, here and in every snapshot.
         for &(lo, hi, c) in &other.buckets {
-            by_lo.entry(lo).or_insert((hi, 0)).1 += c;
+            match self.buckets.binary_search_by_key(&lo, |b| b.0) {
+                Ok(i) => self.buckets[i].2 += c,
+                Err(i) => self.buckets.insert(i, (lo, hi, c)),
+            }
         }
-        self.buckets = by_lo.into_iter().map(|(lo, (hi, c))| (lo, hi, c)).collect();
         self.count += other.count;
         self.sum = self.sum.wrapping_add(other.sum);
     }
@@ -397,14 +476,26 @@ impl Snapshot {
     /// folded in any order and serialize bit-identically to the same
     /// events recorded on a single thread.
     pub fn merge(&mut self, other: &Snapshot) {
+        // Looked up before inserted: a name is cloned only the first time
+        // it is seen, so folding a delta into a long-lived merge allocates
+        // nothing in the steady state.
         for (name, v) in &other.counters {
-            *self.counters.entry(name.clone()).or_insert(0) += v;
+            match self.counters.get_mut(name) {
+                Some(mine) => *mine += v,
+                None => drop(self.counters.insert(name.clone(), *v)),
+            }
         }
         for (name, v) in &other.gauges {
-            *self.gauges.entry(name.clone()).or_insert(0) += v;
+            match self.gauges.get_mut(name) {
+                Some(mine) => *mine += v,
+                None => drop(self.gauges.insert(name.clone(), *v)),
+            }
         }
         for (name, h) in &other.histograms {
-            self.histograms.entry(name.clone()).or_default().merge(h);
+            match self.histograms.get_mut(name) {
+                Some(mine) => mine.merge(h),
+                None => drop(self.histograms.insert(name.clone(), h.clone())),
+            }
         }
     }
 
@@ -908,6 +999,54 @@ mod tests {
         assert!(zero.counters.is_empty());
         assert!(zero.gauges.is_empty());
         assert!(zero.histograms.is_empty());
+    }
+
+    /// `delta_since` is `snapshot().delta(&earlier)` step for step — through
+    /// metrics first registered between two calls (before, between and
+    /// after the known names), idle steps and a `reset` — and its deltas
+    /// merge back to the whole registry.
+    #[test]
+    fn delta_since_matches_snapshot_delta() {
+        fn step(state: &mut (Baseline, Snapshot, Snapshot), record: &dyn Fn()) {
+            let (base, earlier, merged) = state;
+            record();
+            let now = snapshot();
+            let got = delta_since(base);
+            assert_eq!(got.to_json(), now.delta(earlier).to_json());
+            merged.merge(&got);
+            *earlier = now;
+        }
+        reset();
+        // Whatever other tests left registered on this thread is zero now.
+        let mut state = (Baseline::default(), snapshot(), Snapshot::default());
+        delta_since(&mut state.0);
+        step(&mut state, &|| {
+            counter("ds.m").add(3);
+            gauge("ds.g").set(4);
+            histogram("ds.h").record(9);
+        });
+        step(&mut state, &|| {});
+        step(&mut state, &|| {
+            counter("ds.a").inc();
+            counter("ds.m").add(2);
+            counter("ds.z").add(5);
+            gauge("ds.g").set(-1);
+            histogram("ds.b").record(0);
+            for v in [9u64, 10, 70_000] {
+                histogram("ds.h").record(v);
+            }
+        });
+        step(&mut state, &|| counter("ds.z").inc());
+        let whole = snapshot();
+        assert_eq!(state.2.counters["ds.m"], 5);
+        assert_eq!(state.2.counters["ds.z"], whole.counters["ds.z"]);
+        assert_eq!(state.2.gauges["ds.g"], -1);
+        assert_eq!(state.2.histograms["ds.h"], whole.histograms["ds.h"]);
+        step(&mut state, &reset);
+        step(&mut state, &|| {
+            counter("ds.m").add(100);
+            histogram("ds.h").record(1);
+        });
     }
 
     #[test]

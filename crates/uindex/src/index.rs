@@ -393,14 +393,14 @@ impl Planner<'_> {
                     .ok_or_else(|| Error::BadSpec(format!("class {class:?} has no code")))?;
                 let _ = pos;
                 path.push(PathElem {
-                    code: code.as_bytes().to_vec(),
+                    code: code.as_bytes().into(),
                     oid: *oid,
                 });
             }
             out.push(EntryKey {
                 index_id: id,
                 value: value.clone(),
-                path,
+                path: path.into(),
             });
             return Ok(());
         }

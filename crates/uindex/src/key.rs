@@ -15,17 +15,178 @@
 use objstore::{Oid, Value};
 
 use crate::error::{Error, Result};
+use crate::inline::InlineVec;
 
 /// Separator written after the value and after each class code.
 pub const FIELD_SEP: u8 = 0x00;
+
+/// A class code's bytes, inline up to 30 of them (a code grows about two
+/// bytes per hierarchy level), so a decoded path element owns no heap
+/// memory. Reads as `&[u8]`; build one with `.into()` from a slice or array.
+pub type CodeBytes = InlineVec<u8, 30>;
 
 /// One path element of an entry: the object's class code and its OID.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PathElem {
     /// The byte encoding of the object's class code.
-    pub code: Vec<u8>,
+    pub code: CodeBytes,
     /// The object.
     pub oid: Oid,
+}
+
+/// Where one path element sits in a key's bytes.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct ElemOffsets {
+    /// Offset of the code's first byte within the key.
+    pub start: usize,
+    /// Offset of the separator byte after the code.
+    pub sep: usize,
+    /// Offset of the OID's first byte.
+    pub oid_start: usize,
+}
+
+impl ElemOffsets {
+    /// This element's OID bytes in `key`, the key it was parsed from.
+    pub(crate) fn oid_bytes(&self, key: &[u8]) -> [u8; 4] {
+        key[self.oid_start..self.oid_start + 4]
+            .try_into()
+            .expect("parse checked the oid width")
+    }
+}
+
+/// Offset of the first [`FIELD_SEP`] in `bytes`, eight bytes at a time
+/// (class codes run to a few dozen bytes and every examined entry has its
+/// code scanned for the terminator).
+fn find_sep(bytes: &[u8]) -> Option<usize> {
+    const LOW: u64 = 0x0101_0101_0101_0101;
+    const HIGH: u64 = 0x8080_8080_8080_8080;
+    let mut chunks = bytes.chunks_exact(8);
+    let mut at = 0;
+    for chunk in &mut chunks {
+        let word = u64::from_le_bytes(chunk.try_into().expect("chunks_exact(8)"));
+        // Classic zero-byte test; borrows only propagate upward, so the
+        // lowest flagged byte is exact.
+        let zeros = word.wrapping_sub(LOW) & !word & HIGH;
+        if zeros != 0 {
+            return Some(at + (zeros.trailing_zeros() / 8) as usize);
+        }
+        at += 8;
+    }
+    chunks
+        .remainder()
+        .iter()
+        .position(|&b| b == FIELD_SEP)
+        .map(|i| at + i)
+}
+
+/// The field boundaries of one key: the crate's only key parser. The scan
+/// matcher decides on these offsets without copying a field, a hit is
+/// built from the same offsets ([`EntryKey::from_parsed`]), and
+/// [`EntryKey::decode`] is parse-then-build. A `KeyOffsets` is meant to be
+/// reused: [`KeyOffsets::parse`] refills the element buffer in place, so
+/// parsing allocates nothing once the buffer has grown to the longest path.
+#[derive(Debug, Default)]
+pub(crate) struct KeyOffsets {
+    /// Offset of the separator after the value field (the value encoding
+    /// is `key[2..val_sep]`).
+    pub val_sep: usize,
+    /// One entry per path element, in key order.
+    pub elems: Vec<ElemOffsets>,
+}
+
+impl KeyOffsets {
+    /// Parse `key`, validating its shape: index id, a well-formed value
+    /// encoding ([`Value::ordered_len`] — measured, not built), the
+    /// separator, then zero or more `code 0x00 oid` elements with
+    /// non-empty codes.
+    pub(crate) fn parse(&mut self, key: &[u8]) -> Result<()> {
+        self.elems.clear();
+        let rest = key
+            .get(2..)
+            .ok_or_else(|| Error::BadKey("key shorter than index id".into()))?;
+        let vlen = Value::ordered_len(rest)
+            .ok_or_else(|| Error::BadKey("undecodable value field".into()))?;
+        self.val_sep = 2 + vlen;
+        if key.get(self.val_sep) != Some(&FIELD_SEP) {
+            return Err(Error::BadKey("missing separator after value".into()));
+        }
+        let mut offset = self.val_sep + 1;
+        while offset < key.len() {
+            let code_len = find_sep(&key[offset..])
+                .ok_or_else(|| Error::BadKey("unterminated class code".into()))?;
+            let sep = offset + code_len;
+            let oid_start = sep + 1;
+            if oid_start + 4 > key.len() || code_len == 0 {
+                return Err(Error::BadKey("truncated element".into()));
+            }
+            self.elems.push(ElemOffsets {
+                start: offset,
+                sep,
+                oid_start,
+            });
+            offset = oid_start + 4;
+        }
+        Ok(())
+    }
+}
+
+/// An entry's path elements in ascending class-code order. A
+/// class-hierarchy entry has exactly one, which is held inline: only
+/// longer paths own a heap vector. Reads as `&[PathElem]`; build one with
+/// `.into()` from a `Vec<PathElem>` or by collecting an iterator.
+#[derive(Clone)]
+pub struct Path(PathRepr);
+
+#[derive(Clone)]
+enum PathRepr {
+    One(PathElem),
+    Many(Vec<PathElem>),
+}
+
+impl std::ops::Deref for Path {
+    type Target = [PathElem];
+
+    #[inline]
+    fn deref(&self) -> &[PathElem] {
+        match &self.0 {
+            PathRepr::One(elem) => std::slice::from_ref(elem),
+            PathRepr::Many(elems) => elems,
+        }
+    }
+}
+
+impl From<Vec<PathElem>> for Path {
+    fn from(mut elems: Vec<PathElem>) -> Self {
+        if elems.len() == 1 {
+            Path(PathRepr::One(elems.pop().expect("one element")))
+        } else {
+            Path(PathRepr::Many(elems))
+        }
+    }
+}
+
+impl FromIterator<PathElem> for Path {
+    fn from_iter<I: IntoIterator<Item = PathElem>>(iter: I) -> Self {
+        let mut iter = iter.into_iter();
+        match (iter.next(), iter.next()) {
+            (Some(only), None) => Path(PathRepr::One(only)),
+            (first, second) => Path(PathRepr::Many(
+                first.into_iter().chain(second).chain(iter).collect(),
+            )),
+        }
+    }
+}
+
+impl PartialEq for Path {
+    fn eq(&self, other: &Self) -> bool {
+        **self == **other
+    }
+}
+
+impl std::fmt::Debug for Path {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        std::fmt::Debug::fmt(&**self, f)
+    }
 }
 
 /// A decoded index entry key.
@@ -37,7 +198,7 @@ pub struct EntryKey {
     pub value: Value,
     /// Path elements in ascending class-code order; a class-hierarchy entry
     /// has exactly one.
-    pub path: Vec<PathElem>,
+    pub path: Path,
 }
 
 impl EntryKey {
@@ -53,7 +214,7 @@ impl EntryKey {
         out.extend_from_slice(&self.index_id.to_be_bytes());
         out.extend_from_slice(&venc);
         out.push(FIELD_SEP);
-        for e in &self.path {
+        for e in self.path.iter() {
             debug_assert!(!e.code.contains(&FIELD_SEP));
             out.extend_from_slice(&e.code);
             out.push(FIELD_SEP);
@@ -64,45 +225,33 @@ impl EntryKey {
 
     /// Decode B-tree key bytes.
     pub fn decode(bytes: &[u8]) -> Result<EntryKey> {
-        if bytes.len() < 2 {
-            return Err(Error::BadKey("key shorter than index id".into()));
-        }
-        let index_id = u16::from_be_bytes([bytes[0], bytes[1]]);
-        let rest = &bytes[2..];
-        let (value, used) = Value::decode_ordered(rest)
-            .ok_or_else(|| Error::BadKey("undecodable value field".into()))?;
-        let mut pos = used;
-        if rest.get(pos) != Some(&FIELD_SEP) {
-            return Err(Error::BadKey("missing separator after value".into()));
-        }
-        pos += 1;
-        let mut path = Vec::new();
-        while pos < rest.len() {
-            let code_end = rest[pos..]
-                .iter()
-                .position(|&b| b == FIELD_SEP)
-                .ok_or_else(|| Error::BadKey("unterminated class code".into()))?;
-            let code = rest[pos..pos + code_end].to_vec();
-            if code.is_empty() {
-                return Err(Error::BadKey("empty class code".into()));
-            }
-            pos += code_end + 1;
-            let oid_bytes: [u8; 4] = rest
-                .get(pos..pos + 4)
-                .ok_or_else(|| Error::BadKey("truncated oid".into()))?
-                .try_into()
-                .expect("length checked");
-            pos += 4;
-            path.push(PathElem {
-                code,
-                oid: Oid::from_bytes(oid_bytes),
-            });
-        }
-        if path.is_empty() {
+        let mut offsets = KeyOffsets::default();
+        offsets.parse(bytes)?;
+        EntryKey::from_parsed(bytes, &offsets)
+    }
+
+    /// Build the entry from `key` and the `offsets` [`KeyOffsets::parse`]
+    /// found in it, without scanning the key again: the value is decoded
+    /// from its measured field and each element copied from its recorded
+    /// range. A string value's `String` is the only heap object of a
+    /// one-element entry (class codes and a lone path element are inline);
+    /// longer paths add their vector.
+    pub(crate) fn from_parsed(key: &[u8], offsets: &KeyOffsets) -> Result<EntryKey> {
+        if offsets.elems.is_empty() {
             return Err(Error::BadKey("entry has no path elements".into()));
         }
+        let (value, _) = Value::decode_ordered(&key[2..offsets.val_sep])
+            .ok_or_else(|| Error::BadKey("undecodable value field".into()))?;
+        let path = offsets
+            .elems
+            .iter()
+            .map(|e| PathElem {
+                code: CodeBytes::from_slice(&key[e.start..e.sep]),
+                oid: Oid::from_bytes(e.oid_bytes(key)),
+            })
+            .collect();
         Ok(EntryKey {
-            index_id,
+            index_id: u16::from_be_bytes([key[0], key[1]]),
             value,
             path,
         })
@@ -138,7 +287,7 @@ mod tests {
             path: path
                 .into_iter()
                 .map(|(c, o)| PathElem {
-                    code: c.to_vec(),
+                    code: c.into(),
                     oid: Oid(o),
                 })
                 .collect(),
@@ -228,6 +377,48 @@ mod tests {
         let mut k = p;
         k.extend_from_slice(&[b'N', 1, 0, 1, 2]);
         assert!(EntryKey::decode(&k).is_err());
+    }
+
+    #[test]
+    fn path_reads_alike_inline_and_on_the_heap() {
+        let elem = |o: u32| PathElem {
+            code: [b'B', 1].into(),
+            oid: Oid(o),
+        };
+        let one: Path = vec![elem(1)].into();
+        assert!(matches!(one.0, PathRepr::One(_)));
+        assert_eq!(&*one, &[elem(1)]);
+        assert_eq!(one, std::iter::once(elem(1)).collect::<Path>());
+        // Equality is by contents, whichever way the path is held.
+        assert_eq!(one, Path(PathRepr::Many(vec![elem(1)])));
+        let two: Path = [elem(1), elem(2)].into_iter().collect();
+        assert_eq!(&*two, &[elem(1), elem(2)]);
+        assert_eq!(two, Path::from(vec![elem(1), elem(2)]));
+        assert_ne!(one, two);
+        assert!(std::iter::empty().collect::<Path>().is_empty());
+        assert_eq!(format!("{one:?}"), format!("{:?}", [elem(1)]));
+    }
+
+    #[test]
+    fn find_sep_agrees_with_a_byte_scan() {
+        // 0x01 and 0x80.. neighbours are what a sloppy zero-byte test
+        // mistakes for a zero.
+        let noise = [
+            0x01u8, 0x80, 0xFF, 0x7F, 0x81, 0x02, 0x01, 0x01, 0x80, 0x01, 0xFF,
+        ];
+        for len in 0..40 {
+            let bytes: Vec<u8> = (0..len).map(|i| noise[i % noise.len()]).collect();
+            assert_eq!(find_sep(&bytes), None, "len {len}");
+            for zero in 0..len {
+                let mut b = bytes.clone();
+                b[zero] = 0;
+                assert_eq!(find_sep(&b), Some(zero), "len {len}");
+                if zero + 3 < len {
+                    b[zero + 3] = 0;
+                    assert_eq!(find_sep(&b), Some(zero), "first of two, len {len}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -61,6 +61,7 @@ mod error;
 mod exec;
 pub mod explain;
 mod index;
+mod inline;
 mod key;
 pub mod oracle;
 mod query;
@@ -75,7 +76,10 @@ pub use error::{Error, Result};
 pub use exec::{parallel_query, DatabaseReader, DbSnapshot};
 pub use explain::ExplainReport;
 pub use index::{IndexId, UIndex};
-pub use key::{EntryKey, PathElem};
-pub use query::{distinct_oids_at, ClassSel, OidSel, PosPred, Query, QueryHit, ValuePred};
+pub use inline::InlineVec;
+pub use key::{CodeBytes, EntryKey, Path, PathElem};
+pub use query::{
+    distinct_oids_at, Assignment, ClassSel, OidSel, PosPred, Query, QueryHit, ValuePred,
+};
 pub use scan::{QueryTrace, ScanAlgorithm, ScanStats};
 pub use spec::{IndexSpec, PathStep, SpecBuilder};

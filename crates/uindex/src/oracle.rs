@@ -239,7 +239,7 @@ pub fn eval_with(
                 enc,
                 QueryHit {
                     key: entry,
-                    assignment,
+                    assignment: assignment.into(),
                 },
             ));
         }
@@ -270,11 +270,11 @@ pub fn distinct_filter(hits: &[QueryHit], pos: usize) -> Vec<QueryHit> {
                 continue;
             }
         }
-        if let Some(ei) = h.assignment.get(pos).copied().flatten() {
+        if let Some(ei) = h.assignment.get(pos) {
             let prefix = EntryKey {
                 index_id: h.key.index_id,
                 value: h.key.value.clone(),
-                path: h.key.path[..=ei].to_vec(),
+                path: h.key.path[..=ei].to_vec().into(),
             }
             .encode()
             .expect("prefix keys encode");
@@ -869,16 +869,17 @@ mod tests {
                 value: Value::Int(3),
                 path: vec![
                     crate::key::PathElem {
-                        code: vec![b'B', 1],
+                        code: [b'B', 1].into(),
                         oid: Oid(o1),
                     },
                     crate::key::PathElem {
-                        code: vec![b'C', 1],
+                        code: [b'C', 1].into(),
                         oid: Oid(o2),
                     },
-                ],
+                ]
+                .into(),
             },
-            assignment: vec![Some(0), Some(1)],
+            assignment: [Some(0), Some(1)].into(),
         };
         let hits = vec![mk(1, 1), mk(1, 2), mk(2, 1)];
         let kept = distinct_filter(&hits, 0);

@@ -14,6 +14,7 @@ use objstore::{Oid, Value};
 use schema::ClassId;
 
 use crate::index::IndexId;
+use crate::inline::InlineVec;
 use crate::key::EntryKey;
 use crate::scan::ScanAlgorithm;
 
@@ -221,6 +222,83 @@ impl Query {
     }
 }
 
+/// A hit's position assignment: for each spec position, the index into the
+/// hit's `key.path` of the element occupying it, or `None` when the
+/// entry's branch does not include the position.
+///
+/// Stored as one `u16` per position, inline up to eleven positions, so a
+/// hit carries it in 32 bytes and no heap memory (a `Vec<Option<usize>>` is
+/// 24 bytes plus a 16-byte-per-position allocation). Build one with
+/// `.into()` from a `Vec` or array of `Option<usize>`; it compares and
+/// prints like that vector.
+#[derive(Clone, PartialEq, Eq)]
+pub struct Assignment(InlineVec<u16, 11>);
+
+/// Slot value for an unoccupied position. A key holds at most a few dozen
+/// path elements (each takes six bytes of a key that fits a third of a
+/// page), so no real element index comes near it.
+const UNASSIGNED: u16 = u16::MAX;
+
+impl Assignment {
+    /// Copy an assignment out of scan scratch space.
+    pub fn from_slice(slots: &[Option<usize>]) -> Self {
+        Assignment(InlineVec::from_fn(slots.len(), |pos| match slots[pos] {
+            Some(ei) => {
+                u16::try_from(ei).expect("path element index fits the assignment's u16 slots")
+            }
+            None => UNASSIGNED,
+        }))
+    }
+
+    /// Number of spec positions.
+    pub fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    /// Whether the spec has no positions (never true for a real index).
+    pub fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+
+    /// The path-element index occupying position `pos`; `None` when the
+    /// position is unoccupied or out of range.
+    pub fn get(&self, pos: usize) -> Option<usize> {
+        self.0
+            .get(pos)
+            .filter(|&&slot| slot != UNASSIGNED)
+            .map(|&slot| slot as usize)
+    }
+
+    /// Each position's element index, in position order.
+    pub fn iter(&self) -> impl Iterator<Item = Option<usize>> + '_ {
+        (0..self.len()).map(|pos| self.get(pos))
+    }
+}
+
+impl From<Vec<Option<usize>>> for Assignment {
+    fn from(slots: Vec<Option<usize>>) -> Self {
+        Assignment::from_slice(&slots)
+    }
+}
+
+impl<const M: usize> From<[Option<usize>; M]> for Assignment {
+    fn from(slots: [Option<usize>; M]) -> Self {
+        Assignment::from_slice(&slots)
+    }
+}
+
+impl PartialEq<Vec<Option<usize>>> for Assignment {
+    fn eq(&self, other: &Vec<Option<usize>>) -> bool {
+        self.iter().eq(other.iter().copied())
+    }
+}
+
+impl std::fmt::Debug for Assignment {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
 /// One matched index entry.
 #[derive(Debug, Clone, PartialEq)]
 pub struct QueryHit {
@@ -229,14 +307,13 @@ pub struct QueryHit {
     /// For each spec position, the index into `key.path` of the element
     /// occupying it (`None` when the entry's branch does not include the
     /// position).
-    pub assignment: Vec<Option<usize>>,
+    pub assignment: Assignment,
 }
 
 impl QueryHit {
     /// The OID at spec position `pos`, if present in this entry.
     pub fn oid_at(&self, pos: usize) -> Option<Oid> {
-        let idx = (*self.assignment.get(pos)?)?;
-        Some(self.key.path[idx].oid)
+        Some(self.key.path[self.assignment.get(pos)?].oid)
     }
 
     /// The matched attribute value.
@@ -248,4 +325,31 @@ impl QueryHit {
 /// Collect the distinct OIDs occupying `pos` across hits.
 pub fn distinct_oids_at(hits: &[QueryHit], pos: usize) -> BTreeSet<Oid> {
     hits.iter().filter_map(|h| h.oid_at(pos)).collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn assignment_reads_like_the_vector_it_packs() {
+        let slots = vec![Some(0), None, Some(2)];
+        let a = Assignment::from(slots.clone());
+        assert_eq!(a.len(), 3);
+        assert_eq!(
+            (a.get(0), a.get(1), a.get(2), a.get(3)),
+            (Some(0), None, Some(2), None)
+        );
+        assert_eq!(a.iter().collect::<Vec<_>>(), slots);
+        assert_eq!(a, slots);
+        assert_eq!(a, Assignment::from([Some(0), None, Some(2)]));
+        assert_ne!(a, Assignment::from([Some(0), None]));
+        assert_eq!(format!("{a:?}"), format!("{slots:?}"));
+        // Past the inline capacity it spills to the heap and reads the same.
+        let long: Vec<Option<usize>> = (0..40).map(|i| (i % 3 != 0).then_some(i)).collect();
+        let b = Assignment::from(long.clone());
+        assert_eq!(b.iter().collect::<Vec<_>>(), long);
+        assert!(Assignment::from_slice(&[]).is_empty());
+        assert!(std::mem::size_of::<QueryHit>() <= 112);
+    }
 }

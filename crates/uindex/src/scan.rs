@@ -16,12 +16,12 @@
 //!   possible key values".
 
 use btree::ReadView;
-use objstore::{Oid, Value};
+use objstore::Oid;
 use pagestore::PageStore;
 
 use crate::error::{Error, Result};
-use crate::key::{EntryKey, FIELD_SEP};
-use crate::query::{OidSel, QueryHit};
+use crate::key::{ElemOffsets, EntryKey, KeyOffsets};
+use crate::query::{Assignment, OidSel, QueryHit};
 
 /// Which retrieval algorithm a query uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -122,16 +122,18 @@ pub(crate) struct Matcher {
     pub positions: Vec<PosConstraint>,
 }
 
-/// What to do with the entry under the cursor.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// What to do with the entry under the cursor. The verdict carries no
+/// data: a match's position assignment and a skip's target key are left in
+/// the [`ScanScratch`] the entry was examined with.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Advice {
-    /// Entry matches; `assignment[pos]` is the entry element occupying each
-    /// spec position.
-    Match(Vec<Option<usize>>),
+    /// Entry matches; `scratch.assignment[pos]` is the entry element
+    /// occupying each spec position.
+    Match,
     /// Entry cannot match but the next entry might (no useful skip target).
     Step,
-    /// No entry below this key can match; seek to it.
-    SkipTo(Vec<u8>),
+    /// No entry below `scratch.target` can match; seek to it.
+    SkipTo,
     /// No further entry can match.
     Done,
 }
@@ -153,65 +155,29 @@ fn range_position<'a>(field: &[u8], ranges: &'a [(Vec<u8>, Vec<u8>)]) -> RangePo
     }
 }
 
-struct ElemOffsets {
-    /// Offset of the code's first byte within the key.
-    start: usize,
-    /// Offset of the separator byte after the code.
-    sep: usize,
-    /// Offset of the OID's first byte.
-    oid_start: usize,
-}
-
-/// Reusable per-scan scratch space so examining an entry allocates
-/// nothing: element offsets and the position assignment are parsed into
-/// these buffers in place; only an actual `Match` clones the assignment
-/// out.
+/// Reusable per-scan scratch space, so that examining an entry allocates
+/// nothing: the key's field offsets, the position assignment and a skip
+/// target are all written into these buffers in place (they stop growing
+/// after the first few entries). What the test
+/// `crates/uindex/tests/alloc_budget.rs` pins: the number of allocations a
+/// scan performs does not depend on how many entries it examines.
 #[derive(Default)]
 pub(crate) struct ScanScratch {
-    elems: Vec<ElemOffsets>,
+    /// Field offsets of the last key examined.
+    offsets: KeyOffsets,
+    /// Valid after [`Advice::Match`].
     assignment: Vec<Option<usize>>,
+    /// Valid after [`Advice::SkipTo`] and after [`Matcher::skip_past_match`]
+    /// returned `true`.
+    target: Vec<u8>,
 }
 
-/// Parse a key's element offsets into `elems` (cleared first), returning
-/// the offset of the separator after the value field.
-fn parse_offsets_into(key: &[u8], elems: &mut Vec<ElemOffsets>) -> Result<usize> {
-    elems.clear();
-    if key.len() < 2 {
-        return Err(Error::BadKey("key shorter than index id".into()));
-    }
-    let rest = &key[2..];
-    let (_, vlen) = Value::decode_ordered(rest)
-        .ok_or_else(|| Error::BadKey("undecodable value field".into()))?;
-    let val_sep = 2 + vlen;
-    if key.get(val_sep) != Some(&FIELD_SEP) {
-        return Err(Error::BadKey("missing separator after value".into()));
-    }
-    let mut offset = val_sep + 1;
-    while offset < key.len() {
-        let code_len = key[offset..]
-            .iter()
-            .position(|&b| b == FIELD_SEP)
-            .ok_or_else(|| Error::BadKey("unterminated class code".into()))?;
-        let sep = offset + code_len;
-        let oid_start = sep + 1;
-        if oid_start + 4 > key.len() || code_len == 0 {
-            return Err(Error::BadKey("truncated element".into()));
-        }
-        elems.push(ElemOffsets {
-            start: offset,
-            sep,
-            oid_start,
-        });
-        offset = oid_start + 4;
-    }
-    Ok(val_sep)
-}
-
-/// Parse a key into (value-separator offset, element offsets).
-fn parse_offsets(key: &[u8]) -> Result<(usize, Vec<ElemOffsets>)> {
-    let mut elems = Vec::new();
-    let val_sep = parse_offsets_into(key, &mut elems)?;
-    Ok((val_sep, elems))
+/// Leave `head ++ tail` in `target` as the key to skip to.
+fn skip_to(target: &mut Vec<u8>, head: &[u8], tail: &[u8]) -> Advice {
+    target.clear();
+    target.extend_from_slice(head);
+    target.extend_from_slice(tail);
+    Advice::SkipTo
 }
 
 impl Matcher {
@@ -225,74 +191,64 @@ impl Matcher {
     }
 
     /// Smallest key strictly greater than `key` in the field *before* the
-    /// element starting at `elem_idx` (or before the first element, i.e.
-    /// the value field, when `elem_idx == 0`).
+    /// element at `elem_idx` (or before the first element, i.e. the value
+    /// field, when `elem_idx == 0`).
     fn bump_before(
-        &self,
         key: &[u8],
-        val_sep: usize,
-        elems: &[ElemOffsets],
+        offsets: &KeyOffsets,
         elem_idx: usize,
+        target: &mut Vec<u8>,
     ) -> Advice {
         if elem_idx == 0 {
             // Successor of the value field: the 0x00 separator after the
             // value becomes 0x01, stepping past every key with this value.
-            let mut t = key[..val_sep].to_vec();
-            t.push(0x01);
-            return Advice::SkipTo(t);
+            return skip_to(target, &key[..offsets.val_sep], &[0x01]);
         }
-        let prev = &elems[elem_idx - 1];
-        let oid = u32::from_be_bytes(key[prev.oid_start..prev.oid_start + 4].try_into().unwrap());
+        Self::bump_oid(key, &offsets.elems[elem_idx - 1], target)
+    }
+
+    /// Smallest key past every key sharing `key`'s prefix through the OID
+    /// of `elem`: the next OID, or the next code when the OID is the last.
+    fn bump_oid(key: &[u8], elem: &ElemOffsets, target: &mut Vec<u8>) -> Advice {
+        let oid = u32::from_be_bytes(elem.oid_bytes(key));
         match oid.checked_add(1) {
-            Some(next) => {
-                let mut t = key[..prev.oid_start].to_vec();
-                t.extend_from_slice(&next.to_be_bytes());
-                Advice::SkipTo(t)
-            }
-            None => self.bump_code(key, prev),
+            Some(next) => skip_to(target, &key[..elem.oid_start], &next.to_be_bytes()),
+            None => Self::bump_code(key, elem, target),
         }
     }
 
     /// Smallest key whose code field at `elem` is strictly greater than the
     /// current code (covers both later siblings and descendants).
-    fn bump_code(&self, key: &[u8], elem: &ElemOffsets) -> Advice {
-        let mut t = key[..elem.sep].to_vec();
-        t.push(0x01);
-        Advice::SkipTo(t)
+    fn bump_code(key: &[u8], elem: &ElemOffsets, target: &mut Vec<u8>) -> Advice {
+        skip_to(target, &key[..elem.sep], &[0x01])
     }
 
-    /// Evaluate `key` (convenience wrapper allocating fresh scratch; the
-    /// scan loop uses [`Matcher::advise_with`]).
-    #[cfg(test)]
-    pub fn advise(&self, key: &[u8]) -> Result<Advice> {
-        self.advise_with(key, &mut ScanScratch::default())
-    }
-
-    /// Evaluate `key`, parsing into `scratch` instead of allocating.
+    /// Evaluate `key`, parsing into `scratch` instead of allocating; the
+    /// data behind a `Match` or `SkipTo` verdict is left there.
     pub(crate) fn advise_with(&self, key: &[u8], scratch: &mut ScanScratch) -> Result<Advice> {
-        let ScanScratch { elems, assignment } = scratch;
+        let ScanScratch {
+            offsets,
+            assignment,
+            target,
+        } = scratch;
         let myid = self.index_id.to_be_bytes();
         match key.get(..2) {
             None => return Err(Error::BadKey("key shorter than index id".into())),
-            Some(kid) if kid < &myid[..] => return Ok(Advice::SkipTo(myid.to_vec())),
+            Some(kid) if kid < &myid[..] => return Ok(skip_to(target, &myid, &[])),
             Some(kid) if kid > &myid[..] => return Ok(Advice::Done),
             _ => {}
         }
-        let val_sep = parse_offsets_into(key, elems)?;
-        let vfield = &key[2..val_sep];
+        offsets.parse(key)?;
+        let vfield = &key[2..offsets.val_sep];
         match range_position(vfield, &self.value_ranges) {
             RangePos::Within => {}
-            RangePos::Below(lo) => {
-                let mut t = myid.to_vec();
-                t.extend_from_slice(lo);
-                return Ok(Advice::SkipTo(t));
-            }
+            RangePos::Below(lo) => return Ok(skip_to(target, &myid, lo)),
             RangePos::Above => return Ok(Advice::Done),
         }
         assignment.clear();
         assignment.resize(self.positions.len(), None);
         let mut pos_idx = 0;
-        for (ei, elem) in elems.iter().enumerate() {
+        for (ei, elem) in offsets.elems.iter().enumerate() {
             let code = &key[elem.start..elem.sep];
             // Attribute this element to the next position whose region
             // contains its code.
@@ -311,35 +267,25 @@ impl Matcher {
                 if pc.required {
                     // Keys are grouped by earlier fields; within this group
                     // every later entry jumps past the position too.
-                    return Ok(self.bump_before(key, val_sep, elems, ei));
+                    return Ok(Self::bump_before(key, offsets, ei, target));
                 }
                 pos_idx += 1;
             }
             let pc = &self.positions[pos_idx];
             match range_position(code, &pc.class_ranges) {
                 RangePos::Within => {}
-                RangePos::Below(lo) => {
-                    let mut t = key[..elem.start].to_vec();
-                    t.extend_from_slice(lo);
-                    return Ok(Advice::SkipTo(t));
-                }
-                RangePos::Above => {
-                    return Ok(self.bump_before(key, val_sep, elems, ei));
-                }
+                RangePos::Below(lo) => return Ok(skip_to(target, &key[..elem.start], lo)),
+                RangePos::Above => return Ok(Self::bump_before(key, offsets, ei, target)),
             }
-            let oid_bytes: [u8; 4] = key[elem.oid_start..elem.oid_start + 4]
-                .try_into()
-                .expect("parsed");
+            let oid_bytes = elem.oid_bytes(key);
             match &pc.oids {
                 OidSel::Any => {}
                 OidSel::Is(o) => {
                     let want = o.to_bytes();
                     if oid_bytes < want {
-                        let mut t = key[..elem.oid_start].to_vec();
-                        t.extend_from_slice(&want);
-                        return Ok(Advice::SkipTo(t));
+                        return Ok(skip_to(target, &key[..elem.oid_start], &want));
                     } else if oid_bytes > want {
-                        return Ok(self.bump_code(key, elem));
+                        return Ok(Self::bump_code(key, elem, target));
                     }
                 }
                 OidSel::In(set) => {
@@ -347,11 +293,9 @@ impl Matcher {
                     match set.range(cur..).next() {
                         Some(&o) if o == cur => {}
                         Some(&o) => {
-                            let mut t = key[..elem.oid_start].to_vec();
-                            t.extend_from_slice(&o.to_bytes());
-                            return Ok(Advice::SkipTo(t));
+                            return Ok(skip_to(target, &key[..elem.oid_start], &o.to_bytes()));
                         }
-                        None => return Ok(self.bump_code(key, elem)),
+                        None => return Ok(Self::bump_code(key, elem, target)),
                     }
                 }
             }
@@ -363,29 +307,21 @@ impl Matcher {
         if self.positions[pos_idx..].iter().any(|p| p.required) {
             return Ok(Advice::Step);
         }
-        Ok(Advice::Match(assignment.clone()))
+        Ok(Advice::Match)
     }
 
-    /// After a match, the target that skips the rest of the combination
-    /// fixed through element `elem_idx` (for `distinct_through`).
-    pub fn skip_past_match(&self, key: &[u8], elem_idx: usize) -> Result<Option<Vec<u8>>> {
-        let (_, elems) = parse_offsets(key)?;
-        let Some(elem) = elems.get(elem_idx) else {
-            return Ok(None);
-        };
-        let oid = u32::from_be_bytes(key[elem.oid_start..elem.oid_start + 4].try_into().unwrap());
-        Ok(Some(match oid.checked_add(1) {
-            Some(next) => {
-                let mut t = key[..elem.oid_start].to_vec();
-                t.extend_from_slice(&next.to_be_bytes());
-                t
+    /// After a match on `key` (the key `scratch` last examined), leave in
+    /// `scratch.target` the key that skips the rest of the combination
+    /// fixed through element `elem_idx` (for `distinct_through`). `false`
+    /// when the entry has no such element.
+    pub(crate) fn skip_past_match(key: &[u8], elem_idx: usize, scratch: &mut ScanScratch) -> bool {
+        match scratch.offsets.elems.get(elem_idx) {
+            Some(elem) => {
+                Self::bump_oid(key, elem, &mut scratch.target);
+                true
             }
-            None => {
-                let mut t = key[..elem.sep].to_vec();
-                t.push(0x01);
-                t
-            }
-        }))
+            None => false,
+        }
     }
 }
 
@@ -407,12 +343,63 @@ fn skip_seek<S: PageStore>(
     Ok(())
 }
 
+/// Registry handles the scan reports through, resolved once per thread
+/// (as `btree::tree::metrics` does) so a query costs a few `Cell` reads and
+/// bumps instead of a by-name registry lookup per counter.
+struct ScanMetrics {
+    reseek_leaf: telemetry::Counter,
+    reseek_lca: telemetry::Counter,
+    reseek_full: telemetry::Counter,
+    pool_hits: telemetry::Counter,
+    pool_misses: telemetry::Counter,
+    queries: telemetry::Counter,
+    entries_examined: telemetry::Counter,
+    matches: telemetry::Counter,
+    skips: telemetry::Counter,
+    partial_keys: telemetry::Counter,
+    pages: telemetry::Counter,
+    node_visits: telemetry::Counter,
+    descents: telemetry::Counter,
+    reseek_depth: telemetry::Counter,
+    query_pages: telemetry::Histogram,
+    query_entries: telemetry::Histogram,
+}
+
+thread_local! {
+    static SCAN_METRICS: ScanMetrics = ScanMetrics {
+        reseek_leaf: telemetry::counter("btree.reseek.leaf"),
+        reseek_lca: telemetry::counter("btree.reseek.lca"),
+        reseek_full: telemetry::counter("btree.reseek.full"),
+        pool_hits: telemetry::counter("pagestore.pool.hits"),
+        pool_misses: telemetry::counter("pagestore.pool.misses"),
+        queries: telemetry::counter("uindex.query.count"),
+        entries_examined: telemetry::counter("uindex.scan.entries_examined"),
+        matches: telemetry::counter("uindex.scan.matches"),
+        skips: telemetry::counter("uindex.scan.skips"),
+        partial_keys: telemetry::counter("uindex.scan.partial_keys"),
+        pages: telemetry::counter("uindex.scan.pages"),
+        node_visits: telemetry::counter("uindex.scan.node_visits"),
+        descents: telemetry::counter("uindex.scan.descents"),
+        reseek_depth: telemetry::counter("uindex.scan.reseek_depth"),
+        query_pages: telemetry::histogram("uindex.query.pages"),
+        query_entries: telemetry::histogram("uindex.query.entries"),
+    };
+}
+
 /// Run a translated query against the shared B-tree.
 ///
-/// The loop reads entries through `cursor_entry_ref` — a borrowed view into
-/// the shared decoded leaf — and parses them into reusable scratch, so
-/// examining an entry copies no key or value bytes and performs no
-/// allocation; only actual matches materialize owned data.
+/// Allocation contract, pinned by `crates/uindex/tests/alloc_budget.rs`:
+/// the loop reads each entry through `cursor_peek` — slices borrowed from
+/// the decoded leaf's arena — and the matcher works on field offsets parsed
+/// into a reusable [`ScanScratch`], so **examining an entry allocates
+/// nothing**: the allocations of a scan that matches nothing are a constant
+/// (cursor path, scratch, spans), however many entries it examines. **A
+/// hit costs at most two allocations**: the `String` of a string value
+/// and, when the entry has more than one path element, the `path` vector
+/// (a class-hierarchy hit's single element is inline, so an integer-valued
+/// one allocates nothing). A hit is built from the offsets the matcher
+/// already parsed, class codes and the position assignment inline. (The
+/// hit vector's own doubling adds a logarithmic number on top.)
 ///
 /// Registry counter deltas captured around the scan attribute the
 /// skip-seeks to their resolution tier and the page fetches to pool hits
@@ -427,11 +414,16 @@ pub(crate) fn execute_traced<S: PageStore>(
     distinct_upto: Option<usize>,
 ) -> Result<(Vec<QueryHit>, ScanStats, QueryTrace)> {
     view.pool().begin_query();
-    let reseek_leaf_0 = telemetry::counter_value("btree.reseek.leaf");
-    let reseek_lca_0 = telemetry::counter_value("btree.reseek.lca");
-    let reseek_full_0 = telemetry::counter_value("btree.reseek.full");
-    let pool_hits_0 = telemetry::counter_value("pagestore.pool.hits");
-    let pool_misses_0 = telemetry::counter_value("pagestore.pool.misses");
+    let tiers_and_pool = |m: &ScanMetrics| {
+        [
+            m.reseek_leaf.get(),
+            m.reseek_lca.get(),
+            m.reseek_full.get(),
+            m.pool_hits.get(),
+            m.pool_misses.get(),
+        ]
+    };
+    let before = SCAN_METRICS.with(tiers_and_pool);
     let mut stats = ScanStats::default();
     let mut trace = QueryTrace::default();
     let mut scratch = ScanScratch::default();
@@ -441,51 +433,35 @@ pub(crate) fn execute_traced<S: PageStore>(
         view.seek(&matcher.initial_seek())?
     };
     let scan_span = telemetry::Span::enter("scan");
-    while let Some(e) = view.cursor_entry_ref(&mut cur)? {
+    while let Some((key, _)) = view.cursor_peek(&mut cur)? {
         stats.entries_examined += 1;
-        match matcher.advise_with(e.key(), &mut scratch)? {
-            Advice::Match(assignment) => {
+        let skip = match matcher.advise_with(key, &mut scratch)? {
+            Advice::Match => {
                 stats.matches += 1;
-                let skip = match distinct_upto {
-                    Some(pos) => match assignment.get(pos).copied().flatten() {
-                        Some(ei) => matcher.skip_past_match(e.key(), ei)?,
-                        None => None,
-                    },
-                    None => None,
-                };
                 hits.push(QueryHit {
-                    key: EntryKey::decode(e.key())?,
-                    assignment,
+                    key: EntryKey::from_parsed(key, &scratch.offsets)?,
+                    assignment: Assignment::from_slice(&scratch.assignment),
                 });
-                if skip.is_some() {
-                    trace.partial_keys_expanded += 1;
-                }
-                match skip {
-                    Some(t) if algorithm.skips() && t.as_slice() > e.key() => {
-                        stats.seeks += 1;
-                        skip_seek(view, &mut cur, &t, algorithm)?;
-                    }
-                    _ => cur.advance(),
-                }
+                distinct_upto
+                    .and_then(|pos| scratch.assignment.get(pos).copied().flatten())
+                    .is_some_and(|ei| Matcher::skip_past_match(key, ei, &mut scratch))
             }
-            Advice::Step => cur.advance(),
-            Advice::SkipTo(t) => {
-                trace.partial_keys_expanded += 1;
-                if t.as_slice() <= e.key() {
-                    // A non-advancing skip target would loop the scan
-                    // forever. It cannot arise from a well-formed matcher,
-                    // but if one slips through (corrupt key bytes, a bad
-                    // hand-built matcher), degrade to a plain step: every
-                    // key still gets examined, only the skip is lost.
-                    cur.advance();
-                } else if algorithm.skips() {
-                    stats.seeks += 1;
-                    skip_seek(view, &mut cur, &t, algorithm)?;
-                } else {
-                    cur.advance();
-                }
-            }
+            Advice::Step => false,
+            Advice::SkipTo => true,
             Advice::Done => break,
+        };
+        if skip {
+            trace.partial_keys_expanded += 1;
+        }
+        // A skip target that does not advance would loop the scan forever.
+        // None arises from a well-formed matcher, but if one slips through
+        // (corrupt key bytes, a bad hand-built matcher), degrade to a plain
+        // step: every key still gets examined, only the skip is lost.
+        if skip && algorithm.skips() && scratch.target.as_slice() > key {
+            stats.seeks += 1;
+            skip_seek(view, &mut cur, &scratch.target, algorithm)?;
+        } else {
+            cur.advance();
         }
     }
     drop(scan_span);
@@ -503,30 +479,59 @@ pub(crate) fn execute_traced<S: PageStore>(
     trace.node_visits = stats.node_visits;
     trace.descents = stats.descents;
     trace.reseek_depth_total = stats.reseek_depth_total;
-    trace.reseeks_leaf = telemetry::counter_value("btree.reseek.leaf") - reseek_leaf_0;
-    trace.reseeks_lca = telemetry::counter_value("btree.reseek.lca") - reseek_lca_0;
-    trace.reseeks_full = telemetry::counter_value("btree.reseek.full") - reseek_full_0;
-    trace.pool_hits = telemetry::counter_value("pagestore.pool.hits") - pool_hits_0;
-    trace.pool_misses = telemetry::counter_value("pagestore.pool.misses") - pool_misses_0;
+    SCAN_METRICS.with(|m| {
+        let after = tiers_and_pool(m);
+        trace.reseeks_leaf = after[0] - before[0];
+        trace.reseeks_lca = after[1] - before[1];
+        trace.reseeks_full = after[2] - before[2];
+        trace.pool_hits = after[3] - before[3];
+        trace.pool_misses = after[4] - before[4];
 
-    telemetry::counter("uindex.query.count").inc();
-    telemetry::counter("uindex.scan.entries_examined").add(stats.entries_examined);
-    telemetry::counter("uindex.scan.matches").add(stats.matches);
-    telemetry::counter("uindex.scan.skips").add(stats.seeks);
-    telemetry::counter("uindex.scan.partial_keys").add(trace.partial_keys_expanded);
-    telemetry::counter("uindex.scan.pages").add(stats.pages_read);
-    telemetry::counter("uindex.scan.node_visits").add(stats.node_visits);
-    telemetry::counter("uindex.scan.descents").add(stats.descents);
-    telemetry::counter("uindex.scan.reseek_depth").add(stats.reseek_depth_total);
-    telemetry::histogram("uindex.query.pages").record(stats.pages_read);
-    telemetry::histogram("uindex.query.entries").record(stats.entries_examined);
+        m.queries.inc();
+        m.entries_examined.add(stats.entries_examined);
+        m.matches.add(stats.matches);
+        m.skips.add(stats.seeks);
+        m.partial_keys.add(trace.partial_keys_expanded);
+        m.pages.add(stats.pages_read);
+        m.node_visits.add(stats.node_visits);
+        m.descents.add(stats.descents);
+        m.reseek_depth.add(stats.reseek_depth_total);
+        m.query_pages.record(stats.pages_read);
+        m.query_entries.record(stats.entries_examined);
+    });
     Ok((hits, stats, trace))
+}
+
+/// A verdict together with the data it left in the scratch, so tests can
+/// assert on both at once.
+#[cfg(test)]
+#[derive(Debug, PartialEq, Eq)]
+enum Advised {
+    Match(Vec<Option<usize>>),
+    Step,
+    SkipTo(Vec<u8>),
+    Done,
+}
+
+#[cfg(test)]
+impl Matcher {
+    /// [`Matcher::advise_with`] on fresh scratch.
+    fn advise(&self, key: &[u8]) -> Result<Advised> {
+        let mut scratch = ScanScratch::default();
+        Ok(match self.advise_with(key, &mut scratch)? {
+            Advice::Match => Advised::Match(scratch.assignment),
+            Advice::Step => Advised::Step,
+            Advice::SkipTo => Advised::SkipTo(scratch.target),
+            Advice::Done => Advised::Done,
+        })
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::key::PathElem;
+    use objstore::Value;
 
     fn enc(v: i64, path: &[(&[u8], u32)]) -> Vec<u8> {
         EntryKey {
@@ -535,7 +540,7 @@ mod tests {
             path: path
                 .iter()
                 .map(|(c, o)| PathElem {
-                    code: c.to_vec(),
+                    code: (*c).into(),
                     oid: Oid(*o),
                 })
                 .collect(),
@@ -569,14 +574,14 @@ mod tests {
     fn match_and_done() {
         let m = matcher_one_pos(false);
         let k = enc(5, &[(&[b'B', 1], 7)]);
-        assert_eq!(m.advise(&k).unwrap(), Advice::Match(vec![Some(0)]));
+        assert_eq!(m.advise(&k).unwrap(), Advised::Match(vec![Some(0)]));
         // Value above the only allowed range: done.
         let k = enc(6, &[(&[b'B', 1], 7)]);
-        assert_eq!(m.advise(&k).unwrap(), Advice::Done);
+        assert_eq!(m.advise(&k).unwrap(), Advised::Done);
         // Other index id after ours: done.
         let mut k = enc(5, &[(&[b'B', 1], 7)]);
         k[1] = 2;
-        assert_eq!(m.advise(&k).unwrap(), Advice::Done);
+        assert_eq!(m.advise(&k).unwrap(), Advised::Done);
     }
 
     #[test]
@@ -584,7 +589,7 @@ mod tests {
         let m = matcher_one_pos(false);
         let k = enc(3, &[(&[b'B', 1], 7)]);
         match m.advise(&k).unwrap() {
-            Advice::SkipTo(t) => {
+            Advised::SkipTo(t) => {
                 assert!(t.as_slice() > k.as_slice());
                 // Target is id ++ enc(5).
                 let mut want = 1u16.to_be_bytes().to_vec();
@@ -602,7 +607,7 @@ mod tests {
         // Below the wanted oid: skip directly to it.
         let k = enc(5, &[(&[b'B', 1], 3)]);
         match m.advise(&k).unwrap() {
-            Advice::SkipTo(t) => {
+            Advised::SkipTo(t) => {
                 assert!(t.as_slice() > k.as_slice());
                 assert!(t.ends_with(&Oid(10).to_bytes()));
             }
@@ -610,11 +615,11 @@ mod tests {
         }
         // Exact hit.
         let k = enc(5, &[(&[b'B', 1], 10)]);
-        assert!(matches!(m.advise(&k).unwrap(), Advice::Match(_)));
+        assert!(matches!(m.advise(&k).unwrap(), Advised::Match(_)));
         // Past it: bump the code field.
         let k = enc(5, &[(&[b'B', 1], 11)]);
         match m.advise(&k).unwrap() {
-            Advice::SkipTo(t) => assert!(t.as_slice() > k.as_slice()),
+            Advised::SkipTo(t) => assert!(t.as_slice() > k.as_slice()),
             a => panic!("{a:?}"),
         }
     }
@@ -626,15 +631,15 @@ mod tests {
         m.positions[0].class_ranges = vec![(vec![b'B', 1, b'C', 1], vec![b'B', 1, b'C', 2])];
         let k = enc(5, &[(&[b'B', 1], 3)]);
         match m.advise(&k).unwrap() {
-            Advice::SkipTo(t) => assert!(t.as_slice() > k.as_slice()),
+            Advised::SkipTo(t) => assert!(t.as_slice() > k.as_slice()),
             a => panic!("{a:?}"),
         }
         let k = enc(5, &[(&[b'B', 1, b'C', 1], 3)]);
-        assert!(matches!(m.advise(&k).unwrap(), Advice::Match(_)));
+        assert!(matches!(m.advise(&k).unwrap(), Advised::Match(_)));
         // Above the allowed range, inside region: bump value.
         let k = enc(5, &[(&[b'B', 1, b'D', 1], 3)]);
         match m.advise(&k).unwrap() {
-            Advice::SkipTo(t) => assert!(t.as_slice() > k.as_slice()),
+            Advised::SkipTo(t) => assert!(t.as_slice() > k.as_slice()),
             a => panic!("{a:?}"),
         }
     }
@@ -662,10 +667,13 @@ mod tests {
         // Entry with only position 0: required position 1 may appear in a
         // longer key sharing this prefix, so Step.
         let k = enc(5, &[(&[b'B', 1], 1)]);
-        assert_eq!(m.advise(&k).unwrap(), Advice::Step);
+        assert_eq!(m.advise(&k).unwrap(), Advised::Step);
         // Entry with both: match.
         let k = enc(5, &[(&[b'B', 1], 1), (&[b'C', 1], 5)]);
-        assert_eq!(m.advise(&k).unwrap(), Advice::Match(vec![Some(0), Some(1)]));
+        assert_eq!(
+            m.advise(&k).unwrap(),
+            Advised::Match(vec![Some(0), Some(1)])
+        );
         // Entry jumping past position 1 (code region D): bump previous oid.
         let m2 = Matcher {
             positions: vec![
@@ -682,7 +690,7 @@ mod tests {
         };
         let k = enc(5, &[(&[b'B', 1], 1), (&[b'D', 1], 9)]);
         match m2.advise(&k).unwrap() {
-            Advice::SkipTo(t) => {
+            Advised::SkipTo(t) => {
                 assert!(t.as_slice() > k.as_slice());
                 // Skips to oid 2 at position 0.
                 assert!(t.ends_with(&Oid(2).to_bytes()));
@@ -705,7 +713,7 @@ mod tests {
         };
         for v in [-100, 0, 9999] {
             let k = enc(v, &[(&[b'B', 1], 1)]);
-            assert!(matches!(m.advise(&k).unwrap(), Advice::Match(_)));
+            assert!(matches!(m.advise(&k).unwrap(), Advised::Match(_)));
         }
     }
 
@@ -738,7 +746,7 @@ mod tests {
         // Confirm the advice really is a non-advancing skip for these keys.
         let k = enc(5, &[(&[b'B', 1], 3)]);
         match m.advise(&k).unwrap() {
-            Advice::SkipTo(t) => assert!(t.as_slice() <= k.as_slice(), "premise: target stalls"),
+            Advised::SkipTo(t) => assert!(t.as_slice() <= k.as_slice(), "premise: target stalls"),
             a => panic!("expected SkipTo, got {a:?}"),
         }
         for alg in [ScanAlgorithm::Parallel, ScanAlgorithm::Forward] {
@@ -791,18 +799,18 @@ mod advise_props {
             };
             for (i, k) in keys.iter().enumerate() {
                 match matcher.advise(k).expect("advise on well-formed key") {
-                    Advice::Match(a) => assert_eq!(
+                    Advised::Match(a) => assert_eq!(
                         oracle_match(k),
                         Some(a),
                         "advise matched a key the oracle rejects (or with a \
                          different assignment): seeds {tseed:#x}/{qseed:#x}, query {q:?}"
                     ),
-                    Advice::Step => assert!(
+                    Advised::Step => assert!(
                         oracle_match(k).is_none(),
                         "advise stepped over a matching key: seeds \
                          {tseed:#x}/{qseed:#x}, query {q:?}"
                     ),
-                    Advice::SkipTo(target) => {
+                    Advised::SkipTo(target) => {
                         assert!(
                             target.as_slice() > k.as_slice(),
                             "SkipTo target does not advance: seeds \
@@ -824,7 +832,7 @@ mod advise_props {
                             );
                         }
                     }
-                    Advice::Done => {
+                    Advised::Done => {
                         for k2 in &keys[i..] {
                             assert!(
                                 oracle_match(k2).is_none(),

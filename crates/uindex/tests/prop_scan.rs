@@ -51,7 +51,7 @@ fn build(raw_entries: &[(i64, u8, u32, u8, u32)]) -> Fixture {
                         .code(xs[(*xc % 3) as usize])
                         .unwrap()
                         .as_bytes()
-                        .to_vec(),
+                        .into(),
                     oid: Oid(*xo % 50 + 1),
                 },
                 PathElem {
@@ -60,10 +60,11 @@ fn build(raw_entries: &[(i64, u8, u32, u8, u32)]) -> Fixture {
                         .code(ys[(*yc % 3) as usize])
                         .unwrap()
                         .as_bytes()
-                        .to_vec(),
+                        .into(),
                     oid: Oid(*yo % 50 + 1),
                 },
-            ],
+            ]
+            .into(),
         })
         .collect();
     index.bulk_load_entries(&entries).unwrap();

@@ -296,11 +296,11 @@ impl<P: PageStore> UIndexSet<P> {
             .code(class)
             .expect("all classes coded")
             .as_bytes()
-            .to_vec();
+            .into();
         EntryKey {
             index_id: self.id,
             value: Value::Str(String::from_utf8(key.to_vec()).expect("ascii key")),
-            path: vec![PathElem { code, oid }],
+            path: vec![PathElem { code, oid }].into(),
         }
     }
 
