@@ -68,6 +68,19 @@ echo "$explain_text" | grep -q '^Execution' || { echo "explain smoke: no Executi
 echo "== corruption sweep (checksums, scrub, quarantine, salvage)"
 cargo test -q --offline -p uindex --test corruption_sweep
 
+echo "== one durability domain: crash sweep (every log prefix, every page-file op of every checkpoint)"
+cargo test -q --offline -p uindex --test crash_sweep
+
+echo "== one durability domain: salvage sweep (every page x every fault kind; crash anywhere in repair)"
+cargo test -q --offline -p uindex --test salvage_sweep
+
+echo "== commit cost as counts (flat from 2 000 to 20 000 vehicles; nothing but wal.log written; catalog only when changed)"
+cargo test -q --offline -p uindex --test commit_cost
+
+echo "== object decoders (hostile-bytes corpus: snapshot, schema section, records, on-page entries)"
+cargo test -q --offline -p objstore --test prop
+cargo test -q --offline -p uindex --lib objtree
+
 echo "== concurrency torture smoke (4 scanners racing 1 mutator, both tiers)"
 timeout 300 cargo test -q --offline -p uindex --test concurrent_torture
 

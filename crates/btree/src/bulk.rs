@@ -196,13 +196,96 @@ impl<S: PageStore> BTree<S> {
     /// Returns the number of keys that were newly inserted (not replaced).
     pub fn insert_batch(&mut self, mut items: Vec<(Vec<u8>, Vec<u8>)>) -> Result<u64> {
         items.sort_by(|a, b| a.0.cmp(&b.0));
+        self.upsert_sorted(&items, |_, _| {})
+    }
+
+    /// Upsert pairs already in ascending key order, telling `replaced`
+    /// the position and old value of each that overwrote an entry. A run of
+    /// keys bound for one leaf is applied to it in one visit — one descent,
+    /// one copy, one encode — until the leaf is full; the key that does not
+    /// fit goes through [`BTree::insert`], which splits exactly as it would
+    /// have, so the tree that results is the one the same inserts made one
+    /// by one. Returns the number of keys newly inserted.
+    pub fn upsert_sorted(
+        &mut self,
+        items: &[(Vec<u8>, Vec<u8>)],
+        mut replaced: impl FnMut(usize, &[u8]),
+    ) -> Result<u64> {
+        if items.windows(2).any(|w| w[0].0 > w[1].0) {
+            return Err(Error::Corrupt("upsert_sorted input not ascending".into()));
+        }
+        let compress = self.config().front_compression;
+        let max_entry = self.max_entry_size();
         let mut fresh = 0;
-        for (k, v) in items {
-            if self.insert(&k, &v)?.is_none() {
-                fresh += 1;
+        let mut next = 0;
+        while next < items.len() {
+            let (leaf_id, upper) = self.leaf_for(&items[next].0)?;
+            let Node::Leaf(mut leaf) = self.load(leaf_id)? else {
+                return Err(Error::Corrupt("descent ended on an interior node".into()));
+            };
+            let (start, mut added) = (next, 0);
+            while let Some((key, value)) = items.get(next) {
+                let beyond = upper.as_deref().is_some_and(|u| key.as_slice() >= u);
+                if beyond || key.len() + value.len() > max_entry {
+                    break;
+                }
+                match leaf.search(key) {
+                    Ok(at) => {
+                        let old = leaf.value(at).to_vec();
+                        leaf.set_value(at, value);
+                        if !self.fits_size(leaf.len(), leaf.encoded_size(compress)) {
+                            leaf.set_value(at, &old);
+                            break;
+                        }
+                        replaced(next, &old);
+                    }
+                    Err(at) => {
+                        leaf.insert_at(at, key, value);
+                        if !self.fits_size(leaf.len(), leaf.encoded_size(compress)) {
+                            leaf.remove_at(at);
+                            break;
+                        }
+                        added += 1;
+                    }
+                }
+                next += 1;
+            }
+            if next > start {
+                self.bump_epoch();
+                self.store_node(leaf_id, &Node::Leaf(leaf))?;
+                self.set_root_len(self.root(), self.len() + added);
+                fresh += added;
+            } else {
+                // The leaf as it stands cannot take the key: split it (or
+                // refuse an oversized entry) the ordinary way.
+                let (key, value) = &items[next];
+                match self.insert(key, value)? {
+                    Some(old) => replaced(next, &old),
+                    None => fresh += 1,
+                }
+                next += 1;
             }
         }
         Ok(fresh)
+    }
+
+    /// The leaf `key` belongs in, and the separator that bounds that leaf's
+    /// keys from above (`None` for the tree's last leaf).
+    fn leaf_for(&self, key: &[u8]) -> Result<(PageId, Option<Vec<u8>>)> {
+        let mut id = self.root();
+        let mut upper = None;
+        loop {
+            match &*self.load_cached(id)? {
+                Node::Leaf(_) => return Ok((id, upper)),
+                Node::Internal(int) => {
+                    let child = int.route(key);
+                    if child < int.len() {
+                        upper = Some(int.sep(child).to_vec());
+                    }
+                    id = int.child(child);
+                }
+            }
+        }
     }
 
     /// Delete many keys, sorting them first for page locality.

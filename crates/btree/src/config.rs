@@ -21,6 +21,11 @@ pub struct BTreeConfig {
     pub front_compression: bool,
     /// Store shortest distinguishing separators in interior nodes.
     pub suffix_truncation: bool,
+    /// Split an over-full *last* leaf behind its last entry when that entry
+    /// is the one just inserted, instead of in the middle. Keys that arrive
+    /// in ascending order (OIDs) then fill every leaf; keys that arrive in
+    /// any other order never take this path.
+    pub append_split: bool,
 }
 
 impl Default for BTreeConfig {
@@ -29,6 +34,7 @@ impl Default for BTreeConfig {
             capacity: Capacity::Bytes,
             front_compression: true,
             suffix_truncation: true,
+            append_split: false,
         }
     }
 }
@@ -47,6 +53,12 @@ impl BTreeConfig {
     pub fn without_compression(mut self) -> Self {
         self.front_compression = false;
         self.suffix_truncation = false;
+        self
+    }
+
+    /// Fill leaves on ascending inserts (see [`BTreeConfig::append_split`]).
+    pub fn with_append_split(mut self) -> Self {
+        self.append_split = true;
         self
     }
 

@@ -418,9 +418,9 @@ pub struct BTree<S: PageStore> {
 }
 
 impl<S: PageStore> BTree<S> {
-    fn attach(pool: BufferPool<S>, config: BTreeConfig, root: PageId, len: u64) -> Self {
+    fn attach(pool: Arc<BufferPool<S>>, config: BTreeConfig, root: PageId, len: u64) -> Self {
         let shared = Arc::new(TreeShared {
-            pool: Arc::new(pool),
+            pool,
             published: RwLock::new(Published {
                 root,
                 len,
@@ -442,8 +442,11 @@ impl<S: PageStore> BTree<S> {
         }
     }
 
-    /// Create an empty tree in `pool`.
-    pub fn create(pool: BufferPool<S>, config: BTreeConfig) -> Result<Self> {
+    /// Create an empty tree in `pool`: a pool of its own, or an `Arc` of one
+    /// other structures live in too. Each tree owns the pages it allocates;
+    /// a shared pool and its store are common ground.
+    pub fn create(pool: impl Into<Arc<BufferPool<S>>>, config: BTreeConfig) -> Result<Self> {
+        let pool = pool.into();
         let (root, page) = pool.allocate()?;
         Node::empty_leaf().encode(&mut page.write(), config.front_compression)?;
         drop(page);
@@ -452,8 +455,13 @@ impl<S: PageStore> BTree<S> {
 
     /// Re-attach to an existing tree rooted at `root` holding `len` entries
     /// (the caller is responsible for persisting those two facts).
-    pub fn open(pool: BufferPool<S>, config: BTreeConfig, root: PageId, len: u64) -> Self {
-        Self::attach(pool, config, root, len)
+    pub fn open(
+        pool: impl Into<Arc<BufferPool<S>>>,
+        config: BTreeConfig,
+        root: PageId,
+        len: u64,
+    ) -> Self {
+        Self::attach(pool.into(), config, root, len)
     }
 
     /// Turn on snapshot preservation, publish the current state, and allow
@@ -748,7 +756,16 @@ impl<S: PageStore> BTree<S> {
                 let Node::Leaf(mut leaf) = node else {
                     unreachable!()
                 };
-                let split_at = self.leaf_split_index(&leaf)?;
+                // An append to the tree's last leaf moves only the new entry
+                // when asked to: ascending loads then leave full leaves
+                // behind instead of half-empty ones.
+                let last = leaf.len() - 1;
+                let appended = old.is_none() && leaf.next.is_null() && leaf.key(last) == key;
+                let split_at = if self.config.append_split && appended && last > 0 {
+                    last
+                } else {
+                    self.leaf_split_index(&leaf)?
+                };
                 let right = leaf.split_off(split_at);
                 let (right_id, _) = self.allocate_page()?;
                 leaf.next = right_id;

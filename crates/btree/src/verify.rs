@@ -77,6 +77,20 @@ impl<S: PageStore> BTree<S> {
         Ok(stats)
     }
 
+    /// Every page of the tree, root first: what the tree owns in a pool
+    /// it shares with other structures.
+    pub fn page_ids(&self) -> Result<Vec<PageId>> {
+        let mut ids = vec![self.root()];
+        let mut next = 0;
+        while next < ids.len() {
+            if let Node::Internal(int) = &*self.load_cached(ids[next])? {
+                ids.extend_from_slice(int.children());
+            }
+            next += 1;
+        }
+        Ok(ids)
+    }
+
     fn verify_rec(
         &self,
         id: PageId,

@@ -491,3 +491,110 @@ fn arena_nodes_match_model_through_splits_and_merges() {
         assert!(merges >= 20, "only {merges} merges");
     }
 }
+
+#[test]
+fn append_split_fills_leaves_on_ascending_inserts_only() {
+    let leaves = |config: BTreeConfig, keys: &[u32]| {
+        let mut tree = new_tree(512, config);
+        for &i in keys {
+            tree.insert(&key(i), &val(i)).unwrap();
+        }
+        for &i in keys {
+            assert_eq!(tree.get(&key(i)).unwrap(), Some(val(i)));
+        }
+        tree.verify().unwrap().leaf_nodes
+    };
+    let ascending: Vec<u32> = (0..4000).collect();
+    let halved = leaves(BTreeConfig::default(), &ascending);
+    let filled = leaves(BTreeConfig::default().with_append_split(), &ascending);
+    assert!(
+        filled * 100 <= halved * 60,
+        "appends should fill leaves: {filled} leaves against {halved}"
+    );
+    // Any other arrival order never appends to the last leaf's end twice in
+    // a row: the option changes nothing there.
+    let scattered: Vec<u32> = (0..4000u32)
+        .map(|i| i.wrapping_mul(2_654_435_761) % 4000)
+        .collect();
+    let descending: Vec<u32> = (0..4000).rev().collect();
+    for keys in [&scattered, &descending] {
+        let plain = leaves(BTreeConfig::default(), keys);
+        let with = leaves(BTreeConfig::default().with_append_split(), keys);
+        assert!(with <= plain, "{with} leaves against {plain}");
+    }
+}
+
+#[test]
+fn two_trees_share_a_pool_and_own_their_pages() {
+    use std::collections::BTreeSet;
+    use std::sync::Arc;
+    let pool = Arc::new(BufferPool::new(MemStore::new(256), 1 << 12));
+    let mut a = BTree::create(pool.clone(), BTreeConfig::default()).unwrap();
+    let mut b = BTree::create(pool.clone(), BTreeConfig::default()).unwrap();
+    for i in 0..600 {
+        a.insert(&key(i), &val(i)).unwrap();
+        b.insert(&key(i + 10_000), b"b").unwrap();
+    }
+    for i in (0..600).step_by(3) {
+        a.delete(&key(i)).unwrap();
+    }
+    assert_eq!(a.verify().unwrap().entries, 400);
+    assert_eq!(b.verify().unwrap().entries, 600);
+    let pages_a: BTreeSet<_> = a.page_ids().unwrap().into_iter().collect();
+    let pages_b: BTreeSet<_> = b.page_ids().unwrap().into_iter().collect();
+    assert_eq!(pages_a.len(), a.verify().unwrap().total_nodes());
+    assert!(pages_a.is_disjoint(&pages_b));
+    assert_eq!(pages_a.len() + pages_b.len(), pool.live_pages());
+}
+
+/// `insert_batch` visits a leaf once per run of keys instead of once per
+/// key, and must leave *exactly* the tree the single inserts leave — same
+/// pages, same bytes — because page counts measured over batch-built trees
+/// are compared across versions.
+#[test]
+fn batched_upserts_build_the_tree_single_inserts_build() {
+    for config in [
+        BTreeConfig::default(),
+        BTreeConfig::default().with_append_split(),
+        BTreeConfig::with_max_entries(6),
+    ] {
+        let mut batched = new_tree(256, config);
+        let mut single = new_tree(256, config);
+        let mut x = 12345u32;
+        let mut step = || {
+            x = x.wrapping_mul(1_103_515_245).wrapping_add(12_345);
+            x >> 8
+        };
+        for round in 0..40 {
+            // Runs of neighbours, scattered keys, repeats and re-writes
+            // with values of other lengths.
+            let mut items = Vec::new();
+            for _ in 0..1 + step() % 60 {
+                let k = if round % 3 == 0 {
+                    round * 100 + step() % 90
+                } else {
+                    step() % 5000
+                };
+                items.push((key(k), vec![b'v'; (step() % 40) as usize]));
+            }
+            let mut sorted = items.clone();
+            sorted.sort_by(|a, b| a.0.cmp(&b.0));
+            let mut replaced = 0;
+            for (k, v) in &sorted {
+                replaced += u64::from(single.insert(k, v).unwrap().is_some());
+            }
+            let fresh = batched.insert_batch(items).unwrap();
+            assert_eq!(fresh, sorted.len() as u64 - replaced);
+            assert_eq!(batched.len(), single.len());
+            assert_eq!(batched.verify().unwrap(), single.verify().unwrap());
+            let pages = batched.page_ids().unwrap();
+            assert_eq!(pages, single.page_ids().unwrap());
+            for id in pages {
+                let a = batched.pool().fetch(id).unwrap();
+                let b = single.pool().fetch(id).unwrap();
+                assert_eq!(*a.read(), *b.read(), "round {round}: page {id} differs");
+            }
+        }
+        assert!(batched.verify().unwrap().height >= 3);
+    }
+}

@@ -106,7 +106,7 @@ fn open_disk(dir: &str) -> Result<DiskDatabase, String> {
         }
     }
     if report.rebuilt {
-        eprintln!("salvage: index rebuilt from the object snapshot");
+        eprintln!("salvage: index rebuilt from the object pages");
     }
     Ok(db)
 }

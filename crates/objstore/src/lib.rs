@@ -24,6 +24,7 @@ mod value;
 
 pub use object::{Object, ObjectStore};
 pub use oid::Oid;
+pub use persist::{schema_from_bytes, schema_to_bytes, RecordLoader};
 pub use value::{Value, ValueKind};
 
 use std::fmt;

@@ -101,6 +101,8 @@ impl ObjectStore {
         if class.0 as usize >= self.schema.num_classes() {
             return Err(Error::UnknownClass(class));
         }
+        // The last OID has no successor to allocate fresh ones from.
+        let next = oid.0.checked_add(1).ok_or(Error::BadReference(oid))?;
         if self.objects.contains_key(&oid) {
             return Err(Error::BadReference(oid));
         }
@@ -112,7 +114,7 @@ impl ObjectStore {
             },
         );
         self.extents.entry(class).or_default().insert(oid);
-        self.next_oid = self.next_oid.max(oid.0 + 1);
+        self.next_oid = self.next_oid.max(next);
         Ok(())
     }
 

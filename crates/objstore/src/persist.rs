@@ -1,11 +1,18 @@
-//! Flat serialization of an [`ObjectStore`] (schema + objects).
+//! Byte formats of an [`ObjectStore`].
 //!
-//! The index side of the system persists itself through the B-tree page
-//! file (see `uindex::catalog`); this module provides the matching
-//! byte-format for the object base so a whole database can be saved and
-//! reopened. The format is a simple length-prefixed record stream with a
-//! magic/version header and a CRC-protected... kept deliberately simple:
-//! corruption surfaces as a decode error, not UB.
+//! Two layouts share one value codec and one loader:
+//!
+//! * the **snapshot** ([`ObjectStore::to_bytes`] / [`ObjectStore::from_bytes`]):
+//!   magic, schema section, then every object as a fixed-width record — the
+//!   in-memory tier's save file;
+//! * the **record** ([`ObjectStore::record_bytes`] / [`RecordLoader::push`]):
+//!   one object without its OID, ids as varints — the unit the durable tier
+//!   keeps in pages, beside a schema section ([`schema_to_bytes`]) of its own.
+//!
+//! Both decoders treat their input as hostile: every count is checked
+//! against the bytes that remain before anything is allocated for it, and
+//! every id against the schema before it is used as an index. Damage
+//! surfaces as a typed [`Error`], never a panic.
 
 use schema::{AttrId, AttrType, ClassId, Schema};
 
@@ -16,6 +23,10 @@ use crate::{Error, Result};
 
 const MAGIC: &[u8; 8] = b"UIDXOBJ1";
 
+fn corrupt(what: &str) -> Error {
+    Error::UnknownAttr(what.into())
+}
+
 fn put_u32(buf: &mut Vec<u8>, v: u32) {
     buf.extend_from_slice(&v.to_le_bytes());
 }
@@ -25,48 +36,72 @@ fn put_str(buf: &mut Vec<u8>, s: &str) {
     buf.extend_from_slice(s.as_bytes());
 }
 
+/// LEB128.
+fn put_varint(buf: &mut Vec<u8>, mut v: u32) {
+    while v >= 0x80 {
+        buf.push(v as u8 | 0x80);
+        v >>= 7;
+    }
+    buf.push(v as u8);
+}
+
 struct Reader<'a> {
     buf: &'a [u8],
     pos: usize,
 }
 
 impl<'a> Reader<'a> {
-    fn u8(&mut self) -> Result<u8> {
-        let b = *self
-            .buf
-            .get(self.pos)
-            .ok_or_else(|| Error::UnknownAttr("truncated object file".into()))?;
-        self.pos += 1;
+    fn take(&mut self, n: usize) -> Result<&'a [u8]> {
+        let end = self.pos.checked_add(n).filter(|&end| end <= self.buf.len());
+        let end = end.ok_or_else(|| corrupt("truncated object file"))?;
+        let b = &self.buf[self.pos..end];
+        self.pos = end;
         Ok(b)
     }
 
+    fn u8(&mut self) -> Result<u8> {
+        Ok(self.take(1)?[0])
+    }
+
     fn u32(&mut self) -> Result<u32> {
-        let b = self
-            .buf
-            .get(self.pos..self.pos + 4)
-            .ok_or_else(|| Error::UnknownAttr("truncated object file".into()))?;
-        self.pos += 4;
-        Ok(u32::from_le_bytes(b.try_into().unwrap()))
+        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
     }
 
     fn u64(&mut self) -> Result<u64> {
-        let b = self
-            .buf
-            .get(self.pos..self.pos + 8)
-            .ok_or_else(|| Error::UnknownAttr("truncated object file".into()))?;
-        self.pos += 8;
-        Ok(u64::from_le_bytes(b.try_into().unwrap()))
+        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
+    }
+
+    fn varint(&mut self) -> Result<u32> {
+        let mut v = 0u32;
+        for shift in (0..35).step_by(7) {
+            let b = self.u8()?;
+            let bits = u32::from(b & 0x7F);
+            if shift == 28 && bits > 0x0F {
+                break;
+            }
+            v |= bits << shift;
+            if b & 0x80 == 0 {
+                return Ok(v);
+            }
+        }
+        Err(corrupt("varint too long in object record"))
+    }
+
+    /// `n` as a count of items of at least `min_item` bytes each — refused
+    /// when the bytes that remain cannot hold that many, so a forged count
+    /// never sizes an allocation.
+    fn count(&self, n: u32, min_item: usize) -> Result<usize> {
+        let n = n as usize;
+        if n > (self.buf.len() - self.pos) / min_item {
+            return Err(corrupt("count exceeds the bytes that remain"));
+        }
+        Ok(n)
     }
 
     fn str(&mut self) -> Result<String> {
         let n = self.u32()? as usize;
-        let b = self
-            .buf
-            .get(self.pos..self.pos + n)
-            .ok_or_else(|| Error::UnknownAttr("truncated object file".into()))?;
-        self.pos += n;
-        String::from_utf8(b.to_vec())
-            .map_err(|_| Error::UnknownAttr("non-utf8 string in object file".into()))
+        String::from_utf8(self.take(n)?.to_vec())
+            .map_err(|_| corrupt("non-utf8 string in object file"))
     }
 }
 
@@ -110,15 +145,176 @@ fn get_value(r: &mut Reader) -> Result<Value> {
         3 => Value::Bool(r.u8()? != 0),
         4 => Value::Ref(Oid(r.u32()?)),
         5 => {
-            let n = r.u32()? as usize;
+            let n = r.u32()?;
+            let n = r.count(n, 4)?;
             let mut os = Vec::with_capacity(n);
             for _ in 0..n {
                 os.push(Oid(r.u32()?));
             }
             Value::RefSet(os)
         }
-        _ => return Err(Error::UnknownAttr("bad value tag in object file".into())),
+        _ => return Err(corrupt("bad value tag in object file")),
     })
+}
+
+fn put_schema(buf: &mut Vec<u8>, schema: &Schema) {
+    put_u32(buf, schema.num_classes() as u32);
+    for class in schema.class_ids() {
+        put_str(buf, schema.class_name(class));
+        let parents = schema.parents(class);
+        put_u32(buf, parents.len() as u32);
+        for p in parents {
+            put_u32(buf, p.0);
+        }
+        let attrs: Vec<_> = schema.own_attrs(class).collect();
+        put_u32(buf, attrs.len() as u32);
+        for (_, name, ty) in attrs {
+            put_str(buf, name);
+            let (tag, target) = match ty {
+                AttrType::Int => (0u8, 0u32),
+                AttrType::Str => (1, 0),
+                AttrType::Float => (2, 0),
+                AttrType::Bool => (3, 0),
+                AttrType::Ref(c) => (4, c.0),
+                AttrType::RefSet(c) => (5, c.0),
+            };
+            buf.push(tag);
+            put_u32(buf, target);
+        }
+    }
+}
+
+fn get_schema(r: &mut Reader) -> Result<Schema> {
+    struct RawClass {
+        name: String,
+        parents: Vec<u32>,
+        attrs: Vec<(String, u8, u32)>,
+    }
+    // Smallest class: empty name (4) + no parents (4) + no attrs (4);
+    // smallest attr: empty name (4) + tag (1) + target (4).
+    let n_classes = r.u32()?;
+    let n_classes = r.count(n_classes, 12)?;
+    let mut raw = Vec::with_capacity(n_classes);
+    for _ in 0..n_classes {
+        let name = r.str()?;
+        let np = r.u32()?;
+        let np = r.count(np, 4)?;
+        let mut parents = Vec::with_capacity(np);
+        for _ in 0..np {
+            parents.push(r.u32()?);
+        }
+        let na = r.u32()?;
+        let na = r.count(na, 9)?;
+        let mut attrs = Vec::with_capacity(na);
+        for _ in 0..na {
+            let aname = r.str()?;
+            let tag = r.u8()?;
+            let target = r.u32()?;
+            attrs.push((aname, tag, target));
+        }
+        raw.push(RawClass {
+            name,
+            parents,
+            attrs,
+        });
+    }
+    let mut schema = Schema::new();
+    for c in &raw {
+        match c.parents.first() {
+            None => schema.add_class(&c.name)?,
+            Some(&p) => schema.add_subclass(&c.name, ClassId(p))?,
+        };
+    }
+    for (i, c) in raw.iter().enumerate() {
+        for &extra in c.parents.iter().skip(1) {
+            schema.add_parent(ClassId(i as u32), ClassId(extra))?;
+        }
+    }
+    for (i, c) in raw.iter().enumerate() {
+        for (aname, tag, target) in &c.attrs {
+            let ty = match tag {
+                0 => AttrType::Int,
+                1 => AttrType::Str,
+                2 => AttrType::Float,
+                3 => AttrType::Bool,
+                4 => AttrType::Ref(ClassId(*target)),
+                5 => AttrType::RefSet(ClassId(*target)),
+                _ => return Err(corrupt("bad attr tag")),
+            };
+            schema.add_attr(ClassId(i as u32), aname, ty)?;
+        }
+    }
+    Ok(schema)
+}
+
+/// The schema section of a snapshot on its own.
+pub fn schema_to_bytes(schema: &Schema) -> Vec<u8> {
+    let mut buf = Vec::new();
+    put_schema(&mut buf, schema);
+    buf
+}
+
+/// Inverse of [`schema_to_bytes`]; the whole input must be the section.
+pub fn schema_from_bytes(bytes: &[u8]) -> Result<Schema> {
+    let mut r = Reader { buf: bytes, pos: 0 };
+    let schema = get_schema(&mut r)?;
+    if r.pos != bytes.len() {
+        return Err(corrupt("trailing bytes after the schema section"));
+    }
+    Ok(schema)
+}
+
+/// Rebuilds an [`ObjectStore`] from decoded objects: objects are created as
+/// they arrive and their attributes set once all exist, so references may
+/// point forward.
+pub struct RecordLoader {
+    store: ObjectStore,
+    attrs: Vec<(Oid, ClassId, AttrId, Value)>,
+}
+
+impl RecordLoader {
+    /// A loader for objects conforming to `schema`.
+    pub fn new(schema: Schema) -> Self {
+        RecordLoader {
+            store: ObjectStore::new(schema),
+            attrs: Vec::new(),
+        }
+    }
+
+    /// Add the object `oid` from its [`ObjectStore::record_bytes`] record.
+    pub fn push(&mut self, oid: Oid, record: &[u8]) -> Result<()> {
+        let mut r = Reader {
+            buf: record,
+            pos: 0,
+        };
+        let class = ClassId(r.varint()?);
+        self.store.create_with_oid(oid, class)?;
+        // Smallest attribute: decl (1) + attr (1) + a Bool value (2).
+        let n = r.varint()?;
+        for _ in 0..r.count(n, 4)? {
+            let decl = ClassId(r.varint()?);
+            let attr = AttrId(r.varint()?);
+            self.attrs.push((oid, decl, attr, get_value(&mut r)?));
+        }
+        if r.pos != record.len() {
+            return Err(corrupt("trailing bytes after an object record"));
+        }
+        Ok(())
+    }
+
+    /// Set every queued attribute and hand the store over.
+    pub fn finish(mut self) -> Result<ObjectStore> {
+        for (oid, decl, attr, value) in self.attrs {
+            let schema = self.store.schema();
+            let name = ((decl.0 as usize) < schema.num_classes())
+                .then(|| schema.own_attrs(decl).nth(attr.0 as usize))
+                .flatten()
+                .map(|(_, name, _)| name.to_string())
+                .ok_or_else(|| corrupt("object record names an undeclared attribute"))?;
+            self.store.set_attr(oid, &name, value)?;
+        }
+        Ok(self.store)
+    }
 }
 
 impl ObjectStore {
@@ -126,33 +322,7 @@ impl ObjectStore {
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut buf = Vec::new();
         buf.extend_from_slice(MAGIC);
-        let schema = self.schema();
-        // Schema section.
-        put_u32(&mut buf, schema.num_classes() as u32);
-        for class in schema.class_ids() {
-            put_str(&mut buf, schema.class_name(class));
-            let parents = schema.parents(class);
-            put_u32(&mut buf, parents.len() as u32);
-            for p in parents {
-                put_u32(&mut buf, p.0);
-            }
-            let attrs: Vec<_> = schema.own_attrs(class).collect();
-            put_u32(&mut buf, attrs.len() as u32);
-            for (_, name, ty) in attrs {
-                put_str(&mut buf, name);
-                let (tag, target) = match ty {
-                    AttrType::Int => (0u8, 0u32),
-                    AttrType::Str => (1, 0),
-                    AttrType::Float => (2, 0),
-                    AttrType::Bool => (3, 0),
-                    AttrType::Ref(c) => (4, c.0),
-                    AttrType::RefSet(c) => (5, c.0),
-                };
-                buf.push(tag);
-                put_u32(&mut buf, target);
-            }
-        }
-        // Object section.
+        put_schema(&mut buf, self.schema());
         let oids: Vec<Oid> = self.oids().collect();
         put_u32(&mut buf, oids.len() as u32);
         for oid in oids {
@@ -173,86 +343,37 @@ impl ObjectStore {
     /// Rebuild a store from [`ObjectStore::to_bytes`] output.
     pub fn from_bytes(bytes: &[u8]) -> Result<ObjectStore> {
         if bytes.get(..8) != Some(MAGIC.as_slice()) {
-            return Err(Error::UnknownAttr("bad object file magic".into()));
+            return Err(corrupt("bad object file magic"));
         }
         let mut r = Reader { buf: bytes, pos: 8 };
-        // Schema.
-        let n_classes = r.u32()? as usize;
-        struct RawClass {
-            name: String,
-            parents: Vec<u32>,
-            attrs: Vec<(String, u8, u32)>,
-        }
-        let mut raw = Vec::with_capacity(n_classes);
-        for _ in 0..n_classes {
-            let name = r.str()?;
-            let np = r.u32()? as usize;
-            let mut parents = Vec::with_capacity(np);
-            for _ in 0..np {
-                parents.push(r.u32()?);
-            }
-            let na = r.u32()? as usize;
-            let mut attrs = Vec::with_capacity(na);
-            for _ in 0..na {
-                let aname = r.str()?;
-                let tag = r.u8()?;
-                let target = r.u32()?;
-                attrs.push((aname, tag, target));
-            }
-            raw.push(RawClass {
-                name,
-                parents,
-                attrs,
-            });
-        }
-        let mut schema = Schema::new();
-        for c in &raw {
-            match c.parents.first() {
-                None => schema.add_class(&c.name)?,
-                Some(&p) => schema.add_subclass(&c.name, ClassId(p))?,
-            };
-        }
-        for (i, c) in raw.iter().enumerate() {
-            for &extra in c.parents.iter().skip(1) {
-                schema.add_parent(ClassId(i as u32), ClassId(extra))?;
-            }
-        }
-        for (i, c) in raw.iter().enumerate() {
-            for (aname, tag, target) in &c.attrs {
-                let ty = match tag {
-                    0 => AttrType::Int,
-                    1 => AttrType::Str,
-                    2 => AttrType::Float,
-                    3 => AttrType::Bool,
-                    4 => AttrType::Ref(ClassId(*target)),
-                    5 => AttrType::RefSet(ClassId(*target)),
-                    _ => return Err(Error::UnknownAttr("bad attr tag".into())),
-                };
-                schema.add_attr(ClassId(i as u32), aname, ty)?;
-            }
-        }
-        // Objects: create with explicit oids, then set attrs (two passes so
-        // references always point at existing objects).
-        let mut store = ObjectStore::new(schema);
-        let n_objects = r.u32()? as usize;
-        let mut attr_sets: Vec<(Oid, ClassId, AttrId, Value)> = Vec::new();
-        for _ in 0..n_objects {
+        let mut loader = RecordLoader::new(get_schema(&mut r)?);
+        for _ in 0..r.u32()? {
             let oid = Oid(r.u32()?);
             let class = ClassId(r.u32()?);
-            store.create_with_oid(oid, class)?;
-            let na = r.u32()? as usize;
-            for _ in 0..na {
+            loader.store.create_with_oid(oid, class)?;
+            for _ in 0..r.u32()? {
                 let decl = ClassId(r.u32()?);
                 let attr = AttrId(r.u32()?);
-                let value = get_value(&mut r)?;
-                attr_sets.push((oid, decl, attr, value));
+                loader.attrs.push((oid, decl, attr, get_value(&mut r)?));
             }
         }
-        for (oid, decl, attr, value) in attr_sets {
-            let name = store.schema().attr_name(decl, attr).to_string();
-            store.set_attr(oid, &name, value)?;
+        loader.finish()
+    }
+
+    /// The record of one object: class, then each set attribute as
+    /// (declaring class, attribute id, value), ids as varints. The OID is
+    /// not part of the record — whoever stores it keys it.
+    pub fn record_bytes(&self, oid: Oid) -> Result<Vec<u8>> {
+        let obj = self.get(oid)?;
+        let mut buf = Vec::new();
+        put_varint(&mut buf, obj.class().0);
+        put_varint(&mut buf, obj.attrs().count() as u32);
+        for ((decl, attr), value) in obj.attrs() {
+            put_varint(&mut buf, decl.0);
+            put_varint(&mut buf, attr.0);
+            put_value(&mut buf, value);
         }
-        Ok(store)
+        Ok(buf)
     }
 }
 

@@ -106,3 +106,136 @@ proptest! {
         prop_assert_eq!(Value::decode_ordered(&key), Some((v, len)));
     }
 }
+
+// ----- persistence decoders on hostile bytes ---------------------------------
+//
+// `from_bytes`, `schema_from_bytes` and `RecordLoader::push` read bytes that
+// may come from a damaged file or page that still passes its checksum. They
+// must answer with a typed error — never a panic, and never an allocation
+// sized by a count the input merely claims.
+
+use objstore::{schema_from_bytes, schema_to_bytes, ObjectStore, Oid, RecordLoader};
+use schema::{AttrType, Schema};
+
+fn persisted_sample() -> ObjectStore {
+    let mut s = Schema::new();
+    let emp = s.add_class("Employee").unwrap();
+    s.add_attr(emp, "Age", AttrType::Int).unwrap();
+    s.add_attr(emp, "Name", AttrType::Str).unwrap();
+    let veh = s.add_class("Vehicle").unwrap();
+    s.add_attr(veh, "Owner", AttrType::Ref(emp)).unwrap();
+    s.add_attr(veh, "CoOwners", AttrType::RefSet(emp)).unwrap();
+    s.add_attr(veh, "Weight", AttrType::Float).unwrap();
+    s.add_attr(veh, "Electric", AttrType::Bool).unwrap();
+    let sport = s.add_subclass("SportsCar", veh).unwrap();
+    let mut db = ObjectStore::new(s);
+    let e1 = db.create(emp).unwrap();
+    db.set_attr(e1, "Age", Value::Int(44)).unwrap();
+    db.set_attr(e1, "Name", Value::Str("Ada".into())).unwrap();
+    let e2 = db.create(emp).unwrap();
+    let v = db.create(sport).unwrap();
+    db.set_attr(v, "Owner", Value::Ref(e1)).unwrap();
+    db.set_attr(v, "CoOwners", Value::RefSet(vec![e1, e2]))
+        .unwrap();
+    db.set_attr(v, "Weight", Value::Float(1234.5)).unwrap();
+    db.set_attr(v, "Electric", Value::Bool(true)).unwrap();
+    db
+}
+
+/// Overwrite `bytes[at..]` with `patch` (clipped), the way a forged count
+/// or id lands in the middle of an otherwise valid image.
+fn patched(mut bytes: Vec<u8>, at: usize, patch: &[u8]) -> Vec<u8> {
+    if !bytes.is_empty() {
+        let at = at % bytes.len();
+        let n = patch.len().min(bytes.len() - at);
+        bytes[at..at + n].copy_from_slice(&patch[..n]);
+    }
+    bytes
+}
+
+fn arb_patch() -> impl Strategy<Value = Vec<u8>> {
+    prop_oneof![
+        Just(vec![0xFF; 4]),
+        Just(vec![0xFF, 0xFF, 0xFF, 0x7F]),
+        Just(vec![0, 0, 0, 0x80]),
+        proptest::collection::vec(any::<u8>(), 1..6),
+    ]
+}
+
+#[test]
+fn records_round_trip_through_the_loader() {
+    let db = persisted_sample();
+    let mut loader = RecordLoader::new(schema_from_bytes(&schema_to_bytes(db.schema())).unwrap());
+    // Any order: references may point at objects pushed later.
+    for oid in db.oids().collect::<Vec<_>>().into_iter().rev() {
+        loader.push(oid, &db.record_bytes(oid).unwrap()).unwrap();
+    }
+    assert_eq!(loader.finish().unwrap().to_bytes(), db.to_bytes());
+    // The last OID cannot be stored: fresh OIDs are allocated above it.
+    let mut loader = RecordLoader::new(db.schema().clone());
+    assert!(loader.push(Oid(u32::MAX), &[0, 0]).is_err());
+}
+
+#[test]
+fn forged_counts_are_refused_before_allocating() {
+    // 4 billion classes / members / attributes in a few bytes: each must be
+    // an error, not a `Vec::with_capacity` of that size.
+    let mut snapshot = b"UIDXOBJ1".to_vec();
+    snapshot.extend_from_slice(&u32::MAX.to_le_bytes());
+    assert!(ObjectStore::from_bytes(&snapshot).is_err());
+    assert!(schema_from_bytes(&u32::MAX.to_le_bytes()).is_err());
+    let db = persisted_sample();
+    let mut loader = RecordLoader::new(db.schema().clone());
+    // class 1 (Vehicle), one attribute: CoOwners = RefSet of 2^32-1 members.
+    let mut record = vec![1, 1, 1, 1, 5];
+    record.extend_from_slice(&u32::MAX.to_le_bytes());
+    assert!(loader.push(Oid(9), &record).is_err());
+    // ... and a claimed 2^28 attributes in a six-byte record.
+    let mut loader = RecordLoader::new(db.schema().clone());
+    assert!(loader
+        .push(Oid(9), &[1, 0x80, 0x80, 0x80, 0x80, 0x01])
+        .is_err());
+}
+
+proptest! {
+    #[test]
+    fn snapshot_decoder_survives_hostile_bytes(
+        junk in proptest::collection::vec(any::<u8>(), 0..64),
+        at in any::<usize>(),
+        patch in arb_patch(),
+        cut in any::<usize>(),
+    ) {
+        let valid = persisted_sample().to_bytes();
+        let mut magic_then_junk = b"UIDXOBJ1".to_vec();
+        magic_then_junk.extend_from_slice(&junk);
+        let _ = ObjectStore::from_bytes(&junk);
+        let _ = ObjectStore::from_bytes(&magic_then_junk);
+        let _ = ObjectStore::from_bytes(&valid[..cut % valid.len()]);
+        if let Ok(store) = ObjectStore::from_bytes(&patched(valid, at, &patch)) {
+            // What does load is a sound store.
+            prop_assert!(ObjectStore::from_bytes(&store.to_bytes()).is_ok());
+        }
+    }
+
+    #[test]
+    fn schema_and_record_decoders_survive_hostile_bytes(
+        junk in proptest::collection::vec(any::<u8>(), 0..48),
+        at in any::<usize>(),
+        patch in arb_patch(),
+        oid in prop_oneof![1u32..8, any::<u32>()],
+    ) {
+        let db = persisted_sample();
+        let section = schema_to_bytes(db.schema());
+        let _ = schema_from_bytes(&junk);
+        let _ = schema_from_bytes(&patched(section, at, &patch));
+        for victim in db.oids() {
+            let record = db.record_bytes(victim).unwrap();
+            for bytes in [junk.clone(), patched(record.clone(), at, &patch), record[..at % record.len()].to_vec()] {
+                let mut loader = RecordLoader::new(db.schema().clone());
+                if loader.push(Oid(oid), &bytes).is_ok() {
+                    let _ = loader.finish();
+                }
+            }
+        }
+    }
+}

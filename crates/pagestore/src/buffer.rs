@@ -1,6 +1,6 @@
 use std::any::Any;
 use std::cell::RefCell;
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
@@ -35,8 +35,16 @@ struct Frame {
     /// readers only populate it while holding the shared data lock.
     decoded: RwLock<Option<Arc<dyn Any + Send + Sync>>>,
     dirty: AtomicBool,
+    /// The owning pool's dirty set; a clean → dirty transition records the
+    /// page there so a flush need not search the frame table.
+    dirty_pages: Arc<DirtyPages>,
     last_use: AtomicU64,
 }
+
+/// Ids of the frames with unwritten modifications. A leaf lock: taken last
+/// (under a frame's data lock or a shard lock) and never held across
+/// another acquisition.
+type DirtyPages = Mutex<BTreeSet<PageId>>;
 
 /// A handle to a buffered page.
 ///
@@ -95,7 +103,9 @@ impl PageRef {
     /// decode is dropped — it described the old bytes.
     pub fn write(&self) -> PageWriteGuard<'_> {
         let guard = write_lock(&self.frame.data);
-        self.frame.dirty.store(true, Ordering::Relaxed);
+        if !self.frame.dirty.swap(true, Ordering::Relaxed) {
+            lock(&self.frame.dirty_pages).insert(self.frame.id);
+        }
         *write_lock(&self.frame.decoded) = None;
         PageWriteGuard { guard }
     }
@@ -350,6 +360,9 @@ pub struct BufferPool<S: PageStore> {
     shards: Box<[Mutex<Shard>]>,
     shard_mask: u64,
     page_size: usize,
+    /// Every resident frame whose `dirty` flag is set, in page-id order
+    /// (which is also the order a flush writes them back in).
+    dirty_pages: Arc<DirtyPages>,
     stats: AtomicPoolStats,
     /// Distinguishes this pool's thread-local query state from other pools'.
     pool_id: u64,
@@ -385,6 +398,7 @@ impl<S: PageStore> BufferPool<S> {
             shards,
             shard_mask: (nshards - 1) as u64,
             page_size,
+            dirty_pages: Arc::default(),
             stats: AtomicPoolStats::default(),
             pool_id: NEXT_POOL_ID.fetch_add(1, Ordering::Relaxed),
             retry: Mutex::new(RetryPolicy::default()),
@@ -544,6 +558,7 @@ impl<S: PageStore> BufferPool<S> {
             data: RwLock::new(data),
             decoded: RwLock::new(None),
             dirty: AtomicBool::new(false),
+            dirty_pages: self.dirty_pages.clone(),
             last_use: AtomicU64::new(0),
         });
         shard.clock += 1;
@@ -563,8 +578,10 @@ impl<S: PageStore> BufferPool<S> {
             data: RwLock::new(vec![0u8; self.page_size].into_boxed_slice()),
             decoded: RwLock::new(None),
             dirty: AtomicBool::new(true),
+            dirty_pages: self.dirty_pages.clone(),
             last_use: AtomicU64::new(0),
         });
+        lock(&self.dirty_pages).insert(id);
         let mut shard = lock(self.shard_for(id));
         shard.clock += 1;
         frame.last_use.store(shard.clock, Ordering::Relaxed);
@@ -583,6 +600,7 @@ impl<S: PageStore> BufferPool<S> {
                 return Err(Error::Corrupt(format!("freeing pinned page {id}")));
             }
         }
+        lock(&self.dirty_pages).remove(&id);
         // Count the free only once the store accepts it, so a failed free
         // (e.g. an unallocated id or an I/O error) leaves stats truthful.
         lock(&self.store).free(id)?;
@@ -605,18 +623,30 @@ impl<S: PageStore> BufferPool<S> {
     /// data lock). The single-writer discipline of the layers above
     /// guarantees no *other* thread holds write guards.
     pub fn flush_to_store_only(&self) -> Result<()> {
-        for shard in self.shards.iter() {
-            let shard = lock(shard);
-            for (id, frame) in &shard.frames {
-                if frame.dirty.load(Ordering::Relaxed) {
-                    let data = read_lock(&frame.data);
-                    lock(&self.store).write(*id, &data)?;
-                    frame.dirty.store(false, Ordering::Relaxed);
-                    self.stats.physical_writes.fetch_add(1, Ordering::Relaxed);
-                    metrics(|m| m.writebacks.inc());
-                }
+        // O(dirty), not O(resident): only the recorded ids are visited.
+        let ids: Vec<PageId> = lock(&self.dirty_pages).iter().copied().collect();
+        for id in ids {
+            let shard = lock(self.shard_for(id));
+            if let Some(frame) = shard.frames.get(&id) {
+                self.write_back(id, frame)?;
             }
         }
+        Ok(())
+    }
+
+    /// Write `frame` to the store if it is dirty and mark it clean. On
+    /// failure the frame stays dirty and recorded, so a later flush retries
+    /// it. Caller holds the frame's shard lock.
+    fn write_back(&self, id: PageId, frame: &Frame) -> Result<()> {
+        if !frame.dirty.load(Ordering::Relaxed) {
+            return Ok(());
+        }
+        let data = read_lock(&frame.data);
+        lock(&self.store).write(id, &data)?;
+        frame.dirty.store(false, Ordering::Relaxed);
+        lock(&self.dirty_pages).remove(&id);
+        self.stats.physical_writes.fetch_add(1, Ordering::Relaxed);
+        metrics(|m| m.writebacks.inc());
         Ok(())
     }
 
@@ -634,13 +664,8 @@ impl<S: PageStore> BufferPool<S> {
                 .map(|(id, _)| *id)
                 .collect();
             for id in victims {
-                let frame = shard.frames.remove(&id).expect("victim exists");
-                if frame.dirty.load(Ordering::Relaxed) {
-                    let data = read_lock(&frame.data);
-                    lock(&self.store).write(id, &data)?;
-                    self.stats.physical_writes.fetch_add(1, Ordering::Relaxed);
-                    metrics(|m| m.writebacks.inc());
-                }
+                self.write_back(id, &shard.frames[&id])?;
+                shard.frames.remove(&id);
             }
         }
         Ok(())
@@ -675,15 +700,10 @@ impl<S: PageStore> BufferPool<S> {
         let Some(id) = victim else {
             return Ok(false);
         };
-        let frame = shard.frames.remove(&id).expect("victim exists");
-        if frame.dirty.load(Ordering::Relaxed) {
-            // Write back under the shard lock: once the frame leaves the
-            // map a concurrent fetch would re-read the stale store copy.
-            let data = read_lock(&frame.data);
-            lock(&self.store).write(id, &data)?;
-            self.stats.physical_writes.fetch_add(1, Ordering::Relaxed);
-            metrics(|m| m.writebacks.inc());
-        }
+        // Write back under the shard lock: once the frame leaves the map a
+        // concurrent fetch would re-read the stale store copy.
+        self.write_back(id, &shard.frames[&id])?;
+        shard.frames.remove(&id);
         metrics(|m| m.evictions.inc());
         Ok(true)
     }
@@ -799,6 +819,52 @@ mod tests {
         assert!(p.stats().physical_writes >= 1);
         let page = p.fetch(a).unwrap();
         assert_eq!(page.read()[5], 99);
+    }
+
+    /// A flush visits the recorded dirty pages, not the frame table: it
+    /// writes exactly the pages dirtied since the last one, in page-id
+    /// order, however many clean frames are resident — and a page whose
+    /// write-back failed stays recorded for the next flush.
+    #[test]
+    fn flush_writes_exactly_the_dirtied_pages_and_retries_failures() {
+        use crate::fault::{Fault, FaultStore};
+        let p = BufferPool::new(FaultStore::new(MemStore::new(128)), 1 << 10);
+        let ids: Vec<PageId> = (0..300).map(|_| p.allocate().unwrap().0).collect();
+        p.flush().unwrap();
+        assert_eq!(p.stats().physical_writes, 300);
+        p.flush().unwrap();
+        assert_eq!(
+            p.stats().physical_writes,
+            300,
+            "nothing dirty, nothing written"
+        );
+
+        for &id in &[ids[250], ids[7], ids[7], ids[120]] {
+            p.fetch(id).unwrap().write()[0] = 1;
+        }
+        // Fail the middle one of the three write-backs.
+        let handle = p.store_lock().handle();
+        handle.inject(handle.ops() + 1, Fault::IoError);
+        assert!(p.flush_to_store_only().is_err());
+        assert_eq!(p.stats().physical_writes, 301, "page 7 went out first");
+        assert!(!p.fetch(ids[7]).unwrap().is_dirty());
+        assert!(p.fetch(ids[120]).unwrap().is_dirty());
+        p.flush_to_store_only().unwrap();
+        assert_eq!(p.stats().physical_writes, 303, "120 retried, then 250");
+        assert!(lock(&p.dirty_pages).is_empty());
+
+        // Eviction and free take a page off the record too.
+        p.fetch(ids[9]).unwrap().write()[0] = 2;
+        p.invalidate_cache().unwrap();
+        p.fetch(ids[10]).unwrap().write()[0] = 3;
+        p.free(ids[10]).unwrap();
+        assert!(lock(&p.dirty_pages).is_empty());
+        p.flush_to_store_only().unwrap();
+        assert_eq!(
+            p.stats().physical_writes,
+            304,
+            "only the evicted page's write-back"
+        );
     }
 
     #[test]

@@ -276,6 +276,10 @@ impl<S: PageStore> PageStore for ChecksumStore<S> {
         Ok(())
     }
 
+    fn contains(&self, id: PageId) -> bool {
+        self.inner.contains(id)
+    }
+
     fn live_pages(&self) -> usize {
         self.inner.live_pages()
     }

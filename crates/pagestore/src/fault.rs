@@ -430,6 +430,10 @@ impl<S: PageStore> PageStore for FaultStore<S> {
         }
     }
 
+    fn contains(&self, id: PageId) -> bool {
+        self.inner.contains(id)
+    }
+
     fn live_pages(&self) -> usize {
         self.inner.live_pages()
     }

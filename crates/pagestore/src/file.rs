@@ -370,6 +370,10 @@ impl PageStore for FileStore {
         self.write_at(self.offset(id), buf)
     }
 
+    fn contains(&self, id: PageId) -> bool {
+        self.check(id).is_ok()
+    }
+
     fn live_pages(&self) -> usize {
         self.live
     }

@@ -21,6 +21,11 @@ pub trait PageStore {
     /// Write a page from `buf`, which must be exactly `page_size` long.
     fn write(&mut self, id: PageId, buf: &[u8]) -> Result<()>;
 
+    /// Whether `id` is a live page, decided from the store's bookkeeping
+    /// alone: no page is read, so the answer is the same for a page whose
+    /// bytes are damaged.
+    fn contains(&self, id: PageId) -> bool;
+
     /// Number of live (allocated, not freed) pages.
     fn live_pages(&self) -> usize;
 
@@ -131,6 +136,10 @@ impl PageStore for MemStore {
             }
             None => Err(Error::PageNotFound(id)),
         }
+    }
+
+    fn contains(&self, id: PageId) -> bool {
+        self.slot(id).is_ok()
     }
 
     fn live_pages(&self) -> usize {

@@ -369,15 +369,11 @@ impl<S: PageStore> PageStore for WalStore<S> {
     }
 
     fn free(&mut self, id: PageId) -> Result<()> {
-        // Validate against overlay + inner.
-        match self.overlay.get(&id) {
-            Some(None) => return Err(Error::PageNotFound(id)),
-            Some(Some(_)) => {}
-            None => {
-                // Probe the inner store without mutating it.
-                let mut probe = vec![0u8; self.inner.page_size()];
-                self.inner.read(id, &mut probe)?;
-            }
+        // Liveness only — a free never reads the page, so a page whose
+        // bytes are damaged can still be released (index salvage frees the
+        // wreck without looking at it).
+        if !self.contains(id) {
+            return Err(Error::PageNotFound(id));
         }
         self.append(OP_FREE, id, &[])?;
         self.overlay.insert(id, None);
@@ -420,6 +416,13 @@ impl<S: PageStore> PageStore for WalStore<S> {
         self.append(OP_WRITE, id, buf)?;
         self.overlay.insert(id, Some(buf.to_vec()));
         Ok(())
+    }
+
+    fn contains(&self, id: PageId) -> bool {
+        match self.overlay.get(&id) {
+            Some(data) => data.is_some(),
+            None => self.inner.contains(id),
+        }
     }
 
     fn live_pages(&self) -> usize {

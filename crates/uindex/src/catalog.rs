@@ -96,22 +96,13 @@ fn decode_attr_type(buf: &[u8]) -> Result<AttrType> {
 }
 
 impl<S: PageStore> UIndex<S> {
-    /// Write (or rewrite) the schema catalog into the shared B-tree: one
-    /// clustered entry per class, SUP edge, attribute, and index spec.
-    /// Returns the number of catalog entries written.
+    /// Bring the schema catalog in the shared B-tree up to date: one
+    /// clustered entry per class, SUP edge, attribute, and index spec. The
+    /// entries are compared with what the tree already holds (as last
+    /// written or loaded), and only the ones that differ are touched — an
+    /// unchanged schema costs no page. Returns the number of entries the
+    /// catalog holds.
     pub fn save_catalog(&mut self, schema: &Schema) -> Result<u64> {
-        // Clear any previous catalog.
-        let prefix = CATALOG_ID.to_be_bytes().to_vec();
-        let old: Vec<Vec<u8>> = self
-            .tree_mut()
-            .prefix_scan(&prefix)?
-            .into_iter()
-            .map(|(k, _)| k)
-            .collect();
-        for k in old {
-            self.tree_mut().delete(&k)?;
-        }
-        let mut n = 0u64;
         let mut items: Vec<(Vec<u8>, Vec<u8>)> = Vec::new();
         for class in schema.class_ids() {
             let Some(code) = self.encoding().code(class) else {
@@ -138,10 +129,31 @@ impl<S: PageStore> UIndex<S> {
         for (id, spec) in self.specs().iter().enumerate() {
             items.push((catalog_key(TAG_SPEC, &[], id as u16), encode_spec(spec)));
         }
-        for (k, v) in items {
-            self.tree_mut().insert(&k, &v)?;
-            n += 1;
+        items.sort();
+        let n = items.len() as u64;
+        if items == self.catalog {
+            return Ok(n);
         }
+        // `self.catalog` is replaced only once every change is in the tree:
+        // after a failed write the retry repeats the same deletes and
+        // upserts, which are idempotent.
+        let stale: Vec<Vec<u8>> = self
+            .catalog
+            .iter()
+            .filter(|(k, _)| items.binary_search_by(|(key, _)| key.cmp(k)).is_err())
+            .map(|(k, _)| k.clone())
+            .collect();
+        let fresh: Vec<&(Vec<u8>, Vec<u8>)> = items
+            .iter()
+            .filter(|item| self.catalog.binary_search(item).is_err())
+            .collect();
+        for k in &stale {
+            self.tree_mut().delete(k)?;
+        }
+        for (k, v) in fresh {
+            self.tree_mut().insert(k, v)?;
+        }
+        self.catalog = items;
         Ok(n)
     }
 
@@ -149,7 +161,7 @@ impl<S: PageStore> UIndex<S> {
     /// previously written by [`UIndex::save_catalog`], and attach to the
     /// existing tree (`root`/`len` as persisted by the caller).
     pub fn open_with_catalog(
-        pool: pagestore::BufferPool<S>,
+        pool: impl Into<std::sync::Arc<pagestore::BufferPool<S>>>,
         config: btree::BTreeConfig,
         root: PageId,
         len: u64,
@@ -266,7 +278,8 @@ impl<S: PageStore> UIndex<S> {
             }
             specs.push(decode_spec(v)?);
         }
-        let index = UIndex::from_parts(tree, encoding, specs);
+        let mut index = UIndex::from_parts(tree, encoding, specs);
+        index.catalog = entries;
         Ok((index, schema))
     }
 }
@@ -311,6 +324,10 @@ pub(crate) fn decode_spec(v: &[u8]) -> Result<IndexSpec> {
     pos += 1;
     let n = u16::from_le_bytes(v.get(pos..pos + 2).ok_or_else(bad)?.try_into().unwrap()) as usize;
     pos += 2;
+    // A position is at least a class id and a flag byte.
+    if n > (v.len() - pos) / 5 {
+        return Err(bad());
+    }
     let mut positions = Vec::with_capacity(n);
     for _ in 0..n {
         let class = ClassId(read_u32(&mut pos)?);
@@ -337,10 +354,10 @@ pub(crate) fn decode_spec(v: &[u8]) -> Result<IndexSpec> {
     })
 }
 
-/// Serialize a whole spec list as a standalone file image (`specs.bin`
-/// in both the in-memory save layout and the disk tier, where it is the
-/// rebuild path's source of index definitions when the in-tree catalog is
-/// unreadable).
+/// Serialize a whole spec list as a standalone image: `specs.bin` in the
+/// in-memory save layout, and the tail of the disk tier's object-side
+/// header record (the rebuild path's source of index definitions, which
+/// may not come from the index tree it is replacing).
 pub(crate) fn encode_spec_file(specs: &[IndexSpec]) -> Vec<u8> {
     let mut out = Vec::new();
     out.extend_from_slice(b"UIDXSPC1");
@@ -362,6 +379,10 @@ pub(crate) fn decode_spec_file(bytes: &[u8]) -> Result<Vec<IndexSpec>> {
     let bad = || Error::BadKey("truncated specs.bin".into());
     let n = u32::from_le_bytes(bytes.get(8..12).ok_or_else(bad)?.try_into().unwrap()) as usize;
     let mut pos = 12;
+    // A spec is at least its length prefix.
+    if n > (bytes.len() - pos) / 4 {
+        return Err(bad());
+    }
     let mut specs = Vec::with_capacity(n);
     for _ in 0..n {
         let len = u32::from_le_bytes(bytes.get(pos..pos + 4).ok_or_else(bad)?.try_into().unwrap())

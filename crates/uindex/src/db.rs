@@ -84,6 +84,10 @@ pub struct Database<P: PageStore = DbStore> {
     /// so readers armed via [`Database::reader_with_fallback`] see — and
     /// can impose — the same quarantine from other threads.
     quarantined: Arc<AtomicBool>,
+    /// OIDs created, changed or deleted since [`Database::clear_touched`]
+    /// — what a durable commit must rewrite. `None`
+    /// (every tier but the disk one) records nothing.
+    touched: Option<BTreeSet<Oid>>,
 }
 
 impl Database {
@@ -134,14 +138,15 @@ impl Database {
             pool_pages,
             config,
             quarantined: Arc::new(AtomicBool::new(false)),
+            touched: None,
         })
     }
 }
 
 impl<P: PageStore> Database<P> {
     /// Assemble a database from an already-built index and object store
-    /// (the disk tier's open/rebuild paths). `page_size`/`pool_pages`/
-    /// `config` record the geometry for later rebuilds.
+    /// (the disk tier's create/open paths), recording touched OIDs from
+    /// here on. `page_size`/`pool_pages`/`config` record the geometry.
     pub(crate) fn from_raw_parts(
         store: ObjectStore,
         index: UIndex<P>,
@@ -157,13 +162,37 @@ impl<P: PageStore> Database<P> {
             pool_pages,
             config,
             quarantined: Arc::new(AtomicBool::new(false)),
+            touched: Some(BTreeSet::new()),
         }
     }
 
-    /// Replace the object store (disk-tier open: objects come from their
-    /// own snapshot file, not the index).
-    pub(crate) fn set_store(&mut self, store: ObjectStore) {
-        self.store = store;
+    /// Swap in a rebuilt index over the same objects (disk-tier repair).
+    pub(crate) fn set_index(&mut self, index: UIndex<P>) {
+        self.index = index;
+        self.quarantined.store(false, Ordering::Release);
+    }
+
+    /// The OIDs mutated since [`Database::clear_touched`], ascending.
+    pub(crate) fn touched(&self) -> Vec<Oid> {
+        self.touched.iter().flatten().copied().collect()
+    }
+
+    /// Forget the touched OIDs: their records have been written.
+    pub(crate) fn clear_touched(&mut self) {
+        if let Some(touched) = &mut self.touched {
+            touched.clear();
+        }
+    }
+
+    /// [`UIndex::save_catalog`] against this database's schema.
+    pub(crate) fn save_catalog(&mut self) -> Result<u64> {
+        self.index.save_catalog(self.store.schema())
+    }
+
+    fn touch(&mut self, oid: Oid) {
+        if let Some(touched) = &mut self.touched {
+            touched.insert(oid);
+        }
     }
 
     /// The B-tree configuration this database was built with.
@@ -308,7 +337,9 @@ impl<P: PageStore> Database<P> {
     /// Create an object (no attributes yet, so no index entries).
     pub fn create_object(&mut self, class: ClassId) -> Result<Oid> {
         self.encode_class(class)?;
-        Ok(self.store.create(class)?)
+        let oid = self.store.create(class)?;
+        self.touch(oid);
+        Ok(oid)
     }
 
     /// For every index, the encoded keys of all entries containing `oid` —
@@ -352,6 +383,7 @@ impl<P: PageStore> Database<P> {
     pub fn set_attr(&mut self, oid: Oid, name: &str, value: Value) -> Result<Option<Value>> {
         let before = self.involved_entries(oid)?;
         let old = self.store.set_attr(oid, name, value)?;
+        self.touch(oid);
         let after = self.involved_entries(oid)?;
         self.apply_diff(before, after)?;
         Ok(old)
@@ -363,6 +395,7 @@ impl<P: PageStore> Database<P> {
     pub fn delete_object(&mut self, oid: Oid, force: bool) -> Result<()> {
         let before = self.involved_entries(oid)?;
         self.store.delete(oid, force)?;
+        self.touch(oid);
         // The object no longer exists, so no entry can involve it.
         let after = vec![BTreeSet::new(); before.len()];
         self.apply_diff(before, after)?;

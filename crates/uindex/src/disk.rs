@@ -5,31 +5,43 @@
 //!
 //! | file             | contents                                            |
 //! |------------------|-----------------------------------------------------|
-//! | `meta.bin`       | static geometry: page size, pool size, B-tree config, group-commit interval, checkpoint period |
-//! | `pages.db`       | the index B-tree's pages ([`pagestore::FileStore`], checksummed trailers) |
+//! | `meta.bin`       | static geometry: page size, pool size, B-tree config, group-commit interval, checkpoint period (written once, at create) |
+//! | `pages.db`       | every page: the meta page, the index B-tree and the object B-tree ([`pagestore::FileStore`], checksummed trailers) |
 //! | `pages.db.free`  | the file store's free-list manifest                  |
 //! | `wal.log`        | write-ahead log over the page file                   |
-//! | `objects.udb`    | epoch-stamped object-store snapshot                  |
-//! | `specs.bin`      | index definitions (rebuild source when the in-tree catalog is unreadable) |
 //!
-//! Page 0 of the store is the **meta page**: the tree's root, length and
-//! the *object epoch*, all WAL-protected so they move atomically with the
-//! tree's pages at each commit. The object store has its own durability
-//! domain (`objects.udb`, replaced atomically per commit) stamped with the
-//! same epoch; [`DiskDatabase::open`] compares the two stamps, and on any
-//! mismatch — or any damage to the index files — rebuilds the index from
-//! the object snapshot, which is the source of truth (the same salvage
-//! philosophy as the in-memory [`Database::repair`]).
+//! **One durability domain.** Objects live in pages of the same store,
+//! through the same buffer pool and the same WAL as the index (an
+//! OID-keyed tree of their own, see `objtree`). Page 0 is the **meta
+//! page**: root and length of both trees. A commit re-encodes the objects
+//! the mutators touched into their pages, brings the in-tree catalog and
+//! the object-side header up to date if schema or index definitions
+//! changed, rewrites the meta page if a root or length moved, flushes the
+//! dirty frames into the WAL and appends one commit marker — which makes
+//! objects, index and meta page durable together, or none of them. What a
+//! commit writes is proportional to what changed, not to the database, and
+//! between checkpoints it goes to `wal.log` alone (a commit that allocates
+//! a page also extends `pages.db`: the store hands out slots eagerly).
 //!
-//! Commit ordering (crash safety): tree pages and the meta page are
-//! flushed into the WAL overlay, then `objects.udb` is atomically
-//! replaced, then the WAL commit marker is appended. A crash between the
-//! last two steps leaves the objects one epoch ahead of the committed
-//! index — detected at open, healed by rebuild. Group commit batches the
-//! WAL fsyncs ([`pagestore::WalStore::set_group_commit`]), and every
-//! `checkpoint_every` commits the overlay is checkpointed into the page
-//! file so the log stays short.
+//! Group commit batches the WAL fsyncs
+//! ([`pagestore::WalStore::set_group_commit`]), and every
+//! `checkpoint_every` commits the log is checkpointed into the page file
+//! so it stays short.
+//!
+//! **Open** replays the log, checkpoints, scrubs every page's checksum,
+//! reads the meta page, loads the object store from the object tree,
+//! reattaches the index through its in-tree catalog and verifies it.
+//!
+//! **Salvage.** The index is derived data: scrub damage outside the
+//! object tree, an unreadable catalog or a failed verification rebuild it
+//! from the objects — without reading a page of the old tree — into fresh
+//! pages of the same store (the meta page switches roots in one commit,
+//! then the wreck is freed). Schema and index definitions for that come
+//! from the object tree's header record, never from the index. The
+//! objects are not derived from anything: a damaged meta page or object
+//! page is a typed error.
 
+use std::collections::HashSet;
 use std::fs::File;
 use std::io::Write as _;
 use std::ops::{Deref, DerefMut};
@@ -40,29 +52,30 @@ use std::sync::{mpsc, Arc};
 use btree::{BTreeConfig, Capacity};
 use objstore::ObjectStore;
 use pagestore::disk as pdisk;
-use pagestore::{BufferPool, PageId, RecoveryReport, RetryPolicy, ScrubReport, Scrubbable};
+use pagestore::{
+    BufferPool, PageId, PageStore, RecoveryReport, RetryPolicy, ScrubReport, Scrubbable,
+};
 use schema::{Encoding, Schema};
 
-use crate::db::Database;
+use crate::db::{CheckReport, Database};
 use crate::error::{Error, Result};
 use crate::index::UIndex;
+use crate::objtree::ObjectTree;
+use crate::spec::IndexSpec;
 
 /// The page-store stack under a [`DiskDatabase`]'s index.
 pub type DiskStore = pdisk::DiskStack;
 
-const DB_META_MAGIC: &[u8; 8] = b"UIDXDBM1";
-const META_PAGE_MAGIC: &[u8; 8] = b"UIDXMETA";
-const OBJECTS_MAGIC: &[u8; 8] = b"UIDXOBJ1";
+/// `2`: objects in pages. A directory of the sidecar-file layout (`1`) is
+/// refused as a bad magic; no reader for it is kept.
+const DB_META_MAGIC: &[u8; 8] = b"UIDXDBM2";
+const META_PAGE_MAGIC: &[u8; 8] = b"UIDXMET2";
 
-/// The WAL-protected meta page holding root/len/epoch.
+/// The WAL-protected meta page: roots and lengths of both trees.
 const META_PAGE: PageId = PageId(0);
 
 /// Geometry file inside a database directory.
 pub const DB_META_FILE: &str = "meta.bin";
-/// Object-store snapshot inside a database directory.
-pub const OBJECTS_FILE: &str = "objects.udb";
-/// Index-spec sidecar inside a database directory.
-pub const SPECS_FILE: &str = "specs.bin";
 
 /// Tuning knobs for a [`DiskDatabase`], fixed at create time and recorded
 /// in `meta.bin`.
@@ -96,7 +109,7 @@ impl Default for DiskOptions {
 
 /// What [`DiskDatabase::open`] found while bringing the store up: WAL
 /// replay, checksum scrub, tree verification, and whether the index had
-/// to be rebuilt from the object snapshot.
+/// to be rebuilt from the objects.
 #[derive(Debug)]
 pub struct OpenReport {
     /// WAL replay outcome (None only if the log was missing entirely).
@@ -105,8 +118,8 @@ pub struct OpenReport {
     pub scrub: ScrubReport,
     /// Whether the tree passed structural verification before serving.
     pub tree_ok: bool,
-    /// Whether the index was rebuilt from `objects.udb` (epoch mismatch,
-    /// scrub damage, unreadable catalog, or failed verification).
+    /// Whether the index was rebuilt from the object pages (scrub damage
+    /// outside them, an unreadable catalog, or failed verification).
     pub rebuilt: bool,
 }
 
@@ -125,11 +138,10 @@ impl OpenReport {
 /// last commit, exactly like a crash.
 pub struct DiskDatabase {
     db: Database<DiskStore>,
+    /// The object store's pages, in the pool the index lives in.
+    objects: ObjectTree<DiskStore>,
     dir: PathBuf,
     options: DiskOptions,
-    /// Epoch stamped into both the meta page and `objects.udb` at the
-    /// last commit; bumped on each commit.
-    object_epoch: u64,
     commits_since_checkpoint: u32,
     /// Background checkpointer, when enabled: periodic checkpoints run
     /// off the commit path (see
@@ -196,9 +208,7 @@ fn write_atomic(path: &Path, bytes: &[u8]) -> Result<()> {
     }
     std::fs::rename(&tmp, path).map_err(io)?;
     if let Some(parent) = path.parent() {
-        if let Ok(d) = File::open(parent) {
-            d.sync_all().ok();
-        }
+        File::open(parent).and_then(|d| d.sync_all()).map_err(io)?;
     }
     Ok(())
 }
@@ -250,39 +260,54 @@ fn decode_db_meta(v: &[u8]) -> Result<DiskOptions> {
             capacity,
             front_compression: v[21] != 0,
             suffix_truncation: v[22] != 0,
+            append_split: false,
         },
         group_commit: u32::from_le_bytes(v[23..27].try_into().unwrap()),
         checkpoint_every: u32::from_le_bytes(v[27..31].try_into().unwrap()),
     })
 }
 
-fn encode_objects(epoch: u64, payload: &[u8]) -> Vec<u8> {
-    let mut v = Vec::with_capacity(24 + payload.len() + 4);
-    v.extend_from_slice(OBJECTS_MAGIC);
-    v.extend_from_slice(&epoch.to_le_bytes());
-    v.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    v.extend_from_slice(payload);
-    let crc = pagestore::crc32(&v);
-    v.extend_from_slice(&crc.to_le_bytes());
-    v
+/// The meta page's content.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct MetaPage {
+    index_root: PageId,
+    index_len: u64,
+    object_root: PageId,
+    object_len: u64,
 }
 
-fn decode_objects(v: &[u8]) -> Result<(u64, &[u8])> {
-    let corrupt =
-        |what: &str| Error::Page(pagestore::Error::Corrupt(format!("objects.udb: {what}")));
-    if v.len() < 28 || &v[..8] != OBJECTS_MAGIC {
-        return Err(corrupt("truncated or bad magic"));
+impl MetaPage {
+    const LEN: usize = 36;
+
+    fn encode(&self) -> [u8; Self::LEN] {
+        let mut w = [0u8; Self::LEN];
+        w[..8].copy_from_slice(META_PAGE_MAGIC);
+        w[8..12].copy_from_slice(&self.index_root.to_bytes());
+        w[12..20].copy_from_slice(&self.index_len.to_le_bytes());
+        w[20..24].copy_from_slice(&self.object_root.to_bytes());
+        w[24..32].copy_from_slice(&self.object_len.to_le_bytes());
+        let crc = pagestore::crc32(&w[..32]);
+        w[32..].copy_from_slice(&crc.to_le_bytes());
+        w
     }
-    let epoch = u64::from_le_bytes(v[8..16].try_into().unwrap());
-    let len = u64::from_le_bytes(v[16..24].try_into().unwrap()) as usize;
-    if v.len() != 24 + len + 4 {
-        return Err(corrupt("length mismatch"));
+
+    fn decode(data: &[u8]) -> Result<Self> {
+        let corrupt =
+            |what: &str| Error::Page(pagestore::Error::Corrupt(format!("meta page: {what}")));
+        if data.len() < Self::LEN || &data[..8] != META_PAGE_MAGIC {
+            return Err(corrupt("bad magic"));
+        }
+        let crc = u32::from_le_bytes(data[32..36].try_into().unwrap());
+        if pagestore::crc32(&data[..32]) != crc {
+            return Err(corrupt("failed its CRC"));
+        }
+        Ok(MetaPage {
+            index_root: PageId::from_bytes(data[8..12].try_into().unwrap()),
+            index_len: u64::from_le_bytes(data[12..20].try_into().unwrap()),
+            object_root: PageId::from_bytes(data[20..24].try_into().unwrap()),
+            object_len: u64::from_le_bytes(data[24..32].try_into().unwrap()),
+        })
     }
-    let crc = u32::from_le_bytes(v[24 + len..].try_into().unwrap());
-    if pagestore::crc32(&v[..24 + len]) != crc {
-        return Err(corrupt("failed its CRC"));
-    }
-    Ok((epoch, &v[24..24 + len]))
 }
 
 fn fresh_disk_pool(stack: DiskStore, pool_pages: usize) -> BufferPool<DiskStore> {
@@ -292,6 +317,24 @@ fn fresh_disk_pool(stack: DiskStore, pool_pages: usize) -> BufferPool<DiskStore>
         ..RetryPolicy::default()
     });
     pool
+}
+
+/// Bulk-load a new index tree over `store` into freshly allocated pages of
+/// `pool`, and verify it. Reads no page but its own.
+fn build_index(
+    pool: &Arc<BufferPool<DiskStore>>,
+    config: BTreeConfig,
+    store: &ObjectStore,
+    specs: Vec<IndexSpec>,
+) -> Result<UIndex<DiskStore>> {
+    let encoding = Encoding::generate(store.schema())?;
+    let mut index = UIndex::new(pool.clone(), config, encoding)?;
+    for spec in specs {
+        index.define(store.schema(), spec)?;
+    }
+    index.build_all(store)?;
+    index.verify()?;
+    Ok(index)
 }
 
 impl DiskDatabase {
@@ -305,46 +348,52 @@ impl DiskDatabase {
         let encoding = Encoding::generate(&schema)?;
         let mut stack = pdisk::create(dir, options.page_size)?;
         stack.set_group_commit(options.group_commit);
-        let pool = fresh_disk_pool(stack, options.pool_pages);
+        let pool = Arc::new(fresh_disk_pool(stack, options.pool_pages));
         let (meta_id, page) = pool.allocate()?;
         drop(page);
         debug_assert_eq!(meta_id, META_PAGE, "meta page must be the first allocation");
-        let mut index = UIndex::new(pool, options.config, encoding)?;
-        index.save_catalog(&schema)?;
-        let db = Database::from_raw_parts(
-            ObjectStore::new(schema),
-            index,
-            options.page_size,
-            options.pool_pages,
-            options.config,
-        );
+        let index = UIndex::new(pool.clone(), options.config, encoding)?;
+        let objects = ObjectTree::create(pool)?;
         write_atomic(&dir.join(DB_META_FILE), &encode_db_meta(&options))?;
-        let mut this = DiskDatabase {
-            db,
-            dir: dir.to_path_buf(),
-            options,
-            object_epoch: 0,
-            commits_since_checkpoint: 0,
-            bg: None,
-        };
+        let mut this = Self::assemble(ObjectStore::new(schema), index, objects, dir, options);
         this.checkpoint()?;
         Ok(this)
+    }
+
+    fn assemble(
+        store: ObjectStore,
+        index: UIndex<DiskStore>,
+        objects: ObjectTree<DiskStore>,
+        dir: &Path,
+        options: DiskOptions,
+    ) -> Self {
+        DiskDatabase {
+            db: Database::from_raw_parts(
+                store,
+                index,
+                options.page_size,
+                options.pool_pages,
+                options.config,
+            ),
+            objects,
+            dir: dir.to_path_buf(),
+            options,
+            commits_since_checkpoint: 0,
+            bg: None,
+        }
     }
 
     // ----- open -----------------------------------------------------------
 
     /// Open an existing on-disk database: replay the WAL, checkpoint the
-    /// replayed state, scrub every page's checksum, and verify the tree
-    /// before serving. Any damage — scrub errors, an unreadable meta page
-    /// or catalog, a failed verification, or an epoch mismatch between the
-    /// index and the object snapshot — triggers a rebuild from
-    /// `objects.udb` instead of failing.
+    /// replayed state, scrub every page's checksum, load the objects from
+    /// their pages and verify the index tree before serving. Damage to the
+    /// index — scrub errors outside the object tree, an unreadable catalog,
+    /// a failed verification — triggers a rebuild from the objects instead
+    /// of failing; damage to the meta page or an object page is an error.
     pub fn open(dir: &Path) -> Result<(Self, OpenReport)> {
         let meta = std::fs::read(dir.join(DB_META_FILE)).map_err(io)?;
         let options = decode_db_meta(&meta)?;
-        let objects_raw = std::fs::read(dir.join(OBJECTS_FILE)).map_err(io)?;
-        let (object_epoch, payload) = decode_objects(&objects_raw)?;
-        let store = ObjectStore::from_bytes(payload)?;
 
         let mut stack = pdisk::open(dir)?;
         let recovery = stack.recovery().copied();
@@ -358,47 +407,39 @@ impl DiskDatabase {
             tree_ok: false,
             rebuilt: false,
         };
-        if !report.scrub.clean() {
-            return Self::rebuild(dir, options, store, object_epoch, report);
-        }
 
-        let mut pool = fresh_disk_pool(stack, options.pool_pages);
-        let header = Self::read_meta_page(&mut pool);
-        let Ok((root, len, meta_epoch)) = header else {
-            return Self::rebuild(dir, options, store, object_epoch, report);
+        let pool = Arc::new(fresh_disk_pool(stack, options.pool_pages));
+        let meta = MetaPage::decode(&pool.fetch(META_PAGE)?.read())?;
+        let mut objects = ObjectTree::open(pool.clone(), meta.object_root, meta.object_len);
+        objects.verify()?;
+        let (store, specs) = objects.load()?;
+
+        // With the objects safe, whatever the scrub flagged is index (or
+        // unreachable) — and then no page of the old index is read at all.
+        let attached = if report.scrub.clean() {
+            UIndex::open_with_catalog(
+                pool.clone(),
+                options.config,
+                meta.index_root,
+                meta.index_len,
+            )
+            .ok()
+            .filter(|(index, _)| index.verify().is_ok())
+        } else {
+            None
         };
-        if meta_epoch != object_epoch {
-            telemetry::counter("uindex.disk.epoch_mismatches").inc();
-            return Self::rebuild(dir, options, store, object_epoch, report);
-        }
-        match UIndex::open_with_catalog(pool, options.config, root, len) {
-            Ok((index, _catalog_schema)) => {
-                if index.verify().is_err() {
-                    return Self::rebuild(dir, options, store, object_epoch, report);
-                }
-                report.tree_ok = true;
-                let mut db = Database::from_raw_parts(
-                    ObjectStore::new(store.schema().clone()),
-                    index,
-                    options.page_size,
-                    options.pool_pages,
-                    options.config,
-                );
-                db.set_store(store);
-                Ok((
-                    DiskDatabase {
-                        db,
-                        dir: dir.to_path_buf(),
-                        options,
-                        object_epoch,
-                        commits_since_checkpoint: 0,
-                        bg: None,
-                    },
-                    report,
-                ))
+        report.tree_ok = true;
+        let this = match attached {
+            Some((index, _catalog_schema)) => Self::assemble(store, index, objects, dir, options),
+            None => {
+                let index = build_index(&pool, options.config, &store, specs)?;
+                let mut this = Self::assemble(store, index, objects, dir, options);
+                this.adopt_rebuilt_index()?;
+                report.rebuilt = true;
+                this
             }
-            Err(_) => Self::rebuild(dir, options, store, object_epoch, report),
-        }
+        };
+        Ok((this, report))
     }
 
     /// Whether `dir` holds an on-disk database.
@@ -406,119 +447,59 @@ impl DiskDatabase {
         dir.join(DB_META_FILE).is_file() && pdisk::exists(dir)
     }
 
-    fn read_meta_page(pool: &mut BufferPool<DiskStore>) -> Result<(PageId, u64, u64)> {
-        let corrupt =
-            |what: &str| Error::Page(pagestore::Error::Corrupt(format!("meta page: {what}")));
-        let page = pool.fetch(META_PAGE)?;
-        let data = page.read();
-        if data.len() < 32 || &data[..8] != META_PAGE_MAGIC {
-            return Err(corrupt("bad magic"));
-        }
-        let crc = u32::from_le_bytes(data[28..32].try_into().unwrap());
-        if pagestore::crc32(&data[..28]) != crc {
-            return Err(corrupt("failed its CRC"));
-        }
-        let root = PageId(u32::from_le_bytes(data[8..12].try_into().unwrap()));
-        let len = u64::from_le_bytes(data[12..20].try_into().unwrap());
-        let epoch = u64::from_le_bytes(data[20..28].try_into().unwrap());
-        Ok((root, len, epoch))
+    fn pool(&self) -> &BufferPool<DiskStore> {
+        self.db.index().tree().pool()
     }
 
-    /// Rebuild the index files from the object snapshot: blow away
-    /// `pages.db`/`wal.log`, bulk-load every spec from `specs.bin`, verify,
-    /// and checkpoint. The object data is never at risk — only the
-    /// derived index is recreated (PR-4's salvage philosophy on disk).
-    fn rebuild(
-        dir: &Path,
-        options: DiskOptions,
-        store: ObjectStore,
-        object_epoch: u64,
-        mut report: OpenReport,
-    ) -> Result<(Self, OpenReport)> {
+    /// Make a just-built index tree the durable one: one checkpoint
+    /// switches the meta page's root to it (its catalog written, objects
+    /// and header in step), then every live page reachable from neither
+    /// tree nor the meta page — the old index, whatever state it was in —
+    /// is freed without being read, and a second checkpoint makes the
+    /// frees durable. A crash before the first leaves the old roots; a
+    /// crash before the second only leaks the old pages until the next
+    /// rebuild.
+    fn adopt_rebuilt_index(&mut self) -> Result<()> {
         telemetry::counter("uindex.disk.rebuilds").inc();
-        let specs = match std::fs::read(dir.join(SPECS_FILE)) {
-            Ok(bytes) => crate::catalog::decode_spec_file(&bytes)?,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
-            Err(e) => return Err(io(e)),
-        };
-        let mut stack = pdisk::create(dir, options.page_size)?;
-        stack.set_group_commit(options.group_commit);
-        let pool = fresh_disk_pool(stack, options.pool_pages);
-        let (meta_id, page) = pool.allocate()?;
-        drop(page);
-        debug_assert_eq!(meta_id, META_PAGE, "meta page must be the first allocation");
-        let encoding = Encoding::generate(store.schema())?;
-        let mut index = UIndex::new(pool, options.config, encoding)?;
-        for spec in specs {
-            index.define(store.schema(), spec)?;
+        self.checkpoint()?;
+        let mut keep: HashSet<PageId> = self.objects.page_ids()?.into_iter().collect();
+        keep.extend(self.db.index().tree().page_ids()?);
+        keep.insert(META_PAGE);
+        let live = self.pool().store_lock().live_page_ids();
+        for id in live.into_iter().filter(|id| !keep.contains(id)) {
+            self.pool().free(id)?;
         }
-        index.build_all(&store)?;
-        index.verify()?;
-        index.save_catalog(store.schema())?;
-        let mut db = Database::from_raw_parts(
-            ObjectStore::new(store.schema().clone()),
-            index,
-            options.page_size,
-            options.pool_pages,
-            options.config,
-        );
-        db.set_store(store);
-        let mut this = DiskDatabase {
-            db,
-            dir: dir.to_path_buf(),
-            options,
-            object_epoch,
-            commits_since_checkpoint: 0,
-            bg: None,
-        };
-        this.checkpoint()?;
-        report.rebuilt = true;
-        report.tree_ok = true;
-        Ok((this, report))
+        self.force_checkpoint()
     }
 
     // ----- durability -----------------------------------------------------
 
-    /// Persist the logical state into the WAL overlay and the sidecar
-    /// files: refresh the in-tree catalog, stamp the meta page with the
-    /// next epoch, flush dirty frames, and atomically replace `specs.bin`
-    /// and `objects.udb`. The caller follows with a WAL commit or
-    /// checkpoint — until then the new tree state is not durable.
-    fn persist_logical_state(&mut self) -> Result<()> {
-        let schema = self.db.schema().clone();
-        self.db.index_mut().save_catalog(&schema)?;
-        self.object_epoch += 1;
-        let (root, len) = {
-            let tree = self.db.index().tree();
-            (tree.root(), tree.len())
-        };
-        let epoch = self.object_epoch;
-        let pool = self.db.index().tree().pool();
-        {
-            let page = pool.fetch(META_PAGE)?;
-            let mut w = page.write();
-            w[..8].copy_from_slice(META_PAGE_MAGIC);
-            w[8..12].copy_from_slice(&root.0.to_le_bytes());
-            w[12..20].copy_from_slice(&len.to_le_bytes());
-            w[20..28].copy_from_slice(&epoch.to_le_bytes());
-            let crc = pagestore::crc32(&w[..28]);
-            w[28..32].copy_from_slice(&crc.to_le_bytes());
+    /// Bring the pages up to date with the logical state and flush them
+    /// into the WAL overlay: the touched objects' records, the object-side
+    /// header and the in-tree catalog if schema or index definitions
+    /// changed, the meta page if a root or length moved. The caller follows
+    /// with a WAL commit or checkpoint — until then none of it is durable.
+    fn stage(&mut self) -> Result<()> {
+        self.objects
+            .sync_objects(self.db.store(), &self.db.touched())?;
+        self.db.clear_touched();
+        self.objects
+            .sync_header(self.db.schema(), self.db.index().specs())?;
+        self.db.save_catalog()?;
+        let tree = self.db.index().tree();
+        let meta = MetaPage {
+            index_root: tree.root(),
+            index_len: tree.len(),
+            object_root: self.objects.root(),
+            object_len: self.objects.len(),
         }
-        pool.flush_to_store_only()?;
-        let specs = crate::catalog::encode_spec_file(self.db.index().specs());
-        write_atomic(&self.dir.join(SPECS_FILE), &specs)?;
-        let objects = encode_objects(epoch, &self.db.store().to_bytes());
-        write_atomic(&self.dir.join(OBJECTS_FILE), &objects)?;
-        Ok(())
-    }
-
-    /// Test hook: run the pre-commit persistence step (meta page, specs,
-    /// objects snapshot) *without* the WAL commit, simulating a crash in
-    /// the window where the object snapshot is one epoch ahead of the
-    /// committed index.
-    #[doc(hidden)]
-    pub fn persist_logical_state_for_tests(&mut self) -> Result<()> {
-        self.persist_logical_state()
+        .encode();
+        let page = self.pool().fetch(META_PAGE)?;
+        if page.read()[..MetaPage::LEN] != meta {
+            page.write()[..MetaPage::LEN].copy_from_slice(&meta);
+        }
+        drop(page);
+        Ok(self.pool().flush_to_store_only()?)
     }
 
     /// Make everything since the last commit durable (subject to the
@@ -527,8 +508,8 @@ impl DiskDatabase {
     /// inline, or handed to the background thread when
     /// [`DiskDatabase::enable_background_checkpoints`] is on.
     pub fn commit(&mut self) -> Result<()> {
-        self.persist_logical_state()?;
-        self.db.index().tree().pool().store_lock().commit()?;
+        self.stage()?;
+        self.pool().store_lock().commit()?;
         telemetry::counter("uindex.disk.commits").inc();
         if let Some(bg) = &mut self.bg {
             // Credit checkpoints the thread finished since we last looked.
@@ -637,18 +618,18 @@ impl DiskDatabase {
     /// Force the WAL fsync for any commits still pending one under group
     /// commit.
     pub fn sync(&mut self) -> Result<()> {
-        Ok(self.db.index().tree().pool().store_lock().sync_log()?)
+        Ok(self.pool().store_lock().sync_log()?)
     }
 
     /// Commit and checkpoint: apply the WAL overlay to the page file,
     /// fsync everything, truncate the log.
     pub fn checkpoint(&mut self) -> Result<()> {
-        self.persist_logical_state()?;
+        self.stage()?;
         self.force_checkpoint()
     }
 
     fn force_checkpoint(&mut self) -> Result<()> {
-        self.db.index().tree().pool().store_lock().checkpoint()?;
+        self.pool().store_lock().checkpoint()?;
         telemetry::counter("uindex.disk.checkpoints").inc();
         self.commits_since_checkpoint = 0;
         Ok(())
@@ -659,35 +640,29 @@ impl DiskDatabase {
         self.checkpoint()
     }
 
-    /// Rebuild the index files in place from the object store (the disk
-    /// tier's [`Database::repair`]): the current tree is discarded, every
-    /// index is bulk-loaded from scratch, verified and checkpointed.
-    /// Returns the number of entries loaded.
+    /// [`Database::check`] on the durable tier: checkpoint first — the
+    /// scrub reads the page file, and whatever it makes durable on the way
+    /// must be a whole commit, objects included — then scrub every page
+    /// (index and objects alike), verify the index tree and cross-check its
+    /// entries against the object store.
+    pub fn check(&mut self) -> Result<CheckReport> {
+        self.checkpoint()?;
+        self.db.check()
+    }
+
+    /// Rebuild the index in place from the object store (the disk tier's
+    /// [`Database::repair`]): every index is bulk-loaded into fresh pages of
+    /// the same store, verified, made durable with the current objects in
+    /// one checkpoint, and only then is the old tree freed — unread.
+    /// Returns the number of entries loaded. Readers taken from the old
+    /// index keep pointing at it: take new ones.
     pub fn repair(&mut self) -> Result<u64> {
-        // Snapshot the objects (the only state worth keeping), then let
-        // the rebuild path recreate everything else from it.
-        let store = ObjectStore::from_bytes(&self.db.store().to_bytes())?;
-        let report = OpenReport {
-            recovery: None,
-            scrub: ScrubReport::default(),
-            tree_ok: false,
-            rebuilt: false,
-        };
-        // The rebuild swaps in a brand-new pool: shut the old pool's
-        // background thread down first and re-arm it on the new one after.
-        let had_bg = self.bg.take().is_some();
-        let (rebuilt, _) = Self::rebuild(
-            &self.dir.clone(),
-            self.options,
-            store,
-            self.object_epoch,
-            report,
-        )?;
-        let n = rebuilt.db.index().tree().len();
-        *self = rebuilt;
-        if had_bg {
-            self.enable_background_checkpoints();
-        }
+        let pool = self.db.index().tree().pool_arc();
+        let specs = self.db.index().specs().to_vec();
+        let index = build_index(&pool, self.options.config, self.db.store(), specs)?;
+        let n = index.tree().len();
+        self.db.set_index(index);
+        self.adopt_rebuilt_index()?;
         telemetry::counter("uindex.degraded.repairs").inc();
         Ok(n)
     }
@@ -704,22 +679,12 @@ impl DiskDatabase {
         &self.options
     }
 
-    /// The epoch stamped at the last commit.
-    pub fn object_epoch(&self) -> u64 {
-        self.object_epoch
-    }
-
     /// A clonable handle onto the on-disk stack's fault-injection
     /// schedule — the live chaos channel for crash/degradation drills.
     /// Faults land below the checksum layer (above the file), so injected
     /// silent damage is detected exactly like real bit rot.
     pub fn fault_handle(&self) -> pagestore::FaultHandle {
-        pdisk::fault_handle(&self.db.index().tree().pool().store_lock())
-    }
-
-    /// The inner database, by value (drops durability bookkeeping).
-    pub fn into_database(self) -> Database<DiskStore> {
-        self.db
+        pdisk::fault_handle(&self.pool().store_lock())
     }
 }
 
@@ -769,14 +734,24 @@ mod tests {
     }
 
     #[test]
-    fn objects_file_roundtrip_and_damage() {
-        let enc = encode_objects(7, b"payload");
-        let (epoch, payload) = decode_objects(&enc).unwrap();
-        assert_eq!(epoch, 7);
-        assert_eq!(payload, b"payload");
-        let mut bad = enc.clone();
-        bad[25] ^= 1;
-        assert!(decode_objects(&bad).is_err());
-        assert!(decode_objects(&enc[..20]).is_err());
+    fn meta_page_roundtrip_and_damage() {
+        let meta = MetaPage {
+            index_root: PageId(1),
+            index_len: 77,
+            object_root: PageId(2),
+            object_len: 5,
+        };
+        let mut page = vec![0u8; 64];
+        page[..MetaPage::LEN].copy_from_slice(&meta.encode());
+        assert_eq!(MetaPage::decode(&page).unwrap(), meta);
+        page[13] ^= 1;
+        assert!(
+            MetaPage::decode(&page).is_err(),
+            "CRC catches a flipped byte"
+        );
+        assert!(
+            MetaPage::decode(&[0u8; 64]).is_err(),
+            "a zeroed page has no magic"
+        );
     }
 }

@@ -1,6 +1,7 @@
 //! [`UIndex`]: many logical indexes in one B+-tree, plus maintenance.
 
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 use btree::{BTree, BTreeConfig, TreeStats};
 use objstore::{ObjectStore, Oid, Value};
@@ -23,6 +24,9 @@ pub struct UIndex<S: PageStore> {
     tree: BTree<S>,
     encoding: Encoding,
     specs: Vec<IndexSpec>,
+    /// The catalog entries the tree holds, sorted, as last written by
+    /// [`UIndex::save_catalog`] or read by [`UIndex::open_with_catalog`].
+    pub(crate) catalog: Vec<(Vec<u8>, Vec<u8>)>,
 }
 
 impl UIndex<MemStore> {
@@ -35,21 +39,29 @@ impl UIndex<MemStore> {
 }
 
 impl<S: PageStore> UIndex<S> {
-    /// Create an empty U-index over `pool`.
-    pub fn new(pool: BufferPool<S>, config: BTreeConfig, encoding: Encoding) -> Result<Self> {
+    /// Create an empty U-index over `pool` (its own, or an `Arc` of a pool
+    /// it shares — see [`BTree::create`]).
+    pub fn new(
+        pool: impl Into<Arc<BufferPool<S>>>,
+        config: BTreeConfig,
+        encoding: Encoding,
+    ) -> Result<Self> {
         Ok(UIndex {
             tree: BTree::create(pool, config)?,
             encoding,
             specs: Vec::new(),
+            catalog: Vec::new(),
         })
     }
 
-    /// Assemble from parts (catalog reload path).
+    /// Assemble from parts: a tree holding no catalog entries, or (the
+    /// reload path, which then records them) the ones just read from it.
     pub(crate) fn from_parts(tree: BTree<S>, encoding: Encoding, specs: Vec<IndexSpec>) -> Self {
         UIndex {
             tree,
             encoding,
             specs,
+            catalog: Vec::new(),
         }
     }
 

@@ -63,6 +63,7 @@ pub mod explain;
 mod index;
 mod inline;
 mod key;
+mod objtree;
 pub mod oracle;
 mod query;
 mod scan;

@@ -35,19 +35,24 @@ fn add_batch(db: &mut DiskDatabase, batch: usize, per_batch: usize) {
     }
 }
 
-/// Copy a live database directory, file by file — a crash image. Files
-/// may vanish mid-copy (`write_atomic`'s rename); a racing background
-/// checkpoint may leave any individual file torn. Both are exactly what
-/// a real crash produces, and `open` must cope.
+/// Copy a live database directory, file by file — a crash image. The log
+/// goes first: a checkpoint racing the copy may then leave the page file
+/// torn or ahead of the log, which replay repairs (page writes are whole
+/// images), but never behind a log it has already truncated — objects and
+/// index share those pages, and no single moment of a crash looks like
+/// that. Files may vanish mid-copy (`write_atomic`'s rename).
 fn snapshot_dir(src: &Path, dst: &Path) {
     std::fs::create_dir_all(dst).unwrap();
-    for entry in std::fs::read_dir(src).unwrap() {
-        let entry = entry.unwrap();
-        let name = entry.file_name();
+    let mut names: Vec<_> = std::fs::read_dir(src)
+        .unwrap()
+        .map(|entry| entry.unwrap().file_name())
+        .collect();
+    names.sort_by_key(|name| name != "wal.log");
+    for name in names {
         if name.to_string_lossy().ends_with(".tmp") {
             continue; // mid-rename scratch file; a crash can lose it too
         }
-        match std::fs::copy(entry.path(), dst.join(&name)) {
+        match std::fs::copy(src.join(&name), dst.join(&name)) {
             Ok(_) => {}
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
             Err(e) => panic!("copying {name:?}: {e}"),
@@ -139,7 +144,7 @@ fn crash_mid_background_checkpoint_reopens_clean() {
     for (batch, img) in images.iter().enumerate() {
         let (mut db, report) = DiskDatabase::open(img).unwrap();
         // A torn page-file image is allowed to trigger a rebuild from the
-        // object snapshot — but never a failure, and never data loss.
+        // objects — but never a failure, and never data loss.
         assert!(
             report.tree_ok,
             "image {batch}: open did not produce a working tree: {report:?}"
