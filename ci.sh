@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
-# Full local CI gate: formatting, lints (deny warnings), and every test in
-# the workspace. The build is fully offline (see README "Troubleshooting
-# offline builds"); --offline makes that explicit.
+# Full local CI gate: formatting, lints (deny warnings), every test in the
+# workspace, then the named invariants and process-level smokes one by one
+# so a failure says which broke. The build is fully offline (see README
+# "Troubleshooting offline builds"); --offline makes that explicit.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -21,11 +22,15 @@ cargo test -q --offline
 echo "== cargo test (workspace)"
 cargo test -q --workspace --offline
 
-echo "== cargo bench --no-run (benches compile)"
-cargo bench --no-run --offline --workspace
+echo "== one measurement layer (the retired bench files, their format doc and the shim stay gone)"
+if grep -rnI --exclude-dir=benchmark --exclude-dir=target --exclude-dir=.bench_build --exclude-dir=.git \
+    --exclude=CHANGES.md --exclude=ROADMAP.md --exclude=ISSUE.md \
+    -e 'BENCH_[a-z]*\.json' -e 'bench-forma[t]' -e 'criterio[n]' .; then
+  echo "retired measurement layer referenced again (see above)"; exit 1
+fi
 
-echo "== scanperf --smoke (scan-path invariants on a small database)"
-cargo run -q --release --offline -p bench --bin scanperf -- --smoke
+echo "== scan-path invariants (Parallel / ParallelFlat / Forward: same hits, same distinct pages, registry == ScanStats)"
+cargo test -q --offline -p bench --test scan_invariants three_algorithms_agree_on_hits_pages_and_counters
 
 echo "== node codec (hostile-bytes corpus; arena decoder == reference decoder, encode(decode(page)) == page)"
 cargo test -q --offline -p btree --test decode_fuzz
@@ -84,8 +89,8 @@ cargo test -q --offline -p uindex --lib objtree
 echo "== concurrency torture smoke (4 scanners racing 1 mutator, both tiers)"
 timeout 300 cargo test -q --offline -p uindex --test concurrent_torture
 
-echo "== scanperf --smoke --threads (parallel executor, per-query hits identical)"
-cargo run -q --release --offline -p bench --bin scanperf -- --smoke --threads
+echo "== parallel executor (1/2/4/8 threads: per-query hits and stats identical, both tiers)"
+cargo test -q --offline -p uindex --test concurrent_torture parallel_query_matches_single_threaded_on_both_tiers
 
 echo "== integrity check smoke (CLI check/repair on the smoke db)"
 check_out=$(cargo run -q --release --offline -p uindex-cli -- check "$tmpdir/db")
@@ -115,11 +120,11 @@ check_out=$(cargo run -q --release --offline -p uindex-cli -- check "$tmpdir/dis
 echo "$check_out" | grep -q 'status:  clean' \
   || { echo "disk smoke: post-SIGKILL check failed"; exit 1; }
 
-echo "== scanperf --smoke --disk (mem vs file tier, identical query streams)"
-cargo run -q --release --offline -p bench --bin scanperf -- --smoke --disk
+echo "== mem vs cold-reopened file tier (identical query streams, brute-force sweep agrees, no fsync on reads)"
+cargo test -q --offline -p bench --test scan_invariants mem_and_cold_reopened_disk_answer_identically
 
 echo "== serve smoke (wire protocol server + oracle-checked load generator)"
-cargo run -q --release --offline -p bench --bin loadgen -- --save-db "$tmpdir/servedb" --smoke
+cargo run -q --release --offline -p bench --bin loadgen -- --save-db "$tmpdir/servedb"
 serve_bin=target/release/uindex-cli
 "$serve_bin" serve "$tmpdir/servedb" --port 0 --shutdown-file "$tmpdir/serve.stop" \
   > "$tmpdir/serve.log" 2> "$tmpdir/serve.err" &
@@ -135,7 +140,7 @@ serve_addr=$(sed -n 's/^listening on //p' "$tmpdir/serve.log")
 # showing real traffic (windowed qps > 0). The 60 s window keeps recent
 # queries visible even if the smoke-sized run quiesces between polls.
 cargo run -q --release --offline -p bench --bin loadgen -- \
-  --smoke --addr "$serve_addr" --db "$tmpdir/servedb" > "$tmpdir/loadgen.log" 2>&1 &
+  --addr "$serve_addr" --db "$tmpdir/servedb" > "$tmpdir/loadgen.log" 2>&1 &
 loadgen_pid=$!
 top_ok=""
 for _ in $(seq 1 100); do
@@ -158,12 +163,8 @@ touch "$tmpdir/serve.stop"
 wait "$serve_pid" || { echo "serve smoke: server exited non-zero"; exit 1; }
 grep -q "^served " "$tmpdir/serve.log" || { echo "serve smoke: no shutdown summary"; exit 1; }
 
-echo "== chaos smoke (fault proxy + storage faults, oracle-checked, both tiers)"
-chaos_out=$(timeout 300 cargo run -q --release --offline -p bench --bin loadgen -- --chaos --smoke)
-echo "$chaos_out" | grep -q ", 0 mismatches" \
-  || { echo "chaos smoke: no oracle verdict"; echo "$chaos_out"; exit 1; }
-echo "$chaos_out" | grep -q "degraded-ok" \
-  || { echo "chaos smoke: no degraded-path answers"; echo "$chaos_out"; exit 1; }
+echo "== chaos ledger (calm -> network chaos -> storage faults -> heal -> calm, oracle-checked, both tiers)"
+timeout 300 cargo test -q --offline -p bench --test chaos_phases
 
 echo "== SIGTERM drain smoke (signal -> drain -> shutdown summary)"
 "$serve_bin" serve "$tmpdir/servedb" --port 0 \

@@ -1,5 +1,5 @@
 //! Shared harness for the experiment binaries (`table1`, `fig5`-`fig8`,
-//! `compare`) and the Criterion micro-benchmarks.
+//! `compare`).
 //!
 //! The experiment 2 protocol follows §5.1 of the paper: build the database
 //! once per configuration, then repeat each query point `reps` times with
@@ -8,6 +8,7 @@
 //! pages read.
 
 pub mod chaos;
+pub mod wire;
 
 use baselines::{CgConfig, CgTree, SetId, SetIndex};
 use objstore::Oid;

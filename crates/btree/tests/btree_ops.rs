@@ -193,6 +193,37 @@ fn compression_reduces_node_count() {
     );
 }
 
+/// The paper's §4.2 storage claim as a count: U-index entries share long
+/// prefixes (index id, attribute value, class code), so front compression
+/// packs the same 50 000 keys into well under half the leaves.
+#[test]
+fn front_compression_cuts_leaves_of_uindex_shaped_keys() {
+    let items: Vec<(Vec<u8>, Vec<u8>)> = {
+        let mut keys: Vec<Vec<u8>> = (0..50_000u32)
+            .map(|i| {
+                format!("idx0/color={:04}/class=C{:02}/oid={i:08}", i % 50, i % 12).into_bytes()
+            })
+            .collect();
+        keys.sort();
+        keys.into_iter().map(|k| (k, Vec::new())).collect()
+    };
+    let build = |cfg: BTreeConfig| {
+        let pool = BufferPool::new(MemStore::new(1024), 1 << 16);
+        BTree::bulk_load(pool, cfg, items.clone()).unwrap()
+    };
+    let with = build(BTreeConfig::default());
+    let without = build(BTreeConfig::default().without_compression());
+    assert_eq!(with.scan_all().unwrap(), items);
+    assert_eq!(without.scan_all().unwrap(), items);
+    let (with, without) = (with.verify().unwrap(), without.verify().unwrap());
+    assert!(
+        with.leaf_nodes * 5 <= without.leaf_nodes * 2,
+        "compressed {} vs uncompressed {} leaves: ratio below 2.5",
+        with.leaf_nodes,
+        without.leaf_nodes
+    );
+}
+
 #[test]
 fn cursor_seek_positions() {
     let mut t = new_tree(256, BTreeConfig::default());

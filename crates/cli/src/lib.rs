@@ -469,6 +469,90 @@ pub fn build_database_on_disk(
     Ok(db)
 }
 
+/// Split the arguments after a command's positional one into
+/// `--flag VALUE` pairs and bare `--switch`es (mapped to `""`). Anything
+/// outside the two accepted sets, and a valued flag with no value after
+/// it, is an error: a mistyped flag must not silently run the default.
+fn take_flags<'a>(
+    args: &'a [String],
+    valued: &[&str],
+    switches: &[&str],
+) -> Result<HashMap<&'a str, &'a str>, String> {
+    let mut flags = HashMap::new();
+    let mut args = args.iter().map(String::as_str).peekable();
+    while let Some(arg) = args.next() {
+        if switches.contains(&arg) {
+            flags.insert(arg, "");
+        } else if valued.contains(&arg) {
+            let value = args
+                .next_if(|v| !v.starts_with("--"))
+                .ok_or_else(|| format!("missing value for {arg}"))?;
+            flags.insert(arg, value);
+        } else {
+            return Err(format!("unknown argument {arg:?}"));
+        }
+    }
+    Ok(flags)
+}
+
+/// The value of a numeric flag, if given.
+fn number<T: std::str::FromStr>(
+    flags: &HashMap<&str, &str>,
+    name: &str,
+) -> Result<Option<T>, String> {
+    flags
+        .get(name)
+        .map(|v| v.parse().map_err(|_| format!("bad value {v:?} for {name}")))
+        .transpose()
+}
+
+/// `uindex-cli serve <db-dir>`'s flags (everything after the directory):
+/// the server options and the `--shutdown-file` path.
+pub fn parse_serve_flags(args: &[String]) -> Result<(serve::ServeOptions, Option<String>), String> {
+    let flags = take_flags(
+        args,
+        &[
+            "--port",
+            "--workers",
+            "--max-inflight",
+            "--shutdown-file",
+            "--slow-query-us",
+            "--sample-interval-ms",
+            "--read-deadline-ms",
+        ],
+        &[],
+    )?;
+    let defaults = serve::ServeOptions::default();
+    let millis = std::time::Duration::from_millis;
+    let options = serve::ServeOptions {
+        addr: format!(
+            "127.0.0.1:{}",
+            number::<u16>(&flags, "--port")?.unwrap_or(0)
+        ),
+        workers: number(&flags, "--workers")?.unwrap_or(defaults.workers),
+        max_inflight: number(&flags, "--max-inflight")?.unwrap_or(defaults.max_inflight),
+        slow_query_us: number(&flags, "--slow-query-us")?.unwrap_or(defaults.slow_query_us),
+        sample_interval: number::<u64>(&flags, "--sample-interval-ms")?
+            .map_or(defaults.sample_interval, |ms| millis(ms.max(1))),
+        // 0 switches the deadline off.
+        read_deadline: number::<u64>(&flags, "--read-deadline-ms")?
+            .map_or(defaults.read_deadline, |ms| (ms > 0).then(|| millis(ms))),
+        ..defaults
+    };
+    let shutdown_file = flags.get("--shutdown-file").map(|p| p.to_string());
+    Ok((options, shutdown_file))
+}
+
+/// `uindex-cli top <addr>`'s flags: `(window seconds, --once, --json)`.
+pub fn parse_top_flags(args: &[String]) -> Result<(u32, bool, bool), String> {
+    let flags = take_flags(args, &["--window"], &["--once", "--json"])?;
+    Ok((
+        number(&flags, "--window")?.unwrap_or(10),
+        flags.contains_key("--once"),
+        flags.contains_key("--json"),
+    ))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -563,5 +647,63 @@ mod tests {
         let (hits, _) = back.query_uql("color: Color = 'Red'").unwrap();
         assert_eq!(hits.len(), 2);
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    fn args(line: &str) -> Vec<String> {
+        line.split_whitespace().map(String::from).collect()
+    }
+
+    #[test]
+    fn serve_flags_accept_the_documented_set_and_nothing_else() {
+        let millis = std::time::Duration::from_millis;
+        let (options, shutdown_file) = parse_serve_flags(&args(
+            "--port 7001 --workers 3 --max-inflight 9 --shutdown-file /tmp/stop \
+             --slow-query-us 250 --sample-interval-ms 0 --read-deadline-ms 40",
+        ))
+        .unwrap();
+        assert_eq!(options.addr, "127.0.0.1:7001");
+        assert_eq!((options.workers, options.max_inflight), (3, 9));
+        assert_eq!(options.slow_query_us, 250);
+        assert_eq!(options.sample_interval, millis(1), "clamped to 1 ms");
+        assert_eq!(options.read_deadline, Some(millis(40)));
+        assert_eq!(shutdown_file.as_deref(), Some("/tmp/stop"));
+
+        let defaults = serve::ServeOptions::default();
+        let (options, shutdown_file) = parse_serve_flags(&[]).unwrap();
+        assert_eq!(options.addr, "127.0.0.1:0", "no --port: ephemeral");
+        assert_eq!(options.workers, defaults.workers);
+        assert_eq!(options.read_deadline, defaults.read_deadline);
+        assert_eq!(shutdown_file, None);
+        let (options, _) = parse_serve_flags(&args("--read-deadline-ms 0")).unwrap();
+        assert_eq!(options.read_deadline, None, "0 = no deadline");
+
+        for (bad, why) in [
+            ("--port", "missing value for --port"),
+            ("--port --workers 4", "missing value for --port"),
+            ("--worker 4", "unknown argument \"--worker\""),
+            ("--port 0 extra", "unknown argument \"extra\""),
+            ("--once", "unknown argument \"--once\""),
+            ("--workers four", "bad value \"four\" for --workers"),
+            ("--port 70000", "bad value \"70000\" for --port"),
+        ] {
+            assert_eq!(parse_serve_flags(&args(bad)).unwrap_err(), why, "{bad}");
+        }
+    }
+
+    #[test]
+    fn top_flags_accept_the_documented_set_and_nothing_else() {
+        assert_eq!(parse_top_flags(&[]).unwrap(), (10, false, false));
+        assert_eq!(
+            parse_top_flags(&args("--json --window 60 --once")).unwrap(),
+            (60, true, true)
+        );
+        assert_eq!(
+            parse_top_flags(&args("--window")).unwrap_err(),
+            "missing value for --window"
+        );
+        assert_eq!(
+            parse_top_flags(&args("--port 1")).unwrap_err(),
+            "unknown argument \"--port\""
+        );
     }
 }

@@ -560,54 +560,19 @@ fn run(args: &[String]) -> Result<(), String> {
             Ok(())
         }
         Some("serve") => {
-            let rest = &args[1..];
-            let Some(dir) = rest.first().filter(|a| !a.starts_with("--")) else {
-                return Err("usage: uindex-cli serve <db-dir> [--port N] [--workers N] \
-                     [--max-inflight N] [--shutdown-file PATH] [--slow-query-us N] \
-                     [--sample-interval-ms N] [--read-deadline-ms N]\n\
-                     --workers: queries executing at once; \
-                     --max-inflight: queries admitted (executing or waiting) before shedding"
-                    .into());
+            let usage = "usage: uindex-cli serve <db-dir> [--port N] [--workers N] \
+                 [--max-inflight N] [--shutdown-file PATH] [--slow-query-us N] \
+                 [--sample-interval-ms N] [--read-deadline-ms N]\n\
+                 --workers: queries executing at once; \
+                 --max-inflight: queries admitted (executing or waiting) before shedding";
+            let Some((dir, flags)) = args[1..]
+                .split_first()
+                .filter(|(d, _)| !d.starts_with("--"))
+            else {
+                return Err(usage.into());
             };
-            let flag = |name: &str| {
-                rest.iter()
-                    .position(|a| a == name)
-                    .and_then(|i| rest.get(i + 1).cloned())
-            };
-            let port: u16 = match flag("--port") {
-                Some(p) => p.parse().map_err(|_| format!("bad port {p:?}"))?,
-                None => 0,
-            };
-            let mut options = serve::ServeOptions {
-                addr: format!("127.0.0.1:{port}"),
-                ..serve::ServeOptions::default()
-            };
-            if let Some(w) = flag("--workers") {
-                options.workers = w.parse().map_err(|_| format!("bad worker count {w:?}"))?;
-            }
-            if let Some(m) = flag("--max-inflight") {
-                options.max_inflight = m
-                    .parse()
-                    .map_err(|_| format!("bad in-flight bound {m:?}"))?;
-            }
-            if let Some(t) = flag("--slow-query-us") {
-                options.slow_query_us = t
-                    .parse()
-                    .map_err(|_| format!("bad slow-query threshold {t:?}"))?;
-            }
-            if let Some(ms) = flag("--sample-interval-ms") {
-                let ms: u64 = ms
-                    .parse()
-                    .map_err(|_| format!("bad sample interval {ms:?}"))?;
-                options.sample_interval = std::time::Duration::from_millis(ms.max(1));
-            }
-            if let Some(ms) = flag("--read-deadline-ms") {
-                let ms: u64 = ms
-                    .parse()
-                    .map_err(|_| format!("bad read deadline {ms:?}"))?;
-                options.read_deadline = (ms > 0).then(|| std::time::Duration::from_millis(ms));
-            }
-            let shutdown_file = flag("--shutdown-file");
+            let (options, shutdown_file) =
+                uindex_cli::parse_serve_flags(flags).map_err(|e| format!("{e}\n{usage}"))?;
             if DiskDatabase::exists(Path::new(dir.as_str())) {
                 let mut db = open_disk(dir)?;
                 cmd_serve(&mut db, options, shutdown_file.as_deref())
@@ -617,21 +582,15 @@ fn run(args: &[String]) -> Result<(), String> {
             }
         }
         Some("top") => {
-            let rest = &args[1..];
-            let Some(addr) = rest.first().filter(|a| !a.starts_with("--")) else {
-                return Err("usage: uindex-cli top <addr> [--window N] [--once] [--json]".into());
+            let usage = "usage: uindex-cli top <addr> [--window N] [--once] [--json]";
+            let Some((addr, flags)) = args[1..]
+                .split_first()
+                .filter(|(a, _)| !a.starts_with("--"))
+            else {
+                return Err(usage.into());
             };
-            let window_s: u32 = match rest.iter().position(|a| a == "--window") {
-                Some(i) => {
-                    let w = rest
-                        .get(i + 1)
-                        .ok_or_else(|| "missing value for --window".to_string())?;
-                    w.parse().map_err(|_| format!("bad window {w:?}"))?
-                }
-                None => 10,
-            };
-            let once = rest.iter().any(|a| a == "--once");
-            let json = rest.iter().any(|a| a == "--json");
+            let (window_s, once, json) =
+                uindex_cli::parse_top_flags(flags).map_err(|e| format!("{e}\n{usage}"))?;
             cmd_top(addr, window_s, once, json)
         }
         Some("slow") => {

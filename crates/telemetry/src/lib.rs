@@ -410,8 +410,7 @@ impl HistogramSnapshot {
 
     /// Quantile `q` in `[0, 1]` as the upper bound of the bucket where the
     /// cumulative count crosses `ceil(q * count)` — a ≤2× overestimate by
-    /// log₂ construction (documented in `docs/bench-format.md`). 0 when
-    /// the histogram is empty.
+    /// log₂ construction. 0 when the histogram is empty.
     pub fn percentile(&self, q: f64) -> u64 {
         if self.count == 0 {
             return 0;
@@ -533,17 +532,8 @@ impl Snapshot {
     }
 
     pub fn to_json(&self) -> String {
-        self.to_json_with(None)
-    }
-
-    /// JSON export; with `Some(provenance)` a `"provenance"` header object is
-    /// emitted first (schema documented in `docs/bench-format.md`).
-    pub fn to_json_with(&self, provenance: Option<&Provenance>) -> String {
         let mut s = String::new();
         s.push_str("{\n");
-        if let Some(p) = provenance {
-            let _ = writeln!(s, "  \"provenance\": {},", p.to_json());
-        }
         s.push_str("  \"counters\": {");
         let mut first = true;
         for (k, v) in &self.counters {
@@ -589,51 +579,6 @@ impl Snapshot {
         s.push_str(if first { "}\n" } else { "\n  }\n" });
         s.push('}');
         s
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Provenance
-// ---------------------------------------------------------------------------
-
-/// Reproducibility header attached to exported measurement JSON: which
-/// workload produced the numbers, under which seed and scale, by which build.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Provenance {
-    pub seed: u64,
-    pub workload: String,
-    pub objects: u64,
-    pub version: String,
-}
-
-impl Provenance {
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"seed\": {}, \"workload\": \"{}\", \"objects\": {}, \"version\": \"{}\"}}",
-            self.seed,
-            json::escape(&self.workload),
-            self.objects,
-            json::escape(&self.version)
-        )
-    }
-}
-
-/// Build a git-describe-able tool version string. Tries `git describe
-/// --always --dirty` (cheap, local-only); falls back to the bare package
-/// version when git or the repository is unavailable (e.g. from a source
-/// tarball).
-pub fn tool_version(pkg_version: &str) -> String {
-    let described = std::process::Command::new("git")
-        .args(["describe", "--always", "--dirty"])
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .and_then(|o| String::from_utf8(o.stdout).ok())
-        .map(|s| s.trim().to_string())
-        .filter(|s| !s.is_empty());
-    match described {
-        Some(d) => format!("{pkg_version}+g{d}"),
-        None => pkg_version.to_string(),
     }
 }
 
@@ -854,23 +799,8 @@ mod tests {
         for v in [0u64, 1, 5, 5, 900] {
             h.record(v);
         }
-        let prov = Provenance {
-            seed: 42,
-            workload: "uniform-scan".to_string(),
-            objects: 5000,
-            version: tool_version("0.1.0"),
-        };
-        let text = snapshot().to_json_with(Some(&prov));
+        let text = snapshot().to_json();
         let parsed = json::parse(&text).expect("export must parse");
-
-        let p = parsed.get("provenance").expect("provenance header");
-        assert_eq!(p.get("seed").and_then(|v| v.as_u64()), Some(42));
-        assert_eq!(
-            p.get("workload").and_then(|v| v.as_str()),
-            Some("uniform-scan")
-        );
-        assert_eq!(p.get("objects").and_then(|v| v.as_u64()), Some(5000));
-        assert!(p.get("version").and_then(|v| v.as_str()).is_some());
 
         let counters = parsed.get("counters").expect("counters object");
         assert_eq!(counters.get("rt.pages").and_then(|v| v.as_u64()), Some(123));

@@ -283,26 +283,36 @@ fn scanners_race_mutator_disk_tier_with_commits() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-#[test]
-fn parallel_query_matches_single_threaded() {
-    let mut db = Database::with_page_size(vehicle_schema(), 256, 4096).unwrap();
+/// The thread-count fixture on either tier: 300 vehicles, and a skewed
+/// stream — every color probe several times over plus a few wide ranges,
+/// so dynamic work claiming has something to balance.
+fn colored_stream<P: pagestore::PageStore>(db: &mut Database<P>) -> Vec<Query> {
     let vehicle = db.schema().class_by_name("Vehicle").unwrap();
-    db.define_index(IndexSpec::class_hierarchy("color", vehicle, "Color"))
+    let idx = db
+        .define_index(IndexSpec::class_hierarchy("color", vehicle, "Color"))
         .unwrap();
     for i in 0..300 {
         let v = db.create_object(vehicle).unwrap();
         db.set_attr(v, "Color", Value::Str(COLORS[i % 5].into()))
             .unwrap();
     }
-    let reader = db.reader();
+    let mut base = color_queries(db);
+    base.push(Query::on(idx).value(ValuePred::between(
+        Value::Str("Blue".into()),
+        Value::Str("Red".into()),
+    )));
+    (0..40).map(|i| base[i % base.len()].clone()).collect()
+}
 
-    // A mixed stream: every color several times over.
-    let base = color_queries(&db);
-    let stream: Vec<Query> = (0..40).map(|i| base[i % base.len()].clone()).collect();
-
-    let single = parallel_query(&reader, &stream, 1).unwrap();
+/// `parallel_query` at 2/4/8 threads must reproduce the single-threaded
+/// pass bit for bit, per query: hits and `ScanStats`. Returns the hits.
+fn thread_count_invariant<P: pagestore::PageStore + Send + Sync>(
+    reader: &DatabaseReader<P>,
+    stream: &[Query],
+) -> Vec<Vec<QueryHit>> {
+    let single = parallel_query(reader, stream, 1).unwrap();
     for threads in [2, 4, 8] {
-        let multi = parallel_query(&reader, &stream, threads).unwrap();
+        let multi = parallel_query(reader, stream, threads).unwrap();
         assert_eq!(single.len(), multi.len());
         for (i, (s, m)) in single.iter().zip(&multi).enumerate() {
             assert_eq!(s.0, m.0, "query {i}: hits differ at {threads} threads");
@@ -312,4 +322,33 @@ fn parallel_query_matches_single_threaded() {
             );
         }
     }
+    single.into_iter().map(|(hits, _)| hits).collect()
+}
+
+#[test]
+fn parallel_query_matches_single_threaded_on_both_tiers() {
+    let mut mem = Database::with_page_size(vehicle_schema(), 256, 4096).unwrap();
+    let stream = colored_stream(&mut mem);
+    let mem_hits = thread_count_invariant(&mem.reader(), &stream);
+    assert!(mem_hits.iter().all(|h| !h.is_empty()));
+
+    // The same database on the durable tier, closed and reopened cold so
+    // the threads race over real file reads.
+    let dir = std::env::temp_dir().join(format!("uindex_torture_threads_{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let options = DiskOptions {
+        page_size: 256,
+        pool_pages: 1024,
+        ..DiskOptions::default()
+    };
+    let mut disk = DiskDatabase::create(vehicle_schema(), &dir, options).unwrap();
+    let stream = colored_stream(&mut disk);
+    disk.commit().unwrap();
+    disk.close().unwrap();
+    let (mut disk, report) = DiskDatabase::open(&dir).unwrap();
+    assert!(report.clean(), "{report:?}");
+    let disk_hits = thread_count_invariant(&disk.reader(), &stream);
+    assert_eq!(mem_hits, disk_hits, "hits differ between the store tiers");
+    drop(disk);
+    std::fs::remove_dir_all(&dir).ok();
 }

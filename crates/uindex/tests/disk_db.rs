@@ -56,8 +56,8 @@ fn color_query(db: &Database<uindex::DiskStore>, color: &str) -> Query {
     Query::on(idx).value(ValuePred::eq(Value::Str(color.into())))
 }
 
-/// Parallel ≡ Forward ≡ brute-force on a database (the acceptance
-/// criterion's oracle equivalence, run against a reopened disk store).
+/// Parallel ≡ Forward ≡ brute-force on a database (the oracle
+/// equivalence, run against a reopened disk store).
 fn assert_oracle_equivalence(db: &mut DiskDatabase) {
     for color in COLORS {
         let q = color_query(db, color);
