@@ -29,6 +29,14 @@ if grep -rnI --exclude-dir=benchmark --exclude-dir=target --exclude-dir=.bench_b
   echo "retired measurement layer referenced again (see above)"; exit 1
 fi
 
+echo "== one way to keep a database in files (the snapshot tier, its decoder and its CLI flag stay gone)"
+if grep -rnI --exclude-dir=benchmark --exclude-dir=target --exclude-dir=.bench_build --exclude-dir=.git \
+    --exclude=CHANGES.md --exclude=ROADMAP.md --exclude=ISSUE.md \
+    -e 'objects\.bi[n]' -e 'specs\.bi[n]' -e 'Database::sav[e]' -e 'ObjectStore::from_byte[s]' \
+    -e 'new .*--dis[k]' .; then
+  echo "retired snapshot tier referenced again (see above)"; exit 1
+fi
+
 echo "== scan-path invariants (Parallel / ParallelFlat / Forward: same hits, same distinct pages, registry == ScanStats)"
 cargo test -q --offline -p bench --test scan_invariants three_algorithms_agree_on_hits_pages_and_counters
 
@@ -82,7 +90,7 @@ cargo test -q --offline -p uindex --test salvage_sweep
 echo "== commit cost as counts (flat from 2 000 to 20 000 vehicles; nothing but wal.log written; catalog only when changed)"
 cargo test -q --offline -p uindex --test commit_cost
 
-echo "== object decoders (hostile-bytes corpus: snapshot, schema section, records, on-page entries)"
+echo "== object decoders (hostile-bytes corpus: schema section, records, on-page entries)"
 cargo test -q --offline -p objstore --test prop
 cargo test -q --offline -p uindex --lib objtree
 
@@ -100,15 +108,11 @@ echo "$repair_out" | grep -q 'rebuilt index' || { echo "repair smoke: no rebuild
 cargo run -q --release --offline -p uindex-cli -- check "$tmpdir/db" > /dev/null \
   || { echo "repair smoke: post-repair check failed"; exit 1; }
 
-echo "== disk tier smoke (create --disk, SIGKILL a writer mid-commit, reopen, check)"
-cargo run -q --release --offline -p uindex-cli -- \
-  new "$tmpdir/diskdb" "$tmpdir/smoke.uschema" "$tmpdir/smoke.udata" --disk
-cargo run -q --release --offline -p uindex-cli -- check "$tmpdir/diskdb" > /dev/null \
-  || { echo "disk smoke: fresh db not clean"; exit 1; }
+echo "== crash smoke (SIGKILL a writer mid-commit, reopen, check)"
 # Run the binary directly (not via cargo) so the SIGKILL hits the writer
 # itself; kill it as soon as commits are flowing, i.e. mid-commit-stream.
 churn_bin=target/release/uindex-cli
-"$churn_bin" churn "$tmpdir/diskdb" Vehicle Color 100000 > "$tmpdir/churn.log" 2>&1 &
+"$churn_bin" churn "$tmpdir/db" Vehicle Color 100000 > "$tmpdir/churn.log" 2>&1 &
 churn_pid=$!
 for _ in $(seq 1 200); do
   grep -q "commit 5" "$tmpdir/churn.log" 2>/dev/null && break
@@ -116,9 +120,27 @@ for _ in $(seq 1 200); do
 done
 kill -9 "$churn_pid" 2>/dev/null || true
 wait "$churn_pid" 2>/dev/null || true
-check_out=$(cargo run -q --release --offline -p uindex-cli -- check "$tmpdir/diskdb")
+check_out=$(cargo run -q --release --offline -p uindex-cli -- check "$tmpdir/db")
 echo "$check_out" | grep -q 'status:  clean' \
-  || { echo "disk smoke: post-SIGKILL check failed"; exit 1; }
+  || { echo "crash smoke: post-SIGKILL check failed"; exit 1; }
+
+echo "== refusals (a directory that is not a database; the retired tier flag)"
+mkdir "$tmpdir/nodb"
+for nodb in "$tmpdir/nodb" "$tmpdir/missing"; do
+  if nodb_err=$("$churn_bin" query "$nodb" "color: Color = 'Red'" 2>&1); then
+    echo "refusals: query on $nodb succeeded"; exit 1
+  fi
+  echo "$nodb_err" | grep -q "$nodb is not a database directory: no meta.bin" \
+    || { echo "refusals: wrong message for $nodb: $nodb_err"; exit 1; }
+done
+retired_flag=--disk
+if flag_err=$("$churn_bin" new "$tmpdir/flagdb" "$tmpdir/smoke.uschema" "$tmpdir/smoke.udata" \
+    "$retired_flag" 2>&1); then
+  echo "refusals: the retired flag was accepted"; exit 1
+fi
+echo "$flag_err" | grep -q 'unknown argument "--disk"' \
+  || { echo "refusals: wrong message for the retired flag: $flag_err"; exit 1; }
+[ ! -e "$tmpdir/flagdb" ] || { echo "refusals: the refused new left a directory"; exit 1; }
 
 echo "== mem vs cold-reopened file tier (identical query streams, brute-force sweep agrees, no fsync on reads)"
 cargo test -q --offline -p bench --test scan_invariants mem_and_cold_reopened_disk_answer_identically
@@ -140,7 +162,7 @@ serve_addr=$(sed -n 's/^listening on //p' "$tmpdir/serve.log")
 # showing real traffic (windowed qps > 0). The 60 s window keeps recent
 # queries visible even if the smoke-sized run quiesces between polls.
 cargo run -q --release --offline -p bench --bin loadgen -- \
-  --addr "$serve_addr" --db "$tmpdir/servedb" > "$tmpdir/loadgen.log" 2>&1 &
+  --addr "$serve_addr" > "$tmpdir/loadgen.log" 2>&1 &
 loadgen_pid=$!
 top_ok=""
 for _ in $(seq 1 100); do

@@ -3,12 +3,13 @@
 //! `crates/bench/tests`). Every response is compared byte-for-byte
 //! against an in-process oracle by [`bench::wire::drive`].
 //!
-//! - `--save-db DIR`: build the serve workload database and save it for
+//! - `--save-db DIR`: build the serve workload database in DIR for
 //!   `uindex-cli serve`.
-//! - `--addr HOST:PORT --db DIR`: drive an already-running server, with
-//!   the oracle rebuilt from the saved database in DIR. Any error other
-//!   than an admission shed fails the run.
-//! - `--chaos-drill --cli-bin PATH`: serve a saved database from a real
+//! - `--addr HOST:PORT`: drive an already-running server over that
+//!   database. The oracle is computed in memory from the same seeded
+//!   workload — the directory belongs to the live server alone. Any error
+//!   other than an admission shed fails the run.
+//! - `--chaos-drill --cli-bin PATH`: serve such a directory from a real
 //!   `uindex-cli serve` child behind the fault proxy, SIGKILL it mid-load,
 //!   restart it, repoint the proxy, and require the clients to reconnect,
 //!   re-prepare and keep verifying answers.
@@ -23,7 +24,6 @@ use std::time::Duration;
 use bench::chaos::{ChaosConfig, ChaosProxy};
 use bench::wire::{self, Load, SEED, VEHICLES};
 use serve::RetryPolicy;
-use uindex::Database;
 
 /// A `uindex-cli serve` child, SIGKILLed when dropped — also when a failed
 /// assertion unwinds past it.
@@ -82,9 +82,8 @@ fn run_drill(bin: &str) {
     };
     let dir = std::env::temp_dir().join(format!("uindex_chaos_drill_{}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
-    let mut db = wire::build_mem();
-    let expected = wire::oracle(&db.reader());
-    db.save(&dir).expect("save drill db");
+    let expected = wire::oracle(&wire::build_mem().reader());
+    wire::build_disk(&dir).close().expect("close drill db");
 
     let (child, addr) = spawn_server(bin, &dir);
     println!("drill: serving from {bin} at {addr}");
@@ -158,13 +157,11 @@ fn main() -> ExitCode {
             return ExitCode::SUCCESS;
         }
     } else if let Some(dir) = flag("--save-db") {
-        let db = wire::build_mem();
-        db.save(Path::new(&dir)).expect("save db");
+        wire::build_disk(Path::new(&dir)).close().expect("close db");
         println!("saved serve workload ({VEHICLES} vehicles, indexes color/age) to {dir}");
         return ExitCode::SUCCESS;
-    } else if let (Some(addr), Some(dbdir)) = (flag("--addr"), flag("--db")) {
-        let mut db = Database::open(Path::new(&dbdir)).expect("open oracle db");
-        let expected = wire::oracle(&db.reader());
+    } else if let Some(addr) = flag("--addr") {
+        let expected = wire::oracle(&wire::build_mem().reader());
         let load = Load {
             clients: 3,
             requests_per_client: 12,
@@ -180,8 +177,6 @@ fn main() -> ExitCode {
         );
         return ExitCode::SUCCESS;
     }
-    eprintln!(
-        "usage: loadgen --save-db DIR | --addr HOST:PORT --db DIR | --chaos-drill --cli-bin PATH"
-    );
+    eprintln!("usage: loadgen --save-db DIR | --addr HOST:PORT | --chaos-drill --cli-bin PATH");
     ExitCode::from(2)
 }

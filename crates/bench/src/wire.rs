@@ -6,12 +6,13 @@
 //! whether they are failures (a calm server) or only unavailability (chaos).
 
 use std::collections::HashMap;
+use std::path::Path;
 use std::time::Duration;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serve::{QueryReply, RetryClient, RetryPolicy, ServeError, Stmt, WireRow};
-use uindex::{Database, DatabaseReader};
+use uindex::{Database, DatabaseReader, DiskDatabase, DiskOptions};
 
 pub const SEED: u64 = 42;
 /// Vehicles in the serve workload database every caller builds.
@@ -20,11 +21,28 @@ pub const VEHICLES: usize = 120;
 /// Expected wire rows per statement.
 pub type Expected = HashMap<String, Vec<WireRow>>;
 
-/// The serve workload on the in-memory tier.
+/// The serve workload in memory — what every oracle is computed from.
 pub fn build_mem() -> Database {
     let (schema, classes) = workload::serve::schema();
     let mut db = Database::with_page_size(schema, 1024, 1 << 14).expect("mem database");
     workload::serve::populate(&mut db, &classes, SEED, VEHICLES).expect("populate");
+    db
+}
+
+/// The same workload as a database directory, for `uindex-cli serve` or
+/// an in-process server over files. Committed and checkpointed: the WAL
+/// overlay is empty, so reads go through the page file (and its fault
+/// layer), not the recovery overlay.
+pub fn build_disk(dir: &Path) -> DiskDatabase {
+    let (schema, classes) = workload::serve::schema();
+    let options = DiskOptions {
+        page_size: 1024,
+        pool_pages: 1 << 14,
+        ..DiskOptions::default()
+    };
+    let mut db = DiskDatabase::create(schema, dir, options).expect("disk database");
+    workload::serve::populate(&mut db, &classes, SEED, VEHICLES).expect("populate disk");
+    db.checkpoint().expect("checkpoint");
     db
 }
 

@@ -8,14 +8,15 @@
 //! the phases apart: network faults alone never push a query off the index
 //! path, planted corruption does, and a clean `check()` brings it back.
 
+use std::ops::DerefMut;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
 use bench::chaos::{ChaosConfig, ChaosProxy};
-use bench::wire::{self, Expected, Load, Tally, SEED, VEHICLES};
+use bench::wire::{self, Expected, Load, Tally, SEED};
 use pagestore::{Fault, FaultHandle};
 use serve::{RetryPolicy, ServeOptions, Server};
-use uindex::{Database, DiskDatabase, DiskOptions};
+use uindex::{CheckReport, Database, DiskDatabase};
 
 const LOAD: Load = Load {
     clients: 3,
@@ -55,12 +56,18 @@ fn chaos_drive(tier: &str, phase: &str, proxy: &ChaosProxy, expected: &Expected)
     (tally, degraded_ok.into_inner())
 }
 
-fn run_tier<P: pagestore::Scrubbable + Send + Sync + 'static>(
+/// `check` is the tier's own integrity check: on the disk tier it must be
+/// [`DiskDatabase::check`], not the [`Database::check`] a deref reaches.
+fn run_tier<P, D>(
     tier: &str,
-    db: &mut Database<P>,
+    mut db: D,
+    check: fn(&mut D) -> uindex::Result<CheckReport>,
     fault: FaultHandle,
     expected: &Expected,
-) {
+) where
+    P: pagestore::PageStore + Send + Sync + 'static,
+    D: DerefMut<Target = Database<P>>,
+{
     let server = Server::start(
         db.reader_with_fallback(),
         ServeOptions {
@@ -131,7 +138,7 @@ fn run_tier<P: pagestore::Scrubbable + Send + Sync + 'static>(
 
     // Heal: the flip was transient, so the integrity check comes back
     // clean and lifts the quarantine — the serving health-probe path.
-    let report = db.check().expect("post-chaos check");
+    let report = check(&mut db).expect("post-chaos check");
     assert!(report.clean(), "{tier}: chaos must not persist damage");
     assert!(!db.quarantined(), "{tier}: a clean check lifts quarantine");
     calm("after the heal");
@@ -158,7 +165,7 @@ fn chaos_ledger_mem_tier() {
     let mut mem = wire::build_mem();
     let expected = wire::oracle(&mem.reader());
     let fault = mem.fault_handle();
-    run_tier("mem", &mut mem, fault, &expected);
+    run_tier("mem", &mut mem, |db| db.check(), fault, &expected);
 }
 
 #[test]
@@ -166,20 +173,8 @@ fn chaos_ledger_disk_tier() {
     let expected = wire::oracle(&wire::build_mem().reader());
     let dir = std::env::temp_dir().join(format!("uindex_chaos_{}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
-    let (schema, classes) = workload::serve::schema();
-    let options = DiskOptions {
-        page_size: 1024,
-        pool_pages: 1 << 14,
-        ..DiskOptions::default()
-    };
-    let mut disk = DiskDatabase::create(schema, &dir, options).expect("disk database");
-    workload::serve::populate(&mut disk, &classes, SEED, VEHICLES).expect("populate disk");
-    disk.commit().expect("commit");
-    // Empty the WAL overlay so chaos-phase reads go through the page
-    // file (and its fault layer), not the recovery overlay.
-    disk.checkpoint().expect("checkpoint");
+    let disk = wire::build_disk(&dir);
     let fault = disk.fault_handle();
-    run_tier("disk", &mut disk, fault, &expected);
-    drop(disk);
+    run_tier("disk", disk, DiskDatabase::check, fault, &expected);
     std::fs::remove_dir_all(&dir).ok();
 }

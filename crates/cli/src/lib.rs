@@ -24,8 +24,8 @@
 //!
 //! * **UQL** — queries (see [`uindex::uql`]).
 //!
-//! The binary wires these to [`uindex::Database`] persistence:
-//! `uindex-cli new|load|query|info` (see `main.rs`).
+//! The binary wires these to a [`uindex::DiskDatabase`] directory:
+//! `uindex-cli new|load|query|info|...` (see `main.rs`).
 
 use std::collections::HashMap;
 
@@ -195,8 +195,7 @@ fn resolve_class(schema: &Schema, name: &str, line: usize) -> Result<ClassId, Cl
     })
 }
 
-/// Apply the index directives of a parsed `.uschema` to a database
-/// (either storage tier).
+/// Apply the index directives of a parsed `.uschema` to a database.
 pub fn define_indexes<P: PageStore>(
     db: &mut Database<P>,
     directives: &[IndexDirective],
@@ -431,36 +430,20 @@ pub fn load_data<P: PageStore>(
     }
 }
 
-/// Build a database from schema text and optional data text (the `new`
-/// command's core, reused by tests).
-pub fn build_database(schema_text: &str, data_text: Option<&str>) -> Result<Database, CliError> {
-    let (schema, directives) = parse_schema(schema_text)?;
-    let mut db = Database::in_memory(schema).map_err(|e| CliError {
-        line: 0,
-        message: e.to_string(),
-    })?;
-    define_indexes(&mut db, &directives)?;
-    if let Some(data) = data_text {
-        load_data(&mut db, data)?;
-    }
-    Ok(db)
-}
-
-/// Build a *file-backed* database in `dir` from schema text and optional
-/// data text (the `new --disk` command's core). Everything is committed
-/// and checkpointed before returning.
-pub fn build_database_on_disk(
+/// Build a database in `dir` from schema text and optional data text (the
+/// `new` command's core). Everything is committed and checkpointed before
+/// returning.
+pub fn build_database(
     schema_text: &str,
     data_text: Option<&str>,
     dir: &std::path::Path,
-    options: DiskOptions,
 ) -> Result<DiskDatabase, CliError> {
     let internal = |e: uindex::Error| CliError {
         line: 0,
         message: e.to_string(),
     };
     let (schema, directives) = parse_schema(schema_text)?;
-    let mut db = DiskDatabase::create(schema, dir, options).map_err(internal)?;
+    let mut db = DiskDatabase::create(schema, dir, DiskOptions::default()).map_err(internal)?;
     define_indexes(&mut db, &directives)?;
     if let Some(data) = data_text {
         load_data(&mut db, data)?;
@@ -590,17 +573,34 @@ mod tests {
         assert!(s.is_subclass_of(auto, company));
     }
 
+    fn tmpdir(name: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(format!("uindex_cli_{}_{name}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        dir
+    }
+
+    /// The same answers from the database `new` builds and from its files
+    /// reopened.
     #[test]
     fn end_to_end_build_and_query() {
-        let db = build_database(SCHEMA, Some(DATA)).unwrap();
-        let (hits, _) = db.query_uql("color: Color = 'Red'").unwrap();
-        assert_eq!(hits.len(), 2);
-        let (hits, _) = db
-            .query_uql("color: Color = 'Red' and Vehicle in [Automobile*]")
-            .unwrap();
-        assert_eq!(hits.len(), 1);
-        let (hits, _) = db.query_uql("age: Age = 50").unwrap();
-        assert_eq!(distinct_oids_at(&hits, 2).len(), 3);
+        let dir = tmpdir("end_to_end");
+        let built = build_database(SCHEMA, Some(DATA), &dir).unwrap();
+        let answers = |db: &DiskDatabase| {
+            let (hits, _) = db.query_uql("color: Color = 'Red'").unwrap();
+            assert_eq!(hits.len(), 2);
+            let (hits, _) = db
+                .query_uql("color: Color = 'Red' and Vehicle in [Automobile*]")
+                .unwrap();
+            assert_eq!(hits.len(), 1);
+            let (hits, _) = db.query_uql("age: Age = 50").unwrap();
+            assert_eq!(distinct_oids_at(&hits, 2).len(), 3);
+        };
+        answers(&built);
+        built.close().unwrap();
+        let (reopened, report) = DiskDatabase::open(&dir).unwrap();
+        assert!(report.clean(), "{report:?}");
+        answers(&reopened);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -611,9 +611,11 @@ mod tests {
             c9 = Company Name='Late' President=@e9
             e9 = Employee Age=33
         ";
-        let db = build_database(SCHEMA, Some(data)).unwrap();
+        let dir = tmpdir("forward_refs");
+        let db = build_database(SCHEMA, Some(data), &dir).unwrap();
         let (hits, _) = db.query_uql("age: Age = 33").unwrap();
         assert_eq!(hits.len(), 1);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -635,18 +637,6 @@ mod tests {
         assert_eq!(e.line, 3);
         let e = load_data(&mut db, "v = Vehicle MadeBy=@nobody").unwrap_err();
         assert_eq!(e.line, 1);
-    }
-
-    #[test]
-    fn save_and_reopen_through_files() {
-        let mut dir = std::env::temp_dir();
-        dir.push(format!("uindex_cli_test_{}", std::process::id()));
-        let db = build_database(SCHEMA, Some(DATA)).unwrap();
-        db.save(&dir).unwrap();
-        let back = Database::open(&dir).unwrap();
-        let (hits, _) = back.query_uql("color: Color = 'Red'").unwrap();
-        assert_eq!(hits.len(), 2);
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     fn args(line: &str) -> Vec<String> {

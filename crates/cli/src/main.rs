@@ -1,7 +1,7 @@
 //! The `uindex-cli` binary. Commands:
 //!
 //! ```text
-//! uindex-cli new     <db-dir> <schema.uschema> [data.udata] [--disk]
+//! uindex-cli new     <db-dir> <schema.uschema> [data.udata]
 //! uindex-cli load    <db-dir> <data.udata>
 //! uindex-cli query   <db-dir> '<uql>'
 //! uindex-cli explain <db-dir> '<uql>' [--json]
@@ -16,11 +16,11 @@
 //! uindex-cli slow    <addr>
 //! ```
 //!
-//! `new --disk` creates a file-backed, WAL-protected database; the other
-//! commands auto-detect the tier from the directory's files, so the same
-//! invocations work on both. On the disk tier, `load` commits and
-//! checkpoints; opening replays the WAL, scrubs checksums and verifies
-//! the tree before serving (any salvage is reported on stderr).
+//! `new` creates a file-backed, WAL-protected database (see
+//! [`uindex::DiskDatabase`]) and every other command that takes a db-dir
+//! opens one: replay the WAL, scrub checksums, verify the tree before
+//! serving (any salvage is reported on stderr). `load` commits and
+//! checkpoints what it loaded.
 //!
 //! `explain` runs EXPLAIN ANALYZE: it executes the query and prints the
 //! translated plan, the executed cost counters and the phase span tree,
@@ -31,10 +31,10 @@
 //! store; it exits non-zero when damage is found. `repair` rebuilds the
 //! index from the object store (the source of truth) via the bulk loader.
 //!
-//! `churn` (disk only) runs a commit-per-object write loop — the crash
-//! smoke's target: SIGKILL it mid-commit, reopen, `check` must be green.
+//! `churn` runs a commit-per-object write loop — the crash smoke's
+//! target: SIGKILL it mid-commit, reopen, `check` must be green.
 //!
-//! `serve` opens the database read-only (either tier), starts the UQL
+//! `serve` opens the database read-only, starts the UQL
 //! wire-protocol server (see the `serve` crate) on the given port (0 =
 //! ephemeral; the chosen address is printed as `listening on ADDR`), and
 //! runs until the `--shutdown-file` path appears — the orchestration
@@ -57,10 +57,9 @@ use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, Ordering};
 
 use objstore::Value;
-use pagestore::PageStore;
 use schema::AttrType;
-use uindex::{Database, DiskDatabase, DiskOptions};
-use uindex_cli::{build_database, build_database_on_disk, load_data};
+use uindex::DiskDatabase;
+use uindex_cli::{build_database, load_data};
 
 /// Set by the SIGINT/SIGTERM handler; `serve` polls it and drains — the
 /// same graceful path as the shutdown file.
@@ -111,7 +110,7 @@ fn open_disk(dir: &str) -> Result<DiskDatabase, String> {
     Ok(db)
 }
 
-fn print_hits<P: PageStore>(db: &Database<P>, hits: &[uindex::QueryHit]) {
+fn print_hits(db: &DiskDatabase, hits: &[uindex::QueryHit]) {
     for h in hits {
         let objs: Vec<String> = h
             .key
@@ -131,7 +130,7 @@ fn print_hits<P: PageStore>(db: &Database<P>, hits: &[uindex::QueryHit]) {
     }
 }
 
-fn cmd_query<P: PageStore>(db: &mut Database<P>, uql: &str) -> Result<(), String> {
+fn cmd_query(db: &DiskDatabase, uql: &str) -> Result<(), String> {
     let (hits, stats) = db.query_uql(uql).map_err(|e| e.to_string())?;
     print_hits(db, &hits);
     eprintln!(
@@ -143,7 +142,7 @@ fn cmd_query<P: PageStore>(db: &mut Database<P>, uql: &str) -> Result<(), String
     Ok(())
 }
 
-fn cmd_explain<P: PageStore>(db: &mut Database<P>, uql: &str, json: bool) -> Result<(), String> {
+fn cmd_explain(db: &DiskDatabase, uql: &str, json: bool) -> Result<(), String> {
     let report = db.explain_uql(uql).map_err(|e| e.to_string())?;
     if json {
         println!("{}", report.to_json());
@@ -153,7 +152,7 @@ fn cmd_explain<P: PageStore>(db: &mut Database<P>, uql: &str, json: bool) -> Res
     Ok(())
 }
 
-fn cmd_info<P: PageStore>(db: &mut Database<P>) -> Result<(), String> {
+fn cmd_info(db: &DiskDatabase) -> Result<(), String> {
     println!("classes:");
     for class in db.schema().class_ids() {
         let code = db
@@ -178,7 +177,7 @@ fn cmd_info<P: PageStore>(db: &mut Database<P>) -> Result<(), String> {
             .collect();
         println!("  [{i}] {} over {}", spec.name, path.join("/"));
     }
-    let stats = db.index_mut().verify().map_err(|e| e.to_string())?;
+    let stats = db.index().verify().map_err(|e| e.to_string())?;
     println!(
         "B-tree: {} entries, {} nodes ({} leaves), height {}",
         stats.entries,
@@ -189,7 +188,7 @@ fn cmd_info<P: PageStore>(db: &mut Database<P>) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_check<P: pagestore::Scrubbable>(db: &mut Database<P>, dir: &str) -> Result<(), String> {
+fn cmd_check(db: &mut DiskDatabase, dir: &str) -> Result<(), String> {
     let report = db.check().map_err(|e| e.to_string())?;
     println!("scrub:   {} pages examined", report.scrub.pages);
     for err in &report.scrub.errors {
@@ -225,8 +224,8 @@ fn cmd_check<P: pagestore::Scrubbable>(db: &mut Database<P>, dir: &str) -> Resul
 /// object-store scans instead of killing queries; while quarantined, a
 /// once-per-second health probe re-runs the integrity check and lifts
 /// the quarantine as soon as the store reads clean again.
-fn cmd_serve<P: pagestore::Scrubbable + Send + Sync + 'static>(
-    db: &mut Database<P>,
+fn cmd_serve(
+    db: &mut DiskDatabase,
     options: serve::ServeOptions,
     shutdown_file: Option<&str>,
 ) -> Result<(), String> {
@@ -425,23 +424,14 @@ fn run(args: &[String]) -> Result<(), String> {
         "usage: uindex-cli <new|load|query|explain|info|check|repair|churn|serve|top|slow> ...";
     match args.first().map(String::as_str) {
         Some("new") => {
-            let mut rest: Vec<&String> = args[1..].iter().collect();
-            let disk = rest
-                .iter()
-                .position(|a| a.as_str() == "--disk")
-                .map(|i| {
-                    rest.remove(i);
-                })
-                .is_some();
-            let (dir, schema_path, data_path) = match rest.as_slice() {
-                [dir, schema] => (dir.as_str(), schema.as_str(), None),
-                [dir, schema, data] => (dir.as_str(), schema.as_str(), Some(data.as_str())),
-                _ => {
-                    return Err(
-                        "usage: uindex-cli new <db-dir> <schema.uschema> [data.udata] [--disk]"
-                            .into(),
-                    )
-                }
+            let usage = "usage: uindex-cli new <db-dir> <schema.uschema> [data.udata]";
+            if let Some(flag) = args[1..].iter().find(|a| a.starts_with("--")) {
+                return Err(format!("unknown argument {flag:?}\n{usage}"));
+            }
+            let (dir, schema_path, data_path) = match args {
+                [_, dir, schema] => (dir, schema, None),
+                [_, dir, schema, data] => (dir, schema, Some(data)),
+                _ => return Err(usage.into()),
             };
             let schema_text =
                 std::fs::read_to_string(schema_path).map_err(|e| format!("{schema_path}: {e}"))?;
@@ -449,33 +439,15 @@ fn run(args: &[String]) -> Result<(), String> {
                 Some(p) => Some(std::fs::read_to_string(p).map_err(|e| format!("{p}: {e}"))?),
                 None => None,
             };
-            if disk {
-                let db = build_database_on_disk(
-                    &schema_text,
-                    data_text.as_deref(),
-                    Path::new(dir),
-                    DiskOptions::default(),
-                )
+            let db = build_database(&schema_text, data_text.as_deref(), Path::new(dir))
                 .map_err(|e| e.to_string())?;
-                println!(
-                    "created {dir} (on disk): {} classes, {} indexes, {} objects",
-                    db.schema().num_classes(),
-                    db.index().specs().len(),
-                    db.store().len()
-                );
-                db.close().map_err(|e| e.to_string())?;
-            } else {
-                let db = build_database(&schema_text, data_text.as_deref())
-                    .map_err(|e| e.to_string())?;
-                db.save(Path::new(dir)).map_err(|e| e.to_string())?;
-                println!(
-                    "created {dir}: {} classes, {} indexes, {} objects",
-                    db.schema().num_classes(),
-                    db.index().specs().len(),
-                    db.store().len()
-                );
-            }
-            Ok(())
+            println!(
+                "created {dir}: {} classes, {} indexes, {} objects",
+                db.schema().num_classes(),
+                db.index().specs().len(),
+                db.store().len()
+            );
+            db.close().map_err(|e| e.to_string())
         }
         Some("load") => {
             let [_, dir, data_path] = args else {
@@ -483,29 +455,17 @@ fn run(args: &[String]) -> Result<(), String> {
             };
             let data =
                 std::fs::read_to_string(data_path).map_err(|e| format!("{data_path}: {e}"))?;
-            if DiskDatabase::exists(Path::new(dir)) {
-                let mut db = open_disk(dir)?;
-                let handles = load_data(&mut db, &data).map_err(|e| e.to_string())?;
-                db.checkpoint().map_err(|e| e.to_string())?;
-                println!("loaded {} objects into {dir}", handles.len());
-            } else {
-                let mut db = Database::open(Path::new(dir)).map_err(|e| e.to_string())?;
-                let handles = load_data(&mut db, &data).map_err(|e| e.to_string())?;
-                db.save(Path::new(dir)).map_err(|e| e.to_string())?;
-                println!("loaded {} objects into {dir}", handles.len());
-            }
+            let mut db = open_disk(dir)?;
+            let handles = load_data(&mut db, &data).map_err(|e| e.to_string())?;
+            db.checkpoint().map_err(|e| e.to_string())?;
+            println!("loaded {} objects into {dir}", handles.len());
             Ok(())
         }
         Some("query") => {
             let [_, dir, uql] = args else {
                 return Err("usage: uindex-cli query <db-dir> '<uql>'".into());
             };
-            if DiskDatabase::exists(Path::new(dir)) {
-                cmd_query(&mut *open_disk(dir)?, uql)
-            } else {
-                let mut db = Database::open(Path::new(dir)).map_err(|e| e.to_string())?;
-                cmd_query(&mut db, uql)
-            }
+            cmd_query(&open_disk(dir)?, uql)
         }
         Some("explain") => {
             let (dir, uql, json) = match args {
@@ -513,50 +473,28 @@ fn run(args: &[String]) -> Result<(), String> {
                 [_, dir, uql, flag] if flag == "--json" => (dir, uql, true),
                 _ => return Err("usage: uindex-cli explain <db-dir> '<uql>' [--json]".into()),
             };
-            if DiskDatabase::exists(Path::new(dir)) {
-                cmd_explain(&mut *open_disk(dir)?, uql, json)
-            } else {
-                let mut db = Database::open(Path::new(dir)).map_err(|e| e.to_string())?;
-                cmd_explain(&mut db, uql, json)
-            }
+            cmd_explain(&open_disk(dir)?, uql, json)
         }
         Some("info") => {
             let [_, dir] = args else {
                 return Err("usage: uindex-cli info <db-dir>".into());
             };
-            if DiskDatabase::exists(Path::new(dir)) {
-                cmd_info(&mut *open_disk(dir)?)
-            } else {
-                let mut db = Database::open(Path::new(dir)).map_err(|e| e.to_string())?;
-                cmd_info(&mut db)
-            }
+            cmd_info(&open_disk(dir)?)
         }
         Some("check") => {
             let [_, dir] = args else {
                 return Err("usage: uindex-cli check <db-dir>".into());
             };
-            if DiskDatabase::exists(Path::new(dir)) {
-                cmd_check(&mut *open_disk(dir)?, dir)
-            } else {
-                let mut db = Database::open(Path::new(dir)).map_err(|e| e.to_string())?;
-                cmd_check(&mut db, dir)
-            }
+            cmd_check(&mut open_disk(dir)?, dir)
         }
         Some("repair") => {
             let [_, dir] = args else {
                 return Err("usage: uindex-cli repair <db-dir>".into());
             };
-            if DiskDatabase::exists(Path::new(dir)) {
-                let mut db = open_disk(dir)?;
-                let entries = db.repair().map_err(|e| e.to_string())?;
-                db.close().map_err(|e| e.to_string())?;
-                println!("rebuilt index from object store: {entries} entries, verified");
-            } else {
-                let mut db = Database::open(Path::new(dir)).map_err(|e| e.to_string())?;
-                let entries = db.repair().map_err(|e| e.to_string())?;
-                db.save(Path::new(dir)).map_err(|e| e.to_string())?;
-                println!("rebuilt index from object store: {entries} entries, verified");
-            }
+            let mut db = open_disk(dir)?;
+            let entries = db.repair().map_err(|e| e.to_string())?;
+            db.close().map_err(|e| e.to_string())?;
+            println!("rebuilt index from object store: {entries} entries, verified");
             Ok(())
         }
         Some("serve") => {
@@ -573,13 +511,7 @@ fn run(args: &[String]) -> Result<(), String> {
             };
             let (options, shutdown_file) =
                 uindex_cli::parse_serve_flags(flags).map_err(|e| format!("{e}\n{usage}"))?;
-            if DiskDatabase::exists(Path::new(dir.as_str())) {
-                let mut db = open_disk(dir)?;
-                cmd_serve(&mut db, options, shutdown_file.as_deref())
-            } else {
-                let mut db = Database::open(Path::new(dir.as_str())).map_err(|e| e.to_string())?;
-                cmd_serve(&mut db, options, shutdown_file.as_deref())
-            }
+            cmd_serve(&mut open_disk(dir)?, options, shutdown_file.as_deref())
         }
         Some("top") => {
             let usage = "usage: uindex-cli top <addr> [--window N] [--once] [--json]";
@@ -604,9 +536,6 @@ fn run(args: &[String]) -> Result<(), String> {
                 return Err("usage: uindex-cli churn <db-dir> <Class> <Attr> <n-commits>".into());
             };
             let n: u64 = n.parse().map_err(|_| format!("bad commit count {n:?}"))?;
-            if !DiskDatabase::exists(Path::new(dir)) {
-                return Err(format!("{dir} is not an on-disk database"));
-            }
             let mut db = open_disk(dir)?;
             let class = db
                 .schema()

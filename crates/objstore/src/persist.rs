@@ -1,15 +1,16 @@
 //! Byte formats of an [`ObjectStore`].
 //!
-//! Two layouts share one value codec and one loader:
+//! Two layouts share one value codec:
 //!
-//! * the **snapshot** ([`ObjectStore::to_bytes`] / [`ObjectStore::from_bytes`]):
-//!   magic, schema section, then every object as a fixed-width record — the
-//!   in-memory tier's save file;
+//! * the **image** ([`ObjectStore::to_bytes`]): magic, schema section, then
+//!   every object as a fixed-width record. Write-only — a canonical form for
+//!   comparing two stores and for sizing one; nothing reads it back;
 //! * the **record** ([`ObjectStore::record_bytes`] / [`RecordLoader::push`]):
 //!   one object without its OID, ids as varints — the unit the durable tier
-//!   keeps in pages, beside a schema section ([`schema_to_bytes`]) of its own.
+//!   keeps in pages, beside a schema section ([`schema_to_bytes`] /
+//!   [`schema_from_bytes`]) of its own.
 //!
-//! Both decoders treat their input as hostile: every count is checked
+//! The decoders treat their input as hostile: every count is checked
 //! against the bytes that remain before anything is allocated for it, and
 //! every id against the schema before it is used as an index. Damage
 //! surfaces as a typed [`Error`], never a panic.
@@ -53,7 +54,7 @@ struct Reader<'a> {
 impl<'a> Reader<'a> {
     fn take(&mut self, n: usize) -> Result<&'a [u8]> {
         let end = self.pos.checked_add(n).filter(|&end| end <= self.buf.len());
-        let end = end.ok_or_else(|| corrupt("truncated object file"))?;
+        let end = end.ok_or_else(|| corrupt("truncated object bytes"))?;
         let b = &self.buf[self.pos..end];
         self.pos = end;
         Ok(b)
@@ -101,7 +102,7 @@ impl<'a> Reader<'a> {
     fn str(&mut self) -> Result<String> {
         let n = self.u32()? as usize;
         String::from_utf8(self.take(n)?.to_vec())
-            .map_err(|_| corrupt("non-utf8 string in object file"))
+            .map_err(|_| corrupt("non-utf8 string in object bytes"))
     }
 }
 
@@ -153,7 +154,7 @@ fn get_value(r: &mut Reader) -> Result<Value> {
             }
             Value::RefSet(os)
         }
-        _ => return Err(corrupt("bad value tag in object file")),
+        _ => return Err(corrupt("bad value tag in object bytes")),
     })
 }
 
@@ -247,7 +248,7 @@ fn get_schema(r: &mut Reader) -> Result<Schema> {
     Ok(schema)
 }
 
-/// The schema section of a snapshot on its own.
+/// The schema section on its own.
 pub fn schema_to_bytes(schema: &Schema) -> Vec<u8> {
     let mut buf = Vec::new();
     put_schema(&mut buf, schema);
@@ -340,26 +341,6 @@ impl ObjectStore {
         buf
     }
 
-    /// Rebuild a store from [`ObjectStore::to_bytes`] output.
-    pub fn from_bytes(bytes: &[u8]) -> Result<ObjectStore> {
-        if bytes.get(..8) != Some(MAGIC.as_slice()) {
-            return Err(corrupt("bad object file magic"));
-        }
-        let mut r = Reader { buf: bytes, pos: 8 };
-        let mut loader = RecordLoader::new(get_schema(&mut r)?);
-        for _ in 0..r.u32()? {
-            let oid = Oid(r.u32()?);
-            let class = ClassId(r.u32()?);
-            loader.store.create_with_oid(oid, class)?;
-            for _ in 0..r.u32()? {
-                let decl = ClassId(r.u32()?);
-                let attr = AttrId(r.u32()?);
-                loader.attrs.push((oid, decl, attr, get_value(&mut r)?));
-            }
-        }
-        loader.finish()
-    }
-
     /// The record of one object: class, then each set attribute as
     /// (declaring class, attribute id, value), ids as varints. The OID is
     /// not part of the record — whoever stores it keys it.
@@ -374,73 +355,5 @@ impl ObjectStore {
             put_value(&mut buf, value);
         }
         Ok(buf)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use schema::AttrType;
-
-    fn sample() -> ObjectStore {
-        let mut s = Schema::new();
-        let emp = s.add_class("Employee").unwrap();
-        s.add_attr(emp, "Age", AttrType::Int).unwrap();
-        s.add_attr(emp, "Name", AttrType::Str).unwrap();
-        let veh = s.add_class("Vehicle").unwrap();
-        s.add_attr(veh, "Owner", AttrType::Ref(emp)).unwrap();
-        s.add_attr(veh, "CoOwners", AttrType::RefSet(emp)).unwrap();
-        s.add_attr(veh, "Weight", AttrType::Float).unwrap();
-        s.add_attr(veh, "Electric", AttrType::Bool).unwrap();
-        let sport = s.add_subclass("SportsCar", veh).unwrap();
-        let mut db = ObjectStore::new(s);
-        let e1 = db.create(emp).unwrap();
-        db.set_attr(e1, "Age", Value::Int(44)).unwrap();
-        db.set_attr(e1, "Name", Value::Str("Ada".into())).unwrap();
-        let e2 = db.create(emp).unwrap();
-        db.set_attr(e2, "Age", Value::Int(-1)).unwrap();
-        let v = db.create(sport).unwrap();
-        db.set_attr(v, "Owner", Value::Ref(e1)).unwrap();
-        db.set_attr(v, "CoOwners", Value::RefSet(vec![e1, e2]))
-            .unwrap();
-        db.set_attr(v, "Weight", Value::Float(1234.5)).unwrap();
-        db.set_attr(v, "Electric", Value::Bool(true)).unwrap();
-        db
-    }
-
-    #[test]
-    fn roundtrip() {
-        let db = sample();
-        let bytes = db.to_bytes();
-        let back = ObjectStore::from_bytes(&bytes).unwrap();
-        assert_eq!(back.len(), db.len());
-        for oid in db.oids() {
-            let a = db.get(oid).unwrap();
-            let b = back.get(oid).unwrap();
-            assert_eq!(a.class(), b.class());
-            let av: Vec<_> = a.attrs().collect();
-            let bv: Vec<_> = b.attrs().collect();
-            assert_eq!(av.len(), bv.len());
-            for ((ka, va), (kb, vb)) in av.iter().zip(&bv) {
-                assert_eq!(ka, kb);
-                assert_eq!(va, vb);
-            }
-        }
-        // Reverse-reference index is rebuilt too.
-        let e1 = Oid(1);
-        assert_eq!(back.referrers(e1).len(), db.referrers(e1).len());
-        // Fresh oids do not collide with reloaded ones.
-        let mut back = back;
-        let emp = back.schema().class_by_name("Employee").unwrap();
-        let fresh = back.create(emp).unwrap();
-        assert!(fresh.0 > 3);
-    }
-
-    #[test]
-    fn garbage_rejected() {
-        assert!(ObjectStore::from_bytes(b"junk").is_err());
-        let mut bytes = sample().to_bytes();
-        bytes.truncate(bytes.len() / 2);
-        assert!(ObjectStore::from_bytes(&bytes).is_err());
     }
 }

@@ -55,11 +55,6 @@ pub fn open(dir: &Path) -> Result<DiskStack> {
     WalStore::open(stack, &dir.join(WAL_FILE))
 }
 
-/// Whether `dir` looks like a disk-stack directory (has a page file).
-pub fn exists(dir: &Path) -> bool {
-    dir.join(PAGES_FILE).is_file()
-}
-
 /// The [`FileStore`] at the bottom of a stack, read-only.
 pub fn file_store(stack: &DiskStack) -> &FileStore {
     stack.inner().inner().inner()

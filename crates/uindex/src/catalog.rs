@@ -284,8 +284,8 @@ impl<S: PageStore> UIndex<S> {
     }
 }
 
-/// Serialize one index spec (shared by the in-tree catalog and
-/// [`crate::Database::save`]).
+/// Serialize one index spec (shared by the in-tree catalog and the
+/// object-tree header's [`encode_spec_list`]).
 pub(crate) fn encode_spec(spec: &IndexSpec) -> Vec<u8> {
     let mut payload = Vec::new();
     put_str(&mut payload, &spec.name);
@@ -354,11 +354,10 @@ pub(crate) fn decode_spec(v: &[u8]) -> Result<IndexSpec> {
     })
 }
 
-/// Serialize a whole spec list as a standalone image: `specs.bin` in the
-/// in-memory save layout, and the tail of the disk tier's object-side
-/// header record (the rebuild path's source of index definitions, which
-/// may not come from the index tree it is replacing).
-pub(crate) fn encode_spec_file(specs: &[IndexSpec]) -> Vec<u8> {
+/// Serialize a whole spec list: the tail of the object tree's header
+/// record (the rebuild path's source of index definitions, which may not
+/// come from the index tree it is replacing).
+pub(crate) fn encode_spec_list(specs: &[IndexSpec]) -> Vec<u8> {
     let mut out = Vec::new();
     out.extend_from_slice(b"UIDXSPC1");
     out.extend_from_slice(&(specs.len() as u32).to_le_bytes());
@@ -370,13 +369,13 @@ pub(crate) fn encode_spec_file(specs: &[IndexSpec]) -> Vec<u8> {
     out
 }
 
-/// Inverse of [`encode_spec_file`], with typed errors for truncation and
+/// Inverse of [`encode_spec_list`], with typed errors for truncation and
 /// a bad magic.
-pub(crate) fn decode_spec_file(bytes: &[u8]) -> Result<Vec<IndexSpec>> {
+pub(crate) fn decode_spec_list(bytes: &[u8]) -> Result<Vec<IndexSpec>> {
     if bytes.get(..8) != Some(b"UIDXSPC1".as_slice()) {
-        return Err(Error::BadKey("bad specs.bin magic".into()));
+        return Err(Error::BadKey("bad spec list magic".into()));
     }
-    let bad = || Error::BadKey("truncated specs.bin".into());
+    let bad = || Error::BadKey("truncated spec list".into());
     let n = u32::from_le_bytes(bytes.get(8..12).ok_or_else(bad)?.try_into().unwrap()) as usize;
     let mut pos = 12;
     // A spec is at least its length prefix.

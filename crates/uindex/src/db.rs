@@ -8,14 +8,14 @@
 //! "president switches companies" example) deletes and re-inserts the
 //! clustered entry group.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashSet};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use btree::{BTree, BTreeConfig};
+use btree::BTreeConfig;
 use objstore::{ObjectStore, Oid, Value};
 use pagestore::{
-    BufferPool, ChecksumStore, FaultStore, MemStore, PageStore, RetryPolicy, ScrubReport,
+    BufferPool, ChecksumStore, FaultStore, MemStore, PageId, PageStore, RetryPolicy, ScrubReport,
     Scrubbable, TRAILER_LEN,
 };
 use schema::{ClassId, Encoding, Schema};
@@ -57,11 +57,11 @@ impl CheckReport {
 
 /// An OODB with automatically maintained U-indexes.
 ///
-/// Generic over the page-store stack `P` under the index: the default
-/// [`DbStore`] is the in-memory production stack; the durable tier runs
-/// the same `Database` over [`crate::DiskStore`] (see
-/// [`crate::DiskDatabase`]). Everything except construction, persistence
-/// and repair is backend-agnostic.
+/// Generic over the page-store stack `P` under the index: over the default
+/// [`DbStore`] it is a volatile engine — nothing it holds outlives the
+/// value, and it has no file format; a database kept in files is the same
+/// `Database` over [`crate::DiskStore`], inside a [`crate::DiskDatabase`].
+/// Everything except construction and repair is backend-agnostic.
 pub struct Database<P: PageStore = DbStore> {
     store: ObjectStore,
     index: UIndex<P>,
@@ -71,10 +71,6 @@ pub struct Database<P: PageStore = DbStore> {
     /// (paper Fig. 4b: a new hierarchy slots between the hierarchies it
     /// references and is referenced by).
     pending_codes: BTreeSet<ClassId>,
-    /// Geometry retained for [`Database::repair`], which rebuilds the
-    /// index on a fresh store rather than trusting damaged pages.
-    page_size: usize,
-    pool_pages: usize,
     config: BTreeConfig,
     /// Set when corruption was detected in the index; queries fall back
     /// to a sequential scan of the object store until a clean
@@ -91,7 +87,7 @@ pub struct Database<P: PageStore = DbStore> {
 }
 
 impl Database {
-    // ----- construction (in-memory tier) ---------------------------------
+    // ----- construction (in memory) --------------------------------------
 
     /// Build a database over `schema`, generating the class-code encoding.
     /// Fails if the schema's REF graph is cyclic (see
@@ -105,20 +101,6 @@ impl Database {
         Self::with_config(schema, page_size, pool_pages, BTreeConfig::default())
     }
 
-    /// The pool over a fresh checksummed store. The inner store's pages are
-    /// [`TRAILER_LEN`] bytes larger so the exposed page size — the one the
-    /// tree sees and the experiments' page counts are measured in — stays
-    /// exactly `page_size`.
-    fn fresh_pool(page_size: usize, pool_pages: usize) -> BufferPool<DbStore> {
-        let store = ChecksumStore::new(FaultStore::new(MemStore::new(page_size + TRAILER_LEN)));
-        let pool = BufferPool::new(store, pool_pages);
-        pool.set_retry_policy(RetryPolicy {
-            max_attempts: 3,
-            ..RetryPolicy::default()
-        });
-        pool
-    }
-
     /// Full control over the index B-tree configuration (the paper's first
     /// experiment caps nodes at 10 entries).
     pub fn with_config(
@@ -128,14 +110,20 @@ impl Database {
         config: BTreeConfig,
     ) -> Result<Self> {
         let encoding = Encoding::generate(&schema)?;
-        let pool = Self::fresh_pool(page_size, pool_pages);
+        // The inner store's pages are [`TRAILER_LEN`] bytes larger so the
+        // exposed page size — the one the tree sees and the experiments'
+        // page counts are measured in — stays exactly `page_size`.
+        let store = ChecksumStore::new(FaultStore::new(MemStore::new(page_size + TRAILER_LEN)));
+        let pool = BufferPool::new(store, pool_pages);
+        pool.set_retry_policy(RetryPolicy {
+            max_attempts: 3,
+            ..RetryPolicy::default()
+        });
         let index = UIndex::new(pool, config, encoding)?;
         Ok(Database {
             store: ObjectStore::new(schema),
             index,
             pending_codes: BTreeSet::new(),
-            page_size,
-            pool_pages,
             config,
             quarantined: Arc::new(AtomicBool::new(false)),
             touched: None,
@@ -146,30 +134,41 @@ impl Database {
 impl<P: PageStore> Database<P> {
     /// Assemble a database from an already-built index and object store
     /// (the disk tier's create/open paths), recording touched OIDs from
-    /// here on. `page_size`/`pool_pages`/`config` record the geometry.
+    /// here on.
     pub(crate) fn from_raw_parts(
         store: ObjectStore,
         index: UIndex<P>,
-        page_size: usize,
-        pool_pages: usize,
         config: BTreeConfig,
     ) -> Self {
         Database {
             store,
             index,
             pending_codes: BTreeSet::new(),
-            page_size,
-            pool_pages,
             config,
             quarantined: Arc::new(AtomicBool::new(false)),
             touched: Some(BTreeSet::new()),
         }
     }
 
-    /// Swap in a rebuilt index over the same objects (disk-tier repair).
-    pub(crate) fn set_index(&mut self, index: UIndex<P>) {
+    /// Salvage the index: bulk-load every registered index from the object
+    /// store — the source of truth — into fresh pages of the pool the
+    /// current one lives in, verify the new tree and swap it in, lifting
+    /// any quarantine. The old tree, whatever state it is in, is never
+    /// walked; its pages stay allocated — follow with [`free_unreachable`].
+    /// Returns the number of entries loaded.
+    pub(crate) fn rebuild_index(&mut self) -> Result<u64> {
+        let index = build_index(
+            &self.index.tree().pool_arc(),
+            self.config,
+            self.index.encoding().clone(),
+            &self.store,
+            self.index.specs().to_vec(),
+        )?;
+        let n = index.tree().len();
         self.index = index;
         self.quarantined.store(false, Ordering::Release);
+        telemetry::counter("uindex.degraded.repairs").inc();
+        Ok(n)
     }
 
     /// The OIDs mutated since [`Database::clear_touched`], ascending.
@@ -403,54 +402,17 @@ impl<P: PageStore> Database<P> {
     }
 }
 
-// ----- persistence (in-memory tier) -----------------------------------------
+// ----- repair and fault injection (in memory) ------------------------------
 
 impl Database {
-    /// Save the database into a directory: `objects.bin` (schema + objects)
-    /// and `specs.bin` (index definitions). Opening rebuilds the indexes
-    /// deterministically from the data.
-    pub fn save(&self, dir: &std::path::Path) -> Result<()> {
-        std::fs::create_dir_all(dir).map_err(pagestore::Error::Io)?;
-        std::fs::write(dir.join("objects.bin"), self.store.to_bytes())
-            .map_err(pagestore::Error::Io)?;
-        let specs = crate::catalog::encode_spec_file(self.index.specs());
-        std::fs::write(dir.join("specs.bin"), specs).map_err(pagestore::Error::Io)?;
-        Ok(())
-    }
-
-    /// Open a database saved by [`Database::save`], rebuilding all indexes.
-    pub fn open(dir: &std::path::Path) -> Result<Self> {
-        let objects = std::fs::read(dir.join("objects.bin")).map_err(pagestore::Error::Io)?;
-        let store = ObjectStore::from_bytes(&objects)?;
-        let schema = store.schema().clone();
-        let mut db = Database::in_memory(schema)?;
-        db.store = store;
-        let specs = std::fs::read(dir.join("specs.bin")).map_err(pagestore::Error::Io)?;
-        for spec in crate::catalog::decode_spec_file(&specs)? {
-            db.define_index_spec(spec)?;
-        }
-        Ok(db)
-    }
-
-    /// Salvage the index: rebuild every registered index from the object
-    /// store into a brand-new checksummed store via the bulk loader, verify
-    /// it, and swap it in. The damaged tree is never walked — the object
-    /// store is the source of truth. Returns the number of entries loaded
-    /// and clears any quarantine.
+    /// Salvage the index: rebuild it from the object store into fresh pages
+    /// of the same store, then free every page of the old tree — unread.
+    /// Returns the number of entries loaded and clears any quarantine.
+    /// Readers taken from the old index keep pointing at it: take new ones.
     pub fn repair(&mut self) -> Result<u64> {
-        let pool = Self::fresh_pool(self.page_size, self.pool_pages);
-        let tree = BTree::create(pool, self.config)?;
-        let mut index = UIndex::from_parts(
-            tree,
-            self.index.encoding().clone(),
-            self.index.specs().to_vec(),
-        );
-        let n = index.build_all(&self.store)?;
-        index.verify()?;
-        self.index = index;
-        self.index.tree_mut().publish()?;
-        self.quarantined.store(false, Ordering::Release);
-        telemetry::counter("uindex.degraded.repairs").inc();
+        let n = self.rebuild_index()?;
+        let keep = self.index.tree().page_ids()?.into_iter().collect();
+        free_unreachable(self.index.tree().pool(), &keep)?;
         Ok(n)
     }
 
@@ -463,7 +425,38 @@ impl Database {
     }
 }
 
-// ----- integrity: check / repair / degraded queries --------------------------
+/// Bulk-load a new index tree over `store` into freshly allocated pages of
+/// `pool`, and verify it. Reads no page but its own.
+pub(crate) fn build_index<P: PageStore>(
+    pool: &Arc<BufferPool<P>>,
+    config: BTreeConfig,
+    encoding: Encoding,
+    store: &ObjectStore,
+    specs: Vec<IndexSpec>,
+) -> Result<UIndex<P>> {
+    let mut index = UIndex::new(pool.clone(), config, encoding)?;
+    for spec in specs {
+        index.define(store.schema(), spec)?;
+    }
+    index.build_all(store)?;
+    index.verify()?;
+    Ok(index)
+}
+
+/// Free every live page of `pool`'s store that `keep` does not name —
+/// what a replaced tree leaves behind — without reading it.
+pub(crate) fn free_unreachable<P: PageStore>(
+    pool: &BufferPool<P>,
+    keep: &HashSet<PageId>,
+) -> Result<()> {
+    let live = pool.store_lock().live_page_ids();
+    for id in live.into_iter().filter(|id| !keep.contains(id)) {
+        pool.free(id)?;
+    }
+    Ok(())
+}
+
+// ----- integrity: check / degraded queries -----------------------------------
 
 impl<P: Scrubbable> Database<P> {
     /// Scrub every live index page, verify the B-tree structurally, and

@@ -52,16 +52,13 @@ use std::sync::{mpsc, Arc};
 use btree::{BTreeConfig, Capacity};
 use objstore::ObjectStore;
 use pagestore::disk as pdisk;
-use pagestore::{
-    BufferPool, PageId, PageStore, RecoveryReport, RetryPolicy, ScrubReport, Scrubbable,
-};
+use pagestore::{BufferPool, PageId, RecoveryReport, RetryPolicy, ScrubReport, Scrubbable};
 use schema::{Encoding, Schema};
 
-use crate::db::{CheckReport, Database};
+use crate::db::{build_index, free_unreachable, CheckReport, Database};
 use crate::error::{Error, Result};
 use crate::index::UIndex;
 use crate::objtree::ObjectTree;
-use crate::spec::IndexSpec;
 
 /// The page-store stack under a [`DiskDatabase`]'s index.
 pub type DiskStore = pdisk::DiskStack;
@@ -319,24 +316,6 @@ fn fresh_disk_pool(stack: DiskStore, pool_pages: usize) -> BufferPool<DiskStore>
     pool
 }
 
-/// Bulk-load a new index tree over `store` into freshly allocated pages of
-/// `pool`, and verify it. Reads no page but its own.
-fn build_index(
-    pool: &Arc<BufferPool<DiskStore>>,
-    config: BTreeConfig,
-    store: &ObjectStore,
-    specs: Vec<IndexSpec>,
-) -> Result<UIndex<DiskStore>> {
-    let encoding = Encoding::generate(store.schema())?;
-    let mut index = UIndex::new(pool.clone(), config, encoding)?;
-    for spec in specs {
-        index.define(store.schema(), spec)?;
-    }
-    index.build_all(store)?;
-    index.verify()?;
-    Ok(index)
-}
-
 impl DiskDatabase {
     // ----- create ---------------------------------------------------------
 
@@ -368,13 +347,7 @@ impl DiskDatabase {
         options: DiskOptions,
     ) -> Self {
         DiskDatabase {
-            db: Database::from_raw_parts(
-                store,
-                index,
-                options.page_size,
-                options.pool_pages,
-                options.config,
-            ),
+            db: Database::from_raw_parts(store, index, options.config),
             objects,
             dir: dir.to_path_buf(),
             options,
@@ -390,9 +363,13 @@ impl DiskDatabase {
     /// their pages and verify the index tree before serving. Damage to the
     /// index — scrub errors outside the object tree, an unreadable catalog,
     /// a failed verification — triggers a rebuild from the objects instead
-    /// of failing; damage to the meta page or an object page is an error.
+    /// of failing; damage to the meta page or an object page is an error,
+    /// and a directory without a `meta.bin` is [`Error::NotADatabase`].
     pub fn open(dir: &Path) -> Result<(Self, OpenReport)> {
-        let meta = std::fs::read(dir.join(DB_META_FILE)).map_err(io)?;
+        let meta = std::fs::read(dir.join(DB_META_FILE)).map_err(|e| match e.kind() {
+            std::io::ErrorKind::NotFound => Error::NotADatabase(dir.to_path_buf()),
+            _ => io(e),
+        })?;
         let options = decode_db_meta(&meta)?;
 
         let mut stack = pdisk::open(dir)?;
@@ -432,7 +409,8 @@ impl DiskDatabase {
         let this = match attached {
             Some((index, _catalog_schema)) => Self::assemble(store, index, objects, dir, options),
             None => {
-                let index = build_index(&pool, options.config, &store, specs)?;
+                let encoding = Encoding::generate(store.schema())?;
+                let index = build_index(&pool, options.config, encoding, &store, specs)?;
                 let mut this = Self::assemble(store, index, objects, dir, options);
                 this.adopt_rebuilt_index()?;
                 report.rebuilt = true;
@@ -440,11 +418,6 @@ impl DiskDatabase {
             }
         };
         Ok((this, report))
-    }
-
-    /// Whether `dir` holds an on-disk database.
-    pub fn exists(dir: &Path) -> bool {
-        dir.join(DB_META_FILE).is_file() && pdisk::exists(dir)
     }
 
     fn pool(&self) -> &BufferPool<DiskStore> {
@@ -465,10 +438,7 @@ impl DiskDatabase {
         let mut keep: HashSet<PageId> = self.objects.page_ids()?.into_iter().collect();
         keep.extend(self.db.index().tree().page_ids()?);
         keep.insert(META_PAGE);
-        let live = self.pool().store_lock().live_page_ids();
-        for id in live.into_iter().filter(|id| !keep.contains(id)) {
-            self.pool().free(id)?;
-        }
+        free_unreachable(self.pool(), &keep)?;
         self.force_checkpoint()
     }
 
@@ -657,13 +627,8 @@ impl DiskDatabase {
     /// Returns the number of entries loaded. Readers taken from the old
     /// index keep pointing at it: take new ones.
     pub fn repair(&mut self) -> Result<u64> {
-        let pool = self.db.index().tree().pool_arc();
-        let specs = self.db.index().specs().to_vec();
-        let index = build_index(&pool, self.options.config, self.db.store(), specs)?;
-        let n = index.tree().len();
-        self.db.set_index(index);
+        let n = self.db.rebuild_index()?;
         self.adopt_rebuilt_index()?;
-        telemetry::counter("uindex.degraded.repairs").inc();
         Ok(n)
     }
 

@@ -18,6 +18,8 @@ pub enum Error {
     BadQuery(String),
     /// Key bytes that failed to decode (index corruption).
     BadKey(String),
+    /// The directory holds no database: it has no `meta.bin`.
+    NotADatabase(std::path::PathBuf),
 }
 
 impl fmt::Display for Error {
@@ -30,6 +32,12 @@ impl fmt::Display for Error {
             Error::UnknownIndex(i) => write!(f, "unknown index id {i}"),
             Error::BadQuery(m) => write!(f, "bad query: {m}"),
             Error::BadKey(m) => write!(f, "bad key: {m}"),
+            Error::NotADatabase(dir) => write!(
+                f,
+                "{} is not a database directory: no {} in it",
+                dir.display(),
+                crate::disk::DB_META_FILE
+            ),
         }
     }
 }

@@ -13,7 +13,7 @@
 //!        | [tag u8][oid u32 BE][seq u16 BE] part seq >= 1
 //! value := that part of the record's bytes
 //!
-//! tag 0, oid 0   the header: [len u32][schema section][index spec file]
+//! tag 0, oid 0   the header: [len u32][schema section][index spec list]
 //! tag 1          one object: `ObjectStore::record_bytes`
 //! ```
 //!
@@ -68,7 +68,7 @@ fn encode_header(schema: &Schema, specs: &[IndexSpec]) -> Vec<u8> {
     let section = objstore::schema_to_bytes(schema);
     let mut out = (section.len() as u32).to_le_bytes().to_vec();
     out.extend_from_slice(&section);
-    out.extend_from_slice(&catalog::encode_spec_file(specs));
+    out.extend_from_slice(&catalog::encode_spec_list(specs));
     out
 }
 
@@ -82,7 +82,7 @@ fn decode_header(bytes: &[u8]) -> Result<(Schema, Vec<IndexSpec>)> {
     let (section, specs) = rest.split_at(len);
     Ok((
         objstore::schema_from_bytes(section)?,
-        catalog::decode_spec_file(specs)?,
+        catalog::decode_spec_list(specs)?,
     ))
 }
 
@@ -360,8 +360,12 @@ mod tests {
             tree.tree.insert(&k, &v).unwrap();
         }
         if let Ok((store, _)) = tree.load() {
-            // Whatever loaded must be a sound store.
-            ObjectStore::from_bytes(&store.to_bytes()).unwrap();
+            // Whatever loaded must be a sound store: its own records load.
+            let mut again = RecordLoader::new(store.schema().clone());
+            for oid in store.oids() {
+                again.push(oid, &store.record_bytes(oid).unwrap()).unwrap();
+            }
+            again.finish().unwrap();
         }
     }
 

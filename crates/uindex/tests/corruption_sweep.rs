@@ -223,8 +223,8 @@ fn quarantine_degrade_repair_cycle() {
     let degraded_queries_before = telemetry::counter_value("uindex.degraded.queries");
     let repairs_before = telemetry::counter_value("uindex.degraded.repairs");
 
-    // Stale-read first: it needs the build-time pool, whose fault layer
-    // recorded pre-images; `repair` swaps in a fresh untracked pool.
+    // Stale-read rolls pages back to the pre-images `build` made the fault
+    // layer track; `repair` keeps that store, so every round has them.
     for round in ["stale-read", "bit-flip", "torn-write", "misdirected-write"] {
         {
             let pool = f.db.index().tree().pool();

@@ -8,7 +8,8 @@ use std::path::PathBuf;
 use objstore::Value;
 use schema::{AttrType, Schema};
 use uindex::{
-    ClassSel, Database, DiskDatabase, DiskOptions, IndexSpec, Query, ScanAlgorithm, ValuePred,
+    distinct_oids_at, ClassSel, Database, DiskDatabase, DiskOptions, Error, IndexSpec, Query,
+    ScanAlgorithm, ValuePred,
 };
 
 fn tmpdir(name: &str) -> PathBuf {
@@ -20,8 +21,15 @@ fn tmpdir(name: &str) -> PathBuf {
 
 fn vehicle_schema() -> Schema {
     let mut s = Schema::new();
+    let employee = s.add_class("Employee").unwrap();
+    s.add_attr(employee, "Age", AttrType::Int).unwrap();
+    let company = s.add_class("Company").unwrap();
+    s.add_attr(company, "President", AttrType::Ref(employee))
+        .unwrap();
     let vehicle = s.add_class("Vehicle").unwrap();
     s.add_attr(vehicle, "Color", AttrType::Str).unwrap();
+    s.add_attr(vehicle, "MadeBy", AttrType::Ref(company))
+        .unwrap();
     s.add_subclass("Automobile", vehicle).unwrap();
     s
 }
@@ -38,37 +46,62 @@ fn small_options() -> DiskOptions {
 
 const COLORS: [&str; 5] = ["Red", "Blue", "Green", "Black", "White"];
 
-/// Populate `n` vehicles with round-robin colors and define the color
-/// index.
+/// Define the color index (id 0) and the three-position `age` path index
+/// (id 1), then populate one 55-year-old president, their company and `n`
+/// vehicles made by it: round-robin colors, every other one an Automobile.
 fn populate(db: &mut DiskDatabase, n: usize) {
-    let vehicle = db.schema().class_by_name("Vehicle").unwrap();
+    let class = |name: &str| db.schema().class_by_name(name).unwrap();
+    let (employee, company) = (class("Employee"), class("Company"));
+    let (vehicle, auto) = (class("Vehicle"), class("Automobile"));
     db.define_index(IndexSpec::class_hierarchy("color", vehicle, "Color"))
         .unwrap();
+    let age = IndexSpec::path("age", vehicle, &["MadeBy", "President"], "Age");
+    db.define_index(age).unwrap();
+    let e = db.create_object(employee).unwrap();
+    db.set_attr(e, "Age", Value::Int(55)).unwrap();
+    let c = db.create_object(company).unwrap();
+    db.set_attr(c, "President", Value::Ref(e)).unwrap();
     for i in 0..n {
-        let v = db.create_object(vehicle).unwrap();
+        let v = db
+            .create_object(if i % 2 == 0 { vehicle } else { auto })
+            .unwrap();
         db.set_attr(v, "Color", Value::Str(COLORS[i % COLORS.len()].into()))
             .unwrap();
+        db.set_attr(v, "MadeBy", Value::Ref(c)).unwrap();
     }
 }
+
+/// The employee and the company [`populate`] creates beside the vehicles.
+const NON_VEHICLES: usize = 2;
 
 fn color_query(db: &Database<uindex::DiskStore>, color: &str) -> Query {
     let idx = db.index().index_by_name("color").unwrap();
     Query::on(idx).value(ValuePred::eq(Value::Str(color.into())))
 }
 
+/// Vehicles whose maker's president is at least 50, through the path index.
+fn age_query(db: &Database<uindex::DiskStore>) -> Query {
+    let idx = db.index().index_by_name("age").unwrap();
+    let vehicle = db.schema().class_by_name("Vehicle").unwrap();
+    Query::on(idx)
+        .value(ValuePred::at_least(Value::Int(50)))
+        .class_at(2, ClassSel::SubTree(vehicle))
+}
+
 /// Parallel ≡ Forward ≡ brute-force on a database (the oracle
-/// equivalence, run against a reopened disk store).
+/// equivalence, run against a reopened disk store), on both indexes.
 fn assert_oracle_equivalence(db: &mut DiskDatabase) {
-    for color in COLORS {
-        let q = color_query(db, color);
+    let mut queries: Vec<Query> = COLORS.iter().map(|c| color_query(db, c)).collect();
+    queries.push(age_query(db));
+    for q in queries {
         let mut fwd = q.clone();
         fwd.algorithm = ScanAlgorithm::Forward;
         let parallel = db.query(&q).unwrap();
         let forward = db.query(&fwd).unwrap();
         let brute = uindex::oracle::eval(db.index(), db.store(), &q).unwrap();
-        assert_eq!(parallel, forward, "{color}: Parallel ≠ Forward");
-        assert_eq!(parallel, brute, "{color}: index ≠ brute-force oracle");
-        assert!(!parallel.is_empty(), "{color}: query must hit something");
+        assert_eq!(parallel, forward, "{q:?}: Parallel ≠ Forward");
+        assert_eq!(parallel, brute, "{q:?}: index ≠ brute-force oracle");
+        assert!(!parallel.is_empty(), "{q:?}: query must hit something");
     }
 }
 
@@ -90,16 +123,96 @@ fn create_commit_crash_reopen_serves_committed_state() {
     assert!(report.tree_ok, "tree must verify before serving");
     assert!(!report.rebuilt, "committed state must open without salvage");
     assert!(report.scrub.clean(), "scrub must pass: {:?}", report.scrub);
-    assert_eq!(db.store().len(), 50, "uncommitted object rolled back");
+    assert_eq!(
+        db.store().len(),
+        50 + NON_VEHICLES,
+        "uncommitted object rolled back"
+    );
+    // Indexes come back under their original names and ids.
+    for (id, name) in ["color", "age"].into_iter().enumerate() {
+        assert_eq!(db.index().index_by_name(name), Some(id as u16));
+    }
     let q_red = color_query(&db, "Red");
     let hits = db.query(&q_red).unwrap();
     assert_eq!(hits.len(), 10);
+    let auto = db.schema().class_by_name("Automobile").unwrap();
+    let red_autos = q_red.clone().class_at(0, ClassSel::Exact(auto));
+    assert_eq!(db.query(&red_autos).unwrap().len(), 5);
     let q_purple = color_query(&db, "Purple");
     assert!(db.query(&q_purple).unwrap().is_empty());
+    // The three-position path index works end to end after the reopen.
+    let q_age = age_query(&db);
+    assert_eq!(distinct_oids_at(&db.query(&q_age).unwrap(), 2).len(), 50);
     assert_oracle_equivalence(&mut db);
     // check() runs the full scrub + verify + content cross-check on disk.
     let check = db.check().unwrap();
     assert!(check.clean(), "check on reopened disk db: {check:?}");
+    // And the reopened database stays maintained under new mutations.
+    let vehicle = db.schema().class_by_name("Vehicle").unwrap();
+    let maker = db
+        .store()
+        .extent(db.schema().class_by_name("Company").unwrap())[0];
+    let v = db.create_object(vehicle).unwrap();
+    db.set_attr(v, "Color", Value::Str("Red".into())).unwrap();
+    db.set_attr(v, "MadeBy", Value::Ref(maker)).unwrap();
+    assert_eq!(db.query(&q_red).unwrap().len(), 11);
+    assert_eq!(distinct_oids_at(&db.query(&q_age).unwrap(), 2).len(), 51);
+    db.index().verify().unwrap();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `check` on a handle holding mutations no commit has staged: whatever it
+/// makes durable on the way to the scrub must be a whole commit, object
+/// records with their index entries. (The generic `Database::check` a
+/// deref reaches flushes index pages alone.)
+#[test]
+fn check_with_unstaged_mutations_then_a_drop_reopens_content_clean() {
+    let dir = tmpdir("check_unstaged");
+    {
+        let mut db = DiskDatabase::create(vehicle_schema(), &dir, small_options()).unwrap();
+        populate(&mut db, 20);
+        db.commit().unwrap();
+        let vehicle = db.schema().class_by_name("Vehicle").unwrap();
+        let v = db.store().extent(vehicle)[0];
+        db.set_attr(v, "Color", Value::Str("Purple".into()))
+            .unwrap();
+        assert!(db.check().unwrap().clean());
+        drop(db); // no commit
+    }
+    let (mut db, report) = DiskDatabase::open(&dir).unwrap();
+    assert!(report.clean(), "{report:?}");
+    let check = db.check().unwrap();
+    assert!(check.clean(), "index and objects must agree: {check:?}");
+    assert_oracle_equivalence(&mut db);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A directory without a `meta.bin` — missing, empty, or holding only the
+/// two files of the retired snapshot layout — is refused by name.
+#[test]
+fn a_directory_that_is_not_a_database_is_refused_by_name() {
+    let dir = tmpdir("not_a_db");
+    for shape in ["missing", "empty", "retired snapshot files"] {
+        match shape {
+            "missing" => {}
+            "empty" => std::fs::create_dir_all(&dir).unwrap(),
+            _ => {
+                for stem in ["objects", "specs"] {
+                    std::fs::write(dir.join(stem).with_extension("bin"), b"garbage").unwrap();
+                }
+            }
+        }
+        let err = DiskDatabase::open(&dir).err().expect("opened");
+        assert!(
+            matches!(&err, Error::NotADatabase(named) if *named == dir),
+            "{shape}: wrong error: {err}"
+        );
+        let message = err.to_string();
+        assert!(
+            message.contains(dir.to_str().unwrap()) && message.contains("meta.bin"),
+            "{shape}: {message}"
+        );
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 
