@@ -37,8 +37,8 @@ if grep -rnI --exclude-dir=benchmark --exclude-dir=target --exclude-dir=.bench_b
   echo "retired snapshot tier referenced again (see above)"; exit 1
 fi
 
-echo "== scan-path invariants (Parallel / ParallelFlat / Forward: same hits, same distinct pages, registry == ScanStats)"
-cargo test -q --offline -p bench --test scan_invariants three_algorithms_agree_on_hits_pages_and_counters
+echo "== scan-path invariants (Parallel / Forward: same hits, registry == ScanStats, matches - carried == (key, set) groups)"
+cargo test -q --offline -p bench --test scan_invariants parallel_and_forward_agree_on_hits_counters_and_carry
 
 echo "== node codec (hostile-bytes corpus; arena decoder == reference decoder, encode(decode(page)) == page)"
 cargo test -q --offline -p btree --test decode_fuzz

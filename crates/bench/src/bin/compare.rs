@@ -94,18 +94,15 @@ fn main() {
         }
     }
     // U-index scan-algorithm breakdown: the same skip-heavy range workload
-    // under hierarchical reseek (the default), the flat full-descent-per-skip
-    // baseline it replaced, and the forward scan. Pages are identical between
-    // the two parallel algorithms by construction; the win shows up in node
-    // visits and in how many skip-seeks escalate to a tree descent.
+    // under the parallel algorithm (skip-seeks re-descend from the lowest
+    // retained ancestor) and the forward scan.
     println!("\n## U-index scan algorithm — range 10% of keyspace, avg per query");
     println!(
-        "{:>6}  {:>12}  {:>10}  {:>10}  {:>10}  {:>14}",
-        "sets", "algorithm", "pages", "visits", "descents", "descents saved"
+        "{:>6}  {:>12}  {:>10}  {:>10}  {:>10}",
+        "sets", "algorithm", "pages", "visits", "descents"
     );
-    let algos: [(ScanAlgorithm, &str); 3] = [
-        (ScanAlgorithm::ParallelFlat, "flat"),
-        (ScanAlgorithm::Parallel, "hierarchical"),
+    let algos: [(ScanAlgorithm, &str); 2] = [
+        (ScanAlgorithm::Parallel, "parallel"),
         (ScanAlgorithm::Forward, "forward"),
     ];
     let mut u = UIndexSet::build(num_sets, &postings).expect("build u-index");
@@ -117,42 +114,32 @@ fn main() {
     let reg_descents0 = telemetry::counter_value("uindex.scan.descents");
     let mut breakdown_totals = [0u64; 3]; // pages, visits, descents
     for k in [1u16, 2, 4, 8] {
-        let mut sums = [[0u64; 3]; 3]; // [algo][pages, visits, descents]
-        for (ai, (algo, _)) in algos.iter().enumerate() {
+        for (ai, (algo, name)) in algos.iter().enumerate() {
             u.use_algorithm(*algo);
+            let mut sums = [0u64; 3]; // pages, visits, descents
             for rep in 0..reps {
                 // Same seeds as the page-read tables above: identical queries.
                 let mut rng = StdRng::seed_from_u64(1000 + rep as u64 * 7 + k as u64);
                 let sets = pick_near(&mut rng, num_sets, k);
                 let (lo, hi) = pick_range(&mut rng, 1000, 0.10);
                 let (_, stats) = u.range_stats(&lo, &hi, &sets).expect("query");
-                sums[ai][0] += stats.pages_read;
-                sums[ai][1] += stats.node_visits;
-                sums[ai][2] += stats.descents;
-                breakdown_totals[0] += stats.pages_read;
-                breakdown_totals[1] += stats.node_visits;
-                breakdown_totals[2] += stats.descents;
+                let counts = [stats.pages_read, stats.node_visits, stats.descents];
+                for (i, count) in counts.into_iter().enumerate() {
+                    sums[i] += count;
+                    breakdown_totals[i] += count;
+                }
             }
-        }
-        u.use_algorithm(ScanAlgorithm::Parallel);
-        for (ai, (_, name)) in algos.iter().enumerate() {
-            let saved = if *name == "hierarchical" {
-                format!("{:.1}", (sums[0][2] - sums[ai][2]) as f64 / reps as f64)
-            } else {
-                "-".to_string()
-            };
             println!(
-                "{:>6}  {:>12}  {:>10.1}  {:>10.1}  {:>10.1}  {:>14}",
+                "{:>6}  {:>12}  {:>10.1}  {:>10.1}  {:>10.1}",
                 if ai == 0 {
                     k.to_string()
                 } else {
                     String::new()
                 },
                 name,
-                sums[ai][0] as f64 / reps as f64,
-                sums[ai][1] as f64 / reps as f64,
-                sums[ai][2] as f64 / reps as f64,
-                saved,
+                sums[0] as f64 / reps as f64,
+                sums[1] as f64 / reps as f64,
+                sums[2] as f64 / reps as f64,
             );
         }
     }

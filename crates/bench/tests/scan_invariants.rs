@@ -1,8 +1,10 @@
 //! Scan-path invariants on the experiment-2 database shape (5 000 objects,
 //! 8 sets, 1 000 distinct keys — a multi-level tree): the identical query
-//! stream under all three scan algorithms, on the in-memory store and on
+//! stream under both scan algorithms, on the in-memory store and on
 //! the production on-disk stack (WAL + checksums + file store) bulk-loaded,
 //! checkpointed, closed and **reopened cold**.
+
+use std::collections::BTreeSet;
 
 use baselines::SetId;
 use objstore::Oid;
@@ -93,23 +95,50 @@ fn registry() -> [u64; 6] {
     .map(telemetry::counter_value)
 }
 
-/// Run every workload's stream under Parallel, ParallelFlat and Forward
-/// and hold them to each other; returns each query with its hits.
-fn check_algorithms<P: PageStore>(u: &mut UIndexSet<P>) -> Vec<(RangeQuery, Vec<(SetId, Oid)>)> {
+/// `uindex.scan.matches − uindex.scan.carried`: the matches the matcher
+/// examined in full.
+fn uncarried_matches() -> u64 {
+    telemetry::counter_value("uindex.scan.matches")
+        - telemetry::counter_value("uindex.scan.carried")
+}
+
+/// The postings a query selects, by brute force.
+fn selected<'a>(
+    postings: &'a [Posting],
+    (lo, hi, sets): &'a RangeQuery,
+) -> impl Iterator<Item = &'a Posting> {
+    postings
+        .iter()
+        .filter(move |(k, s, _)| k >= lo && k < hi && sets.contains(s))
+}
+
+/// Distinct `(key, set)` groups among the postings a query selects. The
+/// entries of one group differ only in their trailing OID, so a scan
+/// examines exactly one of them in full and carries the verdict to the rest.
+fn groups(postings: &[Posting], query: &RangeQuery) -> u64 {
+    let distinct: BTreeSet<(&[u8], SetId)> = selected(postings, query)
+        .map(|(k, s, _)| (k.as_slice(), *s))
+        .collect();
+    distinct.len() as u64
+}
+
+/// Run every workload's stream under Parallel and Forward and hold them to
+/// each other; returns each query with its hits.
+fn check_algorithms<P: PageStore>(
+    u: &mut UIndexSet<P>,
+    postings: &[Posting],
+) -> Vec<(RangeQuery, Vec<(SetId, Oid)>)> {
     let keys = key_space(&CFG);
     let mut answered = Vec::new();
     for (name, permille, num_sets, queries) in WORKLOADS {
         let stream = query_stream(permille, num_sets, queries, keys);
-        let mut reference: Vec<(Vec<(SetId, Oid)>, u64)> = Vec::new();
-        let mut visits = Vec::new();
-        for algo in [
-            ScanAlgorithm::Parallel,
-            ScanAlgorithm::ParallelFlat,
-            ScanAlgorithm::Forward,
-        ] {
+        let stream_groups: u64 = stream.iter().map(|q| groups(postings, q)).sum();
+        let mut reference: Vec<Vec<(SetId, Oid)>> = Vec::new();
+        for algo in [ScanAlgorithm::Parallel, ScanAlgorithm::Forward] {
             u.use_algorithm(algo);
             let mut summed = [0u64; 6];
             let reg0 = registry();
+            let uncarried0 = uncarried_matches();
             for (qi, (lo, hi, sets)) in stream.iter().enumerate() {
                 let (hits, stats) = match permille {
                     None => u.exact_stats(lo, sets),
@@ -120,61 +149,44 @@ fn check_algorithms<P: PageStore>(u: &mut UIndexSet<P>) -> Vec<(RangeQuery, Vec<
                     *sum += c;
                 }
                 if algo == ScanAlgorithm::Parallel {
-                    reference.push((hits, stats.pages_read));
+                    reference.push(hits);
                     continue;
                 }
-                let (ref_hits, ref_pages) = &reference[qi];
                 assert_eq!(
-                    &hits, ref_hits,
+                    hits, reference[qi],
                     "{name}: {algo:?} disagrees with Parallel on query {qi}"
                 );
-                // Hierarchical reseek only avoids *re*-fetching pages the
-                // query already touched, so its distinct page set is the
-                // flat algorithm's. (Forward is held to hits only: a
-                // skip-seek can descend through an interior node the
-                // leaf-chain walk bypasses via `leaf.next`.)
-                if algo == ScanAlgorithm::ParallelFlat {
-                    assert_eq!(
-                        *ref_pages, stats.pages_read,
-                        "{name}: query {qi} pages_read changed under hierarchical reseek"
-                    );
-                }
             }
             let delta: Vec<u64> = registry().iter().zip(reg0).map(|(a, b)| a - b).collect();
             assert_eq!(
                 delta, summed,
                 "{name} ({algo:?}): registry deltas diverge from summed ScanStats"
             );
-            visits.push(summed[1]);
+            // The carry cannot silently switch off: all but the first
+            // match of every (key, set) group must have been inherited.
+            assert_eq!(
+                uncarried_matches() - uncarried0,
+                stream_groups,
+                "{name} ({algo:?}): matches - carried is not the number of (key, set) groups"
+            );
         }
-        assert!(
-            visits[0] <= visits[1],
-            "{name}: hierarchical reseek increased node visits ({} > {})",
-            visits[0],
-            visits[1]
-        );
-        answered.extend(
-            stream
-                .into_iter()
-                .zip(reference.into_iter().map(|(h, _)| h)),
-        );
+        answered.extend(stream.into_iter().zip(reference));
     }
     u.use_algorithm(ScanAlgorithm::Parallel);
     answered
 }
 
 #[test]
-fn three_algorithms_agree_on_hits_pages_and_counters() {
-    let mut mem = UIndexSet::build(CFG.num_sets, &generate_postings(&CFG)).expect("build");
-    let answered = check_algorithms(&mut mem);
+fn parallel_and_forward_agree_on_hits_counters_and_carry() {
+    let postings = generate_postings(&CFG);
+    let mut mem = UIndexSet::build(CFG.num_sets, &postings).expect("build");
+    let answered = check_algorithms(&mut mem, &postings);
     assert!(answered.iter().any(|(_, hits)| !hits.is_empty()));
 }
 
 /// Brute-force reference over the raw postings.
-fn brute(postings: &[Posting], (lo, hi, sets): &RangeQuery) -> Vec<(SetId, Oid)> {
-    let mut out: Vec<(SetId, Oid)> = postings
-        .iter()
-        .filter(|(k, s, _)| k >= lo && k < hi && sets.contains(s))
+fn brute(postings: &[Posting], query: &RangeQuery) -> Vec<(SetId, Oid)> {
+    let mut out: Vec<(SetId, Oid)> = selected(postings, query)
         .map(|(_, s, o)| (*s, *o))
         .collect();
     out.sort();
@@ -187,7 +199,7 @@ fn mem_and_cold_reopened_disk_answer_identically() {
     const POOL_PAGES: usize = 1 << 14;
     let postings = generate_postings(&CFG);
     let mut mem = UIndexSet::build(CFG.num_sets, &postings).expect("build mem U-index");
-    let mem_answers = check_algorithms(&mut mem);
+    let mem_answers = check_algorithms(&mut mem, &postings);
 
     let dir = std::env::temp_dir().join(format!("uindex_scan_invariants_{}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
@@ -207,7 +219,7 @@ fn mem_and_cold_reopened_disk_answer_identically() {
     let mut disk = UIndexSet::open(pool, root, len).expect("reattach via catalog");
 
     let fsyncs0 = telemetry::counter_value("pagestore.wal.fsyncs");
-    let disk_answers = check_algorithms(&mut disk);
+    let disk_answers = check_algorithms(&mut disk, &postings);
     assert_eq!(
         telemetry::counter_value("pagestore.wal.fsyncs"),
         fsyncs0,

@@ -9,10 +9,12 @@
 //!
 //! Beyond the leaf, a cursor *retains its descent path*: for every interior
 //! node between the root and the leaf it keeps the decoded node plus the
-//! separator bounds of the subtree it descended into. [`ReadView::reseek`]
-//! exploits this for the skip-seeks of the paper's parallel retrieval
-//! algorithm (Algorithm 1): instead of paying a full root-to-leaf descent
-//! per skip, it
+//! index of the child it descended into. The key range of any subtree on
+//! the path is read on demand from the retained nodes' own separators, so
+//! a descent copies no key bytes. [`ReadView::reseek`] exploits this for
+//! the skip-seeks of the paper's parallel retrieval algorithm
+//! (Algorithm 1): instead of paying a full root-to-leaf descent per skip,
+//! it
 //!
 //! 1. resolves the target *inside the current leaf* when the leaf's fence
 //!    interval covers it (zero page fetches, zero allocations),
@@ -36,23 +38,43 @@ use std::sync::Arc;
 
 use pagestore::{PageId, PageStore, Result};
 
-use crate::node::{LeafNode, Node};
+use crate::node::{InternalNode, LeafNode, Node};
 use crate::tree::{decode_node, metrics, BTree, TreeReader, TreeShared, TreeSnapshot};
 
 /// One retained level of a cursor's descent path: an interior node plus
-/// the key range its subtree covers (`lo` inclusive, `hi` exclusive;
-/// `None` = unbounded).
+/// the index of the child the descent took out of it.
 struct PathLevel {
     id: PageId,
     node: Arc<Node>,
-    lo: Vec<u8>,
-    hi: Option<Vec<u8>>,
+    child: usize,
 }
 
 impl PathLevel {
-    fn covers(&self, key: &[u8]) -> bool {
-        self.lo.as_slice() <= key && self.hi.as_deref().is_none_or(|hi| key < hi)
+    fn int(&self) -> &InternalNode {
+        match &*self.node {
+            Node::Internal(int) => int,
+            Node::Leaf(_) => unreachable!("a descent retains interior nodes only"),
+        }
     }
+}
+
+/// Whether the subtree reached by taking every level's child in `path`
+/// covers `key`. Its range is `[lo, hi)`: `lo` the separator left of the
+/// taken child at the nearest level that has one, `hi` the separator right
+/// of it likewise; a side no level bounds is open (the empty path — the
+/// root — covers everything).
+fn covers(path: &[PathLevel], key: &[u8]) -> bool {
+    let lo = path
+        .iter()
+        .rev()
+        .find(|lvl| lvl.child > 0)
+        .map(|lvl| lvl.int().sep(lvl.child - 1));
+    let hi = path
+        .iter()
+        .rev()
+        .find(|lvl| lvl.child < lvl.int().len())
+        .map(|lvl| lvl.int().sep(lvl.child));
+    lo.is_none_or(|lo| lo <= key) && hi.is_none_or(|hi| key < hi)
 }
 
 /// Descent accounting, carried by the cursor (each query uses one cursor,
@@ -85,11 +107,10 @@ pub struct Cursor {
     cached: Option<(PageId, Arc<Node>)>,
     /// Interior nodes root→parent-of-leaf from the most recent descent.
     path: Vec<PathLevel>,
-    /// Fence interval of the *descended-to* leaf. Invalidated (set to
-    /// `false`) when the cursor chains to the next leaf, because the chain
-    /// walk does not know the new leaf's separators.
-    fence_lo: Vec<u8>,
-    fence_hi: Option<Vec<u8>>,
+    /// Whether `path` ends at the current leaf, so that its fence interval
+    /// is `covers(&path, ..)`. Invalidated (set to `false`) when the cursor
+    /// chains to the next leaf, because the chain walk does not know the
+    /// new leaf's separators.
     fence_valid: bool,
     /// Tree mutation epoch at descent time; a mismatch voids path+fence.
     epoch: u64,
@@ -103,8 +124,6 @@ impl Cursor {
             slot: 0,
             cached: None,
             path: Vec::new(),
-            fence_lo: Vec::new(),
-            fence_hi: None,
             fence_valid: false,
             epoch,
             stats: SeekStats::default(),
@@ -292,7 +311,7 @@ impl<S: PageStore> ReadView<'_, S> {
     /// root-to-leaf descent.
     pub fn seek(&self, key: &[u8]) -> Result<Cursor> {
         let mut cur = Cursor::new(self.epoch);
-        self.descend(&mut cur, 0, self.root, Vec::new(), None, key)?;
+        self.descend(&mut cur, 0, self.root, key)?;
         Ok(cur)
     }
 
@@ -308,50 +327,30 @@ impl<S: PageStore> ReadView<'_, S> {
         cur.path.clear();
         cur.cached = None;
         cur.fence_valid = false;
-        self.descend(cur, 0, self.root, Vec::new(), None, key)
+        self.descend(cur, 0, self.root, key)
     }
 
-    /// Descend from `id` (whose subtree covers `[lo, hi)`) to the leaf
+    /// Descend from `id`, the node below `cur.path[..depth]`, to the leaf
     /// containing the first entry `>= key`, rebuilding `cur.path` from
     /// `depth` downward. Fetches (and counts) every node from `id` down.
-    fn descend(
-        &self,
-        cur: &mut Cursor,
-        depth: usize,
-        id: PageId,
-        lo: Vec<u8>,
-        hi: Option<Vec<u8>>,
-        key: &[u8],
-    ) -> Result<()> {
+    fn descend(&self, cur: &mut Cursor, depth: usize, id: PageId, key: &[u8]) -> Result<()> {
         cur.path.truncate(depth);
-        let (mut id, mut lo, mut hi) = (id, lo, hi);
+        let mut id = id;
         let mut fetched = 0u64;
         loop {
             let node = self.load_cached(id)?;
             fetched += 1;
             match &*node {
                 Node::Internal(int) => {
-                    let ci = int.route(key);
-                    let child = int.child(ci);
-                    let child_lo = if ci == 0 {
-                        lo.clone()
-                    } else {
-                        int.sep(ci - 1).to_vec()
-                    };
-                    let child_hi = if ci == int.len() {
-                        hi.clone()
-                    } else {
-                        Some(int.sep(ci).to_vec())
-                    };
-                    cur.path.push(PathLevel { id, node, lo, hi });
-                    (id, lo, hi) = (child, child_lo, child_hi);
+                    let child = int.route(key);
+                    let next = int.child(child);
+                    cur.path.push(PathLevel { id, node, child });
+                    id = next;
                 }
                 Node::Leaf(leaf) => {
                     cur.slot = leaf.search(key).unwrap_or_else(|at| at);
                     cur.leaf = id;
                     cur.cached = Some((id, node));
-                    cur.fence_lo = lo;
-                    cur.fence_hi = hi;
                     cur.fence_valid = true;
                     cur.epoch = self.epoch;
                     cur.stats.descents += 1;
@@ -383,10 +382,7 @@ impl<S: PageStore> ReadView<'_, S> {
             metrics(|m| m.reseek_full.inc());
             return self.seek_into(cur, key);
         }
-        if cur.fence_valid
-            && cur.fence_lo.as_slice() <= key
-            && cur.fence_hi.as_deref().is_none_or(|hi| key < hi)
-        {
+        if cur.fence_valid && covers(&cur.path, key) {
             // The answer slot is in the descended-to leaf (or, when the
             // target is past its last entry, the chain walk in
             // `cursor_entry_ref` reaches it — the next leaf starts at or
@@ -398,28 +394,18 @@ impl<S: PageStore> ReadView<'_, S> {
         }
         // Lowest retained ancestor covering the target. The root level
         // covers everything, so a non-empty path always yields one.
-        let Some(depth) = cur.path.iter().rposition(|lvl| lvl.covers(key)) else {
+        let Some(depth) = (0..cur.path.len())
+            .rev()
+            .find(|&depth| covers(&cur.path[..depth], key))
+        else {
             metrics(|m| m.reseek_full.inc());
             return self.seek_into(cur, key);
         };
-        let lvl = &cur.path[depth];
-        let Node::Internal(int) = &*lvl.node else {
-            return Err(pagestore::Error::Corrupt("cursor path holds a leaf".into()));
-        };
-        let ci = int.route(key);
-        let child = int.child(ci);
-        let child_lo = if ci == 0 {
-            lvl.lo.clone()
-        } else {
-            int.sep(ci - 1).to_vec()
-        };
-        let child_hi = if ci == int.len() {
-            lvl.hi.clone()
-        } else {
-            Some(int.sep(ci).to_vec())
-        };
+        let lvl = &mut cur.path[depth];
+        lvl.child = lvl.int().route(key);
+        let child = lvl.int().child(lvl.child);
         metrics(|m| m.reseek_lca.inc());
-        self.descend(cur, depth + 1, child, child_lo, child_hi, key)
+        self.descend(cur, depth + 1, child, key)
     }
 
     /// The decoded leaf the cursor points into, loaded (through the pool,

@@ -58,7 +58,6 @@ pub struct ExplainReport {
 pub(crate) fn algorithm_name(a: ScanAlgorithm) -> &'static str {
     match a {
         ScanAlgorithm::Parallel => "parallel",
-        ScanAlgorithm::ParallelFlat => "parallel-flat",
         ScanAlgorithm::Forward => "forward",
     }
 }

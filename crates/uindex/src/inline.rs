@@ -41,7 +41,16 @@ impl<T: Copy + Default, const N: usize> InlineVec<T, N> {
 
     /// Copy `items`; no allocation when `items.len() <= N`.
     pub fn from_slice(items: &[T]) -> Self {
-        Self::from_fn(items.len(), |i| items[i])
+        if items.len() <= N && N <= u8::MAX as usize {
+            let mut buf = [T::default(); N];
+            buf[..items.len()].copy_from_slice(items);
+            InlineVec(Repr::Inline {
+                len: items.len() as u8,
+                buf,
+            })
+        } else {
+            InlineVec(Repr::Heap(items.to_vec()))
+        }
     }
 }
 

@@ -155,6 +155,15 @@ impl std::ops::Deref for Path {
     }
 }
 
+impl Path {
+    pub(crate) fn last_mut(&mut self) -> Option<&mut PathElem> {
+        match &mut self.0 {
+            PathRepr::One(elem) => Some(elem),
+            PathRepr::Many(elems) => elems.last_mut(),
+        }
+    }
+}
+
 impl From<Vec<PathElem>> for Path {
     fn from(mut elems: Vec<PathElem>) -> Self {
         if elems.len() == 1 {
@@ -237,19 +246,17 @@ impl EntryKey {
     /// one-element entry (class codes and a lone path element are inline);
     /// longer paths add their vector.
     pub(crate) fn from_parsed(key: &[u8], offsets: &KeyOffsets) -> Result<EntryKey> {
-        if offsets.elems.is_empty() {
-            return Err(Error::BadKey("entry has no path elements".into()));
-        }
+        let elem = |e: &ElemOffsets| PathElem {
+            code: CodeBytes::from_slice(&key[e.start..e.sep]),
+            oid: Oid::from_bytes(e.oid_bytes(key)),
+        };
+        let path = match offsets.elems.as_slice() {
+            [] => return Err(Error::BadKey("entry has no path elements".into())),
+            [only] => Path(PathRepr::One(elem(only))),
+            many => Path(PathRepr::Many(many.iter().map(elem).collect())),
+        };
         let (value, _) = Value::decode_ordered(&key[2..offsets.val_sep])
             .ok_or_else(|| Error::BadKey("undecodable value field".into()))?;
-        let path = offsets
-            .elems
-            .iter()
-            .map(|e| PathElem {
-                code: CodeBytes::from_slice(&key[e.start..e.sep]),
-                oid: Oid::from_bytes(e.oid_bytes(key)),
-            })
-            .collect();
         Ok(EntryKey {
             index_id: u16::from_be_bytes([key[0], key[1]]),
             value,

@@ -722,8 +722,6 @@ pub fn run_trials(seed: u64, trials: usize) -> TrialSummary {
             let q = gen_query(&t, &mut rng);
             let mut fq = q.clone();
             fq.algorithm = ScanAlgorithm::Forward;
-            let mut xq = q.clone();
-            xq.algorithm = ScanAlgorithm::ParallelFlat;
             let oracle = eval(t.db.index(), t.db.store(), &q)
                 .unwrap_or_else(|e| panic!("oracle eval failed (seed {tseed:#x}): {e}"));
             // Cumulative registry state before the parallel run, so its
@@ -734,11 +732,10 @@ pub fn run_trials(seed: u64, trials: usize) -> TrialSummary {
                 Err(e) => (Err(e), None),
             };
             let reg1 = RegistrySample::take();
-            let flat = t.db.query_with_stats(&xq);
             let fwd = t.db.query_with_stats(&fq);
             sum.queries += 1;
-            match (par, flat, fwd) {
-                (Ok((ph, ps)), Ok((xh, xs)), Ok((fh, fs))) => {
+            match (par, fwd) {
+                (Ok((ph, ps)), Ok((fh, fs))) => {
                     check_registry_invariants(
                         &ps,
                         ptrace.as_ref().expect("trace accompanies Ok"),
@@ -750,10 +747,6 @@ pub fn run_trials(seed: u64, trials: usize) -> TrialSummary {
                     assert_eq!(
                         ph, oracle,
                         "parallel scan diverges from oracle (seed {tseed:#x}, query {q:?})"
-                    );
-                    assert_eq!(
-                        xh, oracle,
-                        "flat-parallel scan diverges from oracle (seed {tseed:#x}, query {q:?})"
                     );
                     assert_eq!(
                         fh, oracle,
@@ -773,21 +766,6 @@ pub fn run_trials(seed: u64, trials: usize) -> TrialSummary {
                         ps.node_visits,
                         fs.node_visits
                     );
-                    assert!(
-                        ps.node_visits <= xs.node_visits,
-                        "hierarchical reseek visited more nodes than flat \
-                         seeks ({} > {}) (seed {tseed:#x}, query {q:?})",
-                        ps.node_visits,
-                        xs.node_visits
-                    );
-                    // Hierarchical reseek only skips fetches of pages the
-                    // query already touched, so the *distinct* page set is
-                    // exactly the flat algorithm's.
-                    assert_eq!(
-                        ps.pages_read, xs.pages_read,
-                        "hierarchical reseek changed the distinct page set \
-                         vs flat seeks (seed {tseed:#x}, query {q:?})"
-                    );
                     sum.hits += ph.len() as u64;
                     if rng.chance(1, 3) && !ph.is_empty() {
                         let npos = t.db.index().spec(q.index).expect("spec").positions.len();
@@ -805,7 +783,7 @@ pub fn run_trials(seed: u64, trials: usize) -> TrialSummary {
                         sum.distinct_checks += 1;
                     }
                 }
-                (Err(_), Err(_), Err(_)) => {
+                (Err(_), Err(_)) => {
                     assert!(
                         oracle.is_empty(),
                         "translation rejected a query the oracle satisfies \
@@ -813,9 +791,9 @@ pub fn run_trials(seed: u64, trials: usize) -> TrialSummary {
                     );
                     sum.bad_queries += 1;
                 }
-                (p, x, f) => panic!(
+                (p, f) => panic!(
                     "algorithms disagree on query validity (seed {tseed:#x}, \
-                     query {q:?}): parallel {p:?} vs flat {x:?} vs forward {f:?}"
+                     query {q:?}): parallel {p:?} vs forward {f:?}"
                 ),
             }
         }

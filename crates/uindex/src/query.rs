@@ -206,14 +206,6 @@ impl Query {
         self
     }
 
-    /// Use the parallel algorithm with flat (full root-to-leaf) skip-seeks
-    /// instead of hierarchical re-descent — the benchmark baseline for
-    /// measuring what path retention saves.
-    pub fn flat_parallel_scan(mut self) -> Self {
-        self.algorithm = ScanAlgorithm::ParallelFlat;
-        self
-    }
-
     /// Deduplicate combinations through path position `pos` (skip the rest
     /// of each matched group).
     pub fn distinct_through(mut self, pos: usize) -> Self {
@@ -319,6 +311,18 @@ impl QueryHit {
     /// The matched attribute value.
     pub fn value(&self) -> &Value {
         &self.key.value
+    }
+
+    /// Append to `hits` (not empty) the hit of an entry that differs from
+    /// the last one's only in its last OID: same value, class codes and
+    /// assignment, nothing decoded again. The clone is made in place, in
+    /// the vector's spare capacity.
+    pub(crate) fn push_successor(hits: &mut Vec<QueryHit>, last_oid: Oid) {
+        hits.extend_from_within(hits.len() - 1..);
+        let path = &mut hits.last_mut().expect("just extended").key.path;
+        if let Some(last) = path.last_mut() {
+            last.oid = last_oid;
+        }
     }
 }
 

@@ -14,6 +14,12 @@
 //!   this query are counted once by the buffer pool, which is exactly the
 //!   paper's "scan relevant B-tree nodes only and utilize them for all
 //!   possible key values".
+//!
+//! Both run the one loop in [`execute_traced`] and differ only in whether a
+//! skip target is sought or stepped towards. Both also exploit the key
+//! layout's clustering: an entry that differs from the match before it in
+//! nothing but its trailing OID *inherits* that match's verdict, and its hit
+//! is built from its predecessor's (see [`Matcher::advise_with`]).
 
 use btree::ReadView;
 use objstore::Oid;
@@ -30,9 +36,6 @@ pub enum ScanAlgorithm {
     /// hierarchically from the lowest retained ancestor that covers each
     /// skip target (see `BTree::reseek`).
     Parallel,
-    /// Algorithm 1 with every skip paying a full root-to-leaf descent —
-    /// the pre-reseek behavior, kept selectable as the benchmark baseline.
-    ParallelFlat,
     /// Naive forward scanning from the first relevant entry.
     Forward,
 }
@@ -128,8 +131,10 @@ pub(crate) struct Matcher {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Advice {
     /// Entry matches; `scratch.assignment[pos]` is the entry element
-    /// occupying each spec position.
-    Match,
+    /// occupying each spec position. `carried`: the verdict was inherited
+    /// from the match before it, from which the entry differs only in its
+    /// last OID (see [`Matcher::advise_with`]).
+    Match { carried: bool },
     /// Entry cannot match but the next entry might (no useful skip target).
     Step,
     /// No entry below `scratch.target` can match; seek to it.
@@ -170,6 +175,15 @@ pub(crate) struct ScanScratch {
     /// Valid after [`Advice::SkipTo`] and after [`Matcher::skip_past_match`]
     /// returned `true`.
     target: Vec<u8>,
+    /// The last match's key up to the start of its last OID — a copy, made
+    /// once per cluster, because the cluster may continue on the next leaf.
+    carried: Vec<u8>,
+    /// Whether the next entry may inherit its verdict from `carried`.
+    carry_armed: bool,
+    /// Never arm the carry: a `distinct_through` scan follows every match
+    /// with a skip past the matched combination, so it has no run of
+    /// matches to inherit along.
+    carry_off: bool,
 }
 
 /// Leave `head ++ tail` in `target` as the key to skip to.
@@ -225,11 +239,34 @@ impl Matcher {
 
     /// Evaluate `key`, parsing into `scratch` instead of allocating; the
     /// data behind a `Match` or `SkipTo` verdict is left there.
+    ///
+    /// **The carry.** The verdict is a function of the key's value bytes,
+    /// each class code and each OID, and the layout clusters entries that
+    /// share all of those but the last OID. So a `Match` whose last element
+    /// occupies a position with [`OidSel::Any`] arms the carry with
+    /// `key[..last oid]`, and an entry of the same length that starts with
+    /// those bytes is a `Match { carried: true }` without being parsed or
+    /// compared against a range: equal bytes were judged equal, the one
+    /// field that differs cannot object, and the shape `parse` validates is
+    /// implied by a validated prefix plus a fixed-width tail. The offsets
+    /// and assignment in `scratch` stay right because the layout is
+    /// identical. Any other entry — a longer key sharing the prefix, a new
+    /// code or value, any verdict but `Match` — disarms the carry and is
+    /// examined in full.
     pub(crate) fn advise_with(&self, key: &[u8], scratch: &mut ScanScratch) -> Result<Advice> {
+        if scratch.carry_armed {
+            if key.len() == scratch.carried.len() + 4 && key.starts_with(&scratch.carried) {
+                return Ok(Advice::Match { carried: true });
+            }
+            scratch.carry_armed = false;
+        }
         let ScanScratch {
             offsets,
             assignment,
             target,
+            carried,
+            carry_armed,
+            carry_off,
         } = scratch;
         let myid = self.index_id.to_be_bytes();
         match key.get(..2) {
@@ -307,7 +344,16 @@ impl Matcher {
         if self.positions[pos_idx..].iter().any(|p| p.required) {
             return Ok(Advice::Step);
         }
-        Ok(Advice::Match)
+        if let (false, Some(last)) = (*carry_off, offsets.elems.last()) {
+            // The loop left `pos_idx` one past the last element's position.
+            if self.positions[pos_idx - 1].oids.is_any() {
+                debug_assert_eq!(last.oid_start + 4, key.len(), "parse ends on an OID");
+                carried.clear();
+                carried.extend_from_slice(&key[..last.oid_start]);
+                *carry_armed = true;
+            }
+        }
+        Ok(Advice::Match { carried: false })
     }
 
     /// After a match on `key` (the key `scratch` last examined), leave in
@@ -325,22 +371,27 @@ impl Matcher {
     }
 }
 
-/// Skip-seek the cursor to `target`: hierarchically for `Parallel`
-/// (LCA re-descent over the retained path), with a full root descent for
-/// the `ParallelFlat` baseline.
+#[cfg(test)]
+thread_local! {
+    /// Test-only baseline: every skip-seek pays a full root-to-leaf descent
+    /// (`ReadView::seek_into`) instead of re-descending from the lowest
+    /// retained ancestor, to hold hierarchical re-descent to it.
+    static FLAT_SKIPS: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+}
+
+/// Skip-seek the cursor to `target` (LCA re-descent over the retained
+/// path).
 fn skip_seek<S: PageStore>(
     view: &ReadView<'_, S>,
     cur: &mut btree::Cursor,
     target: &[u8],
-    algorithm: ScanAlgorithm,
 ) -> Result<()> {
-    if algorithm == ScanAlgorithm::ParallelFlat {
+    #[cfg(test)]
+    if FLAT_SKIPS.get() {
         // In place so the cursor keeps its accumulated seek stats.
-        view.seek_into(cur, target)?;
-    } else {
-        view.reseek(cur, target)?;
+        return Ok(view.seek_into(cur, target)?);
     }
-    Ok(())
+    Ok(view.reseek(cur, target)?)
 }
 
 /// Registry handles the scan reports through, resolved once per thread
@@ -355,6 +406,7 @@ struct ScanMetrics {
     queries: telemetry::Counter,
     entries_examined: telemetry::Counter,
     matches: telemetry::Counter,
+    carried: telemetry::Counter,
     skips: telemetry::Counter,
     partial_keys: telemetry::Counter,
     pages: telemetry::Counter,
@@ -375,6 +427,7 @@ thread_local! {
         queries: telemetry::counter("uindex.query.count"),
         entries_examined: telemetry::counter("uindex.scan.entries_examined"),
         matches: telemetry::counter("uindex.scan.matches"),
+        carried: telemetry::counter("uindex.scan.carried"),
         skips: telemetry::counter("uindex.scan.skips"),
         partial_keys: telemetry::counter("uindex.scan.partial_keys"),
         pages: telemetry::counter("uindex.scan.pages"),
@@ -397,9 +450,13 @@ thread_local! {
 /// hit costs at most two allocations**: the `String` of a string value
 /// and, when the entry has more than one path element, the `path` vector
 /// (a class-hierarchy hit's single element is inline, so an integer-valued
-/// one allocates nothing). A hit is built from the offsets the matcher
-/// already parsed, class codes and the position assignment inline. (The
-/// hit vector's own doubling adds a logarithmic number on top.)
+/// one allocates nothing). A cluster's first hit is built from the offsets
+/// the matcher already parsed, class codes and the position assignment
+/// inline; a carried match's hit is its predecessor's with the last OID
+/// replaced — the clone allocates exactly what building it would. (The
+/// hit vector's own doubling adds a logarithmic number on top.) **A
+/// skip-seek allocates nothing**: the cursor's retained path holds child
+/// indices, not copies of fence keys.
 ///
 /// Registry counter deltas captured around the scan attribute the
 /// skip-seeks to their resolution tier and the page fetches to pool hits
@@ -426,8 +483,12 @@ pub(crate) fn execute_traced<S: PageStore>(
     let before = SCAN_METRICS.with(tiers_and_pool);
     let mut stats = ScanStats::default();
     let mut trace = QueryTrace::default();
-    let mut scratch = ScanScratch::default();
-    let mut hits = Vec::new();
+    let mut scratch = ScanScratch {
+        carry_off: distinct_upto.is_some(),
+        ..ScanScratch::default()
+    };
+    let mut carried_matches = 0;
+    let mut hits: Vec<QueryHit> = Vec::new();
     let mut cur = {
         let _descend = telemetry::Span::enter("descend");
         view.seek(&matcher.initial_seek())?
@@ -436,12 +497,18 @@ pub(crate) fn execute_traced<S: PageStore>(
     while let Some((key, _)) = view.cursor_peek(&mut cur)? {
         stats.entries_examined += 1;
         let skip = match matcher.advise_with(key, &mut scratch)? {
-            Advice::Match => {
+            Advice::Match { carried } => {
                 stats.matches += 1;
-                hits.push(QueryHit {
-                    key: EntryKey::from_parsed(key, &scratch.offsets)?,
-                    assignment: Assignment::from_slice(&scratch.assignment),
-                });
+                if carried && !hits.is_empty() {
+                    carried_matches += 1;
+                    let oid = key.last_chunk().expect("a carried key ends in an OID");
+                    QueryHit::push_successor(&mut hits, Oid::from_bytes(*oid));
+                } else {
+                    hits.push(QueryHit {
+                        key: EntryKey::from_parsed(key, &scratch.offsets)?,
+                        assignment: Assignment::from_slice(&scratch.assignment),
+                    });
+                }
                 distinct_upto
                     .and_then(|pos| scratch.assignment.get(pos).copied().flatten())
                     .is_some_and(|ei| Matcher::skip_past_match(key, ei, &mut scratch))
@@ -459,7 +526,7 @@ pub(crate) fn execute_traced<S: PageStore>(
         // step: every key still gets examined, only the skip is lost.
         if skip && algorithm.skips() && scratch.target.as_slice() > key {
             stats.seeks += 1;
-            skip_seek(view, &mut cur, &scratch.target, algorithm)?;
+            skip_seek(view, &mut cur, &scratch.target)?;
         } else {
             cur.advance();
         }
@@ -490,6 +557,7 @@ pub(crate) fn execute_traced<S: PageStore>(
         m.queries.inc();
         m.entries_examined.add(stats.entries_examined);
         m.matches.add(stats.matches);
+        m.carried.add(carried_matches);
         m.skips.add(stats.seeks);
         m.partial_keys.add(trace.partial_keys_expanded);
         m.pages.add(stats.pages_read);
@@ -514,16 +582,27 @@ enum Advised {
 }
 
 #[cfg(test)]
+impl Advised {
+    /// `advice` with the data it left in `scratch`.
+    fn read(advice: Advice, scratch: &ScanScratch) -> Advised {
+        match advice {
+            Advice::Match { .. } => Advised::Match(scratch.assignment.clone()),
+            Advice::Step => Advised::Step,
+            Advice::SkipTo => Advised::SkipTo(scratch.target.clone()),
+            Advice::Done => Advised::Done,
+        }
+    }
+}
+
+#[cfg(test)]
 impl Matcher {
+    fn advise_in(&self, key: &[u8], scratch: &mut ScanScratch) -> Result<Advised> {
+        Ok(Advised::read(self.advise_with(key, scratch)?, scratch))
+    }
+
     /// [`Matcher::advise_with`] on fresh scratch.
     fn advise(&self, key: &[u8]) -> Result<Advised> {
-        let mut scratch = ScanScratch::default();
-        Ok(match self.advise_with(key, &mut scratch)? {
-            Advice::Match => Advised::Match(scratch.assignment),
-            Advice::Step => Advised::Step,
-            Advice::SkipTo => Advised::SkipTo(scratch.target),
-            Advice::Done => Advised::Done,
-        })
+        self.advise_in(key, &mut ScanScratch::default())
     }
 }
 
@@ -534,9 +613,13 @@ mod tests {
     use objstore::Value;
 
     fn enc(v: i64, path: &[(&[u8], u32)]) -> Vec<u8> {
+        enc_value(Value::Int(v), path)
+    }
+
+    fn enc_value(value: Value, path: &[(&[u8], u32)]) -> Vec<u8> {
         EntryKey {
             index_id: 1,
-            value: Value::Int(v),
+            value,
             path: path
                 .iter()
                 .map(|(c, o)| PathElem {
@@ -759,6 +842,333 @@ mod tests {
             assert_eq!(stats.seeks, 0, "stalled skips must not seek");
         }
     }
+
+    /// A tree of `keys` with at most ten entries per node.
+    fn small_node_tree(keys: &[Vec<u8>]) -> btree::BTree<pagestore::MemStore> {
+        use btree::{BTree, BTreeConfig};
+        use pagestore::{BufferPool, MemStore};
+
+        let pool = BufferPool::new(MemStore::new(1024), 1 << 10);
+        let mut tree = BTree::create(pool, BTreeConfig::with_max_entries(10)).unwrap();
+        for k in keys {
+            tree.insert(k, b"").unwrap();
+        }
+        tree
+    }
+
+    /// `execute_traced` plus how many of its matches were carried.
+    fn execute_counting_carries(
+        tree: &btree::BTree<pagestore::MemStore>,
+        m: &Matcher,
+        alg: ScanAlgorithm,
+        distinct_upto: Option<usize>,
+    ) -> (Vec<QueryHit>, ScanStats, u64) {
+        let before = telemetry::counter_value("uindex.scan.carried");
+        let (hits, stats, _) = execute_traced(&tree.view(), m, alg, distinct_upto).unwrap();
+        let carried = telemetry::counter_value("uindex.scan.carried") - before;
+        (hits, stats, carried)
+    }
+
+    /// Two positions, both optional and unconstrained: code regions
+    /// [B1, B2) and [C1, C2).
+    fn matcher_two_pos() -> Matcher {
+        let pos = |c: u8| PosConstraint {
+            region: (vec![c, 1], vec![c, 2]),
+            class_ranges: vec![(vec![c, 1], vec![c, 2])],
+            oids: OidSel::Any,
+            required: false,
+        };
+        Matcher {
+            index_id: 1,
+            value_ranges: vec![int_point(5)],
+            positions: vec![pos(b'B'), pos(b'C')],
+        }
+    }
+
+    #[test]
+    fn a_match_differing_only_in_its_last_oid_is_carried() {
+        let m = matcher_one_pos(false);
+        let mut scratch = ScanScratch::default();
+        let verdicts: Vec<Advice> = [7, 8, 0xFFFF_FFFF]
+            .iter()
+            .map(|&oid| {
+                let k = enc(5, &[(&[b'B', 1], oid)]);
+                let v = m.advise_with(&k, &mut scratch).unwrap();
+                assert_eq!(scratch.assignment, vec![Some(0)]);
+                v
+            })
+            .collect();
+        assert_eq!(
+            verdicts,
+            [
+                Advice::Match { carried: false },
+                Advice::Match { carried: true },
+                Advice::Match { carried: true },
+            ]
+        );
+    }
+
+    #[test]
+    fn a_longer_key_sharing_the_prefix_is_not_carried() {
+        let m = matcher_two_pos();
+        let mut scratch = ScanScratch::default();
+        let short = enc(5, &[(&[b'B', 1], 7)]);
+        let long = enc(5, &[(&[b'B', 1], 7), (&[b'C', 1], 5)]);
+        assert!(long.starts_with(&short));
+        assert_eq!(
+            m.advise_with(&short, &mut scratch).unwrap(),
+            Advice::Match { carried: false }
+        );
+        // The extra element is examined in full and gets its own slot.
+        assert_eq!(
+            m.advise_with(&long, &mut scratch).unwrap(),
+            Advice::Match { carried: false }
+        );
+        assert_eq!(scratch.assignment, vec![Some(0), Some(1)]);
+        // The longer key armed the carry on *its* last element.
+        let next = enc(5, &[(&[b'B', 1], 7), (&[b'C', 1], 6)]);
+        assert_eq!(
+            m.advise_with(&next, &mut scratch).unwrap(),
+            Advice::Match { carried: true }
+        );
+        assert_eq!(scratch.assignment, vec![Some(0), Some(1)]);
+        // Back to a one-element key: same length as nothing carried.
+        let other = enc(5, &[(&[b'B', 1], 8)]);
+        assert_eq!(
+            m.advise_with(&other, &mut scratch).unwrap(),
+            Advice::Match { carried: false }
+        );
+        assert_eq!(scratch.assignment, vec![Some(0), None]);
+    }
+
+    #[test]
+    fn an_oid_selector_at_the_last_position_never_arms_the_carry() {
+        let key = |oid| enc(5, &[(&[b'B', 1], oid)]);
+        let mut m = matcher_one_pos(true);
+        m.positions[0].oids = OidSel::Is(Oid(10));
+        let mut scratch = ScanScratch::default();
+        assert_eq!(
+            m.advise_in(&key(10), &mut scratch).unwrap(),
+            Advised::Match(vec![Some(0)])
+        );
+        assert!(matches!(
+            m.advise_in(&key(11), &mut scratch).unwrap(),
+            Advised::SkipTo(_)
+        ));
+
+        m.positions[0].oids = OidSel::In([Oid(10), Oid(12)].into());
+        let mut scratch = ScanScratch::default();
+        assert_eq!(
+            m.advise_with(&key(10), &mut scratch).unwrap(),
+            Advice::Match { carried: false }
+        );
+        assert_eq!(
+            m.advise_in(&key(11), &mut scratch).unwrap(),
+            Advised::SkipTo(key(12))
+        );
+        assert_eq!(
+            m.advise_with(&key(12), &mut scratch).unwrap(),
+            Advice::Match { carried: false }
+        );
+
+        // An OID selector at an *earlier* position is part of the carried
+        // prefix: judged once, inherited with it.
+        let mut m = matcher_two_pos();
+        m.positions[0].oids = OidSel::Is(Oid(7));
+        let mut scratch = ScanScratch::default();
+        let k = enc(5, &[(&[b'B', 1], 7), (&[b'C', 1], 1)]);
+        assert_eq!(
+            m.advise_with(&k, &mut scratch).unwrap(),
+            Advice::Match { carried: false }
+        );
+        let k = enc(5, &[(&[b'B', 1], 7), (&[b'C', 1], 2)]);
+        assert_eq!(
+            m.advise_with(&k, &mut scratch).unwrap(),
+            Advice::Match { carried: true }
+        );
+        let k = enc(5, &[(&[b'B', 1], 8), (&[b'C', 1], 2)]);
+        assert!(matches!(
+            m.advise_in(&k, &mut scratch).unwrap(),
+            Advised::SkipTo(_)
+        ));
+    }
+
+    #[test]
+    fn a_value_differing_in_its_last_byte_is_not_carried() {
+        let m = matcher_one_pos(false);
+        let mut scratch = ScanScratch::default();
+        let (five, six) = (enc(5, &[(&[b'B', 1], 7)]), enc(6, &[(&[b'B', 1], 7)]));
+        assert_eq!(five.len(), six.len());
+        let differing: Vec<usize> = (0..five.len()).filter(|&i| five[i] != six[i]).collect();
+        scratch.offsets.parse(&five).unwrap();
+        assert_eq!(differing, [scratch.offsets.val_sep - 1], "last value byte");
+        assert_eq!(
+            m.advise_with(&five, &mut scratch).unwrap(),
+            Advice::Match { carried: false }
+        );
+        assert_eq!(m.advise_with(&six, &mut scratch).unwrap(), Advice::Done);
+    }
+
+    #[test]
+    fn distinct_through_never_carries() {
+        let keys: Vec<Vec<u8>> = (0..30)
+            .map(|i| enc(5, &[(&[b'B', 1], i / 10), (&[b'C', 1], i)]))
+            .collect();
+        let tree = small_node_tree(&keys);
+        let m = matcher_two_pos();
+        for alg in [ScanAlgorithm::Parallel, ScanAlgorithm::Forward] {
+            let (all, _, carried) = execute_counting_carries(&tree, &m, alg, None);
+            assert_eq!(all.len(), 30);
+            assert_eq!(carried, 27, "three runs of ten under {alg:?}");
+            let (hits, _, carried) = execute_counting_carries(&tree, &m, alg, Some(1));
+            assert_eq!(hits, all, "distinct through the last position keeps all");
+            assert_eq!(carried, 0, "{alg:?}");
+        }
+        let (hits, stats, carried) =
+            execute_counting_carries(&tree, &m, ScanAlgorithm::Parallel, Some(0));
+        let firsts: Vec<Oid> = hits.iter().map(|h| h.key.path[1].oid).collect();
+        assert_eq!(firsts, [Oid(0), Oid(10), Oid(20)]);
+        assert_eq!((stats.seeks, carried), (3, 0));
+    }
+
+    #[test]
+    fn a_cluster_is_carried_across_leaf_boundaries() {
+        let keys: Vec<Vec<u8>> = (0..35).map(|oid| enc(5, &[(&[b'B', 1], oid)])).collect();
+        let tree = small_node_tree(&keys);
+        let m = matcher_one_pos(false);
+        for alg in [ScanAlgorithm::Parallel, ScanAlgorithm::Forward] {
+            let (hits, stats, carried) = execute_counting_carries(&tree, &m, alg, None);
+            assert!(stats.pages_read >= 4, "35 entries, ten to a leaf");
+            assert_eq!(carried, 34, "{alg:?}: one head, the rest inherited");
+            let oids: Vec<Oid> = hits.iter().map(|h| h.key.path[0].oid).collect();
+            assert_eq!(oids, (0..35).map(Oid).collect::<Vec<_>>());
+        }
+    }
+
+    #[test]
+    fn a_successor_built_hit_equals_the_decoded_entry() {
+        let any_value = vec![(vec![], vec![0xFF])];
+        let one = Matcher {
+            value_ranges: any_value.clone(),
+            ..matcher_one_pos(false)
+        };
+        let two = Matcher {
+            value_ranges: any_value,
+            ..matcher_two_pos()
+        };
+        let strings: Vec<Vec<u8>> = ["Blue", "Red", ""]
+            .iter()
+            .flat_map(|s| {
+                (0..12).map(move |oid| enc_value(Value::Str((*s).into()), &[(&[b'B', 1], oid)]))
+            })
+            .collect();
+        let ints: Vec<Vec<u8>> = [-3, 0, 70_000]
+            .iter()
+            .flat_map(|&v| (0..12).map(move |oid| enc(v, &[(&[b'B', 1], oid)])))
+            .collect();
+        let paths: Vec<Vec<u8>> = (0..36)
+            .map(|i| enc(i64::from(i / 18), &[(&[b'B', 1], i / 6), (&[b'C', 1], i)]))
+            .collect();
+        for (what, m, keys, heads, assignment) in [
+            ("string", &one, strings, 3, vec![Some(0)]),
+            ("integer", &one, ints, 3, vec![Some(0)]),
+            ("two-element path", &two, paths, 6, vec![Some(0), Some(1)]),
+        ] {
+            let tree = small_node_tree(&keys);
+            let mut sorted = keys;
+            sorted.sort();
+            let want: Vec<QueryHit> = sorted
+                .iter()
+                .map(|k| QueryHit {
+                    key: EntryKey::decode(k).unwrap(),
+                    assignment: assignment.clone().into(),
+                })
+                .collect();
+            for alg in [ScanAlgorithm::Parallel, ScanAlgorithm::Forward] {
+                let (hits, _, carried) = execute_counting_carries(&tree, m, alg, None);
+                assert_eq!(hits, want, "{what}, {alg:?}");
+                assert_eq!(carried, want.len() as u64 - heads, "{what}, {alg:?}");
+            }
+        }
+    }
+
+    /// Run `f` with every skip-seek paying a full root descent.
+    fn with_flat_skips<T>(f: impl FnOnce() -> T) -> T {
+        FLAT_SKIPS.set(true);
+        let out = f();
+        FLAT_SKIPS.set(false);
+        out
+    }
+
+    #[test]
+    fn hierarchical_re_descent_reads_the_same_pages_in_no_more_visits() {
+        // 40 values x 4 classes x 6 objects, ten entries to a node: a
+        // three-level tree. Two of the four classes are selected, so the
+        // scan skips twice per value.
+        let classes: [&[u8]; 4] = [&[b'B', 1], &[b'B', 2], &[b'B', 3], &[b'B', 4]];
+        let keys: Vec<Vec<u8>> = (0..40 * 4 * 6)
+            .map(|i| enc(i64::from(i / 24), &[(classes[(i / 6 % 4) as usize], i)]))
+            .collect();
+        let tree = small_node_tree(&keys);
+        let m = Matcher {
+            index_id: 1,
+            value_ranges: vec![(int_point(5).0, int_point(30).0)],
+            positions: vec![PosConstraint {
+                region: (vec![b'B', 1], vec![b'B', 5]),
+                class_ranges: vec![
+                    (vec![b'B', 2], vec![b'B', 3]),
+                    (vec![b'B', 4], vec![b'B', 5]),
+                ],
+                oids: OidSel::Any,
+                required: true,
+            }],
+        };
+        let run = || execute_traced(&tree.view(), &m, ScanAlgorithm::Parallel, None).unwrap();
+        let (hits, stats, _) = run();
+        let (flat_hits, flat, _) = with_flat_skips(run);
+        assert_eq!(hits.len(), 25 * 2 * 6);
+        assert_eq!(hits, flat_hits);
+        assert!(stats.seeks >= 49, "premise: the scan skips ({stats:?})");
+        assert_eq!(stats.seeks, flat.seeks);
+        assert_eq!(flat.descents, flat.seeks + 1, "every flat skip descends");
+        // Re-descent only avoids re-fetching pages the query already
+        // touched, so the distinct page set is the flat algorithm's.
+        assert_eq!(stats.pages_read, flat.pages_read);
+        assert!(
+            stats.node_visits < flat.node_visits && stats.descents <= flat.descents,
+            "hierarchical {stats:?} vs flat {flat:?}"
+        );
+    }
+
+    #[test]
+    fn hierarchical_re_descent_holds_to_flat_skips_on_oracle_trials() {
+        use crate::oracle::{self, Rng64};
+
+        for tseed in 0..24u64 {
+            let t = oracle::gen_trial(tseed).expect("trial generation");
+            let mut rng = Rng64::new(tseed ^ 0xF1A7);
+            for _ in 0..6 {
+                let q = oracle::gen_query(&t, &mut rng);
+                let Ok((hits, stats)) = t.db.query_with_stats(&q) else {
+                    continue;
+                };
+                let (flat_hits, flat) =
+                    with_flat_skips(|| t.db.query_with_stats(&q)).expect("same query, flat skips");
+                assert_eq!(hits, flat_hits, "seed {tseed:#x}, query {q:?}");
+                assert_eq!(
+                    stats.pages_read, flat.pages_read,
+                    "distinct pages changed under re-descent (seed {tseed:#x}, query {q:?})"
+                );
+                assert!(
+                    stats.node_visits <= flat.node_visits,
+                    "re-descent visited more nodes than flat skips ({} > {}) \
+                     (seed {tseed:#x}, query {q:?})",
+                    stats.node_visits,
+                    flat.node_visits
+                );
+            }
+        }
+    }
 }
 
 /// Property tests pitting [`Matcher::advise`] against the semantic oracle
@@ -766,14 +1176,19 @@ mod tests {
 /// every piece of advice must be *sound* — `Match` agrees with the oracle
 /// including the assignment, `Step`/`SkipTo`/`Done` only reject keys the
 /// oracle rejects, every `SkipTo` target strictly advances, and no skip
-/// or `Done` ever jumps past a key the oracle says matches.
+/// or `Done` ever jumps past a key the oracle says matches. And the carry
+/// changes none of it: one [`ScanScratch`] kept across a trial's ascending
+/// key list gives, key for key, the verdict, assignment and skip target
+/// of a fresh one.
 #[cfg(test)]
 mod advise_props {
     use super::*;
     use crate::oracle::{self, Rng64};
     use proptest::prelude::*;
 
-    fn check_seed(tseed: u64, qseed: u64) {
+    /// Returns how many verdicts were carried.
+    fn check_seed(tseed: u64, qseed: u64) -> u64 {
+        let mut carried = 0;
         let t = oracle::gen_trial(tseed).expect("trial generation");
         let keys: Vec<Vec<u8>> =
             t.db.index()
@@ -797,8 +1212,18 @@ mod advise_props {
                 let e = EntryKey::decode(k).ok()?;
                 oracle::entry_matches(store.schema(), index.encoding(), spec, &q, &e)
             };
+            let mut long_lived = ScanScratch::default();
             for (i, k) in keys.iter().enumerate() {
-                match matcher.advise(k).expect("advise on well-formed key") {
+                let fresh = matcher.advise(k).expect("advise on well-formed key");
+                let kept = matcher.advise_with(k, &mut long_lived).expect("advise");
+                carried += u64::from(kept == Advice::Match { carried: true });
+                assert_eq!(
+                    Advised::read(kept, &long_lived),
+                    fresh,
+                    "a long-lived scratch changed the verdict: seeds \
+                     {tseed:#x}/{qseed:#x}, query {q:?}"
+                );
+                match fresh {
                     Advised::Match(a) => assert_eq!(
                         oracle_match(k),
                         Some(a),
@@ -844,6 +1269,7 @@ mod advise_props {
                 }
             }
         }
+        carried
     }
 
     proptest! {
@@ -853,5 +1279,12 @@ mod advise_props {
         fn advise_is_sound_against_oracle(tseed in any::<u64>(), qseed in any::<u64>()) {
             check_seed(tseed, qseed);
         }
+    }
+
+    /// The property above is not vacuous: the trials do contain clusters.
+    #[test]
+    fn oracle_trials_exercise_the_carry() {
+        let carried: u64 = (0..16).map(|seed| check_seed(seed, !seed)).sum();
+        assert!(carried > 0, "no verdict was carried over 16 trials");
     }
 }

@@ -2,7 +2,7 @@
 //!
 //! A counting global allocator (the one `unsafe` block this PR adds; it
 //! only forwards to the system allocator) counts `alloc`/`realloc` calls
-//! per thread, and three budgets are pinned:
+//! per thread, and four budgets are pinned:
 //!
 //! * **examining an entry allocates nothing** — a `Forward` scan over
 //!   10 000 and over 20 000 non-matching entries of a warm index performs
@@ -13,6 +13,11 @@
 //!   performs at most `H + c` allocations when the value is a string and
 //!   `c` when it is an integer; `H` two-element-path hits over an integer
 //!   cost `H + c`;
+//! * **a skip-seek allocates nothing** — a `Parallel` scan that skips
+//!   10 000 times (in-leaf and re-descending alike)
+//!   performs the same number of allocations as one that skips 5 000
+//!   times: the cursor's retained path records child indices, it does not
+//!   copy fence keys;
 //! * **decoding a leaf is two allocations** — `Node::decode` of a
 //!   193-entry leaf (the benchmark's leaf fill) allocates its arena and
 //!   its offset table, nothing per entry.
@@ -171,6 +176,32 @@ fn examining_entries_allocates_nothing() {
         "allocations grew with the entries examined: {ten} for 10 000, {twenty} for 20 000"
     );
     assert!(ten <= PER_QUERY, "{ten} allocations to examine entries");
+}
+
+#[test]
+fn a_skip_seek_allocates_nothing() {
+    let f = fixture();
+    // Every entry is a `Thing`, below the selected class: the matcher
+    // skips to `Rare` within the value, landing on the next value's entry.
+    let scan = |upto: i64| {
+        let q = Query::on(f.num)
+            .value(ValuePred::between(Value::Int(0), Value::Int(upto - 1)))
+            .class_at(0, ClassSel::Exact(f.empty_class));
+        let (hits, stats, allocs) = measured(&f.db, &q);
+        assert!(hits.is_empty());
+        assert!(
+            stats.seeks >= upto as u64 && stats.descents > 100,
+            "premise: one skip per value, many of them re-descending ({stats:?})"
+        );
+        allocs
+    };
+    let five = scan(5_000);
+    let ten = scan(10_000);
+    assert_eq!(
+        five, ten,
+        "allocations grew with the skips: {five} for 5 000, {ten} for 10 000"
+    );
+    assert!(five <= PER_QUERY, "{five} allocations to skip");
 }
 
 #[test]

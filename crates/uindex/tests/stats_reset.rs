@@ -49,11 +49,7 @@ fn skipping_query(idx: uindex::IndexId, auto: schema::ClassId) -> Query {
 
 #[test]
 fn consecutive_queries_do_not_accumulate() {
-    for alg in [
-        ScanAlgorithm::Parallel,
-        ScanAlgorithm::ParallelFlat,
-        ScanAlgorithm::Forward,
-    ] {
+    for alg in [ScanAlgorithm::Parallel, ScanAlgorithm::Forward] {
         let (mut db, idx, auto) = build_db();
         let mut q = skipping_query(idx, auto);
         q.algorithm = alg;

@@ -209,8 +209,7 @@ impl<P: PageStore> UIndexSet<P> {
         };
     }
 
-    /// Select the scan algorithm for subsequent queries (the scan-perf
-    /// bench compares all three).
+    /// Select the scan algorithm for subsequent queries.
     pub fn use_algorithm(&mut self, algorithm: ScanAlgorithm) {
         self.algorithm = algorithm;
     }
