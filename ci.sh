@@ -44,8 +44,11 @@ echo "== node codec (hostile-bytes corpus; arena decoder == reference decoder, e
 cargo test -q --offline -p btree --test decode_fuzz
 cargo test -q --offline -p btree --lib differential
 
-echo "== allocation budget (0 per entry examined, <= 2 per hit, 2 per leaf decode; counting allocator)"
+echo "== allocation budget (0 per entry examined, <= 2 per hit, 0 per served row, 2 per leaf decode; counting allocator)"
 cargo test -q --offline -p uindex --test alloc_budget
+
+echo "== canonical keys (whatever EntryKey::decode accepts re-encodes to the same bytes: the wire sends stored keys)"
+cargo test -q --offline -p uindex --test key_prop
 
 echo "== telemetry JSON round-trip (export -> vendored parser -> verify)"
 cargo test -q --offline -p telemetry json_round_trip

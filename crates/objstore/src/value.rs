@@ -151,7 +151,7 @@ impl Value {
     /// allocates nothing.
     pub fn ordered_len(bytes: &[u8]) -> Option<usize> {
         match *bytes.first()? {
-            TAG_BOOL => (bytes.len() >= 2).then_some(2),
+            TAG_BOOL => matches!(bytes.get(1), Some(0 | 1)).then_some(2),
             TAG_INT | TAG_FLOAT => (bytes.len() >= 9).then_some(9),
             TAG_STR => {
                 let (end, escapes) = str_extent(bytes)?;
@@ -176,13 +176,16 @@ impl Value {
     }
 
     /// Decode an encoding produced by [`Value::encode_ordered`], returning
-    /// the value and the number of bytes consumed.
+    /// the value and the number of bytes consumed. Only canonical bytes
+    /// decode — a boolean is `0` or `1`, nothing else — so whatever decodes
+    /// re-encodes to the bytes it came from.
     pub fn decode_ordered(bytes: &[u8]) -> Option<(Value, usize)> {
         match *bytes.first()? {
-            TAG_BOOL => {
-                let b = *bytes.get(1)?;
-                Some((Value::Bool(b != 0), 2))
-            }
+            TAG_BOOL => match *bytes.get(1)? {
+                0 => Some((Value::Bool(false), 2)),
+                1 => Some((Value::Bool(true), 2)),
+                _ => None,
+            },
             TAG_INT => {
                 let raw = u64::from_be_bytes(bytes.get(1..9)?.try_into().ok()?);
                 Some((Value::Int((raw ^ (1 << 63)) as i64), 9))
@@ -324,6 +327,16 @@ mod tests {
             let (back, used) = Value::decode_ordered(&key).unwrap();
             assert_eq!(back, v, "string {s:?}");
             assert_eq!(used, enc.len(), "string {s:?}");
+        }
+    }
+
+    #[test]
+    fn only_canonical_booleans_decode() {
+        for b in 0..=u8::MAX {
+            let bytes = [TAG_BOOL, b];
+            let want = (b <= 1).then_some((Value::Bool(b == 1), 2));
+            assert_eq!(Value::decode_ordered(&bytes), want, "byte {b}");
+            assert_eq!(Value::ordered_len(&bytes), want.map(|(_, n)| n), "byte {b}");
         }
     }
 

@@ -3,7 +3,7 @@
 //! client should drive the server.
 
 use std::fmt;
-use std::io::Write;
+use std::io::{BufReader, Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 
 use crate::proto::{self, DoneInfo, ErrorCode, Frame, ProtoError, WireRow, DEFAULT_MAX_PAYLOAD};
@@ -114,9 +114,14 @@ pub struct QueryReply {
     pub done: DoneInfo,
 }
 
+/// Bytes a [`Client`] reads ahead: a whole batch of typical rows, so a
+/// frame's header and payload arrive in one `read`.
+const READ_AHEAD: usize = 64 << 10;
+
 /// One blocking connection to a UQL server.
 pub struct Client {
-    stream: TcpStream,
+    /// The socket, read through a buffer; writes go to the socket itself.
+    stream: BufReader<TcpStream>,
     max_payload: u32,
 }
 
@@ -126,9 +131,13 @@ impl Client {
         let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true)?;
         Ok(Client {
-            stream,
+            stream: BufReader::with_capacity(READ_AHEAD, stream),
             max_payload: DEFAULT_MAX_PAYLOAD,
         })
+    }
+
+    fn write_frame(&mut self, frame: &Frame) -> std::io::Result<()> {
+        proto::write_frame(self.stream.get_mut(), frame)
     }
 
     /// Bound every blocking read on this connection. Without one, a lost
@@ -141,12 +150,12 @@ impl Client {
         &mut self,
         timeout: Option<std::time::Duration>,
     ) -> std::io::Result<()> {
-        self.stream.set_read_timeout(timeout)
+        self.stream.get_ref().set_read_timeout(timeout)
     }
 
     /// Liveness round-trip.
     pub fn ping(&mut self) -> Result<(), ServeError> {
-        proto::write_frame(&mut self.stream, &Frame::Ping)?;
+        self.write_frame(&Frame::Ping)?;
         match self.read_reply()? {
             Frame::Pong => Ok(()),
             _ => Err(ServeError::Unexpected("wanted Pong")),
@@ -156,7 +165,7 @@ impl Client {
     /// Parse-and-cache a statement server-side; the returned id drives
     /// [`Client::execute`].
     pub fn prepare(&mut self, uql: &str) -> Result<u64, ServeError> {
-        proto::write_frame(&mut self.stream, &Frame::Prepare { uql: uql.into() })?;
+        self.write_frame(&Frame::Prepare { uql: uql.into() })?;
         match self.read_reply()? {
             Frame::Prepared { id } => Ok(id),
             _ => Err(ServeError::Unexpected("wanted Prepared")),
@@ -165,13 +174,13 @@ impl Client {
 
     /// Run a previously prepared statement.
     pub fn execute(&mut self, id: u64) -> Result<QueryReply, ServeError> {
-        proto::write_frame(&mut self.stream, &Frame::Execute { id })?;
+        self.write_frame(&Frame::Execute { id })?;
         self.collect_rows()
     }
 
     /// Parse-and-run one UQL statement.
     pub fn query(&mut self, uql: &str) -> Result<QueryReply, ServeError> {
-        proto::write_frame(&mut self.stream, &Frame::Query { uql: uql.into() })?;
+        self.write_frame(&Frame::Query { uql: uql.into() })?;
         self.collect_rows()
     }
 
@@ -179,7 +188,7 @@ impl Client {
     /// seconds. Answered even by a saturated server — Stats bypasses
     /// admission control.
     pub fn stats(&mut self, window_s: u32) -> Result<String, ServeError> {
-        proto::write_frame(&mut self.stream, &Frame::Stats { window_s })?;
+        self.write_frame(&Frame::Stats { window_s })?;
         match self.read_reply()? {
             Frame::StatsReply { json } => Ok(json),
             Frame::Error { code, message } => Err(ServeError::Server { code, message }),
@@ -191,7 +200,7 @@ impl Client {
     /// reported in a `StatsReply` slow list). `NotFound` means the entry
     /// was evicted or never logged.
     pub fn trace(&mut self, id: u64) -> Result<String, ServeError> {
-        proto::write_frame(&mut self.stream, &Frame::Trace { id })?;
+        self.write_frame(&Frame::Trace { id })?;
         match self.read_reply()? {
             Frame::TraceReply { json } => Ok(json),
             Frame::Error { code, message } => Err(ServeError::Server { code, message }),
@@ -201,7 +210,7 @@ impl Client {
 
     /// Send raw bytes as-is — the malformed-input tests' entry point.
     pub fn send_raw(&mut self, bytes: &[u8]) -> std::io::Result<()> {
-        self.stream.write_all(bytes)
+        self.stream.get_mut().write_all(bytes)
     }
 
     /// Read one frame off the wire (for driving the protocol manually).
@@ -210,14 +219,19 @@ impl Client {
     }
 
     fn collect_rows(&mut self) -> Result<QueryReply, ServeError> {
-        let mut rows = Vec::new();
-        loop {
-            match self.read_reply()? {
-                Frame::RowBatch { rows: batch } => rows.extend(batch),
-                Frame::Done(done) => return Ok(QueryReply { rows, done }),
-                Frame::Error { code, message } => return Err(ServeError::Server { code, message }),
-                _ => return Err(ServeError::Unexpected("wanted RowBatch/Done/Error")),
-            }
+        read_query_reply(&mut self.stream, self.max_payload)
+    }
+}
+
+/// Read one query's answer — row batches up to `Done`, or a typed error.
+fn read_query_reply(r: &mut impl Read, max_payload: u32) -> Result<QueryReply, ServeError> {
+    let mut rows = Vec::new();
+    loop {
+        match proto::read_frame(r, max_payload)? {
+            Frame::RowBatch { rows: batch } => rows.extend(batch),
+            Frame::Done(done) => return Ok(QueryReply { rows, done }),
+            Frame::Error { code, message } => return Err(ServeError::Server { code, message }),
+            _ => return Err(ServeError::Unexpected("wanted RowBatch/Done/Error")),
         }
     }
 }
@@ -225,6 +239,88 @@ impl Client {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A socket stand-in that hands over all it has on every `read`, and
+    /// counts the calls.
+    struct CountingReader {
+        bytes: std::io::Cursor<Vec<u8>>,
+        reads: usize,
+    }
+
+    impl Read for CountingReader {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            self.reads += 1;
+            self.bytes.read(buf)
+        }
+    }
+
+    #[test]
+    fn a_reply_is_read_a_buffer_at_a_time() {
+        let row = WireRow {
+            key: vec![7; 24],
+            assignment: vec![Some(0), None],
+        };
+        let rows = vec![row; proto::BATCH_ROWS + 100];
+        let mut bytes = Vec::new();
+        for batch in rows.chunks(proto::BATCH_ROWS) {
+            bytes.extend(proto::encode_frame(&Frame::RowBatch {
+                rows: batch.to_vec(),
+            }));
+        }
+        let done = DoneInfo {
+            rows: rows.len() as u64,
+            ..DoneInfo::default()
+        };
+        bytes.extend(proto::encode_frame(&Frame::Done(done)));
+        assert!(
+            bytes.len() < READ_AHEAD,
+            "premise: the reply fits the buffer"
+        );
+
+        let counting = |bytes: &[u8]| CountingReader {
+            bytes: std::io::Cursor::new(bytes.to_vec()),
+            reads: 0,
+        };
+        let mut unbuffered = counting(&bytes);
+        let reply = read_query_reply(&mut unbuffered, DEFAULT_MAX_PAYLOAD).unwrap();
+        assert_eq!((reply.rows.len(), reply.done), (rows.len(), done));
+        assert_eq!(unbuffered.reads, 6, "a header and a payload read per frame");
+        let mut buffered = BufReader::with_capacity(READ_AHEAD, counting(&bytes));
+        let reply = read_query_reply(&mut buffered, DEFAULT_MAX_PAYLOAD).unwrap();
+        assert_eq!((reply.rows, reply.done), (rows, done));
+        assert_eq!(buffered.get_ref().reads, 1, "three frames, one read");
+    }
+
+    #[test]
+    fn an_untrusted_row_count_reserves_only_what_the_bytes_can_hold() {
+        // The largest count the field can carry, then ten minimal rows: the
+        // decoder must reserve for ten, not four billion.
+        let mut payload = u32::MAX.to_be_bytes().to_vec();
+        payload.extend([0u8; 80]);
+        let mut frame = proto::encode_frame(&Frame::RowBatch { rows: Vec::new() });
+        frame.truncate(proto::HEADER_LEN);
+        frame[6..10].copy_from_slice(&(payload.len() as u32).to_be_bytes());
+        frame[10..14].copy_from_slice(&pagestore::crc32(&payload).to_be_bytes());
+        frame.extend(&payload);
+        assert!(matches!(
+            proto::decode_frame(&frame, DEFAULT_MAX_PAYLOAD),
+            Err(ProtoError::BadPayload(_))
+        ));
+        // An honest count reserves exactly the rows that follow.
+        let honest = proto::encode_frame(&Frame::RowBatch {
+            rows: vec![
+                WireRow {
+                    key: Vec::new(),
+                    assignment: Vec::new(),
+                };
+                10
+            ],
+        });
+        match proto::decode_frame(&honest, DEFAULT_MAX_PAYLOAD).unwrap().0 {
+            Frame::RowBatch { rows } => assert_eq!((rows.len(), rows.capacity()), (10, 10)),
+            other => panic!("decoded {other:?}"),
+        }
+    }
 
     fn server(code: ErrorCode) -> ServeError {
         ServeError::Server {

@@ -37,7 +37,7 @@ pub mod stats;
 pub use admission::{AdmissionGate, Permit};
 pub use cache::{normalize, PlanCache};
 pub use client::{Client, QueryReply, ServeError};
-pub use proto::{DoneInfo, ErrorCode, Frame, ProtoError, WireRow};
+pub use proto::{DoneInfo, ErrorCode, Frame, ProtoError, RowBatchWriter, WireRow};
 pub use retry::{RetryClient, RetryPolicy, Stmt};
 pub use server::{ServeOptions, ServeReport, ServeStats, Server};
 pub use slowlog::{SlowLog, SlowQueryEntry};

@@ -31,9 +31,15 @@ pub const VERSION: u8 = 2;
 pub const HEADER_LEN: usize = 14;
 /// Default cap on a single frame's payload (1 MiB).
 pub const DEFAULT_MAX_PAYLOAD: u32 = 1 << 20;
+/// Rows per [`Frame::RowBatch`]; large results span several batches.
+pub const BATCH_ROWS: usize = 512;
 
 /// Sentinel encoding `None` in a [`WireRow`] assignment slot.
 const NO_ASSIGNMENT: u32 = u32::MAX;
+/// The smallest encoded row: an empty key's length and a zero slot count.
+const MIN_ROW_LEN: usize = 8;
+/// A [`RowBatchWriter`] keeps its buffer between replies up to this size.
+const RETAINED_BYTES: usize = 4 << 20;
 
 /// Frame type tags. Requests are < 0x80, responses >= 0x80.
 mod tag {
@@ -102,8 +108,10 @@ pub struct WireRow {
 }
 
 impl WireRow {
-    /// Encode a [`uindex::QueryHit`] for the wire (or for oracle-side
-    /// comparison — both sides must go through this one function).
+    /// Encode a [`uindex::QueryHit`] as the row the server sends for it —
+    /// how the oracles judge the wire. (The server writes the entry's
+    /// stored key bytes through [`RowBatchWriter`]; keys are canonical, so
+    /// those are exactly `hit.key.encode()`.)
     pub fn from_hit(hit: &uindex::QueryHit) -> Result<WireRow, uindex::Error> {
         Ok(WireRow {
             key: hit.key.encode()?,
@@ -171,7 +179,7 @@ pub enum Frame {
 }
 
 impl Frame {
-    fn tag(&self) -> u8 {
+    pub(crate) fn tag(&self) -> u8 {
         match self {
             Frame::Query { .. } => tag::QUERY,
             Frame::Prepare { .. } => tag::PREPARE,
@@ -282,6 +290,15 @@ fn put_bytes(out: &mut Vec<u8>, b: &[u8]) {
     out.extend_from_slice(b);
 }
 
+/// One `RowBatch` row: the key, then the assignment's slot count and slots.
+fn put_row(out: &mut Vec<u8>, key: &[u8], assignment: impl ExactSizeIterator<Item = Option<u32>>) {
+    put_bytes(out, key);
+    put_u32(out, assignment.len() as u32);
+    for a in assignment {
+        put_u32(out, a.unwrap_or(NO_ASSIGNMENT));
+    }
+}
+
 struct Cursor<'a> {
     buf: &'a [u8],
     pos: usize,
@@ -315,6 +332,11 @@ impl<'a> Cursor<'a> {
         Ok(u64::from_be_bytes(self.take(8)?.try_into().unwrap()))
     }
 
+    /// Bytes not yet consumed: the most any declared count can be backed by.
+    fn remaining(&self) -> usize {
+        self.buf.len() - self.pos
+    }
+
     /// A length-prefixed byte string whose declared length is validated
     /// against the bytes actually present before any allocation.
     fn bytes(&mut self) -> Result<&'a [u8], ProtoError> {
@@ -340,43 +362,34 @@ impl<'a> Cursor<'a> {
     }
 }
 
-fn encode_payload(frame: &Frame) -> Vec<u8> {
-    let mut p = Vec::new();
+/// Append `frame`'s payload to `p`.
+fn encode_payload(frame: &Frame, p: &mut Vec<u8>) {
     match frame {
-        Frame::Query { uql } | Frame::Prepare { uql } => put_bytes(&mut p, uql.as_bytes()),
-        Frame::Execute { id } | Frame::Prepared { id } | Frame::Trace { id } => {
-            put_u64(&mut p, *id)
-        }
+        Frame::Query { uql } | Frame::Prepare { uql } => put_bytes(p, uql.as_bytes()),
+        Frame::Execute { id } | Frame::Prepared { id } | Frame::Trace { id } => put_u64(p, *id),
         Frame::Ping | Frame::Pong => {}
-        Frame::Stats { window_s } => put_u32(&mut p, *window_s),
-        Frame::StatsReply { json } | Frame::TraceReply { json } => {
-            put_bytes(&mut p, json.as_bytes())
-        }
+        Frame::Stats { window_s } => put_u32(p, *window_s),
+        Frame::StatsReply { json } | Frame::TraceReply { json } => put_bytes(p, json.as_bytes()),
         Frame::RowBatch { rows } => {
-            put_u32(&mut p, rows.len() as u32);
+            put_u32(p, rows.len() as u32);
             for row in rows {
-                put_bytes(&mut p, &row.key);
-                put_u32(&mut p, row.assignment.len() as u32);
-                for a in &row.assignment {
-                    put_u32(&mut p, a.unwrap_or(NO_ASSIGNMENT));
-                }
+                put_row(p, &row.key, row.assignment.iter().copied());
             }
         }
         Frame::Done(d) => {
-            put_u64(&mut p, d.rows);
-            put_u64(&mut p, d.pages_read);
-            put_u64(&mut p, d.entries_examined);
-            put_u64(&mut p, d.seeks);
-            put_u64(&mut p, d.micros);
+            put_u64(p, d.rows);
+            put_u64(p, d.pages_read);
+            put_u64(p, d.entries_examined);
+            put_u64(p, d.seeks);
+            put_u64(p, d.micros);
             p.push(d.cached_plan as u8);
             p.push(d.degraded as u8);
         }
         Frame::Error { code, message } => {
             p.push(*code as u8);
-            put_bytes(&mut p, message.as_bytes());
+            put_bytes(p, message.as_bytes());
         }
     }
-    p
 }
 
 fn decode_payload(ty: u8, payload: &[u8]) -> Result<Frame, ProtoError> {
@@ -394,14 +407,14 @@ fn decode_payload(ty: u8, payload: &[u8]) -> Result<Frame, ProtoError> {
         tag::TRACE_REPLY => Frame::TraceReply { json: c.string()? },
         tag::ROW_BATCH => {
             let n = c.u32()? as usize;
-            // The count is validated implicitly: each row consumes bytes
-            // from the cursor, so an inflated count fails on `take`, never
-            // on a speculative allocation.
-            let mut rows = Vec::new();
+            // Counts are untrusted: reserve only what the remaining bytes
+            // could hold (a row takes at least MIN_ROW_LEN bytes, a slot
+            // four), and an inflated count fails on `take`.
+            let mut rows = Vec::with_capacity(n.min(c.remaining() / MIN_ROW_LEN));
             for _ in 0..n {
                 let key = c.bytes()?.to_vec();
                 let slots = c.u32()? as usize;
-                let mut assignment = Vec::new();
+                let mut assignment = Vec::with_capacity(slots.min(c.remaining() / 4));
                 for _ in 0..slots {
                     let v = c.u32()?;
                     assignment.push((v != NO_ASSIGNMENT).then_some(v));
@@ -456,15 +469,111 @@ fn decode_payload(ty: u8, payload: &[u8]) -> Result<Frame, ProtoError> {
 
 /// Serialize one frame (header + payload) into a fresh buffer.
 pub fn encode_frame(frame: &Frame) -> Vec<u8> {
-    let payload = encode_payload(frame);
-    let mut out = Vec::with_capacity(HEADER_LEN + payload.len());
-    out.extend_from_slice(&MAGIC);
-    out.push(VERSION);
-    out.push(frame.tag());
-    put_u32(&mut out, payload.len() as u32);
-    put_u32(&mut out, crc32(&payload));
-    out.extend_from_slice(&payload);
+    let mut out = Vec::new();
+    encode_frame_into(frame, &mut out);
     out
+}
+
+/// Append one encoded frame to `out`.
+fn encode_frame_into(frame: &Frame, out: &mut Vec<u8>) {
+    let start = out.len();
+    out.resize(start + HEADER_LEN, 0);
+    encode_payload(frame, out);
+    seal(&mut out[start..], frame.tag());
+}
+
+/// Write the header of `frame` — a header-sized gap followed by the
+/// payload — in place: its length and CRC are the payload's.
+fn seal(frame: &mut [u8], tag: u8) {
+    let (header, payload) = frame.split_at_mut(HEADER_LEN);
+    header[..4].copy_from_slice(&MAGIC);
+    header[4] = VERSION;
+    header[5] = tag;
+    header[6..10].copy_from_slice(&(payload.len() as u32).to_be_bytes());
+    header[10..].copy_from_slice(&crc32(payload).to_be_bytes());
+}
+
+/// Builds a whole query reply in one reusable buffer — rows straight from
+/// the scan ([`uindex::RowSink`]), no [`WireRow`] in between — as the
+/// bytes [`encode_frame`] gives for the same rows cut into
+/// [`BATCH_ROWS`]-row [`Frame::RowBatch`] frames followed by
+/// [`Frame::Done`]. A batch's header and row count are left as a gap and
+/// written when the batch closes.
+#[derive(Debug, Default)]
+pub struct RowBatchWriter {
+    buf: Vec<u8>,
+    /// Where the open batch's frame starts in `buf`.
+    batch_start: usize,
+    /// Rows in the open batch; 0 when no batch is open.
+    batch_rows: u32,
+    rows: u64,
+}
+
+impl RowBatchWriter {
+    /// An empty writer.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Forget the reply in progress, keeping the buffer for the next one
+    /// unless an outsized reply grew it past 4 MiB.
+    pub fn clear(&mut self) {
+        if self.buf.capacity() > RETAINED_BYTES {
+            self.buf = Vec::new();
+        }
+        self.buf.clear();
+        self.batch_rows = 0;
+        self.rows = 0;
+    }
+
+    /// Rows written since the last [`RowBatchWriter::clear`].
+    pub fn rows(&self) -> u64 {
+        self.rows
+    }
+
+    /// Append one row, closing the batch it fills.
+    pub fn push_row(&mut self, key: &[u8], assignment: impl ExactSizeIterator<Item = Option<u32>>) {
+        if self.batch_rows == 0 {
+            self.batch_start = self.buf.len();
+            // The header, then the row count.
+            self.buf.resize(self.batch_start + HEADER_LEN + 4, 0);
+        }
+        put_row(&mut self.buf, key, assignment);
+        self.batch_rows += 1;
+        self.rows += 1;
+        if self.batch_rows as usize == BATCH_ROWS {
+            self.close_batch();
+        }
+    }
+
+    fn close_batch(&mut self) {
+        let frame = &mut self.buf[self.batch_start..];
+        frame[HEADER_LEN..HEADER_LEN + 4].copy_from_slice(&self.batch_rows.to_be_bytes());
+        seal(frame, tag::ROW_BATCH);
+        self.batch_rows = 0;
+    }
+
+    /// Close the open batch, append `Done` and return the whole reply.
+    pub fn finish(&mut self, done: &DoneInfo) -> &[u8] {
+        if self.batch_rows > 0 {
+            self.close_batch();
+        }
+        encode_frame_into(&Frame::Done(*done), &mut self.buf);
+        &self.buf
+    }
+}
+
+impl uindex::RowSink for RowBatchWriter {
+    #[inline]
+    fn row(&mut self, row: &uindex::Row<'_>) -> uindex::Result<()> {
+        let slots = row.assignment().iter().map(|a| a.map(|i| i as u32));
+        self.push_row(row.key(), slots);
+        Ok(())
+    }
+
+    fn restart(&mut self) {
+        self.clear();
+    }
 }
 
 /// Validate a 14-byte header, returning `(type, payload_len, payload_crc)`.

@@ -32,20 +32,17 @@ use std::time::{Duration, Instant};
 
 use pagestore::PageStore;
 use telemetry::Span;
-use uindex::{DatabaseReader, QueryHit, ScanStats};
+use uindex::{DatabaseReader, ScanStats};
 
 use crate::admission::AdmissionGate;
 use crate::cache::{CachedPlan, PlanCache};
 use crate::proto::{
-    self, DoneInfo, ErrorCode, Frame, ProtoError, WireRow, DEFAULT_MAX_PAYLOAD, HEADER_LEN,
+    self, DoneInfo, ErrorCode, Frame, ProtoError, RowBatchWriter, DEFAULT_MAX_PAYLOAD, HEADER_LEN,
 };
 use crate::slowlog::{SlowLog, SlowQueryEntry};
 use crate::stats::{self, LiveStats, SamplerState, WorkerSlot};
 
 pub use crate::stats::ServeStats;
-
-/// Rows per [`Frame::RowBatch`]; large results span several batches.
-const BATCH_ROWS: usize = 512;
 
 /// Pause after a failed `accept()` (fd exhaustion, aborted handshakes): a
 /// blocking accept that fails persistently must not spin.
@@ -54,10 +51,13 @@ const ACCEPT_BACKOFF: Duration = Duration::from_millis(10);
 /// Type-erased UQL parser bound to the served reader's metadata.
 type ParseFn = Box<dyn Fn(&str) -> Result<uindex::Query, String> + Send + Sync>;
 
-/// Type-erased guarded execution against a fresh snapshot: the snapshot's
-/// epoch, and the hits, scan counters and degraded flag (or the error).
+/// Type-erased guarded execution against a fresh snapshot, writing the
+/// rows into the reply: the snapshot's epoch, and the scan counters and
+/// degraded flag (or the error).
 type ExecFn = Box<
-    dyn Fn(&uindex::Query) -> (u64, uindex::Result<(Vec<QueryHit>, ScanStats, bool)>) + Send + Sync,
+    dyn Fn(&uindex::Query, &mut RowBatchWriter) -> (u64, uindex::Result<(ScanStats, bool)>)
+        + Send
+        + Sync,
 >;
 
 /// Server configuration.
@@ -135,10 +135,6 @@ pub struct ServeReport {
     /// query latency/row histograms, execution spans).
     pub metrics: telemetry::Snapshot,
 }
-
-/// What executing one query yields: the rows plus execution footprint, or
-/// a typed error for the wire.
-type QueryOutcome = Result<(Vec<WireRow>, DoneInfo), (ErrorCode, String)>;
 
 /// Open connections, so `shutdown` can wake and join their threads. A
 /// connection's entry leaves `open` when its thread exits; the handle
@@ -288,9 +284,9 @@ impl Server {
             cache: PlanCache::new(options.plan_cache_capacity),
             parse: Box::new(move |text| parse_reader.parse_uql(text).map_err(|e| e.to_string())),
             degraded_probe: Box::new(move || probe_reader.quarantined()),
-            execute: Box::new(move |query| {
+            execute: Box::new(move |query, reply| {
                 let snap = reader.snapshot();
-                (snap.epoch(), reader.query_guarded_at(&snap, query))
+                (snap.epoch(), reader.query_guarded_into(&snap, query, reply))
             }),
             metrics: Mutex::new(telemetry::Snapshot::default()),
             query_ids: AtomicU64::new(0),
@@ -514,6 +510,8 @@ fn connection_loop(mut stream: TcpStream, shared: Arc<Shared>, id: u64) {
     let deadline = shared.options.read_deadline;
     // This thread's registry as of its last fold into `Shared::metrics`.
     let mut folded = telemetry::Baseline::default();
+    // Every query reply on this connection is built in this one buffer.
+    let mut reply = RowBatchWriter::new();
 
     while !shared.stop.load(Ordering::Acquire) {
         // Header first (idle: a close here is clean), then payload.
@@ -557,7 +555,7 @@ fn connection_loop(mut stream: TcpStream, shared: Arc<Shared>, id: u64) {
 
         shared.stats.requests.fetch_add(1, Ordering::Relaxed);
         telemetry::counter("serve.requests").inc();
-        if !handle_request(&mut stream, frame, &shared, &mut folded) {
+        if !handle_request(&mut stream, frame, &shared, &mut folded, &mut reply) {
             break;
         }
     }
@@ -592,6 +590,7 @@ fn handle_request(
     frame: Frame,
     shared: &Shared,
     folded: &mut telemetry::Baseline,
+    reply: &mut RowBatchWriter,
 ) -> bool {
     let parse_error = |message| Frame::Error {
         code: ErrorCode::Parse,
@@ -618,13 +617,13 @@ fn handle_request(
             {
                 Ok((_, plan, hit)) => {
                     record_cache_outcome(hit);
-                    serve_query(stream, &plan, hit, shared, folded)
+                    serve_query(stream, &plan, hit, shared, folded, reply)
                 }
                 Err(msg) => send(stream, &parse_error(msg), shared),
             }
         }
         Frame::Execute { id } => match shared.cache.by_id(id) {
-            Some(plan) => serve_query(stream, &plan, true, shared, folded),
+            Some(plan) => serve_query(stream, &plan, true, shared, folded, reply),
             None => send(
                 stream,
                 &Frame::Error {
@@ -671,18 +670,10 @@ fn handle_request(
                 stream,
                 &Frame::Error {
                     code: ErrorCode::Proto,
-                    message: format!("unexpected response frame 0x{:02x} from client", {
-                        // Mirror of Frame::tag, which is private by design.
-                        match other {
-                            Frame::RowBatch { .. } => 0x81u8,
-                            Frame::Done(_) => 0x82,
-                            Frame::Error { .. } => 0x83,
-                            Frame::Pong => 0x84,
-                            Frame::Prepared { .. } => 0x85,
-                            Frame::StatsReply { .. } => 0x86,
-                            _ => 0x87,
-                        }
-                    }),
+                    message: format!(
+                        "unexpected response frame 0x{:02x} from client",
+                        other.tag()
+                    ),
                 },
                 shared,
             )
@@ -712,14 +703,16 @@ fn build_stats_reply(shared: &Shared, window_s: u32) -> String {
     stats::build_stats_json(&sampler, window_s, &live, &workers, &slow)
 }
 
-/// Admit, execute on this thread, stream the answer back, then account
-/// for it. Returns `false` when the connection must close.
+/// Admit, execute on this thread — the scan writes its rows straight into
+/// `reply`'s frames — send the answer back, then account for it. Returns
+/// `false` when the connection must close.
 fn serve_query(
     stream: &mut TcpStream,
     plan: &CachedPlan,
     cached: bool,
     shared: &Shared,
     folded: &mut telemetry::Baseline,
+    reply: &mut RowBatchWriter,
 ) -> bool {
     // Admission first: a shed request must cost nothing downstream — no
     // execution slot, no snapshot, no buffer-pool traffic.
@@ -739,14 +732,16 @@ fn serve_query(
     let slot = shared.take_slot();
     let id = shared.query_ids.fetch_add(1, Ordering::Relaxed) + 1;
     let started = Instant::now();
+    reply.clear();
     // Guarded execution behind a panic boundary: a storage fault degrades
     // or maps to a typed `Unavailable`, a panicking query to a typed
     // `Exec` — the slot and permit are released and the connection keeps
-    // serving either way.
+    // serving either way. Whatever rows a failed execution left in the
+    // reply are never sent.
     let result = {
         let _span = Span::enter("serve.execute");
         std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            (shared.execute)(&plan.query)
+            (shared.execute)(&plan.query, reply)
         }))
     };
     let micros = started.elapsed().as_micros() as u64;
@@ -755,18 +750,15 @@ fn serve_query(
     let tally = &shared.worker_slots[slot.index];
     tally.queries.fetch_add(1, Ordering::Relaxed);
     tally.busy_us.fetch_add(micros, Ordering::Relaxed);
+    // Execution is over: the slot and the admission permit go back before
+    // the reply is sealed and the socket written, so a slow reader holds
+    // neither.
+    drop(slot);
+    drop(permit);
 
     let mut executed = None; // (snapshot epoch, rows, ScanStats) on success
-    let outcome: QueryOutcome = match result {
-        Err(panic) => {
-            telemetry::counter("serve.worker.panics").inc();
-            Err((
-                ErrorCode::Exec,
-                format!("query execution panicked: {}", panic_message(&*panic)),
-            ))
-        }
-        Ok((_, Err(e))) => Err((error_code_for(&e), e.to_string())),
-        Ok((epoch, Ok((hits, stats, degraded)))) => {
+    let alive = match result {
+        Ok((epoch, Ok((stats, degraded)))) => {
             if degraded {
                 shared
                     .stats
@@ -774,66 +766,34 @@ fn serve_query(
                     .fetch_add(1, Ordering::Relaxed);
                 telemetry::counter("serve.degraded_answers").inc();
             }
-            executed = Some((epoch, hits.len() as u64, stats));
-            match hits
-                .iter()
-                .map(WireRow::from_hit)
-                .collect::<Result<Vec<_>, _>>()
-            {
-                Err(e) => Err((ErrorCode::Exec, e.to_string())),
-                Ok(rows) => {
-                    telemetry::histogram("serve.rows").record(rows.len() as u64);
-                    Ok((
-                        rows,
-                        DoneInfo {
-                            rows: hits.len() as u64,
-                            pages_read: stats.pages_read,
-                            entries_examined: stats.entries_examined,
-                            seeks: stats.seeks,
-                            micros,
-                            cached_plan: cached,
-                            degraded,
-                        },
-                    ))
-                }
-            }
+            let rows = reply.rows();
+            executed = Some((epoch, rows, stats));
+            telemetry::histogram("serve.rows").record(rows);
+            shared.stats.rows_sent.fetch_add(rows, Ordering::Relaxed);
+            let done = DoneInfo {
+                rows,
+                pages_read: stats.pages_read,
+                entries_examined: stats.entries_examined,
+                seeks: stats.seeks,
+                micros,
+                cached_plan: cached,
+                degraded,
+            };
+            // The whole reply in one `write`: a small one is one segment
+            // and wakes its reader once.
+            send_bytes(stream, reply.finish(&done), shared)
         }
-    };
-    // Execution is over: the slot and the admission permit go back before
-    // the socket is written, so a slow reader holds neither.
-    drop(slot);
-    drop(permit);
-
-    let alive = match outcome {
-        Ok((rows, done)) => {
-            shared
-                .stats
-                .rows_sent
-                .fetch_add(done.rows, Ordering::Relaxed);
-            // One `write` per full batch; the last (or only) batch leaves
-            // with `Done` in the same `write`, so a small reply is one
-            // segment and wakes its reader once.
-            let mut rows = rows.into_iter();
-            let mut out = Vec::new();
-            loop {
-                let batch: Vec<WireRow> = rows.by_ref().take(BATCH_ROWS).collect();
-                let last = batch.len() < BATCH_ROWS;
-                if !batch.is_empty() {
-                    out.extend(proto::encode_frame(&Frame::RowBatch { rows: batch }));
-                }
-                if last {
-                    out.extend(proto::encode_frame(&Frame::Done(done)));
-                }
-                if !send_bytes(stream, &out, shared) {
-                    break false;
-                }
-                if last {
-                    break true;
-                }
-                out.clear();
-            }
+        Ok((_, Err(e))) => {
+            let code = error_code_for(&e);
+            let message = e.to_string();
+            send(stream, &Frame::Error { code, message }, shared)
         }
-        Err((code, message)) => send(stream, &Frame::Error { code, message }, shared),
+        Err(panic) => {
+            telemetry::counter("serve.worker.panics").inc();
+            let code = ErrorCode::Exec;
+            let message = format!("query execution panicked: {}", panic_message(&*panic));
+            send(stream, &Frame::Error { code, message }, shared)
+        }
     };
 
     // With the answer on the wire, publish what this thread recorded since

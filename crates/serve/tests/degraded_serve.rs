@@ -1,19 +1,28 @@
 //! The live server under storage faults: corruption mid-query degrades
 //! the service (right answers from the fallback path, `degraded` flagged
-//! on the wire and in Stats) instead of killing workers or connections;
-//! exhausted transient I/O on a reader without a fallback maps to a typed
-//! retryable `Unavailable`; and a [`serve::RetryClient`] rides straight
-//! through it. A clean `check()` on the owning database restores the
-//! index path for the running server — no restart.
+//! on the wire and in Stats) instead of killing workers or connections —
+//! even when the scan had already written rows into the reply; exhausted
+//! transient I/O on a reader without a fallback maps to a typed retryable
+//! `Unavailable`; and a [`serve::RetryClient`] rides straight through it.
+//! A clean `check()` on the owning database restores the index path for
+//! the running server — no restart. A query that panics is a typed `Exec`
+//! error on a connection that keeps serving.
 
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use std::time::Duration;
 
-use pagestore::Fault;
-use serve::{Client, ErrorCode, RetryClient, RetryPolicy, ServeError, ServeOptions, Server};
-use uindex::Database;
+use btree::BTreeConfig;
+use pagestore::{BufferPool, Fault, MemStore, PageId, PageStore};
+use serve::{
+    Client, ErrorCode, RetryClient, RetryPolicy, ServeError, ServeOptions, Server, WireRow,
+};
+use uindex::{Database, DatabaseReader, UIndex};
 
 const SEED: u64 = 42;
 const STMT: &str = "color: Color = 'Red'";
+/// Every vehicle: a reply spanning many leaves.
+const ALL_COLORS: &str = "color: Color between 'A' and 'Z'";
 
 type MemDb = Database<uindex::DbStore>;
 
@@ -105,6 +114,138 @@ fn corruption_degrades_the_live_service_and_check_heals_it() {
         0,
         "no worker may die under storage faults"
     );
+}
+
+/// The in-process answer, encoded the way the oracles judge the wire.
+fn oracle_rows(db: &MemDb, uql: &str) -> Vec<WireRow> {
+    let (hits, _) = db.query_uql(uql).unwrap();
+    hits.iter().map(|h| WireRow::from_hit(h).unwrap()).collect()
+}
+
+#[test]
+fn a_fault_after_rows_were_written_restarts_the_reply() {
+    let mut db = build_db(400);
+    let expected = oracle_rows(&db, ALL_COLORS);
+    assert_eq!(expected.len(), 400);
+    let reader = db.reader_with_fallback();
+    let server = Server::start(reader, options()).unwrap();
+    let mut client = Client::connect(server.local_addr()).unwrap();
+
+    // How many page reads a cold run of the query makes: a descent, then
+    // leaf after leaf, each one's rows written into the reply before the
+    // next leaf is read.
+    expose_store(&db);
+    let h = db.fault_handle();
+    let before = h.ops();
+    assert_eq!(client.query(ALL_COLORS).unwrap().rows, expected);
+    let reads = h.ops() - before;
+    assert!(
+        reads >= 4,
+        "premise: the reply spans several leaves ({reads} reads)"
+    );
+
+    // Damage each of those reads in turn. Whenever the fault strikes, the
+    // reply must be exactly the oracle's: no rows from before the fault,
+    // none twice.
+    let mut degraded = 0;
+    for k in 0..reads {
+        expose_store(&db);
+        let h = db.fault_handle();
+        h.inject(h.ops() + k, Fault::BitFlip { bit: 6 });
+        let reply = client.query(ALL_COLORS).unwrap();
+        assert_eq!(reply.rows, expected, "fault at read {k} of {reads}");
+        assert_eq!(reply.done.rows, expected.len() as u64);
+        if reply.done.degraded {
+            degraded += 1;
+            assert!(db.check().unwrap().clean(), "the damage was transient");
+        }
+    }
+    assert!(
+        degraded > 0,
+        "no fault reached the scan ({reads} reads swept)"
+    );
+    server.shutdown();
+}
+
+/// A page store that panics on every read while `armed`.
+struct PanickingStore {
+    inner: MemStore,
+    armed: Arc<AtomicBool>,
+}
+
+impl PageStore for PanickingStore {
+    fn page_size(&self) -> usize {
+        self.inner.page_size()
+    }
+
+    fn allocate(&mut self) -> pagestore::Result<PageId> {
+        self.inner.allocate()
+    }
+
+    fn free(&mut self, id: PageId) -> pagestore::Result<()> {
+        self.inner.free(id)
+    }
+
+    fn read(&mut self, id: PageId, buf: &mut [u8]) -> pagestore::Result<()> {
+        assert!(!self.armed.load(Ordering::Acquire), "injected read panic");
+        self.inner.read(id, buf)
+    }
+
+    fn write(&mut self, id: PageId, buf: &[u8]) -> pagestore::Result<()> {
+        self.inner.write(id, buf)
+    }
+
+    fn contains(&self, id: PageId) -> bool {
+        self.inner.contains(id)
+    }
+
+    fn live_pages(&self) -> usize {
+        self.inner.live_pages()
+    }
+
+    fn live_page_ids(&self) -> Vec<PageId> {
+        self.inner.live_page_ids()
+    }
+}
+
+#[test]
+fn a_panicking_query_is_a_typed_exec_error_and_the_connection_serves_on() {
+    let db = build_db(200);
+    let armed = Arc::new(AtomicBool::new(false));
+    let store = PanickingStore {
+        inner: MemStore::new(1024),
+        armed: Arc::clone(&armed),
+    };
+    let pool = BufferPool::new(store, 1 << 14);
+    let mut index =
+        UIndex::new(pool, BTreeConfig::default(), db.index().encoding().clone()).unwrap();
+    for spec in db.index().specs() {
+        index.define(db.schema(), spec.clone()).unwrap();
+    }
+    index.build_all(db.store()).unwrap();
+    let reader = DatabaseReader::for_index(&mut index, db.schema());
+    let server = Server::start(reader, options()).unwrap();
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    let expected = oracle_rows(&db, ALL_COLORS);
+    assert_eq!(client.query(ALL_COLORS).unwrap().rows, expected);
+
+    let pool = index.tree().pool();
+    pool.flush().unwrap();
+    pool.invalidate_cache().unwrap();
+    armed.store(true, Ordering::Release);
+    match client.query(ALL_COLORS) {
+        Err(ServeError::Server { code, message }) => {
+            assert_eq!(code, ErrorCode::Exec);
+            assert!(message.contains("injected read panic"), "{message}");
+        }
+        other => panic!("wanted a typed Exec error, got {other:?}"),
+    }
+    armed.store(false, Ordering::Release);
+    client.ping().unwrap();
+    assert_eq!(client.query(ALL_COLORS).unwrap().rows, expected);
+
+    let report = server.shutdown();
+    assert_eq!(report.metrics.counters.get("serve.worker.panics"), Some(&1));
 }
 
 #[test]

@@ -6,8 +6,8 @@
 
 use proptest::prelude::*;
 use serve::proto::{
-    self, DoneInfo, ErrorCode, Frame, ProtoError, WireRow, DEFAULT_MAX_PAYLOAD, HEADER_LEN, MAGIC,
-    VERSION,
+    self, DoneInfo, ErrorCode, Frame, ProtoError, RowBatchWriter, WireRow, BATCH_ROWS,
+    DEFAULT_MAX_PAYLOAD, HEADER_LEN, MAGIC, VERSION,
 };
 use serve::{Client, ServeOptions, Server};
 
@@ -127,6 +127,85 @@ proptest! {
     fn garbage_never_panics(bytes in proptest::collection::vec(any::<u8>(), 0..80)) {
         // Arbitrary bytes: any typed error is fine, panics are not.
         let _ = proto::decode_frame(&bytes, DEFAULT_MAX_PAYLOAD);
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The server's reply writer produces exactly the frames encode_frame does
+// ---------------------------------------------------------------------------
+
+/// A reply as [`Frame`]s: `BATCH_ROWS`-row batches, then `Done`.
+fn reply_by_frames(rows: &[WireRow], done: &DoneInfo) -> Vec<u8> {
+    let mut out = Vec::new();
+    for batch in rows.chunks(BATCH_ROWS) {
+        out.extend(proto::encode_frame(&Frame::RowBatch {
+            rows: batch.to_vec(),
+        }));
+    }
+    out.extend(proto::encode_frame(&Frame::Done(*done)));
+    out
+}
+
+/// The same reply through a (reused) [`RowBatchWriter`].
+fn reply_by_writer(writer: &mut RowBatchWriter, rows: &[WireRow], done: &DoneInfo) -> Vec<u8> {
+    writer.clear();
+    for row in rows {
+        writer.push_row(&row.key, row.assignment.iter().copied());
+    }
+    assert_eq!(writer.rows(), rows.len() as u64);
+    writer.finish(done).to_vec()
+}
+
+#[test]
+fn row_batch_writer_matches_encode_frame_at_batch_boundaries() {
+    let mut writer = RowBatchWriter::new();
+    for n in [0, 1, 511, 512, 513, 1024, 2000] {
+        let rows: Vec<WireRow> = (0..n)
+            .map(|i| WireRow {
+                key: format!("key-{i}").into_bytes(),
+                assignment: vec![Some(i % 3), None, Some(i)],
+            })
+            .collect();
+        let done = DoneInfo {
+            rows: n as u64,
+            pages_read: 3,
+            micros: 17,
+            degraded: n % 2 == 0,
+            ..DoneInfo::default()
+        };
+        assert_eq!(
+            reply_by_writer(&mut writer, &rows, &done),
+            reply_by_frames(&rows, &done),
+            "{n} rows"
+        );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn row_batch_writer_matches_encode_frame(
+        before in proptest::collection::vec(arb_row(), 0..600),
+        rows in proptest::collection::vec(arb_row(), 0..1200),
+        pages_read in any::<u64>(),
+        cached_plan in any::<bool>(),
+    ) {
+        let done = DoneInfo {
+            rows: rows.len() as u64,
+            pages_read,
+            cached_plan,
+            ..DoneInfo::default()
+        };
+        // A writer that already built (and dropped) another reply.
+        let mut writer = RowBatchWriter::new();
+        for row in &before {
+            writer.push_row(&row.key, row.assignment.iter().copied());
+        }
+        prop_assert_eq!(
+            reply_by_writer(&mut writer, &rows, &done),
+            reply_by_frames(&rows, &done)
+        );
     }
 }
 

@@ -23,7 +23,7 @@ use schema::{Encoding, Schema};
 use crate::error::{Error, Result};
 use crate::index::{IndexId, Planner};
 use crate::query::{Query, QueryHit};
-use crate::scan::{self, ScanStats};
+use crate::scan::{self, RowSink, ScanStats};
 use crate::spec::IndexSpec;
 
 /// A frozen, consistent view of the index tree at one published epoch.
@@ -149,14 +149,26 @@ impl<P: PageStore> DatabaseReader<P> {
     /// Concurrent calls from different threads are independent; each
     /// accumulates into its own thread-local telemetry registry.
     pub fn query_at(&self, snap: &DbSnapshot, q: &Query) -> Result<(Vec<QueryHit>, ScanStats)> {
+        let mut hits = Vec::new();
+        let stats = self.query_into(snap, q, &mut hits)?;
+        Ok((hits, stats))
+    }
+
+    /// Run `q` against `snap`, handing every match to `sink`.
+    fn query_into<K: RowSink>(
+        &self,
+        snap: &DbSnapshot,
+        q: &Query,
+        sink: &mut K,
+    ) -> Result<ScanStats> {
         let matcher = Planner {
             specs: &self.specs,
             encoding: &self.encoding,
         }
         .matcher(q)?;
         let view = self.tree.read(&snap.snap);
-        let (hits, stats, _) = scan::execute_traced(&view, &matcher, q.algorithm, q.distinct_upto)?;
-        Ok((hits, stats))
+        let (stats, _) = scan::execute_traced(&view, &matcher, q.algorithm, q.distinct_upto, sink)?;
+        Ok(stats)
     }
 
     /// Convenience: pin the latest epoch and run one query against it.
@@ -190,11 +202,27 @@ impl<P: PageStore> DatabaseReader<P> {
         })
     }
 
-    /// Run `q` against `snap` with graceful degradation: when the index is
-    /// quarantined — or the scan hits storage trouble on the spot — the
-    /// answer is recomputed from the fallback object store instead of
-    /// failing (or worse, trusting damaged pages). The returned flag says
-    /// whether the degraded path answered.
+    /// Run `q` against `snap` with graceful degradation, returning the hits
+    /// (see [`DatabaseReader::query_guarded_into`]).
+    pub fn query_guarded_at(
+        &self,
+        snap: &DbSnapshot,
+        q: &Query,
+    ) -> Result<(Vec<QueryHit>, ScanStats, bool)> {
+        let mut hits = Vec::new();
+        let (stats, degraded) = self.query_guarded_into(snap, q, &mut hits)?;
+        Ok((hits, stats, degraded))
+    }
+
+    /// Run `q` against `snap` with graceful degradation, handing every
+    /// match to `sink`: when the index is quarantined — or the scan hits
+    /// storage trouble on the spot — the answer is recomputed from the
+    /// fallback object store instead of failing (or worse, trusting damaged
+    /// pages). A fault can strike after the scan handed over some rows, so
+    /// the sink is restarted before the degraded answer enters it, each row
+    /// through [`crate::EntryKey::encode`]. The returned flag says whether
+    /// the degraded path answered. On an error the sink holds whatever the
+    /// scan handed over before it; discard it.
     ///
     /// Fault policy, mirroring [`crate::Database::query_traced_guarded`]:
     ///
@@ -205,29 +233,29 @@ impl<P: PageStore> DatabaseReader<P> {
     ///   the next query tries the index again;
     /// * anything else (bad queries, planning errors) propagates, and a
     ///   reader without a fallback source propagates every error.
-    pub fn query_guarded_at(
+    pub fn query_guarded_into<K: RowSink>(
         &self,
         snap: &DbSnapshot,
         q: &Query,
-    ) -> Result<(Vec<QueryHit>, ScanStats, bool)> {
+        sink: &mut K,
+    ) -> Result<(ScanStats, bool)> {
         let Some(src) = &self.degraded else {
-            return self.query_at(snap, q).map(|(h, s)| (h, s, false));
+            return Ok((self.query_into(snap, q, sink)?, false));
         };
-        if src.flag.load(Ordering::Acquire) {
-            return Ok((self.degraded_eval(src, q)?, ScanStats::default(), true));
-        }
-        match self.query_at(snap, q) {
-            Ok((h, s)) => Ok((h, s, false)),
-            Err(Error::Page(e)) if e.is_corruption() => {
-                src.flag.store(true, Ordering::Release);
-                telemetry::counter("uindex.degraded.quarantines").inc();
-                Ok((self.degraded_eval(src, q)?, ScanStats::default(), true))
+        if !src.flag.load(Ordering::Acquire) {
+            match self.query_into(snap, q, sink) {
+                Ok(stats) => return Ok((stats, false)),
+                Err(Error::Page(e)) if e.is_corruption() => {
+                    src.flag.store(true, Ordering::Release);
+                    telemetry::counter("uindex.degraded.quarantines").inc();
+                }
+                Err(Error::Page(pagestore::Error::Io(_))) => {}
+                Err(e) => return Err(e),
             }
-            Err(Error::Page(pagestore::Error::Io(_))) => {
-                Ok((self.degraded_eval(src, q)?, ScanStats::default(), true))
-            }
-            Err(e) => Err(e),
+            sink.restart();
         }
+        scan::feed_hits(&self.degraded_eval(src, q)?, sink)?;
+        Ok((ScanStats::default(), true))
     }
 
     /// Convenience: pin the latest epoch and run one guarded query.

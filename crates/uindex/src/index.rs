@@ -283,8 +283,10 @@ impl<S: PageStore> UIndex<S> {
             let _plan = telemetry::Span::enter("plan");
             self.matcher(q)
         };
+        let mut hits = Vec::new();
         let result = planned.and_then(|matcher| {
-            scan::execute_traced(&self.tree.view(), &matcher, q.algorithm, q.distinct_upto)
+            let view = self.tree.view();
+            scan::execute_traced(&view, &matcher, q.algorithm, q.distinct_upto, &mut hits)
         });
         drop(root);
         // The freshly closed "query" root is the last finished span; keep it
@@ -293,7 +295,7 @@ impl<S: PageStore> UIndex<S> {
             .into_iter()
             .rev()
             .find(|s| s.name == "query");
-        let (hits, stats, mut trace) = result?;
+        let (stats, mut trace) = result?;
         trace.span = span;
         Ok((hits, stats, trace))
     }

@@ -82,5 +82,5 @@ pub use key::{CodeBytes, EntryKey, Path, PathElem};
 pub use query::{
     distinct_oids_at, Assignment, ClassSel, OidSel, PosPred, Query, QueryHit, ValuePred,
 };
-pub use scan::{QueryTrace, ScanAlgorithm, ScanStats};
+pub use scan::{QueryTrace, Row, RowSink, ScanAlgorithm, ScanStats};
 pub use spec::{IndexSpec, PathStep, SpecBuilder};

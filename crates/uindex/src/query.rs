@@ -312,18 +312,6 @@ impl QueryHit {
     pub fn value(&self) -> &Value {
         &self.key.value
     }
-
-    /// Append to `hits` (not empty) the hit of an entry that differs from
-    /// the last one's only in its last OID: same value, class codes and
-    /// assignment, nothing decoded again. The clone is made in place, in
-    /// the vector's spare capacity.
-    pub(crate) fn push_successor(hits: &mut Vec<QueryHit>, last_oid: Oid) {
-        hits.extend_from_within(hits.len() - 1..);
-        let path = &mut hits.last_mut().expect("just extended").key.path;
-        if let Some(last) = path.last_mut() {
-            last.oid = last_oid;
-        }
-    }
 }
 
 /// Collect the distinct OIDs occupying `pos` across hits.

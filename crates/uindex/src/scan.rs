@@ -20,6 +20,11 @@
 //! layout's clustering: an entry that differs from the match before it in
 //! nothing but its trailing OID *inherits* that match's verdict, and its hit
 //! is built from its predecessor's (see [`Matcher::advise_with`]).
+//!
+//! The loop does not decide what a match becomes: it hands each one to a
+//! [`RowSink`] as a [`Row`] — the stored key bytes and the position
+//! assignment. A `Vec<QueryHit>` is the sink behind every query API; the
+//! serving layer's sink copies the same bytes straight into wire frames.
 
 use btree::ReadView;
 use objstore::Oid;
@@ -99,6 +104,91 @@ pub struct QueryTrace {
     /// Root span of the query ("query" → "plan"/"descend"/"scan"), when
     /// collected by the caller.
     pub span: Option<telemetry::SpanNode>,
+}
+
+/// One matched entry, as the scan hands it to a [`RowSink`].
+pub struct Row<'a> {
+    key: &'a [u8],
+    assignment: &'a [Option<usize>],
+    /// The field offsets parsed out of `key`.
+    offsets: &'a KeyOffsets,
+    /// The entry differs from the row handed to the sink just before it
+    /// only in its last OID.
+    carried: bool,
+}
+
+impl<'a> Row<'a> {
+    /// The entry's key bytes as the tree stores them — canonical, so equal
+    /// to [`crate::EntryKey::encode`] of the decoded entry.
+    pub fn key(&self) -> &'a [u8] {
+        self.key
+    }
+
+    /// For each spec position, the index of the path element occupying it
+    /// (`None` when the entry's branch does not include the position).
+    pub fn assignment(&self) -> &'a [Option<usize>] {
+        self.assignment
+    }
+}
+
+/// Where a scan puts its matches, in key order. Callers are generic over
+/// the sink, so each kind of sink gets its own monomorphised scan loop.
+pub trait RowSink {
+    /// Take one match. An error aborts the query with it.
+    fn row(&mut self, row: &Row<'_>) -> Result<()>;
+
+    /// Forget every row taken so far: the answer is about to be produced
+    /// again from the start (a fault struck mid-scan and the degraded path
+    /// takes over).
+    fn restart(&mut self);
+}
+
+/// Hand `hits` to `sink` as rows, each through [`crate::EntryKey::encode`]
+/// — how an answer computed without the tree reaches a sink.
+pub(crate) fn feed_hits<K: RowSink>(hits: &[QueryHit], sink: &mut K) -> Result<()> {
+    let mut offsets = KeyOffsets::default();
+    let mut assignment = Vec::new();
+    for hit in hits {
+        let key = hit.key.encode()?;
+        offsets.parse(&key)?;
+        assignment.clear();
+        assignment.extend(hit.assignment.iter());
+        sink.row(&Row {
+            key: &key,
+            assignment: &assignment,
+            offsets: &offsets,
+            carried: false,
+        })?;
+    }
+    Ok(())
+}
+
+impl RowSink for Vec<QueryHit> {
+    /// A cluster's first hit is built from the offsets the matcher already
+    /// parsed; a carried one is its predecessor cloned in place (in the
+    /// vector's spare capacity) with the last OID replaced — same value,
+    /// class codes and assignment, nothing decoded again.
+    #[inline]
+    fn row(&mut self, row: &Row<'_>) -> Result<()> {
+        if row.carried && !self.is_empty() {
+            let oid = row.key.last_chunk().expect("a carried key ends in an OID");
+            self.extend_from_within(self.len() - 1..);
+            let path = &mut self.last_mut().expect("just extended").key.path;
+            if let Some(last) = path.last_mut() {
+                last.oid = Oid::from_bytes(*oid);
+            }
+        } else {
+            self.push(QueryHit {
+                key: EntryKey::from_parsed(row.key, row.offsets)?,
+                assignment: Assignment::from_slice(row.assignment),
+            });
+        }
+        Ok(())
+    }
+
+    fn restart(&mut self) {
+        self.clear();
+    }
 }
 
 /// Constraints for one path position.
@@ -439,22 +529,21 @@ thread_local! {
     };
 }
 
-/// Run a translated query against the shared B-tree.
+/// Run a translated query against the shared B-tree, handing every match
+/// to `sink` in key order.
 ///
 /// Allocation contract, pinned by `crates/uindex/tests/alloc_budget.rs`:
 /// the loop reads each entry through `cursor_peek` — slices borrowed from
 /// the decoded leaf's arena — and the matcher works on field offsets parsed
 /// into a reusable [`ScanScratch`], so **examining an entry allocates
 /// nothing**: the allocations of a scan that matches nothing are a constant
-/// (cursor path, scratch, spans), however many entries it examines. **A
-/// hit costs at most two allocations**: the `String` of a string value
-/// and, when the entry has more than one path element, the `path` vector
-/// (a class-hierarchy hit's single element is inline, so an integer-valued
-/// one allocates nothing). A cluster's first hit is built from the offsets
-/// the matcher already parsed, class codes and the position assignment
-/// inline; a carried match's hit is its predecessor's with the last OID
-/// replaced — the clone allocates exactly what building it would. (The
-/// hit vector's own doubling adds a logarithmic number on top.) **A
+/// (cursor path, scratch, spans), however many entries it examines. A
+/// [`Row`] borrows the same arena and scratch, so what a match allocates
+/// is up to the sink. Into a `Vec<QueryHit>`, **a hit costs at most two
+/// allocations**: the `String` of a string value and, when the entry has
+/// more than one path element, the `path` vector (a class-hierarchy hit's
+/// single element is inline, so an integer-valued one allocates nothing;
+/// the vector's own doubling adds a logarithmic number on top). **A
 /// skip-seek allocates nothing**: the cursor's retained path holds child
 /// indices, not copies of fence keys.
 ///
@@ -464,12 +553,13 @@ thread_local! {
 /// `uindex.*` registry counters and the per-query histograms are fed here,
 /// so every query path (UQL, programmatic, benches) reports through one
 /// place.
-pub(crate) fn execute_traced<S: PageStore>(
+pub(crate) fn execute_traced<S: PageStore, K: RowSink>(
     view: &ReadView<'_, S>,
     matcher: &Matcher,
     algorithm: ScanAlgorithm,
     distinct_upto: Option<usize>,
-) -> Result<(Vec<QueryHit>, ScanStats, QueryTrace)> {
+    sink: &mut K,
+) -> Result<(ScanStats, QueryTrace)> {
     view.pool().begin_query();
     let tiers_and_pool = |m: &ScanMetrics| {
         [
@@ -488,7 +578,6 @@ pub(crate) fn execute_traced<S: PageStore>(
         ..ScanScratch::default()
     };
     let mut carried_matches = 0;
-    let mut hits: Vec<QueryHit> = Vec::new();
     let mut cur = {
         let _descend = telemetry::Span::enter("descend");
         view.seek(&matcher.initial_seek())?
@@ -499,16 +588,16 @@ pub(crate) fn execute_traced<S: PageStore>(
         let skip = match matcher.advise_with(key, &mut scratch)? {
             Advice::Match { carried } => {
                 stats.matches += 1;
-                if carried && !hits.is_empty() {
-                    carried_matches += 1;
-                    let oid = key.last_chunk().expect("a carried key ends in an OID");
-                    QueryHit::push_successor(&mut hits, Oid::from_bytes(*oid));
-                } else {
-                    hits.push(QueryHit {
-                        key: EntryKey::from_parsed(key, &scratch.offsets)?,
-                        assignment: Assignment::from_slice(&scratch.assignment),
-                    });
+                carried_matches += u64::from(carried);
+                if scratch.offsets.elems.is_empty() {
+                    return Err(Error::BadKey("entry has no path elements".into()));
                 }
+                sink.row(&Row {
+                    key,
+                    assignment: &scratch.assignment,
+                    offsets: &scratch.offsets,
+                    carried,
+                })?;
                 distinct_upto
                     .and_then(|pos| scratch.assignment.get(pos).copied().flatten())
                     .is_some_and(|ei| Matcher::skip_past_match(key, ei, &mut scratch))
@@ -567,7 +656,7 @@ pub(crate) fn execute_traced<S: PageStore>(
         m.query_pages.record(stats.pages_read);
         m.query_entries.record(stats.entries_examined);
     });
-    Ok((hits, stats, trace))
+    Ok((stats, trace))
 }
 
 /// A verdict together with the data it left in the scratch, so tests can
@@ -833,7 +922,7 @@ mod tests {
             a => panic!("expected SkipTo, got {a:?}"),
         }
         for alg in [ScanAlgorithm::Parallel, ScanAlgorithm::Forward] {
-            let (hits, stats, _) = execute_traced(&tree.view(), &m, alg, None).unwrap();
+            let (hits, stats) = execute(&tree, &m, alg, None);
             assert!(hits.is_empty(), "nothing can match the bogus class range");
             assert_eq!(
                 stats.entries_examined, 3,
@@ -856,7 +945,19 @@ mod tests {
         tree
     }
 
-    /// `execute_traced` plus how many of its matches were carried.
+    /// `execute_traced` into a hit vector.
+    fn execute(
+        tree: &btree::BTree<pagestore::MemStore>,
+        m: &Matcher,
+        alg: ScanAlgorithm,
+        distinct_upto: Option<usize>,
+    ) -> (Vec<QueryHit>, ScanStats) {
+        let mut hits = Vec::new();
+        let (stats, _) = execute_traced(&tree.view(), m, alg, distinct_upto, &mut hits).unwrap();
+        (hits, stats)
+    }
+
+    /// [`execute`] plus how many of its matches were carried.
     fn execute_counting_carries(
         tree: &btree::BTree<pagestore::MemStore>,
         m: &Matcher,
@@ -864,7 +965,7 @@ mod tests {
         distinct_upto: Option<usize>,
     ) -> (Vec<QueryHit>, ScanStats, u64) {
         let before = telemetry::counter_value("uindex.scan.carried");
-        let (hits, stats, _) = execute_traced(&tree.view(), m, alg, distinct_upto).unwrap();
+        let (hits, stats) = execute(tree, m, alg, distinct_upto);
         let carried = telemetry::counter_value("uindex.scan.carried") - before;
         (hits, stats, carried)
     }
@@ -1123,9 +1224,9 @@ mod tests {
                 required: true,
             }],
         };
-        let run = || execute_traced(&tree.view(), &m, ScanAlgorithm::Parallel, None).unwrap();
-        let (hits, stats, _) = run();
-        let (flat_hits, flat, _) = with_flat_skips(run);
+        let run = || execute(&tree, &m, ScanAlgorithm::Parallel, None);
+        let (hits, stats) = run();
+        let (flat_hits, flat) = with_flat_skips(run);
         assert_eq!(hits.len(), 25 * 2 * 6);
         assert_eq!(hits, flat_hits);
         assert!(stats.seeks >= 49, "premise: the scan skips ({stats:?})");

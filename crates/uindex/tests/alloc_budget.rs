@@ -20,7 +20,10 @@
 //!   copy fence keys;
 //! * **decoding a leaf is two allocations** — `Node::decode` of a
 //!   193-entry leaf (the benchmark's leaf fill) allocates its arena and
-//!   its offset table, nothing per entry.
+//!   its offset table, nothing per entry;
+//! * **a served row allocates nothing** — 10 000 and 20 000 string hits
+//!   written by the scan straight into a warmed `serve::RowBatchWriter`
+//!   (the server's per-connection reply buffer) cost the same constant.
 //!
 //! `c` covers what a query allocates whatever it returns: the cursor's
 //! retained path, scratch buffers, timing spans, the translated matcher and
@@ -33,6 +36,7 @@ use btree::{BTree, BTreeConfig, Node};
 use objstore::Value;
 use pagestore::{BufferPool, MemStore};
 use schema::{AttrType, ClassId, Schema};
+use serve::proto::{DoneInfo, RowBatchWriter};
 use uindex::{ClassSel, Database, IndexId, IndexSpec, Query, QueryHit, ValuePred};
 
 thread_local! {
@@ -235,6 +239,35 @@ fn a_hit_costs_at_most_two_allocations() {
         "{allocs} allocations for {} two-element integer hits",
         hits.len()
     );
+}
+
+#[test]
+fn a_served_row_allocates_nothing() {
+    let mut f = fixture();
+    let reader = f.db.reader();
+    let mut reply = RowBatchWriter::new();
+    let mut serve = |h: i64| {
+        let q = Query::on(f.name).value(ValuePred::between(name_of(0), name_of(h - 1)));
+        let mut run = || {
+            reply.clear();
+            let snap = reader.snapshot();
+            let (stats, degraded) = reader.query_guarded_into(&snap, &q, &mut reply).unwrap();
+            assert_eq!((stats.matches, degraded), (h as u64, false));
+            reply.finish(&DoneInfo::default()).len()
+        };
+        run(); // warm: pool, scratch, and the buffer at this reply's size
+        let (bytes, allocs) = allocations(run);
+        assert!(bytes > 20 * h as usize, "{bytes} bytes for {h} rows");
+        allocs
+    };
+    serve(20_000); // the buffer grows to the larger reply once
+    let ten = serve(10_000);
+    let twenty = serve(20_000);
+    assert_eq!(
+        ten, twenty,
+        "allocations grew with the rows served: {ten} for 10 000, {twenty} for 20 000"
+    );
+    assert!(ten <= PER_QUERY, "{ten} allocations to serve rows");
 }
 
 #[test]
