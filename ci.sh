@@ -40,11 +40,17 @@ fi
 echo "== scan-path invariants (Parallel / Forward: same hits, registry == ScanStats, matches - carried == (key, set) groups)"
 cargo test -q --offline -p bench --test scan_invariants parallel_and_forward_agree_on_hits_counters_and_carry
 
-echo "== node codec (hostile-bytes corpus; arena decoder == reference decoder, encode(decode(page)) == page)"
+echo "== node codec (hostile-bytes corpus; arena decoder == reference decoder, encode(decode(page)) == page; leaf walk == decode, seek == binary search)"
 cargo test -q --offline -p btree --test decode_fuzz
 cargo test -q --offline -p btree --lib differential
 
-echo "== allocation budget (0 per entry examined, <= 2 per hit, 0 per served row, 2 per leaf decode; counting allocator)"
+echo "== no read decodes a leaf (after read-only scans and lookups only interior frames hold a decode)"
+cargo test -q --offline -p btree --test node_cache
+
+echo "== WAL replay (hostile-bytes corpus: valid-CRC records of any shape, spliced lengths; Ok or a typed error, whole pages only)"
+cargo test -q --offline -p pagestore --test wal_replay_fuzz
+
+echo "== allocation budget (0 per entry examined, <= 2 per hit, 0 per served row, 0 per leaf visited, 2 per write-path decode; counting allocator)"
 cargo test -q --offline -p uindex --test alloc_budget
 
 echo "== canonical keys (whatever EntryKey::decode accepts re-encodes to the same bytes: the wire sends stored keys)"

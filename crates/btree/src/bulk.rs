@@ -275,16 +275,17 @@ impl<S: PageStore> BTree<S> {
         let mut id = self.root();
         let mut upper = None;
         loop {
-            match &*self.load_cached(id)? {
-                Node::Leaf(_) => return Ok((id, upper)),
-                Node::Internal(int) => {
-                    let child = int.route(key);
-                    if child < int.len() {
-                        upper = Some(int.sep(child).to_vec());
-                    }
-                    id = int.child(child);
-                }
+            let Some(node) = self.load_interior(id)? else {
+                return Ok((id, upper));
+            };
+            let Node::Internal(int) = &*node else {
+                unreachable!("only a page with the leaf tag decodes to a leaf");
+            };
+            let child = int.route(key);
+            if child < int.len() {
+                upper = Some(int.sep(child).to_vec());
             }
+            id = int.child(child);
         }
     }
 

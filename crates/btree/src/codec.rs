@@ -31,8 +31,21 @@ pub fn varint_len(v: u32) -> usize {
     }
 }
 
-/// Read a LEB128 varint at `*pos`, advancing it.
+/// Read a LEB128 varint at `*pos`, advancing it. The one-byte form — every
+/// length in a page of short keys — takes one branch.
+#[inline]
 pub fn read_varint(buf: &[u8], pos: &mut usize) -> Result<u32> {
+    match buf.get(*pos) {
+        Some(&byte) if byte < 0x80 => {
+            *pos += 1;
+            Ok(u32::from(byte))
+        }
+        _ => read_long_varint(buf, pos),
+    }
+}
+
+#[cold]
+fn read_long_varint(buf: &[u8], pos: &mut usize) -> Result<u32> {
     let mut v: u32 = 0;
     let mut shift = 0;
     loop {

@@ -2,10 +2,15 @@
 //! hosted on a [`ReadView`], the `&self` read surface shared by the writer
 //! handle and snapshot readers.
 //!
-//! A [`Cursor`] holds the decoded node of its current leaf (shared with the
-//! frame-embedded decode cache), so stepping within a leaf costs no page
-//! fetches; moving to the next leaf goes through the buffer pool and is
-//! accounted normally.
+//! **Leaves are read where they lie.** A [`Cursor`] reads its current leaf
+//! through a [`LeafWalker`]: one copy of the page's bytes and one key
+//! buffer patched from each entry's `prefix_len` on. Stepping within a leaf
+//! costs no page fetch and no decode; moving to the next leaf goes through
+//! the buffer pool and is accounted normally. No read decodes a leaf — not
+//! [`ReadView::get`] either, which searches the frame's bytes under its
+//! shared lock. The pool's per-frame decode cache holds interior nodes
+//! only, for routing's binary search (the write path decodes the leaves it
+//! mutates, uncached: see `tree::load_page`).
 //!
 //! Beyond the leaf, a cursor *retains its descent path*: for every interior
 //! node between the root and the leaf it keeps the decoded node plus the
@@ -17,29 +22,32 @@
 //! it
 //!
 //! 1. resolves the target *inside the current leaf* when the leaf's fence
-//!    interval covers it (zero page fetches, zero allocations),
+//!    interval covers it — a forward walk from the cursor's entry when the
+//!    target lies ahead of it, as skip targets do (zero page fetches, zero
+//!    allocations),
 //! 2. otherwise walks *up* the retained path to the lowest common ancestor
 //!    whose key range covers the target and re-descends from there,
 //!    fetching only the nodes below the LCA (the retained ancestors are
-//!    not re-fetched, exactly like the cached leaf is not re-fetched when
+//!    not re-fetched, exactly like the walked leaf is not re-fetched when
 //!    stepping within it),
 //! 3. falls back to a fresh root descent when the cursor was invalidated
 //!    by a tree mutation (detected through the tree's epoch counter).
 //!
 //! Because skip targets and ranges never need owned key bytes, the scan
-//! hot path reads entries through [`ReadView::cursor_peek`] — slices
-//! borrowed from the cursor's handle on the shared decoded leaf's arena —
-//! instead of cloning every key and value it examines. [`EntryRef`] is the
-//! same view with its own `Arc<Node>`, for callers that keep an entry
-//! while the cursor moves; it is `Send`, so worker threads can hand scan
-//! results around freely.
+//! hot path reads entries through [`ReadView::cursor_peek`] and
+//! [`ReadView::cursor_key`] — slices borrowed from the cursor's walker —
+//! instead of cloning every key and value it examines. [`EntryRef`] is a
+//! copy of one entry, for callers that keep it while the cursor moves.
 
 use std::sync::Arc;
 
-use pagestore::{PageId, PageStore, Result};
+use pagestore::{Error, PageId, PageStore, Result};
 
-use crate::node::{InternalNode, LeafNode, Node};
-use crate::tree::{decode_node, metrics, BTree, TreeReader, TreeShared, TreeSnapshot};
+use crate::node::{InternalNode, Node};
+use crate::tree::{
+    load_page, metrics, BTree, Loaded, ReadForm, TreeReader, TreeShared, TreeSnapshot,
+};
+use crate::walk::{leaf_get, LeafWalker};
 
 /// One retained level of a cursor's descent path: an interior node plus
 /// the index of the child the descent took out of it.
@@ -51,10 +59,15 @@ struct PathLevel {
 
 impl PathLevel {
     fn int(&self) -> &InternalNode {
-        match &*self.node {
-            Node::Internal(int) => int,
-            Node::Leaf(_) => unreachable!("a descent retains interior nodes only"),
-        }
+        interior(&self.node)
+    }
+}
+
+/// The interior node a page without the leaf tag decodes to.
+fn interior(node: &Node) -> &InternalNode {
+    match node {
+        Node::Internal(int) => int,
+        Node::Leaf(_) => unreachable!("only a page with the leaf tag decodes to a leaf"),
     }
 }
 
@@ -104,7 +117,9 @@ pub struct SeekStats {
 pub struct Cursor {
     leaf: PageId,
     slot: usize,
-    cached: Option<(PageId, Arc<Node>)>,
+    /// The leaf whose bytes `walk` holds, if any.
+    walked: Option<PageId>,
+    walk: LeafWalker,
     /// Interior nodes root→parent-of-leaf from the most recent descent.
     path: Vec<PathLevel>,
     /// Whether `path` ends at the current leaf, so that its fence interval
@@ -122,7 +137,8 @@ impl Cursor {
         Cursor {
             leaf: PageId::NULL,
             slot: 0,
-            cached: None,
+            walked: None,
+            walk: LeafWalker::new(),
             path: Vec::new(),
             fence_valid: false,
             epoch,
@@ -146,53 +162,43 @@ impl Cursor {
         self.stats
     }
 
-    /// The decoded node the cursor holds, if it is a leaf.
-    fn cached_leaf(&self) -> Option<&LeafNode> {
-        match self.cached.as_ref().map(|(_, node)| &**node) {
-            Some(Node::Leaf(leaf)) => Some(leaf),
-            _ => None,
-        }
-    }
-
-    /// Step to the next entry (within-leaf; leaf chaining happens in
-    /// [`ReadView::cursor_entry_ref`]).
+    /// Step to the next entry (within-leaf; the step itself, and leaf
+    /// chaining, happen when the cursor is next read).
     pub fn advance(&mut self) {
         self.slot += 1;
     }
 }
 
-/// A shared view of the entry under a cursor.
-///
-/// Holds a reference-counted handle to the decoded leaf (shared with the
-/// pool's decode cache), so no key or value bytes are copied, and the view
-/// is `Send`. It stays valid across subsequent seeks and cursor movement;
-/// after a tree *mutation* it continues to show the pre-mutation entry.
+/// A copy of the entry under a cursor, in one allocation, for callers that
+/// keep an entry while the cursor moves on. It is `Send`, and after a tree
+/// *mutation* it continues to show the pre-mutation entry.
 pub struct EntryRef {
-    node: Arc<Node>,
-    slot: usize,
+    bytes: Box<[u8]>,
+    key_len: usize,
 }
 
 impl EntryRef {
-    fn leaf(&self) -> &LeafNode {
-        match &*self.node {
-            Node::Leaf(l) => l,
-            Node::Internal(_) => unreachable!("EntryRef is only built over leaves"),
-        }
-    }
-
     /// The entry's key bytes.
     pub fn key(&self) -> &[u8] {
-        self.leaf().key(self.slot)
+        &self.bytes[..self.key_len]
     }
 
     /// The entry's value bytes.
     pub fn value(&self) -> &[u8] {
-        self.leaf().value(self.slot)
+        &self.bytes[self.key_len..]
     }
 
     /// Clone the entry into owned `(key, value)` vectors.
     pub fn to_pair(&self) -> (Vec<u8>, Vec<u8>) {
         (self.key().to_vec(), self.value().to_vec())
+    }
+}
+
+/// Hand a preserved leaf's bytes to `leaf`, or return the interior.
+fn visit_version<R>(v: ReadForm, leaf: impl FnOnce(&[u8]) -> Result<R>) -> Result<Loaded<R>> {
+    match v {
+        Loaded::Leaf(bytes) => Ok(Loaded::Leaf(leaf(&bytes)?)),
+        Loaded::Interior(node) => Ok(Loaded::Interior(node)),
     }
 }
 
@@ -264,40 +270,41 @@ impl<S: PageStore> ReadView<'_, S> {
         &self.shared.pool
     }
 
-    /// Load a node as this view sees it. Snapshot views consult the
-    /// version store around the live-frame read: preservation
-    /// happens-before mutation on the writer side, so if the re-check
-    /// after decoding still misses, the decoded bytes predate any
-    /// mutation and are the snapshot's own.
-    fn load_cached(&self, id: PageId) -> Result<Arc<Node>> {
+    /// Load page `id` as this view sees it: an interior node (from the
+    /// frame's decode cache), or a leaf's bytes handed to `leaf` — the live
+    /// frame's under its shared lock, so nothing is copied unless `leaf`
+    /// copies. Snapshot views consult the version store around the
+    /// live-frame read: preservation happens-before mutation on the writer
+    /// side, so if the re-check after reading still misses, the bytes read
+    /// predate any mutation and are the snapshot's own (on a hit, `leaf`
+    /// runs again, on the preserved bytes).
+    fn visit<R>(&self, id: PageId, mut leaf: impl FnMut(&[u8]) -> Result<R>) -> Result<Loaded<R>> {
         let Some(e) = self.snap_epoch else {
-            let page = self.shared.pool.fetch(id)?;
-            return decode_node(&page);
+            return load_page(&self.shared.pool.fetch(id)?, leaf);
         };
         let tracker = &self.shared.tracker;
-        if let Some(n) = tracker.lookup(id, e) {
+        if let Some(v) = tracker.lookup(id, e) {
             metrics(|m| m.version_reads.inc());
-            return Ok(n);
+            return visit_version(v, leaf);
         }
-        let page = self.shared.pool.fetch(id)?;
-        let node = decode_node(&page)?;
-        if let Some(n) = tracker.lookup(id, e) {
+        let live = load_page(&self.shared.pool.fetch(id)?, &mut leaf)?;
+        if let Some(v) = tracker.lookup(id, e) {
             metrics(|m| m.version_reads.inc());
-            return Ok(n);
+            return visit_version(v, leaf);
         }
-        Ok(node)
+        Ok(live)
     }
 
     /// Point lookup: the value stored under `key`, if any.
     pub fn get(&self, key: &[u8]) -> Result<Option<Vec<u8>>> {
         let mut id = self.root;
         loop {
-            let node = self.load_cached(id)?;
-            match &*node {
-                Node::Internal(int) => id = int.child(int.route(key)),
-                Node::Leaf(leaf) => {
-                    return Ok(leaf.search(key).ok().map(|i| leaf.value(i).to_vec()));
+            match self.visit(id, |page| leaf_get(page, key))? {
+                Loaded::Interior(node) => {
+                    let int = interior(&node);
+                    id = int.child(int.route(key));
                 }
+                Loaded::Leaf(value) => return Ok(value),
             }
         }
     }
@@ -325,7 +332,6 @@ impl<S: PageStore> ReadView<'_, S> {
     /// them).
     pub fn seek_into(&self, cur: &mut Cursor, key: &[u8]) -> Result<()> {
         cur.path.clear();
-        cur.cached = None;
         cur.fence_valid = false;
         self.descend(cur, 0, self.root, key)
     }
@@ -338,19 +344,23 @@ impl<S: PageStore> ReadView<'_, S> {
         let mut id = id;
         let mut fetched = 0u64;
         loop {
-            let node = self.load_cached(id)?;
+            let visit = self.visit(id, |page| {
+                cur.walked = None;
+                cur.walk.load(page)
+            })?;
             fetched += 1;
-            match &*node {
-                Node::Internal(int) => {
-                    let child = int.route(key);
-                    let next = int.child(child);
+            match visit {
+                Loaded::Interior(node) => {
+                    let child = interior(&node).route(key);
+                    let next = interior(&node).child(child);
                     cur.path.push(PathLevel { id, node, child });
                     id = next;
                 }
-                Node::Leaf(leaf) => {
-                    cur.slot = leaf.search(key).unwrap_or_else(|at| at);
+                Loaded::Leaf(()) => {
+                    cur.walked = Some(id);
+                    cur.walk.seek(key)?;
+                    cur.slot = cur.walk.slot();
                     cur.leaf = id;
-                    cur.cached = Some((id, node));
                     cur.fence_valid = true;
                     cur.epoch = self.epoch;
                     cur.stats.descents += 1;
@@ -384,10 +394,13 @@ impl<S: PageStore> ReadView<'_, S> {
         }
         if cur.fence_valid && covers(&cur.path, key) {
             // The answer slot is in the descended-to leaf (or, when the
-            // target is past its last entry, the chain walk in
-            // `cursor_entry_ref` reaches it — the next leaf starts at or
-            // above the fence, which is above the target).
-            cur.slot = self.leaf(cur)?.search(key).unwrap_or_else(|at| at);
+            // target is past its last entry, the chain walk in `settle`
+            // reaches it — the next leaf starts at or above the fence,
+            // which is above the target). The walker searches forward from
+            // its entry when the target lies ahead of it.
+            self.walk_leaf(cur)?;
+            cur.walk.seek(key)?;
+            cur.slot = cur.walk.slot();
             cur.stats.leaf_reseeks += 1;
             metrics(|m| m.reseek_leaf.inc());
             return Ok(());
@@ -408,25 +421,36 @@ impl<S: PageStore> ReadView<'_, S> {
         self.descend(cur, depth + 1, child, key)
     }
 
-    /// The decoded leaf the cursor points into, loaded (through the pool,
-    /// so counted) if the cursor still holds another.
-    fn leaf<'c>(&self, cur: &'c mut Cursor) -> Result<&'c LeafNode> {
-        if cur.cached.as_ref().is_none_or(|(id, _)| *id != cur.leaf) {
-            cur.cached = Some((cur.leaf, self.load_cached(cur.leaf)?));
+    /// Make the cursor's walker hold the leaf the cursor points into,
+    /// loading it (through the pool, so counted) if it holds another.
+    fn walk_leaf(&self, cur: &mut Cursor) -> Result<()> {
+        if cur.walked == Some(cur.leaf) {
+            return Ok(());
         }
-        cur.cached_leaf()
-            .ok_or_else(|| pagestore::Error::Corrupt("cursor leaf is not a leaf".into()))
+        let id = cur.leaf;
+        let visit = self.visit(id, |page| {
+            cur.walked = None;
+            cur.walk.load(page)
+        })?;
+        match visit {
+            Loaded::Leaf(()) => {
+                cur.walked = Some(id);
+                Ok(())
+            }
+            Loaded::Interior(_) => Err(Error::Corrupt("cursor leaf is not a leaf".into())),
+        }
     }
 
     /// Settle the cursor on an entry, chaining across exhausted leaves.
     /// `false` when the cursor is past the last entry.
     fn settle(&self, cur: &mut Cursor) -> Result<bool> {
         loop {
-            let leaf = self.leaf(cur)?;
-            let (len, next) = (leaf.len(), leaf.next);
-            if cur.slot < len {
+            self.walk_leaf(cur)?;
+            if cur.slot < cur.walk.len() {
+                cur.walk.goto(cur.slot)?;
                 return Ok(true);
             }
+            let next = cur.walk.next_leaf();
             if next.is_null() {
                 return Ok(false);
             }
@@ -441,30 +465,43 @@ impl<S: PageStore> ReadView<'_, S> {
 
     /// The key and value under the cursor, advancing across leaf boundaries
     /// as needed; `None` when the cursor is past the last entry. The slices
-    /// borrow the cursor's own handle on the decoded leaf, so this is the
-    /// scan hot path: no allocation, no copy, no reference-count traffic
-    /// per entry. See [`ReadView::cursor_entry_ref`] for a view that
-    /// outlives cursor movement.
+    /// borrow the cursor's walker, so this is the scan hot path: no
+    /// allocation, no copy, no reference-count traffic per entry. See
+    /// [`ReadView::cursor_entry_ref`] for a copy that outlives cursor
+    /// movement.
     pub fn cursor_peek<'c>(&self, cur: &'c mut Cursor) -> Result<Option<(&'c [u8], &'c [u8])>> {
         if !self.settle(cur)? {
             return Ok(None);
         }
-        let leaf = cur.cached_leaf().expect("settled on a leaf");
-        Ok(Some((leaf.key(cur.slot), leaf.value(cur.slot))))
+        Ok(cur.walk.entry())
     }
 
-    /// A shared view of the entry under the cursor (same positioning as
-    /// [`ReadView::cursor_peek`]). The view holds its own reference to the
-    /// decoded leaf, so it stays valid while the cursor moves on; that
-    /// costs one reference-count increment and decrement per entry.
-    pub fn cursor_entry_ref(&self, cur: &mut Cursor) -> Result<Option<EntryRef>> {
+    /// The key under the cursor (positioned as by
+    /// [`ReadView::cursor_peek`]), with how many leading bytes it is known
+    /// to share with the entry the cursor was read at before: the entry's
+    /// `prefix_len` when the cursor moved there by one
+    /// [`Cursor::advance`] within a leaf, 0 after any other move. A lower
+    /// bound — exact on a front-compressed leaf — never more.
+    pub fn cursor_key<'c>(&self, cur: &'c mut Cursor) -> Result<Option<(&'c [u8], usize)>> {
         if !self.settle(cur)? {
             return Ok(None);
         }
-        let (_, node) = cur.cached.as_ref().expect("settled");
+        Ok(Some((cur.walk.key(), cur.walk.shared())))
+    }
+
+    /// A copy of the entry under the cursor (same positioning as
+    /// [`ReadView::cursor_peek`]) that stays valid while the cursor moves
+    /// on; one allocation per entry.
+    pub fn cursor_entry_ref(&self, cur: &mut Cursor) -> Result<Option<EntryRef>> {
+        let Some((key, value)) = self.cursor_peek(cur)? else {
+            return Ok(None);
+        };
+        let mut bytes = Vec::with_capacity(key.len() + value.len());
+        bytes.extend_from_slice(key);
+        bytes.extend_from_slice(value);
         Ok(Some(EntryRef {
-            node: node.clone(),
-            slot: cur.slot,
+            bytes: bytes.into_boxed_slice(),
+            key_len: key.len(),
         }))
     }
 

@@ -48,6 +48,7 @@ mod cursor;
 mod node;
 mod tree;
 mod verify;
+mod walk;
 
 pub use codec::{common_prefix_len, truncate_separator};
 pub use config::{BTreeConfig, Capacity};
@@ -55,5 +56,6 @@ pub use cursor::{Cursor, EntryRef, ReadView, SeekStats};
 pub use node::{InternalNode, LeafNode, Node};
 pub use tree::{BTree, SnapshotTracker, TreeReader, TreeSnapshot};
 pub use verify::TreeStats;
+pub use walk::LeafWalker;
 
 pub use pagestore::{Error, Result};

@@ -17,16 +17,22 @@
 //!
 //! # The leaf codec boundary
 //!
-//! A decoded node is an **arena**: one `Vec<u8>` holding every
-//! reconstructed (prefix-expanded) key — and, in a leaf, each key's value
-//! right behind it — plus one `Vec<u32>` offset table. Nothing outside this
-//! module sees either vector: readers go through `key(i)` / `value(i)` /
-//! `sep(i)` / `len()` / `search()`, writers through `insert_at` /
-//! `remove_at` / `split_off` / `append`. Decoding a leaf is two allocations
-//! whatever its entry count, cloning one is two `memcpy`s, and a scan reads
-//! neighbouring entries from contiguous memory. The page layout above is
-//! what [`Node::encode`] writes and [`Node::decode`] reads, byte for byte
-//! what it was when leaves were `Vec`s of owned entries.
+//! The layout above has one writer and two readers. [`Node::encode`] writes
+//! it. **Readers** of the tree — every `ReadView` operation — read a leaf
+//! where it lies, through [`crate::LeafWalker`] (`walk.rs`): one copy of
+//! the page and one key buffer patched from each entry's `prefix_len` on,
+//! no arena. They decode interior nodes only, for routing's binary search.
+//! **Writers** — `BTree::load` → mutate → [`Node::encode`], bulk load,
+//! `verify` — decode with [`Node::decode`] into an **arena**: one `Vec<u8>`
+//! holding every reconstructed (prefix-expanded) key — and, in a leaf, each
+//! key's value right behind it — plus one `Vec<u32>` offset table. Nothing
+//! outside this module sees either vector: code goes through `key(i)` /
+//! `value(i)` / `sep(i)` / `len()` / `search()`, writers through
+//! `insert_at` / `remove_at` / `split_off` / `append`. Decoding a leaf is
+//! two allocations whatever its entry count, and cloning one is two
+//! `memcpy`s. Both readers check the same bounds: a walk accepts exactly
+//! the pages [`Node::decode`] accepts (`tests/decode_fuzz.rs`). The layout
+//! is byte for byte what it was when leaves were `Vec`s of owned entries.
 //!
 //! **Decode bound.** [`Node::decode`] measures a page before it allocates:
 //! a first pass validates every length (`prefix_len` within the previous
@@ -44,7 +50,7 @@ use pagestore::{Error, PageId, Result};
 use crate::codec::{common_prefix_len, read_varint, varint_len, write_varint};
 
 const TAG_INTERIOR: u8 = 0;
-const TAG_LEAF: u8 = 1;
+pub(crate) const TAG_LEAF: u8 = 1;
 
 /// Fixed header size of a leaf page (tag + next pointer + count).
 pub const LEAF_HEADER: usize = 1 + 4 + 2;
@@ -465,11 +471,7 @@ impl Node {
             .ok_or_else(|| Error::Corrupt("empty page".into()))?;
         match tag {
             TAG_LEAF => {
-                if page.len() < LEAF_HEADER {
-                    return Err(Error::Corrupt("leaf header truncated".into()));
-                }
-                let next = PageId::from_bytes(page[1..5].try_into().unwrap());
-                let count = u16::from_le_bytes(page[5..7].try_into().unwrap()) as usize;
+                let (next, count) = leaf_header(page)?;
                 let total = measure(page, LEAF_HEADER, count, true)?;
                 let slots = fill(page, LEAF_HEADER, count, total, true, |_| {})?;
                 Ok(Node::Leaf(LeafNode { slots, next }))
@@ -492,6 +494,16 @@ impl Node {
     }
 }
 
+/// The `next` pointer and entry count of a page with the leaf tag.
+pub(crate) fn leaf_header(page: &[u8]) -> Result<(PageId, usize)> {
+    if page.len() < LEAF_HEADER {
+        return Err(Error::Corrupt("leaf header truncated".into()));
+    }
+    let next = PageId::from_bytes(page[1..5].try_into().expect("four bytes"));
+    let count = u16::from_le_bytes(page[5..7].try_into().expect("two bytes")) as usize;
+    Ok((next, count))
+}
+
 fn put(page: &mut [u8], pos: &mut usize, bytes: &[u8]) {
     page[*pos..*pos + bytes.len()].copy_from_slice(bytes);
     *pos += bytes.len();
@@ -508,17 +520,7 @@ fn put_key(page: &mut [u8], pos: &mut usize, prev: &[u8], key: &[u8], compress: 
 /// start at `pos` — leaf entries when `leaf`, separator entries otherwise —
 /// and return the number of arena bytes they reconstruct. Allocates nothing.
 fn measure(page: &[u8], mut pos: usize, count: usize, leaf: bool) -> Result<usize> {
-    let min_entry = if leaf { MIN_LEAF_ENTRY } else { MIN_SEP_ENTRY };
-    // No key outgrows the page, so `(count + 1) * page.len()` bounds the
-    // arena; a page under 64 KiB can never trip the offset-width check.
-    if count > (page.len() - pos) / min_entry
-        || (count + 1).saturating_mul(page.len()) > u32::MAX as usize
-    {
-        return Err(Error::Corrupt(format!(
-            "node claims {count} entries in a {}-byte page",
-            page.len()
-        )));
-    }
+    check_count(page, pos, count, leaf)?;
     let mut total = 0;
     let mut prev_len = 0;
     for _ in 0..count {
@@ -546,6 +548,23 @@ fn measure(page: &[u8], mut pos: usize, count: usize, leaf: bool) -> Result<usiz
         }
     }
     Ok(total)
+}
+
+/// Reject a `count` of entries starting at `pos` that the page cannot
+/// hold: three bytes per leaf entry, six per separator. No key outgrows the
+/// page, so `(count + 1) * page.len()` bounds a decode's arena; a page under
+/// 64 KiB can never trip that offset-width check.
+pub(crate) fn check_count(page: &[u8], pos: usize, count: usize, leaf: bool) -> Result<()> {
+    let min_entry = if leaf { MIN_LEAF_ENTRY } else { MIN_SEP_ENTRY };
+    if count > (page.len() - pos) / min_entry
+        || (count + 1).saturating_mul(page.len()) > u32::MAX as usize
+    {
+        return Err(Error::Corrupt(format!(
+            "node claims {count} entries in a {}-byte page",
+            page.len()
+        )));
+    }
+    Ok(())
 }
 
 /// Second decode pass, over a page [`measure`] accepted: expand each key

@@ -14,9 +14,10 @@
 //!
 //! Page ids stay stable across mutations (no copy-on-write page chains — the
 //! leaf `next` pointers survive). Instead, the first time a *published* page
-//! is rewritten or freed after a publish, its decoded pre-image is preserved
-//! in a [`SnapshotTracker`] version store tagged with the epoch it was valid
-//! through. A snapshot reader at epoch `e` resolves a page by taking the
+//! is rewritten or freed after a publish, its pre-image is preserved in a
+//! [`SnapshotTracker`] version store tagged with the epoch it was valid
+//! through — in the form readers use: a leaf's bytes, an interior's decoded
+//! node. A snapshot reader at epoch `e` resolves a page by taking the
 //! oldest preserved version with `valid_through >= e`, else reading the live
 //! frame — and then re-checking the version store, which closes the race
 //! with a writer that preserved-and-mutated in between (preservation
@@ -42,7 +43,9 @@ use pagestore::{BufferPool, Error, PageId, PageRef, PageStore, Result};
 
 use crate::codec::truncate_separator;
 use crate::config::{BTreeConfig, Capacity};
-use crate::node::{segment_sizes, InternalNode, LeafNode, Node, INTERIOR_HEADER, LEAF_HEADER};
+use crate::node::{
+    segment_sizes, InternalNode, LeafNode, Node, INTERIOR_HEADER, LEAF_HEADER, TAG_LEAF,
+};
 
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|e| e.into_inner())
@@ -94,12 +97,35 @@ pub(crate) fn metrics<R>(f: impl FnOnce(&TreeMetrics) -> R) -> R {
     TREE_METRICS.with(f)
 }
 
-/// Decode a page into a shared node via the frame-embedded decode cache.
-/// The page fetch that produced `page` is what gets counted; decoding is
-/// skipped whenever the frame already carries a decode of the current bytes.
-pub(crate) fn decode_node(page: &PageRef) -> Result<Arc<Node>> {
-    page.get_or_decode(Node::decode)
+/// A page as a descent reads it: an interior node, decoded for routing's
+/// binary search, or whatever the reader made of a leaf's bytes.
+#[derive(Clone)]
+pub(crate) enum Loaded<L> {
+    Interior(Arc<Node>),
+    Leaf(L),
 }
+
+/// Read `page` under one shared lock on its bytes: a leaf's go to `leaf`,
+/// an interior comes from — or goes into — the frame's decode cache. This
+/// is the only place a decode is cached, and only an interior's: readers
+/// walk leaves in place, and the writer rewrites nearly every leaf it
+/// loads, which would drop a cached decode again at once.
+pub(crate) fn load_page<L>(
+    page: &PageRef,
+    leaf: impl FnOnce(&[u8]) -> Result<L>,
+) -> Result<Loaded<L>> {
+    let bytes = page.read();
+    if bytes.first() == Some(&TAG_LEAF) {
+        Ok(Loaded::Leaf(leaf(&bytes)?))
+    } else {
+        Ok(Loaded::Interior(bytes.get_or_decode(Node::decode)?))
+    }
+}
+
+/// A page in the form readers use, which is the form the version store
+/// keeps pre-images in: a leaf's bytes, for a [`crate::LeafWalker`] to
+/// copy like a live frame's, or an interior's decoded node.
+pub(crate) type ReadForm = Loaded<Arc<[u8]>>;
 
 /// The root/len/epoch triple visible to readers, swapped atomically by
 /// [`BTree::publish`].
@@ -110,11 +136,11 @@ pub(crate) struct Published {
     pub(crate) epoch: u64,
 }
 
-/// One preserved pre-image: the decoded node as it stood at every publish
-/// up to and including epoch `valid_through`.
+/// One preserved pre-image: the page as it stood at every publish up to
+/// and including epoch `valid_through`, in the form readers use.
 struct VersionedNode {
     valid_through: u64,
-    node: Arc<Node>,
+    page: ReadForm,
 }
 
 #[derive(Default)]
@@ -161,7 +187,7 @@ impl SnapshotTracker {
         }
     }
 
-    fn preserve(&self, id: PageId, valid_through: u64, node: Arc<Node>) {
+    fn preserve(&self, id: PageId, valid_through: u64, page: ReadForm) {
         let mut inner = lock(&self.inner);
         let versions = inner.versions.entry(id).or_default();
         // Idempotence across publish intervals: at most one version per
@@ -172,7 +198,7 @@ impl SnapshotTracker {
         {
             versions.push(VersionedNode {
                 valid_through,
-                node,
+                page,
             });
             self.nversions.fetch_add(1, Ordering::Release);
         }
@@ -184,7 +210,7 @@ impl SnapshotTracker {
 
     /// The preserved version of `id` visible to a snapshot at `epoch`, if
     /// the live frame is too new for it.
-    pub(crate) fn lookup(&self, id: PageId, epoch: u64) -> Option<Arc<Node>> {
+    pub(crate) fn lookup(&self, id: PageId, epoch: u64) -> Option<ReadForm> {
         if self.nversions.load(Ordering::Acquire) == 0 {
             return None;
         }
@@ -193,7 +219,7 @@ impl SnapshotTracker {
         versions
             .iter()
             .find(|v| v.valid_through >= epoch)
-            .map(|v| v.node.clone())
+            .map(|v| v.page.clone())
     }
 
     /// Drop versions no active snapshot can need and drain the deferred
@@ -594,18 +620,32 @@ impl<S: PageStore> BTree<S> {
         self.len = len;
     }
 
-    /// Load a node for reading. The page fetch is always performed (and
-    /// counted); decoding is skipped when the frame's cached decode is
-    /// still valid.
-    pub(crate) fn load_cached(&self, id: PageId) -> Result<Arc<Node>> {
-        let page = self.shared.pool.fetch(id)?;
-        decode_node(&page)
+    /// Load a node for the write path (readers walk leaves in place, see
+    /// `ReadView`): an interior from the frame's decode cache, a leaf
+    /// decoded afresh (see [`load_page`]). The page fetch is always
+    /// performed (and counted).
+    pub(crate) fn load_node(&self, id: PageId) -> Result<Arc<Node>> {
+        Ok(
+            match load_page(&self.shared.pool.fetch(id)?, Node::decode)? {
+                Loaded::Interior(node) => node,
+                Loaded::Leaf(node) => Arc::new(node),
+            },
+        )
     }
 
-    /// Load an owned node for mutation (an arena node clones in two
-    /// `memcpy`s).
+    /// The interior node at `id`, or `None` for a leaf, whose bytes are
+    /// not decoded.
+    pub(crate) fn load_interior(&self, id: PageId) -> Result<Option<Arc<Node>>> {
+        Ok(match load_page(&self.shared.pool.fetch(id)?, |_| Ok(()))? {
+            Loaded::Interior(node) => Some(node),
+            Loaded::Leaf(()) => None,
+        })
+    }
+
+    /// Load an owned node for mutation: a leaf as decoded, an interior
+    /// cloned out of the decode cache in two `memcpy`s.
     pub(crate) fn load(&self, id: PageId) -> Result<Node> {
-        Ok((*self.load_cached(id)?).clone())
+        Ok(Arc::unwrap_or_clone(self.load_node(id)?))
     }
 
     /// Overwrite `id` with `node`, preserving the pre-image into the
@@ -614,7 +654,7 @@ impl<S: PageStore> BTree<S> {
     pub(crate) fn store_node(&mut self, id: PageId, node: &Node) -> Result<()> {
         let page = self.shared.pool.fetch(id)?;
         if self.snapshots && !self.fresh.contains(&id) && !self.preserved.contains(&id) {
-            let old = decode_node(&page)?;
+            let old = load_page(&page, |bytes| Ok(Arc::from(bytes)))?;
             self.shared.tracker.preserve(id, self.last_published, old);
             self.preserved.insert(id);
             metrics(|m| m.preserved.inc());
@@ -630,7 +670,7 @@ impl<S: PageStore> BTree<S> {
         if self.snapshots && !self.fresh.contains(&id) {
             if !self.preserved.contains(&id) {
                 let page = self.shared.pool.fetch(id)?;
-                let old = decode_node(&page)?;
+                let old = load_page(&page, |bytes| Ok(Arc::from(bytes)))?;
                 self.shared.tracker.preserve(id, self.last_published, old);
                 self.preserved.insert(id);
                 metrics(|m| m.preserved.inc());
@@ -733,7 +773,7 @@ impl<S: PageStore> BTree<S> {
     fn insert_rec(&mut self, id: PageId, key: &[u8], value: &[u8]) -> Result<Ins> {
         // Only the node that changes is copied out of the decode cache: the
         // leaf always, an interior node when its child split.
-        let node = self.load_cached(id)?;
+        let node = self.load_node(id)?;
         match &*node {
             Node::Leaf(leaf) => {
                 let mut leaf = leaf.clone();
@@ -893,7 +933,7 @@ impl<S: PageStore> BTree<S> {
         };
         self.len -= 1;
         // Collapse the root if it became a pass-through interior node.
-        if let Node::Internal(int) = &*self.load_cached(self.root)? {
+        if let Node::Internal(int) = &*self.load_node(self.root)? {
             if int.is_empty() {
                 let old_root = self.root;
                 self.root = int.child(0);
@@ -904,7 +944,7 @@ impl<S: PageStore> BTree<S> {
     }
 
     fn delete_rec(&mut self, id: PageId, key: &[u8]) -> Result<Del> {
-        let node = self.load_cached(id)?;
+        let node = self.load_node(id)?;
         match &*node {
             Node::Leaf(leaf) => match leaf.search(key) {
                 Err(_) => Ok(Del::NotFound),
@@ -957,7 +997,7 @@ impl<S: PageStore> BTree<S> {
         let left_id = int.child(li);
         let right_id = int.child(ri);
         let left = self.load(left_id)?;
-        let right = self.load_cached(right_id)?;
+        let right = self.load_node(right_id)?;
         match (left, &*right) {
             (Node::Leaf(mut l), Node::Leaf(r)) => {
                 l.append(r);

@@ -53,7 +53,7 @@ impl<S: PageStore> BTree<S> {
         let mut id = *leaves_in_order.first().expect("at least one leaf");
         loop {
             chain.push(id);
-            let node = self.load_cached(id)?;
+            let node = self.load_node(id)?;
             let Node::Leaf(leaf) = &*node else {
                 return Err(Error::Corrupt("leaf chain hit interior node".into()));
             };
@@ -83,7 +83,7 @@ impl<S: PageStore> BTree<S> {
         let mut ids = vec![self.root()];
         let mut next = 0;
         while next < ids.len() {
-            if let Node::Internal(int) = &*self.load_cached(ids[next])? {
+            if let Some(Node::Internal(int)) = self.load_interior(ids[next])?.as_deref() {
                 ids.extend_from_slice(int.children());
             }
             next += 1;
@@ -100,7 +100,7 @@ impl<S: PageStore> BTree<S> {
         stats: &mut TreeStats,
         leaves: &mut Vec<PageId>,
     ) -> Result<usize> {
-        let node = self.load_cached(id)?;
+        let node = self.load_node(id)?;
         if !self.fits(&node) {
             return Err(Error::Corrupt(format!("node {id} over capacity")));
         }

@@ -13,16 +13,24 @@
 //! * the bytes an accepted node reconstructs stay within the stated bound
 //!   `count × page_len` keys plus `page_len` values (a forged
 //!   `prefix_len`/`suffix_len` chain can make every key as long as the
-//!   page, but no longer).
+//!   page, but no longer);
+//! * the [`LeafWalker`] readers use instead of the decoder agrees with it: a
+//!   full walk accepts exactly the leaves `Node::decode` accepts, with the
+//!   same entries and the same `next`, and refuses every other page with a
+//!   typed error; on an accepted leaf, `seek(t)` lands on the first entry
+//!   `>= t` — on a sorted page `LeafNode::search(t).unwrap_or_else(|i| i)`,
+//!   with front compression on and off (off, every `prefix_len` is 0, so
+//!   the walker's skip-by-`prefix_len` never fires), and on an unsorted
+//!   hostile page still without a panic and at a slot `<= len`.
 //!
-//! The corpus only goes through API the `Vec<Entry>` decoder also had
-//! (`Node::decode`/`encode`/`count`, `BTree`, the pool), except for
-//! [`reconstructed_len`]; it was run against that decoder before the arena
-//! decoder replaced it (CHANGES.md, PR 16).
+//! Apart from the walker, the corpus goes only through API the
+//! `Vec<Entry>` decoder also had (`Node::decode`/`encode`/`count`,
+//! `BTree`, the pool) and [`reconstructed_len`], so it ran unchanged
+//! against that decoder before the arena decoder replaced it.
 
 use std::sync::OnceLock;
 
-use btree::{BTree, BTreeConfig, Error, Node};
+use btree::{BTree, BTreeConfig, Error, LeafNode, LeafWalker, Node};
 use pagestore::{BufferPool, MemStore, PageId};
 use proptest::prelude::*;
 
@@ -33,8 +41,95 @@ fn reconstructed_len(node: &Node) -> usize {
     node.arena_len()
 }
 
+/// A leaf's entries, as owned key/value pairs.
+type Entries = Vec<(Vec<u8>, Vec<u8>)>;
+
+/// A full walk of `page`: its entries and `next`, or the error that
+/// stopped it.
+fn walk(page: &[u8]) -> Result<(Entries, PageId), Error> {
+    let mut w = LeafWalker::new();
+    w.load(page)?;
+    let mut entries = Vec::new();
+    while let Some((k, v)) = w.entry() {
+        entries.push((k.to_vec(), v.to_vec()));
+        w.step()?;
+    }
+    assert_eq!(w.slot(), w.len());
+    Ok((entries, w.next_leaf()))
+}
+
+/// Seek targets around the keys of `leaf`: each key, just below and just
+/// above it, and the ends.
+fn targets(leaf: &LeafNode) -> Vec<Vec<u8>> {
+    let mut out = vec![Vec::new(), vec![0xFF; 4]];
+    for i in 0..leaf.len() {
+        let k = leaf.key(i);
+        out.push(k.to_vec());
+        out.push([k, &[0]].concat());
+        if let Some((&last, head)) = k.split_last() {
+            out.push(head.to_vec());
+            if last > 0 {
+                out.push([head, &[last - 1, 0xFF]].concat());
+            }
+        }
+    }
+    out
+}
+
+/// `seek` on an accepted leaf: from a fresh load it lands on the first
+/// entry `>= t`; on a sorted leaf that is the binary search's answer, and a
+/// walker kept across ascending and descending targets finds it too.
+fn check_seek(page: &[u8], leaf: &LeafNode) {
+    let sorted = (1..leaf.len()).all(|i| leaf.key(i - 1) < leaf.key(i));
+    let mut kept = LeafWalker::new();
+    kept.load(page).unwrap();
+    let mut ts = targets(leaf);
+    ts.sort();
+    let down: Vec<Vec<u8>> = ts.iter().rev().step_by(3).cloned().collect();
+    for t in ts.iter().chain(&down) {
+        let first = (0..leaf.len())
+            .find(|&i| leaf.key(i) >= t.as_slice())
+            .unwrap_or(leaf.len());
+        let mut w = LeafWalker::new();
+        w.load(page).unwrap();
+        w.seek(t).unwrap();
+        assert!(w.slot() <= w.len());
+        assert_eq!(w.slot(), first, "seek {t:?}");
+        assert_eq!(
+            w.entry(),
+            (first < leaf.len()).then(|| (leaf.key(first), leaf.value(first)))
+        );
+        if sorted {
+            assert_eq!(first, leaf.search(t).unwrap_or_else(|i| i));
+            kept.seek(t).unwrap();
+            assert_eq!(kept.slot(), first, "re-seek {t:?}");
+            assert_eq!(kept.entry(), w.entry());
+        } else {
+            // Only the walk's own safety is promised here.
+            kept.seek(t).unwrap();
+            assert!(kept.slot() <= kept.len());
+        }
+    }
+}
+
 /// The decode contract on one page image.
 fn check(page: &[u8]) {
+    match (Node::decode(page), walk(page)) {
+        (Ok(Node::Leaf(leaf)), Ok((entries, next))) => {
+            let want: Entries = (0..leaf.len())
+                .map(|i| (leaf.key(i).to_vec(), leaf.value(i).to_vec()))
+                .collect();
+            assert_eq!(entries, want, "walk and decode disagree on the entries");
+            assert_eq!(next, leaf.next);
+            check_seek(page, &leaf);
+        }
+        (Ok(Node::Internal(_)) | Err(_), Err(Error::Corrupt(_))) => {}
+        (decoded, walked) => panic!(
+            "walk and decode disagree: decode {:?}, walk {:?}",
+            decoded.map(|n| n.count()),
+            walked.map(|(e, _)| e.len())
+        ),
+    }
     match Node::decode(page) {
         Ok(node) => {
             let bound = node.count() * page.len() + page.len();
@@ -235,8 +330,48 @@ fn forged_prefix_chain_stays_within_the_bound() {
     check(&page);
 }
 
+#[test]
+fn the_corpus_walks_sorted_leaves_compressed_and_not() {
+    let leaves: Vec<&Vec<u8>> = real_pages().iter().filter(|p| p[0] == 1).collect();
+    let shared = |p: &[u8]| {
+        let mut w = LeafWalker::new();
+        w.load(p).unwrap();
+        let mut max = 0;
+        while w.entry().is_some() {
+            max = max.max(w.shared());
+            w.step().unwrap();
+        }
+        max
+    };
+    assert!(leaves.iter().any(|p| shared(p) > 0), "compressed leaves");
+    assert!(leaves.iter().any(|p| shared(p) == 0), "uncompressed leaves");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(2000))]
+
+    #[test]
+    fn seek_on_generated_sorted_leaves(
+        keys in proptest::collection::btree_set(
+            proptest::collection::vec(prop_oneof![0..3u8, any::<u8>()], 0..12), 0..60),
+        probes in proptest::collection::vec(
+            proptest::collection::vec(prop_oneof![0..3u8, any::<u8>()], 0..12), 0..8),
+        compress in any::<bool>(),
+    ) {
+        let mut leaf = LeafNode::new(PageId(3));
+        for (i, k) in keys.iter().enumerate() {
+            leaf.push(k, &[i as u8][..i % 2]);
+        }
+        let mut page = vec![0u8; 2048];
+        Node::Leaf(leaf.clone()).encode(&mut page, compress).unwrap();
+        check(&page);
+        for t in &probes {
+            let mut w = LeafWalker::new();
+            w.load(&page).unwrap();
+            w.seek(t).unwrap();
+            prop_assert_eq!(w.slot(), leaf.search(t).unwrap_or_else(|i| i));
+        }
+    }
 
     #[test]
     fn arbitrary_bytes(tag in 0..3u8, mut bytes in proptest::collection::vec(any::<u8>(), 0..600)) {

@@ -1,14 +1,16 @@
 //! Regression tests for the frame-embedded decode cache.
 //!
-//! Decoded nodes now live on the buffer-pool frames themselves
-//! (`PageRef::get_or_decode`), so the decode cache's capacity *is* the
+//! Decoded nodes live on the buffer-pool frames themselves
+//! (`PageReadGuard::get_or_decode`), so the decode cache's capacity *is* the
 //! pool's capacity: a node stays decoded exactly as long as its page is
 //! resident, and rewriting the page bytes invalidates the cached decode
-//! atomically. These tests pin both properties plus eviction correctness
-//! under a pool far smaller than the tree.
+//! atomically. Readers walk leaves in place and the write path does not
+//! cache the leaves it decodes, so the cache holds interior nodes only.
+//! These tests pin those properties plus eviction correctness under a pool
+//! far smaller than the tree.
 
 use btree::{BTree, BTreeConfig, Capacity};
-use pagestore::{BufferPool, MemStore};
+use pagestore::{BufferPool, MemStore, PageId};
 
 fn build_tree(n: u32, pool_pages: usize) -> BTree<MemStore> {
     let pool = BufferPool::new(MemStore::new(1024), pool_pages);
@@ -60,24 +62,102 @@ fn eviction_keeps_lookups_correct() {
     assert_eq!(tree.scan_all().unwrap().len(), 300);
 }
 
+/// Every leaf, in key order, as a forward pass over the tree sees them.
+fn leaves(tree: &BTree<MemStore>) -> Vec<PageId> {
+    let view = tree.view();
+    let mut cur = view.seek_first().unwrap();
+    let mut leaves: Vec<PageId> = Vec::new();
+    while view.cursor_peek(&mut cur).unwrap().is_some() {
+        if leaves.last() != Some(&cur.leaf_page()) {
+            leaves.push(cur.leaf_page());
+        }
+        cur.advance();
+    }
+    leaves
+}
+
+#[test]
+fn no_leaf_frame_holds_a_decode() {
+    let mut tree = build_tree(400, 4096);
+    let leaf_ids = leaves(&tree);
+    assert!(leaf_ids.len() >= 100, "4 entries to a leaf");
+    let keys: Vec<Vec<u8>> = (0..400u32)
+        .map(|i| format!("{i:06}").into_bytes())
+        .collect();
+    // Each access path starts from a pool that holds no frame at all: a
+    // forward scan, the parallel algorithm's skip-seeks, point lookups, and
+    // the write path, which decodes the leaves it changes but caches none.
+    for what in ["forward", "parallel", "get", "write"] {
+        tree.pool().flush().unwrap();
+        tree.pool().invalidate_cache().unwrap();
+        match what {
+            "forward" => assert_eq!(tree.scan_all().unwrap().len(), 400),
+            "parallel" => {
+                let view = tree.view();
+                let mut cur = view.seek_first().unwrap();
+                for key in keys.iter().step_by(3) {
+                    view.reseek(&mut cur, key).unwrap();
+                    let (k, _) = view.cursor_peek(&mut cur).unwrap().unwrap();
+                    assert_eq!(k, &key[..]);
+                }
+            }
+            "get" => {
+                for key in keys.iter().step_by(7) {
+                    assert_eq!(tree.get(key).unwrap(), Some(Vec::new()));
+                }
+            }
+            _ => {
+                for key in keys.iter().step_by(11) {
+                    assert_eq!(tree.insert(key, b"v").unwrap(), Some(Vec::new()));
+                    assert_eq!(tree.delete(&[&key[..], b"x"].concat()).unwrap(), None);
+                }
+            }
+        }
+        assert!(
+            tree.pool().peek(tree.root()).unwrap().has_decoded(),
+            "{what}: the root routes by its decoded separators"
+        );
+        let resident: Vec<PageId> = leaf_ids
+            .iter()
+            .copied()
+            .filter(|&id| tree.pool().peek(id).is_some())
+            .collect();
+        assert!(!resident.is_empty(), "{what}: premise: leaves were read");
+        for id in resident {
+            assert!(
+                !tree.pool().peek(id).unwrap().has_decoded(),
+                "{what} left a decode on leaf {id}"
+            );
+        }
+    }
+}
+
 #[test]
 fn page_write_invalidates_cached_decode() {
     let mut tree = build_tree(100, 4096);
-    // Warm the decode of the leaf holding key 000000.
-    assert_eq!(tree.get(b"000000").unwrap(), Some(Vec::new()));
+    // A descent decodes the interiors it routes through: warm the parent
+    // of the leaf holding key 000000.
     let cur = tree.seek(b"000000").unwrap();
-    let leaf = cur.leaf_page();
+    let parent = *cur.path_pages().last().expect("a tree of many leaves");
     drop(cur);
-    assert!(tree.pool().peek(leaf).unwrap().has_decoded());
+    let decoded = |tree: &BTree<MemStore>| tree.pool().peek(parent).unwrap().has_decoded();
+    assert!(decoded(&tree));
 
-    // Mutate that leaf: the rewrite must clear the frame's decode slot so
-    // no reader can ever observe a stale node.
-    tree.insert(b"000000", b"updated").unwrap();
-    assert!(
-        !tree.pool().peek(leaf).unwrap().has_decoded(),
-        "stale decode survived a page rewrite"
-    );
-    assert_eq!(tree.get(b"000000").unwrap(), Some(b"updated".to_vec()));
+    // Four entries to a leaf: within four inserts beside key 000000 its
+    // leaf splits and the parent takes a separator. That rewrite must clear
+    // the frame's decode slot so no reader can ever observe a stale node
+    // (an insert that rewrites only the leaf leaves the parent decoded).
+    let mut inserted = Vec::new();
+    while decoded(&tree) && inserted.len() < 4 {
+        let key = format!("000000.{}", inserted.len()).into_bytes();
+        tree.insert(&key, b"new").unwrap();
+        inserted.push(key);
+    }
+    assert!(!decoded(&tree), "stale decode survived a page rewrite");
+    for key in &inserted {
+        assert_eq!(tree.get(key).unwrap(), Some(b"new".to_vec()));
+    }
+    assert!(decoded(&tree), "reading decodes the new bytes");
 }
 
 #[test]

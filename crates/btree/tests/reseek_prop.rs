@@ -1,9 +1,11 @@
 //! Property tests for hierarchical re-seeking: `reseek(cursor, k)` must
 //! land on exactly the entry a fresh `seek(k)` finds, for arbitrary trees
-//! and target sequences — including backward targets, targets resolved
-//! after the cursor chained across leaf boundaries (stale fences), and
-//! targets issued after mutations invalidated the retained path (epoch
-//! bump). Only the cost may differ, never the position.
+//! and target sequences — including targets a few entries ahead of or
+//! behind the cursor (inside one leaf the walker searches forward from the
+//! cursor or rewinds), targets resolved after the cursor chained across
+//! leaf boundaries (stale fences), and targets issued after mutations
+//! invalidated the retained path (epoch bump) — on trees built with front
+//! compression and without. Only the cost may differ, never the position.
 
 use std::collections::BTreeMap;
 
@@ -15,6 +17,12 @@ use proptest::prelude::*;
 enum Op {
     /// Reseek the long-lived cursor and compare against a fresh seek.
     Reseek(Vec<u8>),
+    /// Reseek to the key this many entries after (or before) the cursor's
+    /// entry, extended by a byte when `past` (so between two keys).
+    Nudge {
+        by: i8,
+        past: bool,
+    },
     /// Step the cursor forward (possibly across leaf boundaries).
     Advance(u8),
     /// Mutate the tree, invalidating the cursor's retained path.
@@ -32,6 +40,7 @@ fn arb_key() -> impl Strategy<Value = Vec<u8>> {
 fn arb_op() -> impl Strategy<Value = Op> {
     prop_oneof![
         5 => arb_key().prop_map(Op::Reseek),
+        4 => (-6..8i8, any::<bool>()).prop_map(|(by, past)| Op::Nudge { by, past }),
         3 => any::<u8>().prop_map(Op::Advance),
         1 => (arb_key(), proptest::collection::vec(any::<u8>(), 0..4))
             .prop_map(|(k, v)| Op::Insert(k, v)),
@@ -57,7 +66,26 @@ fn run_reseek_model(initial: Vec<(Vec<u8>, Vec<u8>)>, ops: Vec<Op>, config: BTre
     }
     let mut cur = tree.seek(&[]).unwrap();
     for (i, op) in ops.into_iter().enumerate() {
+        let op = match op {
+            Op::Nudge { by, past } => {
+                let keys: Vec<&Vec<u8>> = model.keys().collect();
+                let at = match entry_at(&tree, &mut cur) {
+                    Some((k, _)) => keys.partition_point(|m| **m < k),
+                    None => keys.len(),
+                };
+                let Some(k) = keys.get(at.saturating_add_signed(by as isize)) else {
+                    continue;
+                };
+                let mut k = k.to_vec();
+                if past {
+                    k.push(0);
+                }
+                Op::Reseek(k)
+            }
+            op => op,
+        };
         match op {
+            Op::Nudge { .. } => unreachable!("resolved above"),
             Op::Reseek(k) => {
                 tree.reseek(&mut cur, &k).unwrap();
                 let got = entry_at(&tree, &mut cur);
@@ -104,6 +132,15 @@ proptest! {
     }
 
     #[test]
+    fn reseek_equals_seek_without_compression(
+        initial in proptest::collection::vec(
+            (arb_key(), proptest::collection::vec(any::<u8>(), 0..4)), 0..120),
+        ops in proptest::collection::vec(arb_op(), 1..40),
+    ) {
+        run_reseek_model(initial, ops, BTreeConfig::default().without_compression());
+    }
+
+    #[test]
     fn reseek_equals_seek_entry_capacity(
         initial in proptest::collection::vec(
             (arb_key(), proptest::collection::vec(any::<u8>(), 0..4)), 0..120),
@@ -116,6 +153,68 @@ proptest! {
             ..BTreeConfig::default()
         };
         run_reseek_model(initial, ops, config);
+    }
+}
+
+/// Inside one leaf, with and without front compression: reseeks ahead of
+/// the cursor search forward from it, reseeks behind it rewind, and none
+/// fetches a page.
+#[test]
+fn reseeks_inside_one_leaf_walk_forward_and_rewind() {
+    for config in [
+        BTreeConfig::default(),
+        BTreeConfig::default().without_compression(),
+    ] {
+        let pool = BufferPool::new(MemStore::new(1024), 4096);
+        let keys: Vec<Vec<u8>> = (0..2000u32)
+            .map(|i| format!("leaf/{:03}/{i:06}", i / 37).into_bytes())
+            .collect();
+        let tree = BTree::bulk_load(
+            pool,
+            config,
+            keys.iter().map(|k| (k.clone(), b"v".to_vec())),
+        )
+        .unwrap();
+        let view = tree.view();
+        let mut cur = view.seek(&keys[600]).unwrap();
+        let leaf = cur.leaf_page();
+        let in_leaf: Vec<usize> = (600..700)
+            .filter(|&i| view.seek(&keys[i]).unwrap().leaf_page() == leaf)
+            .collect();
+        assert!(in_leaf.len() >= 20, "premise: a leaf of many entries");
+        let fetches = tree.pool().stats().logical_fetches;
+        let before = cur.seek_stats();
+        let last = *in_leaf.last().unwrap();
+        let order = [601, 603, 604, 610, last, 605, 600, last - 1, 602];
+        for (n, &i) in order.iter().enumerate() {
+            // Exactly a key, or between it and its predecessor.
+            let target = if n % 2 == 0 {
+                keys[i].clone()
+            } else {
+                [&keys[i - 1][..], &[0xFF]].concat()
+            };
+            view.reseek(&mut cur, &target).unwrap();
+            assert_eq!(cur.leaf_page(), leaf);
+            let (k, v) = view.cursor_peek(&mut cur).unwrap().unwrap();
+            assert_eq!((k, v), (&keys[i][..], &b"v"[..]), "reseek #{n}");
+        }
+        let s = cur.seek_stats();
+        assert_eq!(s.leaf_reseeks - before.leaf_reseeks, order.len() as u64);
+        assert_eq!(
+            (s.descents, s.depth_total),
+            (before.descents, before.depth_total)
+        );
+        assert_eq!(
+            tree.pool().stats().logical_fetches,
+            fetches,
+            "no page fetched"
+        );
+        // Stepping on after a rewind reads the entries in order.
+        view.reseek(&mut cur, &keys[603]).unwrap();
+        for key in &keys[603..603 + 40] {
+            assert_eq!(view.cursor_peek(&mut cur).unwrap().unwrap().0, &key[..]);
+            cur.advance();
+        }
     }
 }
 

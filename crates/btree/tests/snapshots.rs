@@ -71,6 +71,57 @@ fn snapshot_sees_published_state_only() {
 }
 
 #[test]
+fn a_walk_over_a_preserved_leaf_sees_its_pre_image() {
+    let mut tree = small_tree();
+    for i in 0..40 {
+        tree.insert(&key(i), b"old").unwrap();
+    }
+    tree.enable_snapshots();
+    let reader = tree.reader();
+    let snap = reader.snapshot();
+    // Rewrite the leaves around key 9: a new value, a new key beside it (a
+    // split, at four entries to a node) and a deletion.
+    tree.insert(&key(9), b"new").unwrap();
+    tree.insert(b"000009x", b"new").unwrap();
+    tree.delete(&key(10)).unwrap();
+    tree.publish().unwrap();
+    assert!(
+        tree.tracker().version_count() > 0,
+        "premise: pre-images kept"
+    );
+
+    let version_reads = || telemetry::counter_value("btree.snapshot.version_reads");
+    let before = version_reads();
+    let view = reader.read(&snap);
+    let old = |i: u32| (key(i), b"old".to_vec());
+    let mut cur = view.seek(&key(7)).unwrap();
+    let mut walked = Vec::new();
+    for _ in 0..8 {
+        let (k, v) = view.cursor_peek(&mut cur).unwrap().unwrap();
+        walked.push((k.to_vec(), v.to_vec()));
+        cur.advance();
+    }
+    assert_eq!(walked, (7..15).map(old).collect::<Vec<_>>());
+    // Re-seeks over the same leaves, ahead and behind the cursor.
+    for i in [12, 9, 10, 8] {
+        view.reseek(&mut cur, &key(i)).unwrap();
+        assert_eq!(view.cursor_entry(&mut cur).unwrap(), Some(old(i)));
+    }
+    assert_eq!(view.get(&key(10)).unwrap(), Some(b"old".to_vec()));
+    assert_eq!(view.get(b"000009x").unwrap(), None);
+    assert!(
+        version_reads() > before,
+        "the walk read leaves from the version store"
+    );
+
+    let now = reader.snapshot();
+    let view = reader.read(&now);
+    assert_eq!(view.get(&key(9)).unwrap(), Some(b"new".to_vec()));
+    assert_eq!(view.get(&key(10)).unwrap(), None);
+    assert_eq!(view.scan_all().unwrap().len(), 40);
+}
+
+#[test]
 fn snapshot_survives_total_rewrite() {
     let mut tree = small_tree();
     let original: Vec<(Vec<u8>, Vec<u8>)> = (0..500).map(|i| (key(i), b"orig".to_vec())).collect();

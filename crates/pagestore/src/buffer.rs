@@ -3,7 +3,7 @@ use std::cell::RefCell;
 use std::collections::{BTreeSet, HashMap};
 use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use crate::error::{Error, Result};
 use crate::page::PageId;
@@ -27,18 +27,32 @@ fn write_lock<T>(l: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
 /// A frame holding one page's bytes in memory, shareable across threads.
 struct Frame {
     id: PageId,
-    data: RwLock<Box<[u8]>>,
-    /// Decoded representation of the current bytes (e.g. a B-tree node),
-    /// type-erased so this layer stays ignorant of what lives in a page.
-    /// Invariant: any cached value was produced from the *current* bytes —
-    /// [`PageRef::write`] clears it under the exclusive data lock, and
-    /// readers only populate it while holding the shared data lock.
-    decoded: RwLock<Option<Arc<dyn Any + Send + Sync>>>,
+    data: RwLock<FrameData>,
     dirty: AtomicBool,
     /// The owning pool's dirty set; a clean → dirty transition records the
     /// page there so a flush need not search the frame table.
     dirty_pages: Arc<DirtyPages>,
     last_use: AtomicU64,
+}
+
+/// A page's bytes and, behind the same lock, a decoded representation of
+/// them (e.g. a B-tree node), type-erased so this layer stays ignorant of
+/// what lives in a page. Invariant: a cached decode was produced from the
+/// *current* bytes — [`PageRef::write`] clears it under the exclusive lock,
+/// and readers fill it only while holding the shared one. One lock
+/// acquisition therefore yields both.
+struct FrameData {
+    bytes: Box<[u8]>,
+    decoded: OnceLock<Arc<dyn Any + Send + Sync>>,
+}
+
+impl FrameData {
+    fn new(bytes: Box<[u8]>) -> RwLock<FrameData> {
+        RwLock::new(FrameData {
+            bytes,
+            decoded: OnceLock::new(),
+        })
+    }
 }
 
 /// Ids of the frames with unwritten modifications. A leaf lock: taken last
@@ -58,31 +72,57 @@ pub struct PageRef {
 
 /// Shared borrow of a page's bytes (see [`PageRef::read`]).
 pub struct PageReadGuard<'a> {
-    guard: RwLockReadGuard<'a, Box<[u8]>>,
+    guard: RwLockReadGuard<'a, FrameData>,
 }
 
 impl Deref for PageReadGuard<'_> {
     type Target = [u8];
     fn deref(&self) -> &[u8] {
-        &self.guard
+        &self.guard.bytes
+    }
+}
+
+impl PageReadGuard<'_> {
+    /// Return the cached decoded form of these bytes, running `decode` on
+    /// them if none is cached. The cache is invalidated by
+    /// [`PageRef::write`], so a cached value always matches the bytes.
+    ///
+    /// Readers decode under the shared lock this guard holds; a writer
+    /// cannot clear the slot in between, so a stale decode can never be
+    /// (re)published. Of two readers racing to fill the slot, the first
+    /// wins; a decode of another type than the cached one is returned
+    /// without being cached.
+    pub fn get_or_decode<T, E, F>(&self, decode: F) -> std::result::Result<Arc<T>, E>
+    where
+        T: Send + Sync + 'static,
+        F: FnOnce(&[u8]) -> std::result::Result<T, E>,
+    {
+        if let Some(any) = self.guard.decoded.get() {
+            if let Ok(hit) = any.clone().downcast::<T>() {
+                return Ok(hit);
+            }
+        }
+        let value = Arc::new(decode(&self.guard.bytes)?);
+        let _ = self.guard.decoded.set(value.clone());
+        Ok(value)
     }
 }
 
 /// Exclusive borrow of a page's bytes (see [`PageRef::write`]).
 pub struct PageWriteGuard<'a> {
-    guard: RwLockWriteGuard<'a, Box<[u8]>>,
+    guard: RwLockWriteGuard<'a, FrameData>,
 }
 
 impl Deref for PageWriteGuard<'_> {
     type Target = [u8];
     fn deref(&self) -> &[u8] {
-        &self.guard
+        &self.guard.bytes
     }
 }
 
 impl DerefMut for PageWriteGuard<'_> {
     fn deref_mut(&mut self) -> &mut [u8] {
-        &mut self.guard
+        &mut self.guard.bytes
     }
 }
 
@@ -102,11 +142,11 @@ impl PageRef {
     /// Borrow the page bytes mutably and mark the page dirty. Any cached
     /// decode is dropped — it described the old bytes.
     pub fn write(&self) -> PageWriteGuard<'_> {
-        let guard = write_lock(&self.frame.data);
+        let mut guard = write_lock(&self.frame.data);
         if !self.frame.dirty.swap(true, Ordering::Relaxed) {
             lock(&self.frame.dirty_pages).insert(self.frame.id);
         }
-        *write_lock(&self.frame.decoded) = None;
+        guard.decoded.take();
         PageWriteGuard { guard }
     }
 
@@ -115,31 +155,9 @@ impl PageRef {
         self.frame.dirty.load(Ordering::Relaxed)
     }
 
-    /// Return the cached decoded form of this page, running `decode` on the
-    /// current bytes if none is cached. The cache is invalidated by
-    /// [`PageRef::write`], so a cached value always matches the bytes.
-    ///
-    /// Readers decode under the shared data lock; a writer cannot clear the
-    /// slot in between, so a stale decode can never be (re)published.
-    pub fn get_or_decode<T, E, F>(&self, decode: F) -> std::result::Result<Arc<T>, E>
-    where
-        T: Send + Sync + 'static,
-        F: FnOnce(&[u8]) -> std::result::Result<T, E>,
-    {
-        let data = read_lock(&self.frame.data);
-        if let Some(any) = read_lock(&self.frame.decoded).clone() {
-            if let Ok(hit) = any.downcast::<T>() {
-                return Ok(hit);
-            }
-        }
-        let value = Arc::new(decode(&data)?);
-        *write_lock(&self.frame.decoded) = Some(value.clone());
-        Ok(value)
-    }
-
     /// Whether a decoded form is currently cached for this page.
     pub fn has_decoded(&self) -> bool {
-        read_lock(&self.frame.decoded).is_some()
+        read_lock(&self.frame.data).decoded.get().is_some()
     }
 }
 
@@ -555,8 +573,7 @@ impl<S: PageStore> BufferPool<S> {
         metrics(|m| m.misses.inc());
         let frame = Arc::new(Frame {
             id,
-            data: RwLock::new(data),
-            decoded: RwLock::new(None),
+            data: FrameData::new(data),
             dirty: AtomicBool::new(false),
             dirty_pages: self.dirty_pages.clone(),
             last_use: AtomicU64::new(0),
@@ -575,8 +592,7 @@ impl<S: PageStore> BufferPool<S> {
         self.touch_for_query(id);
         let frame = Arc::new(Frame {
             id,
-            data: RwLock::new(vec![0u8; self.page_size].into_boxed_slice()),
-            decoded: RwLock::new(None),
+            data: FrameData::new(vec![0u8; self.page_size].into_boxed_slice()),
             dirty: AtomicBool::new(true),
             dirty_pages: self.dirty_pages.clone(),
             last_use: AtomicU64::new(0),
@@ -642,7 +658,7 @@ impl<S: PageStore> BufferPool<S> {
             return Ok(());
         }
         let data = read_lock(&frame.data);
-        lock(&self.store).write(id, &data)?;
+        lock(&self.store).write(id, &data.bytes)?;
         frame.dirty.store(false, Ordering::Relaxed);
         lock(&self.dirty_pages).remove(&id);
         self.stats.physical_writes.fetch_add(1, Ordering::Relaxed);
@@ -1114,19 +1130,26 @@ mod tests {
         let p = pool(8);
         let (a, page) = p.allocate().unwrap();
         page.write()[0] = 5;
-        let decoded: Arc<u8> = page.get_or_decode::<u8, (), _>(|b| Ok(b[0])).unwrap();
+        let decoded: Arc<u8> = page
+            .read()
+            .get_or_decode::<u8, (), _>(|b| Ok(b[0]))
+            .unwrap();
         assert_eq!(*decoded, 5);
         assert!(page.has_decoded());
         // A second fetch sees the cached value without re-decoding.
         let again = p.fetch(a).unwrap();
         let hit: Arc<u8> = again
+            .read()
             .get_or_decode::<u8, (), _>(|_| panic!("must not re-decode"))
             .unwrap();
         assert_eq!(*hit, 5);
         // Writing invalidates the cached decode.
         again.write()[0] = 9;
         assert!(!again.has_decoded());
-        let fresh: Arc<u8> = again.get_or_decode::<u8, (), _>(|b| Ok(b[0])).unwrap();
+        let fresh: Arc<u8> = again
+            .read()
+            .get_or_decode::<u8, (), _>(|b| Ok(b[0]))
+            .unwrap();
         assert_eq!(*fresh, 9);
     }
 

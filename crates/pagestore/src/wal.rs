@@ -158,6 +158,23 @@ impl<S: PageStore> WalStore<S> {
             if crc32(&buf[pos..pos + 9 + len]) != stored_crc {
                 break; // corrupt tail
             }
+            // A record that passed its CRC was written whole, so a body of
+            // the wrong shape is not a torn tail but a log this code did not
+            // write: refuse it rather than replay or drop it.
+            let expected = match op {
+                OP_WRITE => self.inner.page_size(),
+                OP_ALLOC | OP_FREE | OP_COMMIT => 0,
+                _ => {
+                    return Err(Error::Corrupt(format!(
+                        "wal record at offset {pos}: unknown op {op}"
+                    )))
+                }
+            };
+            if len != expected {
+                return Err(Error::Corrupt(format!(
+                    "wal record at offset {pos}: op {op} carries {len} bytes, expected {expected}"
+                )));
+            }
             pos += 13 + len;
             if op == OP_COMMIT {
                 report.replayed_records += batch.len() as u64 + 1;
@@ -186,7 +203,7 @@ impl<S: PageStore> WalStore<S> {
                             self.overlay.insert(page, None);
                             self.live_delta -= 1;
                         }
-                        _ => {}
+                        _ => unreachable!("replay admits known ops only"),
                     }
                 }
             } else {
@@ -588,6 +605,82 @@ mod tests {
             "post-reopen commit must not resurrect the uncommitted write"
         );
         std::fs::remove_file(&path).ok();
+    }
+
+    /// A log holding the records of `body`, each with its CRC.
+    fn log_of(path: &Path, body: &[(u8, PageId, Vec<u8>)]) {
+        let mut bytes = Vec::new();
+        for (op, page, data) in body {
+            let start = bytes.len();
+            bytes.push(*op);
+            bytes.extend_from_slice(&page.to_bytes());
+            bytes.extend_from_slice(&(data.len() as u32).to_le_bytes());
+            bytes.extend_from_slice(data);
+            let crc = crc32(&bytes[start..]);
+            bytes.extend_from_slice(&crc.to_le_bytes());
+        }
+        std::fs::write(path, bytes).unwrap();
+    }
+
+    /// `open` on `body` fails with a typed error naming the offset of the
+    /// record at index `bad`.
+    fn refused(name: &str, body: &[(u8, PageId, Vec<u8>)], bad: usize, what: &str) {
+        let path = tmp(name);
+        log_of(&path, body);
+        let offset: usize = body[..bad].iter().map(|(_, _, d)| 13 + d.len()).sum();
+        match WalStore::open(MemStore::new(128), &path) {
+            Err(Error::Corrupt(msg)) => {
+                assert!(msg.contains(&format!("offset {offset}")), "{msg}");
+                assert!(msg.contains(what), "{msg}");
+            }
+            Err(e) => panic!("{name}: untyped refusal {e:?}"),
+            Ok(_) => panic!("{name}: a malformed record was replayed"),
+        }
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn a_page_write_of_the_wrong_size_is_refused() {
+        // Before: it entered the overlay and failed every checkpoint.
+        for len in [0, 1, 127, 129, 4096] {
+            let body = [
+                (OP_ALLOC, PageId(0), vec![]),
+                (OP_WRITE, PageId(0), vec![7u8; len]),
+                (OP_COMMIT, PageId::NULL, vec![]),
+            ];
+            refused(
+                "write_size",
+                &body,
+                1,
+                &format!("carries {len} bytes, expected 128"),
+            );
+        }
+    }
+
+    #[test]
+    fn alloc_free_and_commit_records_carry_no_body() {
+        for op in [OP_ALLOC, OP_FREE, OP_COMMIT] {
+            let body = [
+                (OP_ALLOC, PageId(0), vec![]),
+                (OP_COMMIT, PageId::NULL, vec![]),
+                (op, PageId(0), vec![1, 2, 3]),
+                (OP_COMMIT, PageId::NULL, vec![]),
+            ];
+            refused("bodied", &body, 2, "carries 3 bytes, expected 0");
+        }
+    }
+
+    #[test]
+    fn an_unknown_op_is_refused() {
+        // Before: skipped in silence, uncommitted or not.
+        for op in [0, 5, 0xFF] {
+            let body = [
+                (OP_ALLOC, PageId(0), vec![]),
+                (op, PageId(0), vec![]),
+                (OP_COMMIT, PageId::NULL, vec![]),
+            ];
+            refused("unknown_op", &body, 1, &format!("unknown op {op}"));
+        }
     }
 
     #[test]

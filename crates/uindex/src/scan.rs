@@ -266,7 +266,8 @@ pub(crate) struct ScanScratch {
     /// returned `true`.
     target: Vec<u8>,
     /// The last match's key up to the start of its last OID — a copy, made
-    /// once per cluster, because the cluster may continue on the next leaf.
+    /// once per cluster, for the entries whose shared prefix the cursor
+    /// cannot vouch for (the first of the next leaf, say).
     carried: Vec<u8>,
     /// Whether the next entry may inherit its verdict from `carried`.
     carry_armed: bool,
@@ -328,7 +329,9 @@ impl Matcher {
     }
 
     /// Evaluate `key`, parsing into `scratch` instead of allocating; the
-    /// data behind a `Match` or `SkipTo` verdict is left there.
+    /// data behind a `Match` or `SkipTo` verdict is left there. `shared` is
+    /// a number of leading bytes `key` is known to share with the key
+    /// examined before it (0 when nothing is known).
     ///
     /// **The carry.** The verdict is a function of the key's value bytes,
     /// each class code and each OID, and the layout clusters entries that
@@ -340,12 +343,25 @@ impl Matcher {
     /// field that differs cannot object, and the shape `parse` validates is
     /// implied by a validated prefix plus a fixed-width tail. The offsets
     /// and assignment in `scratch` stay right because the layout is
-    /// identical. Any other entry — a longer key sharing the prefix, a new
-    /// code or value, any verdict but `Match` — disarms the carry and is
+    /// identical. While the carry is armed the key examined before starts
+    /// with the carried bytes, so `shared` covering them proves the match
+    /// without reading them — on a front-compressed leaf the cursor reports
+    /// the entry's `prefix_len`, the very position the paper's key layout
+    /// puts the first differing field at; only when it does not are the
+    /// bytes compared. Any other entry — a longer key sharing the prefix, a
+    /// new code or value, any verdict but `Match` — disarms the carry and is
     /// examined in full.
-    pub(crate) fn advise_with(&self, key: &[u8], scratch: &mut ScanScratch) -> Result<Advice> {
+    pub(crate) fn advise_with(
+        &self,
+        key: &[u8],
+        shared: usize,
+        scratch: &mut ScanScratch,
+    ) -> Result<Advice> {
         if scratch.carry_armed {
-            if key.len() == scratch.carried.len() + 4 && key.starts_with(&scratch.carried) {
+            let carried = &scratch.carried;
+            if key.len() == carried.len() + 4
+                && (shared >= carried.len() || key.starts_with(carried))
+            {
                 return Ok(Advice::Match { carried: true });
             }
             scratch.carry_armed = false;
@@ -533,12 +549,12 @@ thread_local! {
 /// to `sink` in key order.
 ///
 /// Allocation contract, pinned by `crates/uindex/tests/alloc_budget.rs`:
-/// the loop reads each entry through `cursor_peek` — slices borrowed from
-/// the decoded leaf's arena — and the matcher works on field offsets parsed
+/// the loop reads each key through `cursor_key` — a slice borrowed from the
+/// cursor's leaf walker — and the matcher works on field offsets parsed
 /// into a reusable [`ScanScratch`], so **examining an entry allocates
 /// nothing**: the allocations of a scan that matches nothing are a constant
 /// (cursor path, scratch, spans), however many entries it examines. A
-/// [`Row`] borrows the same arena and scratch, so what a match allocates
+/// [`Row`] borrows the same key and scratch, so what a match allocates
 /// is up to the sink. Into a `Vec<QueryHit>`, **a hit costs at most two
 /// allocations**: the `String` of a string value and, when the entry has
 /// more than one path element, the `path` vector (a class-hierarchy hit's
@@ -583,9 +599,9 @@ pub(crate) fn execute_traced<S: PageStore, K: RowSink>(
         view.seek(&matcher.initial_seek())?
     };
     let scan_span = telemetry::Span::enter("scan");
-    while let Some((key, _)) = view.cursor_peek(&mut cur)? {
+    while let Some((key, shared)) = view.cursor_key(&mut cur)? {
         stats.entries_examined += 1;
-        let skip = match matcher.advise_with(key, &mut scratch)? {
+        let skip = match matcher.advise_with(key, shared, &mut scratch)? {
             Advice::Match { carried } => {
                 stats.matches += 1;
                 carried_matches += u64::from(carried);
@@ -686,7 +702,7 @@ impl Advised {
 #[cfg(test)]
 impl Matcher {
     fn advise_in(&self, key: &[u8], scratch: &mut ScanScratch) -> Result<Advised> {
-        Ok(Advised::read(self.advise_with(key, scratch)?, scratch))
+        Ok(Advised::read(self.advise_with(key, 0, scratch)?, scratch))
     }
 
     /// [`Matcher::advise_with`] on fresh scratch.
@@ -699,6 +715,7 @@ impl Matcher {
 mod tests {
     use super::*;
     use crate::key::PathElem;
+    use btree::common_prefix_len;
     use objstore::Value;
 
     fn enc(v: i64, path: &[(&[u8], u32)]) -> Vec<u8> {
@@ -994,7 +1011,7 @@ mod tests {
             .iter()
             .map(|&oid| {
                 let k = enc(5, &[(&[b'B', 1], oid)]);
-                let v = m.advise_with(&k, &mut scratch).unwrap();
+                let v = m.advise_with(&k, 0, &mut scratch).unwrap();
                 assert_eq!(scratch.assignment, vec![Some(0)]);
                 v
             })
@@ -1017,26 +1034,26 @@ mod tests {
         let long = enc(5, &[(&[b'B', 1], 7), (&[b'C', 1], 5)]);
         assert!(long.starts_with(&short));
         assert_eq!(
-            m.advise_with(&short, &mut scratch).unwrap(),
+            m.advise_with(&short, 0, &mut scratch).unwrap(),
             Advice::Match { carried: false }
         );
         // The extra element is examined in full and gets its own slot.
         assert_eq!(
-            m.advise_with(&long, &mut scratch).unwrap(),
+            m.advise_with(&long, 0, &mut scratch).unwrap(),
             Advice::Match { carried: false }
         );
         assert_eq!(scratch.assignment, vec![Some(0), Some(1)]);
         // The longer key armed the carry on *its* last element.
         let next = enc(5, &[(&[b'B', 1], 7), (&[b'C', 1], 6)]);
         assert_eq!(
-            m.advise_with(&next, &mut scratch).unwrap(),
+            m.advise_with(&next, 0, &mut scratch).unwrap(),
             Advice::Match { carried: true }
         );
         assert_eq!(scratch.assignment, vec![Some(0), Some(1)]);
         // Back to a one-element key: same length as nothing carried.
         let other = enc(5, &[(&[b'B', 1], 8)]);
         assert_eq!(
-            m.advise_with(&other, &mut scratch).unwrap(),
+            m.advise_with(&other, 0, &mut scratch).unwrap(),
             Advice::Match { carried: false }
         );
         assert_eq!(scratch.assignment, vec![Some(0), None]);
@@ -1060,7 +1077,7 @@ mod tests {
         m.positions[0].oids = OidSel::In([Oid(10), Oid(12)].into());
         let mut scratch = ScanScratch::default();
         assert_eq!(
-            m.advise_with(&key(10), &mut scratch).unwrap(),
+            m.advise_with(&key(10), 0, &mut scratch).unwrap(),
             Advice::Match { carried: false }
         );
         assert_eq!(
@@ -1068,7 +1085,7 @@ mod tests {
             Advised::SkipTo(key(12))
         );
         assert_eq!(
-            m.advise_with(&key(12), &mut scratch).unwrap(),
+            m.advise_with(&key(12), 0, &mut scratch).unwrap(),
             Advice::Match { carried: false }
         );
 
@@ -1079,12 +1096,12 @@ mod tests {
         let mut scratch = ScanScratch::default();
         let k = enc(5, &[(&[b'B', 1], 7), (&[b'C', 1], 1)]);
         assert_eq!(
-            m.advise_with(&k, &mut scratch).unwrap(),
+            m.advise_with(&k, 0, &mut scratch).unwrap(),
             Advice::Match { carried: false }
         );
         let k = enc(5, &[(&[b'B', 1], 7), (&[b'C', 1], 2)]);
         assert_eq!(
-            m.advise_with(&k, &mut scratch).unwrap(),
+            m.advise_with(&k, 0, &mut scratch).unwrap(),
             Advice::Match { carried: true }
         );
         let k = enc(5, &[(&[b'B', 1], 8), (&[b'C', 1], 2)]);
@@ -1104,10 +1121,38 @@ mod tests {
         scratch.offsets.parse(&five).unwrap();
         assert_eq!(differing, [scratch.offsets.val_sep - 1], "last value byte");
         assert_eq!(
-            m.advise_with(&five, &mut scratch).unwrap(),
+            m.advise_with(&five, 0, &mut scratch).unwrap(),
             Advice::Match { carried: false }
         );
-        assert_eq!(m.advise_with(&six, &mut scratch).unwrap(), Advice::Done);
+        assert_eq!(m.advise_with(&six, 0, &mut scratch).unwrap(), Advice::Done);
+    }
+
+    #[test]
+    fn a_shared_prefix_vouches_only_for_all_the_carried_bytes() {
+        let m = matcher_one_pos(false);
+        let head = enc(5, &[(&[b'B', 1], 7)]);
+        // The same length as `head`, differing in the class code's last
+        // byte — just before the code's terminator, the last carried byte —
+        // or only in the OID.
+        let (code, oid) = (enc(5, &[(&[b'B', 2], 7)]), enc(5, &[(&[b'B', 1], 8)]));
+        let mut scratch = ScanScratch::default();
+        m.advise_with(&head, 0, &mut scratch).unwrap();
+        let shared = common_prefix_len(&head, &code);
+        assert_eq!(code.len(), head.len());
+        assert_eq!(shared + 2, scratch.carried.len(), "premise");
+        let verdict = m.advise_with(&code, shared, &mut scratch).unwrap();
+        assert_eq!(
+            Advised::read(verdict, &scratch),
+            m.advise(&code).unwrap(),
+            "a prefix short of the carried bytes proves nothing"
+        );
+        let mut scratch = ScanScratch::default();
+        m.advise_with(&head, 0, &mut scratch).unwrap();
+        assert_eq!(
+            m.advise_with(&oid, common_prefix_len(&head, &oid), &mut scratch)
+                .unwrap(),
+            Advice::Match { carried: true }
+        );
     }
 
     #[test]
@@ -1280,11 +1325,13 @@ mod tests {
 /// or `Done` ever jumps past a key the oracle says matches. And the carry
 /// changes none of it: one [`ScanScratch`] kept across a trial's ascending
 /// key list gives, key for key, the verdict, assignment and skip target
-/// of a fresh one.
+/// of a fresh one, whether the shared prefix the cursor reports vouches for
+/// the carried bytes or they are compared.
 #[cfg(test)]
 mod advise_props {
     use super::*;
     use crate::oracle::{self, Rng64};
+    use btree::common_prefix_len;
     use proptest::prelude::*;
 
     /// Returns how many verdicts were carried.
@@ -1316,7 +1363,13 @@ mod advise_props {
             let mut long_lived = ScanScratch::default();
             for (i, k) in keys.iter().enumerate() {
                 let fresh = matcher.advise(k).expect("advise on well-formed key");
-                let kept = matcher.advise_with(k, &mut long_lived).expect("advise");
+                // What a cursor stepping over a front-compressed leaf reports.
+                let shared = i
+                    .checked_sub(1)
+                    .map_or(0, |p| common_prefix_len(&keys[p], k));
+                let kept = matcher
+                    .advise_with(k, shared, &mut long_lived)
+                    .expect("advise");
                 carried += u64::from(kept == Advice::Match { carried: true });
                 assert_eq!(
                     Advised::read(kept, &long_lived),

@@ -18,9 +18,14 @@
 //!   performs the same number of allocations as one that skips 5 000
 //!   times: the cursor's retained path records child indices, it does not
 //!   copy fence keys;
-//! * **decoding a leaf is two allocations** — `Node::decode` of a
-//!   193-entry leaf (the benchmark's leaf fill) allocates its arena and
-//!   its offset table, nothing per entry;
+//! * **a leaf visit allocates nothing** — readers walk leaf pages in
+//!   place: `Forward` scans over N and 2N leaves whose frames hold no
+//!   decoded node perform the same number of allocations (a reader that
+//!   decoded each leaf would pay two more per leaf);
+//! * **decoding a leaf is two allocations** — on the write path, which
+//!   still decodes leaves: `Node::decode` of a 193-entry leaf (the
+//!   benchmark's leaf fill) allocates its arena and its offset table,
+//!   nothing per entry;
 //! * **a served row allocates nothing** — 10 000 and 20 000 string hits
 //!   written by the scan straight into a warmed `serve::RowBatchWriter`
 //!   (the server's per-connection reply buffer) cost the same constant.
@@ -206,6 +211,51 @@ fn a_skip_seek_allocates_nothing() {
         "allocations grew with the skips: {five} for 5 000, {ten} for 10 000"
     );
     assert!(five <= PER_QUERY, "{five} allocations to skip");
+}
+
+#[test]
+fn a_leaf_visit_allocates_nothing() {
+    let f = fixture();
+    let tree = f.db.index().tree();
+    let scan = |upto: i64| {
+        let q = Query::on(f.num)
+            .value(ValuePred::between(Value::Int(0), Value::Int(upto - 1)))
+            .class_at(0, ClassSel::Exact(f.empty_class))
+            .forward_scan();
+        // Warm scratch and per-thread state.
+        f.db.query_with_stats(&q).unwrap();
+        // Rewriting a page in place drops whatever decode its frame held:
+        // every leaf the scan crosses is then bytes only.
+        let view = tree.view();
+        let mut cur = view.seek_first().unwrap();
+        let mut leaves = Vec::new();
+        while view.cursor_peek(&mut cur).unwrap().is_some() {
+            if leaves.last() != Some(&cur.leaf_page()) {
+                leaves.push(cur.leaf_page());
+            }
+            cur.advance();
+        }
+        for &leaf in &leaves {
+            let page = tree.pool().fetch(leaf).unwrap();
+            drop(page.write());
+            assert!(!page.has_decoded());
+        }
+        let ((hits, stats), allocs) = allocations(|| f.db.query_with_stats(&q).unwrap());
+        assert!(hits.is_empty());
+        (allocs, stats.pages_read)
+    };
+    let (n, pages_n) = scan(6_000);
+    let (two_n, pages_2n) = scan(12_000);
+    assert!(
+        pages_n >= 20 && pages_2n >= 2 * pages_n - 2,
+        "premise: twice the leaves ({pages_n} vs {pages_2n} pages)"
+    );
+    assert_eq!(
+        n, two_n,
+        "allocations grew with the leaves visited: {n} for {pages_n} pages, \
+         {two_n} for {pages_2n}"
+    );
+    assert!(n <= PER_QUERY, "{n} allocations to visit leaves");
 }
 
 #[test]
