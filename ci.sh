@@ -37,6 +37,13 @@ if grep -rnI --exclude-dir=benchmark --exclude-dir=target --exclude-dir=.bench_b
   echo "retired snapshot tier referenced again (see above)"; exit 1
 fi
 
+echo "== one count per read-path event (the pool's and the cursor's shadow stats structs stay gone)"
+if grep -rnI \
+    -e 'PoolStat[s]' -e 'SeekStat[s]' -e 'seek_stat[s]' -e 'reset_stat[s]' \
+    crates src tests examples docs DESIGN.md README.md ci.sh; then
+  echo "retired per-query stats struct referenced again (see above)"; exit 1
+fi
+
 echo "== scan-path invariants (Parallel / Forward: same hits, registry == ScanStats, matches - carried == (key, set) groups)"
 cargo test -q --offline -p bench --test scan_invariants parallel_and_forward_agree_on_hits_counters_and_carry
 
@@ -49,6 +56,9 @@ cargo test -q --offline -p btree --test node_cache
 
 echo "== WAL replay (hostile-bytes corpus: valid-CRC records of any shape, spliced lengths; Ok or a typed error, whole pages only)"
 cargo test -q --offline -p pagestore --test wal_replay_fuzz
+
+echo "== UQL parser (hostile-input corpus: arbitrary strings, token soup, every truncation/deletion/duplication; Ok, BadQuery or UnknownIndex, never a panic)"
+cargo test -q --offline -p uindex --test uql_fuzz
 
 echo "== allocation budget (0 per entry examined, <= 2 per hit, 0 per served row, 0 per leaf visited, 2 per write-path decode; counting allocator)"
 cargo test -q --offline -p uindex --test alloc_budget

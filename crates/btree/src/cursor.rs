@@ -90,24 +90,6 @@ fn covers(path: &[PathLevel], key: &[u8]) -> bool {
     lo.is_none_or(|lo| lo <= key) && hi.is_none_or(|hi| key < hi)
 }
 
-/// Descent accounting, carried by the cursor (each query uses one cursor,
-/// so per-query stats are simply the cursor's at scan end): how many
-/// root-or-LCA descents were performed and how many node fetches they
-/// cost. A flat (non-hierarchical) seek always pays `height` fetches;
-/// hierarchical reseeks pay only the levels below the LCA, and zero for
-/// targets inside the current leaf. `depth_total / descents` is therefore
-/// the average re-descent depth — the units of the paper's experiment 1
-/// ("visited nodes").
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SeekStats {
-    /// Descents that fetched at least one node (fresh seeks included).
-    pub descents: u64,
-    /// Total nodes fetched by those descents.
-    pub depth_total: u64,
-    /// Reseeks resolved inside the current leaf with no fetch at all.
-    pub leaf_reseeks: u64,
-}
-
 /// A position in the leaf level of a [`BTree`].
 ///
 /// Created by [`ReadView::seek`] (or the [`BTree`] convenience wrappers);
@@ -129,7 +111,6 @@ pub struct Cursor {
     fence_valid: bool,
     /// Tree mutation epoch at descent time; a mismatch voids path+fence.
     epoch: u64,
-    stats: SeekStats,
 }
 
 impl Cursor {
@@ -142,7 +123,6 @@ impl Cursor {
             path: Vec::new(),
             fence_valid: false,
             epoch,
-            stats: SeekStats::default(),
         }
     }
 
@@ -155,11 +135,6 @@ impl Cursor {
     /// The leaf page the cursor currently points into.
     pub fn leaf_page(&self) -> PageId {
         self.leaf
-    }
-
-    /// Accumulated descent accounting since this cursor was created.
-    pub fn seek_stats(&self) -> SeekStats {
-        self.stats
     }
 
     /// Step to the next entry (within-leaf; the step itself, and leaf
@@ -327,9 +302,8 @@ impl<S: PageStore> ReadView<'_, S> {
         self.seek(&[])
     }
 
-    /// Full root descent *in place*, preserving the cursor's accumulated
-    /// [`SeekStats`] (unlike `*cur = view.seek(..)`, which would zero
-    /// them).
+    /// Full root descent *in place*: `*cur = view.seek(..)`, but reusing
+    /// the cursor's walker buffer and path vector.
     pub fn seek_into(&self, cur: &mut Cursor, key: &[u8]) -> Result<()> {
         cur.path.clear();
         cur.fence_valid = false;
@@ -338,7 +312,11 @@ impl<S: PageStore> ReadView<'_, S> {
 
     /// Descend from `id`, the node below `cur.path[..depth]`, to the leaf
     /// containing the first entry `>= key`, rebuilding `cur.path` from
-    /// `depth` downward. Fetches (and counts) every node from `id` down.
+    /// `depth` downward. Fetches every node from `id` down, and counts the
+    /// descent once in the registry: `btree.seek.descents` plus its fetches
+    /// in `btree.seek.nodes_fetched` — a full height for a root descent,
+    /// the levels below the LCA for a re-descent (their ratio is the
+    /// average re-descent depth, the units of the paper's experiment 1).
     fn descend(&self, cur: &mut Cursor, depth: usize, id: PageId, key: &[u8]) -> Result<()> {
         cur.path.truncate(depth);
         let mut id = id;
@@ -363,8 +341,6 @@ impl<S: PageStore> ReadView<'_, S> {
                     cur.leaf = id;
                     cur.fence_valid = true;
                     cur.epoch = self.epoch;
-                    cur.stats.descents += 1;
-                    cur.stats.depth_total += fetched;
                     metrics(|m| {
                         m.seek_descents.inc();
                         m.seek_nodes.add(fetched);
@@ -401,7 +377,6 @@ impl<S: PageStore> ReadView<'_, S> {
             self.walk_leaf(cur)?;
             cur.walk.seek(key)?;
             cur.slot = cur.walk.slot();
-            cur.stats.leaf_reseeks += 1;
             metrics(|m| m.reseek_leaf.inc());
             return Ok(());
         }

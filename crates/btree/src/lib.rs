@@ -52,7 +52,7 @@ mod walk;
 
 pub use codec::{common_prefix_len, truncate_separator};
 pub use config::{BTreeConfig, Capacity};
-pub use cursor::{Cursor, EntryRef, ReadView, SeekStats};
+pub use cursor::{Cursor, EntryRef, ReadView};
 pub use node::{InternalNode, LeafNode, Node};
 pub use tree::{BTree, SnapshotTracker, TreeReader, TreeSnapshot};
 pub use verify::TreeStats;

@@ -156,6 +156,42 @@ proptest! {
     }
 }
 
+/// What this thread's registry has counted of cursor movement: the costs
+/// below are deltas of it.
+#[derive(Debug, Clone, Copy)]
+struct Moves {
+    /// `btree.seek.descents`.
+    descents: u64,
+    /// `btree.seek.nodes_fetched`: nodes those descents fetched.
+    nodes: u64,
+    /// `btree.reseek.leaf`: reseeks resolved inside the current leaf.
+    leaf_reseeks: u64,
+    /// `pagestore.pool.{hits,misses}`: every page fetch, counted by the
+    /// pool rather than by the tree.
+    fetches: u64,
+}
+
+fn moves() -> Moves {
+    let c = telemetry::counter_value;
+    Moves {
+        descents: c("btree.seek.descents"),
+        nodes: c("btree.seek.nodes_fetched"),
+        leaf_reseeks: c("btree.reseek.leaf"),
+        fetches: c("pagestore.pool.hits") + c("pagestore.pool.misses"),
+    }
+}
+
+/// [`moves`] since `before`.
+fn since(before: Moves) -> Moves {
+    let now = moves();
+    Moves {
+        descents: now.descents - before.descents,
+        nodes: now.nodes - before.nodes,
+        leaf_reseeks: now.leaf_reseeks - before.leaf_reseeks,
+        fetches: now.fetches - before.fetches,
+    }
+}
+
 /// Inside one leaf, with and without front compression: reseeks ahead of
 /// the cursor search forward from it, reseeks behind it rewind, and none
 /// fetches a page.
@@ -182,8 +218,7 @@ fn reseeks_inside_one_leaf_walk_forward_and_rewind() {
             .filter(|&i| view.seek(&keys[i]).unwrap().leaf_page() == leaf)
             .collect();
         assert!(in_leaf.len() >= 20, "premise: a leaf of many entries");
-        let fetches = tree.pool().stats().logical_fetches;
-        let before = cur.seek_stats();
+        let before = moves();
         let last = *in_leaf.last().unwrap();
         let order = [601, 603, 604, 610, last, 605, 600, last - 1, 602];
         for (n, &i) in order.iter().enumerate() {
@@ -198,17 +233,10 @@ fn reseeks_inside_one_leaf_walk_forward_and_rewind() {
             let (k, v) = view.cursor_peek(&mut cur).unwrap().unwrap();
             assert_eq!((k, v), (&keys[i][..], &b"v"[..]), "reseek #{n}");
         }
-        let s = cur.seek_stats();
-        assert_eq!(s.leaf_reseeks - before.leaf_reseeks, order.len() as u64);
-        assert_eq!(
-            (s.descents, s.depth_total),
-            (before.descents, before.depth_total)
-        );
-        assert_eq!(
-            tree.pool().stats().logical_fetches,
-            fetches,
-            "no page fetched"
-        );
+        let moved = since(before);
+        assert_eq!(moved.leaf_reseeks, order.len() as u64);
+        assert_eq!((moved.descents, moved.nodes), (0, 0));
+        assert_eq!(moved.fetches, 0, "no page fetched");
         // Stepping on after a rewind reads the entries in order.
         view.reseek(&mut cur, &keys[603]).unwrap();
         for key in &keys[603..603 + 40] {
@@ -233,41 +261,48 @@ fn reseek_paths_and_costs() {
     let mut tree =
         BTree::bulk_load(pool, config, keys.iter().map(|k| (k.clone(), Vec::new()))).unwrap();
 
-    // Initial descent. Seek stats ride on the cursor and accumulate, so
-    // each phase below measures a delta.
+    // Initial descent: a full height of fetches, every one seen by the
+    // pool.
+    let before = moves();
     let mut cur = tree.seek(b"000000").unwrap();
-    let height = cur.seek_stats().depth_total;
+    let moved = since(before);
+    let height = moved.nodes;
     assert!(
         height >= 3,
         "tree too shallow for the test: height {height}"
     );
-    assert_eq!(cur.seek_stats().descents, 1);
+    assert_eq!((moved.descents, moved.fetches), (1, height));
 
     // Within-leaf: next key lives in the same leaf (4-entry leaves).
-    let before = cur.seek_stats();
+    let before = moves();
     tree.reseek(&mut cur, b"000001").unwrap();
-    let s = cur.seek_stats();
+    let moved = since(before);
     assert_eq!(
         (
-            s.descents - before.descents,
-            s.depth_total - before.depth_total,
-            s.leaf_reseeks - before.leaf_reseeks
+            moved.descents,
+            moved.nodes,
+            moved.leaf_reseeks,
+            moved.fetches
         ),
-        (0, 0, 1)
+        (0, 0, 1, 0)
     );
     let e = tree.cursor_entry(&mut cur).unwrap().unwrap();
     assert_eq!(e.0, b"000001");
 
     // Nearby target: the LCA re-descent must fetch fewer nodes than the
     // full height.
-    let before = cur.seek_stats();
+    let before = moves();
     tree.reseek(&mut cur, b"000017").unwrap();
-    let s = cur.seek_stats();
-    assert_eq!(s.descents - before.descents, 1);
+    let moved = since(before);
+    assert_eq!(moved.descents, 1);
+    assert_eq!(
+        moved.fetches, moved.nodes,
+        "the pool saw the descent's fetches"
+    );
     assert!(
-        s.depth_total - before.depth_total < height,
+        moved.nodes < height,
         "near reseek paid a full descent: {} vs height {height}",
-        s.depth_total - before.depth_total
+        moved.nodes
     );
     let e = tree.cursor_entry(&mut cur).unwrap().unwrap();
     assert_eq!(e.0, b"000017");
@@ -277,21 +312,20 @@ fn reseek_paths_and_costs() {
     let e = tree.cursor_entry(&mut cur).unwrap().unwrap();
     assert_eq!(e.0, b"000003");
 
-    // Mutation bumps the epoch: reseek must fall back to a full descent
-    // and still land correctly — *in place*, preserving the cursor's
-    // accumulated stats rather than zeroing them. (The insert may have
-    // grown the tree, so measure the post-mutation height with a fresh
-    // seek.)
+    // Mutation bumps the epoch: reseek must fall back to a full descent,
+    // in place, and still land correctly. (The insert may have grown the
+    // tree, so measure the post-mutation height with a fresh seek.)
     tree.insert(b"000003x", b"").unwrap();
-    let probe = tree.seek(b"000003x").unwrap();
-    let new_height = probe.seek_stats().depth_total;
-    let before = cur.seek_stats();
+    let before = moves();
+    tree.seek(b"000003x").unwrap();
+    let new_height = since(before).nodes;
+    let before = moves();
     tree.reseek(&mut cur, b"000003x").unwrap();
-    let s = cur.seek_stats();
-    assert_eq!(s.descents - before.descents, 1);
+    let moved = since(before);
+    assert_eq!(moved.descents, 1);
     assert_eq!(
-        s.depth_total - before.depth_total,
-        new_height,
+        (moved.nodes, moved.fetches),
+        (new_height, new_height),
         "epoch-invalidated reseek must re-descend from the root"
     );
     let e = tree.cursor_entry(&mut cur).unwrap().unwrap();

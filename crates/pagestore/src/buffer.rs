@@ -161,51 +161,6 @@ impl PageRef {
     }
 }
 
-/// Cumulative buffer-pool statistics since creation (or the last
-/// [`BufferPool::reset_stats`]).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PoolStats {
-    /// Pages read from the backing store (cache misses).
-    pub physical_reads: u64,
-    /// Pages written back to the backing store.
-    pub physical_writes: u64,
-    /// All fetch calls, hits and misses alike.
-    pub logical_fetches: u64,
-    /// Pages allocated.
-    pub allocations: u64,
-    /// Pages freed.
-    pub frees: u64,
-}
-
-#[derive(Default)]
-struct AtomicPoolStats {
-    physical_reads: AtomicU64,
-    physical_writes: AtomicU64,
-    logical_fetches: AtomicU64,
-    allocations: AtomicU64,
-    frees: AtomicU64,
-}
-
-impl AtomicPoolStats {
-    fn snapshot(&self) -> PoolStats {
-        PoolStats {
-            physical_reads: self.physical_reads.load(Ordering::Relaxed),
-            physical_writes: self.physical_writes.load(Ordering::Relaxed),
-            logical_fetches: self.logical_fetches.load(Ordering::Relaxed),
-            allocations: self.allocations.load(Ordering::Relaxed),
-            frees: self.frees.load(Ordering::Relaxed),
-        }
-    }
-
-    fn reset(&self) {
-        self.physical_reads.store(0, Ordering::Relaxed);
-        self.physical_writes.store(0, Ordering::Relaxed);
-        self.logical_fetches.store(0, Ordering::Relaxed);
-        self.allocations.store(0, Ordering::Relaxed);
-        self.frees.store(0, Ordering::Relaxed);
-    }
-}
-
 /// Per-query access statistics, reset by [`BufferPool::begin_query`].
 ///
 /// `distinct_pages` is the paper's metric: the number of different pages the
@@ -312,10 +267,11 @@ impl Default for RetryPolicy {
 }
 
 /// Registry handles, resolved once per thread so the hot path pays one
-/// `Cell` bump per event (see DESIGN.md §9 for the catalog). These are
-/// thread-local because the telemetry registry itself is: each worker
-/// thread accumulates its own counters and the coordinator merges them
-/// (see `telemetry::absorb`).
+/// `Cell` bump per event (see DESIGN.md §9 for the catalog). These are the
+/// pool's only cumulative counts: a fetch is `hits` or `misses`, a
+/// write-back `writebacks`. They are thread-local because the telemetry
+/// registry itself is: each worker thread accumulates its own counters and
+/// the coordinator merges them (see `telemetry::absorb`).
 struct PoolMetrics {
     hits: telemetry::Counter,
     misses: telemetry::Counter,
@@ -365,10 +321,10 @@ struct Shard {
 static NEXT_POOL_ID: AtomicU64 = AtomicU64::new(1);
 
 /// A thread-safe buffer pool: the frame table is sharded into lock-striped
-/// partitions (hash on page id, per-shard LRU clock), the backing store sits
-/// behind its own mutex that is only taken on misses and write-backs, and
-/// the cumulative statistics are atomics. Pages pin via [`PageRef`] handles
-/// and carry an optional decoded-value cache for the layer above.
+/// partitions (hash on page id, per-shard LRU clock), and the backing store
+/// sits behind its own mutex that is only taken on misses and write-backs.
+/// Pages pin via [`PageRef`] handles and carry an optional decoded-value
+/// cache for the layer above.
 ///
 /// Lock order (see DESIGN.md §12): shard → store → frame data. A shard lock
 /// is never taken while holding the store lock, and no two shard locks are
@@ -381,7 +337,6 @@ pub struct BufferPool<S: PageStore> {
     /// Every resident frame whose `dirty` flag is set, in page-id order
     /// (which is also the order a flush writes them back in).
     dirty_pages: Arc<DirtyPages>,
-    stats: AtomicPoolStats,
     /// Distinguishes this pool's thread-local query state from other pools'.
     pool_id: u64,
     retry: Mutex<RetryPolicy>,
@@ -417,7 +372,6 @@ impl<S: PageStore> BufferPool<S> {
             shard_mask: (nshards - 1) as u64,
             page_size,
             dirty_pages: Arc::default(),
-            stats: AtomicPoolStats::default(),
             pool_id: NEXT_POOL_ID.fetch_add(1, Ordering::Relaxed),
             retry: Mutex::new(RetryPolicy::default()),
         }
@@ -453,16 +407,6 @@ impl<S: PageStore> BufferPool<S> {
     /// Number of live pages in the backing store.
     pub fn live_pages(&self) -> usize {
         lock(&self.store).live_pages()
-    }
-
-    /// Cumulative statistics.
-    pub fn stats(&self) -> PoolStats {
-        self.stats.snapshot()
-    }
-
-    /// Zero the cumulative statistics.
-    pub fn reset_stats(&self) {
-        self.stats.reset();
     }
 
     /// Start a new query *on the calling thread*: zeroes that thread's
@@ -524,11 +468,6 @@ impl<S: PageStore> BufferPool<S> {
         }
     }
 
-    /// Fetch a page, reading it from the store on a miss.
-    ///
-    /// A fetch whose store read fails counts towards *no* access statistic
-    /// except `pagestore.pool.read_errors`: the caller never saw a page, so
-    /// neither the cumulative nor the per-query counters may move.
     /// The cached frame for `id`, if resident — without counting a fetch,
     /// touching per-query state, or reading the store. Diagnostics and
     /// cache-inspection tests only.
@@ -541,6 +480,14 @@ impl<S: PageStore> BufferPool<S> {
             .map(|frame| PageRef { frame })
     }
 
+    /// Fetch a page, reading it from the store on a miss.
+    ///
+    /// A fetch that returns a page counts exactly once in the registry —
+    /// `pagestore.pool.hits` or `pagestore.pool.misses` — and once towards
+    /// the calling thread's [`QueryStats`]. A fetch whose store read fails
+    /// counts towards nothing but `pagestore.pool.read_errors`: the caller
+    /// never saw a page, so neither `hits`/`misses` nor the per-query
+    /// counters may move.
     pub fn fetch(&self, id: PageId) -> Result<PageRef> {
         if id.is_null() {
             return Err(Error::InvalidPageId(id));
@@ -550,7 +497,6 @@ impl<S: PageStore> BufferPool<S> {
             shard.clock += 1;
             frame.last_use.store(shard.clock, Ordering::Relaxed);
             drop(shard);
-            self.stats.logical_fetches.fetch_add(1, Ordering::Relaxed);
             self.touch_for_query(id);
             metrics(|m| m.hits.inc());
             return Ok(PageRef { frame });
@@ -567,8 +513,6 @@ impl<S: PageStore> BufferPool<S> {
                 return Err(e);
             }
         }
-        self.stats.logical_fetches.fetch_add(1, Ordering::Relaxed);
-        self.stats.physical_reads.fetch_add(1, Ordering::Relaxed);
         self.touch_for_query(id);
         metrics(|m| m.misses.inc());
         let frame = Arc::new(Frame {
@@ -587,7 +531,6 @@ impl<S: PageStore> BufferPool<S> {
     /// Allocate a fresh zeroed page and return a handle to it.
     pub fn allocate(&self) -> Result<(PageId, PageRef)> {
         let id = lock(&self.store).allocate()?;
-        self.stats.allocations.fetch_add(1, Ordering::Relaxed);
         metrics(|m| m.allocations.inc());
         self.touch_for_query(id);
         let frame = Arc::new(Frame {
@@ -620,7 +563,6 @@ impl<S: PageStore> BufferPool<S> {
         // Count the free only once the store accepts it, so a failed free
         // (e.g. an unallocated id or an I/O error) leaves stats truthful.
         lock(&self.store).free(id)?;
-        self.stats.frees.fetch_add(1, Ordering::Relaxed);
         metrics(|m| m.frees.inc());
         Ok(())
     }
@@ -661,7 +603,6 @@ impl<S: PageStore> BufferPool<S> {
         lock(&self.store).write(id, &data.bytes)?;
         frame.dirty.store(false, Ordering::Relaxed);
         lock(&self.dirty_pages).remove(&id);
-        self.stats.physical_writes.fetch_add(1, Ordering::Relaxed);
         metrics(|m| m.writebacks.inc());
         Ok(())
     }
@@ -752,6 +693,25 @@ mod tests {
         BufferPool::new(MemStore::new(128), cap)
     }
 
+    // The pool's cumulative counts live in this thread's registry; tests
+    // read them as deltas.
+
+    fn misses() -> u64 {
+        telemetry::counter_value("pagestore.pool.misses")
+    }
+
+    fn fetches() -> u64 {
+        telemetry::counter_value("pagestore.pool.hits") + misses()
+    }
+
+    fn writebacks() -> u64 {
+        telemetry::counter_value("pagestore.pool.writebacks")
+    }
+
+    fn frees() -> u64 {
+        telemetry::counter_value("pagestore.pool.frees")
+    }
+
     #[test]
     fn fetch_counts_distinct_once() {
         let p = pool(8);
@@ -782,6 +742,7 @@ mod tests {
 
     #[test]
     fn eviction_and_reload() {
+        let (writebacks0, misses0) = (writebacks(), misses());
         let p = pool(2);
         let mut ids = Vec::new();
         for i in 0..4u8 {
@@ -796,8 +757,8 @@ mod tests {
             let page = p.fetch(*id).unwrap();
             assert_eq!(page.read()[0], i as u8);
         }
-        assert!(p.stats().physical_writes >= 2);
-        assert!(p.stats().physical_reads >= 2);
+        assert!(writebacks() - writebacks0 >= 2);
+        assert!(misses() - misses0 >= 2);
     }
 
     #[test]
@@ -827,12 +788,13 @@ mod tests {
 
     #[test]
     fn flush_persists_dirty_pages() {
+        let writebacks0 = writebacks();
         let p = pool(4);
         let (a, page) = p.allocate().unwrap();
         page.write()[5] = 99;
         drop(page);
         p.flush().unwrap();
-        assert!(p.stats().physical_writes >= 1);
+        assert!(writebacks() - writebacks0 >= 1);
         let page = p.fetch(a).unwrap();
         assert_eq!(page.read()[5], 99);
     }
@@ -844,16 +806,14 @@ mod tests {
     #[test]
     fn flush_writes_exactly_the_dirtied_pages_and_retries_failures() {
         use crate::fault::{Fault, FaultStore};
+        let writebacks0 = writebacks();
+        let written = || writebacks() - writebacks0;
         let p = BufferPool::new(FaultStore::new(MemStore::new(128)), 1 << 10);
         let ids: Vec<PageId> = (0..300).map(|_| p.allocate().unwrap().0).collect();
         p.flush().unwrap();
-        assert_eq!(p.stats().physical_writes, 300);
+        assert_eq!(written(), 300);
         p.flush().unwrap();
-        assert_eq!(
-            p.stats().physical_writes,
-            300,
-            "nothing dirty, nothing written"
-        );
+        assert_eq!(written(), 300, "nothing dirty, nothing written");
 
         for &id in &[ids[250], ids[7], ids[7], ids[120]] {
             p.fetch(id).unwrap().write()[0] = 1;
@@ -862,11 +822,11 @@ mod tests {
         let handle = p.store_lock().handle();
         handle.inject(handle.ops() + 1, Fault::IoError);
         assert!(p.flush_to_store_only().is_err());
-        assert_eq!(p.stats().physical_writes, 301, "page 7 went out first");
+        assert_eq!(written(), 301, "page 7 went out first");
         assert!(!p.fetch(ids[7]).unwrap().is_dirty());
         assert!(p.fetch(ids[120]).unwrap().is_dirty());
         p.flush_to_store_only().unwrap();
-        assert_eq!(p.stats().physical_writes, 303, "120 retried, then 250");
+        assert_eq!(written(), 303, "120 retried, then 250");
         assert!(lock(&p.dirty_pages).is_empty());
 
         // Eviction and free take a page off the record too.
@@ -876,11 +836,7 @@ mod tests {
         p.free(ids[10]).unwrap();
         assert!(lock(&p.dirty_pages).is_empty());
         p.flush_to_store_only().unwrap();
-        assert_eq!(
-            p.stats().physical_writes,
-            304,
-            "only the evicted page's write-back"
-        );
+        assert_eq!(written(), 304, "only the evicted page's write-back");
     }
 
     #[test]
@@ -891,16 +847,17 @@ mod tests {
 
     #[test]
     fn failed_free_does_not_count() {
+        let frees0 = frees();
         let p = pool(4);
         let (a, _) = p.allocate().unwrap();
         p.free(a).unwrap();
-        assert_eq!(p.stats().frees, 1);
+        assert_eq!(frees() - frees0, 1);
         // Freeing the same page again fails in the store — the counter
         // must not move (it used to be incremented before the store call).
         assert!(p.free(a).is_err());
-        assert_eq!(p.stats().frees, 1);
+        assert_eq!(frees() - frees0, 1);
         assert!(p.free(PageId(999)).is_err());
-        assert_eq!(p.stats().frees, 1);
+        assert_eq!(frees() - frees0, 1);
     }
 
     #[test]
@@ -911,31 +868,24 @@ mod tests {
         // Push `a` out of the pool so the next fetch must hit the store.
         p.invalidate_cache().unwrap();
         p.begin_query();
-        let before = p.stats();
         let hits_before = telemetry::counter_value("pagestore.pool.hits");
-        let misses_before = telemetry::counter_value("pagestore.pool.misses");
+        let misses_before = misses();
         let errors_before = telemetry::counter_value("pagestore.pool.read_errors");
         let at = p.store_lock().ops();
         p.store_lock().inject(at, Fault::IoError);
         assert!(p.fetch(a).is_err());
-        let after = p.stats();
         // The failed fetch reached no page: every access statistic must be
         // unchanged, cumulative and per-query alike.
-        assert_eq!(after.logical_fetches, before.logical_fetches);
-        assert_eq!(after.physical_reads, before.physical_reads);
         assert_eq!(p.query_stats(), QueryStats::default());
         assert_eq!(telemetry::counter_value("pagestore.pool.hits"), hits_before);
-        assert_eq!(
-            telemetry::counter_value("pagestore.pool.misses"),
-            misses_before
-        );
+        assert_eq!(misses(), misses_before);
         assert_eq!(
             telemetry::counter_value("pagestore.pool.read_errors"),
             errors_before + 1
         );
         // The page itself is fine; a retry succeeds and counts normally.
         p.fetch(a).unwrap();
-        assert_eq!(p.stats().logical_fetches, before.logical_fetches + 1);
+        assert_eq!(fetches(), hits_before + misses_before + 1);
         assert_eq!(p.query_stats().node_visits, 1);
     }
 
@@ -952,15 +902,17 @@ mod tests {
         // Make sure nothing is cached so fetches hit the faulted store.
         p.flush_to_store_only().unwrap();
         p.invalidate_cache().unwrap();
-        let pre_crash = p.stats();
+        // (fetches, misses, write-backs)
+        let counts = || (fetches(), misses(), writebacks());
+        let pre_crash = counts();
         let at = p.store_lock().ops();
         p.store_lock().inject(at, Fault::Crash);
         // Everything fails while crashed; counters must not move backwards
         // (or at all — no page access completes).
         assert!(p.fetch(ids[0]).is_err() || p.fetch(ids[1]).is_err());
-        let crashed = p.stats();
-        assert!(crashed.logical_fetches >= pre_crash.logical_fetches);
-        assert_eq!(crashed.physical_reads, pre_crash.physical_reads);
+        let crashed = counts();
+        assert!(crashed.0 >= pre_crash.0);
+        assert_eq!(crashed.1, pre_crash.1);
         // "Repair the disk" and recover: counters resume from where they
         // were, still monotonic.
         p.store_lock().clear_faults();
@@ -968,10 +920,10 @@ mod tests {
             let page = p.fetch(*id).unwrap();
             assert_eq!(page.read()[0], i as u8);
         }
-        let recovered = p.stats();
-        assert!(recovered.logical_fetches > crashed.logical_fetches);
-        assert!(recovered.physical_reads >= crashed.physical_reads);
-        assert!(recovered.physical_writes >= crashed.physical_writes);
+        let recovered = counts();
+        assert!(recovered.0 > crashed.0);
+        assert!(recovered.1 >= crashed.1);
+        assert!(recovered.2 >= crashed.2);
     }
 
     #[test]
@@ -1064,12 +1016,12 @@ mod tests {
         drop(page);
         let (b, pin_b) = p.allocate().unwrap();
         pin_b.write()[0] = 8;
-        let reads_before = p.stats().physical_reads;
+        let reads_before = misses();
         p.invalidate_cache().unwrap();
         // `a` was dropped (after a writeback); fetching re-reads it.
         let page = p.fetch(a).unwrap();
         assert_eq!(page.read()[0], 7);
-        assert_eq!(p.stats().physical_reads, reads_before + 1);
+        assert_eq!(misses(), reads_before + 1);
         // The pinned frame survived untouched.
         assert_eq!(pin_b.read()[0], 8);
         drop(pin_b);

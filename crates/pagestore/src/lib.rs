@@ -42,9 +42,7 @@ mod page;
 mod store;
 mod wal;
 
-pub use buffer::{
-    BufferPool, PageReadGuard, PageRef, PageWriteGuard, PoolStats, QueryStats, RetryPolicy,
-};
+pub use buffer::{BufferPool, PageReadGuard, PageRef, PageWriteGuard, QueryStats, RetryPolicy};
 pub use checksum::{ChecksumStore, ScrubReport, Scrubbable, TRAILER_LEN};
 pub use crc::crc32;
 pub use error::{Error, Result};

@@ -540,13 +540,10 @@ impl<P: PageStore> Database<P> {
     /// degraded path answered. Queries never silently return wrong data:
     /// damage either surfaces as [`pagestore::Error::Corruption`] inside
     /// the scan (caught here) or was already flagged by a check.
-    pub fn query_traced_guarded(
-        &self,
-        q: &Query,
-    ) -> Result<(Vec<QueryHit>, ScanStats, QueryTrace, bool)> {
+    pub fn query_traced_guarded(&self, q: &Query) -> Result<(Vec<QueryHit>, QueryTrace, bool)> {
         if !self.quarantined.load(Ordering::Acquire) {
             match self.index.query_traced(q) {
-                Ok((hits, stats, trace)) => return Ok((hits, stats, trace, false)),
+                Ok((hits, trace)) => return Ok((hits, trace, false)),
                 Err(Error::Page(e)) if e.is_corruption() => {
                     self.quarantined.store(true, Ordering::Release);
                     telemetry::counter("uindex.degraded.quarantines").inc();
@@ -555,7 +552,7 @@ impl<P: PageStore> Database<P> {
             }
         }
         let hits = self.degraded_eval(q)?;
-        Ok((hits, ScanStats::default(), QueryTrace::default(), true))
+        Ok((hits, QueryTrace::default(), true))
     }
 
     // ----- queries ---------------------------------------------------------
@@ -573,8 +570,8 @@ impl<P: PageStore> Database<P> {
 
     /// Run a query, returning hits and scan cost counters.
     pub fn query_with_stats(&self, q: &Query) -> Result<(Vec<QueryHit>, ScanStats)> {
-        let (hits, stats, _, _) = self.query_traced_guarded(q)?;
-        Ok((hits, stats))
+        let (hits, trace, _) = self.query_traced_guarded(q)?;
+        Ok((hits, trace.stats))
     }
 
     /// Execute `q` and build an EXPLAIN ANALYZE report: the translated plan

@@ -167,8 +167,8 @@ impl<P: PageStore> DatabaseReader<P> {
         }
         .matcher(q)?;
         let view = self.tree.read(&snap.snap);
-        let (stats, _) = scan::execute_traced(&view, &matcher, q.algorithm, q.distinct_upto, sink)?;
-        Ok(stats)
+        let trace = scan::execute_traced(&view, &matcher, q.algorithm, q.distinct_upto, sink)?;
+        Ok(trace.stats)
     }
 
     /// Convenience: pin the latest epoch and run one query against it.

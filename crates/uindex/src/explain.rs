@@ -2,16 +2,17 @@
 //!
 //! [`explain`] runs the query for real (ANALYZE semantics — there is no
 //! plan-only mode, because translation is cheap and the interesting numbers
-//! are the executed costs) and packages the plan the translator produced,
-//! the legacy [`ScanStats`] counters, the registry-derived [`QueryTrace`]
-//! and the per-phase span tree into an [`ExplainReport`] renderable as
-//! aligned text or JSON. The output contract is documented in DESIGN.md §9.
+//! are the executed costs) and packages the plan the translator produced
+//! and the executed [`QueryTrace`] — the query's [`crate::ScanStats`], the
+//! registry-derived breakdowns and the per-phase span tree — into an
+//! [`ExplainReport`] renderable as aligned text or JSON. The output
+//! contract is documented in DESIGN.md §9.
 
 use std::fmt::Write as _;
 
 use crate::db::Database;
 use crate::query::{OidSel, Query, ValuePred};
-use crate::scan::{QueryTrace, ScanAlgorithm, ScanStats};
+use crate::scan::{QueryTrace, ScanAlgorithm};
 use crate::Result;
 
 /// Plan row for one path position.
@@ -44,10 +45,8 @@ pub struct ExplainReport {
     pub positions: Vec<PositionPlan>,
     /// Number of hits the execution produced.
     pub hits: usize,
-    /// Legacy per-query counters (kept equal to `trace` by construction;
-    /// asserted in `bench/tests/explain_table1.rs`).
-    pub stats: ScanStats,
-    /// Registry-derived executed trace, including the span tree.
+    /// Executed trace: scan cost counters, registry-derived breakdowns and
+    /// the span tree.
     pub trace: QueryTrace,
     /// Whether the query was answered by the degraded object-store scan
     /// instead of the (quarantined) index. The trace counters are all
@@ -107,7 +106,7 @@ pub(crate) fn explain<P: pagestore::PageStore>(
     }
     let value = render_value_pred(&q.value);
     let value_ranges = matcher.value_ranges.len();
-    let (hits, stats, trace, degraded) = db.query_traced_guarded(q)?;
+    let (hits, trace, degraded) = db.query_traced_guarded(q)?;
     Ok(ExplainReport {
         index: index_name,
         algorithm: algorithm_name(q.algorithm),
@@ -116,7 +115,6 @@ pub(crate) fn explain<P: pagestore::PageStore>(
         distinct_upto: q.distinct_upto,
         positions,
         hits: hits.len(),
-        stats,
         trace,
         degraded,
     })
@@ -164,6 +162,7 @@ impl ExplainReport {
             );
         }
         let t = &self.trace;
+        let st = &t.stats;
         let _ = writeln!(s, "Execution");
         if self.degraded {
             let _ = writeln!(
@@ -175,17 +174,17 @@ impl ExplainReport {
         let _ = writeln!(
             s,
             "  entries:          {} examined, {} matched",
-            t.entries_examined, t.matches
+            st.entries_examined, st.matches
         );
         let _ = writeln!(
             s,
             "  pages:            {} read, {} visits ({} pool hits, {} misses)",
-            t.pages_read, t.node_visits, t.pool_hits, t.pool_misses
+            st.pages_read, st.node_visits, t.pool_hits, t.pool_misses
         );
         let _ = writeln!(
             s,
             "  skips:            {} issued ({} partial keys expanded)",
-            t.skips, t.partial_keys_expanded
+            st.seeks, t.partial_keys_expanded
         );
         let _ = writeln!(
             s,
@@ -195,7 +194,7 @@ impl ExplainReport {
         let _ = writeln!(
             s,
             "  descents:         {} ({} nodes fetched)",
-            t.descents, t.reseek_depth_total
+            st.descents, st.reseek_depth_total
         );
         if let Some(span) = &t.span {
             let _ = writeln!(s, "Spans");
@@ -241,6 +240,7 @@ impl ExplainReport {
         }
         s.push_str("]},\n");
         let t = &self.trace;
+        let st = &t.stats;
         let _ = write!(
             s,
             "  \"trace\": {{\"hits\": {}, \"entries_examined\": {}, \"matches\": {}, \
@@ -250,14 +250,14 @@ impl ExplainReport {
              \"reseeks_full\": {}, \"pool_hits\": {}, \"pool_misses\": {}, \
              \"degraded\": {degraded}}}",
             self.hits,
-            t.entries_examined,
-            t.matches,
-            t.pages_read,
-            t.node_visits,
-            t.skips,
+            st.entries_examined,
+            st.matches,
+            st.pages_read,
+            st.node_visits,
+            st.seeks,
             t.partial_keys_expanded,
-            t.descents,
-            t.reseek_depth_total,
+            st.descents,
+            st.reseek_depth_total,
             t.reseeks_leaf,
             t.reseeks_lca,
             t.reseeks_full,
@@ -309,14 +309,10 @@ mod tests {
         assert_eq!(report.hits, 1);
         assert_eq!(report.index, "color");
         assert_eq!(report.algorithm, "parallel");
-        // Trace mirrors the legacy counters exactly.
-        assert_eq!(report.trace.entries_examined, report.stats.entries_examined);
-        assert_eq!(report.trace.pages_read, report.stats.pages_read);
-        assert_eq!(report.trace.skips, report.stats.seeks);
-        // And a re-run through the stats path reports the same costs.
+        // A re-run through the stats path reports the same costs.
         let (hits, stats) = db.query_with_stats(&q).unwrap();
         assert_eq!(hits.len(), report.hits);
-        assert_eq!(stats, report.stats);
+        assert_eq!(stats, report.trace.stats);
     }
 
     #[test]

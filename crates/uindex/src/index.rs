@@ -267,17 +267,15 @@ impl<S: PageStore> UIndex<S> {
 
     /// Run a query, returning hits and the scan cost counters.
     pub fn query(&self, q: &Query) -> Result<(Vec<QueryHit>, ScanStats)> {
-        let (hits, stats, _) = self.query_traced(q)?;
-        Ok((hits, stats))
+        let (hits, trace) = self.query_traced(q)?;
+        Ok((hits, trace.stats))
     }
 
-    /// Run a query collecting the full executed trace: registry-derived
-    /// breakdowns (reseek tiers, pool hits/misses, partial keys expanded)
-    /// and the per-phase span tree `query` → `plan` / `descend` / `scan`.
-    pub fn query_traced(
-        &self,
-        q: &Query,
-    ) -> Result<(Vec<QueryHit>, ScanStats, crate::scan::QueryTrace)> {
+    /// Run a query collecting the full executed trace: the scan cost
+    /// counters, registry-derived breakdowns (reseek tiers, pool
+    /// hits/misses, partial keys expanded) and the per-phase span tree
+    /// `query` → `plan` / `descend` / `scan`.
+    pub fn query_traced(&self, q: &Query) -> Result<(Vec<QueryHit>, crate::scan::QueryTrace)> {
         let root = telemetry::Span::enter("query");
         let planned = {
             let _plan = telemetry::Span::enter("plan");
@@ -295,9 +293,9 @@ impl<S: PageStore> UIndex<S> {
             .into_iter()
             .rev()
             .find(|s| s.name == "query");
-        let (stats, mut trace) = result?;
+        let mut trace = result?;
         trace.span = span;
-        Ok((hits, stats, trace))
+        Ok((hits, trace))
     }
 
     /// Verify the underlying B-tree and return its shape statistics.

@@ -37,7 +37,7 @@ use crate::error::Result;
 use crate::index::{IndexId, Planner, UIndex};
 use crate::key::EntryKey;
 use crate::query::{ClassSel, OidSel, PosPred, Query, QueryHit, ValuePred};
-use crate::scan::{ScanAlgorithm, ScanStats};
+use crate::scan::ScanAlgorithm;
 use crate::spec::IndexSpec;
 
 // ----- deterministic PRNG ------------------------------------------------
@@ -553,17 +553,9 @@ pub struct TrialSummary {
     pub distinct_checks: u64,
 }
 
-/// Cumulative telemetry registry values sampled around one query, so trial
-/// runs can assert the registry moves in lockstep with the legacy counters.
+/// Cumulative telemetry registry values sampled around one query: what the
+/// per-query histograms and the query count recorded for it.
 struct RegistrySample {
-    entries: u64,
-    matches: u64,
-    skips: u64,
-    pages: u64,
-    node_visits: u64,
-    reseek_leaf: u64,
-    reseek_lca: u64,
-    reseek_full: u64,
     query_count: u64,
     hist_pages_count: u64,
     hist_pages_sum: u64,
@@ -575,14 +567,6 @@ impl RegistrySample {
         let pages_h = telemetry::histogram("uindex.query.pages");
         let entries_h = telemetry::histogram("uindex.query.entries");
         RegistrySample {
-            entries: telemetry::counter_value("uindex.scan.entries_examined"),
-            matches: telemetry::counter_value("uindex.scan.matches"),
-            skips: telemetry::counter_value("uindex.scan.skips"),
-            pages: telemetry::counter_value("uindex.scan.pages"),
-            node_visits: telemetry::counter_value("uindex.scan.node_visits"),
-            reseek_leaf: telemetry::counter_value("btree.reseek.leaf"),
-            reseek_lca: telemetry::counter_value("btree.reseek.lca"),
-            reseek_full: telemetry::counter_value("btree.reseek.full"),
             query_count: telemetry::counter_value("uindex.query.count"),
             hist_pages_count: pages_h.count(),
             hist_pages_sum: pages_h.sum(),
@@ -591,12 +575,11 @@ impl RegistrySample {
     }
 }
 
-/// The registry invariants every successful parallel trial query must obey:
-/// counter deltas reproduce the legacy [`ScanStats`] exactly, the reseek
-/// tiers decompose the skip count, and the per-query histograms advance by
-/// exactly this query's totals.
-fn check_registry_invariants(
-    ps: &ScanStats,
+/// The invariants every successful parallel trial query's trace must obey:
+/// the reseek tiers decompose the skip count, every skip expands a partial
+/// key, and the registry records exactly one query, with this query's
+/// totals in the per-query histograms.
+fn check_trace_invariants(
     trace: &crate::scan::QueryTrace,
     reg0: &RegistrySample,
     reg1: &RegistrySample,
@@ -604,31 +587,7 @@ fn check_registry_invariants(
     q: &Query,
 ) {
     let ctx = format!("(seed {tseed:#x}, query {q:?})");
-    assert_eq!(
-        reg1.entries - reg0.entries,
-        ps.entries_examined,
-        "registry entries_examined delta diverges from ScanStats {ctx}"
-    );
-    assert_eq!(
-        reg1.matches - reg0.matches,
-        ps.matches,
-        "registry matches delta diverges from ScanStats {ctx}"
-    );
-    assert_eq!(
-        reg1.skips - reg0.skips,
-        ps.seeks,
-        "registry skips delta diverges from ScanStats {ctx}"
-    );
-    assert_eq!(
-        reg1.pages - reg0.pages,
-        ps.pages_read,
-        "registry pages delta diverges from ScanStats {ctx}"
-    );
-    assert_eq!(
-        reg1.node_visits - reg0.node_visits,
-        ps.node_visits,
-        "registry node_visits delta diverges from ScanStats {ctx}"
-    );
+    let ps = &trace.stats;
     assert_eq!(
         reg1.query_count - reg0.query_count,
         1,
@@ -636,28 +595,15 @@ fn check_registry_invariants(
     );
     // Under the hierarchical (Parallel) algorithm every skip is resolved by
     // exactly one reseek, at exactly one tier.
-    let reseeks = (reg1.reseek_leaf - reg0.reseek_leaf)
-        + (reg1.reseek_lca - reg0.reseek_lca)
-        + (reg1.reseek_full - reg0.reseek_full);
-    assert!(
-        reseeks <= ps.seeks,
-        "more reseeks than skips ({reseeks} > {}) {ctx}",
-        ps.seeks
-    );
-    assert_eq!(
-        reseeks, ps.seeks,
-        "reseek tiers must decompose the skip count {ctx}"
-    );
     assert_eq!(
         trace.reseeks_leaf + trace.reseeks_lca + trace.reseeks_full,
-        reseeks,
-        "trace reseek tiers diverge from registry deltas {ctx}"
+        ps.seeks,
+        "reseek tiers must decompose the skip count {ctx}"
     );
     assert!(
         trace.partial_keys_expanded >= ps.seeks,
         "every skip expands at least one partial key {ctx}"
     );
-    // Histogram totals stay identical to the legacy counters.
     assert_eq!(
         reg1.hist_pages_count - reg0.hist_pages_count,
         1,
@@ -724,26 +670,17 @@ pub fn run_trials(seed: u64, trials: usize) -> TrialSummary {
             fq.algorithm = ScanAlgorithm::Forward;
             let oracle = eval(t.db.index(), t.db.store(), &q)
                 .unwrap_or_else(|e| panic!("oracle eval failed (seed {tseed:#x}): {e}"));
-            // Cumulative registry state before the parallel run, so its
-            // deltas can be checked against the legacy per-query counters.
+            // Cumulative registry state around the parallel run, for its
+            // histogram observations.
             let reg0 = RegistrySample::take();
-            let (par, ptrace) = match t.db.index_mut().query_traced(&q) {
-                Ok((h, s, tr)) => (Ok((h, s)), Some(tr)),
-                Err(e) => (Err(e), None),
-            };
+            let par = t.db.index_mut().query_traced(&q);
             let reg1 = RegistrySample::take();
             let fwd = t.db.query_with_stats(&fq);
             sum.queries += 1;
             match (par, fwd) {
-                (Ok((ph, ps)), Ok((fh, fs))) => {
-                    check_registry_invariants(
-                        &ps,
-                        ptrace.as_ref().expect("trace accompanies Ok"),
-                        &reg0,
-                        &reg1,
-                        tseed,
-                        &q,
-                    );
+                (Ok((ph, ptrace)), Ok((fh, fs))) => {
+                    check_trace_invariants(&ptrace, &reg0, &reg1, tseed, &q);
+                    let ps = ptrace.stats;
                     assert_eq!(
                         ph, oracle,
                         "parallel scan diverges from oracle (seed {tseed:#x}, query {q:?})"

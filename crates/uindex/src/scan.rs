@@ -74,25 +74,20 @@ pub struct ScanStats {
     pub reseek_depth_total: u64,
 }
 
-/// Executed-query trace: everything [`ScanStats`] reports plus the
-/// registry-derived breakdowns a single counter struct cannot carry — how
-/// the skip-seeks resolved (within-leaf / LCA re-descent / full descent),
-/// how the buffer pool behaved, how many partial keys the matcher expanded
-/// — and the per-phase timing span tree (`query` → `plan`/`descend`/`scan`)
-/// when produced via `Database::explain_*`.
+/// Executed-query trace: the query's [`ScanStats`] plus the breakdowns they
+/// do not carry — how the skip-seeks resolved (within-leaf / LCA re-descent
+/// / full descent), how the buffer pool behaved, how many partial keys the
+/// matcher expanded — and the per-phase timing span tree (`query` →
+/// `plan`/`descend`/`scan`) when produced via `Database::explain_*`. Pool
+/// hits and misses depend on how warm the pool is, so they sit beside
+/// `stats`, whose every field is the same on each run of one query.
 #[derive(Debug, Clone, Default)]
 pub struct QueryTrace {
+    /// The per-query cost counters.
+    pub stats: ScanStats,
     /// Skip targets the matcher computed ("next possible key values" in the
     /// paper's Algorithm 1), whether or not a seek was issued for them.
     pub partial_keys_expanded: u64,
-    /// Skip-seeks actually issued (`== ScanStats::seeks`).
-    pub skips: u64,
-    pub entries_examined: u64,
-    pub matches: u64,
-    pub pages_read: u64,
-    pub node_visits: u64,
-    pub descents: u64,
-    pub reseek_depth_total: u64,
     /// Skip-seeks resolved inside the current leaf (zero fetches).
     pub reseeks_leaf: u64,
     /// Skip-seeks resolved by LCA re-descent over the retained path.
@@ -494,7 +489,6 @@ fn skip_seek<S: PageStore>(
 ) -> Result<()> {
     #[cfg(test)]
     if FLAT_SKIPS.get() {
-        // In place so the cursor keeps its accumulated seek stats.
         return Ok(view.seek_into(cur, target)?);
     }
     Ok(view.reseek(cur, target)?)
@@ -502,8 +496,12 @@ fn skip_seek<S: PageStore>(
 
 /// Registry handles the scan reports through, resolved once per thread
 /// (as `btree::tree::metrics` does) so a query costs a few `Cell` reads and
-/// bumps instead of a by-name registry lookup per counter.
+/// bumps instead of a by-name registry lookup per counter. The `btree.*`
+/// and `pagestore.*` handles are read, never bumped, here: their deltas
+/// across a query are its share of events the layers below count.
 struct ScanMetrics {
+    seek_descents: telemetry::Counter,
+    seek_nodes: telemetry::Counter,
     reseek_leaf: telemetry::Counter,
     reseek_lca: telemetry::Counter,
     reseek_full: telemetry::Counter,
@@ -525,6 +523,8 @@ struct ScanMetrics {
 
 thread_local! {
     static SCAN_METRICS: ScanMetrics = ScanMetrics {
+        seek_descents: telemetry::counter("btree.seek.descents"),
+        seek_nodes: telemetry::counter("btree.seek.nodes_fetched"),
         reseek_leaf: telemetry::counter("btree.reseek.leaf"),
         reseek_lca: telemetry::counter("btree.reseek.lca"),
         reseek_full: telemetry::counter("btree.reseek.full"),
@@ -563,9 +563,10 @@ thread_local! {
 /// skip-seek allocates nothing**: the cursor's retained path holds child
 /// indices, not copies of fence keys.
 ///
-/// Registry counter deltas captured around the scan attribute the
-/// skip-seeks to their resolution tier and the page fetches to pool hits
-/// vs misses, forming the returned [`QueryTrace`]. All cumulative
+/// The query's descents, reseek tiers and pool hits/misses are the deltas
+/// of the counters the tree and the pool bump (`btree.seek.*`,
+/// `btree.reseek.*`, `pagestore.pool.{hits,misses}`) across the scan, so
+/// each of those events is counted once, where it happens. All cumulative
 /// `uindex.*` registry counters and the per-query histograms are fed here,
 /// so every query path (UQL, programmatic, benches) reports through one
 /// place.
@@ -575,10 +576,12 @@ pub(crate) fn execute_traced<S: PageStore, K: RowSink>(
     algorithm: ScanAlgorithm,
     distinct_upto: Option<usize>,
     sink: &mut K,
-) -> Result<(ScanStats, QueryTrace)> {
+) -> Result<QueryTrace> {
     view.pool().begin_query();
-    let tiers_and_pool = |m: &ScanMetrics| {
+    let sample = |m: &ScanMetrics| {
         [
+            m.seek_descents.get(),
+            m.seek_nodes.get(),
             m.reseek_leaf.get(),
             m.reseek_lca.get(),
             m.reseek_full.get(),
@@ -586,9 +589,9 @@ pub(crate) fn execute_traced<S: PageStore, K: RowSink>(
             m.pool_misses.get(),
         ]
     };
-    let before = SCAN_METRICS.with(tiers_and_pool);
+    let before = SCAN_METRICS.with(sample);
     let mut stats = ScanStats::default();
-    let mut trace = QueryTrace::default();
+    let mut partial_keys_expanded = 0;
     let mut scratch = ScanScratch {
         carry_off: distinct_upto.is_some(),
         ..ScanScratch::default()
@@ -623,7 +626,7 @@ pub(crate) fn execute_traced<S: PageStore, K: RowSink>(
             Advice::Done => break,
         };
         if skip {
-            trace.partial_keys_expanded += 1;
+            partial_keys_expanded += 1;
         }
         // A skip target that does not advance would loop the scan forever.
         // None arises from a well-formed matcher, but if one slips through
@@ -640,39 +643,36 @@ pub(crate) fn execute_traced<S: PageStore, K: RowSink>(
     let q = view.pool().query_stats();
     stats.pages_read = q.distinct_pages;
     stats.node_visits = q.node_visits;
-    let s = cur.seek_stats();
-    stats.descents = s.descents;
-    stats.reseek_depth_total = s.depth_total;
-
-    trace.skips = stats.seeks;
-    trace.entries_examined = stats.entries_examined;
-    trace.matches = stats.matches;
-    trace.pages_read = stats.pages_read;
-    trace.node_visits = stats.node_visits;
-    trace.descents = stats.descents;
-    trace.reseek_depth_total = stats.reseek_depth_total;
-    SCAN_METRICS.with(|m| {
-        let after = tiers_and_pool(m);
-        trace.reseeks_leaf = after[0] - before[0];
-        trace.reseeks_lca = after[1] - before[1];
-        trace.reseeks_full = after[2] - before[2];
-        trace.pool_hits = after[3] - before[3];
-        trace.pool_misses = after[4] - before[4];
+    Ok(SCAN_METRICS.with(|m| {
+        let after = sample(m);
+        let [descents, nodes, leaf, lca, full, hits, misses] =
+            std::array::from_fn(|i| after[i] - before[i]);
+        stats.descents = descents;
+        stats.reseek_depth_total = nodes;
 
         m.queries.inc();
         m.entries_examined.add(stats.entries_examined);
         m.matches.add(stats.matches);
         m.carried.add(carried_matches);
         m.skips.add(stats.seeks);
-        m.partial_keys.add(trace.partial_keys_expanded);
+        m.partial_keys.add(partial_keys_expanded);
         m.pages.add(stats.pages_read);
         m.node_visits.add(stats.node_visits);
         m.descents.add(stats.descents);
         m.reseek_depth.add(stats.reseek_depth_total);
         m.query_pages.record(stats.pages_read);
         m.query_entries.record(stats.entries_examined);
-    });
-    Ok((stats, trace))
+        QueryTrace {
+            stats,
+            partial_keys_expanded,
+            reseeks_leaf: leaf,
+            reseeks_lca: lca,
+            reseeks_full: full,
+            pool_hits: hits,
+            pool_misses: misses,
+            span: None,
+        }
+    }))
 }
 
 /// A verdict together with the data it left in the scratch, so tests can
@@ -970,8 +970,8 @@ mod tests {
         distinct_upto: Option<usize>,
     ) -> (Vec<QueryHit>, ScanStats) {
         let mut hits = Vec::new();
-        let (stats, _) = execute_traced(&tree.view(), m, alg, distinct_upto, &mut hits).unwrap();
-        (hits, stats)
+        let trace = execute_traced(&tree.view(), m, alg, distinct_upto, &mut hits).unwrap();
+        (hits, trace.stats)
     }
 
     /// [`execute`] plus how many of its matches were carried.

@@ -389,12 +389,7 @@ impl<'a> Parser<'a> {
             self.expect_sym('(')?;
             let mut oids = std::collections::BTreeSet::new();
             loop {
-                match self.next()? {
-                    Tok::Int(i) if i >= 0 => {
-                        oids.insert(Oid(i as u32));
-                    }
-                    t => return Err(Error::BadQuery(format!("expected an oid, got {t:?}"))),
-                }
+                oids.insert(self.oid()?);
                 match self.peek() {
                     Some(Tok::Sym(',')) => {
                         self.pos += 1;
@@ -406,8 +401,15 @@ impl<'a> Parser<'a> {
             return Ok(OidSel::In(oids));
         }
         self.expect_sym('=')?;
+        Ok(OidSel::Is(self.oid()?))
+    }
+
+    /// An OID literal: an integer in `0..=u32::MAX`.
+    fn oid(&mut self) -> Result<Oid> {
         match self.next()? {
-            Tok::Int(i) if i >= 0 => Ok(OidSel::Is(Oid(i as u32))),
+            Tok::Int(i) => u32::try_from(i)
+                .map(Oid)
+                .map_err(|_| Error::BadQuery(format!("oid {i} out of range"))),
             t => Err(Error::BadQuery(format!("expected an oid, got {t:?}"))),
         }
     }
@@ -570,6 +572,36 @@ mod tests {
             "age: Age between 1 and 'z'",                    // mixed-kind range
         ] {
             assert!(parse(&index, &s, bad).is_err(), "should fail: {bad}");
+        }
+    }
+
+    #[test]
+    fn oid_literals_must_fit_an_oid() {
+        let (index, s) = setup();
+        let oid_at_vehicle = |input: &str| {
+            let q = parse(&index, &s, input)?;
+            Ok::<_, Error>(q.preds.into_iter().find(|(p, _)| *p == 2).unwrap().1.oid)
+        };
+        let max = u32::MAX;
+        assert_eq!(
+            oid_at_vehicle(&format!("age: Vehicle.oid = {max}")).unwrap(),
+            OidSel::Is(Oid(max))
+        );
+        assert_eq!(
+            oid_at_vehicle(&format!("age: Vehicle.oid in (0, {max})")).unwrap(),
+            OidSel::In([Oid(0), Oid(max)].into())
+        );
+        let over = u64::from(max) + 1;
+        for bad in [
+            format!("age: Vehicle.oid = {over}"),
+            format!("age: Vehicle.oid in ({over})"),
+            format!("age: Vehicle.oid in (1, {over})"),
+            format!("age: Vehicle.oid = {}", over + 1),
+        ] {
+            match oid_at_vehicle(&bad) {
+                Err(Error::BadQuery(msg)) => assert!(msg.contains("out of range"), "{bad}: {msg}"),
+                other => panic!("{bad} must be refused, got {other:?}"),
+            }
         }
     }
 }

@@ -253,7 +253,7 @@ fn quarantine_degrade_repair_cycle() {
         // Quarantined: every query degrades to an object-store scan and
         // must still produce exactly the clean answers.
         for (q, want) in queries.iter().zip(&clean) {
-            let (hits, _, _, degraded) = f.db.query_traced_guarded(q).unwrap();
+            let (hits, _, degraded) = f.db.query_traced_guarded(q).unwrap();
             assert!(degraded, "{round}: quarantined query used the index");
             assert_eq!(&hits, want, "{round}: degraded answer diverged: {q:?}");
         }
@@ -308,7 +308,7 @@ fn total_index_loss_auto_quarantines_mid_query() {
 
     // No check() ran: the query itself must hit the corruption (the root
     // is damaged like everything else), quarantine, and fall back.
-    let (hits, _, _, degraded) = f.db.query_traced_guarded(&queries[0]).unwrap();
+    let (hits, _, degraded) = f.db.query_traced_guarded(&queries[0]).unwrap();
     assert!(degraded, "query on a fully damaged index did not degrade");
     assert!(
         f.db.quarantined(),

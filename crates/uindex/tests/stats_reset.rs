@@ -1,9 +1,8 @@
-//! Reset-semantics audit (ISSUE 4 satellite 1): per-query counters must be
-//! per-query. Running the same query twice in a row must report identical
-//! `ScanStats` and `QueryTrace` numbers — nothing may accumulate from the
-//! previous scan — and the repeat run must match a fresh database executing
-//! the query once (modulo buffer-pool warmth, which is why `pages_read`
-//! compares run 2 vs run 3, not run 1).
+//! Reset semantics: per-query counters must be per-query. Running the same
+//! query twice in a row must report identical `QueryTrace` numbers —
+//! nothing may accumulate from the previous scan — and the repeat run must
+//! match a fresh database executing the query once (modulo buffer-pool
+//! warmth, which is why `pages_read` compares run 2 vs run 3, not run 1).
 
 use objstore::Value;
 use schema::{AttrType, Schema};
@@ -54,25 +53,21 @@ fn consecutive_queries_do_not_accumulate() {
         let mut q = skipping_query(idx, auto);
         q.algorithm = alg;
 
-        let (hits1, stats1, trace1) = db.index_mut().query_traced(&q).unwrap();
-        let (hits2, stats2, trace2) = db.index_mut().query_traced(&q).unwrap();
+        let (hits1, trace1) = db.index_mut().query_traced(&q).unwrap();
+        let (hits2, trace2) = db.index_mut().query_traced(&q).unwrap();
 
         assert_eq!(hits1, hits2, "{alg:?}: same query, same hits");
         assert_eq!(
-            stats1, stats2,
+            trace1.stats, trace2.stats,
             "{alg:?}: ScanStats must reset between queries"
         );
         assert!(
-            stats1.entries_examined > 0,
+            trace1.stats.entries_examined > 0,
             "{alg:?}: premise — the query does real work"
         );
 
-        // Trace fields carry per-query numbers too (deltas, not totals).
-        assert_eq!(trace1.entries_examined, trace2.entries_examined, "{alg:?}");
-        assert_eq!(trace1.matches, trace2.matches, "{alg:?}");
-        assert_eq!(trace1.skips, trace2.skips, "{alg:?}");
-        assert_eq!(trace1.descents, trace2.descents, "{alg:?}");
-        assert_eq!(trace1.node_visits, trace2.node_visits, "{alg:?}");
+        // The rest of the trace carries per-query numbers too (deltas, not
+        // totals).
         assert_eq!(
             trace1.partial_keys_expanded, trace2.partial_keys_expanded,
             "{alg:?}"
@@ -89,27 +84,12 @@ fn consecutive_queries_do_not_accumulate() {
         let (mut fresh, fidx, fauto) = build_db();
         let mut fq = skipping_query(fidx, fauto);
         fq.algorithm = alg;
-        let (_, _, _warmup) = fresh.index_mut().query_traced(&fq).unwrap();
-        let (fhits, fstats, _) = fresh.index_mut().query_traced(&fq).unwrap();
+        let (_, _warmup) = fresh.index_mut().query_traced(&fq).unwrap();
+        let (fhits, ftrace) = fresh.index_mut().query_traced(&fq).unwrap();
         assert_eq!(hits2, fhits, "{alg:?}: deterministic build, same hits");
         assert_eq!(
-            stats2, fstats,
+            trace2.stats, ftrace.stats,
             "{alg:?}: repeat run equals a fresh-db warmed run"
         );
     }
-}
-
-#[test]
-fn seek_stats_are_per_query_not_accumulated() {
-    // Seek statistics ride on each query's cursor now, so a repeat of the
-    // same query must report identical numbers — any accumulation across
-    // queries (the old global-counter failure mode) would double them.
-    let (mut db, idx, auto) = build_db();
-    let q = skipping_query(idx, auto);
-    let (_, first, _) = db.index_mut().query_traced(&q).unwrap();
-    let (_, second, _) = db.index_mut().query_traced(&q).unwrap();
-    assert_eq!(
-        first, second,
-        "per-cursor SeekStats must not accumulate across queries"
-    );
 }
