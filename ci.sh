@@ -44,6 +44,16 @@ if grep -rnI \
   echo "retired per-query stats struct referenced again (see above)"; exit 1
 fi
 
+echo "== one count per serve event (the server's, the gate's and the plan cache's shadow tallies and the per-query fold stay gone)"
+if grep -rnI \
+    -e 'ServeStat[s]' -e 'LiveStat[s]' -e 'StatCell[s]' -e 'fold_telemetr[y]' -e 'telemetry::rese[t]' -e 'telemetry::absor[b]' \
+    crates src tests examples docs DESIGN.md README.md ci.sh; then
+  echo "retired serve tally referenced again (see above)"; exit 1
+fi
+
+echo "== registries any thread can read (a group sums live and departed members exactly; no reading goes down under a running writer)"
+cargo test -q --offline -p telemetry group_
+
 echo "== scan-path invariants (Parallel / Forward: same hits, registry == ScanStats, matches - carried == (key, set) groups)"
 cargo test -q --offline -p bench --test scan_invariants parallel_and_forward_agree_on_hits_counters_and_carry
 

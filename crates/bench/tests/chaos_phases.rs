@@ -84,7 +84,7 @@ fn run_tier<P, D>(
     };
 
     calm("before the chaos");
-    assert_eq!(server.stats().degraded_answers, 0);
+    assert_eq!(server.metrics().counter("serve.degraded_answers"), 0);
 
     // Network faults only: the store is healthy, so every answer that
     // survives the proxy was served from the index.
@@ -109,7 +109,10 @@ fn run_tier<P, D>(
     );
     assert!(net.ok > 0, "{tier}: nothing survived the network chaos");
     assert_eq!(
-        (server.stats().degraded_answers, net_degraded),
+        (
+            server.metrics().counter("serve.degraded_answers"),
+            net_degraded
+        ),
         (0, 0),
         "{tier}: network faults alone must not degrade an answer"
     );
@@ -128,7 +131,7 @@ fn run_tier<P, D>(
     fault.inject(fault.ops() + 3, Fault::BitFlip { bit: 3 });
     let (_, storage_degraded) = chaos_drive(tier, "storage", &proxy, expected);
     proxy.shutdown();
-    let degraded_at_heal = server.stats().degraded_answers;
+    let degraded_at_heal = server.metrics().counter("serve.degraded_answers");
     assert!(
         degraded_at_heal >= 1 && storage_degraded >= 1,
         "{tier}: the planted corruption must degrade at least one answer \
@@ -145,7 +148,8 @@ fn run_tier<P, D>(
 
     let report = server.shutdown();
     assert_eq!(
-        report.stats.degraded_answers, degraded_at_heal,
+        report.metrics.counter("serve.degraded_answers"),
+        degraded_at_heal,
         "{tier}: answers stayed degraded after the heal"
     );
     assert_eq!(

@@ -52,9 +52,9 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 }
 
 /// Registry handles, resolved once per thread so hot-path increments are a
-/// single `Cell` bump (catalog in DESIGN.md §9). Thread-local because the
-/// telemetry registry itself is: each worker accumulates its own counters
-/// and the coordinator merges them (`telemetry::absorb`).
+/// single unshared store (catalog in DESIGN.md §9). Thread-local because
+/// each thread counts into its own telemetry registry; a `telemetry::Group`
+/// adds threads up.
 pub(crate) struct TreeMetrics {
     pub(crate) seek_descents: telemetry::Counter,
     pub(crate) seek_nodes: telemetry::Counter,

@@ -260,20 +260,20 @@ fn cmd_serve(
         }
     };
     eprintln!("{drain_reason}; draining");
-    let report = server.shutdown();
-    let s = &report.stats;
+    let m = server.shutdown().metrics;
+    let c = |name| m.counter(name);
     println!(
         "served {} requests ({} queries, {} shed, {} proto errors, {} degraded, {} rows) \
          over {} connections; plan cache {} hits / {} misses",
-        s.requests,
-        s.queries,
-        s.shed,
-        s.proto_errors,
-        s.degraded_answers,
-        s.rows_sent,
-        s.connections,
-        s.plan_cache_hits,
-        s.plan_cache_misses
+        c("serve.requests"),
+        c("serve.queries"),
+        c("serve.shed"),
+        c("serve.proto_errors"),
+        c("serve.degraded_answers"),
+        m.histograms.get("serve.rows").map_or(0, |h| h.sum),
+        c("serve.connections"),
+        c("serve.plan_cache.hits"),
+        c("serve.plan_cache.misses")
     );
     Ok(())
 }

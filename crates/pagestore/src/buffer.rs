@@ -267,11 +267,11 @@ impl Default for RetryPolicy {
 }
 
 /// Registry handles, resolved once per thread so the hot path pays one
-/// `Cell` bump per event (see DESIGN.md §9 for the catalog). These are the
-/// pool's only cumulative counts: a fetch is `hits` or `misses`, a
-/// write-back `writebacks`. They are thread-local because the telemetry
-/// registry itself is: each worker thread accumulates its own counters and
-/// the coordinator merges them (see `telemetry::absorb`).
+/// unshared store per event (see DESIGN.md §9 for the catalog). These are
+/// the pool's only cumulative counts: a fetch is `hits` or `misses`, a
+/// write-back `writebacks`. They are thread-local because each thread
+/// counts into its own telemetry registry; a `telemetry::Group` adds
+/// threads up.
 struct PoolMetrics {
     hits: telemetry::Counter,
     misses: telemetry::Counter,

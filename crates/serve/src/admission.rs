@@ -1,17 +1,17 @@
 //! Admission control: a fixed bound on in-flight queries. Requests that
 //! would exceed the bound are shed with a typed `Overloaded` error before
 //! they touch the planner, an execution slot, or the buffer pool — shedding
-//! must stay cheap precisely when the server is busiest.
+//! must stay cheap precisely when the server is busiest. The gate keeps no
+//! tallies: the server counts what it admits and sheds (`serve.queries`,
+//! `serve.shed`) in its telemetry registry.
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// Counting gate bounding concurrent query execution.
 pub struct AdmissionGate {
     limit: usize,
     inflight: AtomicUsize,
-    admitted: AtomicU64,
-    shed: AtomicU64,
 }
 
 impl AdmissionGate {
@@ -21,8 +21,6 @@ impl AdmissionGate {
         Arc::new(AdmissionGate {
             limit,
             inflight: AtomicUsize::new(0),
-            admitted: AtomicU64::new(0),
-            shed: AtomicU64::new(0),
         })
     }
 
@@ -32,7 +30,6 @@ impl AdmissionGate {
         let mut cur = self.inflight.load(Ordering::Relaxed);
         loop {
             if cur >= self.limit {
-                self.shed.fetch_add(1, Ordering::Relaxed);
                 return None;
             }
             match self.inflight.compare_exchange_weak(
@@ -42,10 +39,9 @@ impl AdmissionGate {
                 Ordering::Relaxed,
             ) {
                 Ok(_) => {
-                    self.admitted.fetch_add(1, Ordering::Relaxed);
                     return Some(Permit {
                         gate: Arc::clone(self),
-                    });
+                    })
                 }
                 Err(now) => cur = now,
             }
@@ -60,16 +56,6 @@ impl AdmissionGate {
     /// Queries currently holding a permit.
     pub fn inflight(&self) -> usize {
         self.inflight.load(Ordering::Acquire)
-    }
-
-    /// Total queries ever admitted.
-    pub fn admitted(&self) -> u64 {
-        self.admitted.load(Ordering::Relaxed)
-    }
-
-    /// Total requests shed at the gate.
-    pub fn shed(&self) -> u64 {
-        self.shed.load(Ordering::Relaxed)
     }
 }
 

@@ -5,6 +5,8 @@
 //! a hot query stream pays the parser once per distinct statement. The
 //! cache is bounded: insertion-order eviction, and an evicted prepared id
 //! answers `Execute` with `UnknownStatement` rather than a stale plan.
+//! The cache keeps no tallies: [`PlanCache::lookup_or_parse`] says whether
+//! it hit, and the server counts `serve.plan_cache.{hits,misses}`.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, Mutex};
@@ -25,8 +27,6 @@ struct CacheInner {
     plans: HashMap<u64, Arc<CachedPlan>>,
     order: VecDeque<u64>,
     next_id: u64,
-    hits: u64,
-    misses: u64,
 }
 
 /// Bounded map from normalized UQL text to parsed plans, each addressable
@@ -76,8 +76,6 @@ impl PlanCache {
                 plans: HashMap::new(),
                 order: VecDeque::new(),
                 next_id: 1,
-                hits: 0,
-                misses: 0,
             }),
         }
     }
@@ -93,11 +91,9 @@ impl PlanCache {
     ) -> Result<(u64, Arc<CachedPlan>, bool), E> {
         let text = normalize(input);
         {
-            let mut inner = self.inner.lock().unwrap();
+            let inner = self.inner.lock().unwrap();
             if let Some(&id) = inner.by_text.get(&text) {
-                let plan = Arc::clone(&inner.plans[&id]);
-                inner.hits += 1;
-                return Ok((id, plan, true));
+                return Ok((id, Arc::clone(&inner.plans[&id]), true));
             }
         }
         // Parse outside the lock: a slow parse must not serialize every
@@ -111,11 +107,8 @@ impl PlanCache {
         if let Some(&id) = inner.by_text.get(&text) {
             // Raced with another connection preparing the same statement;
             // keep the incumbent so its id stays valid.
-            let plan = Arc::clone(&inner.plans[&id]);
-            inner.hits += 1;
-            return Ok((id, plan, true));
+            return Ok((id, Arc::clone(&inner.plans[&id]), true));
         }
-        inner.misses += 1;
         while inner.order.len() >= self.capacity {
             if let Some(evicted) = inner.order.pop_front() {
                 if let Some(old) = inner.plans.remove(&evicted) {
@@ -134,12 +127,6 @@ impl PlanCache {
     /// Fetch a prepared plan by id; `None` means never issued or evicted.
     pub fn by_id(&self, id: u64) -> Option<Arc<CachedPlan>> {
         self.inner.lock().unwrap().plans.get(&id).map(Arc::clone)
-    }
-
-    /// `(hits, misses)` counters since construction.
-    pub fn stats(&self) -> (u64, u64) {
-        let inner = self.inner.lock().unwrap();
-        (inner.hits, inner.misses)
     }
 
     /// Number of plans currently cached.

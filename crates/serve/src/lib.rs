@@ -39,5 +39,5 @@ pub use cache::{normalize, PlanCache};
 pub use client::{Client, QueryReply, ServeError};
 pub use proto::{DoneInfo, ErrorCode, Frame, ProtoError, RowBatchWriter, WireRow};
 pub use retry::{RetryClient, RetryPolicy, Stmt};
-pub use server::{ServeOptions, ServeReport, ServeStats, Server};
+pub use server::{ServeOptions, ServeReport, Server};
 pub use slowlog::{SlowLog, SlowQueryEntry};

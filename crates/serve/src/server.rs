@@ -17,10 +17,14 @@
 //! sampler through its condvar, the acceptor with a throw-away connect,
 //! each connection with `shutdown(Read)` on its socket — and join them. A
 //! connection busy with a request finishes and answers it first, so every
-//! admitted query is answered. Each thread folds its telemetry registry
-//! into one [`telemetry::Snapshot`] (after every query and as it exits)
-//! handed back in the final [`ServeReport`], so counters add up exactly as
-//! if the whole run were single-threaded.
+//! admitted query is answered.
+//!
+//! Counting: the acceptor and every connection thread join one
+//! [`telemetry::Group`] and count into their own registries, which the
+//! group reads live. `Stats` replies, the sampler, [`Server::metrics`] and
+//! the final [`ServeReport`] all read that one sum, so a counter adds up
+//! exactly as if the whole run were single-threaded, and nothing is folded
+//! per request.
 
 use std::collections::HashMap;
 use std::io::{ErrorKind, Read, Write};
@@ -31,7 +35,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use pagestore::PageStore;
-use telemetry::Span;
+use telemetry::{Counter, Histogram, Span};
 use uindex::{DatabaseReader, ScanStats};
 
 use crate::admission::AdmissionGate;
@@ -40,9 +44,7 @@ use crate::proto::{
     self, DoneInfo, ErrorCode, Frame, ProtoError, RowBatchWriter, DEFAULT_MAX_PAYLOAD, HEADER_LEN,
 };
 use crate::slowlog::{SlowLog, SlowQueryEntry};
-use crate::stats::{self, LiveStats, SamplerState, WorkerSlot};
-
-pub use crate::stats::ServeStats;
+use crate::stats::{self, Occupancy, SamplerState, WorkerSlot};
 
 /// Pause after a failed `accept()` (fd exhaustion, aborted handshakes): a
 /// blocking accept that fails persistently must not spin.
@@ -92,7 +94,7 @@ pub struct ServeOptions {
     /// capture entirely.
     pub slow_log_capacity: usize,
     /// Sampling interval for the rolling stats window — how often the
-    /// server-wide telemetry merge is diffed into one interval delta.
+    /// server-wide telemetry sum is diffed into one interval delta.
     pub sample_interval: Duration,
     /// Intervals retained by the rolling window (e.g. 60 × 1s).
     pub window_capacity: usize,
@@ -115,24 +117,56 @@ impl Default for ServeOptions {
     }
 }
 
-#[derive(Default)]
-struct StatCells {
-    connections: AtomicU64,
-    requests: AtomicU64,
-    queries: AtomicU64,
-    proto_errors: AtomicU64,
-    rows_sent: AtomicU64,
-    disconnects: AtomicU64,
-    deadline_closed: AtomicU64,
-    degraded_answers: AtomicU64,
+/// The server's registry handles, resolved once per thread (catalog in
+/// DESIGN.md §9). They are the server's only lifetime counts: `Stats`,
+/// [`Server::metrics`] and [`ServeReport`] read them through the group.
+struct ServeMetrics {
+    connections: Counter,
+    accept_errors: Counter,
+    requests: Counter,
+    /// Admitted; every admitted query executes and lands in `query_us`.
+    queries: Counter,
+    shed: Counter,
+    proto_errors: Counter,
+    deadline_closed: Counter,
+    disconnects: Counter,
+    degraded_answers: Counter,
+    panics: Counter,
+    plan_cache_hits: Counter,
+    plan_cache_misses: Counter,
+    query_us: Histogram,
+    /// Its sum is the rows sent.
+    rows: Histogram,
+}
+
+thread_local! {
+    static SERVE_METRICS: ServeMetrics = ServeMetrics {
+        connections: telemetry::counter("serve.connections"),
+        accept_errors: telemetry::counter("serve.accept_errors"),
+        requests: telemetry::counter("serve.requests"),
+        queries: telemetry::counter("serve.queries"),
+        shed: telemetry::counter("serve.shed"),
+        proto_errors: telemetry::counter("serve.proto_errors"),
+        deadline_closed: telemetry::counter("serve.conn.deadline_closed"),
+        disconnects: telemetry::counter("serve.disconnects"),
+        degraded_answers: telemetry::counter("serve.degraded_answers"),
+        panics: telemetry::counter("serve.worker.panics"),
+        plan_cache_hits: telemetry::counter("serve.plan_cache.hits"),
+        plan_cache_misses: telemetry::counter("serve.plan_cache.misses"),
+        query_us: telemetry::histogram("serve.query_us"),
+        rows: telemetry::histogram("serve.rows"),
+    };
+}
+
+fn metrics<R>(f: impl FnOnce(&ServeMetrics) -> R) -> R {
+    SERVE_METRICS.with(f)
 }
 
 /// Final accounting handed back by [`Server::shutdown`].
 pub struct ServeReport {
-    /// Lifetime counters.
-    pub stats: ServeStats,
-    /// Telemetry merged from every server thread (`serve.*` counters,
-    /// query latency/row histograms, execution spans).
+    /// Telemetry summed over every server thread (`serve.*` counters,
+    /// query latency/row histograms, and the engine counters the queries
+    /// moved).
     pub metrics: telemetry::Snapshot,
 }
 
@@ -151,7 +185,6 @@ struct Shared {
     /// Set once by `shutdown`; every thread exits at its next check, a
     /// connection thread only between requests.
     stop: AtomicBool,
-    stats: StatCells,
     gate: Arc<AdmissionGate>,
     cache: PlanCache,
     /// Parses UQL against the served reader's captured metadata. Boxed so
@@ -163,9 +196,8 @@ struct Shared {
     degraded_probe: Box<dyn Fn() -> bool + Send + Sync>,
     /// Runs one query on the served reader.
     execute: ExecFn,
-    /// Telemetry folded in by every server thread: after each query it
-    /// executes and as it exits.
-    metrics: Mutex<telemetry::Snapshot>,
+    /// The acceptor's and every connection thread's registry, read as one.
+    telemetry: telemetry::Group,
     options: ServeOptions,
     /// Monotonic query ids, assigned at execution.
     query_ids: AtomicU64,
@@ -173,7 +205,7 @@ struct Shared {
     slow_log: Mutex<SlowLog>,
     /// Rolling-window sampler state; written by the sampler thread once
     /// per interval, read by Stats handlers. Lock order: `sampler` before
-    /// `metrics` or `free_slots`; `slow_log` and `conns` are held alone.
+    /// `telemetry` or `free_slots`; `slow_log` and `conns` are held alone.
     sampler: Mutex<SamplerState>,
     /// Wakes the sampler out of its interval wait at shutdown.
     sampler_wake: Condvar,
@@ -187,15 +219,6 @@ struct Shared {
 }
 
 impl Shared {
-    /// Fold what this thread's registry recorded since `folded` (its state
-    /// at the previous fold) into the server-wide merge; returns that
-    /// delta.
-    fn fold_telemetry(&self, folded: &mut telemetry::Baseline) -> telemetry::Snapshot {
-        let delta = telemetry::delta_since(folded);
-        self.metrics.lock().unwrap().merge(&delta);
-        delta
-    }
-
     /// Block until an execution slot is free and take it.
     fn take_slot(&self) -> ExecSlot<'_> {
         let free = self.free_slots.lock().unwrap();
@@ -207,32 +230,16 @@ impl Shared {
         }
     }
 
-    /// The one place the live counters are read.
-    fn live_stats(&self) -> LiveStats {
-        let s = &self.stats;
-        let (plan_cache_hits, plan_cache_misses) = self.cache.stats();
+    fn occupancy(&self) -> Occupancy {
         let workers = self.worker_slots.len();
         let executing = workers - self.free_slots.lock().unwrap().len();
         let inflight = self.gate.inflight();
-        LiveStats {
-            counters: ServeStats {
-                connections: s.connections.load(Ordering::Relaxed),
-                requests: s.requests.load(Ordering::Relaxed),
-                queries: s.queries.load(Ordering::Relaxed),
-                shed: self.gate.shed(),
-                proto_errors: s.proto_errors.load(Ordering::Relaxed),
-                rows_sent: s.rows_sent.load(Ordering::Relaxed),
-                disconnects: s.disconnects.load(Ordering::Relaxed),
-                plan_cache_hits,
-                plan_cache_misses,
-                deadline_closed: s.deadline_closed.load(Ordering::Relaxed),
-                degraded_answers: s.degraded_answers.load(Ordering::Relaxed),
-                degraded: (self.degraded_probe)(),
-            },
+        Occupancy {
             inflight,
             queued: inflight.saturating_sub(executing),
             max_inflight: self.gate.limit(),
             workers,
+            degraded: (self.degraded_probe)(),
         }
     }
 }
@@ -279,7 +286,6 @@ impl Server {
         let slots = options.workers.max(1);
         let shared = Arc::new(Shared {
             stop: AtomicBool::new(false),
-            stats: StatCells::default(),
             gate: AdmissionGate::new(options.max_inflight),
             cache: PlanCache::new(options.plan_cache_capacity),
             parse: Box::new(move |text| parse_reader.parse_uql(text).map_err(|e| e.to_string())),
@@ -288,7 +294,7 @@ impl Server {
                 let snap = reader.snapshot();
                 (snap.epoch(), reader.query_guarded_into(&snap, query, reply))
             }),
-            metrics: Mutex::new(telemetry::Snapshot::default()),
+            telemetry: telemetry::Group::default(),
             query_ids: AtomicU64::new(0),
             slow_log: Mutex::new(SlowLog::new(options.slow_log_capacity)),
             sampler: Mutex::new(SamplerState::new(
@@ -335,9 +341,10 @@ impl Server {
         Arc::clone(&self.shared.gate)
     }
 
-    /// Live lifetime counters (monotonic; safe to poll while serving).
-    pub fn stats(&self) -> ServeStats {
-        self.shared.live_stats().counters
+    /// Telemetry summed over every server thread, as it stands (safe to
+    /// poll while serving; counters only grow).
+    pub fn metrics(&self) -> telemetry::Snapshot {
+        self.shared.telemetry.snapshot()
     }
 
     /// Whether the served reader is currently quarantined (every answer
@@ -359,8 +366,7 @@ impl Server {
     }
 
     /// Stop accepting, let every connection finish the request it is
-    /// handling, join every thread, and return the final counters plus
-    /// merged telemetry.
+    /// handling, join every thread, and return the summed telemetry.
     pub fn shutdown(mut self) -> ServeReport {
         self.shared.stop.store(true, Ordering::Release);
         // The sampler holds its mutex from checking the flag to waiting,
@@ -395,13 +401,14 @@ impl Server {
         if let Some(sampler) = self.sampler.take() {
             let _ = sampler.join();
         }
-        let stats = self.stats();
-        let metrics = self.shared.metrics.lock().unwrap().clone();
-        ServeReport { stats, metrics }
+        ServeReport {
+            metrics: self.metrics(),
+        }
     }
 }
 
 fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
+    let _member = shared.telemetry.join();
     let mut next_conn = 0u64;
     loop {
         let accepted = listener.accept();
@@ -411,13 +418,12 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
         let stream = match accepted {
             Ok((stream, _)) => stream,
             Err(_) => {
-                telemetry::counter("serve.accept_errors").inc();
+                metrics(|m| m.accept_errors.inc());
                 std::thread::sleep(ACCEPT_BACKOFF);
                 continue;
             }
         };
-        shared.stats.connections.fetch_add(1, Ordering::Relaxed);
-        telemetry::counter("serve.connections").inc();
+        metrics(|m| m.connections.inc());
         let id = next_conn;
         next_conn += 1;
         // Register under the lock the exiting thread takes to deregister,
@@ -434,9 +440,7 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
             Ok(entry) => {
                 conns.open.insert(id, entry);
             }
-            Err(_) => {
-                shared.stats.disconnects.fetch_add(1, Ordering::Relaxed);
-            }
+            Err(_) => metrics(|m| m.disconnects.inc()),
         }
         let finished = std::mem::take(&mut conns.finished);
         drop(conns);
@@ -444,7 +448,6 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
             let _ = handle.join();
         }
     }
-    shared.fold_telemetry(&mut telemetry::Baseline::default());
 }
 
 /// Read exactly `buf.len()` bytes with blocking reads. `idle`
@@ -505,11 +508,13 @@ fn read_exact_deadline(
 }
 
 fn connection_loop(mut stream: TcpStream, shared: Arc<Shared>, id: u64) {
+    let _member = shared.telemetry.join();
     let _ = stream.set_nodelay(true);
     let max_payload = shared.options.max_payload;
     let deadline = shared.options.read_deadline;
-    // This thread's registry as of its last fold into `Shared::metrics`.
-    let mut folded = telemetry::Baseline::default();
+    // This thread's registry as of the end of its previous query: the
+    // slow-query log's per-query delta is taken against it.
+    let mut base = telemetry::Baseline::default();
     // Every query reply on this connection is built in this one buffer.
     let mut reply = RowBatchWriter::new();
 
@@ -529,37 +534,35 @@ fn connection_loop(mut stream: TcpStream, shared: Arc<Shared>, id: u64) {
             Ok(frame) => frame,
             Err(ProtoError::Closed) => break,
             Err(ProtoError::Io(_)) => {
-                shared.stats.disconnects.fetch_add(1, Ordering::Relaxed);
+                metrics(|m| m.disconnects.inc());
                 break;
             }
             Err(err) => {
                 // Framing violation: answer with a typed error. Fatal
                 // errors (unframeable stream) then close; recoverable
                 // ones keep serving this connection.
-                if matches!(err, ProtoError::ReadDeadline) {
-                    shared.stats.deadline_closed.fetch_add(1, Ordering::Relaxed);
-                    telemetry::counter("serve.conn.deadline_closed").inc();
-                }
-                shared.stats.proto_errors.fetch_add(1, Ordering::Relaxed);
-                telemetry::counter("serve.proto_errors").inc();
+                metrics(|m| {
+                    if matches!(err, ProtoError::ReadDeadline) {
+                        m.deadline_closed.inc();
+                    }
+                    m.proto_errors.inc();
+                });
                 let reply = Frame::Error {
                     code: ErrorCode::Proto,
                     message: err.to_string(),
                 };
-                if !send(&mut stream, &reply, &shared) || err.is_fatal() {
+                if !send(&mut stream, &reply) || err.is_fatal() {
                     break;
                 }
                 continue;
             }
         };
 
-        shared.stats.requests.fetch_add(1, Ordering::Relaxed);
-        telemetry::counter("serve.requests").inc();
-        if !handle_request(&mut stream, frame, &shared, &mut folded, &mut reply) {
+        metrics(|m| m.requests.inc());
+        if !handle_request(&mut stream, frame, &shared, &mut base, &mut reply) {
             break;
         }
     }
-    shared.fold_telemetry(&mut folded);
     // Deregister: dropping the registry's clone of the socket (with ours,
     // at return) closes the connection; the handle waits to be joined.
     let mut conns = shared.conns.lock().unwrap();
@@ -570,15 +573,15 @@ fn connection_loop(mut stream: TcpStream, shared: Arc<Shared>, id: u64) {
 
 /// Write one frame; `false` (and a counted disconnect) when the transport
 /// failed and the connection must close.
-fn send(stream: &mut TcpStream, frame: &Frame, shared: &Shared) -> bool {
-    send_bytes(stream, &proto::encode_frame(frame), shared)
+fn send(stream: &mut TcpStream, frame: &Frame) -> bool {
+    send_bytes(stream, &proto::encode_frame(frame))
 }
 
 /// [`send`] for frames already encoded.
-fn send_bytes(stream: &mut TcpStream, bytes: &[u8], shared: &Shared) -> bool {
+fn send_bytes(stream: &mut TcpStream, bytes: &[u8]) -> bool {
     let ok = stream.write_all(bytes).is_ok();
     if !ok {
-        shared.stats.disconnects.fetch_add(1, Ordering::Relaxed);
+        metrics(|m| m.disconnects.inc());
     }
     ok
 }
@@ -589,7 +592,7 @@ fn handle_request(
     stream: &mut TcpStream,
     frame: Frame,
     shared: &Shared,
-    folded: &mut telemetry::Baseline,
+    base: &mut telemetry::Baseline,
     reply: &mut RowBatchWriter,
 ) -> bool {
     let parse_error = |message| Frame::Error {
@@ -597,7 +600,7 @@ fn handle_request(
         message,
     };
     match frame {
-        Frame::Ping => send(stream, &Frame::Pong, shared),
+        Frame::Ping => send(stream, &Frame::Pong),
         Frame::Prepare { uql } => {
             match shared
                 .cache
@@ -605,9 +608,9 @@ fn handle_request(
             {
                 Ok((id, _, hit)) => {
                     record_cache_outcome(hit);
-                    send(stream, &Frame::Prepared { id }, shared)
+                    send(stream, &Frame::Prepared { id })
                 }
-                Err(msg) => send(stream, &parse_error(msg), shared),
+                Err(msg) => send(stream, &parse_error(msg)),
             }
         }
         Frame::Query { uql } => {
@@ -617,20 +620,19 @@ fn handle_request(
             {
                 Ok((_, plan, hit)) => {
                     record_cache_outcome(hit);
-                    serve_query(stream, &plan, hit, shared, folded, reply)
+                    serve_query(stream, &plan, hit, shared, base, reply)
                 }
-                Err(msg) => send(stream, &parse_error(msg), shared),
+                Err(msg) => send(stream, &parse_error(msg)),
             }
         }
         Frame::Execute { id } => match shared.cache.by_id(id) {
-            Some(plan) => serve_query(stream, &plan, true, shared, folded, reply),
+            Some(plan) => serve_query(stream, &plan, true, shared, base, reply),
             None => send(
                 stream,
                 &Frame::Error {
                     code: ErrorCode::UnknownStatement,
                     message: format!("prepared statement {id} is unknown or evicted"),
                 },
-                shared,
             ),
         },
         // Answered without an admission permit, an execution slot, a
@@ -639,19 +641,18 @@ fn handle_request(
         // that is the whole point of the frame.
         Frame::Stats { window_s } => {
             let json = build_stats_reply(shared, window_s);
-            send(stream, &Frame::StatsReply { json }, shared)
+            send(stream, &Frame::StatsReply { json })
         }
         Frame::Trace { id } => {
             let entry = shared.slow_log.lock().unwrap().get(id);
             match entry {
-                Some(e) => send(stream, &Frame::TraceReply { json: e.to_json() }, shared),
+                Some(e) => send(stream, &Frame::TraceReply { json: e.to_json() }),
                 None => send(
                     stream,
                     &Frame::Error {
                         code: ErrorCode::NotFound,
                         message: format!("query {id} is not in the slow-query log"),
                     },
-                    shared,
                 ),
             }
         }
@@ -664,8 +665,7 @@ fn handle_request(
         | Frame::Prepared { .. }
         | Frame::StatsReply { .. }
         | Frame::TraceReply { .. }) => {
-            shared.stats.proto_errors.fetch_add(1, Ordering::Relaxed);
-            telemetry::counter("serve.proto_errors").inc();
+            metrics(|m| m.proto_errors.inc());
             send(
                 stream,
                 &Frame::Error {
@@ -675,7 +675,6 @@ fn handle_request(
                         other.tag()
                     ),
                 },
-                shared,
             )
         }
     }
@@ -685,11 +684,11 @@ fn handle_request(
 /// gate, an execution slot, or the buffer pool, and build the document.
 fn build_stats_reply(shared: &Shared, window_s: u32) -> String {
     let slow = shared.slow_log.lock().unwrap().entries();
-    // The sampled cumulative tally only moves under this lock, and every
-    // thread bumps the live atomics before it folds: reading the live
-    // counters with the lock held keeps "sampled ≤ live" exact.
+    // The sampled cumulative sum only moves under this lock, and counters
+    // only grow: reading the live sum with the lock held keeps "sampled ≤
+    // live" exact.
     let sampler = shared.sampler.lock().unwrap();
-    let live = shared.live_stats();
+    let live = shared.telemetry.snapshot();
     let workers: Vec<(u64, u64)> = shared
         .worker_slots
         .iter()
@@ -700,7 +699,14 @@ fn build_stats_reply(shared: &Shared, window_s: u32) -> String {
             )
         })
         .collect();
-    stats::build_stats_json(&sampler, window_s, &live, &workers, &slow)
+    stats::build_stats_json(
+        &sampler,
+        window_s,
+        &live,
+        &shared.occupancy(),
+        &workers,
+        &slow,
+    )
 }
 
 /// Admit, execute on this thread — the scan writes its rows straight into
@@ -711,13 +717,13 @@ fn serve_query(
     plan: &CachedPlan,
     cached: bool,
     shared: &Shared,
-    folded: &mut telemetry::Baseline,
+    base: &mut telemetry::Baseline,
     reply: &mut RowBatchWriter,
 ) -> bool {
     // Admission first: a shed request must cost nothing downstream — no
     // execution slot, no snapshot, no buffer-pool traffic.
     let Some(permit) = shared.gate.try_admit() else {
-        telemetry::counter("serve.shed").inc();
+        metrics(|m| m.shed.inc());
         let reply = Frame::Error {
             code: ErrorCode::Overloaded,
             message: format!(
@@ -725,9 +731,9 @@ fn serve_query(
                 shared.gate.limit()
             ),
         };
-        return send(stream, &reply, shared);
+        return send(stream, &reply);
     };
-    telemetry::counter("serve.queries").inc();
+    metrics(|m| m.queries.inc());
 
     let slot = shared.take_slot();
     let id = shared.query_ids.fetch_add(1, Ordering::Relaxed) + 1;
@@ -745,8 +751,7 @@ fn serve_query(
         }))
     };
     let micros = started.elapsed().as_micros() as u64;
-    shared.stats.queries.fetch_add(1, Ordering::Relaxed);
-    telemetry::histogram("serve.query_us").record(micros);
+    metrics(|m| m.query_us.record(micros));
     let tally = &shared.worker_slots[slot.index];
     tally.queries.fetch_add(1, Ordering::Relaxed);
     tally.busy_us.fetch_add(micros, Ordering::Relaxed);
@@ -759,17 +764,14 @@ fn serve_query(
     let mut executed = None; // (snapshot epoch, rows, ScanStats) on success
     let alive = match result {
         Ok((epoch, Ok((stats, degraded)))) => {
-            if degraded {
-                shared
-                    .stats
-                    .degraded_answers
-                    .fetch_add(1, Ordering::Relaxed);
-                telemetry::counter("serve.degraded_answers").inc();
-            }
             let rows = reply.rows();
+            metrics(|m| {
+                if degraded {
+                    m.degraded_answers.inc();
+                }
+                m.rows.record(rows);
+            });
             executed = Some((epoch, rows, stats));
-            telemetry::histogram("serve.rows").record(rows);
-            shared.stats.rows_sent.fetch_add(rows, Ordering::Relaxed);
             let done = DoneInfo {
                 rows,
                 pages_read: stats.pages_read,
@@ -781,29 +783,30 @@ fn serve_query(
             };
             // The whole reply in one `write`: a small one is one segment
             // and wakes its reader once.
-            send_bytes(stream, reply.finish(&done), shared)
+            send_bytes(stream, reply.finish(&done))
         }
         Ok((_, Err(e))) => {
             let code = error_code_for(&e);
             let message = e.to_string();
-            send(stream, &Frame::Error { code, message }, shared)
+            send(stream, &Frame::Error { code, message })
         }
         Err(panic) => {
-            telemetry::counter("serve.worker.panics").inc();
+            metrics(|m| m.panics.inc());
             let code = ErrorCode::Exec;
             let message = format!("query execution panicked: {}", panic_message(&*panic));
-            send(stream, &Frame::Error { code, message }, shared)
+            send(stream, &Frame::Error { code, message })
         }
     };
 
-    // With the answer on the wire, publish what this thread recorded since
-    // its last fold (the live `queries` atomic was bumped above, so the
-    // sampled tally can never run ahead of it). The same delta — this
-    // request's frame handling, cache lookup and execution — is the
-    // slow-query entry's registry delta.
-    let delta = shared.fold_telemetry(folded);
-    if let Some((snapshot_epoch, rows, stats)) = executed {
-        if shared.options.slow_log_capacity > 0 && micros >= shared.options.slow_query_us {
+    // What this thread recorded since its previous query — this request's
+    // frame handling, cache lookup and execution — is the slow-query
+    // entry's registry delta, materialised only for a query the log takes.
+    let logged = executed.filter(|_| {
+        micros >= shared.options.slow_query_us && shared.slow_log.lock().unwrap().admits(micros)
+    });
+    match logged {
+        Some((snapshot_epoch, rows, stats)) => {
+            let delta = telemetry::delta_since(base);
             shared.slow_log.lock().unwrap().offer(SlowQueryEntry {
                 id,
                 uql: plan.text.clone(),
@@ -815,20 +818,23 @@ fn serve_query(
                 delta,
             });
         }
+        None => base.advance(),
     }
     alive
 }
 
 fn record_cache_outcome(hit: bool) {
-    if hit {
-        telemetry::counter("serve.plan_cache.hits").inc();
-    } else {
-        telemetry::counter("serve.plan_cache.misses").inc();
-    }
+    metrics(|m| {
+        if hit {
+            m.plan_cache_hits.inc();
+        } else {
+            m.plan_cache_misses.inc();
+        }
+    });
 }
 
 /// Sampler loop: once per `sample_interval`, diff the server-wide
-/// telemetry merge into the rolling window. The wall clock lives only
+/// telemetry sum into the rolling window. The wall clock lives only
 /// here — the window itself (and everything Stats computes from it) is a
 /// pure function of the pushed intervals. The thread holds the sampler
 /// mutex except while it waits, which is where Stats handlers get in.
@@ -844,11 +850,8 @@ fn sampler_loop(shared: Arc<Shared>) {
         if !wait.timed_out() {
             break; // woken by shutdown
         }
-        let merged = shared.metrics.lock().unwrap().clone();
-        state.advance(merged);
+        state.advance(shared.telemetry.snapshot());
     }
-    drop(state);
-    shared.fold_telemetry(&mut telemetry::Baseline::default());
 }
 
 /// Map an engine error to the wire code. Storage trouble — pages or the

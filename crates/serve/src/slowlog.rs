@@ -105,15 +105,18 @@ impl SlowLog {
         }
     }
 
+    /// Whether a query of this latency would be retained now: the log has
+    /// room, or the query is worse than its current floor.
+    pub fn admits(&self, micros: u64) -> bool {
+        self.capacity > 0
+            && (self.entries.len() < self.capacity
+                || micros > self.entries.last().map_or(0, |e| e.micros))
+    }
+
     /// Offer a finished query. Returns whether it was retained.
     pub fn offer(&mut self, entry: SlowQueryEntry) -> bool {
-        if self.capacity == 0 {
+        if !self.admits(entry.micros) {
             return false;
-        }
-        if self.entries.len() >= self.capacity
-            && entry.micros <= self.entries.last().map_or(0, |e| e.micros)
-        {
-            return false; // not worse than the current floor
         }
         let at = self.entries.partition_point(|e| {
             (e.micros, std::cmp::Reverse(e.id)) >= (entry.micros, std::cmp::Reverse(entry.id))

@@ -1,11 +1,11 @@
 //! Live-stats data: the per-slot execution tallies, the rolling-window
-//! sampler state, the lifetime counters, and the `StatsReply` JSON builder.
+//! sampler state, and the `StatsReply` JSON builder.
 //!
 //! Division of labor with `server.rs`: the server owns the threads (the
-//! sampler loop, the connection threads folding their telemetry into the
-//! server-wide merge) and gathers the live atomic counters; this module
+//! sampler loop, the connection threads counting into their registries)
+//! and reads the server-wide telemetry sum and the occupancy; this module
 //! owns the *data* — how interval deltas are derived from the cumulative
-//! merge, how windows are folded, and how the reply document is laid out.
+//! sum, how windows are folded, and how the reply document is laid out.
 //! Everything here is clock-free and deterministic, so the window math is
 //! testable with synthetic snapshots.
 
@@ -36,12 +36,12 @@ pub struct WorkerSlot {
 }
 
 /// Sampler-owned state: the rolling window of interval deltas plus the
-/// cumulative merge the deltas are computed against. Guarded by one mutex
+/// cumulative sum the deltas are computed against. Guarded by one mutex
 /// in `Shared`; the sampler writes once per interval, Stats handlers read.
 pub struct SamplerState {
     window: RollingWindow,
-    /// The server-wide telemetry merge as of the newest tick. Monotone
-    /// because every thread only ever folds non-negative deltas into it.
+    /// The server-wide telemetry sum as of the newest tick. Monotone
+    /// because every counter and histogram in it only grows.
     cumulative: Snapshot,
     interval: Duration,
 }
@@ -55,7 +55,7 @@ impl SamplerState {
         }
     }
 
-    /// Fold one sampling tick: `merged` is the server-wide telemetry merge
+    /// Fold one sampling tick: `merged` is the server-wide telemetry sum
     /// right now. The interval delta (vs the previous cumulative) goes
     /// into the window; `merged` becomes the new basis.
     pub fn advance(&mut self, merged: Snapshot) {
@@ -82,54 +82,19 @@ impl SamplerState {
     }
 }
 
-/// Monotonic counters describing a server's lifetime, readable live via
-/// [`crate::Server::stats`], reported in the `Stats` document's `live`
-/// object and returned finally in [`crate::ServeReport`].
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct ServeStats {
-    /// Connections accepted.
-    pub connections: u64,
-    /// Request frames handled (queries, prepares, pings).
-    pub requests: u64,
-    /// Queries executed to completion (success or exec error).
-    pub queries: u64,
-    /// Requests shed by admission control.
-    pub shed: u64,
-    /// Protocol violations observed (fatal and recoverable).
-    pub proto_errors: u64,
-    /// Result rows written to clients.
-    pub rows_sent: u64,
-    /// Connections that ended with a transport error (abrupt disconnect),
-    /// as opposed to a clean close at a frame boundary.
-    pub disconnects: u64,
-    /// Plan-cache hits.
-    pub plan_cache_hits: u64,
-    /// Plan-cache misses (statements parsed).
-    pub plan_cache_misses: u64,
-    /// Connections closed for exceeding the per-frame read deadline.
-    pub deadline_closed: u64,
-    /// Queries answered from the degraded fallback path (object-store
-    /// evaluation) instead of the index — still correct answers, flagged
-    /// per-response in [`crate::DoneInfo::degraded`].
-    pub degraded_answers: u64,
-    /// Whether the served reader's index is currently quarantined —
-    /// every query is answering degraded until a clean `check()`.
-    pub degraded: bool,
-}
-
-/// Everything the `Stats` document's `live` object reports: the lifetime
-/// counters plus the instantaneous occupancy, read straight from the
-/// server's atomics at Stats time. Always current, unlike the sampled
-/// window.
+/// The instantaneous state the `Stats` document's `live` object reports
+/// beside the lifetime counters, read at Stats time.
 #[derive(Debug, Clone, Default)]
-pub struct LiveStats {
-    pub counters: ServeStats,
+pub struct Occupancy {
     /// Queries admitted and not yet finished.
     pub inflight: usize,
     /// Admitted queries waiting for an execution slot.
     pub queued: usize,
     pub max_inflight: usize,
     pub workers: usize,
+    /// Whether the served reader's index is quarantined — every query is
+    /// answering degraded until a clean `check()`.
+    pub degraded: bool,
 }
 
 fn hist_count(s: &Snapshot, name: &str) -> u64 {
@@ -138,10 +103,6 @@ fn hist_count(s: &Snapshot, name: &str) -> u64 {
 
 fn hist_sum(s: &Snapshot, name: &str) -> u64 {
     s.histograms.get(name).map_or(0, |h| h.sum)
-}
-
-fn counter(s: &Snapshot, name: &str) -> u64 {
-    s.counters.get(name).copied().unwrap_or(0)
 }
 
 fn rate(n: u64, seconds: f64) -> f64 {
@@ -163,11 +124,13 @@ fn ratio(hits: u64, misses: u64) -> f64 {
 
 /// Assemble the `StatsReply` JSON document. Pure function of its inputs;
 /// the caller (connection thread) gathers them without touching the
-/// buffer pool or the admission gate.
+/// buffer pool or the admission gate. `live` is the server-wide telemetry
+/// sum right now: the `live` object's lifetime counters are read from it.
 pub fn build_stats_json(
     sampler: &SamplerState,
     window_s: u32,
-    live: &LiveStats,
+    live: &Snapshot,
+    occupancy: &Occupancy,
     workers: &[(u64, u64)],
     slow: &[Arc<SlowQueryEntry>],
 ) -> String {
@@ -183,11 +146,14 @@ pub fn build_stats_json(
     let empty = telemetry::HistogramSnapshot::default();
     let qh = win.histograms.get(QUERY_US).unwrap_or(&empty);
     let mean_us = qsum.checked_div(qcount).unwrap_or(0);
-    let pool_hits = counter(&win, POOL_HITS);
-    let pool_misses = counter(&win, POOL_MISSES);
+    let pool_hits = win.counter(POOL_HITS);
+    let pool_misses = win.counter(POOL_MISSES);
 
     let cum = sampler.cumulative();
-    let c = &live.counters;
+    let (cache_hits, cache_misses) = (
+        live.counter("serve.plan_cache.hits"),
+        live.counter("serve.plan_cache.misses"),
+    );
 
     let mut out = String::with_capacity(1024);
     let _ = write!(
@@ -216,8 +182,8 @@ pub fn build_stats_json(
         hist_count(cum, QUERY_US),
         hist_sum(cum, ROWS),
         hist_sum(cum, QUERY_US),
-        counter(cum, POOL_HITS),
-        counter(cum, POOL_MISSES),
+        cum.counter(POOL_HITS),
+        cum.counter(POOL_MISSES),
     );
     let _ = writeln!(
         out,
@@ -226,23 +192,23 @@ pub fn build_stats_json(
          \"plan_cache_hits\": {}, \"plan_cache_misses\": {}, \"plan_cache_hit_rate\": {:.4}, \
          \"inflight\": {}, \"queued\": {}, \"max_inflight\": {}, \"workers\": {}, \
          \"degraded_answers\": {}, \"degraded\": {}}},",
-        c.connections,
-        c.requests,
-        c.queries,
-        c.shed,
-        c.proto_errors,
-        c.rows_sent,
-        c.disconnects,
-        c.deadline_closed,
-        c.plan_cache_hits,
-        c.plan_cache_misses,
-        ratio(c.plan_cache_hits, c.plan_cache_misses),
-        live.inflight,
-        live.queued,
-        live.max_inflight,
-        live.workers,
-        c.degraded_answers,
-        c.degraded,
+        live.counter("serve.connections"),
+        live.counter("serve.requests"),
+        hist_count(live, QUERY_US),
+        live.counter("serve.shed"),
+        live.counter("serve.proto_errors"),
+        hist_sum(live, ROWS),
+        live.counter("serve.disconnects"),
+        live.counter("serve.conn.deadline_closed"),
+        cache_hits,
+        cache_misses,
+        ratio(cache_hits, cache_misses),
+        occupancy.inflight,
+        occupancy.queued,
+        occupancy.max_inflight,
+        occupancy.workers,
+        live.counter("serve.degraded_answers"),
+        occupancy.degraded,
     );
     out.push_str("  \"workers\": [");
     for (i, (queries, busy_us)) in workers.iter().enumerate() {
@@ -305,7 +271,14 @@ mod tests {
         assert_eq!(hist_count(st.cumulative(), QUERY_US), 60);
 
         // Last 2 seconds saw 60 - 10 = 50 queries → 25 qps.
-        let doc = build_stats_json(&st, 2, &LiveStats::default(), &[], &[]);
+        let doc = build_stats_json(
+            &st,
+            2,
+            &Snapshot::default(),
+            &Occupancy::default(),
+            &[],
+            &[],
+        );
         let v = json::parse(&doc).expect("stats JSON parses");
         let win = v.get("window").unwrap();
         assert_eq!(win.get("ticks").and_then(|t| t.as_u64()), Some(2));
@@ -335,7 +308,14 @@ mod tests {
         let mut st = SamplerState::new(8, Duration::from_millis(100));
         st.advance(cumulative(5, 50, 0));
         st.advance(cumulative(9, 50, 0));
-        let doc = build_stats_json(&st, 0, &LiveStats::default(), &[], &[]);
+        let doc = build_stats_json(
+            &st,
+            0,
+            &Snapshot::default(),
+            &Occupancy::default(),
+            &[],
+            &[],
+        );
         let v = json::parse(&doc).unwrap();
         let win = v.get("window").unwrap();
         assert_eq!(win.get("ticks").and_then(|t| t.as_u64()), Some(1));
@@ -351,14 +331,9 @@ mod tests {
     #[test]
     fn empty_sampler_yields_parseable_zeros() {
         let st = SamplerState::new(60, Duration::from_secs(1));
-        let live = LiveStats {
-            counters: ServeStats {
-                shed: 7,
-                ..ServeStats::default()
-            },
-            ..LiveStats::default()
-        };
-        let doc = build_stats_json(&st, 60, &live, &[(0, 0)], &[]);
+        let mut live = Snapshot::default();
+        live.counters.insert("serve.shed".into(), 7);
+        let doc = build_stats_json(&st, 60, &live, &Occupancy::default(), &[(0, 0)], &[]);
         let v = json::parse(&doc).expect("empty-window stats must still parse");
         let live = v.get("live").unwrap();
         assert_eq!(live.get("shed").and_then(|s| s.as_u64()), Some(7));

@@ -57,7 +57,7 @@ fn corruption_degrades_the_live_service_and_check_heals_it() {
     let healthy = client.query(STMT).unwrap();
     assert!(!healthy.rows.is_empty());
     assert!(!healthy.done.degraded);
-    assert!(!server.stats().degraded);
+    assert!(!server.degraded());
 
     // Silent single-bit damage under the cache: the next scan detects
     // corruption mid-query, on a worker thread.
@@ -81,9 +81,8 @@ fn corruption_degrades_the_live_service_and_check_heals_it() {
     assert!(again.done.degraded);
     assert_eq!(again.rows, healthy.rows);
 
-    let stats = server.stats();
-    assert!(stats.degraded, "the server must report the quarantine");
-    assert!(stats.degraded_answers >= 2);
+    assert!(server.degraded(), "the server must report the quarantine");
+    assert!(server.metrics().counter("serve.degraded_answers") >= 2);
     let json = client.stats(0).unwrap();
     assert!(
         json.contains("\"degraded\": true"),
@@ -100,10 +99,10 @@ fn corruption_degrades_the_live_service_and_check_heals_it() {
         "a clean check restores the index path"
     );
     assert_eq!(healed.rows, healthy.rows);
-    assert!(!server.stats().degraded);
+    assert!(!server.degraded());
 
     let report = server.shutdown();
-    assert!(report.stats.degraded_answers >= 2);
+    assert!(report.metrics.counter("serve.degraded_answers") >= 2);
     assert_eq!(
         report
             .metrics
@@ -280,7 +279,7 @@ fn exhausted_io_without_fallback_is_a_typed_unavailable() {
     assert_eq!(recovered.rows, healthy.rows);
     assert!(!recovered.done.degraded);
     let report = server.shutdown();
-    assert_eq!(report.stats.degraded_answers, 0);
+    assert_eq!(report.metrics.counter("serve.degraded_answers"), 0);
 }
 
 #[test]

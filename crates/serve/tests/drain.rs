@@ -67,9 +67,9 @@ fn shutdown_answers_the_executing_query_then_returns_at_once() {
         "the query must still have been in progress when shutdown was called"
     );
     // shutdown() returned only once the whole answer was written...
-    assert_eq!(report.stats.queries, 1);
-    assert_eq!(report.stats.rows_sent, VEHICLES as u64);
-    assert_eq!(report.stats.disconnects, 0);
+    assert_eq!(report.metrics.counter("serve.queries"), 1);
+    assert_eq!(report.metrics.histograms["serve.rows"].sum, VEHICLES as u64);
+    assert_eq!(report.metrics.counter("serve.disconnects"), 0);
     // ...and did not linger: there is no poll interval to wait out.
     let lag = returned.saturating_duration_since(answered);
     assert!(
@@ -135,7 +135,7 @@ fn stalled_payload_hits_the_deadline_while_idle_connections_live_on() {
     drop((idle, stream, slow));
 
     let report = server.shutdown();
-    assert_eq!(report.stats.deadline_closed, 1);
+    assert_eq!(report.metrics.counter("serve.conn.deadline_closed"), 1);
 }
 
 #[test]
@@ -187,7 +187,7 @@ fn one_slot_serves_four_clients_with_oracle_answers() {
         .sum();
     assert_eq!(served, total);
     drop(c);
-    assert_eq!(server.shutdown().stats.queries, total);
+    assert_eq!(server.shutdown().metrics.counter("serve.queries"), total);
 }
 
 #[test]
@@ -210,8 +210,8 @@ fn closed_connections_leave_the_registry() {
         std::thread::yield_now();
     }
     let report = server.shutdown();
-    assert_eq!(report.stats.connections, 200);
-    assert_eq!(report.stats.requests, 200);
+    assert_eq!(report.metrics.counter("serve.connections"), 200);
+    assert_eq!(report.metrics.counter("serve.requests"), 200);
 }
 
 #[test]
@@ -257,7 +257,7 @@ fn a_small_reply_is_one_write_and_a_large_one_keeps_its_batches() {
     assert_eq!(reply.done.rows, VEHICLES as u64);
     drop(c);
     assert_eq!(
-        server.shutdown().stats.rows_sent,
+        server.shutdown().metrics.histograms["serve.rows"].sum,
         small_rows + VEHICLES as u64
     );
 }

@@ -483,12 +483,12 @@ fn malformed_sweep_live_server() {
 
     let report = server.shutdown();
     assert!(
-        report.stats.proto_errors >= 6,
+        report.metrics.counter("serve.proto_errors") >= 6,
         "sweep recorded {} proto errors",
-        report.stats.proto_errors
+        report.metrics.counter("serve.proto_errors")
     );
     // Quiescent: nothing in flight after shutdown.
-    assert_eq!(report.stats.shed, 0);
+    assert_eq!(report.metrics.counter("serve.shed"), 0);
 }
 
 // ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@
 //!
 //! - Torture: concurrent Stats pollers riding along a mixed query stream —
 //!   every reply parses, counters are monotone across replies, and the
-//!   sampled cumulative tally never runs ahead of the live atomic.
+//!   sampled cumulative tally never runs ahead of the live sum.
 //! - Stats under saturation: with the whole admission bound held
 //!   externally, Stats still answers (the bypass contract).
 //! - Slow-query log: entries appear, Trace returns the full document,
@@ -89,7 +89,7 @@ fn concurrent_stats_pollers_with_mixed_queries() {
                     assert!(cum >= last_cum, "cumulative went backwards");
                     assert!(live >= last_live, "live counter went backwards");
                     assert!(tick >= last_tick, "tick went backwards");
-                    assert!(cum <= live, "sampled tally ran ahead of live atomic");
+                    assert!(cum <= live, "sampled tally ran ahead of the live sum");
                     last_cum = cum;
                     last_live = live;
                     last_tick = tick;
@@ -122,7 +122,7 @@ fn concurrent_stats_pollers_with_mixed_queries() {
     }
     drop(c);
     let report = server.shutdown();
-    assert_eq!(report.stats.queries, total);
+    assert_eq!(report.metrics.counter("serve.queries"), total);
 }
 
 #[test]
@@ -194,6 +194,44 @@ fn slow_log_records_and_trace_replays() {
     server.shutdown();
 }
 
+/// A logged query's registry delta is that query's alone, also when the
+/// queries before it on the connection were too fast for the log (their
+/// events must not pile into the next entry).
+#[test]
+fn slow_log_delta_covers_one_query() {
+    let (schema, classes) = workload::serve::schema();
+    let mut db = uindex::Database::with_page_size(schema, 1024, 4096).unwrap();
+    workload::serve::populate(&mut db, &classes, 23, 2000).unwrap();
+    let server = Server::start(
+        db.reader(),
+        ServeOptions {
+            workers: 1,
+            slow_log_capacity: 1,
+            ..ServeOptions::default()
+        },
+    )
+    .unwrap();
+    let mut c = Client::connect(server.local_addr()).unwrap();
+    const BIG: &str = "color: Vehicle in [Vehicle*]";
+    for _ in 0..10 {
+        c.query("color: Color = 'NoSuchColor'").unwrap();
+    }
+    assert!(c.query(BIG).unwrap().done.rows >= 2000);
+
+    let v = json::parse(&c.stats(10).unwrap()).unwrap();
+    let slow = v.get("slow").and_then(|s| s.as_arr()).expect("slow list");
+    assert_eq!(slow.len(), 1);
+    let t = json::parse(&c.trace(ju64(&slow[0], &["id"])).unwrap()).unwrap();
+    assert_eq!(t.get("uql").and_then(|u| u.as_str()), Some(BIG));
+    assert_eq!(ju64(&t, &["delta", "counters", "serve.queries"]), 1);
+    assert_eq!(
+        ju64(&t, &["delta", "histograms", "serve.query_us", "count"]),
+        1
+    );
+    drop(c);
+    server.shutdown();
+}
+
 #[test]
 fn slow_log_threshold_filters_fast_queries() {
     let (_db, server) = server_with(ServeOptions {
@@ -260,11 +298,7 @@ fn half_written_header_hits_the_read_deadline() {
     drop(stream);
 
     let report = server.shutdown();
-    assert_eq!(report.stats.deadline_closed, 1);
-    assert_eq!(
-        report.metrics.counters.get("serve.conn.deadline_closed"),
-        Some(&1)
-    );
+    assert_eq!(report.metrics.counter("serve.conn.deadline_closed"), 1);
 }
 
 #[test]

@@ -1,28 +1,32 @@
 //! Process-local metrics and span tracing for the uindex workspace.
 //!
-//! The registry is **thread-local**: every thread accumulates its own
-//! independent set of metrics with zero synchronization on the hot path
-//! (and each `cargo test` thread gets automatic isolation). Multi-threaded
-//! work rolls up explicitly: each worker takes a [`snapshot()`] of its own
-//! registry when it finishes, and the coordinator combines them with
-//! [`Snapshot::merge`] or folds them into its own registry with
-//! [`absorb`]. A thread that reports as it goes instead (a server's
-//! connection thread, after every request) takes [`delta_since`] its own
-//! [`Baseline`], which costs what the request touched and not the
-//! registry's size. The JSON export is unchanged — a merged snapshot
-//! serializes bit-identically to the same events recorded on one thread.
+//! Every thread records into its **own registry**. A registry has one
+//! writer, the thread that owns it, so bumping a metric is a plain load and
+//! store — no lock, no atomic read-modify-write — and each `cargo test`
+//! thread is isolated for free. Any thread may **read** any registry: the
+//! cells are atomics, so a reader sees each metric's latest stored value,
+//! never a torn one.
+//!
+//! Reading across threads goes through a [`Group`]: a set of threads — a
+//! server's acceptor and connection threads — whose registries
+//! [`Group::snapshot`] sums on the spot, keeping what a member recorded
+//! after the member has left. A thread that reports per request takes
+//! [`delta_since`] its own [`Baseline`]. Nothing copies one registry's
+//! counts into another: an event is counted once, where it happened.
 //!
 //! Three metric kinds live in a named registry:
 //!
-//! - [`Counter`] — monotonic `u64`, cheap `Rc<Cell<_>>` handle. Resolve the
-//!   handle once (at struct construction) and keep it in a field; `inc()` on
-//!   the hot path is a single `Cell` bump.
+//! - [`Counter`] — monotonic `u64`. Resolve the handle once (at struct
+//!   construction, or in a `thread_local!`) and keep it; `inc()` on the hot
+//!   path is one load and one store of a cell no other thread writes.
 //! - [`Gauge`] — signed instantaneous value.
 //! - [`Histogram`] — 65 log₂ buckets: bucket 0 holds the value 0, bucket *b*
 //!   (*b ≥ 1*) covers `[2^(b-1), 2^b - 1]`, bucket 64 tops out at `u64::MAX`.
 //!
-//! [`reset()`] zeroes every metric *through the shared handles*, so handles
-//! cached in long-lived structs stay valid across queries.
+//! Handles are neither `Send` nor `Sync`: a handle lives on the thread
+//! whose registry holds its cell, which is what keeps that thread the
+//! cell's only writer. Names never leave a registry and values never go
+//! down (gauges aside), so every reader sees each counter grow.
 //!
 //! Span tracing is a thread-local stack of RAII guards: `Span::enter("scan")`
 //! starts a timed frame, dropping the guard closes it and attaches it to its
@@ -34,19 +38,30 @@ pub mod window;
 
 pub use window::RollingWindow;
 
-use std::cell::{Cell, RefCell};
+use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::rc::Rc;
+use std::marker::PhantomData;
+use std::sync::atomic::{AtomicI64, AtomicU64, Ordering::Relaxed};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 // ---------------------------------------------------------------------------
 // Metric handles
 // ---------------------------------------------------------------------------
 
+/// Makes a handle `!Send + !Sync`, so only the owning thread writes a cell.
+type Owner = PhantomData<*const ()>;
+
+/// Add `n` to a cell only this thread writes: a plain load and store, which
+/// other threads may read at any moment without seeing a torn value.
+fn bump(cell: &AtomicU64, n: u64) {
+    cell.store(cell.load(Relaxed).wrapping_add(n), Relaxed);
+}
+
 /// Monotonic counter. Clone is cheap and shares the underlying cell.
 #[derive(Clone, Default)]
-pub struct Counter(Rc<Cell<u64>>);
+pub struct Counter(Arc<AtomicU64>, Owner);
 
 impl Counter {
     pub fn inc(&self) {
@@ -54,43 +69,69 @@ impl Counter {
     }
 
     pub fn add(&self, n: u64) {
-        self.0.set(self.0.get().wrapping_add(n));
+        bump(&self.0, n);
     }
 
     pub fn get(&self) -> u64 {
-        self.0.get()
-    }
-
-    fn zero(&self) {
-        self.0.set(0);
+        self.0.load(Relaxed)
     }
 }
 
 /// Signed instantaneous value.
 #[derive(Clone, Default)]
-pub struct Gauge(Rc<Cell<i64>>);
+pub struct Gauge(Arc<AtomicI64>, Owner);
 
 impl Gauge {
     pub fn set(&self, v: i64) {
-        self.0.set(v);
+        self.0.store(v, Relaxed);
     }
 
     pub fn add(&self, d: i64) {
-        self.0.set(self.0.get().wrapping_add(d));
+        self.set(self.get().wrapping_add(d));
     }
 
     pub fn get(&self) -> i64 {
-        self.0.get()
-    }
-
-    fn zero(&self) {
-        self.0.set(0);
+        self.0.load(Relaxed)
     }
 }
 
 /// Number of log₂ buckets: one for zero plus one per bit position.
 pub const HIST_BUCKETS: usize = 65;
 
+/// A histogram's cells. `count` is the sum of the buckets, kept so the
+/// owner can tell a moved histogram with one load.
+struct HistCells {
+    buckets: [AtomicU64; HIST_BUCKETS],
+    count: AtomicU64,
+    sum: AtomicU64,
+}
+
+impl Default for HistCells {
+    fn default() -> Self {
+        HistCells {
+            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
+            count: AtomicU64::new(0),
+            sum: AtomicU64::new(0),
+        }
+    }
+}
+
+impl HistCells {
+    /// The cells' values. Read from another thread while the owner records,
+    /// `count` is taken as the sum of the buckets read, so the copy is
+    /// consistent in itself; `sum` may include a sample whose bucket it
+    /// missed, or the reverse.
+    fn load(&self) -> HistData {
+        let buckets = std::array::from_fn(|b| self.buckets[b].load(Relaxed));
+        HistData {
+            count: buckets.iter().sum(),
+            buckets,
+            sum: self.sum.load(Relaxed),
+        }
+    }
+}
+
+/// Plain values of one histogram.
 #[derive(Clone)]
 struct HistData {
     buckets: [u64; HIST_BUCKETS],
@@ -106,17 +147,28 @@ impl HistData {
             sum: 0,
         }
     }
+
+    /// The samples recorded here but not in `base`, an earlier copy of the
+    /// same histogram; only non-empty buckets are listed.
+    fn since(&self, base: &HistData) -> HistogramSnapshot {
+        let buckets = (0..HIST_BUCKETS)
+            .filter(|&b| self.buckets[b] > base.buckets[b])
+            .map(|b| {
+                let (lo, hi) = bucket_bounds(b);
+                (lo, hi, self.buckets[b] - base.buckets[b])
+            })
+            .collect();
+        HistogramSnapshot {
+            count: self.count.saturating_sub(base.count),
+            sum: self.sum.wrapping_sub(base.sum),
+            buckets,
+        }
+    }
 }
 
 /// Log₂-bucket histogram of `u64` samples.
-#[derive(Clone)]
-pub struct Histogram(Rc<RefCell<HistData>>);
-
-impl Default for Histogram {
-    fn default() -> Self {
-        Histogram(Rc::new(RefCell::new(HistData::new())))
-    }
-}
+#[derive(Clone, Default)]
+pub struct Histogram(Arc<HistCells>, Owner);
 
 /// Bucket index for a value: 0 for 0, else `64 - leading_zeros(v)`.
 pub fn bucket_index(v: u64) -> usize {
@@ -141,58 +193,18 @@ pub fn bucket_bounds(i: usize) -> (u64, u64) {
 
 impl Histogram {
     pub fn record(&self, v: u64) {
-        let mut d = self.0.borrow_mut();
-        d.buckets[bucket_index(v)] += 1;
-        d.count += 1;
-        d.sum = d.sum.wrapping_add(v);
+        let h = &self.0;
+        bump(&h.buckets[bucket_index(v)], 1);
+        bump(&h.count, 1);
+        bump(&h.sum, v);
     }
 
     pub fn count(&self) -> u64 {
-        self.0.borrow().count
+        self.0.count.load(Relaxed)
     }
 
     pub fn sum(&self) -> u64 {
-        self.0.borrow().sum
-    }
-
-    pub fn bucket_counts(&self) -> [u64; HIST_BUCKETS] {
-        self.0.borrow().buckets
-    }
-
-    fn zero(&self) {
-        *self.0.borrow_mut() = HistData::new();
-    }
-
-    /// Fold a snapshot's samples into this histogram. Snapshot buckets are
-    /// keyed by their bounds, which map back to bucket indices exactly, so
-    /// absorbing is lossless with respect to the log₂ resolution; the exact
-    /// sum is carried over from the snapshot.
-    fn absorb(&self, snap: &HistogramSnapshot) {
-        let mut d = self.0.borrow_mut();
-        for &(lo, _, c) in &snap.buckets {
-            d.buckets[bucket_index(lo)] += c;
-        }
-        d.count += snap.count;
-        d.sum = d.sum.wrapping_add(snap.sum);
-    }
-
-    fn snapshot(&self) -> HistogramSnapshot {
-        let d = self.0.borrow();
-        let buckets = d
-            .buckets
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| c > 0)
-            .map(|(i, &c)| {
-                let (lo, hi) = bucket_bounds(i);
-                (lo, hi, c)
-            })
-            .collect();
-        HistogramSnapshot {
-            count: d.count,
-            sum: d.sum,
-            buckets,
-        }
+        self.0.sum.load(Relaxed)
     }
 }
 
@@ -200,31 +212,84 @@ impl Histogram {
 // Registry
 // ---------------------------------------------------------------------------
 
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    // Every update under these locks leaves the data valid at each step.
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// One thread's metrics. The owner interns names and writes the cells;
+/// the lock guards only the name maps, which readers walk.
 #[derive(Default)]
-struct Registry {
-    counters: BTreeMap<&'static str, Counter>,
-    gauges: BTreeMap<&'static str, Gauge>,
-    histograms: BTreeMap<&'static str, Histogram>,
+struct Registry(Mutex<Cells>);
+
+#[derive(Default)]
+struct Cells {
+    counters: BTreeMap<&'static str, Arc<AtomicU64>>,
+    gauges: BTreeMap<&'static str, Arc<AtomicI64>>,
+    histograms: BTreeMap<&'static str, Arc<HistCells>>,
+}
+
+/// The entry for `name`, made on first sight; names are cloned only then.
+fn slot<'a, T: Default>(map: &'a mut BTreeMap<String, T>, name: &str) -> &'a mut T {
+    if !map.contains_key(name) {
+        map.insert(name.to_owned(), T::default());
+    }
+    map.get_mut(name).expect("inserted above")
+}
+
+impl Registry {
+    /// Add every metric of this registry that is not zero into `out`:
+    /// counters and histogram samples add, gauges add.
+    fn add_to(&self, out: &mut Snapshot) {
+        let cells = lock(&self.0);
+        for (name, c) in &cells.counters {
+            let v = c.load(Relaxed);
+            if v > 0 {
+                *slot(&mut out.counters, name) += v;
+            }
+        }
+        for (name, g) in &cells.gauges {
+            let v = g.load(Relaxed);
+            if v != 0 {
+                *slot(&mut out.gauges, name) += v;
+            }
+        }
+        for (name, h) in &cells.histograms {
+            let d = h.load();
+            if d.count > 0 {
+                slot(&mut out.histograms, name).merge(&d.since(&HistData::new()));
+            }
+        }
+    }
 }
 
 thread_local! {
-    static REGISTRY: RefCell<Registry> = RefCell::new(Registry::default());
+    static REGISTRY: Arc<Registry> = Arc::default();
     static SPANS: RefCell<SpanCollector> = RefCell::new(SpanCollector::default());
+}
+
+fn with_cells<R>(f: impl FnOnce(&mut Cells) -> R) -> R {
+    REGISTRY.with(|r| f(&mut lock(&r.0)))
 }
 
 /// Intern (or fetch) the counter with this name in the thread's registry.
 pub fn counter(name: &'static str) -> Counter {
-    REGISTRY.with(|r| r.borrow_mut().counters.entry(name).or_default().clone())
+    with_cells(|c| Counter(Arc::clone(c.counters.entry(name).or_default()), PhantomData))
 }
 
 /// Intern (or fetch) the gauge with this name.
 pub fn gauge(name: &'static str) -> Gauge {
-    REGISTRY.with(|r| r.borrow_mut().gauges.entry(name).or_default().clone())
+    with_cells(|c| Gauge(Arc::clone(c.gauges.entry(name).or_default()), PhantomData))
 }
 
 /// Intern (or fetch) the histogram with this name.
 pub fn histogram(name: &'static str) -> Histogram {
-    REGISTRY.with(|r| r.borrow_mut().histograms.entry(name).or_default().clone())
+    with_cells(|c| {
+        Histogram(
+            Arc::clone(c.histograms.entry(name).or_default()),
+            PhantomData,
+        )
+    })
 }
 
 /// Current value of a counter (interning it if absent, value 0).
@@ -232,21 +297,72 @@ pub fn counter_value(name: &'static str) -> u64 {
     counter(name).get()
 }
 
-/// Zero every metric in the thread's registry, preserving all handed-out
-/// handles (they share the underlying cells).
-pub fn reset() {
-    REGISTRY.with(|r| {
-        let r = r.borrow();
-        for c in r.counters.values() {
-            c.zero();
+// ---------------------------------------------------------------------------
+// Groups: registries read together
+// ---------------------------------------------------------------------------
+
+/// Threads whose registries are read as one — a server's threads. A thread
+/// [`join`](Group::join)s for as long as it should be counted;
+/// [`snapshot`](Group::snapshot) sums the members' registries as they
+/// stand, plus what earlier members had recorded when they left, so the
+/// sum never goes down while members come and go.
+#[derive(Default)]
+pub struct Group(Mutex<GroupState>);
+
+#[derive(Default)]
+struct GroupState {
+    members: Vec<Arc<Registry>>,
+    /// What members that left had recorded: one fold per member lifetime.
+    departed: Snapshot,
+}
+
+impl Group {
+    /// Count the calling thread's registry in this group until the
+    /// returned guard drops. The whole registry counts, so a thread joins
+    /// before it records anything the group should not report.
+    pub fn join(&self) -> Membership<'_> {
+        let registry = REGISTRY.with(Arc::clone);
+        lock(&self.0).members.push(Arc::clone(&registry));
+        Membership {
+            group: self,
+            registry,
+            _owner: PhantomData,
         }
-        for g in r.gauges.values() {
-            g.zero();
+    }
+
+    /// Everything the group's members, past and present, have recorded:
+    /// counters and histogram samples add, gauges add. Metrics that are
+    /// zero are left out. Readable from any thread at any time.
+    pub fn snapshot(&self) -> Snapshot {
+        let state = lock(&self.0);
+        let mut out = state.departed.clone();
+        for member in &state.members {
+            member.add_to(&mut out);
         }
-        for h in r.histograms.values() {
-            h.zero();
+        out
+    }
+}
+
+/// A thread's place in a [`Group`]; dropping it folds the registry into
+/// the group's record of departed members.
+pub struct Membership<'g> {
+    group: &'g Group,
+    registry: Arc<Registry>,
+    _owner: Owner,
+}
+
+impl Drop for Membership<'_> {
+    fn drop(&mut self) {
+        let mut state = lock(&self.group.0);
+        if let Some(i) = state
+            .members
+            .iter()
+            .position(|r| Arc::ptr_eq(r, &self.registry))
+        {
+            state.members.swap_remove(i);
         }
-    });
+        self.registry.add_to(&mut state.departed);
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -262,7 +378,8 @@ pub struct HistogramSnapshot {
     pub buckets: Vec<(u64, u64, u64)>,
 }
 
-/// Point-in-time copy of the whole registry, ordered by metric name.
+/// Point-in-time copy of a registry (or a sum of them), ordered by metric
+/// name.
 #[derive(Debug, Clone, Default)]
 pub struct Snapshot {
     pub counters: BTreeMap<String, u64>,
@@ -270,28 +387,12 @@ pub struct Snapshot {
     pub histograms: BTreeMap<String, HistogramSnapshot>,
 }
 
-/// Take a snapshot of the thread's registry.
+/// Take a snapshot of the thread's registry. Metrics that are zero are
+/// left out.
 pub fn snapshot() -> Snapshot {
-    REGISTRY.with(|r| {
-        let r = r.borrow();
-        Snapshot {
-            counters: r
-                .counters
-                .iter()
-                .map(|(k, v)| (k.to_string(), v.get()))
-                .collect(),
-            gauges: r
-                .gauges
-                .iter()
-                .map(|(k, v)| (k.to_string(), v.get()))
-                .collect(),
-            histograms: r
-                .histograms
-                .iter()
-                .map(|(k, v)| (k.to_string(), v.snapshot()))
-                .collect(),
-        }
-    })
+    let mut out = Snapshot::default();
+    REGISTRY.with(|r| r.add_to(&mut out));
+    out
 }
 
 /// A thread's registry as [`delta_since`] last saw it. Starts empty, so
@@ -325,50 +426,52 @@ fn baseline_slot<'a, T>(
 /// building either snapshot. Only the metrics that moved are materialised,
 /// so the cost follows what one request touched, not the registry's size.
 pub fn delta_since(base: &mut Baseline) -> Snapshot {
-    REGISTRY.with(|r| {
-        let r = r.borrow();
-        let mut out = Snapshot::default();
-        for (i, (&name, c)) in r.counters.iter().enumerate() {
-            let was = baseline_slot(&mut base.counters, i, name, || 0);
-            let d = c.get().saturating_sub(*was);
-            *was = c.get();
-            if d > 0 {
-                out.counters.insert(name.to_string(), d);
+    let mut out = Snapshot::default();
+    base.walk(Some(&mut out));
+    out
+}
+
+impl Baseline {
+    /// Move up to the thread's registry as it stands without materialising
+    /// the delta: [`delta_since`] for a caller that turned out not to need
+    /// it, at the cost of one walk and no allocation.
+    pub fn advance(&mut self) {
+        self.walk(None);
+    }
+
+    fn walk(&mut self, mut out: Option<&mut Snapshot>) {
+        with_cells(|r| {
+            for (i, (&name, c)) in r.counters.iter().enumerate() {
+                let was = baseline_slot(&mut self.counters, i, name, || 0);
+                let now = c.load(Relaxed);
+                let d = now.saturating_sub(*was);
+                *was = now;
+                if let Some(out) = out.as_deref_mut().filter(|_| d > 0) {
+                    out.counters.insert(name.to_string(), d);
+                }
             }
-        }
-        for (i, (&name, g)) in r.gauges.iter().enumerate() {
-            let was = baseline_slot(&mut base.gauges, i, name, || 0);
-            let d = g.get().wrapping_sub(*was);
-            *was = g.get();
-            if d != 0 {
-                out.gauges.insert(name.to_string(), d);
+            for (i, (&name, g)) in r.gauges.iter().enumerate() {
+                let was = baseline_slot(&mut self.gauges, i, name, || 0);
+                let now = g.load(Relaxed);
+                let d = now.wrapping_sub(*was);
+                *was = now;
+                if let Some(out) = out.as_deref_mut().filter(|_| d != 0) {
+                    out.gauges.insert(name.to_string(), d);
+                }
             }
-        }
-        for (i, (&name, h)) in r.histograms.iter().enumerate() {
-            let was = baseline_slot(&mut base.histograms, i, name, HistData::new);
-            let now = h.0.borrow();
-            if now.count == was.count {
-                continue;
+            for (i, (&name, h)) in r.histograms.iter().enumerate() {
+                let was = baseline_slot(&mut self.histograms, i, name, HistData::new);
+                if h.count.load(Relaxed) == was.count {
+                    continue;
+                }
+                let now = h.load();
+                if let Some(out) = out.as_deref_mut() {
+                    out.histograms.insert(name.to_string(), now.since(was));
+                }
+                *was = now;
             }
-            let buckets = (0..HIST_BUCKETS)
-                .filter(|&b| now.buckets[b] > was.buckets[b])
-                .map(|b| {
-                    let (lo, hi) = bucket_bounds(b);
-                    (lo, hi, now.buckets[b] - was.buckets[b])
-                })
-                .collect();
-            let d = HistogramSnapshot {
-                count: now.count.saturating_sub(was.count),
-                sum: now.sum.wrapping_sub(was.sum),
-                buckets,
-            };
-            *was = now.clone();
-            if d.count > 0 {
-                out.histograms.insert(name.to_string(), d);
-            }
-        }
-        out
-    })
+        })
+    }
 }
 
 impl HistogramSnapshot {
@@ -427,74 +530,26 @@ impl HistogramSnapshot {
     }
 }
 
-/// Fold a snapshot (typically taken on a finished worker thread) into the
-/// *calling thread's* registry, so worker counters roll up into the
-/// coordinator's report. Counters and histograms accumulate; gauges add,
-/// which treats each thread's gauge as an independent contribution.
-pub fn absorb(snap: &Snapshot) {
-    for (name, v) in &snap.counters {
-        if *v > 0 {
-            counter(intern_name(name)).add(*v);
-        }
-    }
-    for (name, v) in &snap.gauges {
-        if *v != 0 {
-            gauge(intern_name(name)).add(*v);
-        }
-    }
-    for (name, h) in &snap.histograms {
-        if h.count > 0 {
-            histogram(intern_name(name)).absorb(h);
-        }
-    }
-}
-
-/// Registry keys are `&'static str` so hot-path handles never hash strings.
-/// Snapshot keys arrive as owned strings; interning leaks each *distinct*
-/// name at most once per process, and metric names are a small closed set.
-fn intern_name(name: &str) -> &'static str {
-    thread_local! {
-        static INTERNED: RefCell<BTreeMap<String, &'static str>> =
-            const { RefCell::new(BTreeMap::new()) };
-    }
-    INTERNED.with(|m| {
-        let mut m = m.borrow_mut();
-        if let Some(&s) = m.get(name) {
-            return s;
-        }
-        let leaked: &'static str = Box::leak(name.to_string().into_boxed_str());
-        m.insert(name.to_string(), leaked);
-        leaked
-    })
-}
-
 impl Snapshot {
+    /// The counter's value, 0 when absent.
+    pub fn counter(&self, name: &str) -> u64 {
+        self.counters.get(name).copied().unwrap_or(0)
+    }
+
     /// Combine another registry snapshot into this one. Counters and
     /// histogram samples accumulate; gauges add (per-thread contributions).
-    /// Merging is associative and commutative, so worker snapshots can be
-    /// folded in any order and serialize bit-identically to the same
-    /// events recorded on a single thread.
+    /// Merging is associative and commutative, so snapshots of several
+    /// threads can be folded in any order and serialize bit-identically to
+    /// the same events recorded on a single thread.
     pub fn merge(&mut self, other: &Snapshot) {
-        // Looked up before inserted: a name is cloned only the first time
-        // it is seen, so folding a delta into a long-lived merge allocates
-        // nothing in the steady state.
         for (name, v) in &other.counters {
-            match self.counters.get_mut(name) {
-                Some(mine) => *mine += v,
-                None => drop(self.counters.insert(name.clone(), *v)),
-            }
+            *slot(&mut self.counters, name) += v;
         }
         for (name, v) in &other.gauges {
-            match self.gauges.get_mut(name) {
-                Some(mine) => *mine += v,
-                None => drop(self.gauges.insert(name.clone(), *v)),
-            }
+            *slot(&mut self.gauges, name) += v;
         }
         for (name, h) in &other.histograms {
-            match self.histograms.get_mut(name) {
-                Some(mine) => mine.merge(h),
-                None => drop(self.histograms.insert(name.clone(), h.clone())),
-            }
+            slot(&mut self.histograms, name).merge(h);
         }
     }
 
@@ -508,7 +563,7 @@ impl Snapshot {
     pub fn delta(&self, base: &Snapshot) -> Snapshot {
         let mut out = Snapshot::default();
         for (name, &v) in &self.counters {
-            let d = v.saturating_sub(base.counters.get(name).copied().unwrap_or(0));
+            let d = v.saturating_sub(base.counter(name));
             if d > 0 {
                 out.counters.insert(name.clone(), d);
             }
@@ -695,15 +750,19 @@ pub fn take_spans() -> Vec<SpanNode> {
 mod tests {
     use super::*;
 
+    /// `f` on a thread of its own, so it starts from an empty registry.
+    fn on_fresh_thread<R: Send>(f: impl FnOnce() -> R + Send) -> R {
+        std::thread::scope(|s| s.spawn(f).join().expect("test thread"))
+    }
+
     #[test]
-    fn counter_handle_survives_reset() {
-        let c = counter("test.counter.survives");
+    fn counter_handles_share_a_cell() {
+        let c = counter("test.counter.shared");
         c.add(5);
         assert_eq!(c.get(), 5);
-        reset();
-        assert_eq!(c.get(), 0);
-        c.inc();
-        assert_eq!(counter_value("test.counter.survives"), 1);
+        counter("test.counter.shared").inc();
+        assert_eq!(counter_value("test.counter.shared"), 6);
+        assert_eq!(c.get(), 6);
     }
 
     #[test]
@@ -712,8 +771,6 @@ mod tests {
         g.set(10);
         g.add(-3);
         assert_eq!(g.get(), 7);
-        reset();
-        assert_eq!(g.get(), 0);
     }
 
     #[test]
@@ -739,7 +796,7 @@ mod tests {
         }
         assert_eq!(h.count(), 6);
         assert_eq!(h.sum(), 1_000_106);
-        let buckets = h.bucket_counts();
+        let buckets = h.0.load().buckets;
         assert_eq!(buckets[0], 1); // 0
         assert_eq!(buckets[1], 1); // 1
         assert_eq!(buckets[2], 2); // 2, 3
@@ -777,29 +834,33 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_orders_by_name() {
-        reset();
-        counter("test.z").inc();
-        counter("test.a").add(2);
-        let snap = snapshot();
+    fn snapshot_orders_by_name_and_leaves_out_zeros() {
+        let snap = on_fresh_thread(|| {
+            counter("test.z").inc();
+            counter("test.a").add(2);
+            counter("test.never");
+            histogram("test.empty");
+            snapshot()
+        });
         let keys: Vec<_> = snap.counters.keys().cloned().collect();
-        let mut sorted = keys.clone();
-        sorted.sort();
-        assert_eq!(keys, sorted);
-        assert_eq!(snap.counters["test.a"], 2);
+        assert_eq!(keys, ["test.a", "test.z"]);
+        assert_eq!(snap.counter("test.a"), 2);
+        assert_eq!(snap.counter("test.never"), 0);
+        assert!(snap.histograms.is_empty());
     }
 
     #[test]
     fn json_round_trip() {
-        reset();
-        counter("rt.pages").add(123);
-        counter("rt.seeks").add(7);
-        gauge("rt.depth").set(-4);
-        let h = histogram("rt.hist");
-        for v in [0u64, 1, 5, 5, 900] {
-            h.record(v);
-        }
-        let text = snapshot().to_json();
+        let text = on_fresh_thread(|| {
+            counter("rt.pages").add(123);
+            counter("rt.seeks").add(7);
+            gauge("rt.depth").set(-4);
+            let h = histogram("rt.hist");
+            for v in [0u64, 1, 5, 5, 900] {
+                h.record(v);
+            }
+            snapshot().to_json()
+        });
         let parsed = json::parse(&text).expect("export must parse");
 
         let counters = parsed.get("counters").expect("counters object");
@@ -830,46 +891,47 @@ mod tests {
         assert_eq!(total, 5, "bucket counts must add up to the sample count");
     }
 
+    fn record_part_a() {
+        counter("mrt.pages").add(100);
+        counter("mrt.seeks").add(3);
+        gauge("mrt.depth").add(2);
+        let h = histogram("mrt.lat");
+        for v in [0u64, 4, 17] {
+            h.record(v);
+        }
+    }
+
+    fn record_part_b() {
+        counter("mrt.pages").add(55);
+        counter("mrt.only_b").inc();
+        gauge("mrt.depth").add(5);
+        let h = histogram("mrt.lat");
+        for v in [17u64, 900, 1] {
+            h.record(v);
+        }
+    }
+
     /// The canonical multi-thread roll-up: a workload split across worker
-    /// threads, merged (or absorbed), must serialize bit-identically to the
-    /// same events recorded on one thread.
+    /// threads, merged (or read as a group), must serialize bit-identically
+    /// to the same events recorded on one thread.
     #[test]
     fn merge_round_trip_matches_single_threaded() {
-        fn record_part_a() {
-            counter("mrt.pages").add(100);
-            counter("mrt.seeks").add(3);
-            gauge("mrt.depth").add(2);
-            let h = histogram("mrt.lat");
-            for v in [0u64, 4, 17] {
-                h.record(v);
-            }
-        }
-        fn record_part_b() {
-            counter("mrt.pages").add(55);
-            counter("mrt.only_b").inc();
-            gauge("mrt.depth").add(5);
-            let h = histogram("mrt.lat");
-            for v in [17u64, 900, 1] {
-                h.record(v);
-            }
-        }
-
         // Ground truth: both parts on one registry.
-        reset();
-        record_part_a();
-        record_part_b();
-        let want = snapshot().to_json();
+        let want = on_fresh_thread(|| {
+            record_part_a();
+            record_part_b();
+            snapshot().to_json()
+        });
 
-        // Worker split: part B on its own thread, snapshotted there.
-        reset();
-        record_part_a();
-        let mut mine = snapshot();
-        let theirs = std::thread::spawn(|| {
+        // Worker split: each part on its own thread, snapshotted there.
+        let mut mine = on_fresh_thread(|| {
+            record_part_a();
+            snapshot()
+        });
+        let theirs = on_fresh_thread(|| {
             record_part_b();
             snapshot()
-        })
-        .join()
-        .unwrap();
+        });
 
         let mut merged = mine.clone();
         merged.merge(&theirs);
@@ -880,23 +942,85 @@ mod tests {
         commuted.merge(&mine);
         assert_eq!(commuted.to_json(), want, "merge must commute");
 
-        // absorb() folds into the live registry with the same result.
-        reset();
-        absorb(&mine);
-        absorb(&theirs);
-        assert_eq!(snapshot().to_json(), want, "absorb must match merge");
-
         // Merging the empty snapshot is the identity.
         let before = mine.to_json();
         mine.merge(&Snapshot::default());
         assert_eq!(mine.to_json(), before);
     }
 
+    /// A group reads its members' registries from another thread while
+    /// they run, and keeps what a member recorded after it leaves: the sum
+    /// equals the single-threaded registry, and no reading ever shrinks.
+    #[test]
+    fn group_sums_live_and_departed_members() {
+        let want = on_fresh_thread(|| {
+            record_part_a();
+            record_part_b();
+            snapshot().to_json()
+        });
+        let group = Group::default();
+        let (a_recorded, a_may_leave) = (std::sync::Barrier::new(2), std::sync::Barrier::new(2));
+        std::thread::scope(|s| {
+            let a = s.spawn(|| {
+                let _member = group.join();
+                record_part_a();
+                a_recorded.wait();
+                a_may_leave.wait();
+            });
+            a_recorded.wait();
+            // Member A is still running: read its registry from here.
+            let live = group.snapshot();
+            assert_eq!(live.counter("mrt.pages"), 100);
+            assert_eq!(live.histograms["mrt.lat"].count, 3);
+            a_may_leave.wait();
+            a.join().expect("member A");
+            let departed = group.snapshot();
+            assert_eq!(departed.to_json(), live.to_json(), "leaving loses nothing");
+            s.spawn(|| {
+                let _member = group.join();
+                record_part_b();
+            })
+            .join()
+            .expect("member B");
+        });
+        assert_eq!(group.snapshot().to_json(), want);
+    }
+
+    /// Readers racing a writer see every counter and histogram only grow,
+    /// and each histogram copy is consistent in itself.
+    #[test]
+    fn group_reads_are_monotone_under_a_running_writer() {
+        let group = Group::default();
+        let done = std::sync::atomic::AtomicBool::new(false);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                let _member = group.join();
+                let (c, h) = (counter("race.c"), histogram("race.h"));
+                for v in 0..20_000u64 {
+                    c.inc();
+                    h.record(v);
+                }
+                done.store(true, std::sync::atomic::Ordering::Release);
+            });
+            let (mut last_c, mut last_n) = (0, 0);
+            while !done.load(std::sync::atomic::Ordering::Acquire) {
+                let snap = group.snapshot();
+                let c = snap.counter("race.c");
+                let h = snap.histograms.get("race.h").cloned().unwrap_or_default();
+                assert!(c >= last_c && h.count >= last_n, "a reading went down");
+                assert_eq!(h.buckets.iter().map(|b| b.2).sum::<u64>(), h.count);
+                (last_c, last_n) = (c, h.count);
+            }
+        });
+        let end = group.snapshot();
+        assert_eq!(end.counter("race.c"), 20_000);
+        assert_eq!(end.histograms["race.h"].count, 20_000);
+    }
+
     /// delta is the inverse of merge: for cumulative snapshots a ⊆ b,
     /// a.merge(b.delta(a)) reproduces b exactly.
     #[test]
     fn delta_inverts_merge() {
-        reset();
         counter("dl.pages").add(10);
         gauge("dl.depth").set(3);
         let h = histogram("dl.lat");
@@ -933,8 +1057,8 @@ mod tests {
 
     /// `delta_since` is `snapshot().delta(&earlier)` step for step — through
     /// metrics first registered between two calls (before, between and
-    /// after the known names), idle steps and a `reset` — and its deltas
-    /// merge back to the whole registry.
+    /// after the known names) and idle steps — and its deltas merge back to
+    /// the whole registry.
     #[test]
     fn delta_since_matches_snapshot_delta() {
         fn step(state: &mut (Baseline, Snapshot, Snapshot), record: &dyn Fn()) {
@@ -946,50 +1070,51 @@ mod tests {
             merged.merge(&got);
             *earlier = now;
         }
-        reset();
-        // Whatever other tests left registered on this thread is zero now.
-        let mut state = (Baseline::default(), snapshot(), Snapshot::default());
-        delta_since(&mut state.0);
-        step(&mut state, &|| {
-            counter("ds.m").add(3);
-            gauge("ds.g").set(4);
-            histogram("ds.h").record(9);
-        });
-        step(&mut state, &|| {});
-        step(&mut state, &|| {
-            counter("ds.a").inc();
-            counter("ds.m").add(2);
-            counter("ds.z").add(5);
-            gauge("ds.g").set(-1);
-            histogram("ds.b").record(0);
-            for v in [9u64, 10, 70_000] {
-                histogram("ds.h").record(v);
-            }
-        });
-        step(&mut state, &|| counter("ds.z").inc());
-        let whole = snapshot();
-        assert_eq!(state.2.counters["ds.m"], 5);
-        assert_eq!(state.2.counters["ds.z"], whole.counters["ds.z"]);
-        assert_eq!(state.2.gauges["ds.g"], -1);
-        assert_eq!(state.2.histograms["ds.h"], whole.histograms["ds.h"]);
-        step(&mut state, &reset);
-        step(&mut state, &|| {
-            counter("ds.m").add(100);
-            histogram("ds.h").record(1);
+        on_fresh_thread(|| {
+            let mut state = (Baseline::default(), snapshot(), Snapshot::default());
+            step(&mut state, &|| {
+                counter("ds.m").add(3);
+                gauge("ds.g").set(4);
+                histogram("ds.h").record(9);
+            });
+            step(&mut state, &|| {});
+            step(&mut state, &|| {
+                counter("ds.a").inc();
+                counter("ds.m").add(2);
+                counter("ds.z").add(5);
+                gauge("ds.g").set(-1);
+                histogram("ds.b").record(0);
+                for v in [9u64, 10, 70_000] {
+                    histogram("ds.h").record(v);
+                }
+            });
+            step(&mut state, &|| counter("ds.z").inc());
+            let whole = snapshot();
+            assert_eq!(state.2.to_json(), whole.to_json(), "the deltas add up");
+            // `advance` moves the baseline as `delta_since` does.
+            counter("ds.m").add(7);
+            histogram("ds.h").record(3);
+            state.0.advance();
+            state.1 = snapshot();
+            step(&mut state, &|| {
+                counter("ds.m").add(100);
+                histogram("ds.h").record(1);
+            });
         });
     }
 
     #[test]
     fn percentile_on_snapshots() {
         let h = Histogram::default();
-        assert_eq!(h.snapshot().percentile(0.99), 0, "empty histogram");
+        let snap = |h: &Histogram| h.0.load().since(&HistData::new());
+        assert_eq!(snap(&h).percentile(0.99), 0, "empty histogram");
         // 99 fast samples and one slow one: p50 stays in the fast bucket,
         // p999 reaches the slow bucket's upper bound.
         for _ in 0..99 {
             h.record(10);
         }
         h.record(5000);
-        let s = h.snapshot();
+        let s = snap(&h);
         assert_eq!(s.percentile(0.50), bucket_bounds(bucket_index(10)).1);
         assert_eq!(s.percentile(0.999), bucket_bounds(bucket_index(5000)).1);
         // q=0 clamps to the first sample, q=1 to the last.
@@ -1030,7 +1155,7 @@ mod tests {
                 }
                 prop_assert_eq!(h.count(), values.len() as u64);
                 prop_assert_eq!(h.sum(), expect_sum);
-                prop_assert_eq!(h.bucket_counts().iter().sum::<u64>(), values.len() as u64);
+                prop_assert_eq!(h.0.load().buckets.iter().sum::<u64>(), values.len() as u64);
             }
         }
     }

@@ -8,9 +8,9 @@
 //! construction. Queries run against an explicit [`DbSnapshot`]: the
 //! writer keeps mutating and publishing while scans see a frozen epoch.
 //!
-//! Telemetry is thread-local; worker threads hand their registry snapshot
-//! back and the calling thread folds them in with [`telemetry::absorb`],
-//! so aggregate counters look exactly like a single-threaded run.
+//! Each thread counts into its own telemetry registry, where the events
+//! happen: a worker's counts stay in the worker's registry, and a query's
+//! costs come back as its [`ScanStats`].
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -284,10 +284,9 @@ impl<P: PageStore> DatabaseReader<P> {
 /// `threads` worker threads, returning per-query results in input order.
 ///
 /// Work is claimed dynamically (an atomic cursor, not pre-chunking), so
-/// skewed query costs still balance. Each worker accumulates telemetry in
-/// its own thread-local registry; the snapshots are folded into the
-/// calling thread's registry before returning, so counter totals match a
-/// single-threaded execution of the same stream.
+/// skewed query costs still balance. Each result carries its query's
+/// `ScanStats`, identical to a single-threaded execution of the same
+/// stream; the workers' telemetry stays in their own registries.
 pub fn parallel_query<P>(
     reader: &DatabaseReader<P>,
     queries: &[Query],
@@ -299,7 +298,7 @@ where
     let threads = threads.max(1);
     let snap = reader.snapshot();
     if threads == 1 || queries.len() <= 1 {
-        // Inline fast path: no thread or telemetry hand-off needed.
+        // Inline fast path: no thread needed.
         return queries.iter().map(|q| reader.query_at(&snap, q)).collect();
     }
 
@@ -312,21 +311,17 @@ where
         for _ in 0..threads {
             let reader = reader.clone();
             let (snap, next, results) = (&snap, &next, &results);
-            workers.push(scope.spawn(move || {
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= queries.len() {
-                        break;
-                    }
-                    let r = reader.query_at(snap, &queries[i]);
-                    results.lock().unwrap()[i] = Some(r);
+            workers.push(scope.spawn(move || loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                if i >= queries.len() {
+                    break;
                 }
-                telemetry::snapshot()
+                let r = reader.query_at(snap, &queries[i]);
+                results.lock().unwrap()[i] = Some(r);
             }));
         }
         for w in workers {
-            let worker_metrics = w.join().expect("query worker panicked");
-            telemetry::absorb(&worker_metrics);
+            w.join().expect("query worker panicked");
         }
     });
 
