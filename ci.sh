@@ -51,6 +51,16 @@ if grep -rnI \
   echo "retired serve tally referenced again (see above)"; exit 1
 fi
 
+echo "== every public surface earns a caller (the advisor, the anchor walk, the sorted-loop batch delete and the quarantine-flag accessor stay gone; no fault layer in the in-memory product stack)"
+if grep -rnI \
+    -e 'uindex::adviso[r]' -e 'WorkloadQuer[y]' -e 'anchors_affecte[d]' -e 'delete_batc[h]' -e 'quarantine_fla[g]' \
+    crates src tests examples docs DESIGN.md README.md ci.sh; then
+  echo "deleted public item referenced again (see above)"; exit 1
+fi
+if grep -rnI -e 'FaultStore<MemStor[e]>' crates/uindex/src; then
+  echo "the in-memory product stack carries a fault layer again (see above)"; exit 1
+fi
+
 echo "== registries any thread can read (a group sums live and departed members exactly; no reading goes down under a running writer)"
 cargo test -q --offline -p telemetry group_
 

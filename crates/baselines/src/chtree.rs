@@ -85,11 +85,6 @@ impl ChTree {
         Ok(out)
     }
 
-    /// Number of distinct keys.
-    pub fn num_keys(&self) -> u64 {
-        self.tree.len()
-    }
-
     fn read_directory(&mut self, key: &[u8]) -> Result<Option<Directory>> {
         let Some(v) = self.tree.get(key)? else {
             return Ok(None);

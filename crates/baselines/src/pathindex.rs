@@ -157,25 +157,6 @@ impl PathIndex {
         ))
     }
 
-    /// Instantiations for a value whose path position `pos` equals `oid` —
-    /// requires scanning all of the value's instantiations (the structural
-    /// weakness the U-index's clustering removes).
-    pub fn exact_restricted(
-        &mut self,
-        value: &[u8],
-        pos: usize,
-        oid: Oid,
-    ) -> Result<(Vec<Vec<Oid>>, QueryCost)> {
-        let (paths, cost) = self.exact(value)?;
-        Ok((
-            paths
-                .into_iter()
-                .filter(|p| p.get(pos) == Some(&oid))
-                .collect(),
-            cost,
-        ))
-    }
-
     /// Live pages.
     pub fn total_pages(&self) -> usize {
         self.tree.pool().live_pages()
@@ -202,7 +183,7 @@ mod tests {
     }
 
     #[test]
-    fn path_index_restriction_scans() {
+    fn path_index_exact_returns_every_instantiation() {
         let mut postings: Vec<(Vec<u8>, Vec<Oid>)> = (0..600u32)
             .map(|i| {
                 (
@@ -214,12 +195,6 @@ mod tests {
         let mut p = PathIndex::build(1024, 3, &mut postings).unwrap();
         let (paths, _) = p.exact(b"v03").unwrap();
         assert_eq!(paths.len(), 60);
-        let (restricted, cost) = p.exact_restricted(b"v03", 2, Oid(0)).unwrap();
-        assert!(!restricted.is_empty());
-        assert!(restricted.iter().all(|path| path[2] == Oid(0)));
-        // Restriction cost equals the full-value scan cost: the whole
-        // instantiation list is read either way.
-        let (_, full_cost) = p.exact(b"v03").unwrap();
-        assert_eq!(cost.pages, full_cost.pages);
+        assert!(paths.iter().all(|path| path[0].0 % 10 == 3));
     }
 }

@@ -9,6 +9,8 @@ use std::collections::HashMap;
 use std::path::Path;
 use std::time::Duration;
 
+use btree::BTreeConfig;
+use pagestore::{ChecksumStore, MemStore, PageStore, TRAILER_LEN};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serve::{QueryReply, RetryClient, RetryPolicy, ServeError, Stmt, WireRow};
@@ -23,8 +25,15 @@ pub type Expected = HashMap<String, Vec<WireRow>>;
 
 /// The serve workload in memory — what every oracle is computed from.
 pub fn build_mem() -> Database {
+    build_mem_over(MemStore::new(1024 + TRAILER_LEN))
+}
+
+/// [`build_mem`] with `inner` under the checksum layer (a test puts a
+/// fault layer there).
+pub fn build_mem_over<S: PageStore>(inner: S) -> Database<ChecksumStore<S>> {
     let (schema, classes) = workload::serve::schema();
-    let mut db = Database::with_page_size(schema, 1024, 1 << 14).expect("mem database");
+    let mut db =
+        Database::over_store(schema, inner, 1 << 14, BTreeConfig::default()).expect("mem database");
     workload::serve::populate(&mut db, &classes, SEED, VEHICLES).expect("populate");
     db
 }
@@ -49,7 +58,7 @@ pub fn build_disk(dir: &Path) -> DiskDatabase {
 /// The differential oracle. Uses the identical [`WireRow::from_hit`]
 /// conversion the server uses, so any divergence is a real engine/protocol
 /// bug, never an encoding artifact.
-pub fn oracle<P: pagestore::PageStore>(reader: &DatabaseReader<P>) -> Expected {
+pub fn oracle<P: PageStore>(reader: &DatabaseReader<P>) -> Expected {
     let expected: Expected = workload::serve::uql_families()
         .into_iter()
         .map(|stmt| {

@@ -14,7 +14,7 @@ use std::time::Duration;
 
 use bench::chaos::{ChaosConfig, ChaosProxy};
 use bench::wire::{self, Expected, Load, Tally, SEED};
-use pagestore::{Fault, FaultHandle};
+use pagestore::{Fault, FaultHandle, FaultStore, MemStore, TRAILER_LEN};
 use serve::{RetryPolicy, ServeOptions, Server};
 use uindex::{CheckReport, Database, DiskDatabase};
 
@@ -166,7 +166,7 @@ fn run_tier<P, D>(
 
 #[test]
 fn chaos_ledger_mem_tier() {
-    let mut mem = wire::build_mem();
+    let mut mem = wire::build_mem_over(FaultStore::new(MemStore::new(1024 + TRAILER_LEN)));
     let expected = wire::oracle(&mem.reader());
     let fault = mem.fault_handle();
     run_tier("mem", &mut mem, |db| db.check(), fault, &expected);

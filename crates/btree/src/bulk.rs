@@ -288,18 +288,4 @@ impl<S: PageStore> BTree<S> {
             id = int.child(child);
         }
     }
-
-    /// Delete many keys, sorting them first for page locality.
-    ///
-    /// Returns the number of keys actually removed.
-    pub fn delete_batch(&mut self, mut keys: Vec<Vec<u8>>) -> Result<u64> {
-        keys.sort();
-        let mut removed = 0;
-        for k in keys {
-            if self.delete(&k)?.is_some() {
-                removed += 1;
-            }
-        }
-        Ok(removed)
-    }
 }

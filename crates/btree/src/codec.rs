@@ -90,7 +90,7 @@ pub fn common_prefix_len(a: &[u8], b: &[u8]) -> usize {
 /// This is prefix-B-tree suffix truncation: interior nodes only need enough
 /// of a key to route correctly, which keeps them dense. Requires
 /// `left_max < right_min`.
-pub fn truncate_separator(left_max: &[u8], right_min: &[u8]) -> Vec<u8> {
+pub(crate) fn truncate_separator(left_max: &[u8], right_min: &[u8]) -> Vec<u8> {
     debug_assert!(left_max < right_min, "separator inputs out of order");
     let cp = common_prefix_len(left_max, right_min);
     // `right_min[..cp + 1]` always works: it differs from (or extends past)

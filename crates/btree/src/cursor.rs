@@ -162,11 +162,6 @@ impl EntryRef {
     pub fn value(&self) -> &[u8] {
         &self.bytes[self.key_len..]
     }
-
-    /// Clone the entry into owned `(key, value)` vectors.
-    pub fn to_pair(&self) -> (Vec<u8>, Vec<u8>) {
-        (self.key().to_vec(), self.value().to_vec())
-    }
 }
 
 /// Hand a preserved leaf's bytes to `leaf`, or return the interior.

@@ -50,7 +50,7 @@ mod tree;
 mod verify;
 mod walk;
 
-pub use codec::{common_prefix_len, truncate_separator};
+pub use codec::common_prefix_len;
 pub use config::{BTreeConfig, Capacity};
 pub use cursor::{Cursor, EntryRef, ReadView};
 pub use node::{InternalNode, LeafNode, Node};

@@ -385,11 +385,6 @@ impl Node {
         Node::Leaf(LeafNode::new(PageId::NULL))
     }
 
-    /// Whether this node is a leaf.
-    pub fn is_leaf(&self) -> bool {
-        matches!(self, Node::Leaf(_))
-    }
-
     /// Number of entries (leaf) or separators (interior).
     pub fn count(&self) -> usize {
         match self {

@@ -502,11 +502,6 @@ impl<S: PageStore> BTree<S> {
             .expect("publish cannot fail with no pending frees");
     }
 
-    /// Whether snapshot preservation is on.
-    pub fn snapshots_enabled(&self) -> bool {
-        self.snapshots
-    }
-
     /// Publish the writer's current root/len/epoch for readers: snapshots
     /// opened after this call observe everything up to here. Also prunes
     /// version-store entries no snapshot can need and reclaims deferred

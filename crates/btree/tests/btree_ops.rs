@@ -320,7 +320,7 @@ fn bulk_load_entry_capacity() {
 }
 
 #[test]
-fn batch_insert_and_delete() {
+fn batch_insert_counts_new_keys() {
     let mut t = new_tree(512, BTreeConfig::default());
     let items: Vec<(Vec<u8>, Vec<u8>)> = (0..1000u32).rev().map(|i| (key(i), val(i))).collect();
     assert_eq!(t.insert_batch(items).unwrap(), 1000);
@@ -328,9 +328,7 @@ fn batch_insert_and_delete() {
     // Re-inserting is all replacements.
     let again: Vec<(Vec<u8>, Vec<u8>)> = (0..100u32).map(|i| (key(i), val(i))).collect();
     assert_eq!(t.insert_batch(again).unwrap(), 0);
-    let dels: Vec<Vec<u8>> = (0..500u32).map(key).collect();
-    assert_eq!(t.delete_batch(dels).unwrap(), 500);
-    assert_eq!(t.len(), 500);
+    assert_eq!(t.len(), 1000);
     t.verify().unwrap();
 }
 

@@ -151,7 +151,8 @@ impl PageRef {
     }
 
     /// Whether the page has unwritten modifications.
-    pub fn is_dirty(&self) -> bool {
+    #[cfg(test)]
+    fn is_dirty(&self) -> bool {
         self.frame.dirty.load(Ordering::Relaxed)
     }
 
@@ -384,19 +385,9 @@ impl<S: PageStore> BufferPool<S> {
         &self.shards[(h & self.shard_mask) as usize]
     }
 
-    /// Number of shards the frame table is striped over.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
     /// Replace the fetch-time [`RetryPolicy`] (single-attempt by default).
     pub fn set_retry_policy(&self, policy: RetryPolicy) {
         *lock(&self.retry) = policy;
-    }
-
-    /// The current fetch-time retry policy.
-    pub fn retry_policy(&self) -> RetryPolicy {
-        *lock(&self.retry)
     }
 
     /// The fixed page size of the backing store.

@@ -12,8 +12,10 @@
 //! The WAL sits *above* the checksum layer so every page that reaches the
 //! file — at checkpoint time — carries a freshly stamped trailer, and the
 //! fault layer sits *below* the checksums so injected silent damage is
-//! caught exactly like real bit rot (same reasoning as the in-memory
-//! stack, see `uindex::DbStore`).
+//! caught exactly like real bit rot. The fault layer stays in this product
+//! type because the crash and salvage sweeps drive faults through the real
+//! open path. The in-memory product stack (`uindex::DbStore`) has none: a
+//! test that injects faults there builds its own stack.
 //!
 //! [`create`] and [`open`] build the whole stack over a directory holding
 //! [`PAGES_FILE`] (plus its `.free` manifest sidecar) and [`WAL_FILE`].
@@ -53,11 +55,6 @@ pub fn open(dir: &Path) -> Result<DiskStack> {
     let file = FileStore::open(&dir.join(PAGES_FILE))?;
     let stack = ChecksumStore::new(FaultStore::new(file));
     WalStore::open(stack, &dir.join(WAL_FILE))
-}
-
-/// The [`FileStore`] at the bottom of a stack, read-only.
-pub fn file_store(stack: &DiskStack) -> &FileStore {
-    stack.inner().inner().inner()
 }
 
 /// Mutable access to the stack's [`ChecksumStore`] layer (scrubbing).

@@ -262,8 +262,8 @@ impl FileStore {
     /// injected I/O error. Exercises the failure paths inside `allocate`
     /// and `write` that a wrapping [`crate::FaultStore`] cannot reach
     /// (it sits above this store, not inside it).
-    #[doc(hidden)]
-    pub fn inject_write_failures(&mut self, n: u32) {
+    #[cfg(test)]
+    fn inject_write_failures(&mut self, n: u32) {
         self.fail_writes = n;
     }
 

@@ -315,13 +315,6 @@ impl<S: PageStore> WalStore<S> {
         Ok(())
     }
 
-    /// Whether page ops were appended since the last commit marker —
-    /// i.e. a logical transaction is in flight and checkpointing now
-    /// would commit a partial mutation.
-    pub fn has_uncommitted_ops(&self) -> bool {
-        self.uncommitted_ops
-    }
-
     /// Checkpoint only if the store is at a commit boundary (no ops since
     /// the last commit marker). This is the background checkpointer's
     /// entry point: it may run at an arbitrary moment relative to the

@@ -144,11 +144,6 @@ impl RetryClient {
         }
     }
 
-    /// Whether a live connection is currently held.
-    pub fn is_connected(&self) -> bool {
-        self.conn.is_some()
-    }
-
     fn ensure_conn(&mut self) -> Result<(), ServeError> {
         if self.conn.is_some() {
             return Ok(());

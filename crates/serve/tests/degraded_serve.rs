@@ -13,7 +13,9 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use btree::BTreeConfig;
-use pagestore::{BufferPool, Fault, MemStore, PageId, PageStore};
+use pagestore::{
+    BufferPool, ChecksumStore, Fault, FaultStore, MemStore, PageId, PageStore, TRAILER_LEN,
+};
 use serve::{
     Client, ErrorCode, RetryClient, RetryPolicy, ServeError, ServeOptions, Server, WireRow,
 };
@@ -24,11 +26,13 @@ const STMT: &str = "color: Color = 'Red'";
 /// Every vehicle: a reply spanning many leaves.
 const ALL_COLORS: &str = "color: Color between 'A' and 'Z'";
 
-type MemDb = Database<uindex::DbStore>;
+/// The in-memory stack with a fault layer below the checksums.
+type MemDb = Database<ChecksumStore<FaultStore<MemStore>>>;
 
 fn build_db(n_vehicles: usize) -> MemDb {
     let (schema, classes) = workload::serve::schema();
-    let mut db = Database::with_page_size(schema, 1024, 1 << 14).unwrap();
+    let inner = FaultStore::new(MemStore::new(1024 + TRAILER_LEN));
+    let mut db = MemDb::over_store(schema, inner, 1 << 14, BTreeConfig::default()).unwrap();
     workload::serve::populate(&mut db, &classes, SEED, n_vehicles).unwrap();
     db
 }

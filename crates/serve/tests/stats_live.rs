@@ -9,11 +9,13 @@
 //!   unknown ids get a typed `NotFound`.
 //! - Read deadline: a half-written frame header closes the connection
 //!   with a typed fatal error, counted in `deadline_closed`.
+//! - Transport errors: a client that resets mid-reply is one disconnect,
+//!   in the registry and in Stats.
 //! - Client-side fatal/recoverable split: an unknown response tag is
 //!   recoverable, truncation is fatal.
 
 use std::io::Write as _;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use serve::proto::{self, ErrorCode, Frame, ProtoError, HEADER_LEN, MAGIC, VERSION};
 use serve::{Client, ServeError, ServeOptions, Server};
@@ -299,6 +301,48 @@ fn half_written_header_hits_the_read_deadline() {
 
     let report = server.shutdown();
     assert_eq!(report.metrics.counter("serve.conn.deadline_closed"), 1);
+}
+
+#[test]
+fn transport_error_disconnect_counts_once() {
+    let (schema, classes) = workload::serve::schema();
+    let mut db = uindex::Database::with_page_size(schema, 1024, 4096).unwrap();
+    workload::serve::populate(&mut db, &classes, 23, 2000).unwrap();
+    let server = Server::start(db.reader(), fast_sampling()).unwrap();
+    let addr = server.local_addr();
+    let mut observer = Client::connect(addr).unwrap();
+
+    // Ask for every vehicle, wait for the reply to start arriving, then
+    // close without reading it. Unread data turns the close into a reset,
+    // so the server's next write or read fails on the transport.
+    let mut stream = std::net::TcpStream::connect(addr).unwrap();
+    let uql = "color: Color between 'A' and 'Z'".to_string();
+    stream
+        .write_all(&proto::encode_frame(&Frame::Query { uql }))
+        .unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    stream.peek(&mut [0u8; 1]).unwrap();
+    drop(stream);
+
+    let t0 = Instant::now();
+    while server.metrics().counter("serve.disconnects") == 0 {
+        assert!(
+            t0.elapsed() < Duration::from_secs(10),
+            "the reset connection was never counted"
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    let v = json::parse(&observer.stats(10).unwrap()).unwrap();
+    assert_eq!(ju64(&v, &["live", "disconnects"]), 1);
+
+    // Shutdown joins every thread, so a second count, had the server
+    // made one, is in its report. Clean closes, the observer's and
+    // shutdown's, are not disconnects.
+    drop(observer);
+    let report = server.shutdown();
+    assert_eq!(report.metrics.counter("serve.disconnects"), 1);
 }
 
 #[test]

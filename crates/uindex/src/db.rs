@@ -1,12 +1,13 @@
 //! [`Database`]: an object store plus a U-index, kept consistent.
 //!
-//! Every mutation recomputes exactly the affected index entries by
-//! snapshotting the entry keys of the affected *anchors* before the change
-//! and diffing against the recomputation afterwards. The paper's update
-//! cases fall out: an attribute update on an end-of-path object touches one
-//! entry per index (§3.5 case 2/3); a mid-path reference change (the
-//! "president switches companies" example) deletes and re-inserts the
-//! clustered entry group.
+//! Every mutation enumerates, for **every** index, the entries that contain
+//! the mutated object — once before the change and once after — encodes
+//! them, and applies the difference as single-key B-tree deletes and
+//! inserts. The tree ends up as the paper's §3.5 update cases say it should
+//! (one entry out and one in for an end-of-path attribute; the clustered
+//! group for a mid-path reference change), but the work is not the paper's
+//! price: both enumerations walk every index, whether or not its spec
+//! mentions the changed attribute, and each changed key is its own descent.
 
 use std::collections::{BTreeSet, HashSet};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -26,12 +27,12 @@ use crate::query::{Query, QueryHit};
 use crate::scan::{QueryTrace, ScanStats};
 use crate::spec::{IndexSpec, SpecBuilder};
 
-/// The page-store stack under a [`Database`] index: checksum verification
-/// above deterministic fault injection above memory. The fault layer is
-/// below the checksums on purpose — injected silent damage must be caught
-/// by the trailer, exactly like real bit rot. With an empty fault schedule
-/// the middle layer is a pass-through.
-pub type DbStore = ChecksumStore<FaultStore<MemStore>>;
+/// The page-store stack under an in-memory [`Database`] index: checksum
+/// verification above memory. A test that injects faults builds its own
+/// stack through [`Database::over_store`], with a `FaultStore` over the
+/// memory store, so injected silent damage lands below the trailer and is
+/// caught exactly like real bit rot.
+pub type DbStore = ChecksumStore<MemStore>;
 
 /// Result of [`Database::check`]: scrub outcome, tree verification, and
 /// the entry-level cross-check against the object store.
@@ -109,12 +110,26 @@ impl Database {
         pool_pages: usize,
         config: BTreeConfig,
     ) -> Result<Self> {
-        let encoding = Encoding::generate(&schema)?;
         // The inner store's pages are [`TRAILER_LEN`] bytes larger so the
         // exposed page size — the one the tree sees and the experiments'
         // page counts are measured in — stays exactly `page_size`.
-        let store = ChecksumStore::new(FaultStore::new(MemStore::new(page_size + TRAILER_LEN)));
-        let pool = BufferPool::new(store, pool_pages);
+        let inner = MemStore::new(page_size + TRAILER_LEN);
+        Self::over_store(schema, inner, pool_pages, config)
+    }
+}
+
+impl<S: PageStore> Database<ChecksumStore<S>> {
+    /// Build a volatile database whose index lives in `inner` under a
+    /// checksum layer. `inner`'s pages are [`TRAILER_LEN`] bytes larger
+    /// than the pages the tree sees.
+    pub fn over_store(
+        schema: Schema,
+        inner: S,
+        pool_pages: usize,
+        config: BTreeConfig,
+    ) -> Result<Self> {
+        let encoding = Encoding::generate(&schema)?;
+        let pool = BufferPool::new(ChecksumStore::new(inner), pool_pages);
         pool.set_retry_policy(RetryPolicy {
             max_attempts: 3,
             ..RetryPolicy::default()
@@ -255,13 +270,6 @@ impl<P: PageStore> Database<P> {
         reader
     }
 
-    /// The shared quarantine flag: set on detected corruption (by the
-    /// writer or any fallback-armed reader), cleared by a clean
-    /// [`Database::check`] or a repair.
-    pub fn quarantine_flag(&self) -> Arc<AtomicBool> {
-        Arc::clone(&self.quarantined)
-    }
-
     // ----- schema evolution ---------------------------------------------
 
     /// Add a new hierarchy root class (paper Fig. 4b). Its code is
@@ -375,10 +383,10 @@ impl<P: PageStore> Database<P> {
         Ok(())
     }
 
-    /// Set an attribute, keeping every index consistent. Only the entries
-    /// containing `oid` are recomputed, so the cost matches the paper's
-    /// §3.5 analysis (one entry for an end-of-path attribute update, the
-    /// clustered group for a mid-path reference change).
+    /// Set an attribute, keeping every index consistent. The entries
+    /// containing `oid` are enumerated in every index before and after the
+    /// change, and the keys that differ are deleted and inserted one at a
+    /// time (see the module doc for how that compares with §3.5).
     pub fn set_attr(&mut self, oid: Oid, name: &str, value: Value) -> Result<Option<Value>> {
         let before = self.involved_entries(oid)?;
         let old = self.store.set_attr(oid, name, value)?;
@@ -400,11 +408,7 @@ impl<P: PageStore> Database<P> {
         self.apply_diff(before, after)?;
         Ok(())
     }
-}
 
-// ----- repair and fault injection (in memory) ------------------------------
-
-impl Database {
     /// Salvage the index: rebuild it from the object store into fresh pages
     /// of the same store, then free every page of the old tree — unread.
     /// Returns the number of entries loaded and clears any quarantine.
@@ -415,11 +419,13 @@ impl Database {
         free_unreachable(self.index.tree().pool(), &keep)?;
         Ok(n)
     }
+}
 
-    /// A clonable handle onto the in-memory stack's fault-injection
-    /// schedule — the live chaos channel for tests and harnesses. Faults
-    /// land *below* the checksum layer, so injected silent damage is
-    /// detected like real bit rot.
+impl<S: PageStore> Database<ChecksumStore<FaultStore<S>>> {
+    /// A clonable handle onto the stack's fault-injection schedule — the
+    /// live chaos channel for tests and harnesses. Faults land *below* the
+    /// checksum layer, so injected silent damage is detected like real bit
+    /// rot.
     pub fn fault_handle(&self) -> pagestore::FaultHandle {
         self.index.tree().pool().store_lock().inner().handle()
     }
@@ -594,7 +600,10 @@ impl<P: PageStore> Database<P> {
 fn strip_explain_prefix(input: &str) -> &str {
     let trimmed = input.trim_start();
     for kw in ["explain analyze", "explain"] {
-        if trimmed.len() >= kw.len() && trimmed[..kw.len()].eq_ignore_ascii_case(kw) {
+        // Compare bytes: `kw.len()` need not fall on a char boundary of
+        // `trimmed`, and an ASCII match means it does.
+        let head = trimmed.as_bytes().get(..kw.len());
+        if head.is_some_and(|h| h.eq_ignore_ascii_case(kw.as_bytes())) {
             let rest = &trimmed[kw.len()..];
             // Keyword must end at a word boundary ("explainx" is not it).
             if rest.starts_with(char::is_whitespace) {

@@ -177,11 +177,6 @@ impl<P: PageStore> DatabaseReader<P> {
         self.query_at(&snap, q)
     }
 
-    /// Whether this reader carries a degraded-mode fallback source.
-    pub fn has_fallback(&self) -> bool {
-        self.degraded.is_some()
-    }
-
     /// Whether the shared quarantine flag is currently set. Always false
     /// for a reader without a fallback source.
     pub fn quarantined(&self) -> bool {
@@ -256,12 +251,6 @@ impl<P: PageStore> DatabaseReader<P> {
         }
         scan::feed_hits(&self.degraded_eval(src, q)?, sink)?;
         Ok((ScanStats::default(), true))
-    }
-
-    /// Convenience: pin the latest epoch and run one guarded query.
-    pub fn query_guarded(&self, q: &Query) -> Result<(Vec<QueryHit>, ScanStats, bool)> {
-        let snap = self.snapshot();
-        self.query_guarded_at(&snap, q)
     }
 
     /// Parse a [`crate::uql`] query string against the reader's captured

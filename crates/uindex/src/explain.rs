@@ -348,5 +348,11 @@ mod tests {
             let report = db.explain_uql(input).unwrap();
             assert_eq!(report.hits, 2, "input {input:?}");
         }
+        // Byte 7 or 15 inside a multibyte char: a parse error, not a panic.
+        for input in ["éééééééé", "explainé", "explain analyzé", "ééé explain"] {
+            assert!(db.explain_uql(input).is_err(), "input {input:?}");
+        }
+        let report = db.explain_uql("explain color: Color = 'Rød'").unwrap();
+        assert_eq!(report.hits, 0);
     }
 }

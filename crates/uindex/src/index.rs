@@ -1,6 +1,5 @@
 //! [`UIndex`]: many logical indexes in one B+-tree, plus maintenance.
 
-use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use btree::{BTree, BTreeConfig, TreeStats};
@@ -157,12 +156,6 @@ impl<S: PageStore> UIndex<S> {
         oid: Oid,
     ) -> Result<Vec<EntryKey>> {
         self.planner().entries_involving(store, id, oid)
-    }
-
-    /// Anchors (position-0 objects) whose entries involve `oid` in index
-    /// `id`, under the current store state.
-    pub fn anchors_affected(&self, store: &ObjectStore, id: IndexId, oid: Oid) -> Result<Vec<Oid>> {
-        self.planner().anchors_affected(store, id, oid)
     }
 
     // ----- maintenance ---------------------------------------------------
@@ -567,62 +560,6 @@ impl Planner<'_> {
             }
         }
         Ok(out)
-    }
-
-    /// Anchors (position-0 objects) whose entries involve `oid`; see
-    /// [`UIndex::anchors_affected`].
-    pub(crate) fn anchors_affected(
-        &self,
-        store: &ObjectStore,
-        id: IndexId,
-        oid: Oid,
-    ) -> Result<Vec<Oid>> {
-        let spec = self.spec(id)?;
-        let schema = store.schema();
-        if !store.exists(oid) {
-            return Ok(Vec::new());
-        }
-        let class = store.class_of(oid)?;
-        let mut anchors = BTreeSet::new();
-        for pos in 0..spec.positions.len() {
-            if self.class_in_scope(schema, spec, pos, class) {
-                self.descend_to_anchors(store, spec, pos, oid, &mut anchors)?;
-            }
-        }
-        Ok(anchors.into_iter().collect())
-    }
-
-    fn descend_to_anchors(
-        &self,
-        store: &ObjectStore,
-        spec: &IndexSpec,
-        pos: usize,
-        oid: Oid,
-        out: &mut BTreeSet<Oid>,
-    ) -> Result<()> {
-        if pos == 0 {
-            out.insert(oid);
-            return Ok(());
-        }
-        let step = &spec.positions[pos];
-        let (decl, attr) = step.via.expect("non-root");
-        let parent_pos = step.parent.expect("non-root");
-        let obj = store.get(oid)?;
-        let targets: Vec<Oid> = match obj.get(decl, attr) {
-            Some(Value::Ref(t)) => vec![*t],
-            Some(Value::RefSet(ts)) => ts.clone(),
-            _ => Vec::new(),
-        };
-        let schema = store.schema();
-        for t in targets {
-            if store.exists(t) {
-                let tc = store.class_of(t)?;
-                if self.class_in_scope(schema, spec, parent_pos, tc) {
-                    self.descend_to_anchors(store, spec, parent_pos, t, out)?;
-                }
-            }
-        }
-        Ok(())
     }
 
     fn resolve_class_sel(

@@ -268,19 +268,6 @@ impl EntryKey {
     pub fn index_prefix(index_id: u16) -> Vec<u8> {
         index_id.to_be_bytes().to_vec()
     }
-
-    /// Key prefix selecting one value within an index:
-    /// `[index_id][value][sep]`.
-    pub fn value_prefix(index_id: u16, value: &Value) -> Result<Vec<u8>> {
-        let venc = value
-            .encode_ordered()
-            .ok_or_else(|| Error::BadKey("reference values are not indexable".into()))?;
-        let mut out = Vec::with_capacity(2 + venc.len() + 1);
-        out.extend_from_slice(&index_id.to_be_bytes());
-        out.extend_from_slice(&venc);
-        out.push(FIELD_SEP);
-        Ok(out)
-    }
 }
 
 #[cfg(test)]
@@ -358,23 +345,14 @@ mod tests {
     }
 
     #[test]
-    fn value_prefix_bounds_value_group() {
-        let p = EntryKey::value_prefix(7, &Value::Int(5)).unwrap();
-        let inside = key(Value::Int(5), vec![(&[b'B', 1], 3)]).encode().unwrap();
-        let below = key(Value::Int(4), vec![(&[b'Z', 1], 9)]).encode().unwrap();
-        let above = key(Value::Int(6), vec![(&[b'B', 1], 0)]).encode().unwrap();
-        assert!(inside.starts_with(&p));
-        assert!(below < p);
-        assert!(above > p && !above.starts_with(&p));
-    }
-
-    #[test]
     fn decode_rejects_garbage() {
         assert!(EntryKey::decode(&[]).is_err());
         assert!(EntryKey::decode(&[0, 7]).is_err());
         assert!(EntryKey::decode(&[0, 7, 0x10, 1, 2]).is_err());
-        // Valid value but no path.
-        let p = EntryKey::value_prefix(7, &Value::Int(5)).unwrap();
+        // Valid value but no path: `[index_id][value][sep]`.
+        let mut p = EntryKey::index_prefix(7);
+        p.extend_from_slice(&Value::Int(5).encode_ordered().unwrap());
+        p.push(FIELD_SEP);
         assert!(EntryKey::decode(&p).is_err());
         // Unterminated code.
         let mut k = p.clone();

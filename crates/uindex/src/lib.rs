@@ -22,8 +22,10 @@
 //! Retrieval offers the naive **forward scan** and the paper's **"parallel"
 //! retrieval algorithm** (Algorithm 1): the query is translated into
 //! constraints per key field, and on a mismatch the scan *skips* to the
-//! next possible key by re-descending from the root — re-using every page
-//! already touched in this query, which the buffer pool counts only once.
+//! next possible key by re-descending from the lowest ancestor the cursor
+//! retained whose range still covers it (the leaf itself when the target
+//! is on it) — re-using every page already touched in this query, which
+//! the buffer pool counts only once.
 //!
 //! # Example
 //!
@@ -52,7 +54,6 @@
 //! assert_eq!(db.query(&q).unwrap().len(), 1);
 //! ```
 
-pub mod advisor;
 pub mod analysis;
 pub mod catalog;
 mod db;

@@ -81,12 +81,6 @@ impl IndexSpec {
         }
     }
 
-    /// Resolve the attribute's value-owner position count (1 = pure
-    /// class-hierarchy index).
-    pub fn is_class_hierarchy(&self) -> bool {
-        self.positions.len() == 1
-    }
-
     /// Merge another spec into this one, sharing equal positions (same
     /// class, same via, same parent chain). Both specs must index the same
     /// attribute and agree on `include_subclasses`. The result is a

@@ -327,7 +327,7 @@ fn decoding_a_leaf_is_two_allocations() {
     let tree = BTree::bulk_load(pool, BTreeConfig::default(), items).unwrap();
     let page = tree.pool().fetch(tree.root()).unwrap().read().to_vec();
     let (node, allocs) = allocations(|| Node::decode(&page).unwrap());
-    assert!(node.is_leaf());
+    assert!(matches!(node, Node::Leaf(_)));
     assert_eq!(node.count(), 193);
     assert!(
         allocs <= 3,

@@ -9,10 +9,14 @@
 //! `repair` rebuilds the index from the object store → all scan
 //! algorithms agree with the pre-damage answers again.
 
+use btree::BTreeConfig;
 use objstore::Value;
-use pagestore::{Error, Fault, PageStore};
+use pagestore::{ChecksumStore, Error, Fault, FaultStore, MemStore, PageStore, TRAILER_LEN};
 use schema::{AttrType, ClassId, Schema};
 use uindex::{ClassSel, Database, IndexId, IndexSpec, Query, QueryHit, ScanAlgorithm, ValuePred};
+
+/// The in-memory stack with a fault layer below the checksums.
+type FaultDb = Database<ChecksumStore<FaultStore<MemStore>>>;
 
 const EMPLOYEES: usize = 50;
 const COMPANIES: usize = 50;
@@ -21,7 +25,7 @@ const VEHICLES: usize = 4900;
 const COLORS: [&str; 7] = ["Red", "Blue", "White", "Green", "Black", "Silver", "Amber"];
 
 struct Fixture {
-    db: Database,
+    db: FaultDb,
     color: IndexId,
     age: IndexId,
     automobile: ClassId,
@@ -45,7 +49,8 @@ fn build() -> Fixture {
     let automobile = s.add_subclass("Automobile", vehicle).unwrap();
     let truck = s.add_subclass("Truck", vehicle).unwrap();
 
-    let mut db = Database::in_memory(s).unwrap();
+    let inner = FaultStore::new(MemStore::new(1024 + TRAILER_LEN));
+    let mut db = FaultDb::over_store(s, inner, 1 << 16, BTreeConfig::default()).unwrap();
     db.index()
         .tree()
         .pool()
@@ -120,7 +125,7 @@ fn query_set(f: &Fixture) -> Vec<Query> {
 /// checks against degraded and post-repair runs. Forward scans do not
 /// skip, so distinct queries are normalized through the oracle's
 /// [`uindex::oracle::distinct_filter`] (a no-op on already-deduped hits).
-fn answers(db: &mut Database, queries: &[Query]) -> Vec<Vec<QueryHit>> {
+fn answers(db: &mut FaultDb, queries: &[Query]) -> Vec<Vec<QueryHit>> {
     let mut out = Vec::new();
     for q in queries {
         let mut per_alg = Vec::new();

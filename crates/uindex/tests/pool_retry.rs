@@ -11,10 +11,13 @@
 //!   flag shared between writer and readers), every degraded answer still
 //!   matches the healthy one, and a clean `check()` lifts the quarantine.
 
+use btree::BTreeConfig;
 use objstore::Value;
-use pagestore::Fault;
+use pagestore::{ChecksumStore, Fault, FaultStore, MemStore, PageStore, TRAILER_LEN};
 use schema::{AttrType, Schema};
-use uindex::{Database, DiskDatabase, DiskOptions, IndexSpec, Query, ValuePred};
+use uindex::{
+    Database, DatabaseReader, DiskDatabase, DiskOptions, IndexSpec, Query, QueryHit, ValuePred,
+};
 
 fn tmpdir(name: &str) -> std::path::PathBuf {
     let mut p = std::env::temp_dir();
@@ -36,7 +39,19 @@ fn red_query(id: uindex::IndexId) -> Query {
     Query::on(id).value(ValuePred::eq(Value::Str("Red".into())))
 }
 
-fn populate<P: pagestore::PageStore>(db: &mut Database<P>, n: usize) -> uindex::IndexId {
+/// The red query through `reader`'s guarded path at its latest epoch:
+/// the hits and whether the degraded path answered.
+fn red_guarded<P: PageStore>(
+    reader: &DatabaseReader<P>,
+    id: uindex::IndexId,
+) -> (Vec<QueryHit>, bool) {
+    let (hits, _, degraded) = reader
+        .query_guarded_at(&reader.snapshot(), &red_query(id))
+        .unwrap();
+    (hits, degraded)
+}
+
+fn populate<P: PageStore>(db: &mut Database<P>, n: usize) -> uindex::IndexId {
     let vehicle = db.schema().class_by_name("Vehicle").unwrap();
     let id = db
         .define_index(IndexSpec::class_hierarchy("by_color", vehicle, "Color"))
@@ -120,7 +135,7 @@ fn disk_reader_degrades_on_exhausted_retries_without_quarantine() {
     // Three consecutive failures exhaust the pool's 3 bounded attempts.
     h.inject_burst(h.ops(), 3, Fault::IoError);
 
-    let (hits, _, degraded) = reader.query_guarded(&red_query(id)).unwrap();
+    let (hits, degraded) = red_guarded(&reader, id);
     assert!(degraded, "exhausted retries must degrade, not fail");
     assert_eq!(hits, healthy, "degraded answers must match healthy ones");
     assert!(
@@ -133,7 +148,7 @@ fn disk_reader_degrades_on_exhausted_retries_without_quarantine() {
     );
 
     // The faults are gone; the very next query uses the index again.
-    let (hits2, _, degraded2) = reader.query_guarded(&red_query(id)).unwrap();
+    let (hits2, degraded2) = red_guarded(&reader, id);
     assert!(!degraded2, "no quarantine, so the index path is retried");
     assert_eq!(hits2, healthy);
     db.close().unwrap();
@@ -142,7 +157,14 @@ fn disk_reader_degrades_on_exhausted_retries_without_quarantine() {
 
 #[test]
 fn corruption_is_never_retried_and_quarantines_shared_flag() {
-    let mut db = Database::in_memory(vehicle_schema()).unwrap();
+    let inner = FaultStore::new(MemStore::new(1024 + TRAILER_LEN));
+    let mut db = Database::<ChecksumStore<_>>::over_store(
+        vehicle_schema(),
+        inner,
+        1 << 16,
+        BTreeConfig::default(),
+    )
+    .unwrap();
     let id = populate(&mut db, 60);
     let healthy = db.query(&red_query(id)).unwrap();
     assert!(!healthy.is_empty());
@@ -158,7 +180,7 @@ fn corruption_is_never_retried_and_quarantines_shared_flag() {
     // detects it as corruption.
     h.inject(h.ops(), Fault::BitFlip { bit: 7 });
 
-    let (hits, _, degraded) = reader.query_guarded(&red_query(id)).unwrap();
+    let (hits, degraded) = red_guarded(&reader, id);
     assert!(degraded, "corruption mid-scan degrades the answer");
     assert_eq!(hits, healthy, "degraded answers must match healthy ones");
     assert_eq!(
@@ -176,7 +198,7 @@ fn corruption_is_never_retried_and_quarantines_shared_flag() {
     );
 
     // The flag sticks even though the one-shot fault is consumed.
-    let (hits2, _, degraded2) = reader.query_guarded(&red_query(id)).unwrap();
+    let (hits2, degraded2) = red_guarded(&reader, id);
     assert!(degraded2, "quarantine persists until a clean check");
     assert_eq!(hits2, healthy);
 
@@ -184,7 +206,7 @@ fn corruption_is_never_retried_and_quarantines_shared_flag() {
     let report = db.check().unwrap();
     assert!(report.clean(), "damage was transient, the pages are intact");
     assert!(!reader.quarantined() && !db.quarantined());
-    let (hits3, _, degraded3) = reader.query_guarded(&red_query(id)).unwrap();
+    let (hits3, degraded3) = red_guarded(&reader, id);
     assert!(!degraded3, "a clean check restores the index path");
     assert_eq!(hits3, healthy);
 }

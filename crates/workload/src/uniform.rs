@@ -199,16 +199,6 @@ impl<P: PageStore> UIndexSet<P> {
         self.index.into_pool()
     }
 
-    /// Use the naive forward-scanning algorithm instead of the paper's
-    /// parallel algorithm (Table 1's comparison).
-    pub fn use_forward_scan(&mut self, forward: bool) {
-        self.algorithm = if forward {
-            ScanAlgorithm::Forward
-        } else {
-            ScanAlgorithm::Parallel
-        };
-    }
-
     /// Select the scan algorithm for subsequent queries.
     pub fn use_algorithm(&mut self, algorithm: ScanAlgorithm) {
         self.algorithm = algorithm;
@@ -462,10 +452,10 @@ mod tests {
         );
 
         // Forward scan agrees.
-        u.use_forward_scan(true);
+        u.use_algorithm(ScanAlgorithm::Forward);
         let (fwd, fwd_cost) = u.range(&key_bytes(50), &key_bytes(70), &sets).unwrap();
         assert_eq!(fwd, brute(&postings, &key_bytes(50), &key_bytes(70), &sets));
-        u.use_forward_scan(false);
+        u.use_algorithm(ScanAlgorithm::Parallel);
         let (_, par_cost) = u.range(&key_bytes(50), &key_bytes(70), &sets).unwrap();
         assert!(par_cost.pages <= fwd_cost.pages);
     }

@@ -6,6 +6,7 @@
 use baselines::{CgConfig, CgTree, ChTree, HTree, SetId, SetIndex};
 use objstore::Oid;
 use proptest::prelude::*;
+use uindex::ScanAlgorithm;
 use workload::uniform::{key_bytes, UIndexSet};
 
 #[derive(Debug, Clone)]
@@ -101,9 +102,9 @@ proptest! {
             prop_assert_eq!(&got_cg, &want, "cg exact");
 
             // Forward scan agreement + page-cost dominance.
-            u.use_forward_scan(true);
+            u.use_algorithm(ScanAlgorithm::Forward);
             let (fwd, fwd_cost) = u.range(&lo, &hi, &sets).unwrap();
-            u.use_forward_scan(false);
+            u.use_algorithm(ScanAlgorithm::Parallel);
             let (par, par_cost) = u.range(&lo, &hi, &sets).unwrap();
             prop_assert_eq!(fwd, par, "forward vs parallel");
             prop_assert!(par_cost.pages <= fwd_cost.pages);
