@@ -61,6 +61,14 @@ if grep -rnI -e 'FaultStore<MemStor[e]>' crates/uindex/src; then
   echo "the in-memory product stack carries a fault layer again (see above)"; exit 1
 fi
 
+echo "== one read path, no test-only machinery (the reader's twin evaluators and parser, the parallel executor and the background checkpointer stay gone)"
+if grep -rnI \
+    -e 'parallel_quer[y]' -e 'eval_wit[h]' -e 'all_entries_wit[h]' -e 'parse_with_spec[s]' \
+    -e 'query_guarded_a[t]' -e 'enable_background_checkpoint[s]' -e 'checkpoint_if_quiescen[t]' \
+    crates src tests examples docs DESIGN.md README.md ci.sh; then
+  echo "deleted read-path twin or test-only mechanism referenced again (see above)"; exit 1
+fi
+
 echo "== registries any thread can read (a group sums live and departed members exactly; no reading goes down under a running writer)"
 cargo test -q --offline -p telemetry group_
 
@@ -136,8 +144,8 @@ cargo test -q --offline -p uindex --lib objtree
 echo "== concurrency torture smoke (4 scanners racing 1 mutator, both tiers)"
 timeout 300 cargo test -q --offline -p uindex --test concurrent_torture
 
-echo "== parallel executor (1/2/4/8 threads: per-query hits and stats identical, both tiers)"
-cargo test -q --offline -p uindex --test concurrent_torture parallel_query_matches_single_threaded_on_both_tiers
+echo "== reader clones on 1/2/4/8 threads (per-query hits and stats identical to one thread, both tiers)"
+cargo test -q --offline -p uindex --test concurrent_torture reader_clones_on_1_2_4_8_threads_agree_on_both_tiers
 
 echo "== integrity check smoke (CLI check/repair on the smoke db)"
 check_out=$(cargo run -q --release --offline -p uindex-cli -- check "$tmpdir/db")

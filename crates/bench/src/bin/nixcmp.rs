@@ -131,8 +131,7 @@ fn main() {
 
     // 1. Whole vehicle sub-tree for one age.
     let (_, u) = db
-        .index_mut()
-        .query(
+        .query_with_stats(
             &Query::on(idx)
                 .value(ValuePred::eq(Value::Int(probe_age)))
                 .class_at(2, ClassSel::SubTree(vehicle)),
@@ -148,8 +147,7 @@ fn main() {
 
     // 2. Single dispersed sub-class (Truck).
     let (_, u) = db
-        .index_mut()
-        .query(
+        .query_with_stats(
             &Query::on(idx)
                 .value(ValuePred::eq(Value::Int(probe_age)))
                 .class_at(2, ClassSel::Exact(truck)),
@@ -173,8 +171,7 @@ fn main() {
         })
         .expect("some company has a 45-year-old president");
     let (hits, u) = db
-        .index_mut()
-        .query(
+        .query_with_stats(
             &Query::on(idx)
                 .value(ValuePred::eq(Value::Int(probe_age)))
                 .oid_at(1, OidSel::Is(target_company)),
@@ -198,8 +195,7 @@ fn main() {
 
     // 4. Range query over ages (NIX's predicted strength).
     let (_, u) = db
-        .index_mut()
-        .query(
+        .query_with_stats(
             &Query::on(idx)
                 .value(ValuePred::between(Value::Int(30), Value::Int(50)))
                 .class_at(2, ClassSel::Exact(truck)),

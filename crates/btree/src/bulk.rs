@@ -61,7 +61,10 @@ impl<S: PageStore> BTree<S> {
                 }
             }
             if key.len() + value.len() > max_entry {
-                return Err(Error::Corrupt("bulk_load entry too large".into()));
+                return Err(Error::EntryTooLarge {
+                    len: key.len() + value.len(),
+                    max: max_entry,
+                });
             }
             let plen = if compress && !cur.is_empty() {
                 common_prefix_len(prev_key.as_deref().unwrap_or(&[]), &key)

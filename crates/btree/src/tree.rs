@@ -578,8 +578,8 @@ impl<S: PageStore> BTree<S> {
         &self.shared.pool
     }
 
-    /// A shared handle to the buffer pool, e.g. for a background
-    /// checkpointer that must outlive this borrow.
+    /// A shared handle to the buffer pool, e.g. to build a replacement
+    /// tree in the same pool.
     pub fn pool_arc(&self) -> Arc<BufferPool<S>> {
         self.shared.pool.clone()
     }
@@ -736,11 +736,10 @@ impl<S: PageStore> BTree<S> {
     /// already present.
     pub fn insert(&mut self, key: &[u8], value: &[u8]) -> Result<Option<Vec<u8>>> {
         if key.len() + value.len() > self.max_entry_size() {
-            return Err(Error::Corrupt(format!(
-                "entry of {} bytes exceeds max entry size {}",
-                key.len() + value.len(),
-                self.max_entry_size()
-            )));
+            return Err(Error::EntryTooLarge {
+                len: key.len() + value.len(),
+                max: self.max_entry_size(),
+            });
         }
         self.bump_epoch();
         let result = self.insert_rec(self.root, key, value)?;

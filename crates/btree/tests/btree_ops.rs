@@ -336,8 +336,17 @@ fn batch_insert_counts_new_keys() {
 fn oversized_entry_rejected() {
     let mut t = new_tree(256, BTreeConfig::default());
     let huge = vec![b'x'; 300];
-    assert!(t.insert(&huge, b"").is_err());
-    assert!(t.insert(b"k", &huge).is_err());
+    for err in [
+        t.insert(&huge, b"").unwrap_err(),
+        t.insert(b"k", &huge).unwrap_err(),
+    ] {
+        assert!(
+            matches!(err, btree::Error::EntryTooLarge { .. }),
+            "typed refusal: {err}"
+        );
+        assert!(!err.is_corruption(), "an oversized entry is not damage");
+    }
+    assert_eq!(t.len(), 0, "nothing was inserted");
 }
 
 #[test]

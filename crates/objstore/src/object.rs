@@ -190,18 +190,46 @@ impl ObjectStore {
             }
             _ => {}
         }
-        // Unlink old reverse entries, link new ones.
-        let old = self
-            .objects
-            .get_mut(&oid)
-            .expect("checked")
-            .attrs
-            .insert((decl, attr), value.clone());
+        Ok(self.replace(oid, decl, attr, Some(value)))
+    }
+
+    /// Put `value` — or no value — back as attribute `name` of `oid`,
+    /// without [`ObjectStore::set_attr`]'s checks: the undo of a set whose
+    /// effects a layer above refused. Returns the value it replaced.
+    pub fn restore_attr(
+        &mut self,
+        oid: Oid,
+        name: &str,
+        value: Option<Value>,
+    ) -> Result<Option<Value>> {
+        let class = self.class_of(oid)?;
+        let (decl, attr) = self
+            .schema
+            .resolve_attr(class, name)
+            .ok_or_else(|| Error::UnknownAttr(name.to_string()))?;
+        Ok(self.replace(oid, decl, attr, value))
+    }
+
+    /// Swap the stored value and the reverse-reference entries it implies.
+    fn replace(
+        &mut self,
+        oid: Oid,
+        decl: ClassId,
+        attr: AttrId,
+        value: Option<Value>,
+    ) -> Option<Value> {
+        let attrs = &mut self.objects.get_mut(&oid).expect("checked").attrs;
+        let old = match &value {
+            Some(v) => attrs.insert((decl, attr), v.clone()),
+            None => attrs.remove(&(decl, attr)),
+        };
         if let Some(old_v) = &old {
             self.unlink(oid, decl, attr, old_v);
         }
-        self.link(oid, decl, attr, &value);
-        Ok(old)
+        if let Some(v) = &value {
+            self.link(oid, decl, attr, v);
+        }
+        old
     }
 
     fn check_ref(&self, target: Oid, target_class: ClassId) -> Result<()> {

@@ -30,6 +30,9 @@ pub enum Error {
     Io(std::io::Error),
     /// A write did not match the store's page size.
     BadPageSize { expected: usize, got: usize },
+    /// An entry (key plus value) larger than one node can hold: refused
+    /// before the tree changes. A caller mistake, not damage.
+    EntryTooLarge { len: usize, max: usize },
 }
 
 impl Error {
@@ -61,6 +64,9 @@ impl fmt::Display for Error {
             Error::Io(e) => write!(f, "i/o error: {e}"),
             Error::BadPageSize { expected, got } => {
                 write!(f, "bad page size: expected {expected}, got {got}")
+            }
+            Error::EntryTooLarge { len, max } => {
+                write!(f, "entry of {len} bytes exceeds max entry size {max}")
             }
         }
     }

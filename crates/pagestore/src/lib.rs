@@ -13,7 +13,8 @@
 //!
 //! * [`MemStore`] — an in-memory store used by the experiments (the paper's
 //!   metric is page *counts*, not wall-clock I/O);
-//! * [`FileStore`] — a real file-backed store for durability demos.
+//! * [`FileStore`] — the file-backed store under the durable tier, which
+//!   [`disk`] stacks below a checksum layer and a write-ahead log.
 //!
 //! # Example
 //!

@@ -76,11 +76,6 @@ pub struct WalStore<S: PageStore> {
     group_commit: u32,
     /// Commit markers appended since the last log fsync.
     commits_since_fsync: u32,
-    /// Page ops appended since the last commit marker. While set, the
-    /// store is mid-transaction and a checkpoint would make a partial
-    /// logical mutation durable — [`WalStore::checkpoint_if_quiescent`]
-    /// refuses exactly then.
-    uncommitted_ops: bool,
 }
 
 impl<S: PageStore> WalStore<S> {
@@ -103,7 +98,6 @@ impl<S: PageStore> WalStore<S> {
             recovery: None,
             group_commit: 1,
             commits_since_fsync: 0,
-            uncommitted_ops: false,
         })
     }
 
@@ -127,7 +121,6 @@ impl<S: PageStore> WalStore<S> {
             recovery: None,
             group_commit: 1,
             commits_since_fsync: 0,
-            uncommitted_ops: false,
         };
         store.replay(&buf)?;
         Ok(store)
@@ -235,7 +228,6 @@ impl<S: PageStore> WalStore<S> {
         let crc = crc32(&rec);
         rec.extend_from_slice(&crc.to_le_bytes());
         self.log.write_all(&rec)?;
-        self.uncommitted_ops = op != OP_COMMIT;
         telemetry::counter("pagestore.wal.appends").inc();
         Ok(())
     }
@@ -313,25 +305,6 @@ impl<S: PageStore> WalStore<S> {
         telemetry::counter("pagestore.wal.checkpoints").inc();
         telemetry::counter("pagestore.wal.fsyncs").inc();
         Ok(())
-    }
-
-    /// Checkpoint only if the store is at a commit boundary (no ops since
-    /// the last commit marker). This is the background checkpointer's
-    /// entry point: it may run at an arbitrary moment relative to the
-    /// writer, and must never turn a half-applied mutation durable.
-    /// Returns whether a checkpoint ran (`Ok(true)` also when the overlay
-    /// was already empty and there was nothing to apply).
-    pub fn checkpoint_if_quiescent(&mut self) -> Result<bool> {
-        if self.uncommitted_ops {
-            return Ok(false);
-        }
-        if self.overlay.is_empty() && self.commits_since_fsync == 0 {
-            // Nothing to apply and nothing pending an fsync: the log holds
-            // at most already-durable commit markers. Skip the I/O.
-            return Ok(true);
-        }
-        self.checkpoint()?;
-        Ok(true)
     }
 
     /// The log file path (for crash-simulation tests).

@@ -18,7 +18,7 @@ use uindex::Query;
 pub struct CachedPlan {
     /// The normalized statement text this plan was parsed from.
     pub text: String,
-    /// The parsed query, ready for `DatabaseReader::query_at`.
+    /// The parsed query, ready for `DatabaseReader::query_guarded_into`.
     pub query: Query,
 }
 

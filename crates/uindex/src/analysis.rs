@@ -13,10 +13,8 @@
 //! `tests` (and `tests/cost_model.rs`) assert every measured query cost
 //! falls inside them.
 
-use pagestore::PageStore;
-
 use crate::error::Result;
-use crate::index::UIndex;
+use crate::index::Planner;
 use crate::query::Query;
 use crate::scan::ScanStats;
 
@@ -89,8 +87,8 @@ impl CostModel {
 /// The number of class groups (`m`) a query constrains, derived from the
 /// translated matcher: the product over positions of the number of disjoint
 /// class-code ranges.
-pub fn class_groups<S: PageStore>(index: &UIndex<S>, q: &Query) -> Result<u64> {
-    let matcher = index.matcher(q)?;
+pub fn class_groups(planner: Planner<'_>, q: &Query) -> Result<u64> {
+    let matcher = planner.matcher(q)?;
     let mut m = 1u64;
     for pos in &matcher.positions {
         m = m.saturating_mul(pos.class_ranges.len().max(1) as u64);
@@ -102,8 +100,8 @@ pub fn class_groups<S: PageStore>(index: &UIndex<S>, q: &Query) -> Result<u64> {
 /// For contiguous ranges the true `r` is the distinct values occurring in
 /// the range, which only the caller can know; this returns the number of
 /// disjoint byte ranges (1 for `Eq`/`Range`, the list length for `In`).
-pub fn value_groups<S: PageStore>(index: &UIndex<S>, q: &Query) -> Result<u64> {
-    let matcher = index.matcher(q)?;
+pub fn value_groups(planner: Planner<'_>, q: &Query) -> Result<u64> {
+    let matcher = planner.matcher(q)?;
     Ok(matcher.value_ranges.len().max(1) as u64)
 }
 

@@ -95,6 +95,33 @@ fn decode_attr_type(buf: &[u8]) -> Result<AttrType> {
     })
 }
 
+/// The catalog record (key, value) of class `class` named `name`.
+pub(crate) fn class_record(code: &[u8], name: &str, class: ClassId) -> (Vec<u8>, Vec<u8>) {
+    let mut payload = Vec::new();
+    put_str(&mut payload, name);
+    payload.extend_from_slice(&class.0.to_le_bytes());
+    (catalog_key(TAG_CLASS, code, 0), payload)
+}
+
+/// The catalog record of attribute `attr` named `name`, declared on the
+/// class whose code is `code`.
+pub(crate) fn attr_record(
+    code: &[u8],
+    attr: AttrId,
+    name: &str,
+    ty: AttrType,
+) -> (Vec<u8>, Vec<u8>) {
+    let mut payload = Vec::new();
+    put_str(&mut payload, name);
+    payload.extend_from_slice(&encode_attr_type(ty));
+    (catalog_key(TAG_ATTR, code, attr.0 as u16), payload)
+}
+
+/// The catalog record of index `id`.
+pub(crate) fn spec_record(id: u16, spec: &IndexSpec) -> (Vec<u8>, Vec<u8>) {
+    (catalog_key(TAG_SPEC, &[], id), encode_spec(spec))
+}
+
 impl<S: PageStore> UIndex<S> {
     /// Bring the schema catalog in the shared B-tree up to date: one
     /// clustered entry per class, SUP edge, attribute, and index spec. The
@@ -109,10 +136,7 @@ impl<S: PageStore> UIndex<S> {
                 continue; // pending evolution class: not yet materialized
             };
             let code = code.as_bytes().to_vec();
-            let mut name = Vec::new();
-            put_str(&mut name, schema.class_name(class));
-            name.extend_from_slice(&class.0.to_le_bytes());
-            items.push((catalog_key(TAG_CLASS, &code, 0), name));
+            items.push(class_record(&code, schema.class_name(class), class));
             for (i, &parent) in schema.parents(class).iter().enumerate() {
                 items.push((
                     catalog_key(TAG_SUP, &code, i as u16),
@@ -120,14 +144,11 @@ impl<S: PageStore> UIndex<S> {
                 ));
             }
             for (attr, attr_name, ty) in schema.own_attrs(class) {
-                let mut payload = Vec::new();
-                put_str(&mut payload, attr_name);
-                payload.extend_from_slice(&encode_attr_type(ty));
-                items.push((catalog_key(TAG_ATTR, &code, attr.0 as u16), payload));
+                items.push(attr_record(&code, attr, attr_name, ty));
             }
         }
         for (id, spec) in self.specs().iter().enumerate() {
-            items.push((catalog_key(TAG_SPEC, &[], id as u16), encode_spec(spec)));
+            items.push(spec_record(id as u16, spec));
         }
         items.sort();
         let n = items.len() as u64;

@@ -19,10 +19,12 @@ use pagestore::{
     BufferPool, ChecksumStore, FaultStore, MemStore, PageId, PageStore, RetryPolicy, ScrubReport,
     Scrubbable, TRAILER_LEN,
 };
-use schema::{ClassId, Encoding, Schema};
+use schema::{AttrId, ClassId, Encoding, Schema};
 
-use crate::error::{Error, Result};
-use crate::index::{IndexId, UIndex};
+use crate::catalog;
+use crate::error::Result;
+use crate::exec::{run_guarded, Fallback};
+use crate::index::{IndexId, Planner, UIndex};
 use crate::query::{Query, QueryHit};
 use crate::scan::{QueryTrace, ScanStats};
 use crate::spec::{IndexSpec, SpecBuilder};
@@ -33,6 +35,11 @@ use crate::spec::{IndexSpec, SpecBuilder};
 /// memory store, so injected silent damage lands below the trailer and is
 /// caught exactly like real bit rot.
 pub type DbStore = ChecksumStore<MemStore>;
+
+/// As long as the shortest class code component (one letter and its
+/// terminator): a class whose code is not assigned yet gets at least this,
+/// a subclass at least this past its parent's code.
+const MIN_CODE: [u8; 2] = [0; 2];
 
 /// Result of [`Database::check`]: scrub outcome, tree verification, and
 /// the entry-level cross-check against the object store.
@@ -82,8 +89,8 @@ pub struct Database<P: PageStore = DbStore> {
     /// can impose — the same quarantine from other threads.
     quarantined: Arc<AtomicBool>,
     /// OIDs created, changed or deleted since [`Database::clear_touched`]
-    /// — what a durable commit must rewrite. `None`
-    /// (every tier but the disk one) records nothing.
+    /// — what a durable commit must rewrite. `None` (every tier but the
+    /// disk one, the only one that writes a catalog) records nothing.
     touched: Option<BTreeSet<Oid>>,
 }
 
@@ -234,6 +241,11 @@ impl<P: PageStore> Database<P> {
         &mut self.index
     }
 
+    /// The metadata view: spec table, class encoding and schema.
+    pub fn planner(&self) -> Planner<'_> {
+        self.index.planner(self.store.schema())
+    }
+
     /// Whether the index is quarantined (queries run degraded).
     pub fn quarantined(&self) -> bool {
         self.quarantined.load(Ordering::Acquire)
@@ -248,20 +260,14 @@ impl<P: PageStore> Database<P> {
     /// encoding and schema as of this call, so take it after defining
     /// indexes and loading data.
     pub fn reader(&mut self) -> crate::DatabaseReader<P> {
-        self.index.tree_mut().enable_snapshots();
-        crate::DatabaseReader::new(
-            self.index.tree().reader(),
-            self.index.encoding().clone(),
-            self.index.specs().to_vec(),
-            self.store.schema().clone(),
-        )
+        crate::DatabaseReader::for_index(&mut self.index, self.store.schema())
     }
 
     /// Like [`Database::reader`], additionally arming the reader with a
     /// degraded-mode fallback: a frozen clone of the object store plus the
     /// database's own quarantine flag. Such a reader answers queries from
     /// the object store when the index is quarantined or faulting (see
-    /// [`crate::DatabaseReader::query_guarded_at`]) instead of failing —
+    /// [`crate::DatabaseReader::query_guarded_into`]) instead of failing —
     /// the serving tier's availability path. Costs one object-store clone;
     /// the plain [`Database::reader`] stays clone-free for perf paths.
     pub fn reader_with_fallback(&mut self) -> crate::DatabaseReader<P> {
@@ -277,6 +283,7 @@ impl<P: PageStore> Database<P> {
     /// the code will respect them; force assignment with
     /// [`Database::encode_class`].
     pub fn add_class(&mut self, name: &str) -> Result<ClassId> {
+        self.check_catalog_record(catalog::class_record(&MIN_CODE, name, ClassId(0)))?;
         let id = self.store.schema_mut().add_class(name)?;
         self.pending_codes.insert(id);
         Ok(id)
@@ -284,13 +291,19 @@ impl<P: PageStore> Database<P> {
 
     /// Add a sub-class (paper Fig. 4a); its code is assigned lazily.
     pub fn add_subclass(&mut self, name: &str, parent: ClassId) -> Result<ClassId> {
+        let mut code = self.code_or_min(parent).to_vec();
+        code.extend_from_slice(&MIN_CODE);
+        self.check_catalog_record(catalog::class_record(&code, name, parent))?;
         let id = self.store.schema_mut().add_subclass(name, parent)?;
         self.pending_codes.insert(id);
         Ok(id)
     }
 
     /// Assign a code now to `class` (and any pending ancestors), honouring
-    /// the REF edges declared so far.
+    /// the REF edges declared so far. The definitions were sized against
+    /// the shortest code the class could get; with its real code, a class
+    /// or attribute record that cannot fit the catalog is refused here and
+    /// the class stays pending.
     pub fn encode_class(&mut self, class: ClassId) -> Result<()> {
         if !self.pending_codes.contains(&class) {
             return Ok(());
@@ -299,7 +312,20 @@ impl<P: PageStore> Database<P> {
             self.encode_class(parent)?;
         }
         let schema = self.store.schema().clone();
-        self.index.encoding_mut().assign_class(&schema, class)?;
+        let unassigned = self.index.encoding().clone();
+        let code = self.index.encoding_mut().assign_class(&schema, class)?;
+        let (code, class_name) = (code.as_bytes().to_vec(), schema.class_name(class));
+        let fits = self
+            .check_catalog_record(catalog::class_record(&code, class_name, class))
+            .and_then(|()| {
+                schema.own_attrs(class).try_for_each(|(attr, name, ty)| {
+                    self.check_catalog_record(catalog::attr_record(&code, attr, name, ty))
+                })
+            });
+        if let Err(e) = fits {
+            *self.index.encoding_mut() = unassigned;
+            return Err(e);
+        }
         self.pending_codes.remove(&class);
         Ok(())
     }
@@ -313,13 +339,29 @@ impl<P: PageStore> Database<P> {
     }
 
     /// Declare an attribute.
-    pub fn add_attr(
-        &mut self,
-        class: ClassId,
-        name: &str,
-        ty: schema::AttrType,
-    ) -> Result<schema::AttrId> {
+    pub fn add_attr(&mut self, class: ClassId, name: &str, ty: schema::AttrType) -> Result<AttrId> {
+        let code = self.code_or_min(class);
+        self.check_catalog_record(catalog::attr_record(code, AttrId(0), name, ty))?;
         Ok(self.store.schema_mut().add_attr(class, name, ty)?)
+    }
+
+    /// `class`'s code, or the shortest one it could get while pending.
+    fn code_or_min(&self, class: ClassId) -> &[u8] {
+        let code = self.index.encoding().code(class);
+        code.map_or(&MIN_CODE[..], |c| c.as_bytes())
+    }
+
+    /// On the disk tier every class, attribute and index definition is
+    /// also a record of the in-tree catalog ([`crate::catalog`]), written
+    /// at the next commit: refuse a definition whose record cannot fit one
+    /// B-tree entry before anything changes, instead of letting every
+    /// later commit fail on it. The in-memory tier writes no catalog.
+    fn check_catalog_record(&self, (key, value): (Vec<u8>, Vec<u8>)) -> Result<()> {
+        let (len, max) = (key.len() + value.len(), self.index.tree().max_entry_size());
+        if self.touched.is_some() && len > max {
+            return Err(pagestore::Error::EntryTooLarge { len, max }.into());
+        }
+        Ok(())
     }
 
     // ----- index definition ----------------------------------------------
@@ -332,6 +374,7 @@ impl<P: PageStore> Database<P> {
 
     /// Define an index from an explicit spec and populate it.
     pub fn define_index_spec(&mut self, spec: IndexSpec) -> Result<IndexId> {
+        self.check_catalog_record(catalog::spec_record(0, &spec))?;
         self.encode_all_pending()?;
         let id = self.index.define(self.store.schema(), spec)?;
         self.index.build(&self.store, id)?;
@@ -351,12 +394,20 @@ impl<P: PageStore> Database<P> {
 
     /// For every index, the encoded keys of all entries containing `oid` —
     /// exactly the entries a mutation of `oid` can add or remove.
+    /// A key too large for one B-tree entry is refused here, before the
+    /// tree sees it.
     fn involved_entries(&self, oid: Oid) -> Result<Vec<BTreeSet<Vec<u8>>>> {
+        let max = self.index.tree().max_entry_size();
         let mut out = Vec::with_capacity(self.index.specs().len());
         for id in 0..self.index.specs().len() as IndexId {
             let mut set = BTreeSet::new();
-            for e in self.index.entries_involving(&self.store, id, oid)? {
-                set.insert(e.encode()?);
+            for e in self.planner().entries_involving(&self.store, id, oid)? {
+                let key = e.encode()?;
+                if key.len() > max {
+                    let len = key.len();
+                    return Err(pagestore::Error::EntryTooLarge { len, max }.into());
+                }
+                set.insert(key);
             }
             out.push(set);
         }
@@ -386,12 +437,20 @@ impl<P: PageStore> Database<P> {
     /// Set an attribute, keeping every index consistent. The entries
     /// containing `oid` are enumerated in every index before and after the
     /// change, and the keys that differ are deleted and inserted one at a
-    /// time (see the module doc for how that compares with §3.5).
+    /// time (see the module doc for how that compares with §3.5). A value
+    /// that would make an entry too large for the tree is refused with
+    /// store and tree unchanged.
     pub fn set_attr(&mut self, oid: Oid, name: &str, value: Value) -> Result<Option<Value>> {
         let before = self.involved_entries(oid)?;
         let old = self.store.set_attr(oid, name, value)?;
+        let after = match self.involved_entries(oid) {
+            Ok(after) => after,
+            Err(e) => {
+                self.store.restore_attr(oid, name, old)?;
+                return Err(e);
+            }
+        };
         self.touch(oid);
-        let after = self.involved_entries(oid)?;
         self.apply_diff(before, after)?;
         Ok(old)
     }
@@ -519,7 +578,7 @@ impl<P: PageStore> Database<P> {
         tree_keys.sort();
         let mut expected: Vec<Vec<u8>> = Vec::new();
         for id in 0..self.index.specs().len() as IndexId {
-            for e in crate::oracle::all_entries(&self.index, &self.store, id)? {
+            for e in crate::oracle::all_entries(self.planner(), &self.store, id)? {
                 expected.push(e.encode()?);
             }
         }
@@ -527,38 +586,41 @@ impl<P: PageStore> Database<P> {
         Ok(tree_keys == expected)
     }
 
-    /// Answer `q` without the index: recompute matching entries from the
-    /// object store (the differential oracle's evaluator, proven
-    /// equivalent to all scan algorithms by its trial harness). Slower,
-    /// but immune to index damage.
-    fn degraded_eval(&self, q: &Query) -> Result<Vec<QueryHit>> {
-        let hits = crate::oracle::eval(&self.index, &self.store, q)?;
-        telemetry::counter("uindex.degraded.queries").inc();
-        Ok(match q.distinct_upto {
-            Some(pos) => crate::oracle::distinct_filter(&hits, pos),
-            None => hits,
-        })
-    }
-
-    /// Run `q` through the index, falling back to [`Database::degraded_eval`]
-    /// when the index is quarantined — or quarantining it on the spot when
-    /// the scan hits corruption. The returned flag reports whether the
-    /// degraded path answered. Queries never silently return wrong data:
-    /// damage either surfaces as [`pagestore::Error::Corruption`] inside
-    /// the scan (caught here) or was already flagged by a check.
+    /// Run `q` on the live tree through the one guarded read path, with the
+    /// object store and the quarantine flag as its fallback: corruption
+    /// quarantines the index and answers degraded, exhausted I/O answers
+    /// degraded without a quarantine, a quarantined index is not read. The
+    /// returned flag reports whether the degraded path answered. The run
+    /// is timed as a `query` span with a `plan` child (the scan adds
+    /// `descend` and `scan`), which lands in the trace of an answer the
+    /// index gave.
     pub fn query_traced_guarded(&self, q: &Query) -> Result<(Vec<QueryHit>, QueryTrace, bool)> {
-        if !self.quarantined.load(Ordering::Acquire) {
-            match self.index.query_traced(q) {
-                Ok((hits, trace)) => return Ok((hits, trace, false)),
-                Err(Error::Page(e)) if e.is_corruption() => {
-                    self.quarantined.store(true, Ordering::Release);
-                    telemetry::counter("uindex.degraded.quarantines").inc();
-                }
-                Err(e) => return Err(e),
-            }
+        let planner = self.planner();
+        let fallback = Fallback {
+            planner,
+            store: &self.store,
+            quarantined: &self.quarantined,
+        };
+        let view = self.index.tree().view();
+        let mut hits = Vec::new();
+        let root = telemetry::Span::enter("query");
+        let matcher = {
+            let _plan = telemetry::Span::enter("plan");
+            planner.matcher(q)
+        };
+        let result = run_guarded(&view, matcher, Some(fallback), q, &mut hits);
+        drop(root);
+        // The freshly closed "query" root is the last finished span; keep it
+        // in the trace and drop older undrained roots.
+        let span = telemetry::take_spans()
+            .into_iter()
+            .rev()
+            .find(|s| s.name == "query");
+        let (mut trace, degraded) = result?;
+        if !degraded {
+            trace.span = span;
         }
-        let hits = self.degraded_eval(q)?;
-        Ok((hits, QueryTrace::default(), true))
+        Ok((hits, trace, degraded))
     }
 
     // ----- queries ---------------------------------------------------------
@@ -570,7 +632,7 @@ impl<P: PageStore> Database<P> {
 
     /// Parse and run a [`crate::uql`] query string.
     pub fn query_uql(&self, input: &str) -> Result<(Vec<QueryHit>, ScanStats)> {
-        let q = crate::uql::parse(&self.index, self.store.schema(), input)?;
+        let q = crate::uql::parse(self.planner(), input)?;
         self.query_with_stats(&q)
     }
 
@@ -590,7 +652,7 @@ impl<P: PageStore> Database<P> {
     /// is accepted and stripped) and build an EXPLAIN ANALYZE report.
     pub fn explain_uql(&self, input: &str) -> Result<crate::ExplainReport> {
         let stripped = strip_explain_prefix(input);
-        let q = crate::uql::parse(&self.index, self.store.schema(), stripped)?;
+        let q = crate::uql::parse(self.planner(), stripped)?;
         self.explain_query(&q)
     }
 }

@@ -46,8 +46,7 @@ use std::fs::File;
 use std::io::Write as _;
 use std::ops::{Deref, DerefMut};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::Arc;
 
 use btree::{BTreeConfig, Capacity};
 use objstore::ObjectStore;
@@ -140,39 +139,6 @@ pub struct DiskDatabase {
     dir: PathBuf,
     options: DiskOptions,
     commits_since_checkpoint: u32,
-    /// Background checkpointer, when enabled: periodic checkpoints run
-    /// off the commit path (see
-    /// [`DiskDatabase::enable_background_checkpoints`]).
-    bg: Option<BgCheckpointer>,
-}
-
-enum BgMsg {
-    Tick,
-    Shutdown,
-}
-
-/// Handle to the background checkpoint thread. The thread owns an
-/// `Arc` of the buffer pool and checkpoints through the store mutex, so
-/// it serializes naturally with the writer; it only ever checkpoints at
-/// commit boundaries ([`pagestore::WalStore::checkpoint_if_quiescent`]),
-/// never mid-mutation. Dropping the handle shuts the thread down.
-struct BgCheckpointer {
-    tx: mpsc::Sender<BgMsg>,
-    handle: Option<std::thread::JoinHandle<()>>,
-    completed: Arc<AtomicU64>,
-    skipped: Arc<AtomicU64>,
-    /// Last `completed` value the commit path observed — lets it reset
-    /// its inline-fallback counter only when the thread actually ran.
-    seen: u64,
-}
-
-impl Drop for BgCheckpointer {
-    fn drop(&mut self) {
-        let _ = self.tx.send(BgMsg::Shutdown);
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
-        }
-    }
 }
 
 impl Deref for DiskDatabase {
@@ -352,7 +318,6 @@ impl DiskDatabase {
             dir: dir.to_path_buf(),
             options,
             commits_since_checkpoint: 0,
-            bg: None,
         }
     }
 
@@ -474,115 +439,18 @@ impl DiskDatabase {
 
     /// Make everything since the last commit durable (subject to the
     /// group-commit fsync policy; see [`DiskDatabase::sync`] to force the
-    /// fsync). Triggers a checkpoint every `checkpoint_every` commits —
-    /// inline, or handed to the background thread when
-    /// [`DiskDatabase::enable_background_checkpoints`] is on.
+    /// fsync). Every `checkpoint_every`-th commit also checkpoints.
     pub fn commit(&mut self) -> Result<()> {
         self.stage()?;
         self.pool().store_lock().commit()?;
         telemetry::counter("uindex.disk.commits").inc();
-        if let Some(bg) = &mut self.bg {
-            // Credit checkpoints the thread finished since we last looked.
-            let done = bg.completed.load(Ordering::Acquire);
-            if done != bg.seen {
-                bg.seen = done;
-                self.commits_since_checkpoint = 0;
-            }
-        }
         self.commits_since_checkpoint += 1;
         if self.options.checkpoint_every > 0
             && self.commits_since_checkpoint >= self.options.checkpoint_every
         {
-            match &self.bg {
-                // Inline fallback: if the background thread is starved or
-                // failing, the log must not grow without bound — after 4
-                // missed intervals the commit path checkpoints itself.
-                Some(_)
-                    if self.commits_since_checkpoint
-                        < self.options.checkpoint_every.saturating_mul(4) =>
-                {
-                    let bg = self.bg.as_ref().unwrap();
-                    let _ = bg.tx.send(BgMsg::Tick);
-                }
-                _ => self.force_checkpoint()?,
-            }
+            self.force_checkpoint()?;
         }
         Ok(())
-    }
-
-    /// Move periodic checkpoints off the commit path onto a dedicated
-    /// thread. Commits signal the thread at checkpoint intervals; it
-    /// checkpoints through the shared store mutex, and only at commit
-    /// boundaries — a mutation mid-flight makes it skip and retry at the
-    /// next signal. Explicit [`DiskDatabase::checkpoint`]/
-    /// [`DiskDatabase::close`] still checkpoint inline (the store mutex
-    /// and the WAL's idempotent checkpoint make the overlap safe), and
-    /// the commit path falls back to an inline checkpoint if the thread
-    /// falls 4 intervals behind. Off by default; a no-op if already on.
-    pub fn enable_background_checkpoints(&mut self) {
-        if self.bg.is_some() {
-            return;
-        }
-        let pool = self.db.index().tree().pool_arc();
-        let (tx, rx) = mpsc::channel();
-        let completed = Arc::new(AtomicU64::new(0));
-        let skipped = Arc::new(AtomicU64::new(0));
-        let (done, missed) = (Arc::clone(&completed), Arc::clone(&skipped));
-        let handle = std::thread::Builder::new()
-            .name("uindex-bg-checkpoint".into())
-            .spawn(move || {
-                while let Ok(BgMsg::Tick) = rx.recv() {
-                    // Collapse a backlog of ticks into one checkpoint.
-                    loop {
-                        match rx.try_recv() {
-                            Ok(BgMsg::Tick) => {}
-                            Ok(BgMsg::Shutdown) => return,
-                            Err(_) => break,
-                        }
-                    }
-                    match pool.store_lock().checkpoint_if_quiescent() {
-                        Ok(true) => {
-                            done.fetch_add(1, Ordering::Release);
-                        }
-                        // Mid-mutation or I/O error: leave the log as is;
-                        // the writer retries at the next interval (or
-                        // inline once the fallback cap is hit, surfacing
-                        // any persistent error on the commit path).
-                        Ok(false) | Err(_) => {
-                            missed.fetch_add(1, Ordering::Release);
-                        }
-                    }
-                }
-            })
-            .expect("spawn background checkpoint thread");
-        self.bg = Some(BgCheckpointer {
-            tx,
-            handle: Some(handle),
-            completed,
-            skipped,
-            seen: 0,
-        });
-    }
-
-    /// Whether background checkpointing is on.
-    pub fn background_checkpoints_enabled(&self) -> bool {
-        self.bg.is_some()
-    }
-
-    /// Checkpoints completed by the background thread so far (0 when
-    /// disabled). Skipped signals are not counted.
-    pub fn background_checkpoints_completed(&self) -> u64 {
-        self.bg
-            .as_ref()
-            .map_or(0, |bg| bg.completed.load(Ordering::Acquire))
-    }
-
-    /// Background signals that did not result in a checkpoint (writer
-    /// mid-mutation, or an I/O error left for the inline fallback).
-    pub fn background_checkpoints_skipped(&self) -> u64 {
-        self.bg
-            .as_ref()
-            .map_or(0, |bg| bg.skipped.load(Ordering::Acquire))
     }
 
     /// Force the WAL fsync for any commits still pending one under group

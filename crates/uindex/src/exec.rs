@@ -1,30 +1,97 @@
-//! Concurrent query execution: [`DatabaseReader`] handles that query a
-//! [`Database`] from other threads against epoch snapshots, plus a
-//! work-claiming thread-pool executor ([`parallel_query`]).
+//! Query execution: the one guarded read path ([`run_guarded`]) that the
+//! writer's [`crate::Database`] and the [`DatabaseReader`] handles both
+//! query through, and the reader handles themselves, which query a
+//! `Database` from other threads against epoch snapshots.
 //!
 //! The reader owns everything a query needs — a [`TreeReader`] into the
-//! shared tree plus cloned planning metadata (specs, encoding, schema) —
-//! so it is `Send + Clone` and never touches the `Database` again after
+//! shared tree plus cloned metadata (specs, encoding, schema) — so it is
+//! `Send + Clone` and never touches the `Database` again after
 //! construction. Queries run against an explicit [`DbSnapshot`]: the
 //! writer keeps mutating and publishing while scans see a frozen epoch.
 //!
 //! Each thread counts into its own telemetry registry, where the events
-//! happen: a worker's counts stay in the worker's registry, and a query's
-//! costs come back as its [`ScanStats`].
+//! happen, and a query's costs come back as its [`ScanStats`].
 
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 
-use btree::{TreeReader, TreeSnapshot};
+use btree::{ReadView, TreeReader, TreeSnapshot};
 use objstore::ObjectStore;
 use pagestore::PageStore;
 use schema::{Encoding, Schema};
 
 use crate::error::{Error, Result};
-use crate::index::{IndexId, Planner};
+use crate::index::Planner;
 use crate::query::{Query, QueryHit};
-use crate::scan::{self, RowSink, ScanStats};
+use crate::scan::{self, Matcher, QueryTrace, RowSink, ScanStats};
 use crate::spec::IndexSpec;
+
+/// What a query answers from when the index cannot: the metadata view and
+/// the object store, and the quarantine flag shared by every handle on one
+/// database.
+pub(crate) struct Fallback<'a> {
+    pub(crate) planner: Planner<'a>,
+    pub(crate) store: &'a ObjectStore,
+    pub(crate) quarantined: &'a AtomicBool,
+}
+
+/// Run `q` on `view` with `matcher`, its plan (or why planning failed),
+/// handing every match to `sink`; the returned flag says whether the
+/// degraded path answered. Planning is the caller's, so a caller that
+/// traces can time it: the writer handle does, readers do not.
+///
+/// The fault policy, with a `fallback`:
+///
+/// * a set quarantine flag answers degraded without touching the tree
+///   (or looking at the plan);
+/// * detected **corruption** sets the flag (every handle on the database
+///   sees it) and answers degraded;
+/// * an **I/O error** — the buffer pool's bounded retries already
+///   exhausted — answers degraded *without* quarantining, so the next
+///   query tries the index again;
+/// * anything else (bad queries, planning errors) propagates.
+///
+/// Without a fallback every error propagates. A degraded answer is the
+/// brute-force evaluation of [`crate::oracle::eval`] — slower, but immune
+/// to index damage, and proven hit-for-hit equal to the scans by the
+/// oracle's trial harness. A fault can strike after the scan handed over
+/// some rows, so the sink is restarted before the degraded answer enters
+/// it. On an error the sink holds whatever the scan handed over; discard
+/// it.
+pub(crate) fn run_guarded<S: PageStore, K: RowSink>(
+    view: &ReadView<'_, S>,
+    matcher: Result<Matcher>,
+    fallback: Option<Fallback<'_>>,
+    q: &Query,
+    sink: &mut K,
+) -> Result<(QueryTrace, bool)> {
+    let scan = |matcher: Result<Matcher>, sink: &mut K| {
+        scan::execute_traced(view, &matcher?, q.algorithm, q.distinct_upto, sink)
+    };
+    let Some(fallback) = fallback else {
+        return Ok((scan(matcher, sink)?, false));
+    };
+    if !fallback.quarantined.load(Ordering::Acquire) {
+        match scan(matcher, sink) {
+            Ok(trace) => return Ok((trace, false)),
+            Err(Error::Page(e)) if e.is_corruption() => {
+                fallback.quarantined.store(true, Ordering::Release);
+                telemetry::counter("uindex.degraded.quarantines").inc();
+            }
+            Err(Error::Page(pagestore::Error::Io(_))) => {}
+            Err(e) => return Err(e),
+        }
+        sink.restart();
+    }
+    telemetry::counter("uindex.degraded.queries").inc();
+    let hits = crate::oracle::eval(fallback.planner, fallback.store, q)?;
+    let hits = match q.distinct_upto {
+        Some(pos) => crate::oracle::distinct_filter(&hits, pos),
+        None => hits,
+    };
+    scan::feed_hits(&hits, sink)?;
+    Ok((QueryTrace::default(), true))
+}
 
 /// A frozen, consistent view of the index tree at one published epoch.
 /// Holding it pins the pages of that epoch (the writer defers their
@@ -38,104 +105,82 @@ impl DbSnapshot {
     pub fn epoch(&self) -> u64 {
         self.snap.epoch()
     }
-
-    /// Number of index entries (all logical indexes plus catalog) visible.
-    pub fn entries(&self) -> u64 {
-        self.snap.len()
-    }
 }
 
-/// A shareable read handle into a [`Database`]'s index: cloned planning
-/// metadata plus a [`TreeReader`]. Obtain one from
+/// A shareable read handle into a [`Database`][crate::Database]'s index:
+/// cloned metadata plus a [`TreeReader`]. Obtain one from
 /// [`Database::reader`][crate::Database::reader]; clone it freely across
 /// threads.
 ///
-/// The metadata is a snapshot of the database's spec table and encoding at
-/// construction time — define further indexes or evolve the schema and
-/// you need a fresh reader.
+/// The metadata is a snapshot of the database's spec table, encoding and
+/// schema at construction time — define further indexes or evolve the
+/// schema and you need a fresh reader.
 pub struct DatabaseReader<P: PageStore> {
     tree: TreeReader<P>,
-    encoding: Encoding,
     specs: Vec<IndexSpec>,
+    encoding: Encoding,
     schema: Schema,
-    /// Armed by [`crate::Database::reader_with_fallback`]: everything the
-    /// degraded path needs to answer without the tree.
-    degraded: Option<DegradedSource>,
+    /// Armed by [`crate::Database::reader_with_fallback`].
+    fallback: Option<ArmedFallback>,
 }
 
-/// The degraded path's inputs: a frozen clone of the object store (taken
-/// at reader construction, like the rest of the reader's metadata) plus
-/// the quarantine flag shared with the owning [`crate::Database`] — a
-/// writer-side quarantine degrades every armed reader, and a clean
+/// A reader's [`Fallback`], owned: a frozen clone of the object store
+/// (taken at reader construction, like the rest of the reader's metadata)
+/// plus the quarantine flag shared with the owning [`crate::Database`] —
+/// a writer-side quarantine degrades every armed reader, and a clean
 /// `check()`/`repair()` restores them all.
-struct DegradedSource {
+#[derive(Clone)]
+struct ArmedFallback {
     store: Arc<ObjectStore>,
-    flag: Arc<AtomicBool>,
+    quarantined: Arc<AtomicBool>,
 }
 
+// Not derived: a derive would demand `P: Clone` of the page store.
 impl<P: PageStore> Clone for DatabaseReader<P> {
     fn clone(&self) -> Self {
         DatabaseReader {
             tree: self.tree.clone(),
-            encoding: self.encoding.clone(),
             specs: self.specs.clone(),
+            encoding: self.encoding.clone(),
             schema: self.schema.clone(),
-            degraded: self.degraded.as_ref().map(|d| DegradedSource {
-                store: Arc::clone(&d.store),
-                flag: Arc::clone(&d.flag),
-            }),
+            fallback: self.fallback.clone(),
         }
     }
 }
 
 impl<P: PageStore> DatabaseReader<P> {
-    pub(crate) fn new(
-        tree: TreeReader<P>,
-        encoding: Encoding,
-        specs: Vec<IndexSpec>,
-        schema: Schema,
-    ) -> Self {
+    /// Arm the degraded-mode fallback (see
+    /// [`crate::Database::reader_with_fallback`]).
+    pub(crate) fn enable_fallback(
+        &mut self,
+        store: Arc<ObjectStore>,
+        quarantined: Arc<AtomicBool>,
+    ) {
+        self.fallback = Some(ArmedFallback { store, quarantined });
+    }
+
+    /// A reader over `index` with `schema`, captured as of this call —
+    /// what [`Database::reader`][crate::Database::reader] takes, and how
+    /// benches that drive a bare [`crate::UIndex`] get the same concurrent
+    /// read path. Enables snapshot mode on the tree.
+    pub fn for_index(index: &mut crate::UIndex<P>, schema: &Schema) -> Self {
+        index.tree_mut().enable_snapshots();
         DatabaseReader {
-            tree,
-            encoding,
-            specs,
-            schema,
-            degraded: None,
+            tree: index.tree().reader(),
+            specs: index.specs().to_vec(),
+            encoding: index.encoding().clone(),
+            schema: schema.clone(),
+            fallback: None,
         }
     }
 
-    /// Arm the degraded-mode fallback (see
-    /// [`crate::Database::reader_with_fallback`]).
-    pub(crate) fn enable_fallback(&mut self, store: Arc<ObjectStore>, flag: Arc<AtomicBool>) {
-        self.degraded = Some(DegradedSource { store, flag });
-    }
-
-    /// A reader over a bare [`crate::UIndex`] (no object store): benches
-    /// and harnesses that drive the index directly get the same concurrent
-    /// read path as [`Database::reader`][crate::Database::reader]. Enables
-    /// snapshot mode on the tree; like `Database::reader`, the spec table
-    /// and encoding are captured as of this call.
-    pub fn for_index(index: &mut crate::UIndex<P>, schema: &Schema) -> Self {
-        index.tree_mut().enable_snapshots();
-        DatabaseReader::new(
-            index.tree().reader(),
-            index.encoding().clone(),
-            index.specs().to_vec(),
-            schema.clone(),
-        )
-    }
-
-    /// The schema as of reader construction.
-    pub fn schema(&self) -> &Schema {
-        &self.schema
-    }
-
-    /// Look up an index id by name (reader-side spec table).
-    pub fn index_by_name(&self, name: &str) -> Option<IndexId> {
-        self.specs
-            .iter()
-            .position(|s| s.name == name)
-            .map(|i| i as IndexId)
+    /// The metadata view as of reader construction.
+    pub fn planner(&self) -> Planner<'_> {
+        Planner {
+            specs: &self.specs,
+            encoding: &self.encoding,
+            schema: &self.schema,
+        }
     }
 
     /// Pin the latest published epoch.
@@ -145,30 +190,15 @@ impl<P: PageStore> DatabaseReader<P> {
         }
     }
 
-    /// Run `q` against `snap`, returning hits and scan cost counters.
-    /// Concurrent calls from different threads are independent; each
-    /// accumulates into its own thread-local telemetry registry.
+    /// Run `q` against `snap`, returning hits and scan cost counters. No
+    /// fallback: a storage error is returned. Concurrent calls from
+    /// different threads are independent; each accumulates into its own
+    /// thread-local telemetry registry.
     pub fn query_at(&self, snap: &DbSnapshot, q: &Query) -> Result<(Vec<QueryHit>, ScanStats)> {
         let mut hits = Vec::new();
-        let stats = self.query_into(snap, q, &mut hits)?;
-        Ok((hits, stats))
-    }
-
-    /// Run `q` against `snap`, handing every match to `sink`.
-    fn query_into<K: RowSink>(
-        &self,
-        snap: &DbSnapshot,
-        q: &Query,
-        sink: &mut K,
-    ) -> Result<ScanStats> {
-        let matcher = Planner {
-            specs: &self.specs,
-            encoding: &self.encoding,
-        }
-        .matcher(q)?;
         let view = self.tree.read(&snap.snap);
-        let trace = scan::execute_traced(&view, &matcher, q.algorithm, q.distinct_upto, sink)?;
-        Ok(trace.stats)
+        let (trace, _) = run_guarded(&view, self.planner().matcher(q), None, q, &mut hits)?;
+        Ok((hits, trace.stats))
     }
 
     /// Convenience: pin the latest epoch and run one query against it.
@@ -180,85 +210,38 @@ impl<P: PageStore> DatabaseReader<P> {
     /// Whether the shared quarantine flag is currently set. Always false
     /// for a reader without a fallback source.
     pub fn quarantined(&self) -> bool {
-        self.degraded
+        self.fallback
             .as_ref()
-            .is_some_and(|d| d.flag.load(Ordering::Acquire))
+            .is_some_and(|f| f.quarantined.load(Ordering::Acquire))
     }
 
-    /// Answer `q` from the fallback object store via the differential
-    /// oracle's evaluator — slower, but immune to index damage, and proven
-    /// hit-for-hit equivalent to the scans by the oracle's trial harness.
-    fn degraded_eval(&self, src: &DegradedSource, q: &Query) -> Result<Vec<QueryHit>> {
-        telemetry::counter("uindex.degraded.queries").inc();
-        let hits = crate::oracle::eval_with(&self.specs, &self.encoding, &src.store, q)?;
-        Ok(match q.distinct_upto {
-            Some(pos) => crate::oracle::distinct_filter(&hits, pos),
-            None => hits,
-        })
-    }
-
-    /// Run `q` against `snap` with graceful degradation, returning the hits
-    /// (see [`DatabaseReader::query_guarded_into`]).
-    pub fn query_guarded_at(
-        &self,
-        snap: &DbSnapshot,
-        q: &Query,
-    ) -> Result<(Vec<QueryHit>, ScanStats, bool)> {
-        let mut hits = Vec::new();
-        let (stats, degraded) = self.query_guarded_into(snap, q, &mut hits)?;
-        Ok((hits, stats, degraded))
-    }
-
-    /// Run `q` against `snap` with graceful degradation, handing every
-    /// match to `sink`: when the index is quarantined — or the scan hits
-    /// storage trouble on the spot — the answer is recomputed from the
-    /// fallback object store instead of failing (or worse, trusting damaged
-    /// pages). A fault can strike after the scan handed over some rows, so
-    /// the sink is restarted before the degraded answer enters it, each row
-    /// through [`crate::EntryKey::encode`]. The returned flag says whether
-    /// the degraded path answered. On an error the sink holds whatever the
-    /// scan handed over before it; discard it.
-    ///
-    /// Fault policy, mirroring [`crate::Database::query_traced_guarded`]:
-    ///
-    /// * detected **corruption** quarantines the index immediately (flag
-    ///   shared with the writer) and answers degraded;
-    /// * a transient **I/O error** — the buffer pool's bounded retries
-    ///   already exhausted — answers degraded *without* quarantining, so
-    ///   the next query tries the index again;
-    /// * anything else (bad queries, planning errors) propagates, and a
-    ///   reader without a fallback source propagates every error.
+    /// Run `q` against `snap` through [`run_guarded`] with the reader's
+    /// armed fallback (none for a plain [`crate::Database::reader`]),
+    /// handing every match to `sink`. Returns the scan counters and
+    /// whether the degraded path answered.
     pub fn query_guarded_into<K: RowSink>(
         &self,
         snap: &DbSnapshot,
         q: &Query,
         sink: &mut K,
     ) -> Result<(ScanStats, bool)> {
-        let Some(src) = &self.degraded else {
-            return Ok((self.query_into(snap, q, sink)?, false));
-        };
-        if !src.flag.load(Ordering::Acquire) {
-            match self.query_into(snap, q, sink) {
-                Ok(stats) => return Ok((stats, false)),
-                Err(Error::Page(e)) if e.is_corruption() => {
-                    src.flag.store(true, Ordering::Release);
-                    telemetry::counter("uindex.degraded.quarantines").inc();
-                }
-                Err(Error::Page(pagestore::Error::Io(_))) => {}
-                Err(e) => return Err(e),
-            }
-            sink.restart();
-        }
-        scan::feed_hits(&self.degraded_eval(src, q)?, sink)?;
-        Ok((ScanStats::default(), true))
+        let planner = self.planner();
+        let fallback = self.fallback.as_ref().map(|f| Fallback {
+            planner,
+            store: &f.store,
+            quarantined: &f.quarantined,
+        });
+        let view = self.tree.read(&snap.snap);
+        let (trace, degraded) = run_guarded(&view, planner.matcher(q), fallback, q, sink)?;
+        Ok((trace.stats, degraded))
     }
 
     /// Parse a [`crate::uql`] query string against the reader's captured
     /// metadata without executing it — the serving layer's prepared-plan
     /// path (parse and plan once, execute many times via
-    /// [`DatabaseReader::query_at`]).
+    /// [`DatabaseReader::query_guarded_into`]).
     pub fn parse_uql(&self, input: &str) -> Result<Query> {
-        crate::uql::parse_with_specs(&self.specs, &self.schema, input)
+        crate::uql::parse(self.planner(), input)
     }
 
     /// Parse a [`crate::uql`] query string against the reader's metadata
@@ -267,57 +250,4 @@ impl<P: PageStore> DatabaseReader<P> {
         let q = self.parse_uql(input)?;
         self.query(&q)
     }
-}
-
-/// Run every query in `queries` against one shared snapshot using
-/// `threads` worker threads, returning per-query results in input order.
-///
-/// Work is claimed dynamically (an atomic cursor, not pre-chunking), so
-/// skewed query costs still balance. Each result carries its query's
-/// `ScanStats`, identical to a single-threaded execution of the same
-/// stream; the workers' telemetry stays in their own registries.
-pub fn parallel_query<P>(
-    reader: &DatabaseReader<P>,
-    queries: &[Query],
-    threads: usize,
-) -> Result<Vec<(Vec<QueryHit>, ScanStats)>>
-where
-    P: PageStore + Send + Sync,
-{
-    let threads = threads.max(1);
-    let snap = reader.snapshot();
-    if threads == 1 || queries.len() <= 1 {
-        // Inline fast path: no thread needed.
-        return queries.iter().map(|q| reader.query_at(&snap, q)).collect();
-    }
-
-    type QuerySlot = Option<Result<(Vec<QueryHit>, ScanStats)>>;
-    let next = AtomicUsize::new(0);
-    let results: Mutex<Vec<QuerySlot>> = Mutex::new((0..queries.len()).map(|_| None).collect());
-
-    std::thread::scope(|scope| {
-        let mut workers = Vec::with_capacity(threads);
-        for _ in 0..threads {
-            let reader = reader.clone();
-            let (snap, next, results) = (&snap, &next, &results);
-            workers.push(scope.spawn(move || loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= queries.len() {
-                    break;
-                }
-                let r = reader.query_at(snap, &queries[i]);
-                results.lock().unwrap()[i] = Some(r);
-            }));
-        }
-        for w in workers {
-            w.join().expect("query worker panicked");
-        }
-    });
-
-    results
-        .into_inner()
-        .unwrap()
-        .into_iter()
-        .map(|r| r.expect("work claiming covered every query"))
-        .collect()
 }

@@ -91,8 +91,9 @@ pub(crate) fn explain<P: pagestore::PageStore>(
     db: &Database<P>,
     q: &Query,
 ) -> Result<ExplainReport> {
-    let matcher = db.index().matcher(q)?;
-    let spec = db.index().spec(q.index)?;
+    let planner = db.planner();
+    let matcher = planner.matcher(q)?;
+    let spec = planner.spec(q.index)?;
     let index_name = spec.name.clone();
     let mut positions = Vec::with_capacity(spec.positions.len());
     for (i, step) in spec.positions.iter().enumerate() {

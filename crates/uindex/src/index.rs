@@ -10,7 +10,7 @@ use schema::{ClassId, Encoding, Schema};
 use crate::error::{Error, Result};
 use crate::key::{EntryKey, PathElem};
 use crate::query::{ClassSel, OidSel, Query, QueryHit};
-use crate::scan::{self, Matcher, PosConstraint, ScanStats};
+use crate::scan::{Matcher, PosConstraint, ScanStats};
 use crate::spec::IndexSpec;
 
 /// Identifier of a logical index within a [`UIndex`] (embedded as the first
@@ -95,11 +95,6 @@ impl<S: PageStore> UIndex<S> {
         &self.specs
     }
 
-    /// The spec behind `id`.
-    pub fn spec(&self, id: IndexId) -> Result<&IndexSpec> {
-        self.specs.get(id as usize).ok_or(Error::UnknownIndex(id))
-    }
-
     /// Register an index definition (normalizing and validating it).
     /// Entries are **not** built; call [`UIndex::build`] or use
     /// [`crate::Database`], which maintains entries incrementally.
@@ -116,46 +111,6 @@ impl<S: PageStore> UIndex<S> {
         spec.normalize(schema, &self.encoding)?;
         self.specs.push(spec);
         Ok((self.specs.len() - 1) as IndexId)
-    }
-
-    /// Look up an index id by name.
-    pub fn index_by_name(&self, name: &str) -> Option<IndexId> {
-        self.specs
-            .iter()
-            .position(|s| s.name == name)
-            .map(|i| i as IndexId)
-    }
-
-    // ----- entry enumeration ---------------------------------------------
-    //
-    // Entry enumeration walks the *object store* only — never the tree —
-    // so the implementations live on [`Planner`], where the degraded
-    // query path can reach them from cloned metadata without a `UIndex`.
-    // The methods here delegate for callers that hold the index.
-
-    /// All entry keys anchored at `anchor` (a would-be position-0 object),
-    /// computed from the current store state. Empty if the object is out of
-    /// scope or has no value for the indexed attribute.
-    pub fn entries_for_anchor(
-        &self,
-        store: &ObjectStore,
-        id: IndexId,
-        anchor: Oid,
-    ) -> Result<Vec<EntryKey>> {
-        self.planner().entries_for_anchor(store, id, anchor)
-    }
-
-    /// All entry keys of index `id` that contain `oid` at any position,
-    /// under the current store state. This is the exact set an update of
-    /// `oid` can add or remove, so maintenance costs stay proportional to
-    /// the entries actually touched (the paper's §3.5 update analysis).
-    pub fn entries_involving(
-        &self,
-        store: &ObjectStore,
-        id: IndexId,
-        oid: Oid,
-    ) -> Result<Vec<EntryKey>> {
-        self.planner().entries_involving(store, id, oid)
     }
 
     // ----- maintenance ---------------------------------------------------
@@ -185,18 +140,7 @@ impl<S: PageStore> UIndex<S> {
     /// Build index `id` from the current store contents (incremental
     /// inserts; see [`UIndex::build_all`] for the packed bulk path).
     pub fn build(&mut self, store: &ObjectStore, id: IndexId) -> Result<u64> {
-        let spec = self.spec(id)?;
-        let anchors = if spec.include_subclasses {
-            store.extent_deep(spec.positions[0].class)
-        } else {
-            store.extent(spec.positions[0].class)
-        };
-        let mut keys = Vec::new();
-        for a in anchors {
-            for e in self.entries_for_anchor(store, id, a)? {
-                keys.push((e.encode()?, Vec::new()));
-            }
-        }
+        let keys = self.planner(store.schema()).build_keys(store, id)?;
         let n = keys.len() as u64;
         self.tree.insert_batch(keys)?;
         Ok(n)
@@ -205,19 +149,10 @@ impl<S: PageStore> UIndex<S> {
     /// Build **all** registered indexes at once with a packed bulk load.
     /// The tree must be empty.
     pub fn build_all(&mut self, store: &ObjectStore) -> Result<u64> {
+        let planner = self.planner(store.schema());
         let mut keys: Vec<(Vec<u8>, Vec<u8>)> = Vec::new();
-        for id in 0..self.specs.len() as u16 {
-            let spec = self.spec(id)?;
-            let anchors = if spec.include_subclasses {
-                store.extent_deep(spec.positions[0].class)
-            } else {
-                store.extent(spec.positions[0].class)
-            };
-            for a in anchors {
-                for e in self.entries_for_anchor(store, id, a)? {
-                    keys.push((e.encode()?, Vec::new()));
-                }
-            }
+        for id in 0..self.specs.len() as IndexId {
+            keys.extend(planner.build_keys(store, id)?);
         }
         keys.sort();
         keys.dedup();
@@ -242,53 +177,25 @@ impl<S: PageStore> UIndex<S> {
 
     // ----- querying ------------------------------------------------------
 
-    /// The tree-free planning/enumeration view over this index's spec
-    /// table and class encoding.
-    pub(crate) fn planner(&self) -> Planner<'_> {
+    /// The metadata view over this index's spec table and class encoding,
+    /// with `schema` (the index keeps none of its own).
+    pub fn planner<'a>(&'a self, schema: &'a Schema) -> Planner<'a> {
         Planner {
             specs: &self.specs,
             encoding: &self.encoding,
+            schema,
         }
     }
 
-    /// Build the scan [`Matcher`] for `q` (query planning). Planning only
-    /// reads the spec table and the class encoding, so it is also available
-    /// without the tree via [`Planner`].
-    pub(crate) fn matcher(&self, q: &Query) -> Result<Matcher> {
-        self.planner().matcher(q)
-    }
-
-    /// Run a query, returning hits and the scan cost counters.
-    pub fn query(&self, q: &Query) -> Result<(Vec<QueryHit>, ScanStats)> {
-        let (hits, trace) = self.query_traced(q)?;
-        Ok((hits, trace.stats))
-    }
-
-    /// Run a query collecting the full executed trace: the scan cost
-    /// counters, registry-derived breakdowns (reseek tiers, pool
-    /// hits/misses, partial keys expanded) and the per-phase span tree
-    /// `query` → `plan` / `descend` / `scan`.
-    pub fn query_traced(&self, q: &Query) -> Result<(Vec<QueryHit>, crate::scan::QueryTrace)> {
-        let root = telemetry::Span::enter("query");
-        let planned = {
-            let _plan = telemetry::Span::enter("plan");
-            self.matcher(q)
-        };
+    /// Run a query on the live tree, returning hits and the scan cost
+    /// counters. No fallback: a storage error is the caller's. `schema` is
+    /// the one the index's specs were defined against.
+    pub fn query(&self, schema: &Schema, q: &Query) -> Result<(Vec<QueryHit>, ScanStats)> {
         let mut hits = Vec::new();
-        let result = planned.and_then(|matcher| {
-            let view = self.tree.view();
-            scan::execute_traced(&view, &matcher, q.algorithm, q.distinct_upto, &mut hits)
-        });
-        drop(root);
-        // The freshly closed "query" root is the last finished span; keep it
-        // in the trace and drop older undrained roots.
-        let span = telemetry::take_spans()
-            .into_iter()
-            .rev()
-            .find(|s| s.name == "query");
-        let mut trace = result?;
-        trace.span = span;
-        Ok((hits, trace))
+        let view = self.tree.view();
+        let matcher = self.planner(schema).matcher(q);
+        let (trace, _) = crate::exec::run_guarded(&view, matcher, None, q, &mut hits)?;
+        Ok((hits, trace.stats))
     }
 
     /// Verify the underlying B-tree and return its shape statistics.
@@ -297,44 +204,70 @@ impl<S: PageStore> UIndex<S> {
     }
 }
 
-/// Query planner over a spec table and class encoding — everything needed
-/// to translate a [`Query`] into a scan [`Matcher`] without touching the
-/// tree. [`UIndex::matcher`] delegates here; [`crate::DatabaseReader`]
-/// uses it to plan against cloned metadata on other threads.
-pub(crate) struct Planner<'a> {
+/// The metadata every read needs and none changes: a spec table, the class
+/// encoding and the schema. [`crate::Database::planner`] and
+/// [`crate::DatabaseReader::planner`] lend it out, and everything that
+/// reads only metadata takes it: index lookup by id or name, query
+/// planning, [`crate::uql::parse`], and the object-store walks behind
+/// maintenance and [`crate::oracle::eval`].
+#[derive(Clone, Copy)]
+pub struct Planner<'a> {
     pub(crate) specs: &'a [IndexSpec],
     pub(crate) encoding: &'a Encoding,
+    pub(crate) schema: &'a Schema,
 }
 
-impl Planner<'_> {
-    pub(crate) fn spec(&self, id: IndexId) -> Result<&IndexSpec> {
+impl<'a> Planner<'a> {
+    /// The spec behind `id`.
+    pub fn spec(&self, id: IndexId) -> Result<&'a IndexSpec> {
         self.specs.get(id as usize).ok_or(Error::UnknownIndex(id))
+    }
+
+    /// Look up an index id by name.
+    pub fn index_by_name(&self, name: &str) -> Option<IndexId> {
+        self.specs
+            .iter()
+            .position(|s| s.name == name)
+            .map(|i| i as IndexId)
+    }
+
+    /// The encoded keys of every entry of index `id`, anchor by anchor,
+    /// from the current store contents (what a build inserts).
+    fn build_keys(&self, store: &ObjectStore, id: IndexId) -> Result<Vec<(Vec<u8>, Vec<u8>)>> {
+        let spec = self.spec(id)?;
+        let anchors = if spec.include_subclasses {
+            store.extent_deep(spec.positions[0].class)
+        } else {
+            store.extent(spec.positions[0].class)
+        };
+        let mut keys = Vec::new();
+        for a in anchors {
+            for e in self.entries_for_anchor(store, id, a)? {
+                keys.push((e.encode()?, Vec::new()));
+            }
+        }
+        Ok(keys)
     }
 
     // ----- entry enumeration ---------------------------------------------
     //
     // These walk the object store only, which is what makes the degraded
-    // query path possible: when the tree is quarantined or faulting, a
-    // reader holding (specs, encoding, store) can still compute the exact
-    // entry set a healthy index would contain.
+    // query path possible: when the tree is quarantined or faulting, the
+    // metadata and the store still give the exact entry set a healthy
+    // index would contain.
 
-    fn class_in_scope(
-        &self,
-        schema: &Schema,
-        spec: &IndexSpec,
-        pos: usize,
-        class: ClassId,
-    ) -> bool {
+    fn class_in_scope(&self, spec: &IndexSpec, pos: usize, class: ClassId) -> bool {
         let pc = spec.positions[pos].class;
         if spec.include_subclasses {
-            schema.is_subclass_of(class, pc)
+            self.schema.is_subclass_of(class, pc)
         } else {
             class == pc
         }
     }
 
-    /// All entry keys anchored at `anchor`; see
-    /// [`UIndex::entries_for_anchor`].
+    /// All entry keys anchored at `anchor` (a would-be position-0 object),
+    /// computed from the current store state. Empty if the object is out of
+    /// scope or has no value for the indexed attribute.
     pub(crate) fn entries_for_anchor(
         &self,
         store: &ObjectStore,
@@ -342,12 +275,11 @@ impl Planner<'_> {
         anchor: Oid,
     ) -> Result<Vec<EntryKey>> {
         let spec = self.spec(id)?;
-        let schema = store.schema();
         if !store.exists(anchor) {
             return Ok(Vec::new());
         }
         let class = store.class_of(anchor)?;
-        if !self.class_in_scope(schema, spec, 0, class) {
+        if !self.class_in_scope(spec, 0, class) {
             return Ok(Vec::new());
         }
         let obj = store.get(anchor)?;
@@ -384,7 +316,6 @@ impl Planner<'_> {
         id: IndexId,
         out: &mut Vec<EntryKey>,
     ) -> Result<()> {
-        let schema = store.schema();
         if depth == chain.len() {
             // Emit one entry from the current assignment.
             let assignment: Vec<(usize, Oid)> =
@@ -430,7 +361,7 @@ impl Planner<'_> {
             .filter(|src| {
                 store
                     .class_of(*src)
-                    .map(|c| self.class_in_scope(schema, spec, pos, c))
+                    .map(|c| self.class_in_scope(spec, pos, c))
                     .unwrap_or(false)
             })
             .collect();
@@ -468,8 +399,9 @@ impl Planner<'_> {
             .collect()
     }
 
-    /// All entry keys of index `id` that contain `oid` at any position;
-    /// see [`UIndex::entries_involving`].
+    /// All entry keys of index `id` that contain `oid` at any position,
+    /// under the current store state: the exact set an update of `oid` can
+    /// add or remove.
     pub(crate) fn entries_involving(
         &self,
         store: &ObjectStore,
@@ -477,7 +409,6 @@ impl Planner<'_> {
         oid: Oid,
     ) -> Result<Vec<EntryKey>> {
         let spec = self.spec(id)?;
-        let schema = store.schema();
         if !store.exists(oid) {
             return Ok(Vec::new());
         }
@@ -485,7 +416,7 @@ impl Planner<'_> {
         let chains = self.chains(spec);
         let mut out = Vec::new();
         for pos in 0..spec.positions.len() {
-            if !self.class_in_scope(schema, spec, pos, class) {
+            if !self.class_in_scope(spec, pos, class) {
                 continue;
             }
             for chain in chains.iter().filter(|c| c.contains(&pos)) {
@@ -544,14 +475,13 @@ impl Planner<'_> {
             Some(Value::RefSet(ts)) => ts.clone(),
             _ => Vec::new(),
         };
-        let schema = store.schema();
         let mut out = Vec::new();
         for t in targets {
             if !store.exists(t) {
                 continue;
             }
             let tc = store.class_of(t)?;
-            if !self.class_in_scope(schema, spec, parent_pos, tc) {
+            if !self.class_in_scope(spec, parent_pos, tc) {
                 continue;
             }
             for mut up in self.enumerate_up(store, spec, chain, pi - 1, t)? {

@@ -75,9 +75,9 @@ pub use catalog::{catalog_entry_count, CATALOG_ID};
 pub use db::{CheckReport, Database, DbStore};
 pub use disk::{DiskDatabase, DiskOptions, DiskStore, OpenReport};
 pub use error::{Error, Result};
-pub use exec::{parallel_query, DatabaseReader, DbSnapshot};
+pub use exec::{DatabaseReader, DbSnapshot};
 pub use explain::ExplainReport;
-pub use index::{IndexId, UIndex};
+pub use index::{IndexId, Planner, UIndex};
 pub use inline::InlineVec;
 pub use key::{CodeBytes, EntryKey, Path, PathElem};
 pub use query::{

@@ -19,6 +19,8 @@
 //! * the parallel (Algorithm 1) scan, the forward scan, and this oracle
 //!   return **identical** hit lists (including position assignments);
 //! * the parallel scan never reads more pages than the forward scan;
+//! * a [`crate::DatabaseReader`] over the same database answers with the
+//!   same hits, `ScanStats` and degraded flag as the writer handle;
 //! * the tree passes [`crate::UIndex::verify`] and its entry set equals a
 //!   full recomputation from the store (checking the incremental
 //!   maintenance diffs);
@@ -29,12 +31,11 @@
 //! with `run_trials(seed, 1)`.
 
 use objstore::{ObjectStore, Oid, Value};
-use pagestore::PageStore;
 use schema::{AttrType, ClassId, Encoding, Schema};
 
 use crate::db::Database;
 use crate::error::Result;
-use crate::index::{IndexId, Planner, UIndex};
+use crate::index::{IndexId, Planner};
 use crate::key::EntryKey;
 use crate::query::{ClassSel, OidSel, PosPred, Query, QueryHit, ValuePred};
 use crate::scan::ScanAlgorithm;
@@ -190,16 +191,14 @@ pub fn entry_matches(
 // ----- brute-force evaluation --------------------------------------------
 
 /// All entry keys of index `id` recomputed from scratch, object by object,
-/// from the current store state — using only a spec table and a class
-/// encoding, never a [`UIndex`] or its B-tree. This is the form the
-/// reader-side degraded path calls when the tree itself is unavailable.
-pub fn all_entries_with(
-    specs: &[IndexSpec],
-    encoding: &Encoding,
+/// from the current store state — from the metadata view alone, never the
+/// index's B-tree. This is what a degraded query answers from when the
+/// tree itself is unavailable.
+pub fn all_entries(
+    planner: Planner<'_>,
     store: &ObjectStore,
     id: IndexId,
 ) -> Result<Vec<EntryKey>> {
-    let planner = Planner { specs, encoding };
     let mut out = Vec::new();
     for oid in store.oids() {
         out.extend(planner.entries_for_anchor(store, id, oid)?);
@@ -209,31 +208,15 @@ pub fn all_entries_with(
     Ok(out)
 }
 
-/// [`all_entries_with`] over an index's own spec table and encoding.
-pub fn all_entries<S: PageStore>(
-    index: &UIndex<S>,
-    store: &ObjectStore,
-    id: IndexId,
-) -> Result<Vec<EntryKey>> {
-    all_entries_with(index.specs(), index.encoding(), store, id)
-}
-
-/// Evaluate `q` by brute force against a spec table, class encoding and
-/// object store: recompute the index's entries and filter them with
+/// Evaluate `q` by brute force against a metadata view and an object
+/// store: recompute the index's entries and filter them with
 /// [`entry_matches`]. Hits come back in key order, exactly as the scans
-/// produce them. Tree-free, like [`all_entries_with`].
-pub fn eval_with(
-    specs: &[IndexSpec],
-    encoding: &Encoding,
-    store: &ObjectStore,
-    q: &Query,
-) -> Result<Vec<QueryHit>> {
-    let planner = Planner { specs, encoding };
+/// produce them. Tree-free, like [`all_entries`].
+pub fn eval(planner: Planner<'_>, store: &ObjectStore, q: &Query) -> Result<Vec<QueryHit>> {
     let spec = planner.spec(q.index)?;
-    let schema = store.schema();
     let mut hits: Vec<(Vec<u8>, QueryHit)> = Vec::new();
-    for entry in all_entries_with(specs, encoding, store, q.index)? {
-        if let Some(assignment) = entry_matches(schema, encoding, spec, q, &entry) {
+    for entry in all_entries(planner, store, q.index)? {
+        if let Some(assignment) = entry_matches(planner.schema, planner.encoding, spec, q, &entry) {
             let enc = entry.encode()?;
             hits.push((
                 enc,
@@ -246,15 +229,6 @@ pub fn eval_with(
     }
     hits.sort_by(|a, b| a.0.cmp(&b.0));
     Ok(hits.into_iter().map(|(_, h)| h).collect())
-}
-
-/// [`eval_with`] over an index's own spec table and encoding.
-pub fn eval<S: PageStore>(
-    index: &UIndex<S>,
-    store: &ObjectStore,
-    q: &Query,
-) -> Result<Vec<QueryHit>> {
-    eval_with(index.specs(), index.encoding(), store, q)
 }
 
 /// Apply `distinct_through(pos)` semantics to an ordered hit list: after a
@@ -471,7 +445,7 @@ pub fn gen_trial(seed: u64) -> Result<TrialDb> {
 /// the index's scope) to exercise the `BadQuery` translation path.
 pub fn gen_query(t: &TrialDb, rng: &mut Rng64) -> Query {
     let id = *rng.pick(&t.indexes);
-    let spec = t.db.index().spec(id).expect("index defined");
+    let spec = t.db.planner().spec(id).expect("index defined");
     let anchor_hier = t
         .hierarchies
         .iter()
@@ -621,6 +595,35 @@ fn check_trace_invariants(
     );
 }
 
+/// The writer handle's answer to `q` (`writer`) must be the reader handle's
+/// too: the same hits, `ScanStats` and degraded flag, or an error on both.
+fn check_reader_agrees<P: pagestore::PageStore>(
+    reader: &crate::DatabaseReader<P>,
+    q: &Query,
+    writer: &Result<(Vec<QueryHit>, crate::scan::QueryTrace, bool)>,
+    tseed: u64,
+) {
+    let mut hits = Vec::new();
+    let read = reader.query_guarded_into(&reader.snapshot(), q, &mut hits);
+    match (writer, read) {
+        (Ok((want, trace, degraded)), Ok((stats, reader_degraded))) => {
+            let ctx = format!("(seed {tseed:#x}, query {q:?})");
+            assert_eq!(&hits, want, "reader hits diverge from the writer's {ctx}");
+            assert_eq!(stats, trace.stats, "reader ScanStats diverge {ctx}");
+            assert_eq!(reader_degraded, *degraded, "degraded flags diverge {ctx}");
+        }
+        (Err(w), Err(r)) => assert_eq!(
+            w.to_string(),
+            r.to_string(),
+            "reader and writer refuse differently (seed {tseed:#x}, query {q:?})"
+        ),
+        (w, r) => panic!(
+            "reader and writer disagree on query validity (seed {tseed:#x}, \
+             query {q:?}): writer {w:?} vs reader {r:?}"
+        ),
+    }
+}
+
 /// Run `trials` seeded random schema/database/query trials, panicking on
 /// the first divergence between the parallel scan, the forward scan, and
 /// the brute-force oracle. Failures print the per-trial seed.
@@ -638,7 +641,7 @@ pub fn run_trials(seed: u64, trials: usize) -> TrialSummary {
             .unwrap_or_else(|e| panic!("tree verify failed (seed {tseed:#x}): {e}"));
         let ids = t.indexes.clone();
         for &id in &ids {
-            let want: Vec<Vec<u8>> = all_entries(t.db.index(), t.db.store(), id)
+            let want: Vec<Vec<u8>> = all_entries(t.db.planner(), t.db.store(), id)
                 .expect("oracle entry enumeration")
                 .iter()
                 .map(|e| e.encode().expect("entries encode"))
@@ -663,22 +666,30 @@ pub fn run_trials(seed: u64, trials: usize) -> TrialSummary {
             );
         }
 
+        // The reader handle, taken after the trial's last mutation, must
+        // answer every query exactly as the writer handle does.
+        let reader = t.db.reader_with_fallback();
         let mut rng = Rng64::new(tseed ^ 0x5851_F42D_4C95_7F2D);
         for _ in 0..4 + rng.below(5) {
             let q = gen_query(&t, &mut rng);
             let mut fq = q.clone();
             fq.algorithm = ScanAlgorithm::Forward;
-            let oracle = eval(t.db.index(), t.db.store(), &q)
+            let oracle = eval(t.db.planner(), t.db.store(), &q)
                 .unwrap_or_else(|e| panic!("oracle eval failed (seed {tseed:#x}): {e}"));
             // Cumulative registry state around the parallel run, for its
             // histogram observations.
             let reg0 = RegistrySample::take();
-            let par = t.db.index_mut().query_traced(&q);
+            let par = t.db.query_traced_guarded(&q);
             let reg1 = RegistrySample::take();
+            check_reader_agrees(&reader, &q, &par, tseed);
             let fwd = t.db.query_with_stats(&fq);
             sum.queries += 1;
             match (par, fwd) {
-                (Ok((ph, ptrace)), Ok((fh, fs))) => {
+                (Ok((ph, ptrace, degraded)), Ok((fh, fs))) => {
+                    assert!(
+                        !degraded,
+                        "a healthy trial answered degraded (seed {tseed:#x})"
+                    );
                     check_trace_invariants(&ptrace, &reg0, &reg1, tseed, &q);
                     let ps = ptrace.stats;
                     assert_eq!(
@@ -705,7 +716,7 @@ pub fn run_trials(seed: u64, trials: usize) -> TrialSummary {
                     );
                     sum.hits += ph.len() as u64;
                     if rng.chance(1, 3) && !ph.is_empty() {
-                        let npos = t.db.index().spec(q.index).expect("spec").positions.len();
+                        let npos = t.db.planner().spec(q.index).expect("spec").positions.len();
                         let pos = rng.below(npos as u64) as usize;
                         let dq = q.clone().distinct_through(pos);
                         let (dh, _) =

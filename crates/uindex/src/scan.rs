@@ -1349,16 +1349,15 @@ mod advise_props {
         let mut rng = Rng64::new(qseed);
         for _ in 0..4 {
             let q = oracle::gen_query(&t, &mut rng);
-            let matcher = match t.db.index().matcher(&q) {
+            let planner = t.db.planner();
+            let matcher = match planner.matcher(&q) {
                 Ok(m) => m,
                 Err(_) => continue, // BadQuery path is covered by run_trials
             };
-            let index = t.db.index();
-            let spec = index.spec(q.index).expect("spec");
-            let store = t.db.store();
+            let spec = planner.spec(q.index).expect("spec");
             let oracle_match = |k: &[u8]| -> Option<Vec<Option<usize>>> {
                 let e = EntryKey::decode(k).ok()?;
-                oracle::entry_matches(store.schema(), index.encoding(), spec, &q, &e)
+                oracle::entry_matches(planner.schema, planner.encoding, spec, &q, &e)
             };
             let mut long_lived = ScanScratch::default();
             for (i, k) in keys.iter().enumerate() {

@@ -29,27 +29,18 @@
 //! position's sub-tree, which then also restricts the class selector).
 
 use objstore::{Oid, Value};
-use pagestore::PageStore;
-use schema::Schema;
 
 use crate::error::{Error, Result};
-use crate::index::{IndexId, UIndex};
+use crate::index::Planner;
 use crate::query::{ClassSel, OidSel, Query, ValuePred};
-use crate::spec::IndexSpec;
 
-/// Parse a UQL string against the index registry.
-pub fn parse<S: PageStore>(index: &UIndex<S>, schema: &Schema, input: &str) -> Result<Query> {
-    parse_with_specs(index.specs(), schema, input)
-}
-
-/// Parse against a bare spec table — the [`crate::DatabaseReader`] path,
-/// which carries cloned specs instead of the index itself.
-pub fn parse_with_specs(specs: &[IndexSpec], schema: &Schema, input: &str) -> Result<Query> {
+/// Parse a UQL string against a metadata view (see
+/// [`crate::Database::planner`] and [`crate::DatabaseReader::planner`]).
+pub fn parse(planner: Planner<'_>, input: &str) -> Result<Query> {
     Parser {
         tokens: tokenize(input)?,
         pos: 0,
-        specs,
-        schema,
+        planner,
     }
     .parse_query()
 }
@@ -145,22 +136,10 @@ fn tokenize(input: &str) -> Result<Vec<Tok>> {
 struct Parser<'a> {
     tokens: Vec<Tok>,
     pos: usize,
-    specs: &'a [IndexSpec],
-    schema: &'a Schema,
+    planner: Planner<'a>,
 }
 
-impl<'a> Parser<'a> {
-    fn index_by_name(&self, name: &str) -> Option<IndexId> {
-        self.specs
-            .iter()
-            .position(|s| s.name == name)
-            .map(|i| i as IndexId)
-    }
-
-    fn spec(&self, id: IndexId) -> Result<&'a IndexSpec> {
-        self.specs.get(id as usize).ok_or(Error::UnknownIndex(id))
-    }
-
+impl Parser<'_> {
     fn peek(&self) -> Option<&Tok> {
         self.tokens.get(self.pos)
     }
@@ -213,11 +192,16 @@ impl<'a> Parser<'a> {
     fn parse_query(&mut self) -> Result<Query> {
         let index_name = self.ident()?;
         let id = self
+            .planner
             .index_by_name(&index_name)
             .ok_or_else(|| Error::BadQuery(format!("no index named {index_name:?}")))?;
         self.expect_sym(':')?;
-        let spec = self.spec(id)?;
-        let attr_name = self.schema.attr_name(spec.attr.0, spec.attr.1).to_string();
+        let spec = self.planner.spec(id)?;
+        let attr_name = self
+            .planner
+            .schema
+            .attr_name(spec.attr.0, spec.attr.1)
+            .to_string();
         let mut q = Query::on(id);
         let mut first = true;
         while self.peek().is_some() {
@@ -256,16 +240,15 @@ impl<'a> Parser<'a> {
     }
 
     fn resolve_position(&self, id: crate::IndexId, class_name: &str) -> Result<usize> {
-        let class = self
-            .schema
+        let schema = self.planner.schema;
+        let class = schema
             .class_by_name(class_name)
             .ok_or_else(|| Error::BadQuery(format!("unknown class {class_name:?}")))?;
-        let spec = self.spec(id)?;
+        let spec = self.planner.spec(id)?;
         spec.positions
             .iter()
             .position(|p| {
-                self.schema.is_subclass_of(class, p.class)
-                    || self.schema.is_subclass_of(p.class, class)
+                schema.is_subclass_of(class, p.class) || schema.is_subclass_of(p.class, class)
             })
             .ok_or_else(|| {
                 Error::BadQuery(format!(
@@ -279,8 +262,8 @@ impl<'a> Parser<'a> {
     /// otherwise the query would silently match nothing.
     fn check_value_kinds(&self, id: crate::IndexId, pred: &ValuePred) -> Result<()> {
         use schema::AttrType;
-        let spec = self.spec(id)?;
-        let ty = self.schema.attr_type(spec.attr.0, spec.attr.1);
+        let spec = self.planner.spec(id)?;
+        let ty = self.planner.schema.attr_type(spec.attr.0, spec.attr.1);
         let ok = |v: &Value| -> bool {
             matches!(
                 (ty, v),
@@ -373,6 +356,7 @@ impl<'a> Parser<'a> {
     fn parse_classref(&mut self) -> Result<ClassSel> {
         let name = self.ident()?;
         let class = self
+            .planner
             .schema
             .class_by_name(&name)
             .ok_or_else(|| Error::BadQuery(format!("unknown class {name:?}")))?;
@@ -418,11 +402,12 @@ impl<'a> Parser<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::index::UIndex;
     use crate::query::PosPred;
     use crate::spec::IndexSpec;
     use btree::BTreeConfig;
     use pagestore::{BufferPool, MemStore};
-    use schema::{AttrType, Encoding};
+    use schema::{AttrType, Encoding, Schema};
 
     fn setup() -> (UIndex<MemStore>, Schema) {
         let mut s = Schema::new();
@@ -464,7 +449,7 @@ mod tests {
     #[test]
     fn parse_exact_match() {
         let (index, s) = setup();
-        let q = parse(&index, &s, "color: Color = 'Red'").unwrap();
+        let q = parse(index.planner(&s), "color: Color = 'Red'").unwrap();
         assert_eq!(q.index, 0);
         assert_eq!(q.value, ValuePred::Eq(Value::Str("Red".into())));
         assert!(q.preds.is_empty());
@@ -476,8 +461,7 @@ mod tests {
         let auto = s.class_by_name("Automobile").unwrap();
         let truck = s.class_by_name("Truck").unwrap();
         let q = parse(
-            &index,
-            &s,
+            index.planner(&s),
             "color: Color = 'Red' and Vehicle in [Automobile*, Truck]",
         )
         .unwrap();
@@ -497,8 +481,7 @@ mod tests {
     fn parse_path_query_with_modifiers() {
         let (index, s) = setup();
         let q = parse(
-            &index,
-            &s,
+            index.planner(&s),
             "age: Age between 40 and 60 and Company in [JapaneseAutoCompany*] \
              and Vehicle.oid = 12 distinct Company forward",
         )
@@ -522,12 +505,12 @@ mod tests {
     #[test]
     fn parse_in_and_comparisons() {
         let (index, s) = setup();
-        let q = parse(&index, &s, "age: Age in (40, 50, 60)").unwrap();
+        let q = parse(index.planner(&s), "age: Age in (40, 50, 60)").unwrap();
         assert_eq!(
             q.value,
             ValuePred::In(vec![Value::Int(40), Value::Int(50), Value::Int(60)])
         );
-        let q = parse(&index, &s, "age: Age >= 41").unwrap();
+        let q = parse(index.planner(&s), "age: Age >= 41").unwrap();
         assert!(matches!(
             q.value,
             ValuePred::Range {
@@ -536,7 +519,7 @@ mod tests {
                 ..
             }
         ));
-        let q = parse(&index, &s, "age: Age <= 41").unwrap();
+        let q = parse(index.planner(&s), "age: Age <= 41").unwrap();
         assert!(matches!(
             q.value,
             ValuePred::Range {
@@ -547,8 +530,7 @@ mod tests {
         ));
         // A sub-class name resolves to its position.
         let q = parse(
-            &index,
-            &s,
+            index.planner(&s),
             "age: JapaneseAutoCompany is JapaneseAutoCompany*",
         )
         .unwrap();
@@ -571,7 +553,7 @@ mod tests {
             "age: Age in (1, 'x')",                          // mixed-kind In list
             "age: Age between 1 and 'z'",                    // mixed-kind range
         ] {
-            assert!(parse(&index, &s, bad).is_err(), "should fail: {bad}");
+            assert!(parse(index.planner(&s), bad).is_err(), "should fail: {bad}");
         }
     }
 
@@ -579,7 +561,7 @@ mod tests {
     fn oid_literals_must_fit_an_oid() {
         let (index, s) = setup();
         let oid_at_vehicle = |input: &str| {
-            let q = parse(&index, &s, input)?;
+            let q = parse(index.planner(&s), input)?;
             Ok::<_, Error>(q.preds.into_iter().find(|(p, _)| *p == 2).unwrap().1.oid)
         };
         let max = u32::MAX;

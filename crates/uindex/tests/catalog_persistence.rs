@@ -124,6 +124,7 @@ fn reopen_from_file_and_query() {
     let automobile2 = schema2.class_by_name("Automobile").unwrap();
     let (hits, _) = index
         .query(
+            &schema2,
             &Query::on(0)
                 .value(ValuePred::eq(Value::Str("Red".into())))
                 .class_at(0, ClassSel::SubTree(vehicle2)),
@@ -132,6 +133,7 @@ fn reopen_from_file_and_query() {
     assert_eq!(hits.len(), 2);
     let (hits, _) = index
         .query(
+            &schema2,
             &Query::on(0)
                 .value(ValuePred::eq(Value::Str("Red".into())))
                 .class_at(0, ClassSel::SubTree(automobile2)),

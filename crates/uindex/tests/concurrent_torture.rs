@@ -1,6 +1,6 @@
 //! Multi-threaded oracle torture: K scanner threads race one mutator
 //! through the full `Database` stack (and the disk tier, with commits and
-//! background checkpoints thrown in). Every scan runs against an epoch
+//! inline checkpoints every second commit thrown in). Every scan runs against an epoch
 //! snapshot and must equal the brute-force oracle's answer for exactly
 //! that epoch — no torn reads, no lost entries, no cross-epoch bleed.
 //!
@@ -17,8 +17,8 @@ use std::sync::Mutex;
 use objstore::{Oid, Value};
 use schema::{AttrType, Schema};
 use uindex::{
-    parallel_query, Database, DatabaseReader, DiskDatabase, DiskOptions, IndexSpec, Query,
-    QueryHit, ValuePred,
+    Database, DatabaseReader, DiskDatabase, DiskOptions, IndexSpec, Query, QueryHit, ScanStats,
+    ValuePred,
 };
 
 const COLORS: [&str; 5] = ["Red", "Blue", "Green", "Black", "White"];
@@ -31,7 +31,7 @@ fn vehicle_schema() -> Schema {
 }
 
 fn color_queries(db: &Database<impl pagestore::PageStore>) -> Vec<Query> {
-    let idx = db.index().index_by_name("color").unwrap();
+    let idx = db.planner().index_by_name("color").unwrap();
     COLORS
         .iter()
         .map(|c| Query::on(idx).value(ValuePred::eq(Value::Str((*c).into()))))
@@ -44,7 +44,7 @@ fn oracle_answers<P: pagestore::PageStore>(
 ) -> Vec<Vec<QueryHit>> {
     queries
         .iter()
-        .map(|q| uindex::oracle::eval(db.index(), db.store(), q).unwrap())
+        .map(|q| uindex::oracle::eval(db.planner(), db.store(), q).unwrap())
         .collect()
 }
 
@@ -221,9 +221,8 @@ fn scanners_race_mutator_disk_tier_with_commits() {
         ..DiskOptions::default()
     };
     let mut disk = DiskDatabase::create(vehicle_schema(), &dir, options).unwrap();
-    disk.enable_background_checkpoints();
-    // Commit (and so signal the background checkpointer) every round,
-    // while four scanners stream over their snapshots.
+    // Commit every round, and so checkpoint every second round, while four
+    // scanners stream over their snapshots.
     {
         let db_rounds = 15;
         let vehicle = disk.schema().class_by_name("Vehicle").unwrap();
@@ -285,7 +284,7 @@ fn scanners_race_mutator_disk_tier_with_commits() {
 
 /// The thread-count fixture on either tier: 300 vehicles, and a skewed
 /// stream — every color probe several times over plus a few wide ranges,
-/// so dynamic work claiming has something to balance.
+/// so the threads' shares of the stream cost different amounts.
 fn colored_stream<P: pagestore::PageStore>(db: &mut Database<P>) -> Vec<Query> {
     let vehicle = db.schema().class_by_name("Vehicle").unwrap();
     let idx = db
@@ -304,15 +303,47 @@ fn colored_stream<P: pagestore::PageStore>(db: &mut Database<P>) -> Vec<Query> {
     (0..40).map(|i| base[i % base.len()].clone()).collect()
 }
 
-/// `parallel_query` at 2/4/8 threads must reproduce the single-threaded
-/// pass bit for bit, per query: hits and `ScanStats`. Returns the hits.
+/// Run `stream` on `threads` clones of `reader`, one per scoped thread,
+/// thread `t` taking every `threads`-th query from the `t`-th on; returns
+/// each query's hits and `ScanStats` in stream order.
+fn on_threads<P: pagestore::PageStore + Send + Sync>(
+    reader: &DatabaseReader<P>,
+    stream: &[Query],
+    threads: usize,
+) -> Vec<(Vec<QueryHit>, ScanStats)> {
+    let mut out: Vec<Option<(Vec<QueryHit>, ScanStats)>> = vec![None; stream.len()];
+    std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..threads)
+            .map(|t| {
+                let reader = reader.clone();
+                scope.spawn(move || {
+                    let snap = reader.snapshot();
+                    let mine = stream.iter().enumerate().skip(t).step_by(threads);
+                    mine.map(|(i, q)| (i, reader.query_at(&snap, q).unwrap()))
+                        .collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        for w in workers {
+            for (i, result) in w.join().expect("query thread panicked") {
+                out[i] = Some(result);
+            }
+        }
+    });
+    out.into_iter()
+        .map(|r| r.expect("every query ran"))
+        .collect()
+}
+
+/// Reader clones on 2/4/8 threads must reproduce the one-thread pass bit
+/// for bit, per query: hits and `ScanStats`. Returns the hits.
 fn thread_count_invariant<P: pagestore::PageStore + Send + Sync>(
     reader: &DatabaseReader<P>,
     stream: &[Query],
 ) -> Vec<Vec<QueryHit>> {
-    let single = parallel_query(reader, stream, 1).unwrap();
+    let single = on_threads(reader, stream, 1);
     for threads in [2, 4, 8] {
-        let multi = parallel_query(reader, stream, threads).unwrap();
+        let multi = on_threads(reader, stream, threads);
         assert_eq!(single.len(), multi.len());
         for (i, (s, m)) in single.iter().zip(&multi).enumerate() {
             assert_eq!(s.0, m.0, "query {i}: hits differ at {threads} threads");
@@ -326,7 +357,7 @@ fn thread_count_invariant<P: pagestore::PageStore + Send + Sync>(
 }
 
 #[test]
-fn parallel_query_matches_single_threaded_on_both_tiers() {
+fn reader_clones_on_1_2_4_8_threads_agree_on_both_tiers() {
     let mut mem = Database::with_page_size(vehicle_schema(), 256, 4096).unwrap();
     let stream = colored_stream(&mut mem);
     let mem_hits = thread_count_invariant(&mem.reader(), &stream);

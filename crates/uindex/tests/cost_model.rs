@@ -81,7 +81,7 @@ fn measured_costs_respect_bounds() {
         (Query::on(idx), 200),
     ];
     for (q, r) in cases {
-        let m = class_groups(db.index(), &q).unwrap();
+        let m = class_groups(db.planner(), &q).unwrap();
         let (hits, measured) = db.query_with_stats(&q).unwrap();
         let bounds = model.bounds(r, m, hits.len() as u64);
         assert!(

@@ -334,8 +334,8 @@ fn reopen_and_verify(dir: &Path, allowed: &[&Committed], what: &str) -> usize {
             _ => Query::on(id).value(ValuePred::at_least(Value::Int(40))),
         };
         for q in [all, some] {
-            let oracle = uindex::oracle::eval(db.index(), db.store(), &q).unwrap();
-            let (hits, _) = db.index().query(&q).unwrap();
+            let oracle = uindex::oracle::eval(db.planner(), db.store(), &q).unwrap();
+            let (hits, _) = db.index().query(db.schema(), &q).unwrap();
             assert_eq!(hits, oracle, "{what}: index {id}");
         }
     }

@@ -75,13 +75,13 @@ fn populate(db: &mut DiskDatabase, n: usize) {
 const NON_VEHICLES: usize = 2;
 
 fn color_query(db: &Database<uindex::DiskStore>, color: &str) -> Query {
-    let idx = db.index().index_by_name("color").unwrap();
+    let idx = db.planner().index_by_name("color").unwrap();
     Query::on(idx).value(ValuePred::eq(Value::Str(color.into())))
 }
 
 /// Vehicles whose maker's president is at least 50, through the path index.
 fn age_query(db: &Database<uindex::DiskStore>) -> Query {
-    let idx = db.index().index_by_name("age").unwrap();
+    let idx = db.planner().index_by_name("age").unwrap();
     let vehicle = db.schema().class_by_name("Vehicle").unwrap();
     Query::on(idx)
         .value(ValuePred::at_least(Value::Int(50)))
@@ -98,7 +98,7 @@ fn assert_oracle_equivalence(db: &mut DiskDatabase) {
         fwd.algorithm = ScanAlgorithm::Forward;
         let parallel = db.query(&q).unwrap();
         let forward = db.query(&fwd).unwrap();
-        let brute = uindex::oracle::eval(db.index(), db.store(), &q).unwrap();
+        let brute = uindex::oracle::eval(db.planner(), db.store(), &q).unwrap();
         assert_eq!(parallel, forward, "{q:?}: Parallel ≠ Forward");
         assert_eq!(parallel, brute, "{q:?}: index ≠ brute-force oracle");
         assert!(!parallel.is_empty(), "{q:?}: query must hit something");
@@ -130,7 +130,7 @@ fn create_commit_crash_reopen_serves_committed_state() {
     );
     // Indexes come back under their original names and ids.
     for (id, name) in ["color", "age"].into_iter().enumerate() {
-        assert_eq!(db.index().index_by_name(name), Some(id as u16));
+        assert_eq!(db.planner().index_by_name(name), Some(id as u16));
     }
     let q_red = color_query(&db, "Red");
     let hits = db.query(&q_red).unwrap();
@@ -304,4 +304,87 @@ fn repair_rebuilds_in_place() {
     let q_blue = color_query(&db, "Blue");
     assert_eq!(db.query(&q_blue).unwrap(), before);
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A definition whose catalog record cannot fit one B-tree entry — a long
+/// index, class or attribute name — is refused on the disk tier with a
+/// typed error that is not corruption, before anything changes: later
+/// commits, `check` and `close` work, and a reopen has every committed
+/// mutation. The in-memory tier writes no catalog and accepts the names.
+#[test]
+fn names_too_long_for_the_catalog_are_refused_on_disk_only() {
+    let long = "n".repeat(400);
+    let dir = tmpdir("long_names");
+    let mut db = DiskDatabase::create(vehicle_schema(), &dir, small_options()).unwrap();
+    populate(&mut db, 10);
+    db.commit().unwrap();
+    let vehicle = db.schema().class_by_name("Vehicle").unwrap();
+    let (classes, specs) = (db.schema().num_classes(), db.index().specs().len());
+    let refusals = [
+        db.define_index(IndexSpec::class_hierarchy(&long, vehicle, "Color"))
+            .map(drop),
+        db.add_class(&long).map(drop),
+        db.add_subclass(&long, vehicle).map(drop),
+        db.add_attr(vehicle, &long, AttrType::Int).map(drop),
+    ];
+    for refused in refusals {
+        match refused {
+            Err(Error::Page(e @ pagestore::Error::EntryTooLarge { .. })) => {
+                assert!(!e.is_corruption(), "{e}")
+            }
+            other => panic!("expected EntryTooLarge, got {other:?}"),
+        }
+    }
+    assert_eq!(db.schema().num_classes(), classes, "no class was added");
+    assert_eq!(db.index().specs().len(), specs, "no index was defined");
+    assert!(db.schema().resolve_attr(vehicle, &long).is_none());
+
+    // A definition is sized against the shortest code its class could get;
+    // the real code is checked again when it is assigned, at the class's
+    // first use. A grandchild of a pending class passes the first check at
+    // the longest name that fits a two-component code, and a pending
+    // class's attribute at the longest that fits one component: with their
+    // real codes (one component longer) neither fits, and the class stays
+    // pending, out of the catalog.
+    let mid = db.add_subclass("Mid", vehicle).unwrap();
+    let near = (1..400)
+        .rev()
+        .find_map(|n| db.add_subclass(&"g".repeat(n), mid).ok())
+        .expect("a short enough name fits");
+    let crowded = db.add_subclass("Crowded", vehicle).unwrap();
+    (1..400)
+        .rev()
+        .find(|&n| db.add_attr(crowded, &"a".repeat(n), AttrType::Int).is_ok())
+        .expect("a short enough name fits");
+    for class in [near, crowded] {
+        match db.create_object(class) {
+            Err(Error::Page(pagestore::Error::EntryTooLarge { .. })) => {}
+            other => panic!("expected EntryTooLarge, got {other:?}"),
+        }
+    }
+    db.create_object(mid).unwrap();
+
+    // Nothing is wedged: mutate, commit, check and close as usual.
+    let v = db.create_object(vehicle).unwrap();
+    db.set_attr(v, "Color", Value::Str("Red".into())).unwrap();
+    db.commit().unwrap();
+    assert!(db.check().unwrap().clean());
+    let n = db.store().len();
+    db.close().unwrap();
+    let (db, report) = DiskDatabase::open(&dir).unwrap();
+    assert!(report.clean(), "{report:?}");
+    assert_eq!(db.store().len(), n, "every committed mutation is back");
+    assert_eq!(db.query(&color_query(&db, "Red")).unwrap().len(), 3);
+    drop(db);
+    std::fs::remove_dir_all(&dir).ok();
+
+    let mut mem = Database::in_memory(vehicle_schema()).unwrap();
+    let vehicle = mem.schema().class_by_name("Vehicle").unwrap();
+    mem.define_index(IndexSpec::class_hierarchy(&long, vehicle, "Color"))
+        .unwrap();
+    mem.add_class(&long).unwrap();
+    mem.add_attr(vehicle, &long, AttrType::Int).unwrap();
+    let mid = mem.add_subclass("Mid", vehicle).unwrap();
+    let grandchild = mem.add_subclass(&"g".repeat(400), mid).unwrap();
+    mem.create_object(grandchild).unwrap();
 }

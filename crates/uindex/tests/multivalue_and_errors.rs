@@ -137,7 +137,7 @@ fn error_paths() {
     assert!(matches!(err, Error::UnknownIndex(42)), "{err}");
 
     // Predicate on a position the index does not have.
-    let idx = db.index().index_by_name("x").unwrap();
+    let idx = db.planner().index_by_name("x").unwrap();
     let err = db
         .query(&Query::on(idx).class_at(3, ClassSel::Exact(a)))
         .unwrap_err();
@@ -221,4 +221,48 @@ fn incomplete_paths_produce_no_entries() {
     db.set_attr(e, "Age", Value::Int(40)).unwrap();
     db.set_attr(c, "President", Value::Ref(e)).unwrap();
     assert_eq!(db.query(&Query::on(idx)).unwrap().len(), 1);
+}
+
+/// A value whose index entry cannot fit one B-tree entry is refused with a
+/// typed error that is not corruption, and leaves nothing half applied:
+/// store, tree and oracle still agree on the old value, and `check()` is
+/// clean.
+#[test]
+fn oversized_entry_refuses_set_attr_whole() {
+    let mut s = Schema::new();
+    let vehicle = s.add_class("Vehicle").unwrap();
+    s.add_attr(vehicle, "Color", AttrType::Str).unwrap();
+    let mut db = Database::with_page_size(s, 1024, 256).unwrap();
+    let idx = db
+        .define_index(IndexSpec::class_hierarchy("color", vehicle, "Color"))
+        .unwrap();
+    let v = db.create_object(vehicle).unwrap();
+    db.set_attr(v, "Color", Value::Str("Red".into())).unwrap();
+
+    let long = "x".repeat(2000);
+    let err = db
+        .set_attr(v, "Color", Value::Str(long.clone()))
+        .unwrap_err();
+    match &err {
+        Error::Page(e) => {
+            assert!(!e.is_corruption(), "an oversized value is not damage: {e}");
+            assert!(matches!(e, pagestore::Error::EntryTooLarge { .. }), "{e}");
+        }
+        other => panic!("expected a typed page error, got {other:?}"),
+    }
+
+    assert_eq!(
+        db.store().attr(v, "Color").unwrap(),
+        Some(&Value::Str("Red".into())),
+        "the store keeps the old value"
+    );
+    let red = Query::on(idx).value(ValuePred::eq(Value::Str("Red".into())));
+    let long_q = Query::on(idx).value(ValuePred::eq(Value::Str(long)));
+    for q in [&red, &long_q] {
+        let oracle = uindex::oracle::eval(db.planner(), db.store(), q).unwrap();
+        assert_eq!(db.query(q).unwrap(), oracle, "tree and oracle agree");
+    }
+    assert_eq!(db.query(&red).unwrap().len(), 1);
+    let report = db.check().unwrap();
+    assert!(report.clean() && !report.quarantined, "{report:?}");
 }

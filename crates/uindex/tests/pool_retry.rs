@@ -4,9 +4,9 @@
 //! * **transient I/O** is absorbed by the buffer pool's bounded retries
 //!   (`pagestore.pool.retries`) — the query answers from the index and
 //!   nothing degrades;
-//! * **exhausted retries** degrade a fallback-armed reader to the object
-//!   store *without* quarantining, so the next query tries the index
-//!   again;
+//! * **exhausted retries** degrade a query — on the writer handle and on
+//!   a fallback-armed reader alike — to the object store *without*
+//!   quarantining, so the next query tries the index again;
 //! * **corruption** is never retried: it quarantines on the spot (the
 //!   flag shared between writer and readers), every degraded answer still
 //!   matches the healthy one, and a clean `check()` lifts the quarantine.
@@ -45,8 +45,9 @@ fn red_guarded<P: PageStore>(
     reader: &DatabaseReader<P>,
     id: uindex::IndexId,
 ) -> (Vec<QueryHit>, bool) {
-    let (hits, _, degraded) = reader
-        .query_guarded_at(&reader.snapshot(), &red_query(id))
+    let mut hits = Vec::new();
+    let (_, degraded) = reader
+        .query_guarded_into(&reader.snapshot(), &red_query(id), &mut hits)
         .unwrap();
     (hits, degraded)
 }
@@ -149,6 +150,57 @@ fn disk_reader_degrades_on_exhausted_retries_without_quarantine() {
 
     // The faults are gone; the very next query uses the index again.
     let (hits2, degraded2) = red_guarded(&reader, id);
+    assert!(!degraded2, "no quarantine, so the index path is retried");
+    assert_eq!(hits2, healthy);
+    db.close().unwrap();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn disk_writer_degrades_on_exhausted_retries_without_quarantine() {
+    let dir = tmpdir("writer_exhausted");
+    let mut db = DiskDatabase::create(
+        vehicle_schema(),
+        &dir,
+        DiskOptions {
+            page_size: 256,
+            pool_pages: 64,
+            ..DiskOptions::default()
+        },
+    )
+    .unwrap();
+    let id = populate(&mut db, 60);
+    db.checkpoint().unwrap();
+    let healthy = db.query(&red_query(id)).unwrap();
+    assert!(!healthy.is_empty());
+
+    let pool = db.index().tree().pool();
+    pool.flush().unwrap();
+    pool.invalidate_cache().unwrap();
+    let h = db.fault_handle();
+    let degraded0 = telemetry::counter_value("uindex.degraded.queries");
+    let quarantines0 = telemetry::counter_value("uindex.degraded.quarantines");
+    // Three consecutive failures exhaust the pool's 3 bounded attempts.
+    h.inject_burst(h.ops(), 3, Fault::IoError);
+
+    let (hits, _, degraded) = db.query_traced_guarded(&red_query(id)).unwrap();
+    assert!(degraded, "exhausted retries must degrade, not fail");
+    assert_eq!(hits, healthy, "degraded answers must match healthy ones");
+    assert!(
+        !db.quarantined(),
+        "transient I/O degrades without quarantining"
+    );
+    assert_eq!(
+        telemetry::counter_value("uindex.degraded.queries"),
+        degraded0 + 1
+    );
+    assert_eq!(
+        telemetry::counter_value("uindex.degraded.quarantines"),
+        quarantines0
+    );
+
+    // The faults are gone; the very next query uses the index again.
+    let (hits2, _, degraded2) = db.query_traced_guarded(&red_query(id)).unwrap();
     assert!(!degraded2, "no quarantine, so the index path is retried");
     assert_eq!(hits2, healthy);
     db.close().unwrap();

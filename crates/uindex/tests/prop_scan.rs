@@ -219,8 +219,8 @@ proptest! {
         let f = build(&raw_entries);
         for rq in &queries {
             let q = build_query(&f, rq);
-            let (par_hits, par_stats) = f.index.query(&q).unwrap();
-            let (fwd_hits, fwd_stats) = f.index.query(&q.clone().forward_scan()).unwrap();
+            let (par_hits, par_stats) = f.index.query(&f.schema, &q).unwrap();
+            let (fwd_hits, fwd_stats) = f.index.query(&f.schema, &q.clone().forward_scan()).unwrap();
             prop_assert_eq!(&par_hits, &fwd_hits, "algorithms disagree on {:?}", rq);
             prop_assert!(par_stats.pages_read <= fwd_stats.pages_read);
             let mut got: Vec<Vec<u8>> =

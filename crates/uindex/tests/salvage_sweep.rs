@@ -126,9 +126,9 @@ fn assert_oracle_equal(db: &DiskDatabase, what: &str) {
         Query::on(1),
         Query::on(1).value(ValuePred::at_least(Value::Int(40))),
     ] {
-        let oracle = uindex::oracle::eval(db.index(), db.store(), &q).unwrap();
+        let oracle = uindex::oracle::eval(db.planner(), db.store(), &q).unwrap();
         assert!(!oracle.is_empty(), "{what}: vacuous query");
-        let (hits, _) = db.index().query(&q).unwrap();
+        let (hits, _) = db.index().query(db.schema(), &q).unwrap();
         assert_eq!(hits, oracle, "{what}: {q:?}");
     }
 }

@@ -49,12 +49,13 @@ fn skipping_query(idx: uindex::IndexId, auto: schema::ClassId) -> Query {
 #[test]
 fn consecutive_queries_do_not_accumulate() {
     for alg in [ScanAlgorithm::Parallel, ScanAlgorithm::Forward] {
-        let (mut db, idx, auto) = build_db();
+        let (db, idx, auto) = build_db();
         let mut q = skipping_query(idx, auto);
         q.algorithm = alg;
 
-        let (hits1, trace1) = db.index_mut().query_traced(&q).unwrap();
-        let (hits2, trace2) = db.index_mut().query_traced(&q).unwrap();
+        let (hits1, trace1, degraded1) = db.query_traced_guarded(&q).unwrap();
+        let (hits2, trace2, degraded2) = db.query_traced_guarded(&q).unwrap();
+        assert!(!degraded1 && !degraded2, "{alg:?}: the index answered");
 
         assert_eq!(hits1, hits2, "{alg:?}: same query, same hits");
         assert_eq!(
@@ -81,11 +82,12 @@ fn consecutive_queries_do_not_accumulate() {
         // A fresh database running the query once agrees with the repeat run
         // on every warmth-independent counter, and on pages_read once the
         // fresh pool has been warmed by its own first run.
-        let (mut fresh, fidx, fauto) = build_db();
+        let (fresh, fidx, fauto) = build_db();
         let mut fq = skipping_query(fidx, fauto);
         fq.algorithm = alg;
-        let (_, _warmup) = fresh.index_mut().query_traced(&fq).unwrap();
-        let (fhits, ftrace) = fresh.index_mut().query_traced(&fq).unwrap();
+        let (_, _warmup, _) = fresh.query_traced_guarded(&fq).unwrap();
+        let (fhits, ftrace, fdegraded) = fresh.query_traced_guarded(&fq).unwrap();
+        assert!(!fdegraded, "{alg:?}: the fresh index answered");
         assert_eq!(hits2, fhits, "{alg:?}: deterministic build, same hits");
         assert_eq!(
             trace2.stats, ftrace.stats,

@@ -73,14 +73,14 @@ fn with_dbs(f: impl FnOnce(&[Database; 2])) {
 
 /// Parse `input` against `db`; when accepted, plan and run it.
 fn check(db: &Database, input: &str) {
-    let q = match uql::parse(db.index(), db.schema(), input) {
+    let q = match uql::parse(db.planner(), input) {
         Ok(q) => q,
         Err(Error::BadQuery(_) | Error::UnknownIndex(_)) => return,
         Err(e) => panic!("{input:?}: parse gave {e:?}"),
     };
     let planned = [
-        analysis::class_groups(db.index(), &q),
-        analysis::value_groups(db.index(), &q),
+        analysis::class_groups(db.planner(), &q),
+        analysis::value_groups(db.planner(), &q),
     ];
     for result in planned {
         if let Err(e @ (Error::Page(_) | Error::BadKey(_) | Error::NotADatabase(_))) = result {
@@ -124,8 +124,7 @@ fn the_valid_statements_parse() {
     with_dbs(|dbs| {
         for stmt in valid_statements() {
             assert!(
-                dbs.iter()
-                    .any(|db| uql::parse(db.index(), db.schema(), &stmt).is_ok()),
+                dbs.iter().any(|db| uql::parse(db.planner(), &stmt).is_ok()),
                 "{stmt:?} must parse against one of the schemas"
             );
         }

@@ -169,6 +169,7 @@ impl<P: PageStore> UIndexSet<P> {
         let (index, schema) =
             UIndex::open_with_catalog(pool, BTreeConfig::default(), root, len).map_err(corrupt)?;
         let id = index
+            .planner(&schema)
             .index_by_name("key")
             .ok_or_else(|| pagestore::Error::Corrupt("catalog lost the key index".into()))?;
         let mut classes = Vec::new();
@@ -227,8 +228,8 @@ impl<P: PageStore> UIndexSet<P> {
     }
 
     /// Build (without running) the exact-probe [`Query`], under the
-    /// currently selected scan algorithm — for executors that take a query
-    /// stream, like [`uindex::parallel_query`].
+    /// currently selected scan algorithm — for callers that run it
+    /// themselves, e.g. through a [`uindex::DatabaseReader`].
     pub fn exact_query(&self, key: &[u8], sets: &[SetId]) -> Query {
         let mut q = Query::on(self.id)
             .value(ValuePred::eq(Self::value_of(key)))
@@ -310,7 +311,7 @@ impl<P: PageStore> UIndexSet<P> {
         q.algorithm = self.algorithm;
         let (hits, stats) = self
             .index
-            .query(&q)
+            .query(&self.schema, &q)
             .map_err(|e| pagestore::Error::Corrupt(e.to_string()))?;
         Ok((self.set_hits(&hits), stats))
     }
