@@ -128,13 +128,13 @@ echo "$explain_text" | grep -q '^Execution' || { echo "explain smoke: no Executi
 echo "== corruption sweep (checksums, scrub, quarantine, salvage)"
 cargo test -q --offline -p uindex --test corruption_sweep
 
-echo "== one durability domain: crash sweep (every log prefix, every page-file op of every checkpoint)"
+echo "== one durability domain: crash sweep (every log prefix, every page-file op of every checkpoint, every page-file op of every commit-triggered checkpoint)"
 cargo test -q --offline -p uindex --test crash_sweep
 
 echo "== one durability domain: salvage sweep (every page x every fault kind; crash anywhere in repair)"
 cargo test -q --offline -p uindex --test salvage_sweep
 
-echo "== commit cost as counts (flat from 2 000 to 20 000 vehicles; nothing but wal.log written; catalog only when changed)"
+echo "== commit cost as counts (flat from 2 000 to 20 000 vehicles; nothing but wal.log written; catalog only when changed; a checkpointing commit: 1 marker, 1 log fsync before its page writes, 1 page-file fsync, no manifest write unless a page was allocated or freed)"
 cargo test -q --offline -p uindex --test commit_cost
 
 echo "== object decoders (hostile-bytes corpus: schema section, records, on-page entries)"

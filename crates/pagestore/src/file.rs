@@ -1,6 +1,7 @@
 use std::collections::HashSet;
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::io::Write;
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 
 use crate::crc::crc32;
@@ -13,11 +14,19 @@ use crate::store::PageStore;
 /// Layout: a 32-byte header (magic, page size, slot count, sync epoch,
 /// CRC) followed by pages at offset `HEADER_LEN + id * page_size`. The
 /// free list and slot count are persisted in a sidecar *manifest*
-/// (`<path>.free`, atomically replaced on every [`FileStore::sync`]) so a
-/// reopen after a clean sync restores the exact allocation state —
-/// including LIFO reuse order. Slots allocated after the last sync are
-/// not durable yet; [`FileStore::open`] truncates them away, which is
-/// exactly what a WAL layer above expects (its replay re-allocates them).
+/// (`<path>.free`) so a reopen after a clean sync restores the exact
+/// allocation state — including LIFO reuse order. [`FileStore::sync`]
+/// always fsyncs the page data, but atomically replaces the manifest (and
+/// rewrites the header after it) only when the slot count or the free
+/// list differs from what the last durable manifest holds, or when that
+/// is unknown: a store that has never synced, one opened without a usable
+/// manifest, one whose last manifest write failed. Slots allocated after
+/// the last sync are not durable yet; [`FileStore::open`] truncates them
+/// away, which is exactly what a WAL layer above expects (its replay
+/// re-allocates them).
+///
+/// Pages are read and written with positional I/O (`pread`/`pwrite`):
+/// one syscall per page, no file cursor.
 ///
 /// When the manifest is missing or damaged, `open` falls back to the old
 /// conservative recovery: every slot implied by the file length is
@@ -35,6 +44,9 @@ pub struct FileStore {
     free_set: HashSet<u32>,
     live: usize,
     sync_epoch: u64,
+    /// Slot count and free list of the last manifest known to be on disk;
+    /// `None` when that is unknown, so the next sync writes one.
+    durable: Option<(u32, Vec<u32>)>,
     /// Test hook: number of upcoming page-region writes to fail.
     fail_writes: u32,
 }
@@ -50,6 +62,11 @@ fn manifest_path(path: &Path) -> PathBuf {
     PathBuf::from(os)
 }
 
+/// Count one fsync of the page file, the manifest or their directory.
+fn count_fsync() {
+    telemetry::counter("pagestore.file.fsyncs").inc();
+}
+
 /// Best-effort fsync of the directory containing `path`, so a freshly
 /// created or renamed file survives a crash of the directory itself.
 /// Errors are ignored: not every filesystem supports directory fsync.
@@ -62,6 +79,7 @@ fn sync_parent_dir(path: &Path) {
         };
         if let Ok(d) = File::open(dir) {
             let _ = d.sync_all();
+            count_fsync();
         }
     }
 }
@@ -148,12 +166,15 @@ impl FileStore {
             free_set: HashSet::new(),
             live: 0,
             sync_epoch: 0,
+            durable: None,
             fail_writes: 0,
         };
         store.write_manifest(1)?;
-        store.file.seek(SeekFrom::Start(0))?;
-        store.file.write_all(&encode_header(page_size, 0, 1))?;
+        store
+            .file
+            .write_all_at(&encode_header(page_size, 0, 1), 0)?;
         store.file.sync_all()?;
+        count_fsync();
         sync_parent_dir(path);
         store.sync_epoch = 1;
         Ok(store)
@@ -168,19 +189,15 @@ impl FileStore {
     /// is live. A truncated or corrupt header is rejected with a typed
     /// [`Error::Corrupt`], never a panic.
     pub fn open(path: &Path) -> Result<Self> {
-        let mut file = OpenOptions::new().read(true).write(true).open(path)?;
-        let mut header = [0u8; HEADER_LEN as usize];
-        let mut got = 0;
-        while got < header.len() {
-            match file.read(&mut header[got..])? {
-                0 => {
-                    return Err(Error::Corrupt(format!(
-                        "truncated store header: {got} of {HEADER_LEN} bytes"
-                    )))
-                }
-                n => got += n,
-            }
+        let file = OpenOptions::new().read(true).write(true).open(path)?;
+        let file_len = file.metadata()?.len();
+        if file_len < HEADER_LEN {
+            return Err(Error::Corrupt(format!(
+                "truncated store header: {file_len} of {HEADER_LEN} bytes"
+            )));
         }
+        let mut header = [0u8; HEADER_LEN as usize];
+        file.read_exact_at(&mut header, 0)?;
         if &header[..8] != MAGIC {
             return Err(Error::Corrupt("bad magic in store header".into()));
         }
@@ -195,7 +212,6 @@ impl FileStore {
             return Err(Error::Corrupt(format!("bad page size {page_size}")));
         }
         let header_epoch = u64::from_le_bytes(header[16..24].try_into().unwrap());
-        let file_len = file.metadata()?.len();
         let file_slots = (file_len.saturating_sub(HEADER_LEN) / page_size as u64) as u32;
 
         let manifest = std::fs::read(manifest_path(path))
@@ -207,7 +223,7 @@ impl FileStore {
             .filter(|m| m.sync_epoch >= header_epoch && m.num_slots <= file_slots)
             .filter(|m| m.free.iter().all(|&id| id < m.num_slots));
 
-        let mut store = match manifest {
+        Ok(match manifest {
             Some(m) => {
                 // Exact recovery: discard slots allocated after the last
                 // sync (they are not durable; a WAL replay re-creates
@@ -220,6 +236,7 @@ impl FileStore {
                     path: path.to_path_buf(),
                     page_size,
                     num_slots: m.num_slots,
+                    durable: Some((m.num_slots, m.free.clone())),
                     free_list: m.free,
                     free_set,
                     live,
@@ -236,21 +253,15 @@ impl FileStore {
                 free_set: HashSet::new(),
                 live: file_slots as usize,
                 sync_epoch: header_epoch,
+                durable: None,
                 fail_writes: 0,
             },
-        };
-        store.file.seek(SeekFrom::Start(0))?;
-        Ok(store)
+        })
     }
 
     /// The store file path.
     pub fn path(&self) -> &Path {
         &self.path
-    }
-
-    /// Epoch of the last durable sync (bumped by [`FileStore::sync`]).
-    pub fn sync_epoch(&self) -> u64 {
-        self.sync_epoch
     }
 
     /// Total slots in the file, free ones included.
@@ -276,9 +287,7 @@ impl FileStore {
             self.fail_writes -= 1;
             return Err(Error::Io(std::io::Error::other("injected write failure")));
         }
-        self.file.seek(SeekFrom::Start(offset))?;
-        self.file.write_all(buf)?;
-        Ok(())
+        Ok(self.file.write_all_at(buf, offset)?)
     }
 
     fn check(&self, id: PageId) -> Result<()> {
@@ -307,9 +316,11 @@ impl FileStore {
                 .open(&tmp)?;
             f.write_all(&bytes)?;
             f.sync_all()?;
+            count_fsync();
         }
         std::fs::rename(&tmp, &target)?;
         sync_parent_dir(&target);
+        telemetry::counter("pagestore.file.manifest_writes").inc();
         Ok(())
     }
 }
@@ -354,9 +365,7 @@ impl PageStore for FileStore {
             });
         }
         self.check(id)?;
-        self.file.seek(SeekFrom::Start(self.offset(id)))?;
-        self.file.read_exact(buf)?;
-        Ok(())
+        Ok(self.file.read_exact_at(buf, self.offset(id))?)
     }
 
     fn write(&mut self, id: PageId, buf: &[u8]) -> Result<()> {
@@ -390,15 +399,28 @@ impl PageStore for FileStore {
         // durable slot frontier, then the header stamp. A crash between
         // any two steps leaves either the previous consistent snapshot
         // (manifest epoch == header epoch) or a newer complete manifest
-        // (epoch == header epoch + 1) — `open` accepts both.
+        // (epoch == header epoch + 1) — `open` accepts both. When the
+        // allocation state is the one the last manifest holds, the data
+        // fsync is all there is to do.
         self.file.sync_data()?;
+        count_fsync();
+        if self
+            .durable
+            .as_ref()
+            .is_some_and(|(slots, free)| *slots == self.num_slots && *free == self.free_list)
+        {
+            return Ok(());
+        }
+        // Whatever a failure below leaves on disk, the next sync rewrites.
+        self.durable = None;
         let next = self.sync_epoch + 1;
         self.write_manifest(next)?;
         let header = encode_header(self.page_size, self.num_slots, next);
-        self.file.seek(SeekFrom::Start(0))?;
-        self.file.write_all(&header)?;
+        self.file.write_all_at(&header, 0)?;
         self.file.sync_data()?;
+        count_fsync();
         self.sync_epoch = next;
+        self.durable = Some((self.num_slots, self.free_list.clone()));
         Ok(())
     }
 }
@@ -645,6 +667,166 @@ mod tests {
             s.read(PageId(0), &mut buf),
             Err(Error::PageNotFound(_))
         ));
+        cleanup(&path);
+    }
+
+    fn manifest_writes() -> u64 {
+        telemetry::counter_value("pagestore.file.manifest_writes")
+    }
+
+    fn fsyncs() -> u64 {
+        telemetry::counter_value("pagestore.file.fsyncs")
+    }
+
+    /// `(header epoch, manifest epoch)` as they stand on disk.
+    fn epochs_on_disk(path: &Path) -> (u64, u64) {
+        let file = std::fs::read(path).unwrap();
+        let header = u64::from_le_bytes(file[16..24].try_into().unwrap());
+        let manifest = decode_manifest(&std::fs::read(manifest_path(path)).unwrap()).unwrap();
+        (header, manifest.sync_epoch)
+    }
+
+    /// `(slots, live ids, the ids allocation hands out next)` of a store
+    /// reopened from `path`; drains its free list to list them.
+    fn reopened_state(path: &Path) -> (u32, Vec<PageId>, Vec<PageId>) {
+        let mut s = FileStore::open(path).unwrap();
+        let (slots, live) = (s.num_slots(), s.live_page_ids());
+        let reuse = (0..s.free_list.len())
+            .map(|_| s.allocate().unwrap())
+            .collect();
+        (slots, live, reuse)
+    }
+
+    #[test]
+    fn sync_rewrites_the_manifest_only_when_allocation_changed() {
+        let path = tmp("skipmanifest");
+        let mut s = FileStore::create(&path, 128).unwrap();
+        // A store that has never synced writes a manifest at its first sync.
+        let (m0, f0) = (manifest_writes(), fsyncs());
+        s.sync().unwrap();
+        assert_eq!(manifest_writes(), m0 + 1, "first sync of a new store");
+        let ids: Vec<PageId> = (0..3).map(|_| s.allocate().unwrap()).collect();
+        s.sync().unwrap();
+        assert_eq!(manifest_writes(), m0 + 2, "slots were allocated");
+        // Page writes alone: one data fsync, no manifest, no header.
+        let f1 = fsyncs();
+        for round in 0..3u8 {
+            s.write(ids[1], &[round; 128]).unwrap();
+            s.sync().unwrap();
+        }
+        assert_eq!(manifest_writes(), m0 + 2, "no allocation, no manifest");
+        assert_eq!(fsyncs(), f1 + 3, "one data fsync per sync");
+        assert!(fsyncs() > f0 + 3, "a manifest write fsyncs too");
+        // Manifest epoch >= header epoch on disk after a skipped sync.
+        let (header, manifest) = epochs_on_disk(&path);
+        assert!(manifest >= header, "{manifest} < {header}");
+        // A free is an allocation change.
+        s.free(ids[0]).unwrap();
+        s.sync().unwrap();
+        assert_eq!(manifest_writes(), m0 + 3, "a page was freed");
+        drop(s);
+        let mut s = FileStore::open(&path).unwrap();
+        let mut out = vec![0u8; 128];
+        s.read(ids[1], &mut out).unwrap();
+        assert_eq!(out, vec![2u8; 128], "the skipped syncs' data is there");
+        assert_eq!(s.live_page_ids(), vec![ids[1], ids[2]]);
+        cleanup(&path);
+    }
+
+    #[test]
+    fn fallback_open_writes_a_manifest_at_the_next_sync() {
+        for damage in ["deleted", "corrupted"] {
+            let path = tmp(&format!("fallback_{damage}"));
+            {
+                let mut s = FileStore::create(&path, 128).unwrap();
+                let ids: Vec<PageId> = (0..3).map(|_| s.allocate().unwrap()).collect();
+                s.free(ids[1]).unwrap();
+                s.sync().unwrap();
+            }
+            let mpath = manifest_path(&path);
+            if damage == "deleted" {
+                std::fs::remove_file(&mpath).unwrap();
+            } else {
+                let mut bytes = std::fs::read(&mpath).unwrap();
+                bytes[10] ^= 0xFF;
+                std::fs::write(&mpath, &bytes).unwrap();
+            }
+            let mut s = FileStore::open(&path).unwrap();
+            assert_eq!(s.live_pages(), 3, "{damage}: conservative fallback");
+            // No allocation change since open, yet the state on disk is
+            // unknown: the sync must write a manifest.
+            let m0 = manifest_writes();
+            s.write(PageId(2), &[4u8; 128]).unwrap();
+            s.sync().unwrap();
+            assert_eq!(manifest_writes(), m0 + 1, "{damage}");
+            let (slots, live, reuse) = reopened_state(&path);
+            assert_eq!(slots, 3, "{damage}");
+            assert_eq!(live, vec![PageId(0), PageId(1), PageId(2)], "{damage}");
+            assert!(reuse.is_empty(), "{damage}: the fallback's free list");
+            let (header, manifest) = epochs_on_disk(&path);
+            assert_eq!(header, manifest, "{damage}");
+            cleanup(&path);
+        }
+    }
+
+    #[test]
+    fn a_failed_manifest_write_is_retried_at_the_next_sync() {
+        let path = tmp("manifestfail");
+        let mut s = FileStore::create(&path, 128).unwrap();
+        let a = s.allocate().unwrap();
+        let b = s.allocate().unwrap();
+        s.sync().unwrap();
+        s.free(a).unwrap();
+        // A directory where the manifest's temporary file goes makes the
+        // replace fail after the data fsync.
+        let mut tmp_os = manifest_path(&path).into_os_string();
+        tmp_os.push(".tmp");
+        let blocker = PathBuf::from(tmp_os);
+        std::fs::create_dir(&blocker).unwrap();
+        assert!(s.sync().is_err());
+        std::fs::remove_dir(&blocker).unwrap();
+        // Back to the state of the last manifest that was written: what
+        // the failed write left on disk is unknown, so the sync writes.
+        assert_eq!(s.allocate().unwrap(), a);
+        let m0 = manifest_writes();
+        s.sync().unwrap();
+        assert_eq!(manifest_writes(), m0 + 1, "the failed write is redone");
+        drop(s);
+        let (slots, live, reuse) = reopened_state(&path);
+        assert_eq!((slots, live, reuse), (2, vec![a, b], vec![]));
+        cleanup(&path);
+    }
+
+    #[test]
+    fn free_and_reallocate_between_syncs_reopens_the_exact_lifo_list() {
+        let path = tmp("freerealloc");
+        let mut s = FileStore::create(&path, 128).unwrap();
+        let ids: Vec<PageId> = (0..5).map(|_| s.allocate().unwrap()).collect();
+        s.free(ids[1]).unwrap();
+        s.free(ids[3]).unwrap();
+        s.sync().unwrap();
+        // The same id out and back in: the state is the synced one, so
+        // the sync writes no manifest.
+        let m0 = manifest_writes();
+        s.free(ids[4]).unwrap();
+        assert_eq!(s.allocate().unwrap(), ids[4]);
+        s.sync().unwrap();
+        assert_eq!(manifest_writes(), m0);
+        let (slots, live, reuse) = reopened_state(&path);
+        assert_eq!(slots, 5);
+        assert_eq!(live, vec![ids[0], ids[2], ids[4]]);
+        assert_eq!(reuse, vec![ids[3], ids[1]], "LIFO: 3 was freed last");
+        // The same ids in another order is a different list.
+        let mut s = FileStore::open(&path).unwrap();
+        assert_eq!(s.allocate().unwrap(), ids[3]);
+        assert_eq!(s.allocate().unwrap(), ids[1]);
+        s.free(ids[3]).unwrap();
+        s.free(ids[1]).unwrap();
+        s.sync().unwrap();
+        assert_eq!(manifest_writes(), m0 + 1, "[1, 3] became [3, 1]");
+        drop(s);
+        let (_, _, reuse) = reopened_state(&path);
+        assert_eq!(reuse, vec![ids[1], ids[3]]);
         cleanup(&path);
     }
 }

@@ -7,8 +7,11 @@
 //!   in an in-memory overlay;
 //! * [`WalStore::commit`] appends a commit marker and fsyncs the log — the
 //!   batch is now durable;
-//! * [`WalStore::checkpoint`] applies the overlay to the backing store,
-//!   syncs it, and truncates the log;
+//! * [`WalStore::checkpoint`] appends the commit marker of what is staged
+//!   and fsyncs the log once, so the batch is durable before the first
+//!   backing-store write; then it applies the overlay to the backing store
+//!   in ascending page-id order, syncs it, and truncates the log. A commit
+//!   due to checkpoint calls it instead of `commit`;
 //! * [`WalStore::open`] replays every *committed* batch from the log into
 //!   the overlay; uncommitted tails (a crash mid-batch) are ignored.
 //!
@@ -274,16 +277,22 @@ impl<S: PageStore> WalStore<S> {
         Ok(())
     }
 
-    /// Apply the overlay to the backing store, sync it, and truncate the
-    /// log. Implies a (durable) commit.
+    /// Commit what is staged, apply the overlay to the backing store, sync
+    /// it, and truncate the log. The commit marker this appends is covered
+    /// by one log fsync — the group fsync if one is due, else a forced one
+    /// — before the first write to the backing store.
     pub fn checkpoint(&mut self) -> Result<()> {
         self.commit()?;
         self.sync_log()?;
         // Apply the overlay WITHOUT consuming it: if a backing-store write
         // fails part-way through, the overlay and the intact log must
         // survive so the checkpoint can be retried (re-applying a page
-        // write is idempotent) or the store recovered by replay.
-        for (page, data) in &self.overlay {
+        // write is idempotent) or the store recovered by replay. Ascending
+        // page order makes the sequence of backing-store operations the
+        // same on every run of the same script (the map's order is not).
+        let mut pages: Vec<_> = self.overlay.iter().collect();
+        pages.sort_unstable_by_key(|(page, _)| **page);
+        for (page, data) in pages {
             match data {
                 Some(bytes) => self.inner.write(*page, bytes)?,
                 // A retried checkpoint may free a page the first attempt
@@ -752,6 +761,79 @@ mod tests {
             fsyncs0 + 3
         );
         std::fs::remove_file(&path).ok();
+    }
+
+    /// A [`MemStore`] that records the id of every page written to it.
+    struct Recording {
+        inner: MemStore,
+        writes: Vec<PageId>,
+    }
+
+    impl PageStore for Recording {
+        fn page_size(&self) -> usize {
+            self.inner.page_size()
+        }
+        fn allocate(&mut self) -> Result<PageId> {
+            self.inner.allocate()
+        }
+        fn free(&mut self, id: PageId) -> Result<()> {
+            self.inner.free(id)
+        }
+        fn read(&mut self, id: PageId, buf: &mut [u8]) -> Result<()> {
+            self.inner.read(id, buf)
+        }
+        fn write(&mut self, id: PageId, buf: &[u8]) -> Result<()> {
+            self.writes.push(id);
+            self.inner.write(id, buf)
+        }
+        fn contains(&self, id: PageId) -> bool {
+            self.inner.contains(id)
+        }
+        fn live_pages(&self) -> usize {
+            self.inner.live_pages()
+        }
+        fn live_page_ids(&self) -> Vec<PageId> {
+            self.inner.live_page_ids()
+        }
+    }
+
+    #[test]
+    fn checkpoints_write_pages_in_the_same_order_on_every_run() {
+        // The script: 64 pages written in a scrambled order, some freed,
+        // over two checkpoints. Each run gets a fresh overlay map, whose
+        // iteration order differs from instance to instance.
+        let run = |name: &str| {
+            let path = tmp(name);
+            let inner = Recording {
+                inner: MemStore::new(128),
+                writes: Vec::new(),
+            };
+            let mut s = WalStore::create(inner, &path).unwrap();
+            let mut ids: Vec<PageId> = (0..64).map(|_| s.allocate().unwrap()).collect();
+            for round in 0..2u8 {
+                for i in 0..ids.len() {
+                    let id = ids[(i * 37 + round as usize) % ids.len()];
+                    s.write(id, &[i as u8 ^ round; 128]).unwrap();
+                    s.commit().unwrap();
+                }
+                for id in ids.iter().step_by(5) {
+                    s.free(*id).unwrap();
+                }
+                ids.retain(|id| s.contains(*id));
+                s.checkpoint().unwrap();
+            }
+            std::fs::remove_file(&path).ok();
+            s.into_inner().writes
+        };
+        let first = run("order_a");
+        assert_eq!(
+            first,
+            run("order_b"),
+            "page-file writes differ between runs"
+        );
+        // Each checkpoint's writes ascend: one descent, between the two.
+        let descents = first.windows(2).filter(|w| w[0] >= w[1]).count();
+        assert_eq!(descents, 1, "{first:?}");
     }
 
     #[test]

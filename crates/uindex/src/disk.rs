@@ -26,7 +26,11 @@
 //! Group commit batches the WAL fsyncs
 //! ([`pagestore::WalStore::set_group_commit`]), and every
 //! `checkpoint_every` commits the log is checkpointed into the page file
-//! so it stays short.
+//! so it stays short. That commit's marker is the checkpoint's own: one
+//! marker and one log fsync before the first page-file write, then the
+//! page writes, one data fsync of `pages.db` (its free-list manifest only
+//! if a page was allocated or freed since the last one), and the log
+//! truncate.
 //!
 //! **Open** replays the log, checkpoints, scrubs every page's checksum,
 //! reads the meta page, loads the object store from the object tree,
@@ -439,17 +443,20 @@ impl DiskDatabase {
 
     /// Make everything since the last commit durable (subject to the
     /// group-commit fsync policy; see [`DiskDatabase::sync`] to force the
-    /// fsync). Every `checkpoint_every`-th commit also checkpoints.
+    /// fsync). Every `checkpoint_every`-th commit also checkpoints: its
+    /// staged batch goes to the checkpoint, whose commit marker is the
+    /// only one it appends and whose one log fsync makes it durable before
+    /// any page-file write.
     pub fn commit(&mut self) -> Result<()> {
         self.stage()?;
-        self.pool().store_lock().commit()?;
-        telemetry::counter("uindex.disk.commits").inc();
-        self.commits_since_checkpoint += 1;
-        if self.options.checkpoint_every > 0
-            && self.commits_since_checkpoint >= self.options.checkpoint_every
-        {
+        let every = self.options.checkpoint_every;
+        if every > 0 && self.commits_since_checkpoint + 1 >= every {
             self.force_checkpoint()?;
+        } else {
+            self.pool().store_lock().commit()?;
+            self.commits_since_checkpoint += 1;
         }
+        telemetry::counter("uindex.disk.commits").inc();
         Ok(())
     }
 

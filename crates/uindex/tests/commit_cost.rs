@@ -65,9 +65,20 @@ fn vehicle_schema() -> (Schema, Classes) {
 /// The vehicle database at `n` vehicles: loaded, indexed (`color`, `age`,
 /// `serial`) and checkpointed; no checkpoint happens again unless asked.
 fn vehicle_db(dir: &Path, n: usize) -> (DiskDatabase, Vec<Oid>) {
+    vehicle_db_with(dir, n, DiskOptions::default().group_commit, 0)
+}
+
+/// [`vehicle_db`] with a group-commit interval and a checkpoint period.
+fn vehicle_db_with(
+    dir: &Path,
+    n: usize,
+    group_commit: u32,
+    checkpoint_every: u32,
+) -> (DiskDatabase, Vec<Oid>) {
     let (schema, c) = vehicle_schema();
     let options = DiskOptions {
-        checkpoint_every: 0,
+        group_commit,
+        checkpoint_every,
         ..DiskOptions::default()
     };
     let mut db = DiskDatabase::create(schema, dir, options).unwrap();
@@ -301,4 +312,142 @@ fn the_catalog_is_written_only_when_it_changed() {
     assert_eq!(hits.len(), 1);
     assert!(db.check().unwrap().clean());
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The durability counters, read together.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct Durability {
+    checkpoints: u64,
+    wal_commits: u64,
+    wal_fsyncs: u64,
+    wal_checkpoints: u64,
+    file_fsyncs: u64,
+    manifest_writes: u64,
+}
+
+fn durability() -> Durability {
+    let c = telemetry::counter_value;
+    Durability {
+        checkpoints: c("uindex.disk.checkpoints"),
+        wal_commits: c("pagestore.wal.commits"),
+        wal_fsyncs: c("pagestore.wal.fsyncs"),
+        wal_checkpoints: c("pagestore.wal.checkpoints"),
+        file_fsyncs: c("pagestore.file.fsyncs"),
+        manifest_writes: c("pagestore.file.manifest_writes"),
+    }
+}
+
+impl std::ops::Sub for Durability {
+    type Output = Durability;
+    fn sub(self, o: Durability) -> Durability {
+        Durability {
+            checkpoints: self.checkpoints - o.checkpoints,
+            wal_commits: self.wal_commits - o.wal_commits,
+            wal_fsyncs: self.wal_fsyncs - o.wal_fsyncs,
+            wal_checkpoints: self.wal_checkpoints - o.wal_checkpoints,
+            file_fsyncs: self.file_fsyncs - o.file_fsyncs,
+            manifest_writes: self.manifest_writes - o.manifest_writes,
+        }
+    }
+}
+
+#[test]
+fn a_checkpoint_pays_for_its_data() {
+    // Group commit 1: the checkpoint's marker gets its own group fsync.
+    // Group commit 8 (the default): no group fsync falls due between
+    // checkpoints, so the checkpoint forces it.
+    for group_commit in [1, 8] {
+        let dir = tmpdir(&format!("checkpoint{group_commit}"));
+        let (mut db, vehicles) = vehicle_db_with(&dir, 2_000, group_commit, 4);
+        let what = |step| format!("group commit {group_commit}, step {step}");
+        for step in 0..16 {
+            let v = vehicles[step * 97 + 11];
+            let Some(Value::Str(old)) = db.store().attr(v, "Color").unwrap().cloned() else {
+                panic!("vehicle without a colour");
+            };
+            let at = COLORS.iter().position(|c| *c == old).unwrap();
+            let new = COLORS[(at + 1) % COLORS.len()];
+            db.set_attr(v, "Color", Value::Str(new.into())).unwrap();
+            let before = durability();
+            db.commit().unwrap();
+            let cost = durability() - before;
+            let checkpointing = step % 4 == 3;
+            assert_eq!(cost.checkpoints, u64::from(checkpointing), "{}", what(step));
+            assert_eq!(cost.wal_commits, 1, "{}: one marker", what(step));
+            if checkpointing {
+                // One log fsync covers the marker before any page write;
+                // the other is the log truncate after the page file's.
+                assert_eq!(
+                    (cost.wal_checkpoints, cost.wal_fsyncs),
+                    (1, 2),
+                    "{}: {cost:?}",
+                    what(step)
+                );
+                assert_eq!(
+                    (cost.file_fsyncs, cost.manifest_writes),
+                    (1, 0),
+                    "{}: a recolour neither allocates nor frees: {cost:?}",
+                    what(step)
+                );
+            } else {
+                assert_eq!(
+                    cost.wal_fsyncs,
+                    u64::from(group_commit == 1),
+                    "{}",
+                    what(step)
+                );
+                assert_eq!((cost.file_fsyncs, cost.manifest_writes), (0, 0));
+            }
+        }
+
+        // A page allocated (new vehicles split the object tree's last
+        // leaf) or freed (deleted vehicles empty leaves) is written down
+        // in the manifest at the next checkpoint, and only there.
+        let vehicle = db.schema().class_by_name("Vehicle").unwrap();
+        for change in ["allocate", "free"] {
+            let (allocations, frees) = (
+                telemetry::counter_value("pagestore.pool.allocations"),
+                telemetry::counter_value("pagestore.pool.frees"),
+            );
+            let before = durability();
+            for i in 0..300 {
+                if change == "allocate" {
+                    let v = db.create_object(vehicle).unwrap();
+                    db.set_attr(v, "Serial", Value::Int(10_000 + i)).unwrap();
+                } else {
+                    db.delete_object(vehicles[i as usize], false).unwrap();
+                }
+            }
+            db.commit().unwrap();
+            let moved = if change == "allocate" {
+                telemetry::counter_value("pagestore.pool.allocations") - allocations
+            } else {
+                telemetry::counter_value("pagestore.pool.frees") - frees
+            };
+            assert!(moved > 0, "{group_commit}: no page to {change}");
+            for _ in 0..2 {
+                db.commit().unwrap();
+            }
+            let staged = durability() - before;
+            assert_eq!(
+                (staged.checkpoints, staged.manifest_writes),
+                (0, 0),
+                "{group_commit}, {change}: before the checkpoint"
+            );
+            db.commit().unwrap();
+            let cost = durability() - before;
+            assert_eq!(
+                (cost.checkpoints, cost.manifest_writes),
+                (1, 1),
+                "{group_commit}, {change}: at the checkpoint"
+            );
+            // Manifest (file + directory) and header fsyncs on top.
+            assert!(cost.file_fsyncs > 1, "{group_commit}, {change}: {cost:?}");
+        }
+        drop(db);
+        let (db, report) = DiskDatabase::open(&dir).unwrap();
+        assert!(report.clean() && !report.rebuilt, "{report:?}");
+        assert_eq!(db.store().len(), 2_000 + 2 * COMPANIES);
+        std::fs::remove_dir_all(&dir).ok();
+    }
 }

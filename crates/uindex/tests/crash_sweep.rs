@@ -10,7 +10,11 @@
 //!   it stood at the end of the stretch is reopened with `wal.log` cut at
 //!   every record boundary and in the middle of every record;
 //! * **in a checkpoint**: the script is replayed with the page file
-//!   crashing at each of its operations during each checkpoint in turn.
+//!   crashing at each of its operations during each checkpoint in turn;
+//! * **in a checkpoint a commit triggers**: a second script runs with
+//!   `checkpoint_every` set, and every such commit is replayed with the
+//!   page file crashing at each of its operations. Once the commit's marker
+//!   is in the log, every reopen holds that commit.
 //!
 //! Every reopen must come up `clean() && !rebuilt` holding exactly the
 //! shadow's state at the last commit that survived: objects byte-equal,
@@ -151,9 +155,10 @@ impl World {
     }
 }
 
-fn run_script(dir: &Path, seed: u64, crash: Option<CrashAt>) -> Outcome {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let db = DiskDatabase::create(schema(), dir, options()).unwrap();
+/// A new database in `dir` and its shadow, with the `color` and `age`
+/// indexes, four employees and three companies, none of it committed.
+fn new_world(dir: &Path, options: DiskOptions) -> World {
+    let db = DiskDatabase::create(schema(), dir, options).unwrap();
     let mut w = World {
         shadow: ObjectStore::new(db.schema().clone()),
         db,
@@ -162,16 +167,12 @@ fn run_script(dir: &Path, seed: u64, crash: Option<CrashAt>) -> Outcome {
         companies: Vec::new(),
         vehicles: Vec::new(),
     };
-    let (employee, company) = (w.class("Employee"), w.class("Company"));
-    let vehicle_classes = [w.class("Vehicle"), w.class("Automobile")];
-    w.define(IndexSpec::class_hierarchy(
-        "color",
-        vehicle_classes[0],
-        "Color",
-    ));
+    let (employee, company, vehicle) =
+        (w.class("Employee"), w.class("Company"), w.class("Vehicle"));
+    w.define(IndexSpec::class_hierarchy("color", vehicle, "Color"));
     w.define(IndexSpec::path(
         "age",
-        vehicle_classes[0],
+        vehicle,
         &["MadeBy", "President"],
         "Age",
     ));
@@ -185,6 +186,14 @@ fn run_script(dir: &Path, seed: u64, crash: Option<CrashAt>) -> Outcome {
         w.set(c, "President", Value::Ref(w.employees[i]));
         w.companies.push(c);
     }
+    w
+}
+
+fn run_script(dir: &Path, seed: u64, crash: Option<CrashAt>) -> Outcome {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut w = new_world(dir, options());
+    let employee = w.class("Employee");
+    let vehicle_classes = [w.class("Vehicle"), w.class("Automobile")];
 
     let mut stretches = Vec::new();
     let mut base = Committed {
@@ -446,6 +455,168 @@ fn a_crash_at_every_page_file_op_of_every_checkpoint_reopens_whole() {
     assert!(
         before > 0 && after > 0,
         "{before} before / {after} after the marker"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Commits per checkpoint in the commit-triggered script.
+const EVERY: usize = 4;
+/// Checkpoints the commit-triggered script runs through.
+const WINDOWS: usize = 6;
+
+enum Triggered {
+    /// Ran to the end: per checkpoint, whether it rewrote the manifest.
+    Finished(Vec<bool>),
+    /// The injected crash fired inside a checkpointing commit: what the
+    /// commit before it held, what it commits, and whether its marker
+    /// reached the log before the crash.
+    Crashed(Committed, Committed, bool),
+    /// The crash point lies beyond the commit's last operation.
+    Outlived,
+}
+
+/// One step of the commit-triggered script. Even windows allocate and free
+/// pages (creates, deletes, mid-path re-points); odd windows only recolour
+/// between names of one length, which seldom changes the allocation state.
+fn triggered_step(w: &mut World, rng: &mut StdRng, window: usize) {
+    let vehicle_classes = [w.class("Vehicle"), w.class("Automobile")];
+    if window % 2 == 1 && !w.vehicles.is_empty() {
+        let v = w.vehicles[rng.gen_range(0..w.vehicles.len())];
+        let color = ["Green", "Black", "White"][rng.gen_range(0..3)];
+        w.set(v, "Color", Value::Str(color.into()));
+        return;
+    }
+    match rng.gen_range(0..10) {
+        0..=5 => {
+            let v = w.create(vehicle_classes[rng.gen_range(0..2)]);
+            let color = COLORS[rng.gen_range(0..COLORS.len())];
+            w.set(v, "Color", Value::Str(color.into()));
+            let maker = w.companies[rng.gen_range(0..w.companies.len())];
+            w.set(v, "MadeBy", Value::Ref(maker));
+            w.vehicles.push(v);
+        }
+        6..=7 if w.vehicles.len() > 2 => {
+            let v = w.vehicles.swap_remove(rng.gen_range(0..w.vehicles.len()));
+            w.db.delete_object(v, false).unwrap();
+            w.shadow.delete(v, false).unwrap();
+        }
+        _ => {
+            let c = w.companies[rng.gen_range(0..w.companies.len())];
+            let e = w.employees[rng.gen_range(0..w.employees.len())];
+            w.set(c, "President", Value::Ref(e));
+        }
+    }
+}
+
+/// Whether the log holds a commit marker past byte `from` (a record
+/// boundary).
+fn marker_after(log: &[u8], from: u64) -> bool {
+    let mut pos = from as usize;
+    while pos + 13 <= log.len() {
+        if log[pos] == 4 {
+            return true;
+        }
+        pos += 13 + u32::from_le_bytes(log[pos + 5..pos + 9].try_into().unwrap()) as usize;
+    }
+    false
+}
+
+fn run_triggered(dir: &Path, seed: u64, crash: Option<CrashAt>) -> Triggered {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let options = DiskOptions {
+        checkpoint_every: EVERY as u32,
+        group_commit: 3,
+        ..options()
+    };
+    let mut w = new_world(dir, options);
+    let mut last = Committed {
+        objects: ObjectStore::new(schema()).to_bytes(),
+        indexes: 0,
+    };
+    let wal = dir.join("wal.log");
+    let mut manifests = Vec::new();
+    for commit in 0..EVERY * WINDOWS {
+        let window = commit / EVERY;
+        for _ in 0..6 {
+            triggered_step(&mut w, &mut rng, window);
+        }
+        let checkpointing = commit % EVERY == EVERY - 1;
+        let dying = crash.filter(|c| checkpointing && c.checkpoint == window);
+        let handle = w.db.fault_handle();
+        if let Some(c) = dying {
+            handle.inject(handle.ops() + c.op, Fault::Crash);
+        }
+        let log_before = std::fs::metadata(&wal).unwrap().len();
+        let manifest_writes = telemetry::counter_value("pagestore.file.manifest_writes");
+        let result = w.db.commit();
+        if dying.is_some() {
+            return match (result.is_err(), handle.crashed()) {
+                (true, true) => {
+                    let marker = marker_after(&std::fs::read(&wal).unwrap(), log_before);
+                    Triggered::Crashed(last, w.committed(), marker)
+                }
+                (false, false) => Triggered::Outlived,
+                other => panic!("crash and commit result disagree: {other:?}"),
+            };
+        }
+        result.unwrap();
+        last = w.committed();
+        if checkpointing {
+            manifests
+                .push(telemetry::counter_value("pagestore.file.manifest_writes") > manifest_writes);
+        }
+    }
+    Triggered::Finished(manifests)
+}
+
+#[test]
+fn a_crash_at_every_page_file_op_of_a_commit_triggered_checkpoint_keeps_the_commit() {
+    let dir = tmpdir("triggered");
+    let seed = 0x7216_6E12;
+    let Triggered::Finished(manifests) = run_triggered(&dir, seed, None) else {
+        panic!("no crash was asked for");
+    };
+    assert_eq!(manifests.len(), WINDOWS);
+    assert!(
+        manifests.contains(&true) && manifests.contains(&false),
+        "the script must reach checkpoints with and without a manifest write: {manifests:?}"
+    );
+    let (mut in_checkpoint, mut in_stage) = (0, 0);
+    for checkpoint in 0..WINDOWS {
+        let mut marker_written = false;
+        for op in 0.. {
+            let crash = CrashAt { checkpoint, op };
+            match run_triggered(&dir, seed, Some(crash)) {
+                Triggered::Outlived => break,
+                Triggered::Finished(_) => panic!("checkpoint {checkpoint} never ran"),
+                Triggered::Crashed(old, new, marker) => {
+                    let what =
+                        format!("commit-triggered checkpoint {checkpoint}, page-file op {op}");
+                    if marker {
+                        // The checkpoint itself: the commit is durable.
+                        reopen_and_verify(&dir, &[&new], &what);
+                        marker_written = true;
+                        in_checkpoint += 1;
+                    } else {
+                        // A first-touch read while the commit was staged.
+                        assert!(
+                            !marker_written,
+                            "{what}: a crash before the marker after one past it"
+                        );
+                        reopen_and_verify(&dir, &[&old], &what);
+                        in_stage += 1;
+                    }
+                }
+            }
+        }
+        assert!(
+            marker_written,
+            "checkpoint {checkpoint}: no crash after the marker"
+        );
+    }
+    assert!(
+        in_checkpoint > 4 * WINDOWS,
+        "only {in_checkpoint} crash points in checkpoints ({in_stage} while staging)"
     );
     std::fs::remove_dir_all(&dir).ok();
 }
