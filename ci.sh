@@ -91,6 +91,10 @@ cargo test -q --offline -p uindex --test uql_fuzz
 echo "== allocation budget (0 per entry examined, <= 2 per hit, 0 per served row, 0 per leaf visited, 2 per write-path decode; counting allocator)"
 cargo test -q --offline -p uindex --test alloc_budget
 
+echo "== wire decode allocates per frame, not per row (a decoded row views its frame: 1 and 512 rows cost the same; a reply allocates per batch; hostile RowBatch bytes give BadPayload)"
+cargo test -q --offline -p serve --test decode_alloc
+cargo test -q --offline -p serve --test proto_prop malformed_sweep_decoder
+
 echo "== canonical keys (whatever EntryKey::decode accepts re-encodes to the same bytes: the wire sends stored keys)"
 cargo test -q --offline -p uindex --test key_prop
 

@@ -228,6 +228,7 @@ fn read_query_reply(r: &mut impl Read, max_payload: u32) -> Result<QueryReply, S
     let mut rows = Vec::new();
     loop {
         match proto::read_frame(r, max_payload)? {
+            Frame::RowBatch { rows: batch } if rows.is_empty() => rows = batch,
             Frame::RowBatch { rows: batch } => rows.extend(batch),
             Frame::Done(done) => return Ok(QueryReply { rows, done }),
             Frame::Error { code, message } => return Err(ServeError::Server { code, message }),
@@ -257,8 +258,8 @@ mod tests {
     #[test]
     fn a_reply_is_read_a_buffer_at_a_time() {
         let row = WireRow {
-            key: vec![7; 24],
-            assignment: vec![Some(0), None],
+            key: vec![7; 24].into(),
+            assignment: vec![Some(0), None].into(),
         };
         let rows = vec![row; proto::BATCH_ROWS + 100];
         let mut bytes = Vec::new();
@@ -310,8 +311,8 @@ mod tests {
         let honest = proto::encode_frame(&Frame::RowBatch {
             rows: vec![
                 WireRow {
-                    key: Vec::new(),
-                    assignment: Vec::new(),
+                    key: Vec::new().into(),
+                    assignment: Vec::new().into(),
                 };
                 10
             ],

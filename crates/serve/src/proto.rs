@@ -16,9 +16,15 @@
 //! the decoder panic. Errors are classified as fatal (the stream can no
 //! longer be framed: close after reporting) or recoverable (the frame
 //! boundary is intact: report and keep the connection).
+//!
+//! A decoded [`Frame::RowBatch`] keeps its payload: the payload sits in
+//! one shared buffer and every [`WireRow`] is a view of it, so a batch
+//! costs a constant number of allocations however many rows it holds.
 
 use std::fmt;
-use std::io::{Read, Write};
+use std::io::{ErrorKind, Read, Write};
+use std::ops::{Deref, Range};
+use std::sync::Arc;
 
 use pagestore::crc32;
 
@@ -94,17 +100,116 @@ impl ErrorCode {
     }
 }
 
+/// Bytes of a decoded frame's payload, viewed in place: the payload's
+/// shared buffer plus a range of it. Cloning bumps a reference count and
+/// copies nothing; a view that outlives its frame keeps the whole payload
+/// (at most the reader's `max_payload`) alive.
+#[derive(Clone)]
+pub struct FrameBytes {
+    buf: Arc<[u8]>,
+    range: Range<usize>,
+}
+
+impl FrameBytes {
+    /// `buf[range]`; the decoder has checked the range against `buf`.
+    fn view(buf: &Arc<[u8]>, range: Range<usize>) -> FrameBytes {
+        FrameBytes {
+            buf: Arc::clone(buf),
+            range,
+        }
+    }
+}
+
+impl Deref for FrameBytes {
+    type Target = [u8];
+
+    fn deref(&self) -> &[u8] {
+        &self.buf[self.range.clone()]
+    }
+}
+
+impl PartialEq for FrameBytes {
+    fn eq(&self, other: &FrameBytes) -> bool {
+        **self == **other
+    }
+}
+
+impl Eq for FrameBytes {}
+
+impl fmt::Debug for FrameBytes {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(&**self, f)
+    }
+}
+
+impl From<Vec<u8>> for FrameBytes {
+    fn from(bytes: Vec<u8>) -> FrameBytes {
+        let range = 0..bytes.len();
+        FrameBytes {
+            buf: bytes.into(),
+            range,
+        }
+    }
+}
+
+/// A row's position assignment: one slot per spec position, each the
+/// index of a path element or `None` (`0xFFFF_FFFF` on the wire). Holds
+/// the big-endian wire slots; a decoded one views its frame.
+#[derive(Clone, PartialEq, Eq)]
+pub struct Assignment(FrameBytes);
+
+impl Assignment {
+    /// Number of slots.
+    pub fn len(&self) -> usize {
+        self.0.len() / 4
+    }
+
+    /// Whether the assignment has no slots.
+    pub fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+
+    /// The slots, in position order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = Option<u32>> + '_ {
+        self.0.chunks_exact(4).map(|slot| {
+            let v = u32::from_be_bytes(slot.try_into().expect("a four-byte chunk"));
+            (v != NO_ASSIGNMENT).then_some(v)
+        })
+    }
+}
+
+impl fmt::Debug for Assignment {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+impl FromIterator<Option<u32>> for Assignment {
+    fn from_iter<I: IntoIterator<Item = Option<u32>>>(slots: I) -> Assignment {
+        let mut wire = Vec::new();
+        for a in slots {
+            put_u32(&mut wire, a.unwrap_or(NO_ASSIGNMENT));
+        }
+        Assignment(wire.into())
+    }
+}
+
+impl From<Vec<Option<u32>>> for Assignment {
+    fn from(slots: Vec<Option<u32>>) -> Assignment {
+        slots.into_iter().collect()
+    }
+}
+
 /// One query-result row: the entry's canonical key bytes
 /// ([`uindex::EntryKey::encode`]) plus the position assignment. Byte-for-
 /// byte comparable against an in-process oracle's encoding of the same
-/// hit.
+/// hit. A decoded row views its frame's payload; it allocates nothing.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WireRow {
     /// `EntryKey::encode()` of the hit.
-    pub key: Vec<u8>,
-    /// Per-spec-position path-element index; `None` encoded as
-    /// `0xFFFF_FFFF` on the wire.
-    pub assignment: Vec<Option<u32>>,
+    pub key: FrameBytes,
+    /// Per-spec-position path-element index.
+    pub assignment: Assignment,
 }
 
 impl WireRow {
@@ -114,7 +219,7 @@ impl WireRow {
     /// those are exactly `hit.key.encode()`.)
     pub fn from_hit(hit: &uindex::QueryHit) -> Result<WireRow, uindex::Error> {
         Ok(WireRow {
-            key: hit.key.encode()?,
+            key: hit.key.encode()?.into(),
             assignment: hit.assignment.iter().map(|a| a.map(|i| i as u32)).collect(),
         })
     }
@@ -309,15 +414,21 @@ impl<'a> Cursor<'a> {
         Cursor { buf, pos: 0 }
     }
 
-    fn take(&mut self, n: usize) -> Result<&'a [u8], ProtoError> {
+    /// The range of the next `n` bytes, checked against the payload.
+    fn range(&mut self, n: usize) -> Result<Range<usize>, ProtoError> {
         let end = self
             .pos
             .checked_add(n)
             .filter(|&e| e <= self.buf.len())
             .ok_or_else(|| ProtoError::BadPayload("payload shorter than declared".into()))?;
-        let s = &self.buf[self.pos..end];
+        let range = self.pos..end;
         self.pos = end;
-        Ok(s)
+        Ok(range)
+    }
+
+    fn take(&mut self, n: usize) -> Result<&'a [u8], ProtoError> {
+        let range = self.range(n)?;
+        Ok(&self.buf[range])
     }
 
     fn u8(&mut self) -> Result<u8, ProtoError> {
@@ -373,7 +484,7 @@ fn encode_payload(frame: &Frame, p: &mut Vec<u8>) {
         Frame::RowBatch { rows } => {
             put_u32(p, rows.len() as u32);
             for row in rows {
-                put_row(p, &row.key, row.assignment.iter().copied());
+                put_row(p, &row.key, row.assignment.iter());
             }
         }
         Frame::Done(d) => {
@@ -393,6 +504,10 @@ fn encode_payload(frame: &Frame, p: &mut Vec<u8>) {
 }
 
 fn decode_payload(ty: u8, payload: &[u8]) -> Result<Frame, ProtoError> {
+    if ty == tag::ROW_BATCH {
+        // The rows keep their payload: copy it once into a shared buffer.
+        return decode_row_batch(payload.into());
+    }
     let mut c = Cursor::new(payload);
     let frame = match ty {
         tag::QUERY => Frame::Query { uql: c.string()? },
@@ -405,24 +520,6 @@ fn decode_payload(ty: u8, payload: &[u8]) -> Result<Frame, ProtoError> {
         tag::PREPARED => Frame::Prepared { id: c.u64()? },
         tag::STATS_REPLY => Frame::StatsReply { json: c.string()? },
         tag::TRACE_REPLY => Frame::TraceReply { json: c.string()? },
-        tag::ROW_BATCH => {
-            let n = c.u32()? as usize;
-            // Counts are untrusted: reserve only what the remaining bytes
-            // could hold (a row takes at least MIN_ROW_LEN bytes, a slot
-            // four), and an inflated count fails on `take`.
-            let mut rows = Vec::with_capacity(n.min(c.remaining() / MIN_ROW_LEN));
-            for _ in 0..n {
-                let key = c.bytes()?.to_vec();
-                let slots = c.u32()? as usize;
-                let mut assignment = Vec::with_capacity(slots.min(c.remaining() / 4));
-                for _ in 0..slots {
-                    let v = c.u32()?;
-                    assignment.push((v != NO_ASSIGNMENT).then_some(v));
-                }
-                rows.push(WireRow { key, assignment });
-            }
-            Frame::RowBatch { rows }
-        }
         tag::DONE => Frame::Done(DoneInfo {
             rows: c.u64()?,
             pages_read: c.u64()?,
@@ -461,6 +558,32 @@ fn decode_payload(ty: u8, payload: &[u8]) -> Result<Frame, ProtoError> {
     };
     c.finish()?;
     Ok(frame)
+}
+
+/// Decode a CRC-checked `RowBatch` payload into rows that view it. Every
+/// key length and slot count is checked against the payload before its
+/// view exists.
+fn decode_row_batch(payload: Arc<[u8]>) -> Result<Frame, ProtoError> {
+    let mut c = Cursor::new(&payload);
+    let n = c.u32()? as usize;
+    // Counts are untrusted: reserve only what the remaining bytes could
+    // hold (a row takes at least MIN_ROW_LEN bytes), and an inflated
+    // count fails on `range`.
+    let mut rows = Vec::with_capacity(n.min(c.remaining() / MIN_ROW_LEN));
+    for _ in 0..n {
+        let key_len = c.u32()? as usize;
+        let key = c.range(key_len)?;
+        let slot_bytes = (c.u32()? as usize)
+            .checked_mul(4)
+            .ok_or_else(|| ProtoError::BadPayload("slot count overflows".into()))?;
+        let slots = c.range(slot_bytes)?;
+        rows.push(WireRow {
+            key: FrameBytes::view(&payload, key),
+            assignment: Assignment(FrameBytes::view(&payload, slots)),
+        });
+    }
+    c.finish()?;
+    Ok(Frame::RowBatch { rows })
 }
 
 // ---------------------------------------------------------------------------
@@ -637,25 +760,34 @@ pub fn decode_frame(buf: &[u8], max_payload: u32) -> Result<(Frame, usize), Prot
 /// is [`ProtoError::Closed`]; EOF mid-frame is [`ProtoError::Truncated`].
 pub fn read_frame(r: &mut impl Read, max_payload: u32) -> Result<Frame, ProtoError> {
     let mut header = [0u8; HEADER_LEN];
-    let mut got = 0;
-    while got < HEADER_LEN {
-        match r.read(&mut header[got..])? {
-            0 if got == 0 => return Err(ProtoError::Closed),
-            0 => return Err(ProtoError::Truncated),
-            n => got += n,
-        }
-    }
+    fill(r, &mut header, true)?;
     let (ty, len, crc) = parse_header(&header, max_payload)?;
-    let mut payload = vec![0u8; len as usize];
+    // Read straight into the buffer a row batch's rows will share.
+    let mut payload: Arc<[u8]> = std::iter::repeat_n(0, len as usize).collect();
+    fill(r, Arc::get_mut(&mut payload).expect("a new buffer"), false)?;
+    verify_crc(crc, &payload)?;
+    if ty == tag::ROW_BATCH {
+        decode_row_batch(payload)
+    } else {
+        decode_payload(ty, &payload)
+    }
+}
+
+/// Fill `buf` from `r`, retrying reads a signal interrupted. EOF before a
+/// frame's first byte is [`ProtoError::Closed`], anywhere else
+/// [`ProtoError::Truncated`].
+fn fill(r: &mut impl Read, buf: &mut [u8], frame_start: bool) -> Result<(), ProtoError> {
     let mut got = 0;
-    while got < payload.len() {
-        match r.read(&mut payload[got..])? {
-            0 => return Err(ProtoError::Truncated),
-            n => got += n,
+    while got < buf.len() {
+        match r.read(&mut buf[got..]) {
+            Ok(0) if got == 0 && frame_start => return Err(ProtoError::Closed),
+            Ok(0) => return Err(ProtoError::Truncated),
+            Ok(n) => got += n,
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
+            Err(e) => return Err(e.into()),
         }
     }
-    verify_crc(crc, &payload)?;
-    decode_payload(ty, &payload)
+    Ok(())
 }
 
 /// Blocking write of one frame to `w`.

@@ -20,7 +20,10 @@ fn arb_row() -> impl Strategy<Value = WireRow> {
         proptest::collection::vec(any::<u8>(), 0..40),
         proptest::collection::vec(prop_oneof![Just(None), (0u32..1000).prop_map(Some)], 0..5),
     )
-        .prop_map(|(key, assignment)| WireRow { key, assignment })
+        .prop_map(|(key, assignment)| WireRow {
+            key: key.into(),
+            assignment: assignment.into(),
+        })
 }
 
 fn arb_string() -> impl Strategy<Value = String> {
@@ -112,6 +115,27 @@ proptest! {
     }
 
     #[test]
+    fn decoded_rows_outlive_their_frame(rows in proptest::collection::vec(arb_row(), 0..40)) {
+        // Rows view their frame's payload: kept rows must still read back
+        // the originals once the encoded bytes and the frame are gone.
+        let bytes = proto::encode_frame(&Frame::RowBatch { rows: rows.clone() });
+        let decoded = proto::decode_frame(&bytes, DEFAULT_MAX_PAYLOAD).unwrap().0;
+        let streamed =
+            proto::read_frame(&mut std::io::Cursor::new(bytes.clone()), DEFAULT_MAX_PAYLOAD)
+                .unwrap();
+        drop(bytes);
+        for frame in [decoded, streamed] {
+            let Frame::RowBatch { rows: got } = frame else {
+                panic!("decoded {frame:?}");
+            };
+            let kept: Vec<WireRow> = got.iter().step_by(2).cloned().collect();
+            drop(got);
+            let want: Vec<WireRow> = rows.iter().step_by(2).cloned().collect();
+            prop_assert_eq!(kept, want);
+        }
+    }
+
+    #[test]
     fn truncation_never_panics(frame in arb_frame(), cut in 0usize..64) {
         // Every proper prefix either decodes as Truncated or (if the cut
         // lands beyond the frame) succeeds; no prefix may panic.
@@ -150,7 +174,7 @@ fn reply_by_frames(rows: &[WireRow], done: &DoneInfo) -> Vec<u8> {
 fn reply_by_writer(writer: &mut RowBatchWriter, rows: &[WireRow], done: &DoneInfo) -> Vec<u8> {
     writer.clear();
     for row in rows {
-        writer.push_row(&row.key, row.assignment.iter().copied());
+        writer.push_row(&row.key, row.assignment.iter());
     }
     assert_eq!(writer.rows(), rows.len() as u64);
     writer.finish(done).to_vec()
@@ -162,8 +186,8 @@ fn row_batch_writer_matches_encode_frame_at_batch_boundaries() {
     for n in [0, 1, 511, 512, 513, 1024, 2000] {
         let rows: Vec<WireRow> = (0..n)
             .map(|i| WireRow {
-                key: format!("key-{i}").into_bytes(),
-                assignment: vec![Some(i % 3), None, Some(i)],
+                key: format!("key-{i}").into_bytes().into(),
+                assignment: vec![Some(i % 3), None, Some(i)].into(),
             })
             .collect();
         let done = DoneInfo {
@@ -200,7 +224,7 @@ proptest! {
         // A writer that already built (and dropped) another reply.
         let mut writer = RowBatchWriter::new();
         for row in &before {
-            writer.push_row(&row.key, row.assignment.iter().copied());
+            writer.push_row(&row.key, row.assignment.iter());
         }
         prop_assert_eq!(
             reply_by_writer(&mut writer, &rows, &done),
@@ -238,6 +262,15 @@ fn frame_bytes(ty: u8, payload: &[u8]) -> Vec<u8> {
     buf.extend_from_slice(&pagestore::crc32(payload).to_be_bytes());
     buf.extend_from_slice(payload);
     buf
+}
+
+/// A `RowBatch` payload of one row, cut after its key: a row count of 1,
+/// the declared key length, then `key`.
+fn row_batch_of_one(key_len: u32, key: &[u8]) -> Vec<u8> {
+    let mut p = 1u32.to_be_bytes().to_vec();
+    p.extend_from_slice(&key_len.to_be_bytes());
+    p.extend_from_slice(key);
+    p
 }
 
 #[test]
@@ -322,6 +355,23 @@ fn malformed_sweep_decoder() {
         }),
         // RowBatch whose row count promises more rows than exist.
         (0x81, 1000u32.to_be_bytes().to_vec()),
+        // RowBatch whose row's key length runs past the payload.
+        (0x81, row_batch_of_one(100, b"abcd")),
+        // RowBatch whose row's slot count runs past the payload: three
+        // slots declared, two present.
+        (0x81, {
+            let mut p = row_batch_of_one(2, b"ab");
+            p.extend_from_slice(&3u32.to_be_bytes());
+            p.extend_from_slice(&[0; 8]);
+            p
+        }),
+        // RowBatch whose row's slot count is u32::MAX.
+        (0x81, {
+            let mut p = row_batch_of_one(0, b"");
+            p.extend_from_slice(&u32::MAX.to_be_bytes());
+            p.extend_from_slice(&[0; 16]);
+            p
+        }),
         // Stats with a short window (u32 needs 4 bytes).
         (0x05, vec![0, 1]),
         // Stats with trailing junk after the window.
@@ -366,6 +416,64 @@ fn malformed_sweep_decoder() {
         Err(ProtoError::BadCrc { .. }) => {}
         other => panic!("corrupted payload streamed gave {other:?}"),
     }
+}
+
+/// A stream that hands over its bytes in scripted chunks, failing a read
+/// with `Interrupted` (a signal arriving mid-`read`) between chunks.
+struct InterruptedReader {
+    chunks: Vec<Vec<u8>>,
+    interrupt: bool,
+}
+
+impl std::io::Read for InterruptedReader {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        if self.chunks.is_empty() {
+            return Ok(0);
+        }
+        if std::mem::take(&mut self.interrupt) {
+            return Err(std::io::ErrorKind::Interrupted.into());
+        }
+        let chunk = &mut self.chunks[0];
+        let n = buf.len().min(chunk.len());
+        buf[..n].copy_from_slice(&chunk[..n]);
+        chunk.drain(..n);
+        if chunk.is_empty() {
+            self.chunks.remove(0);
+            self.interrupt = true;
+        }
+        Ok(n)
+    }
+}
+
+#[test]
+fn read_frame_retries_interrupted_reads() {
+    let frame = Frame::RowBatch {
+        rows: (0..3)
+            .map(|i| WireRow {
+                key: vec![i; 20].into(),
+                assignment: vec![Some(i as u32), None].into(),
+            })
+            .collect(),
+    };
+    let bytes = proto::encode_frame(&frame);
+    // Interrupted once mid-header and once mid-payload.
+    let (header, payload) = bytes.split_at(HEADER_LEN);
+    let mut reader = InterruptedReader {
+        chunks: vec![
+            header[..5].to_vec(),
+            [&header[5..], &payload[..10]].concat(),
+            payload[10..].to_vec(),
+        ],
+        interrupt: false,
+    };
+    assert_eq!(
+        proto::read_frame(&mut reader, DEFAULT_MAX_PAYLOAD).unwrap(),
+        frame
+    );
+    assert!(matches!(
+        proto::read_frame(&mut reader, DEFAULT_MAX_PAYLOAD),
+        Err(ProtoError::Closed)
+    ));
 }
 
 // ---------------------------------------------------------------------------
