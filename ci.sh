@@ -141,6 +141,12 @@ cargo test -q --offline -p uindex --test salvage_sweep
 echo "== commit cost as counts (flat from 2 000 to 20 000 vehicles; nothing but wal.log written; catalog only when changed; a checkpointing commit: 1 marker, 1 log fsync before its page writes, 1 page-file fsync, no manifest write unless a page was allocated or freed)"
 cargo test -q --offline -p uindex --test commit_cost
 
+echo "== an update consults only the indexes its attribute feeds; a commit rebuilds the catalog only after a definition changed"
+cargo test -q --offline -p uindex --test update_scope
+cargo test -q --offline -p uindex --test definition_durability
+cargo test -q --offline -p uindex --test commit_cost definitions_are_encoded_only_after_a_definition_changed
+cargo test -q --offline -p schema stamp
+
 echo "== object decoders (hostile-bytes corpus: schema section, records, on-page entries)"
 cargo test -q --offline -p objstore --test prop
 cargo test -q --offline -p uindex --lib objtree

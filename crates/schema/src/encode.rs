@@ -13,12 +13,15 @@ use crate::code::ClassCode;
 use crate::error::{Error, Result};
 use crate::frac;
 use crate::model::{AttrId, ClassId, RefEdge, Schema};
+use crate::stamp::Stamp;
 
 /// An assignment of [`ClassCode`]s to (a subset of) a schema's classes.
 #[derive(Debug, Clone, Default)]
 pub struct Encoding {
     codes: Vec<Option<ClassCode>>,
     by_code: BTreeMap<Vec<u8>, ClassId>,
+    /// Changed by every code assignment (see [`Stamp`]).
+    stamp: Stamp,
 }
 
 impl Encoding {
@@ -43,6 +46,7 @@ impl Encoding {
         let mut enc = Encoding {
             codes: vec![None; schema.num_classes()],
             by_code: BTreeMap::new(),
+            stamp: Stamp::fresh(),
         };
         for (root, comp) in order.iter().zip(comps) {
             let code = ClassCode::root(&comp);
@@ -66,6 +70,7 @@ impl Encoding {
     }
 
     fn set(&mut self, class: ClassId, code: ClassCode) {
+        self.stamp = Stamp::fresh();
         self.by_code.insert(code.as_bytes().to_vec(), class);
         if class.0 as usize >= self.codes.len() {
             // Schema evolution adds classes after generation.
@@ -79,6 +84,11 @@ impl Encoding {
     /// consistency with the schema.
     pub fn set_raw(&mut self, class: ClassId, code: ClassCode) {
         self.set(class, code);
+    }
+
+    /// The stamp of this content: equal stamps mean equal encodings.
+    pub fn stamp(&self) -> Stamp {
+        self.stamp
     }
 
     /// The code of `class`, if assigned.

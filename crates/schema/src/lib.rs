@@ -53,8 +53,10 @@ mod encode;
 mod error;
 pub mod frac;
 mod model;
+mod stamp;
 
 pub use code::ClassCode;
 pub use encode::Encoding;
 pub use error::{Error, Result};
 pub use model::{AttrId, AttrType, ClassId, RefEdge, Schema};
+pub use stamp::Stamp;

@@ -3,6 +3,7 @@
 use std::collections::HashMap;
 
 use crate::error::{Error, Result};
+use crate::stamp::Stamp;
 
 /// Identifier of a class within a [`Schema`] (dense, insertion-ordered).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -78,12 +79,19 @@ struct ClassData {
 pub struct Schema {
     classes: Vec<ClassData>,
     by_name: HashMap<String, ClassId>,
+    /// Changed by every `&mut` method (see [`Stamp`]).
+    stamp: Stamp,
 }
 
 impl Schema {
     /// An empty schema.
     pub fn new() -> Self {
         Schema::default()
+    }
+
+    /// The stamp of this content: equal stamps mean equal schemas.
+    pub fn stamp(&self) -> Stamp {
+        self.stamp
     }
 
     /// Number of classes.
@@ -104,6 +112,7 @@ impl Schema {
 
     /// Add a top-level class (a new hierarchy root).
     pub fn add_class(&mut self, name: &str) -> Result<ClassId> {
+        self.stamp = Stamp::fresh();
         if self.by_name.contains_key(name) {
             return Err(Error::DuplicateClass(name.to_string()));
         }
@@ -129,6 +138,7 @@ impl Schema {
 
     /// Add an additional parent (multiple inheritance). Rejects is-a cycles.
     pub fn add_parent(&mut self, class: ClassId, parent: ClassId) -> Result<()> {
+        self.stamp = Stamp::fresh();
         self.data(class)?;
         self.data(parent)?;
         if class == parent || self.is_subclass_of(parent, class) {
@@ -144,6 +154,7 @@ impl Schema {
     /// Declare an attribute on `class`. `Ref`/`RefSet` types create REF
     /// edges in the schema graph.
     pub fn add_attr(&mut self, class: ClassId, name: &str, ty: AttrType) -> Result<AttrId> {
+        self.stamp = Stamp::fresh();
         if let Some(target) = ty.ref_target() {
             self.data(target)?;
         }

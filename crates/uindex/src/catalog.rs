@@ -124,12 +124,26 @@ pub(crate) fn spec_record(id: u16, spec: &IndexSpec) -> (Vec<u8>, Vec<u8>) {
 
 impl<S: PageStore> UIndex<S> {
     /// Bring the schema catalog in the shared B-tree up to date: one
-    /// clustered entry per class, SUP edge, attribute, and index spec. The
-    /// entries are compared with what the tree already holds (as last
-    /// written or loaded), and only the ones that differ are touched — an
-    /// unchanged schema costs no page. Returns the number of entries the
-    /// catalog holds.
+    /// clustered entry per class, SUP edge, attribute, and index spec. When
+    /// schema, encoding and spec table are the ones last written (same
+    /// stamps, same spec count) nothing is encoded; otherwise the entries
+    /// are compared with what the tree already holds (as last written or
+    /// loaded), and only the ones that differ are touched — an unchanged
+    /// schema costs no page. Returns the number of entries the catalog
+    /// holds.
     pub fn save_catalog(&mut self, schema: &Schema) -> Result<u64> {
+        self.sync_catalog(schema)?;
+        Ok(self.catalog.len() as u64)
+    }
+
+    /// [`UIndex::save_catalog`], returning whether the definitions had to
+    /// be encoded and compared (`false`: their stamps matched the last
+    /// write).
+    pub(crate) fn sync_catalog(&mut self, schema: &Schema) -> Result<bool> {
+        let stamps = (schema.stamp(), self.encoding().stamp(), self.specs().len());
+        if self.catalog_stamps == Some(stamps) {
+            return Ok(false);
+        }
         let mut items: Vec<(Vec<u8>, Vec<u8>)> = Vec::new();
         for class in schema.class_ids() {
             let Some(code) = self.encoding().code(class) else {
@@ -151,31 +165,30 @@ impl<S: PageStore> UIndex<S> {
             items.push(spec_record(id as u16, spec));
         }
         items.sort();
-        let n = items.len() as u64;
-        if items == self.catalog {
-            return Ok(n);
+        // `self.catalog` and the stamps are replaced only once every change
+        // is in the tree: after a failed write the retry repeats the same
+        // deletes and upserts, which are idempotent.
+        if items != self.catalog {
+            let stale: Vec<Vec<u8>> = self
+                .catalog
+                .iter()
+                .filter(|(k, _)| items.binary_search_by(|(key, _)| key.cmp(k)).is_err())
+                .map(|(k, _)| k.clone())
+                .collect();
+            let fresh: Vec<&(Vec<u8>, Vec<u8>)> = items
+                .iter()
+                .filter(|item| self.catalog.binary_search(item).is_err())
+                .collect();
+            for k in &stale {
+                self.tree_mut().delete(k)?;
+            }
+            for (k, v) in fresh {
+                self.tree_mut().insert(k, v)?;
+            }
+            self.catalog = items;
         }
-        // `self.catalog` is replaced only once every change is in the tree:
-        // after a failed write the retry repeats the same deletes and
-        // upserts, which are idempotent.
-        let stale: Vec<Vec<u8>> = self
-            .catalog
-            .iter()
-            .filter(|(k, _)| items.binary_search_by(|(key, _)| key.cmp(k)).is_err())
-            .map(|(k, _)| k.clone())
-            .collect();
-        let fresh: Vec<&(Vec<u8>, Vec<u8>)> = items
-            .iter()
-            .filter(|item| self.catalog.binary_search(item).is_err())
-            .collect();
-        for k in &stale {
-            self.tree_mut().delete(k)?;
-        }
-        for (k, v) in fresh {
-            self.tree_mut().insert(k, v)?;
-        }
-        self.catalog = items;
-        Ok(n)
+        self.catalog_stamps = Some(stamps);
+        Ok(true)
     }
 
     /// Reconstruct the schema, encoding, and index specs from a catalog

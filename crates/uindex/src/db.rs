@@ -1,13 +1,16 @@
 //! [`Database`]: an object store plus a U-index, kept consistent.
 //!
-//! Every mutation enumerates, for **every** index, the entries that contain
-//! the mutated object — once before the change and once after — encodes
-//! them, and applies the difference as single-key B-tree deletes and
-//! inserts. The tree ends up as the paper's §3.5 update cases say it should
-//! (one entry out and one in for an end-of-path attribute; the clustered
-//! group for a mid-path reference change), but the work is not the paper's
-//! price: both enumerations walk every index, whether or not its spec
-//! mentions the changed attribute, and each changed key is its own descent.
+//! A mutation enumerates, in each index it can change, the entries that
+//! contain the mutated object — once before the change and once after —
+//! encodes each once, and applies the difference as single-key B-tree
+//! deletes and inserts. [`Database::set_attr`] consults only the indexes
+//! that read the attribute ([`IndexSpec::reads`]: it is their indexed
+//! attribute or a via reference); [`Database::delete_object`] consults
+//! every index. The tree ends up as the paper's §3.5 update cases say it
+//! should (one entry out and one in for an end-of-path attribute; the
+//! clustered group for a mid-path reference change), but the work is not
+//! yet the paper's price: an involved index is enumerated twice, and each
+//! changed key is its own descent.
 
 use std::collections::{BTreeSet, HashSet};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -205,9 +208,10 @@ impl<P: PageStore> Database<P> {
         }
     }
 
-    /// [`UIndex::save_catalog`] against this database's schema.
-    pub(crate) fn save_catalog(&mut self) -> Result<u64> {
-        self.index.save_catalog(self.store.schema())
+    /// [`UIndex::save_catalog`] against this database's schema; returns
+    /// whether the definitions had to be encoded and compared.
+    pub(crate) fn sync_catalog(&mut self) -> Result<bool> {
+        self.index.sync_catalog(self.store.schema())
     }
 
     fn touch(&mut self, oid: Oid) {
@@ -392,38 +396,49 @@ impl<P: PageStore> Database<P> {
         Ok(oid)
     }
 
-    /// For every index, the encoded keys of all entries containing `oid` —
-    /// exactly the entries a mutation of `oid` can add or remove.
-    /// A key too large for one B-tree entry is refused here, before the
-    /// tree sees it.
-    fn involved_entries(&self, oid: Oid) -> Result<Vec<BTreeSet<Vec<u8>>>> {
+    /// The indexes whose entries read attribute `name` of `oid`
+    /// ([`IndexSpec::reads`], on the attribute as the store resolves it for
+    /// the object's class): the only ones a set of it can change. Empty
+    /// when object or attribute does not resolve — the store refuses such
+    /// a set.
+    fn indexes_reading(&self, oid: Oid, name: &str) -> Vec<IndexId> {
+        let schema = self.store.schema();
+        let class = self.store.class_of(oid).ok();
+        let Some(attr) = class.and_then(|class| schema.resolve_attr(class, name)) else {
+            return Vec::new();
+        };
+        let specs = self.index.specs();
+        (0..specs.len() as IndexId)
+            .filter(|&id| specs[id as usize].reads(attr))
+            .collect()
+    }
+
+    /// For each of the indexes `ids`, the encoded keys, ascending, of all
+    /// entries containing `oid` — exactly the entries a mutation of `oid`
+    /// can add or remove in it. A key too large for one B-tree entry is
+    /// refused here, before the tree sees it.
+    fn involved_entries(&self, oid: Oid, ids: &[IndexId]) -> Result<Vec<Vec<Vec<u8>>>> {
         let max = self.index.tree().max_entry_size();
-        let mut out = Vec::with_capacity(self.index.specs().len());
-        for id in 0..self.index.specs().len() as IndexId {
-            let mut set = BTreeSet::new();
-            for e in self.planner().entries_involving(&self.store, id, oid)? {
-                let key = e.encode()?;
-                if key.len() > max {
-                    let len = key.len();
-                    return Err(pagestore::Error::EntryTooLarge { len, max }.into());
-                }
-                set.insert(key);
+        let mut out = Vec::with_capacity(ids.len());
+        for &id in ids {
+            let keys = self.planner().entries_involving(&self.store, id, oid)?;
+            if let Some(key) = keys.iter().find(|k| k.len() > max) {
+                let len = key.len();
+                return Err(pagestore::Error::EntryTooLarge { len, max }.into());
             }
-            out.push(set);
+            out.push(keys);
         }
         Ok(out)
     }
 
-    fn apply_diff(
-        &mut self,
-        before: Vec<BTreeSet<Vec<u8>>>,
-        after: Vec<BTreeSet<Vec<u8>>>,
-    ) -> Result<()> {
+    /// Delete the keys only `before` has and insert the ones only `after`
+    /// has, index by index (both sides ascending), then publish.
+    fn apply_diff(&mut self, before: Vec<Vec<Vec<u8>>>, after: Vec<Vec<Vec<u8>>>) -> Result<()> {
         for (b, a) in before.iter().zip(&after) {
-            for key in b.difference(a) {
+            for key in b.iter().filter(|k| a.binary_search(k).is_err()) {
                 self.index.tree_mut().delete(key)?;
             }
-            for key in a.difference(b) {
+            for key in a.iter().filter(|k| b.binary_search(k).is_err()) {
                 self.index.tree_mut().insert(key, &[])?;
             }
         }
@@ -434,16 +449,19 @@ impl<P: PageStore> Database<P> {
         Ok(())
     }
 
-    /// Set an attribute, keeping every index consistent. The entries
-    /// containing `oid` are enumerated in every index before and after the
-    /// change, and the keys that differ are deleted and inserted one at a
-    /// time (see the module doc for how that compares with §3.5). A value
-    /// that would make an entry too large for the tree is refused with
-    /// store and tree unchanged.
+    /// Set an attribute, keeping every index consistent. Only the indexes
+    /// that read the attribute — as their indexed attribute or as a via
+    /// reference ([`IndexSpec::reads`]) — are consulted: every other
+    /// index's entries cannot change. In those, the entries containing
+    /// `oid` are enumerated before and after the change, and the keys that
+    /// differ are deleted and inserted one at a time (see the module doc
+    /// for how that compares with §3.5). A value that would make an entry
+    /// too large for the tree is refused with store and tree unchanged.
     pub fn set_attr(&mut self, oid: Oid, name: &str, value: Value) -> Result<Option<Value>> {
-        let before = self.involved_entries(oid)?;
+        let ids = self.indexes_reading(oid, name);
+        let before = self.involved_entries(oid, &ids)?;
         let old = self.store.set_attr(oid, name, value)?;
-        let after = match self.involved_entries(oid) {
+        let after = match self.involved_entries(oid, &ids) {
             Ok(after) => after,
             Err(e) => {
                 self.store.restore_attr(oid, name, old)?;
@@ -455,15 +473,17 @@ impl<P: PageStore> Database<P> {
         Ok(old)
     }
 
-    /// Delete an object, keeping every index consistent. With `force`,
-    /// dangling references from other objects are allowed (their path
-    /// entries through this object disappear).
+    /// Delete an object, keeping every index consistent: every index is
+    /// consulted, since any of them may hold the object at some position.
+    /// With `force`, dangling references from other objects are allowed
+    /// (their path entries through this object disappear).
     pub fn delete_object(&mut self, oid: Oid, force: bool) -> Result<()> {
-        let before = self.involved_entries(oid)?;
+        let all: Vec<IndexId> = (0..self.index.specs().len() as IndexId).collect();
+        let before = self.involved_entries(oid, &all)?;
         self.store.delete(oid, force)?;
         self.touch(oid);
         // The object no longer exists, so no entry can involve it.
-        let after = vec![BTreeSet::new(); before.len()];
+        let after = vec![Vec::new(); before.len()];
         self.apply_diff(before, after)?;
         Ok(())
     }

@@ -416,15 +416,21 @@ impl DiskDatabase {
     /// Bring the pages up to date with the logical state and flush them
     /// into the WAL overlay: the touched objects' records, the object-side
     /// header and the in-tree catalog if schema or index definitions
-    /// changed, the meta page if a root or length moved. The caller follows
-    /// with a WAL commit or checkpoint — until then none of it is durable.
+    /// changed (each is encoded only when a schema or encoding stamp or the
+    /// spec count moved since its last write), the meta page if a root or
+    /// length moved. The caller follows with a WAL commit or checkpoint —
+    /// until then none of it is durable.
     fn stage(&mut self) -> Result<()> {
         self.objects
             .sync_objects(self.db.store(), &self.db.touched())?;
         self.db.clear_touched();
-        self.objects
+        let header = self
+            .objects
             .sync_header(self.db.schema(), self.db.index().specs())?;
-        self.db.save_catalog()?;
+        let catalog = self.db.sync_catalog()?;
+        if header || catalog {
+            telemetry::counter("uindex.disk.definition_syncs").inc();
+        }
         let tree = self.db.index().tree();
         let meta = MetaPage {
             index_root: tree.root(),

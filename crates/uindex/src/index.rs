@@ -5,7 +5,7 @@ use std::sync::Arc;
 use btree::{BTree, BTreeConfig, TreeStats};
 use objstore::{ObjectStore, Oid, Value};
 use pagestore::{BufferPool, MemStore, PageStore};
-use schema::{ClassId, Encoding, Schema};
+use schema::{ClassId, Encoding, Schema, Stamp};
 
 use crate::error::{Error, Result};
 use crate::key::{EntryKey, PathElem};
@@ -26,6 +26,10 @@ pub struct UIndex<S: PageStore> {
     /// The catalog entries the tree holds, sorted, as last written by
     /// [`UIndex::save_catalog`] or read by [`UIndex::open_with_catalog`].
     pub(crate) catalog: Vec<(Vec<u8>, Vec<u8>)>,
+    /// Schema stamp, encoding stamp and spec count of the definitions
+    /// [`UIndex::save_catalog`] last wrote; `None` until it first succeeds
+    /// on this value, so a new, reopened or rebuilt index compares by value.
+    pub(crate) catalog_stamps: Option<(Stamp, Stamp, usize)>,
 }
 
 impl UIndex<MemStore> {
@@ -50,6 +54,7 @@ impl<S: PageStore> UIndex<S> {
             encoding,
             specs: Vec::new(),
             catalog: Vec::new(),
+            catalog_stamps: None,
         })
     }
 
@@ -61,6 +66,7 @@ impl<S: PageStore> UIndex<S> {
             encoding,
             specs,
             catalog: Vec::new(),
+            catalog_stamps: None,
         }
     }
 
@@ -242,8 +248,8 @@ impl<'a> Planner<'a> {
         };
         let mut keys = Vec::new();
         for a in anchors {
-            for e in self.entries_for_anchor(store, id, a)? {
-                keys.push((e.encode()?, Vec::new()));
+            for (key, _) in self.entries_for_anchor(store, id, a)? {
+                keys.push((key, Vec::new()));
             }
         }
         Ok(keys)
@@ -265,15 +271,16 @@ impl<'a> Planner<'a> {
         }
     }
 
-    /// All entry keys anchored at `anchor` (a would-be position-0 object),
-    /// computed from the current store state. Empty if the object is out of
-    /// scope or has no value for the indexed attribute.
+    /// All entries anchored at `anchor` (a would-be position-0 object),
+    /// computed from the current store state, each with its encoded key,
+    /// in key order. Empty if the object is out of scope or has no value
+    /// for the indexed attribute.
     pub(crate) fn entries_for_anchor(
         &self,
         store: &ObjectStore,
         id: IndexId,
         anchor: Oid,
-    ) -> Result<Vec<EntryKey>> {
+    ) -> Result<Vec<(Vec<u8>, EntryKey)>> {
         let spec = self.spec(id)?;
         if !store.exists(anchor) {
             return Ok(Vec::new());
@@ -299,9 +306,13 @@ impl<'a> Planner<'a> {
         }
         // Multi-branch specs can produce duplicate single-position chains;
         // normalize.
-        out.sort_by_key(|k| k.encode().ok());
-        out.dedup();
-        Ok(out)
+        let mut keyed = out
+            .into_iter()
+            .map(|e| Ok((e.encode()?, e)))
+            .collect::<Result<Vec<_>>>()?;
+        keyed.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+        keyed.dedup_by(|a, b| a.0 == b.0);
+        Ok(keyed)
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -399,15 +410,15 @@ impl<'a> Planner<'a> {
             .collect()
     }
 
-    /// All entry keys of index `id` that contain `oid` at any position,
-    /// under the current store state: the exact set an update of `oid` can
-    /// add or remove.
+    /// The encoded keys, ascending, of all entries of index `id` that
+    /// contain `oid` at any position, under the current store state: the
+    /// exact set an update of `oid` can add or remove.
     pub(crate) fn entries_involving(
         &self,
         store: &ObjectStore,
         id: IndexId,
         oid: Oid,
-    ) -> Result<Vec<EntryKey>> {
+    ) -> Result<Vec<Vec<u8>>> {
         let spec = self.spec(id)?;
         if !store.exists(oid) {
             return Ok(Vec::new());
@@ -446,9 +457,13 @@ impl<'a> Planner<'a> {
                 }
             }
         }
-        out.sort_by_key(|k| k.encode().ok());
-        out.dedup();
-        Ok(out)
+        let mut keys = out
+            .iter()
+            .map(EntryKey::encode)
+            .collect::<Result<Vec<_>>>()?;
+        keys.sort_unstable();
+        keys.dedup();
+        Ok(keys)
     }
 
     /// Assignments for `chain[0..=pi]` whose last element is `oid` at

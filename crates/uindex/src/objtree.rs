@@ -26,7 +26,7 @@ use std::sync::Arc;
 use btree::{BTree, BTreeConfig};
 use objstore::{ObjectStore, Oid, RecordLoader};
 use pagestore::{BufferPool, PageId, PageStore};
-use schema::Schema;
+use schema::{Schema, Stamp};
 
 use crate::catalog;
 use crate::error::{Error, Result};
@@ -92,6 +92,10 @@ pub(crate) struct ObjectTree<S: PageStore> {
     /// The header record as last written or loaded: a commit rewrites it
     /// only when schema or index definitions changed.
     header: Vec<u8>,
+    /// Schema stamp and spec count of the definitions
+    /// [`ObjectTree::sync_header`] last wrote; `None` until it first
+    /// succeeds on this value, so a fresh or reopened tree compares by value.
+    header_stamps: Option<(Stamp, usize)>,
 }
 
 impl<S: PageStore> ObjectTree<S> {
@@ -106,6 +110,7 @@ impl<S: PageStore> ObjectTree<S> {
         Ok(ObjectTree {
             tree: BTree::create(pool, Self::config())?,
             header: Vec::new(),
+            header_stamps: None,
         })
     }
 
@@ -114,6 +119,7 @@ impl<S: PageStore> ObjectTree<S> {
         ObjectTree {
             tree: BTree::open(pool, Self::config(), root, len),
             header: Vec::new(),
+            header_stamps: None,
         }
     }
 
@@ -195,14 +201,21 @@ impl<S: PageStore> ObjectTree<S> {
     }
 
     /// Write the header if schema or index definitions differ from what
-    /// the tree holds.
-    pub fn sync_header(&mut self, schema: &Schema, specs: &[IndexSpec]) -> Result<()> {
+    /// the tree holds. Nothing is encoded when the schema's stamp and the
+    /// spec count are the ones last written; returns whether the header
+    /// had to be encoded and compared.
+    pub fn sync_header(&mut self, schema: &Schema, specs: &[IndexSpec]) -> Result<bool> {
+        let stamps = (schema.stamp(), specs.len());
+        if self.header_stamps == Some(stamps) {
+            return Ok(false);
+        }
         let header = encode_header(schema, specs);
         if header != self.header {
             self.put(&[(TAG_HEADER, 0, header.clone())])?;
             self.header = header;
         }
-        Ok(())
+        self.header_stamps = Some(stamps);
+        Ok(true)
     }
 
     /// Rebuild the object store and the index definitions from the pages.

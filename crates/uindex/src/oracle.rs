@@ -190,22 +190,22 @@ pub fn entry_matches(
 
 // ----- brute-force evaluation --------------------------------------------
 
-/// All entry keys of index `id` recomputed from scratch, object by object,
-/// from the current store state — from the metadata view alone, never the
-/// index's B-tree. This is what a degraded query answers from when the
-/// tree itself is unavailable.
+/// All entry keys of index `id`, in key order, recomputed from scratch,
+/// object by object, from the current store state — from the metadata
+/// view alone, never the index's B-tree. This is what a degraded query
+/// answers from when the tree itself is unavailable.
 pub fn all_entries(
     planner: Planner<'_>,
     store: &ObjectStore,
     id: IndexId,
 ) -> Result<Vec<EntryKey>> {
-    let mut out = Vec::new();
+    let mut keyed = Vec::new();
     for oid in store.oids() {
-        out.extend(planner.entries_for_anchor(store, id, oid)?);
+        keyed.extend(planner.entries_for_anchor(store, id, oid)?);
     }
-    out.sort_by_key(|e| e.encode().ok());
-    out.dedup();
-    Ok(out)
+    keyed.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+    keyed.dedup_by(|a, b| a.0 == b.0);
+    Ok(keyed.into_iter().map(|(_, e)| e).collect())
 }
 
 /// Evaluate `q` by brute force against a metadata view and an object
@@ -214,21 +214,17 @@ pub fn all_entries(
 /// produce them. Tree-free, like [`all_entries`].
 pub fn eval(planner: Planner<'_>, store: &ObjectStore, q: &Query) -> Result<Vec<QueryHit>> {
     let spec = planner.spec(q.index)?;
-    let mut hits: Vec<(Vec<u8>, QueryHit)> = Vec::new();
+    let mut hits = Vec::new();
+    // `all_entries` comes in key order.
     for entry in all_entries(planner, store, q.index)? {
         if let Some(assignment) = entry_matches(planner.schema, planner.encoding, spec, q, &entry) {
-            let enc = entry.encode()?;
-            hits.push((
-                enc,
-                QueryHit {
-                    key: entry,
-                    assignment: assignment.into(),
-                },
-            ));
+            hits.push(QueryHit {
+                key: entry,
+                assignment: assignment.into(),
+            });
         }
     }
-    hits.sort_by(|a, b| a.0.cmp(&b.0));
-    Ok(hits.into_iter().map(|(_, h)| h).collect())
+    Ok(hits)
 }
 
 /// Apply `distinct_through(pos)` semantics to an ordered hit list: after a

@@ -81,6 +81,15 @@ impl IndexSpec {
         }
     }
 
+    /// Whether this index's entries read attribute `attr` (declaring
+    /// class, attribute id): it is the indexed attribute or the via
+    /// reference of a position. An entry is made of the classes and OIDs
+    /// of its positions and the anchor's indexed value, so setting any
+    /// other attribute of any object leaves every entry as it was.
+    pub fn reads(&self, attr: (ClassId, AttrId)) -> bool {
+        self.attr == attr || self.positions.iter().any(|p| p.via == Some(attr))
+    }
+
     /// Merge another spec into this one, sharing equal positions (same
     /// class, same via, same parent chain). Both specs must index the same
     /// attribute and agree on `include_subclasses`. The result is a

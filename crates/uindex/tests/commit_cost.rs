@@ -451,3 +451,43 @@ fn a_checkpoint_pays_for_its_data() {
         std::fs::remove_dir_all(&dir).ok();
     }
 }
+
+#[test]
+fn definitions_are_encoded_only_after_a_definition_changed() {
+    let dir = tmpdir("definition_syncs");
+    let (mut db, vehicles) = vehicle_db(&dir, 600);
+    let syncs = || telemetry::counter_value("uindex.disk.definition_syncs");
+
+    // The set-up's checkpoint wrote the definitions: a recolour finds the
+    // schema's and the encoding's stamps and the spec count unchanged, and
+    // its commit encodes neither catalog nor header.
+    let before = syncs();
+    for step in 0..100 {
+        let v = vehicles[step * 5 + 1];
+        let color = COLORS[step % COLORS.len()];
+        db.set_attr(v, "Color", Value::Str(color.into())).unwrap();
+        db.commit().unwrap();
+    }
+    assert_eq!(syncs() - before, 0, "100 set_attr commits");
+
+    // A new attribute changes the schema: one stage rebuilds both, and the
+    // one after it nothing.
+    let vehicle = db.schema().class_by_name("Vehicle").unwrap();
+    db.add_attr(vehicle, "Wheels", AttrType::Int).unwrap();
+    let before = syncs();
+    db.commit().unwrap();
+    assert_eq!(syncs() - before, 1, "the commit after add_attr");
+    db.set_attr(vehicles[7], "Wheels", Value::Int(4)).unwrap();
+    db.commit().unwrap();
+    assert_eq!(syncs() - before, 1, "the commit after that");
+
+    drop(db);
+    let (db, report) = DiskDatabase::open(&dir).unwrap();
+    assert!(report.clean() && !report.rebuilt, "{report:?}");
+    assert!(db.schema().resolve_attr(vehicle, "Wheels").is_some());
+    assert_eq!(
+        db.store().attr(vehicles[7], "Wheels").unwrap(),
+        Some(&Value::Int(4))
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}

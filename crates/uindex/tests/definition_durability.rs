@@ -1,0 +1,273 @@
+//! Every way a definition changes reaches the disk with the next commit.
+//!
+//! A commit encodes the in-tree catalog and the object tree's header only
+//! when the schema's or the encoding's stamp, or the number of index
+//! definitions, moved since that structure was last written — and a new,
+//! reopened or rebuilt index, like a freshly opened object tree, has
+//! nothing remembered. Here each kind of definition change happens alone
+//! between two commits, with no checkpoint: `add_class`, `add_attr`, a
+//! `create_object` that assigns a pending class its code, `add_subclass`,
+//! `define_index` and `repair`. After each commit a copy of the directory
+//! (a crash: no `close`) is opened and held to the state before it:
+//!
+//! * the schema (which the object tree's header carries), every class code
+//!   and every index definition (which the catalog carries);
+//! * the catalog's own record of the classes it has codes for;
+//! * every index answering like the oracle, and like before the crash.
+//!
+//! Then the copy's index is damaged, so that the next open rebuilds it from
+//! the header alone, and the rebuilt store is held to the same schema,
+//! definitions and answers.
+
+use std::path::{Path, PathBuf};
+
+use objstore::{Oid, Value};
+use pagestore::disk as pdisk;
+use pagestore::Fault;
+use schema::{AttrType, Encoding, Schema};
+use uindex::{DiskDatabase, DiskOptions, IndexId, IndexSpec, Query, UIndex};
+
+fn tmpdir(name: &str) -> PathBuf {
+    let mut p = std::env::temp_dir();
+    p.push(format!(
+        "uindex_definitions_{}_{}",
+        std::process::id(),
+        name
+    ));
+    std::fs::remove_dir_all(&p).ok();
+    p
+}
+
+fn copy_dir(src: &Path, dst: &Path) {
+    std::fs::remove_dir_all(dst).ok();
+    std::fs::create_dir_all(dst).unwrap();
+    for entry in std::fs::read_dir(src).unwrap() {
+        let entry = entry.unwrap();
+        std::fs::copy(entry.path(), dst.join(entry.file_name())).unwrap();
+    }
+}
+
+/// One line per class that has a code: what the catalog must record.
+fn coded_classes(schema: &Schema, encoding: &Encoding) -> Vec<String> {
+    schema
+        .class_ids()
+        .filter_map(|c| {
+            let code = encoding.code(c)?;
+            let attrs: Vec<_> = schema.own_attrs(c).map(|(_, n, ty)| (n, ty)).collect();
+            Some(format!(
+                "{c:?} {} {:?} {attrs:?} {:?}",
+                schema.class_name(c),
+                schema.parents(c),
+                code.as_bytes()
+            ))
+        })
+        .collect()
+}
+
+/// Every index's full answer as `(value, OIDs)` rows — comparable across
+/// a rebuild, which may assign other codes.
+type Answers = Vec<Vec<(Value, Vec<Oid>)>>;
+
+/// Each index's answer straight from the tree, checked against the oracle.
+fn answers(db: &DiskDatabase, what: &str) -> Answers {
+    (0..db.index().specs().len() as IndexId)
+        .map(|id| {
+            let q = Query::on(id);
+            let oracle = uindex::oracle::eval(db.planner(), db.store(), &q).unwrap();
+            let (hits, _) = db.index().query(db.schema(), &q).unwrap();
+            assert_eq!(hits, oracle, "{what}: index {id} differs from the oracle");
+            hits.iter()
+                .map(|h| {
+                    let oids = h.key.path.iter().map(|e| e.oid).collect();
+                    (h.key.value.clone(), oids)
+                })
+                .collect()
+        })
+        .collect()
+}
+
+/// What a reopen must find.
+struct Expected {
+    schema: Vec<u8>,
+    codes: Vec<String>,
+    specs: Vec<IndexSpec>,
+    objects: Vec<u8>,
+    answers: Answers,
+}
+
+fn expected(db: &DiskDatabase, what: &str) -> Expected {
+    Expected {
+        schema: objstore::schema_to_bytes(db.schema()),
+        codes: coded_classes(db.schema(), db.index().encoding()),
+        specs: db.index().specs().to_vec(),
+        objects: db.store().to_bytes(),
+        answers: answers(db, what),
+    }
+}
+
+/// Commit, crash a copy of the directory, and hold both of its reopens —
+/// from the catalog, then rebuilt from the header — to the state before.
+fn commit_and_crash(db: &mut DiskDatabase, what: &str) {
+    db.commit().unwrap();
+    let want = expected(db, what);
+    let crash = db.dir().with_extension("crash");
+    copy_dir(db.dir(), &crash);
+
+    let (reopened, report) = DiskDatabase::open(&crash).unwrap();
+    assert!(report.clean() && !report.rebuilt, "{what}: {report:?}");
+    // No checkpoint ran since the commit: it came back from the log.
+    assert!(
+        report.recovery.is_some_and(|r| r.replayed_batches > 0),
+        "{what}: {report:?}"
+    );
+    assert_eq!(
+        objstore::schema_to_bytes(reopened.schema()),
+        want.schema,
+        "{what}: schema"
+    );
+    assert_eq!(
+        coded_classes(reopened.schema(), reopened.index().encoding()),
+        want.codes,
+        "{what}: class codes"
+    );
+    assert_eq!(reopened.index().specs(), want.specs, "{what}: index specs");
+    assert_eq!(reopened.store().to_bytes(), want.objects, "{what}: objects");
+    let tree = reopened.index().tree();
+    let (_, catalog_schema) = UIndex::open_with_catalog(
+        tree.pool_arc(),
+        reopened.options().config,
+        tree.root(),
+        tree.len(),
+    )
+    .unwrap();
+    assert_eq!(
+        coded_classes(&catalog_schema, reopened.index().encoding()),
+        want.codes,
+        "{what}: the catalog's classes"
+    );
+    assert_eq!(answers(&reopened, what), want.answers, "{what}: answers");
+
+    // The open checkpointed the replayed log: the page file holds it all.
+    let root = tree.root();
+    drop(reopened);
+    {
+        let mut stack = pdisk::open(&crash).unwrap();
+        pdisk::checksum_layer(&mut stack)
+            .inner_mut()
+            .damage_now(root, Fault::BitFlip { bit: 77 })
+            .unwrap();
+    }
+    let (rebuilt, report) = DiskDatabase::open(&crash).unwrap();
+    assert!(
+        report.rebuilt,
+        "{what}: damaged index not rebuilt: {report:?}"
+    );
+    assert_eq!(
+        objstore::schema_to_bytes(rebuilt.schema()),
+        want.schema,
+        "{what}: the header's schema"
+    );
+    assert_eq!(
+        rebuilt.index().specs(),
+        want.specs,
+        "{what}: the header's index specs"
+    );
+    assert_eq!(rebuilt.store().to_bytes(), want.objects, "{what}: objects");
+    assert_eq!(
+        answers(&rebuilt, what),
+        want.answers,
+        "{what}: answers after a rebuild"
+    );
+    drop(rebuilt);
+    std::fs::remove_dir_all(&crash).ok();
+}
+
+#[test]
+fn every_definition_change_survives_a_crash_after_its_commit() {
+    let mut s = Schema::new();
+    let employee = s.add_class("Employee").unwrap();
+    s.add_attr(employee, "Age", AttrType::Int).unwrap();
+    let company = s.add_class("Company").unwrap();
+    s.add_attr(company, "President", AttrType::Ref(employee))
+        .unwrap();
+    let vehicle = s.add_class("Vehicle").unwrap();
+    s.add_attr(vehicle, "Color", AttrType::Str).unwrap();
+    s.add_attr(vehicle, "MadeBy", AttrType::Ref(company))
+        .unwrap();
+    let automobile = s.add_subclass("Automobile", vehicle).unwrap();
+
+    let dir = tmpdir("phases");
+    let options = DiskOptions {
+        page_size: 512,
+        pool_pages: 1 << 10,
+        group_commit: 1,
+        checkpoint_every: 0,
+        ..DiskOptions::default()
+    };
+    let mut db = DiskDatabase::create(s, &dir, options).unwrap();
+    db.define_index(IndexSpec::class_hierarchy("color", vehicle, "Color"))
+        .unwrap();
+    db.define_index(IndexSpec::path(
+        "age",
+        vehicle,
+        &["MadeBy", "President"],
+        "Age",
+    ))
+    .unwrap();
+    let mut vehicles = Vec::new();
+    for i in 0..4 {
+        let e = db.create_object(employee).unwrap();
+        db.set_attr(e, "Age", Value::Int(30 + 7 * i)).unwrap();
+        let c = db.create_object(company).unwrap();
+        db.set_attr(c, "President", Value::Ref(e)).unwrap();
+        for j in 0..10 {
+            let class = if j % 2 == 0 { automobile } else { vehicle };
+            let v = db.create_object(class).unwrap();
+            let color = ["Red", "Blue", "Green"][(i as usize + j) % 3];
+            db.set_attr(v, "Color", Value::Str(color.into())).unwrap();
+            db.set_attr(v, "MadeBy", Value::Ref(c)).unwrap();
+            vehicles.push(v);
+        }
+    }
+    commit_and_crash(&mut db, "load");
+
+    // A new hierarchy: in the header at once, in the catalog once it has
+    // a code.
+    let dealer = db.add_class("Dealer").unwrap();
+    commit_and_crash(&mut db, "add_class");
+
+    // An attribute on a class that has a code: header and catalog.
+    db.add_attr(vehicle, "Wheels", AttrType::Int).unwrap();
+    commit_and_crash(&mut db, "add_attr");
+
+    // First use of the pending class assigns its code: the encoding alone
+    // changed.
+    db.create_object(dealer).unwrap();
+    commit_and_crash(&mut db, "create_object assigning a code");
+
+    let van = db.add_subclass("Van", vehicle).unwrap();
+    commit_and_crash(&mut db, "add_subclass");
+    let v = db.create_object(van).unwrap();
+    db.set_attr(v, "Color", Value::Str("Blue".into())).unwrap();
+    commit_and_crash(&mut db, "create_object assigning a subclass code");
+
+    for (i, &v) in vehicles.iter().enumerate() {
+        db.set_attr(v, "Wheels", Value::Int(3 + (i % 3) as i64))
+            .unwrap();
+    }
+    commit_and_crash(&mut db, "set_attr");
+
+    // Nothing is pending: the spec table alone changes.
+    db.define_index(IndexSpec::class_hierarchy("wheels", vehicle, "Wheels"))
+        .unwrap();
+    commit_and_crash(&mut db, "define_index");
+
+    // A repaired index is a new tree: the catalog must be written into it.
+    db.repair().unwrap();
+    db.set_attr(vehicles[5], "Color", Value::Str("Green".into()))
+        .unwrap();
+    commit_and_crash(&mut db, "repair");
+
+    drop(db);
+    std::fs::remove_dir_all(&dir).ok();
+}
