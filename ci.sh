@@ -88,15 +88,16 @@ cargo test -q --offline -p pagestore --test wal_replay_fuzz
 echo "== UQL parser (hostile-input corpus: arbitrary strings, token soup, every truncation/deletion/duplication; Ok, BadQuery or UnknownIndex, never a panic)"
 cargo test -q --offline -p uindex --test uql_fuzz
 
-echo "== allocation budget (0 per entry examined, <= 2 per hit, 0 per served row, 0 per leaf visited, 2 per write-path decode; counting allocator)"
+echo "== allocation budget (0 per entry examined, <= 2 per hit, 0 per carried hit, 0 per served row, 0 per leaf visited, 2 per write-path decode; counting allocator)"
 cargo test -q --offline -p uindex --test alloc_budget
 
 echo "== wire decode allocates per frame, not per row (a decoded row views its frame: 1 and 512 rows cost the same; a reply allocates per batch; hostile RowBatch bytes give BadPayload)"
 cargo test -q --offline -p serve --test decode_alloc
 cargo test -q --offline -p serve --test proto_prop malformed_sweep_decoder
 
-echo "== canonical keys (whatever EntryKey::decode accepts re-encodes to the same bytes: the wire sends stored keys)"
+echo "== canonical keys (whatever EntryKey::decode accepts re-encodes to the same bytes: the wire sends stored keys; every hit is EntryKey::decode of its row key and the degraded answer, and a cluster's carried hits share one string)"
 cargo test -q --offline -p uindex --test key_prop
+cargo test -q --offline -p uindex --test hit_prop
 
 echo "== telemetry JSON round-trip (export -> vendored parser -> verify)"
 cargo test -q --offline -p telemetry json_round_trip

@@ -64,10 +64,7 @@ pub fn oracle<P: PageStore>(reader: &DatabaseReader<P>) -> Expected {
         .map(|stmt| {
             let q = reader.parse_uql(stmt).expect("oracle parse");
             let (hits, _) = reader.query(&q).expect("oracle query");
-            let rows = hits
-                .iter()
-                .map(|h| WireRow::from_hit(h).expect("oracle row"))
-                .collect();
+            let rows = hits.iter().map(WireRow::from_hit).collect();
             (stmt.to_string(), rows)
         })
         .collect();

@@ -1,5 +1,6 @@
 //! Typed values and their order-preserving, self-delimiting byte encoding.
 
+use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::fmt;
 
@@ -90,11 +91,6 @@ impl Value {
         }
     }
 
-    /// Whether this value can be an index key (references cannot).
-    pub fn is_indexable(&self) -> bool {
-        !matches!(self, Value::Ref(_) | Value::RefSet(_))
-    }
-
     /// Order-preserving, self-delimiting encoding of an indexable value.
     ///
     /// Properties: for two values of the same kind, byte order equals value
@@ -106,6 +102,12 @@ impl Value {
     /// Returns `None` for reference values.
     pub fn encode_ordered(&self) -> Option<Vec<u8>> {
         let mut out = Vec::with_capacity(10);
+        self.encode_ordered_into(&mut out).then_some(out)
+    }
+
+    /// [`Value::encode_ordered`], appended to `out`. Returns `false`, and
+    /// appends nothing, for a reference value.
+    pub fn encode_ordered_into(&self, out: &mut Vec<u8>) -> bool {
         match self {
             Value::Bool(b) => {
                 out.push(TAG_BOOL);
@@ -127,20 +129,25 @@ impl Value {
                 };
                 out.extend_from_slice(&ordered.to_be_bytes());
             }
-            Value::Str(s) => {
-                out.push(TAG_STR);
-                // 0x00 bytes escaped as 0x00 0xFF; terminated with 0x00.
-                for &b in s.as_bytes() {
-                    out.push(b);
-                    if b == 0 {
-                        out.push(0xFF);
-                    }
-                }
-                out.push(0x00);
-            }
-            Value::Ref(_) | Value::RefSet(_) => return None,
+            Value::Str(s) => Value::encode_str_ordered(s, out),
+            Value::Ref(_) | Value::RefSet(_) => return false,
         }
-        Some(out)
+        true
+    }
+
+    /// Append the encoding of the string value `s` — the bytes
+    /// [`Value::encode_ordered`] gives for `Value::Str` of it — for a
+    /// caller that holds the string some other way.
+    pub fn encode_str_ordered(s: &str, out: &mut Vec<u8>) {
+        out.push(TAG_STR);
+        // 0x00 bytes escaped as 0x00 0xFF; terminated with 0x00.
+        for &b in s.as_bytes() {
+            out.push(b);
+            if b == 0 {
+                out.push(0xFF);
+            }
+        }
+        out.push(0x00);
     }
 
     /// Length of the encoding at the front of `bytes`, validated exactly as
@@ -200,21 +207,38 @@ impl Value {
                 Some((Value::Float(f64::from_bits(bits)), 9))
             }
             TAG_STR => {
-                let (end, escapes) = str_extent(bytes)?;
-                // One buffer of the exact decoded size, filled a run at a
-                // time: each escape contributes its NUL and drops its 0xFF.
-                let mut s = Vec::with_capacity(end - 2 - escapes);
-                let mut rest = &bytes[1..end - 1];
-                for _ in 0..escapes {
-                    let at = rest.iter().position(|&b| b == 0)?;
-                    s.extend_from_slice(&rest[..=at]);
-                    rest = &rest[at + 2..];
-                }
-                s.extend_from_slice(rest);
-                Some((Value::Str(String::from_utf8(s).ok()?), end))
+                let (s, end) = Value::decode_str_ordered(bytes)?;
+                Some((Value::Str(s.into_owned()), end))
             }
             _ => None,
         }
+    }
+
+    /// Decode the string encoding at the front of `bytes`, returning the
+    /// string and the number of bytes consumed. The string borrows from
+    /// `bytes` unless it holds an escaped NUL, so a caller that keeps it
+    /// elsewhere copies it once. `None` unless `bytes` starts with a
+    /// well-formed string encoding.
+    pub fn decode_str_ordered(bytes: &[u8]) -> Option<(Cow<'_, str>, usize)> {
+        if bytes.first() != Some(&TAG_STR) {
+            return None;
+        }
+        let (end, escapes) = str_extent(bytes)?;
+        let body = &bytes[1..end - 1];
+        if escapes == 0 {
+            return Some((Cow::Borrowed(std::str::from_utf8(body).ok()?), end));
+        }
+        // One buffer of the exact decoded size, filled a run at a time:
+        // each escape contributes its NUL and drops its 0xFF.
+        let mut s = Vec::with_capacity(end - 2 - escapes);
+        let mut rest = body;
+        for _ in 0..escapes {
+            let at = rest.iter().position(|&b| b == 0)?;
+            s.extend_from_slice(&rest[..=at]);
+            rest = &rest[at + 2..];
+        }
+        s.extend_from_slice(rest);
+        Some((Cow::Owned(String::from_utf8(s).ok()?), end))
     }
 
     /// Total order consistent with [`Value::encode_ordered`] for indexable
@@ -264,6 +288,21 @@ mod tests {
         ] {
             roundtrip(&v);
         }
+    }
+
+    #[test]
+    fn a_string_decodes_borrowed_unless_it_holds_a_nul() {
+        for (s, borrowed) in [("", true), ("abc", true), ("a\0b", false)] {
+            let enc = Value::Str(s.into()).encode_ordered().unwrap();
+            let mut appended = vec![0xAB];
+            Value::encode_str_ordered(s, &mut appended);
+            assert_eq!(appended[1..], enc[..]);
+            let (got, used) = Value::decode_str_ordered(&enc).unwrap();
+            assert_eq!((&*got, used), (s, enc.len()));
+            assert_eq!(matches!(got, Cow::Borrowed(_)), borrowed, "{s:?}");
+        }
+        let int = Value::Int(1).encode_ordered().unwrap();
+        assert!(Value::decode_str_ordered(&int).is_none());
     }
 
     #[test]
@@ -344,8 +383,6 @@ mod tests {
     fn refs_not_indexable() {
         assert!(Value::Ref(Oid(1)).encode_ordered().is_none());
         assert!(Value::RefSet(vec![]).encode_ordered().is_none());
-        assert!(Value::Int(1).is_indexable());
-        assert!(!Value::Ref(Oid(1)).is_indexable());
     }
 
     #[test]

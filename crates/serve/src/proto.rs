@@ -217,11 +217,11 @@ impl WireRow {
     /// how the oracles judge the wire. (The server writes the entry's
     /// stored key bytes through [`RowBatchWriter`]; keys are canonical, so
     /// those are exactly `hit.key.encode()`.)
-    pub fn from_hit(hit: &uindex::QueryHit) -> Result<WireRow, uindex::Error> {
-        Ok(WireRow {
-            key: hit.key.encode()?.into(),
+    pub fn from_hit(hit: &uindex::QueryHit) -> WireRow {
+        WireRow {
+            key: hit.key.encode().into(),
             assignment: hit.assignment.iter().map(|a| a.map(|i| i as u32)).collect(),
-        })
+        }
     }
 }
 

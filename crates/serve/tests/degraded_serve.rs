@@ -122,7 +122,7 @@ fn corruption_degrades_the_live_service_and_check_heals_it() {
 /// The in-process answer, encoded the way the oracles judge the wire.
 fn oracle_rows(db: &MemDb, uql: &str) -> Vec<WireRow> {
     let (hits, _) = db.query_uql(uql).unwrap();
-    hits.iter().map(|h| WireRow::from_hit(h).unwrap()).collect()
+    hits.iter().map(WireRow::from_hit).collect()
 }
 
 #[test]

@@ -156,7 +156,7 @@ fn one_slot_serves_four_clients_with_oracle_answers() {
         .map(|stmt| {
             let q = reader.parse_uql(stmt).unwrap();
             let (hits, _) = reader.query(&q).unwrap();
-            let rows = hits.iter().map(|h| WireRow::from_hit(h).unwrap()).collect();
+            let rows = hits.iter().map(WireRow::from_hit).collect();
             (*stmt, rows)
         })
         .collect();

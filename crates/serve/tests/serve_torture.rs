@@ -28,7 +28,7 @@ fn oracle<P: pagestore::PageStore>(reader: &DatabaseReader<P>) -> HashMap<String
         .map(|stmt| {
             let q = reader.parse_uql(stmt).unwrap();
             let (hits, _) = reader.query(&q).unwrap();
-            let rows = hits.iter().map(|h| WireRow::from_hit(h).unwrap()).collect();
+            let rows = hits.iter().map(WireRow::from_hit).collect();
             (stmt.to_string(), rows)
         })
         .collect()

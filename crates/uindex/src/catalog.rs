@@ -20,6 +20,11 @@
 //! key   := [CATALOG_ID][tag u8][class code][0x00][seq u16]
 //! value := fact payload
 //! ```
+//!
+//! A class whose code is not assigned yet (schema evolution assigns codes
+//! lazily) is recorded all the same, keyed by [`uncoded_owner`] in place
+//! of its code: no class is missing from the catalog, so its class ids stay
+//! dense, and a reopened class without a code is still pending.
 
 use btree::BTree;
 use pagestore::{PageId, PageStore};
@@ -36,6 +41,31 @@ const TAG_CLASS: u8 = 1; // payload: name; key code = class code
 const TAG_SUP: u8 = 2; // payload: parent class id (u32); clustered at child
 const TAG_ATTR: u8 = 3; // payload: attr record; clustered at declaring class
 const TAG_SPEC: u8 = 4; // payload: spec record; seq = index id
+
+/// Lowest first byte of an [`uncoded_owner`]. Class codes are made of
+/// `'A'..='Z'` and the terminator `0x01`, so they never reach it.
+const UNCODED: u8 = 0x80;
+
+/// What an uncoded class's records are keyed by instead of a code: its id
+/// in as few 7-bit groups as it takes, most significant first, each with
+/// the high bit set — unique, free of the `0x00` terminator, and no longer
+/// than the shortest code (two bytes) below class id 16 384.
+pub(crate) fn uncoded_owner(class: ClassId) -> Vec<u8> {
+    let groups = (32 - class.0.leading_zeros()).div_ceil(7).max(1);
+    (0..groups)
+        .rev()
+        .map(|g| UNCODED | ((class.0 >> (7 * g)) & 0x7F) as u8)
+        .collect()
+}
+
+/// What `class`'s records are keyed by: its code, or its
+/// [`uncoded_owner`] while it has none.
+pub(crate) fn record_owner(encoding: &Encoding, class: ClassId) -> Vec<u8> {
+    match encoding.code(class) {
+        Some(code) => code.as_bytes().to_vec(),
+        None => uncoded_owner(class),
+    }
+}
 
 fn catalog_key(tag: u8, code: &[u8], seq: u16) -> Vec<u8> {
     let mut k = Vec::with_capacity(2 + 1 + code.len() + 3);
@@ -146,10 +176,7 @@ impl<S: PageStore> UIndex<S> {
         }
         let mut items: Vec<(Vec<u8>, Vec<u8>)> = Vec::new();
         for class in schema.class_ids() {
-            let Some(code) = self.encoding().code(class) else {
-                continue; // pending evolution class: not yet materialized
-            };
-            let code = code.as_bytes().to_vec();
+            let code = record_owner(self.encoding(), class);
             items.push(class_record(&code, schema.class_name(class), class));
             for (i, &parent) in schema.parents(class).iter().enumerate() {
                 items.push((
@@ -296,9 +323,13 @@ impl<S: PageStore> UIndex<S> {
                 schema.add_attr(ClassId(c.id), &name, decode_attr_type(&ty)?)?;
             }
         }
-        // Rebuild the encoding from the stored codes.
+        // Rebuild the encoding from the stored codes; an uncoded class
+        // stays without one.
         let mut encoding = Encoding::default();
-        for c in &classes {
+        for c in classes
+            .iter()
+            .filter(|c| c.code.first().is_none_or(|&b| b < UNCODED))
+        {
             let code = ClassCode::from_bytes(&c.code)
                 .ok_or_else(|| Error::BadKey("corrupt class code in catalog".into()))?;
             encoding.set_raw(ClassId(c.id), code);
@@ -431,4 +462,27 @@ pub(crate) fn decode_spec_list(bytes: &[u8]) -> Result<Vec<IndexSpec>> {
 pub fn catalog_entry_count<S: PageStore>(index: &mut UIndex<S>) -> Result<usize> {
     let prefix = CATALOG_ID.to_be_bytes().to_vec();
     Ok(index.tree_mut().prefix_scan(&prefix)?.len())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn uncoded_owners_are_distinct_zero_free_and_no_class_code() {
+        let ids = [0, 1, 127, 128, 16_383, 16_384, u32::MAX];
+        let lens: Vec<usize> = ids.map(|i| uncoded_owner(ClassId(i)).len()).into();
+        assert_eq!(lens, [1, 1, 1, 2, 2, 3, 5]);
+        let mut owners: Vec<Vec<u8>> = (0..40_000)
+            .chain(ids)
+            .map(|i| uncoded_owner(ClassId(i)))
+            .collect();
+        for owner in &owners {
+            assert!(owner.iter().all(|&b| b >= UNCODED), "{owner:?}");
+            assert!(ClassCode::from_bytes(owner).is_none(), "{owner:?}");
+        }
+        owners.sort();
+        owners.dedup();
+        assert_eq!(owners.len(), 40_001, "one owner per id");
+    }
 }

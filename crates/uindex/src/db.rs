@@ -44,6 +44,19 @@ pub type DbStore = ChecksumStore<MemStore>;
 /// a subclass at least this past its parent's code.
 const MIN_CODE: [u8; 2] = [0; 2];
 
+/// What a definition of the pending `class` is sized against: until the
+/// class has a code the catalog keys its records by its
+/// [`catalog::uncoded_owner`], and `shortest` is the shortest code it could
+/// get — whichever is longer.
+fn pending_key(class: ClassId, shortest: &[u8]) -> Vec<u8> {
+    let owner = catalog::uncoded_owner(class);
+    if owner.len() > shortest.len() {
+        owner
+    } else {
+        shortest.to_vec()
+    }
+}
+
 /// Result of [`Database::check`]: scrub outcome, tree verification, and
 /// the entry-level cross-check against the object store.
 #[derive(Debug)]
@@ -165,10 +178,16 @@ impl<P: PageStore> Database<P> {
         index: UIndex<P>,
         config: BTreeConfig,
     ) -> Self {
+        // A class committed before its first use reopens without a code.
+        let pending_codes = store
+            .schema()
+            .class_ids()
+            .filter(|&c| index.encoding().code(c).is_none())
+            .collect();
         Database {
             store,
             index,
-            pending_codes: BTreeSet::new(),
+            pending_codes,
             config,
             quarantined: Arc::new(AtomicBool::new(false)),
             touched: Some(BTreeSet::new()),
@@ -287,7 +306,8 @@ impl<P: PageStore> Database<P> {
     /// the code will respect them; force assignment with
     /// [`Database::encode_class`].
     pub fn add_class(&mut self, name: &str) -> Result<ClassId> {
-        self.check_catalog_record(catalog::class_record(&MIN_CODE, name, ClassId(0)))?;
+        let key = pending_key(self.next_class(), &MIN_CODE);
+        self.check_catalog_record(catalog::class_record(&key, name, ClassId(0)))?;
         let id = self.store.schema_mut().add_class(name)?;
         self.pending_codes.insert(id);
         Ok(id)
@@ -297,7 +317,8 @@ impl<P: PageStore> Database<P> {
     pub fn add_subclass(&mut self, name: &str, parent: ClassId) -> Result<ClassId> {
         let mut code = self.code_or_min(parent).to_vec();
         code.extend_from_slice(&MIN_CODE);
-        self.check_catalog_record(catalog::class_record(&code, name, parent))?;
+        let key = pending_key(self.next_class(), &code);
+        self.check_catalog_record(catalog::class_record(&key, name, parent))?;
         let id = self.store.schema_mut().add_subclass(name, parent)?;
         self.pending_codes.insert(id);
         Ok(id)
@@ -344,9 +365,17 @@ impl<P: PageStore> Database<P> {
 
     /// Declare an attribute.
     pub fn add_attr(&mut self, class: ClassId, name: &str, ty: schema::AttrType) -> Result<AttrId> {
-        let code = self.code_or_min(class);
-        self.check_catalog_record(catalog::attr_record(code, AttrId(0), name, ty))?;
+        let key = match self.index.encoding().code(class) {
+            Some(code) => code.as_bytes().to_vec(),
+            None => pending_key(class, &MIN_CODE),
+        };
+        self.check_catalog_record(catalog::attr_record(&key, AttrId(0), name, ty))?;
         Ok(self.store.schema_mut().add_attr(class, name, ty)?)
+    }
+
+    /// The id the next `add_class` or `add_subclass` will get.
+    fn next_class(&self) -> ClassId {
+        ClassId(self.store.schema().num_classes() as u32)
     }
 
     /// `class`'s code, or the shortest one it could get while pending.
@@ -599,7 +628,7 @@ impl<P: PageStore> Database<P> {
         let mut expected: Vec<Vec<u8>> = Vec::new();
         for id in 0..self.index.specs().len() as IndexId {
             for e in crate::oracle::all_entries(self.planner(), &self.store, id)? {
-                expected.push(e.encode()?);
+                expected.push(e.encode());
             }
         }
         expected.sort();

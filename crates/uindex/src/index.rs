@@ -8,7 +8,7 @@ use pagestore::{BufferPool, MemStore, PageStore};
 use schema::{ClassId, Encoding, Schema, Stamp};
 
 use crate::error::{Error, Result};
-use crate::key::{EntryKey, PathElem};
+use crate::key::{EntryKey, KeyValue, PathElem};
 use crate::query::{ClassSel, OidSel, Query, QueryHit};
 use crate::scan::{Matcher, PosConstraint, ScanStats};
 use crate::spec::IndexSpec;
@@ -125,7 +125,7 @@ impl<S: PageStore> UIndex<S> {
     pub fn insert_entries(&mut self, entries: &[EntryKey]) -> Result<u64> {
         let mut n = 0;
         for e in entries {
-            if self.tree.insert(&e.encode()?, &[])?.is_none() {
+            if self.tree.insert(&e.encode(), &[])?.is_none() {
                 n += 1;
             }
         }
@@ -136,7 +136,7 @@ impl<S: PageStore> UIndex<S> {
     pub fn remove_entries(&mut self, entries: &[EntryKey]) -> Result<u64> {
         let mut n = 0;
         for e in entries {
-            if self.tree.delete(&e.encode()?)?.is_some() {
+            if self.tree.delete(&e.encode())?.is_some() {
                 n += 1;
             }
         }
@@ -160,7 +160,8 @@ impl<S: PageStore> UIndex<S> {
         for id in 0..self.specs.len() as IndexId {
             keys.extend(planner.build_keys(store, id)?);
         }
-        keys.sort();
+        // In place: equal elements are identical pairs, and `dedup` follows.
+        keys.sort_unstable();
         keys.dedup();
         let n = keys.len() as u64;
         self.tree.bulk_replace(keys)?;
@@ -172,9 +173,9 @@ impl<S: PageStore> UIndex<S> {
     pub fn bulk_load_entries(&mut self, entries: &[EntryKey]) -> Result<u64> {
         let mut keys: Vec<(Vec<u8>, Vec<u8>)> = Vec::with_capacity(entries.len());
         for e in entries {
-            keys.push((e.encode()?, Vec::new()));
+            keys.push((e.encode(), Vec::new()));
         }
-        keys.sort();
+        keys.sort_unstable();
         keys.dedup();
         let n = keys.len() as u64;
         self.tree.bulk_replace(keys)?;
@@ -290,26 +291,21 @@ impl<'a> Planner<'a> {
             return Ok(Vec::new());
         }
         let obj = store.get(anchor)?;
-        let Some(value) = obj.get(spec.attr.0, spec.attr.1) else {
+        // Converted once: every entry of the anchor shares the value.
+        let Some(Ok(value)) = obj.get(spec.attr.0, spec.attr.1).map(KeyValue::try_from) else {
             return Ok(Vec::new());
         };
-        if !value.is_indexable() {
-            return Ok(Vec::new());
-        }
         let chains = self.chains(spec);
 
         let mut out = Vec::new();
         for chain in &chains {
             let mut stack: Vec<Vec<(usize, Oid)>> = vec![vec![(0, anchor)]];
             // Depth-first instantiation along the chain.
-            self.instantiate_chain(store, spec, chain, 1, &mut stack, value, id, &mut out)?;
+            self.instantiate_chain(store, spec, chain, 1, &mut stack, &value, id, &mut out)?;
         }
         // Multi-branch specs can produce duplicate single-position chains;
         // normalize.
-        let mut keyed = out
-            .into_iter()
-            .map(|e| Ok((e.encode()?, e)))
-            .collect::<Result<Vec<_>>>()?;
+        let mut keyed: Vec<_> = out.into_iter().map(|e| (e.encode(), e)).collect();
         keyed.sort_unstable_by(|a, b| a.0.cmp(&b.0));
         keyed.dedup_by(|a, b| a.0 == b.0);
         Ok(keyed)
@@ -323,7 +319,7 @@ impl<'a> Planner<'a> {
         chain: &[usize],
         depth: usize,
         stack: &mut Vec<Vec<(usize, Oid)>>,
-        value: &Value,
+        value: &KeyValue,
         id: IndexId,
         out: &mut Vec<EntryKey>,
     ) -> Result<()> {
@@ -435,13 +431,10 @@ impl<'a> Planner<'a> {
                 for up in self.enumerate_up(store, spec, chain, pi, oid)? {
                     let anchor = up[0].1;
                     let obj = store.get(anchor)?;
-                    let Some(value) = obj.get(spec.attr.0, spec.attr.1) else {
+                    let Some(Ok(value)) = obj.get(spec.attr.0, spec.attr.1).map(KeyValue::try_from)
+                    else {
                         continue;
                     };
-                    if !value.is_indexable() {
-                        continue;
-                    }
-                    let value = value.clone();
                     let mut stack: Vec<Vec<(usize, Oid)>> =
                         up.into_iter().map(|x| vec![x]).collect();
                     self.instantiate_chain(
@@ -457,10 +450,7 @@ impl<'a> Planner<'a> {
                 }
             }
         }
-        let mut keys = out
-            .iter()
-            .map(EntryKey::encode)
-            .collect::<Result<Vec<_>>>()?;
+        let mut keys: Vec<_> = out.iter().map(EntryKey::encode).collect();
         keys.sort_unstable();
         keys.dedup();
         Ok(keys)

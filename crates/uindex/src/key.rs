@@ -5,12 +5,15 @@
 //! elem := class_code_bytes ++ 0x00 ++ oid(u32 BE)
 //! ```
 //!
-//! * `value_enc` is [`Value::encode_ordered`] (self-delimiting);
+//! * `value_enc` is [`Value::encode_ordered`] of the entry's [`KeyValue`]
+//!   (self-delimiting);
 //! * class-code bytes never contain `0x00`, so the `0x00` after the code is
 //!   an unambiguous terminator;
 //! * OIDs are fixed-width, so no separator is needed before the next code;
 //! * elements appear in ascending class-code order (guaranteed by the spec
 //!   validation), giving the paper's clustering.
+
+use std::sync::Arc;
 
 use objstore::{Oid, Value};
 
@@ -19,6 +22,77 @@ use crate::inline::InlineVec;
 
 /// Separator written after the value and after each class code.
 pub const FIELD_SEP: u8 = 0x00;
+
+/// The value an index key holds: a [`Value`] without the references,
+/// which no key can hold. A string is an `Arc<str>`, so the hits of one
+/// cluster share it and a carried hit copies a pointer; the scalars are
+/// inline. Converts to and from `Value` (a `Ref` or `RefSet` has no
+/// `KeyValue`) and prints exactly as the `Value` it converts to.
+#[derive(Debug, Clone, PartialEq)]
+pub enum KeyValue {
+    /// 64-bit signed integer.
+    Int(i64),
+    /// UTF-8 string.
+    Str(Arc<str>),
+    /// 64-bit float.
+    Float(f64),
+    /// Boolean.
+    Bool(bool),
+}
+
+impl KeyValue {
+    /// Append the value's order-preserving encoding
+    /// ([`Value::encode_ordered`]) to `out`.
+    pub(crate) fn encode_into(&self, out: &mut Vec<u8>) {
+        let scalar = match *self {
+            KeyValue::Str(ref s) => return Value::encode_str_ordered(s, out),
+            KeyValue::Int(i) => Value::Int(i),
+            KeyValue::Float(x) => Value::Float(x),
+            KeyValue::Bool(b) => Value::Bool(b),
+        };
+        scalar.encode_ordered_into(out);
+    }
+
+    /// Decode the encoding at the front of `bytes`, returning the value and
+    /// the number of bytes consumed. A string is copied straight from
+    /// `bytes` into its one `Arc<str>` allocation (unless it holds an
+    /// escaped NUL); a scalar allocates nothing.
+    fn decode_ordered(bytes: &[u8]) -> Option<(KeyValue, usize)> {
+        if let Some((s, n)) = Value::decode_str_ordered(bytes) {
+            return Some((KeyValue::Str(Arc::from(&*s)), n));
+        }
+        let (value, n) = Value::decode_ordered(bytes)?;
+        Some((KeyValue::try_from(&value).ok()?, n))
+    }
+}
+
+impl TryFrom<&Value> for KeyValue {
+    type Error = Error;
+
+    /// The indexable value `value` is; [`Error::BadKey`] for a reference.
+    fn try_from(value: &Value) -> Result<KeyValue> {
+        Ok(match value {
+            Value::Int(i) => KeyValue::Int(*i),
+            Value::Str(s) => KeyValue::Str(Arc::from(s.as_str())),
+            Value::Float(x) => KeyValue::Float(*x),
+            Value::Bool(b) => KeyValue::Bool(*b),
+            Value::Ref(_) | Value::RefSet(_) => {
+                return Err(Error::BadKey("reference values are not indexable".into()))
+            }
+        })
+    }
+}
+
+impl From<&KeyValue> for Value {
+    fn from(value: &KeyValue) -> Value {
+        match value {
+            KeyValue::Int(i) => Value::Int(*i),
+            KeyValue::Str(s) => Value::Str(s.to_string()),
+            KeyValue::Float(x) => Value::Float(*x),
+            KeyValue::Bool(b) => Value::Bool(*b),
+        }
+    }
+}
 
 /// A class code's bytes, inline up to 30 of them (a code grows about two
 /// bytes per hierarchy level), so a decoded path element owns no heap
@@ -204,7 +278,7 @@ pub struct EntryKey {
     /// Which index this entry belongs to.
     pub index_id: u16,
     /// The indexed attribute value.
-    pub value: Value,
+    pub value: KeyValue,
     /// Path elements in ascending class-code order; a class-hierarchy entry
     /// has exactly one.
     pub path: Path,
@@ -212,16 +286,14 @@ pub struct EntryKey {
 
 impl EntryKey {
     /// Serialize to the B-tree key bytes.
-    ///
-    /// Returns an error for non-indexable (reference) values.
-    pub fn encode(&self) -> Result<Vec<u8>> {
-        let venc = self
-            .value
-            .encode_ordered()
-            .ok_or_else(|| Error::BadKey("reference values are not indexable".into()))?;
-        let mut out = Vec::with_capacity(2 + venc.len() + 1 + self.path.len() * 12);
+    pub fn encode(&self) -> Vec<u8> {
+        let value_len = match &self.value {
+            KeyValue::Str(s) => s.len() + 2,
+            _ => 9,
+        };
+        let mut out = Vec::with_capacity(2 + value_len + 1 + self.path.len() * 12);
         out.extend_from_slice(&self.index_id.to_be_bytes());
-        out.extend_from_slice(&venc);
+        self.value.encode_into(&mut out);
         out.push(FIELD_SEP);
         for e in self.path.iter() {
             debug_assert!(!e.code.contains(&FIELD_SEP));
@@ -229,7 +301,7 @@ impl EntryKey {
             out.push(FIELD_SEP);
             out.extend_from_slice(&e.oid.to_bytes());
         }
-        Ok(out)
+        out
     }
 
     /// Decode B-tree key bytes.
@@ -242,9 +314,10 @@ impl EntryKey {
     /// Build the entry from `key` and the `offsets` [`KeyOffsets::parse`]
     /// found in it, without scanning the key again: the value is decoded
     /// from its measured field and each element copied from its recorded
-    /// range. A string value's `String` is the only heap object of a
-    /// one-element entry (class codes and a lone path element are inline);
-    /// longer paths add their vector.
+    /// range. A string value's `Arc<str>` is the only heap object of a
+    /// one-element entry (scalars, class codes and a lone path element are
+    /// inline); longer paths add their vector. Entries that share the
+    /// value can share that string by cloning the `KeyValue`.
     pub(crate) fn from_parsed(key: &[u8], offsets: &KeyOffsets) -> Result<EntryKey> {
         let elem = |e: &ElemOffsets| PathElem {
             code: CodeBytes::from_slice(&key[e.start..e.sep]),
@@ -255,7 +328,7 @@ impl EntryKey {
             [only] => Path(PathRepr::One(elem(only))),
             many => Path(PathRepr::Many(many.iter().map(elem).collect())),
         };
-        let (value, _) = Value::decode_ordered(&key[2..offsets.val_sep])
+        let (value, _) = KeyValue::decode_ordered(&key[2..offsets.val_sep])
             .ok_or_else(|| Error::BadKey("undecodable value field".into()))?;
         Ok(EntryKey {
             index_id: u16::from_be_bytes([key[0], key[1]]),
@@ -277,7 +350,7 @@ mod tests {
     fn key(v: Value, path: Vec<(&[u8], u32)>) -> EntryKey {
         EntryKey {
             index_id: 7,
-            value: v,
+            value: KeyValue::try_from(&v).unwrap(),
             path: path
                 .into_iter()
                 .map(|(c, o)| PathElem {
@@ -291,7 +364,7 @@ mod tests {
     #[test]
     fn roundtrip_single_position() {
         let k = key(Value::Str("Red".into()), vec![(&[b'N', 1], 42)]);
-        let enc = k.encode().unwrap();
+        let enc = k.encode();
         assert_eq!(EntryKey::decode(&enc).unwrap(), k);
     }
 
@@ -305,7 +378,7 @@ mod tests {
                 (&[b'E', 1, b'B', 1], 123),
             ],
         );
-        let enc = k.encode().unwrap();
+        let enc = k.encode();
         assert_eq!(EntryKey::decode(&enc).unwrap(), k);
     }
 
@@ -317,7 +390,7 @@ mod tests {
             key(Value::Int(1), vec![(&[b'C', 1], 1)]),
             key(Value::Int(2), vec![(&[b'B', 1], 1)]),
         ];
-        let encs: Vec<Vec<u8>> = ks.iter().map(|k| k.encode().unwrap()).collect();
+        let encs: Vec<Vec<u8>> = ks.iter().map(|k| k.encode()).collect();
         for w in encs.windows(2) {
             assert!(w[0] < w[1]);
         }
@@ -330,9 +403,9 @@ mod tests {
         let parent = key(Value::Int(1), vec![(&[b'B', 1], 1)]);
         let child = key(Value::Int(1), vec![(&[b'B', 1, b'C', 1], 1)]);
         let sibling = key(Value::Int(1), vec![(&[b'C', 1], 1)]);
-        let pe = parent.encode().unwrap();
-        let ce = child.encode().unwrap();
-        let se = sibling.encode().unwrap();
+        let pe = parent.encode();
+        let ce = child.encode();
+        let se = sibling.encode();
         assert!(pe < ce && ce < se);
     }
 
@@ -341,7 +414,7 @@ mod tests {
         let a = key(Value::Int(999), vec![(&[b'Z', 1], u32::MAX)]);
         let mut b = key(Value::Int(-999), vec![(&[b'B', 1], 0)]);
         b.index_id = 8;
-        assert!(a.encode().unwrap() < b.encode().unwrap());
+        assert!(a.encode() < b.encode());
     }
 
     #[test]
@@ -408,7 +481,32 @@ mod tests {
 
     #[test]
     fn ref_value_not_encodable() {
-        let k = key(Value::Ref(Oid(1)), vec![(&[b'B', 1], 1)]);
-        assert!(k.encode().is_err());
+        // A reference has no key value, so no entry key can hold one.
+        for v in [Value::Ref(Oid(1)), Value::RefSet(vec![Oid(1), Oid(2)])] {
+            assert!(
+                matches!(KeyValue::try_from(&v), Err(Error::BadKey(_))),
+                "{v:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_key_value_is_the_value_it_converts_to() {
+        for v in [
+            Value::Int(-3),
+            Value::Float(2.5),
+            Value::Bool(true),
+            Value::Str(String::new()),
+            Value::Str("Red".into()),
+            Value::Str("with\0nul".into()),
+        ] {
+            let kv = KeyValue::try_from(&v).unwrap();
+            assert_eq!(Value::from(&kv), v);
+            assert_eq!(format!("{kv:?}"), format!("{v:?}"));
+            let mut enc = Vec::new();
+            kv.encode_into(&mut enc);
+            assert_eq!(Some(enc.clone()), v.encode_ordered());
+            assert_eq!(KeyValue::decode_ordered(&enc), Some((kv, enc.len())));
+        }
     }
 }

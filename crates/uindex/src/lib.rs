@@ -79,7 +79,7 @@ pub use exec::{DatabaseReader, DbSnapshot};
 pub use explain::ExplainReport;
 pub use index::{IndexId, Planner, UIndex};
 pub use inline::InlineVec;
-pub use key::{CodeBytes, EntryKey, Path, PathElem};
+pub use key::{CodeBytes, EntryKey, KeyValue, Path, PathElem};
 pub use query::{
     distinct_oids_at, Assignment, ClassSel, OidSel, PosPred, Query, QueryHit, ValuePred,
 };

@@ -36,7 +36,7 @@ use schema::{AttrType, ClassId, Encoding, Schema};
 use crate::db::Database;
 use crate::error::Result;
 use crate::index::{IndexId, Planner};
-use crate::key::EntryKey;
+use crate::key::{EntryKey, KeyValue};
 use crate::query::{ClassSel, OidSel, PosPred, Query, QueryHit, ValuePred};
 use crate::scan::ScanAlgorithm;
 use crate::spec::IndexSpec;
@@ -85,20 +85,24 @@ impl Rng64 {
 
 // ----- semantic predicate evaluation -------------------------------------
 
-fn value_matches(pred: &ValuePred, v: &Value) -> bool {
+fn value_matches(pred: &ValuePred, v: &KeyValue) -> bool {
     use std::cmp::Ordering::*;
+    let mut enc = Vec::new();
+    v.encode_into(&mut enc);
+    // As `Value::cmp_ordered`: a reference compares equal to anything.
+    let cmp = |w: &Value| w.encode_ordered().map_or(Equal, |w| enc.cmp(&w));
     match pred {
         ValuePred::Any => true,
-        ValuePred::Eq(w) => v.cmp_ordered(w) == Equal,
-        ValuePred::In(ws) => ws.iter().any(|w| v.cmp_ordered(w) == Equal),
+        ValuePred::Eq(w) => cmp(w) == Equal,
+        ValuePred::In(ws) => ws.iter().any(|w| cmp(w) == Equal),
         ValuePred::Range {
             lo,
             hi,
             hi_inclusive,
         } => {
-            let above_lo = lo.as_ref().is_none_or(|l| v.cmp_ordered(l) != Less);
+            let above_lo = lo.as_ref().is_none_or(|l| cmp(l) != Less);
             let below_hi = hi.as_ref().is_none_or(|h| {
-                let ord = v.cmp_ordered(h);
+                let ord = cmp(h);
                 ord == Less || (*hi_inclusive && ord == Equal)
             });
             above_lo && below_hi
@@ -234,7 +238,7 @@ pub fn distinct_filter(hits: &[QueryHit], pos: usize) -> Vec<QueryHit> {
     let mut out: Vec<QueryHit> = Vec::new();
     let mut bound: Option<Vec<u8>> = None;
     for h in hits {
-        let enc = h.key.encode().expect("hit keys re-encode");
+        let enc = h.key.encode();
         if let Some(p) = &bound {
             if enc.starts_with(p) {
                 continue;
@@ -246,8 +250,7 @@ pub fn distinct_filter(hits: &[QueryHit], pos: usize) -> Vec<QueryHit> {
                 value: h.key.value.clone(),
                 path: h.key.path[..=ei].to_vec().into(),
             }
-            .encode()
-            .expect("prefix keys encode");
+            .encode();
             bound = Some(prefix);
         }
         out.push(h.clone());
@@ -640,7 +643,7 @@ pub fn run_trials(seed: u64, trials: usize) -> TrialSummary {
             let want: Vec<Vec<u8>> = all_entries(t.db.planner(), t.db.store(), id)
                 .expect("oracle entry enumeration")
                 .iter()
-                .map(|e| e.encode().expect("entries encode"))
+                .map(EntryKey::encode)
                 .collect();
             let prefix = EntryKey::index_prefix(id);
             let next_prefix = EntryKey::index_prefix(id + 1);
@@ -769,16 +772,16 @@ mod tests {
     #[test]
     fn value_pred_semantics() {
         let p = ValuePred::between(Value::Int(2), Value::Int(5));
-        assert!(!value_matches(&p, &Value::Int(1)));
-        assert!(value_matches(&p, &Value::Int(2)));
-        assert!(value_matches(&p, &Value::Int(5)));
+        assert!(!value_matches(&p, &KeyValue::Int(1)));
+        assert!(value_matches(&p, &KeyValue::Int(2)));
+        assert!(value_matches(&p, &KeyValue::Int(5)));
         let p = ValuePred::Range {
             lo: Some(Value::Int(2)),
             hi: Some(Value::Int(5)),
             hi_inclusive: false,
         };
-        assert!(!value_matches(&p, &Value::Int(5)));
-        assert!(value_matches(&ValuePred::Any, &Value::Bool(true)));
+        assert!(!value_matches(&p, &KeyValue::Int(5)));
+        assert!(value_matches(&ValuePred::Any, &KeyValue::Bool(true)));
     }
 
     #[test]
@@ -788,7 +791,7 @@ mod tests {
         let mk = |o1: u32, o2: u32| QueryHit {
             key: EntryKey {
                 index_id: 1,
-                value: Value::Int(3),
+                value: KeyValue::Int(3),
                 path: vec![
                     crate::key::PathElem {
                         code: [b'B', 1].into(),

@@ -15,7 +15,7 @@ use schema::ClassId;
 
 use crate::index::IndexId;
 use crate::inline::InlineVec;
-use crate::key::EntryKey;
+use crate::key::{EntryKey, KeyValue};
 use crate::scan::ScanAlgorithm;
 
 /// Predicate on the indexed attribute value.
@@ -309,7 +309,7 @@ impl QueryHit {
     }
 
     /// The matched attribute value.
-    pub fn value(&self) -> &Value {
+    pub fn value(&self) -> &KeyValue {
         &self.key.value
     }
 }

@@ -144,7 +144,7 @@ pub(crate) fn feed_hits<K: RowSink>(hits: &[QueryHit], sink: &mut K) -> Result<(
     let mut offsets = KeyOffsets::default();
     let mut assignment = Vec::new();
     for hit in hits {
-        let key = hit.key.encode()?;
+        let key = hit.key.encode();
         offsets.parse(&key)?;
         assignment.clear();
         assignment.extend(hit.assignment.iter());
@@ -162,7 +162,8 @@ impl RowSink for Vec<QueryHit> {
     /// A cluster's first hit is built from the offsets the matcher already
     /// parsed; a carried one is its predecessor cloned in place (in the
     /// vector's spare capacity) with the last OID replaced — same value,
-    /// class codes and assignment, nothing decoded again.
+    /// class codes and assignment, nothing decoded again. The clone shares
+    /// the predecessor's string, so a carried hit allocates nothing.
     #[inline]
     fn row(&mut self, row: &Row<'_>) -> Result<()> {
         if row.carried && !self.is_empty() {
@@ -714,15 +715,15 @@ impl Matcher {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::key::PathElem;
+    use crate::key::{KeyValue, PathElem};
     use btree::common_prefix_len;
     use objstore::Value;
 
     fn enc(v: i64, path: &[(&[u8], u32)]) -> Vec<u8> {
-        enc_value(Value::Int(v), path)
+        enc_value(KeyValue::Int(v), path)
     }
 
-    fn enc_value(value: Value, path: &[(&[u8], u32)]) -> Vec<u8> {
+    fn enc_value(value: KeyValue, path: &[(&[u8], u32)]) -> Vec<u8> {
         EntryKey {
             index_id: 1,
             value,
@@ -735,7 +736,6 @@ mod tests {
                 .collect(),
         }
         .encode()
-        .unwrap()
     }
 
     fn int_point(v: i64) -> (Vec<u8>, Vec<u8>) {
@@ -1205,7 +1205,7 @@ mod tests {
         let strings: Vec<Vec<u8>> = ["Blue", "Red", ""]
             .iter()
             .flat_map(|s| {
-                (0..12).map(move |oid| enc_value(Value::Str((*s).into()), &[(&[b'B', 1], oid)]))
+                (0..12).map(move |oid| enc_value(KeyValue::Str((*s).into()), &[(&[b'B', 1], oid)]))
             })
             .collect();
         let ints: Vec<Vec<u8>> = [-3, 0, 70_000]

@@ -13,6 +13,10 @@
 //!   performs at most `H + c` allocations when the value is a string and
 //!   `c` when it is an integer; `H` two-element-path hits over an integer
 //!   cost `H + c`;
+//! * **a carried hit allocates nothing** — a hit that differs from the
+//!   one before it only in its last OID clones it, and shares its string:
+//!   10 000 hits over five string values in two classes (ten clusters)
+//!   cost at most one allocation per cluster plus `c`;
 //! * **a skip-seek allocates nothing** — a `Parallel` scan that skips
 //!   10 000 times (in-leaf and re-descending alike)
 //!   performs the same number of allocations as one that skips 5 000
@@ -288,6 +292,32 @@ fn a_hit_costs_at_most_two_allocations() {
         allocs <= hits.len() as u64 + PER_QUERY,
         "{allocs} allocations for {} two-element integer hits",
         hits.len()
+    );
+}
+
+#[test]
+fn a_carried_hit_allocates_nothing() {
+    let mut schema = Schema::new();
+    let thing = schema.add_class("Thing").unwrap();
+    schema.add_attr(thing, "Color", AttrType::Str).unwrap();
+    let other = schema.add_subclass("Other", thing).unwrap();
+    let mut db = Database::in_memory(schema).unwrap();
+    let colors = ["Red", "Green", "Blue", "White", "Black"];
+    let h = 10_000;
+    for i in 0..h {
+        let oid = db.create_object([thing, other][i % 2]).unwrap();
+        db.set_attr(oid, "Color", Value::Str(colors[i % 5].into()))
+            .unwrap();
+    }
+    let color = db
+        .define_index(IndexSpec::class_hierarchy("color", thing, "Color"))
+        .unwrap();
+    let (hits, _, allocs) = measured(&db, &Query::on(color));
+    assert_eq!(hits.len(), h);
+    let clusters = 5 * 2;
+    assert!(
+        allocs <= clusters + PER_QUERY,
+        "{allocs} allocations for {h} string hits in {clusters} clusters"
     );
 }
 

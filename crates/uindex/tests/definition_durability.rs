@@ -25,7 +25,7 @@ use objstore::{Oid, Value};
 use pagestore::disk as pdisk;
 use pagestore::Fault;
 use schema::{AttrType, Encoding, Schema};
-use uindex::{DiskDatabase, DiskOptions, IndexId, IndexSpec, Query, UIndex};
+use uindex::{DiskDatabase, DiskOptions, IndexId, IndexSpec, KeyValue, Query, UIndex};
 
 fn tmpdir(name: &str) -> PathBuf {
     let mut p = std::env::temp_dir();
@@ -66,7 +66,7 @@ fn coded_classes(schema: &Schema, encoding: &Encoding) -> Vec<String> {
 
 /// Every index's full answer as `(value, OIDs)` rows — comparable across
 /// a rebuild, which may assign other codes.
-type Answers = Vec<Vec<(Value, Vec<Oid>)>>;
+type Answers = Vec<Vec<(KeyValue, Vec<Oid>)>>;
 
 /// Each index's answer straight from the tree, checked against the oracle.
 fn answers(db: &DiskDatabase, what: &str) -> Answers {
@@ -269,5 +269,89 @@ fn every_definition_change_survives_a_crash_after_its_commit() {
     commit_and_crash(&mut db, "repair");
 
     drop(db);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A fresh database with one indexed class and a few objects, committed.
+fn small_db(name: &str) -> DiskDatabase {
+    let mut s = Schema::new();
+    let vehicle = s.add_class("Vehicle").unwrap();
+    s.add_attr(vehicle, "Color", AttrType::Str).unwrap();
+    let options = DiskOptions {
+        page_size: 512,
+        pool_pages: 1 << 10,
+        group_commit: 1,
+        checkpoint_every: 0,
+        ..DiskOptions::default()
+    };
+    let mut db = DiskDatabase::create(s, &tmpdir(name), options).unwrap();
+    db.define_index(IndexSpec::class_hierarchy("color", vehicle, "Color"))
+        .unwrap();
+    for color in ["Red", "Blue", "Red"] {
+        let v = db.create_object(vehicle).unwrap();
+        db.set_attr(v, "Color", Value::Str(color.into())).unwrap();
+    }
+    db.commit().unwrap();
+    db
+}
+
+/// Close `db` and open its directory again: the open must be clean, with
+/// every class code it had.
+fn reopen(db: DiskDatabase, what: &str) -> DiskDatabase {
+    let codes = coded_classes(db.schema(), db.index().encoding());
+    let dir = db.dir().to_path_buf();
+    db.close().unwrap();
+    let (db, report) = DiskDatabase::open(&dir).unwrap();
+    assert!(report.clean() && !report.rebuilt, "{what}: {report:?}");
+    assert_eq!(
+        coded_classes(db.schema(), db.index().encoding()),
+        codes,
+        "{what}: class codes"
+    );
+    db
+}
+
+#[test]
+fn a_class_committed_before_its_first_use_reopens_pending() {
+    let mut db = small_db("pending_reopen");
+    let dealer = db.add_class("Dealer").unwrap();
+    db.add_attr(dealer, "Name", AttrType::Str).unwrap();
+    commit_and_crash(&mut db, "add_class and add_attr");
+
+    let mut db = reopen(db, "a pending class");
+    assert!(db.index().encoding().code(dealer).is_none());
+    // Its first use after the reopen assigns the code, and it can be
+    // indexed.
+    let d = db.create_object(dealer).unwrap();
+    assert!(db.index().encoding().code(dealer).is_some());
+    db.set_attr(d, "Name", Value::Str("Acme".into())).unwrap();
+    db.define_index(IndexSpec::class_hierarchy("dealer", dealer, "Name"))
+        .unwrap();
+    commit_and_crash(&mut db, "first use after a reopen");
+
+    let dir = db.dir().to_path_buf();
+    drop(reopen(db, "after the first use"));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_pending_class_below_a_coded_one_keeps_the_catalog_dense() {
+    let mut db = small_db("pending_gap");
+    let a = db.add_class("A").unwrap();
+    let b = db.add_class("B").unwrap();
+    db.create_object(b).unwrap();
+    commit_and_crash(&mut db, "a pending class below a coded one");
+
+    // Twice: the first reopen must not rebuild (which would replace the
+    // evolution-assigned codes with generated ones), nor the second.
+    let db = reopen(db, "first reopen");
+    let mut db = reopen(db, "second reopen");
+    assert!(db.index().encoding().code(a).is_none());
+    db.create_object(a).unwrap();
+    assert!(db.index().encoding().code(a).is_some());
+    commit_and_crash(&mut db, "the lower class's first use");
+
+    let dir = db.dir().to_path_buf();
+    drop(reopen(db, "both coded"));
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -7,7 +7,7 @@ use objstore::{Oid, Value};
 use proptest::collection::vec;
 use proptest::prelude::*;
 use proptest::test_runner::TestRng;
-use uindex::{EntryKey, PathElem};
+use uindex::{EntryKey, KeyValue, PathElem};
 
 fn arb_value() -> impl Strategy<Value = Value> {
     prop_oneof![
@@ -26,7 +26,7 @@ fn arb_key() -> impl Strategy<Value = EntryKey> {
     let elem = (vec(1u8..=255, 1..40), any::<u32>());
     (any::<u16>(), arb_value(), vec(elem, 1..4)).prop_map(|(index_id, value, path)| EntryKey {
         index_id,
-        value,
+        value: KeyValue::try_from(&value).unwrap(),
         path: path
             .into_iter()
             .map(|(code, oid)| PathElem {
@@ -44,7 +44,7 @@ fn arb_key_bytes() -> impl Strategy<Value = Vec<u8>> {
     prop_oneof![
         1 => vec(any::<u8>(), 0..48),
         3 => (arb_key(), vec(edit, 1..4)).prop_map(|(key, edits)| {
-            let mut bytes = key.encode().unwrap();
+            let mut bytes = key.encode();
             for (at, byte, op) in edits {
                 let at = at % (bytes.len() + 1);
                 match op {
@@ -64,14 +64,14 @@ proptest! {
     #[test]
     fn whatever_decodes_re_encodes_to_the_same_bytes(bytes in arb_key_bytes()) {
         if let Ok(key) = EntryKey::decode(&bytes) {
-            prop_assert_eq!(key.encode().unwrap(), bytes, "decoded as {:?}", key);
+            prop_assert_eq!(key.encode(), bytes, "decoded as {:?}", key);
         }
     }
 
     #[test]
     fn encode_decode_encode_is_the_identity(key in arb_key()) {
-        let bytes = key.encode().unwrap();
-        let again = EntryKey::decode(&bytes).unwrap().encode().unwrap();
+        let bytes = key.encode();
+        let again = EntryKey::decode(&bytes).unwrap().encode();
         prop_assert_eq!(again, bytes);
     }
 }
@@ -99,8 +99,8 @@ fn a_boolean_byte_other_than_0_or_1_does_not_decode() {
     };
     for b in [0, 1] {
         let decoded = EntryKey::decode(&key(b)).unwrap();
-        assert_eq!(decoded.value, Value::Bool(b == 1));
-        assert_eq!(decoded.encode().unwrap(), key(b));
+        assert_eq!(decoded.value, KeyValue::Bool(b == 1));
+        assert_eq!(decoded.encode(), key(b));
     }
     for b in 2..=u8::MAX {
         assert!(EntryKey::decode(&key(b)).is_err(), "byte {b}");

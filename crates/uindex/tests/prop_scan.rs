@@ -8,7 +8,7 @@ use objstore::{Oid, Value};
 use pagestore::{BufferPool, MemStore};
 use proptest::prelude::*;
 use schema::{AttrType, ClassId, Encoding, Schema};
-use uindex::{ClassSel, EntryKey, IndexSpec, OidSel, PathElem, Query, UIndex, ValuePred};
+use uindex::{ClassSel, EntryKey, IndexSpec, KeyValue, OidSel, PathElem, Query, UIndex, ValuePred};
 
 /// Fixture: X (with X0, X1 sub-classes) is referenced by Y (with Y0, Y1).
 struct Fixture {
@@ -43,7 +43,7 @@ fn build(raw_entries: &[(i64, u8, u32, u8, u32)]) -> Fixture {
         .iter()
         .map(|(v, xc, xo, yc, yo)| EntryKey {
             index_id: 0,
-            value: Value::Int(*v),
+            value: KeyValue::Int(*v),
             path: vec![
                 PathElem {
                     code: index
@@ -70,8 +70,8 @@ fn build(raw_entries: &[(i64, u8, u32, u8, u32)]) -> Fixture {
     index.bulk_load_entries(&entries).unwrap();
     // Deduplicate the reference list the same way the tree does.
     let mut deduped = entries.clone();
-    deduped.sort_by_key(|e| e.encode().unwrap());
-    deduped.dedup_by_key(|e| e.encode().unwrap());
+    deduped.sort_by_key(|e| e.encode());
+    deduped.dedup_by_key(|e| e.encode());
     Fixture {
         index,
         xs,
@@ -165,8 +165,8 @@ fn build_query(f: &Fixture, rq: &RawQuery) -> Query {
 
 /// Naive evaluation over the entry list.
 fn brute(f: &Fixture, rq: &RawQuery) -> Vec<Vec<u8>> {
-    let value_ok = |v: &Value| -> bool {
-        let Value::Int(i) = v else { return false };
+    let value_ok = |v: &KeyValue| -> bool {
+        let KeyValue::Int(i) = v else { return false };
         match rq.value {
             1 => *i == rq.v1,
             2 => {
@@ -201,7 +201,7 @@ fn brute(f: &Fixture, rq: &RawQuery) -> Vec<Vec<u8>> {
                 && (rq.yoids.is_empty()
                     || rq.yoids.iter().any(|o| e.path[1].oid == Oid(o % 50 + 1)))
         })
-        .map(|e| e.encode().unwrap())
+        .map(|e| e.encode())
         .collect()
 }
 
@@ -224,7 +224,7 @@ proptest! {
             prop_assert_eq!(&par_hits, &fwd_hits, "algorithms disagree on {:?}", rq);
             prop_assert!(par_stats.pages_read <= fwd_stats.pages_read);
             let mut got: Vec<Vec<u8>> =
-                par_hits.iter().map(|h| h.key.encode().unwrap()).collect();
+                par_hits.iter().map(|h| h.key.encode()).collect();
             got.sort();
             let mut want = brute(&f, rq);
             want.sort();

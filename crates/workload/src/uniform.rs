@@ -2,6 +2,8 @@
 //! 100 / 1,000 / 150,000 distinct 8-byte keys — plus the U-index adapter
 //! that speaks the same [`SetIndex`] interface as the baselines.
 
+use std::collections::HashMap;
+
 use baselines::{QueryCost, SetId, SetIndex};
 use btree::BTreeConfig;
 use objstore::{Oid, Value};
@@ -10,8 +12,8 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use schema::{ClassId, Encoding, Schema};
 use uindex::{
-    ClassSel, EntryKey, IndexId, IndexSpec, PathElem, Query, ScanAlgorithm, ScanStats, UIndex,
-    ValuePred,
+    ClassSel, EntryKey, IndexId, IndexSpec, KeyValue, PathElem, Query, ScanAlgorithm, ScanStats,
+    UIndex, ValuePred,
 };
 
 /// Key cardinality of a generated database.
@@ -136,16 +138,21 @@ impl<P: PageStore> UIndexSet<P> {
         })
     }
 
-    /// Build from postings with a packed bulk load on the given pool.
+    /// Build from postings with a packed bulk load on the given pool. The
+    /// entries of one key share one value, made once.
     pub fn build_with_pool(
         pool: BufferPool<P>,
         num_sets: u16,
         postings: &[(Vec<u8>, SetId, Oid)],
     ) -> PageResult<Self> {
         let mut out = Self::with_pool(pool, num_sets)?;
+        let mut values: HashMap<&[u8], KeyValue> = HashMap::new();
         let entries: Vec<EntryKey> = postings
             .iter()
-            .map(|(k, s, o)| out.entry(k, *s, *o))
+            .map(|(k, s, o)| {
+                let value = values.entry(k).or_insert_with(|| Self::key_value(k));
+                out.entry(value.clone(), *s, *o)
+            })
             .collect();
         out.index.bulk_load_entries(&entries).map_err(corrupt)?;
         Ok(out)
@@ -278,7 +285,7 @@ impl<P: PageStore> UIndexSet<P> {
         out
     }
 
-    fn entry(&self, key: &[u8], set: SetId, oid: Oid) -> EntryKey {
+    fn entry(&self, value: KeyValue, set: SetId, oid: Oid) -> EntryKey {
         let class = self.classes[set.0 as usize];
         let code = self
             .index
@@ -289,9 +296,13 @@ impl<P: PageStore> UIndexSet<P> {
             .into();
         EntryKey {
             index_id: self.id,
-            value: Value::Str(String::from_utf8(key.to_vec()).expect("ascii key")),
+            value,
             path: vec![PathElem { code, oid }].into(),
         }
+    }
+
+    fn key_value(key: &[u8]) -> KeyValue {
+        KeyValue::Str(std::str::from_utf8(key).expect("ascii key").into())
     }
 
     fn run(&mut self, q: Query) -> PageResult<(Vec<(SetId, Oid)>, QueryCost)> {
@@ -338,7 +349,7 @@ impl<P: PageStore> UIndexSet<P> {
 
 impl<P: PageStore> SetIndex for UIndexSet<P> {
     fn insert(&mut self, key: &[u8], set: SetId, oid: Oid) -> PageResult<()> {
-        let e = self.entry(key, set, oid);
+        let e = self.entry(Self::key_value(key), set, oid);
         self.index
             .insert_entries(std::slice::from_ref(&e))
             .map_err(|e| pagestore::Error::Corrupt(e.to_string()))?;
@@ -346,7 +357,7 @@ impl<P: PageStore> SetIndex for UIndexSet<P> {
     }
 
     fn remove(&mut self, key: &[u8], set: SetId, oid: Oid) -> PageResult<bool> {
-        let e = self.entry(key, set, oid);
+        let e = self.entry(Self::key_value(key), set, oid);
         let n = self
             .index
             .remove_entries(std::slice::from_ref(&e))
