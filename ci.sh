@@ -75,9 +75,10 @@ cargo test -q --offline -p telemetry group_
 echo "== scan-path invariants (Parallel / Forward: same hits, registry == ScanStats, matches - carried == (key, set) groups)"
 cargo test -q --offline -p bench --test scan_invariants parallel_and_forward_agree_on_hits_counters_and_carry
 
-echo "== node codec (hostile-bytes corpus; arena decoder == reference decoder, encode(decode(page)) == page; leaf walk == decode, seek == binary search)"
+echo "== node codec (hostile-bytes corpus; arena decoder == reference decoder, encode(decode(page)) == page; leaf walk == decode, seek == binary search; the in-place leaf editor opens exactly the pages the encoder writes and edits them byte for byte as decode -> edit -> encode does)"
 cargo test -q --offline -p btree --test decode_fuzz
 cargo test -q --offline -p btree --lib differential
+cargo test -q --offline -p btree --test leaf_edit
 
 echo "== no read decodes a leaf (after read-only scans and lookups only interior frames hold a decode)"
 cargo test -q --offline -p btree --test node_cache
@@ -139,7 +140,7 @@ cargo test -q --offline -p uindex --test crash_sweep
 echo "== one durability domain: salvage sweep (every page x every fault kind; crash anywhere in repair)"
 cargo test -q --offline -p uindex --test salvage_sweep
 
-echo "== commit cost as counts (flat from 2 000 to 20 000 vehicles; nothing but wal.log written; catalog only when changed; a checkpointing commit: 1 marker, 1 log fsync before its page writes, 1 page-file fsync, no manifest write unless a page was allocated or freed)"
+echo "== commit cost as counts (flat from 2 000 to 20 000 vehicles; nothing but wal.log written; a recolour makes 3 leaf edits in place and re-encodes no leaf; catalog only when changed; a checkpointing commit: 1 marker, 1 log fsync before its page writes, 1 page-file fsync, no manifest write unless a page was allocated or freed)"
 cargo test -q --offline -p uindex --test commit_cost
 
 echo "== an update consults only the indexes its attribute feeds; a commit rebuilds the catalog only after a definition changed"

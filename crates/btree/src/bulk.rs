@@ -6,12 +6,13 @@
 //! clustered key regions (the paper's batched path-update case, §3.5, citing
 //! Tsur & Gudes' B-tree reorganization work) hit each leaf once.
 
-use pagestore::{BufferPool, Error, PageId, PageStore, Result};
+use pagestore::{BufferPool, Error, PageId, PageRef, PageStore, Result};
 
 use crate::codec::{common_prefix_len, truncate_separator};
 use crate::config::{BTreeConfig, Capacity};
+use crate::edit::LeafEditor;
 use crate::node::{entry_size, InternalNode, LeafNode, Node, INTERIOR_HEADER, LEAF_HEADER};
-use crate::tree::BTree;
+use crate::tree::{BTree, Loaded};
 
 impl<S: PageStore> BTree<S> {
     /// Build a tree from strictly-ascending `(key, value)` pairs.
@@ -205,10 +206,11 @@ impl<S: PageStore> BTree<S> {
     /// Upsert pairs already in ascending key order, telling `replaced`
     /// the position and old value of each that overwrote an entry. A run of
     /// keys bound for one leaf is applied to it in one visit — one descent,
-    /// one copy, one encode — until the leaf is full; the key that does not
-    /// fit goes through [`BTree::insert`], which splits exactly as it would
-    /// have, so the tree that results is the one the same inserts made one
-    /// by one. Returns the number of keys newly inserted.
+    /// one forward pass editing the page where it lies — until the leaf is
+    /// full; the key that does not fit goes through [`BTree::insert`],
+    /// which splits exactly as it would have, so the tree that results is
+    /// the one the same inserts made one by one. Returns the number of keys
+    /// newly inserted.
     pub fn upsert_sorted(
         &mut self,
         items: &[(Vec<u8>, Vec<u8>)],
@@ -217,48 +219,26 @@ impl<S: PageStore> BTree<S> {
         if items.windows(2).any(|w| w[0].0 > w[1].0) {
             return Err(Error::Corrupt("upsert_sorted input not ascending".into()));
         }
-        let compress = self.config().front_compression;
         let max_entry = self.max_entry_size();
         let mut fresh = 0;
         let mut next = 0;
         while next < items.len() {
-            let (leaf_id, upper) = self.leaf_for(&items[next].0)?;
-            let Node::Leaf(mut leaf) = self.load(leaf_id)? else {
-                return Err(Error::Corrupt("descent ended on an interior node".into()));
+            let (leaf_id, page, upper) = self.leaf_for(&items[next].0)?;
+            let in_leaf = |i: usize| {
+                items.get(i).is_some_and(|(key, value)| {
+                    upper.as_deref().is_none_or(|u| key.as_slice() < u)
+                        && key.len() + value.len() <= max_entry
+                })
             };
-            let (start, mut added) = (next, 0);
-            while let Some((key, value)) = items.get(next) {
-                let beyond = upper.as_deref().is_some_and(|u| key.as_slice() >= u);
-                if beyond || key.len() + value.len() > max_entry {
-                    break;
-                }
-                match leaf.search(key) {
-                    Ok(at) => {
-                        let old = leaf.value(at).to_vec();
-                        leaf.set_value(at, value);
-                        if !self.fits_size(leaf.len(), leaf.encoded_size(compress)) {
-                            leaf.set_value(at, &old);
-                            break;
-                        }
-                        replaced(next, &old);
-                    }
-                    Err(at) => {
-                        leaf.insert_at(at, key, value);
-                        if !self.fits_size(leaf.len(), leaf.encoded_size(compress)) {
-                            leaf.remove_at(at);
-                            break;
-                        }
-                        added += 1;
-                    }
-                }
-                next += 1;
-            }
-            if next > start {
-                self.bump_epoch();
-                self.store_node(leaf_id, &Node::Leaf(leaf))?;
-                self.set_root_len(self.root(), self.len() + added);
-                fresh += added;
+            let bytes = page.read();
+            let mut editor = LeafEditor::open(&bytes, self.config())?;
+            let first = if in_leaf(next) {
+                editor.put(&bytes, &items[next].0, &items[next].1)?
             } else {
+                None
+            };
+            drop(bytes);
+            let Some(mut edit) = first else {
                 // The leaf as it stands cannot take the key: split it (or
                 // refuse an oversized entry) the ordinary way.
                 let (key, value) = &items[next];
@@ -267,19 +247,40 @@ impl<S: PageStore> BTree<S> {
                     None => fresh += 1,
                 }
                 next += 1;
+                continue;
+            };
+            self.bump_epoch();
+            let mut added = 0;
+            loop {
+                match self.edit_leaf(leaf_id, &page, &mut editor, edit)? {
+                    Some(old) => replaced(next, &old),
+                    None => added += 1,
+                }
+                next += 1;
+                if !in_leaf(next) {
+                    break;
+                }
+                let (key, value) = &items[next];
+                match editor.put(&page.read(), key, value)? {
+                    Some(planned) => edit = planned,
+                    None => break,
+                }
             }
+            self.set_root_len(self.root(), self.len() + added);
+            fresh += added;
         }
         Ok(fresh)
     }
 
-    /// The leaf `key` belongs in, and the separator that bounds that leaf's
-    /// keys from above (`None` for the tree's last leaf).
-    fn leaf_for(&self, key: &[u8]) -> Result<(PageId, Option<Vec<u8>>)> {
+    /// The leaf `key` belongs in, its page, and the separator that bounds
+    /// that leaf's keys from above (`None` for the tree's last leaf).
+    fn leaf_for(&self, key: &[u8]) -> Result<(PageId, PageRef, Option<Vec<u8>>)> {
         let mut id = self.root();
         let mut upper = None;
         loop {
-            let Some(node) = self.load_interior(id)? else {
-                return Ok((id, upper));
+            let node = match self.descend(id)? {
+                Loaded::Leaf(page) => return Ok((id, page, upper)),
+                Loaded::Interior(node) => node,
             };
             let Node::Internal(int) = &*node else {
                 unreachable!("only a page with the leaf tag decodes to a leaf");

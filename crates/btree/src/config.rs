@@ -70,6 +70,24 @@ impl BTreeConfig {
             Capacity::Bytes => 1,
         }
     }
+
+    /// Whether a node of `count` entries encoding to `size` bytes fits a
+    /// page of `page_size` bytes.
+    pub(crate) fn fits(&self, count: usize, size: usize, page_size: usize) -> bool {
+        match self.capacity {
+            Capacity::Bytes => size <= page_size,
+            Capacity::Entries(m) => count <= m && size <= page_size,
+        }
+    }
+
+    /// Whether a non-root node of `count` entries encoding to `size` bytes
+    /// in a page of `page_size` bytes should be rebalanced.
+    pub(crate) fn underfull(&self, count: usize, size: usize, page_size: usize) -> bool {
+        match self.capacity {
+            Capacity::Bytes => size < page_size / 4,
+            Capacity::Entries(_) => count < self.min_entries(),
+        }
+    }
 }
 
 #[cfg(test)]

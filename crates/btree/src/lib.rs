@@ -45,6 +45,7 @@ mod bulk;
 mod codec;
 mod config;
 mod cursor;
+mod edit;
 mod node;
 mod tree;
 mod verify;
@@ -53,6 +54,7 @@ mod walk;
 pub use codec::common_prefix_len;
 pub use config::{BTreeConfig, Capacity};
 pub use cursor::{Cursor, EntryRef, ReadView};
+pub use edit::{LeafEdit, LeafEditor};
 pub use node::{InternalNode, LeafNode, Node};
 pub use tree::{BTree, SnapshotTracker, TreeReader, TreeSnapshot};
 pub use verify::TreeStats;

@@ -17,22 +17,29 @@
 //!
 //! # The leaf codec boundary
 //!
-//! The layout above has one writer and two readers. [`Node::encode`] writes
-//! it. **Readers** of the tree — every `ReadView` operation — read a leaf
-//! where it lies, through [`crate::LeafWalker`] (`walk.rs`): one copy of
-//! the page and one key buffer patched from each entry's `prefix_len` on,
-//! no arena. They decode interior nodes only, for routing's binary search.
-//! **Writers** — `BTree::load` → mutate → [`Node::encode`], bulk load,
-//! `verify` — decode with [`Node::decode`] into an **arena**: one `Vec<u8>`
-//! holding every reconstructed (prefix-expanded) key — and, in a leaf, each
-//! key's value right behind it — plus one `Vec<u32>` offset table. Nothing
-//! outside this module sees either vector: code goes through `key(i)` /
-//! `value(i)` / `sep(i)` / `len()` / `search()`, writers through
+//! The layout above has one encoder and three readers. [`Node::encode`]
+//! writes it whole. **Readers** of the tree — every `ReadView` operation —
+//! read a leaf where it lies, through [`crate::LeafWalker`] (`walk.rs`):
+//! one copy of the page and one key buffer patched from each entry's
+//! `prefix_len` on, no arena. They decode interior nodes only, for
+//! routing's binary search. **A writer edits a leaf in place** unless it
+//! splits or merges: `BTree::insert`, `BTree::delete` and
+//! `BTree::upsert_sorted` plan a one-key edit with a
+//! [`crate::LeafEditor`] (`edit.rs`), which rewrites the edited entry and
+//! its successor's `prefix_len`/suffix and moves the tail, leaving the
+//! bytes `encode` would have written. **The rest of the write path** — a
+//! leaf that splits, two leaves a delete merges or refills, bulk load,
+//! `verify` — decodes with [`Node::decode`] into an **arena**: one
+//! `Vec<u8>` holding every reconstructed (prefix-expanded) key — and, in a
+//! leaf, each key's value right behind it — plus one `Vec<u32>` offset
+//! table. Nothing outside this module sees either vector: code goes through
+//! `key(i)` / `value(i)` / `sep(i)` / `len()` / `search()`, writers through
 //! `insert_at` / `remove_at` / `split_off` / `append`. Decoding a leaf is
 //! two allocations whatever its entry count, and cloning one is two
-//! `memcpy`s. Both readers check the same bounds: a walk accepts exactly
-//! the pages [`Node::decode`] accepts (`tests/decode_fuzz.rs`). The layout
-//! is byte for byte what it was when leaves were `Vec`s of owned entries.
+//! `memcpy`s. The readers check the same bounds: a walk accepts exactly the
+//! pages [`Node::decode`] accepts, and the editor exactly those of them the
+//! encoder could have written (`tests/decode_fuzz.rs`). The layout is byte
+//! for byte what it was when leaves were `Vec`s of owned entries.
 //!
 //! **Decode bound.** [`Node::decode`] measures a page before it allocates:
 //! a first pass validates every length (`prefix_len` within the previous
@@ -499,7 +506,7 @@ pub(crate) fn leaf_header(page: &[u8]) -> Result<(PageId, usize)> {
     Ok((next, count))
 }
 
-fn put(page: &mut [u8], pos: &mut usize, bytes: &[u8]) {
+pub(crate) fn put(page: &mut [u8], pos: &mut usize, bytes: &[u8]) {
     page[*pos..*pos + bytes.len()].copy_from_slice(bytes);
     *pos += bytes.len();
 }

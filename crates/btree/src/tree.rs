@@ -43,6 +43,7 @@ use pagestore::{BufferPool, Error, PageId, PageRef, PageStore, Result};
 
 use crate::codec::truncate_separator;
 use crate::config::{BTreeConfig, Capacity};
+use crate::edit::{LeafEdit, LeafEditor};
 use crate::node::{
     segment_sizes, InternalNode, LeafNode, Node, INTERIOR_HEADER, LEAF_HEADER, TAG_LEAF,
 };
@@ -64,6 +65,10 @@ pub(crate) struct TreeMetrics {
     pub(crate) reseek_full: telemetry::Counter,
     pub(crate) splits: telemetry::Counter,
     pub(crate) merges: telemetry::Counter,
+    /// Inserts, replaces and deletes written into a leaf where it lies.
+    pub(crate) leaf_edits: telemetry::Counter,
+    /// Leaves the writer decoded into a `Node` and wrote back whole.
+    pub(crate) leaf_reencodes: telemetry::Counter,
     /// Snapshot reads served from the version store instead of live frames.
     pub(crate) version_reads: telemetry::Counter,
     /// Pre-images preserved into the version store.
@@ -82,6 +87,8 @@ impl TreeMetrics {
             reseek_full: telemetry::counter("btree.reseek.full"),
             splits: telemetry::counter("btree.splits"),
             merges: telemetry::counter("btree.merges"),
+            leaf_edits: telemetry::counter("btree.leaf.in_place_edits"),
+            leaf_reencodes: telemetry::counter("btree.leaf.reencodes"),
             version_reads: telemetry::counter("btree.snapshot.version_reads"),
             preserved: telemetry::counter("btree.snapshot.preserved"),
             deferred_frees: telemetry::counter("btree.snapshot.deferred_frees"),
@@ -103,6 +110,15 @@ pub(crate) fn metrics<R>(f: impl FnOnce(&TreeMetrics) -> R) -> R {
 pub(crate) enum Loaded<L> {
     Interior(Arc<Node>),
     Leaf(L),
+}
+
+impl<L> Loaded<L> {
+    pub(crate) fn interior(self) -> Option<Arc<Node>> {
+        match self {
+            Loaded::Interior(node) => Some(node),
+            Loaded::Leaf(_) => None,
+        }
+    }
 }
 
 /// Read `page` under one shared lock on its bytes: a leaf's go to `leaf`,
@@ -631,9 +647,16 @@ impl<S: PageStore> BTree<S> {
     /// The interior node at `id`, or `None` for a leaf, whose bytes are
     /// not decoded.
     pub(crate) fn load_interior(&self, id: PageId) -> Result<Option<Arc<Node>>> {
-        Ok(match load_page(&self.shared.pool.fetch(id)?, |_| Ok(()))? {
-            Loaded::Interior(node) => Some(node),
-            Loaded::Leaf(()) => None,
+        Ok(self.descend(id)?.interior())
+    }
+
+    /// Fetch `id` for a writer's descent: an interior from the frame's
+    /// decode cache, a leaf as its page, to edit where it lies.
+    pub(crate) fn descend(&self, id: PageId) -> Result<Loaded<PageRef>> {
+        let page = self.shared.pool.fetch(id)?;
+        Ok(match load_page(&page, |_| Ok(()))? {
+            Loaded::Interior(node) => Loaded::Interior(node),
+            Loaded::Leaf(()) => Loaded::Leaf(page),
         })
     }
 
@@ -648,14 +671,44 @@ impl<S: PageStore> BTree<S> {
     /// the last publish.
     pub(crate) fn store_node(&mut self, id: PageId, node: &Node) -> Result<()> {
         let page = self.shared.pool.fetch(id)?;
+        self.preserve(id, &page)?;
+        let mut bytes = page.write();
+        node.encode(&mut bytes, self.config.front_compression)
+    }
+
+    /// [`BTree::store_node`] for a leaf the writer decoded to split, merge
+    /// or redistribute it: the one path that still re-encodes a whole leaf.
+    fn reencode(&mut self, id: PageId, leaf: LeafNode) -> Result<()> {
+        metrics(|m| m.leaf_reencodes.inc());
+        self.store_node(id, &Node::Leaf(leaf))
+    }
+
+    /// Apply `edit`, planned by `editor` on the leaf `page` (`id`), where
+    /// the leaf lies, preserving its pre-image as [`BTree::store_node`]
+    /// does. Returns the value the edit replaced or removed.
+    pub(crate) fn edit_leaf(
+        &mut self,
+        id: PageId,
+        page: &PageRef,
+        editor: &mut LeafEditor,
+        edit: LeafEdit<'_>,
+    ) -> Result<Option<Vec<u8>>> {
+        self.preserve(id, page)?;
+        let old = editor.apply(&mut page.write(), edit)?;
+        metrics(|m| m.leaf_edits.inc());
+        Ok(old)
+    }
+
+    /// Before the first write to a published page since the last publish,
+    /// keep its pre-image in the version store.
+    fn preserve(&mut self, id: PageId, page: &PageRef) -> Result<()> {
         if self.snapshots && !self.fresh.contains(&id) && !self.preserved.contains(&id) {
-            let old = load_page(&page, |bytes| Ok(Arc::from(bytes)))?;
+            let old = load_page(page, |bytes| Ok(Arc::from(bytes)))?;
             self.shared.tracker.preserve(id, self.last_published, old);
             self.preserved.insert(id);
             metrics(|m| m.preserved.inc());
         }
-        let mut bytes = page.write();
-        node.encode(&mut bytes, self.config.front_compression)
+        Ok(())
     }
 
     /// Free a page. Published pages are preserved and their free deferred
@@ -665,10 +718,7 @@ impl<S: PageStore> BTree<S> {
         if self.snapshots && !self.fresh.contains(&id) {
             if !self.preserved.contains(&id) {
                 let page = self.shared.pool.fetch(id)?;
-                let old = load_page(&page, |bytes| Ok(Arc::from(bytes)))?;
-                self.shared.tracker.preserve(id, self.last_published, old);
-                self.preserved.insert(id);
-                metrics(|m| m.preserved.inc());
+                self.preserve(id, &page)?;
             }
             self.shared.tracker.defer_free(id, self.last_published);
             metrics(|m| m.deferred_frees.inc());
@@ -700,10 +750,7 @@ impl<S: PageStore> BTree<S> {
 
     /// Whether a node of `count` entries encoding to `size` bytes fits.
     pub(crate) fn fits_size(&self, count: usize, size: usize) -> bool {
-        match self.config.capacity {
-            Capacity::Bytes => size <= self.page_size(),
-            Capacity::Entries(m) => count <= m && size <= self.page_size(),
-        }
+        self.config.fits(count, size, self.page_size())
     }
 
     pub(crate) fn is_underfull_node(&self, node: &Node) -> bool {
@@ -716,10 +763,7 @@ impl<S: PageStore> BTree<S> {
     /// Whether a node of `count` entries encoding to `size` bytes should be
     /// rebalanced.
     pub(crate) fn is_underfull_size(&self, count: usize, size: usize) -> bool {
-        match self.config.capacity {
-            Capacity::Bytes => size < self.page_size() / 4,
-            Capacity::Entries(_) => count < self.config.min_entries(),
-        }
+        self.config.underfull(count, size, self.page_size())
     }
 
     fn separator(&self, left_max: &[u8], right_min: &[u8]) -> Vec<u8> {
@@ -765,84 +809,91 @@ impl<S: PageStore> BTree<S> {
     }
 
     fn insert_rec(&mut self, id: PageId, key: &[u8], value: &[u8]) -> Result<Ins> {
-        // Only the node that changes is copied out of the decode cache: the
-        // leaf always, an interior node when its child split.
-        let node = self.load_node(id)?;
-        match &*node {
-            Node::Leaf(leaf) => {
-                let mut leaf = leaf.clone();
-                let old = match leaf.search(key) {
-                    Ok(i) => {
-                        let old = leaf.value(i).to_vec();
-                        leaf.set_value(i, value);
-                        Some(old)
-                    }
-                    Err(i) => {
-                        leaf.insert_at(i, key, value);
-                        None
-                    }
-                };
-                let node = Node::Leaf(leaf);
+        // Only the node that changes is written: the leaf always, in place
+        // unless it splits, an interior node (copied out of the decode
+        // cache) when its child split.
+        let node = match self.descend(id)? {
+            Loaded::Leaf(page) => return self.insert_leaf(id, &page, key, value),
+            Loaded::Interior(node) => node,
+        };
+        let Node::Internal(int) = &*node else {
+            unreachable!("only a page with the leaf tag decodes to a leaf");
+        };
+        let ci = int.route(key);
+        match self.insert_rec(int.child(ci), key, value)? {
+            Ins::Done(old) => Ok(Ins::Done(old)),
+            Ins::Split { sep, right, old } => {
+                let mut int = int.clone();
+                int.insert_at(ci, &sep, right);
+                let node = Node::Internal(int);
                 if self.fits(&node) {
                     self.store_node(id, &node)?;
                     return Ok(Ins::Done(old));
                 }
-                let Node::Leaf(mut leaf) = node else {
+                let Node::Internal(mut int) = node else {
                     unreachable!()
                 };
-                // An append to the tree's last leaf moves only the new entry
-                // when asked to: ascending loads then leave full leaves
-                // behind instead of half-empty ones.
-                let last = leaf.len() - 1;
-                let appended = old.is_none() && leaf.next.is_null() && leaf.key(last) == key;
-                let split_at = if self.config.append_split && appended && last > 0 {
-                    last
-                } else {
-                    self.leaf_split_index(&leaf)?
-                };
-                let right = leaf.split_off(split_at);
+                let promote = self.internal_split_index(&int)?;
+                let (promoted, right) = int.split_off(promote);
                 let (right_id, _) = self.allocate_page()?;
-                leaf.next = right_id;
-                let sep = self.separator(leaf.key(leaf.len() - 1), right.key(0));
-                self.store_node(id, &Node::Leaf(leaf))?;
-                self.store_node(right_id, &Node::Leaf(right))?;
+                self.store_node(id, &Node::Internal(int))?;
+                self.store_node(right_id, &Node::Internal(right))?;
                 metrics(|m| m.splits.inc());
                 Ok(Ins::Split {
-                    sep,
+                    sep: promoted,
                     right: right_id,
                     old,
                 })
             }
-            Node::Internal(int) => {
-                let ci = int.route(key);
-                match self.insert_rec(int.child(ci), key, value)? {
-                    Ins::Done(old) => Ok(Ins::Done(old)),
-                    Ins::Split { sep, right, old } => {
-                        let mut int = int.clone();
-                        int.insert_at(ci, &sep, right);
-                        let node = Node::Internal(int);
-                        if self.fits(&node) {
-                            self.store_node(id, &node)?;
-                            return Ok(Ins::Done(old));
-                        }
-                        let Node::Internal(mut int) = node else {
-                            unreachable!()
-                        };
-                        let promote = self.internal_split_index(&int)?;
-                        let (promoted, right) = int.split_off(promote);
-                        let (right_id, _) = self.allocate_page()?;
-                        self.store_node(id, &Node::Internal(int))?;
-                        self.store_node(right_id, &Node::Internal(right))?;
-                        metrics(|m| m.splits.inc());
-                        Ok(Ins::Split {
-                            sep: promoted,
-                            right: right_id,
-                            old,
-                        })
-                    }
-                }
-            }
         }
+    }
+
+    /// Put `key` → `value` into the leaf `page` (`id`): in place when the
+    /// leaf still fits its page, else split through the decoded node.
+    fn insert_leaf(&mut self, id: PageId, page: &PageRef, key: &[u8], value: &[u8]) -> Result<Ins> {
+        let bytes = page.read();
+        let mut editor = LeafEditor::open(&bytes, &self.config)?;
+        if let Some(edit) = editor.put(&bytes, key, value)? {
+            drop(bytes);
+            return Ok(Ins::Done(self.edit_leaf(id, page, &mut editor, edit)?));
+        }
+        let Node::Leaf(mut leaf) = Node::decode(&bytes)? else {
+            unreachable!("the editor opened a leaf");
+        };
+        drop(bytes);
+        let old = match leaf.search(key) {
+            Ok(i) => {
+                let old = leaf.value(i).to_vec();
+                leaf.set_value(i, value);
+                Some(old)
+            }
+            Err(i) => {
+                leaf.insert_at(i, key, value);
+                None
+            }
+        };
+        // An append to the tree's last leaf moves only the new entry when
+        // asked to: ascending loads then leave full leaves behind instead
+        // of half-empty ones.
+        let last = leaf.len() - 1;
+        let appended = old.is_none() && leaf.next.is_null() && leaf.key(last) == key;
+        let split_at = if self.config.append_split && appended && last > 0 {
+            last
+        } else {
+            self.leaf_split_index(&leaf)?
+        };
+        let right = leaf.split_off(split_at);
+        let (right_id, _) = self.allocate_page()?;
+        leaf.next = right_id;
+        let sep = self.separator(leaf.key(leaf.len() - 1), right.key(0));
+        self.reencode(id, leaf)?;
+        self.reencode(right_id, right)?;
+        metrics(|m| m.splits.inc());
+        Ok(Ins::Split {
+            sep,
+            right: right_id,
+            old,
+        })
     }
 
     /// Pick the index at which to split an over-full leaf so both halves fit
@@ -927,7 +978,7 @@ impl<S: PageStore> BTree<S> {
         };
         self.len -= 1;
         // Collapse the root if it became a pass-through interior node.
-        if let Node::Internal(int) = &*self.load_node(self.root)? {
+        if let Some(Node::Internal(int)) = self.load_interior(self.root)?.as_deref() {
             if int.is_empty() {
                 let old_root = self.root;
                 self.root = int.child(0);
@@ -938,42 +989,44 @@ impl<S: PageStore> BTree<S> {
     }
 
     fn delete_rec(&mut self, id: PageId, key: &[u8]) -> Result<Del> {
-        let node = self.load_node(id)?;
-        match &*node {
-            Node::Leaf(leaf) => match leaf.search(key) {
-                Err(_) => Ok(Del::NotFound),
-                Ok(i) => {
-                    let mut leaf = leaf.clone();
-                    let old = leaf.value(i).to_vec();
-                    leaf.remove_at(i);
-                    let node = Node::Leaf(leaf);
-                    let under = self.is_underfull_node(&node);
-                    self.store_node(id, &node)?;
-                    Ok(if under {
-                        Del::Underflow(old)
-                    } else {
-                        Del::Done(old)
-                    })
-                }
-            },
-            Node::Internal(int) => {
-                let ci = int.route(key);
-                match self.delete_rec(int.child(ci), key)? {
-                    Del::NotFound => Ok(Del::NotFound),
-                    Del::Done(v) => Ok(Del::Done(v)),
-                    Del::Underflow(v) => {
-                        let mut int = int.clone();
-                        self.rebalance_child(&mut int, ci)?;
-                        let node = Node::Internal(int);
-                        let under = self.is_underfull_node(&node);
-                        self.store_node(id, &node)?;
-                        Ok(if under {
-                            Del::Underflow(v)
-                        } else {
-                            Del::Done(v)
-                        })
-                    }
-                }
+        let node = match self.descend(id)? {
+            Loaded::Leaf(page) => {
+                // In place: an underfull leaf is merged or refilled by its
+                // parent, from the bytes this leaves.
+                let bytes = page.read();
+                let mut editor = LeafEditor::open(&bytes, &self.config)?;
+                let Some(edit) = editor.remove(&bytes, key)? else {
+                    return Ok(Del::NotFound);
+                };
+                drop(bytes);
+                let old = self.edit_leaf(id, &page, &mut editor, edit)?;
+                let old = old.expect("a remove returns the value it removed");
+                return Ok(if editor.underfull() {
+                    Del::Underflow(old)
+                } else {
+                    Del::Done(old)
+                });
+            }
+            Loaded::Interior(node) => node,
+        };
+        let Node::Internal(int) = &*node else {
+            unreachable!("only a page with the leaf tag decodes to a leaf");
+        };
+        let ci = int.route(key);
+        match self.delete_rec(int.child(ci), key)? {
+            Del::NotFound => Ok(Del::NotFound),
+            Del::Done(v) => Ok(Del::Done(v)),
+            Del::Underflow(v) => {
+                let mut int = int.clone();
+                self.rebalance_child(&mut int, ci)?;
+                let node = Node::Internal(int);
+                let under = self.is_underfull_node(&node);
+                self.store_node(id, &node)?;
+                Ok(if under {
+                    Del::Underflow(v)
+                } else {
+                    Del::Done(v)
+                })
             }
         }
     }
@@ -996,22 +1049,18 @@ impl<S: PageStore> BTree<S> {
             (Node::Leaf(mut l), Node::Leaf(r)) => {
                 l.append(r);
                 l.next = r.next;
-                let combined = Node::Leaf(l);
-                if self.fits(&combined) {
-                    self.store_node(left_id, &combined)?;
+                if self.fits_size(l.len(), l.encoded_size(self.config.front_compression)) {
+                    self.reencode(left_id, l)?;
                     self.free_page(right_id)?;
                     int.remove_at(li);
                     metrics(|m| m.merges.inc());
                 } else {
-                    let Node::Leaf(mut combined) = combined else {
-                        unreachable!()
-                    };
-                    let k = self.leaf_split_index(&combined)?;
-                    let new_right = combined.split_off(k);
-                    combined.next = right_id;
-                    let sep = self.separator(combined.key(combined.len() - 1), new_right.key(0));
-                    self.store_node(left_id, &Node::Leaf(combined))?;
-                    self.store_node(right_id, &Node::Leaf(new_right))?;
+                    let k = self.leaf_split_index(&l)?;
+                    let new_right = l.split_off(k);
+                    l.next = right_id;
+                    let sep = self.separator(l.key(l.len() - 1), new_right.key(0));
+                    self.reencode(left_id, l)?;
+                    self.reencode(right_id, new_right)?;
                     int.set_sep(li, &sep);
                 }
             }

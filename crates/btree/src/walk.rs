@@ -35,7 +35,7 @@ use crate::node::{check_count, leaf_header, LEAF_HEADER, TAG_LEAF};
 
 /// The `next` pointer and entry count of a leaf page, checked as
 /// `Node::decode` checks them.
-fn header(page: &[u8]) -> Result<(PageId, usize)> {
+pub(crate) fn header(page: &[u8]) -> Result<(PageId, usize)> {
     match page.first() {
         Some(&TAG_LEAF) => {}
         Some(_) => return Err(Error::Corrupt("not a leaf page".into())),
@@ -50,19 +50,19 @@ fn header(page: &[u8]) -> Result<(PageId, usize)> {
 /// bytes of the key before it followed by `page[suffix..suffix_end]`, its
 /// value is `page[value..end]`, and the next entry starts at `end`.
 #[derive(Debug, Clone, Copy)]
-struct Entry {
-    plen: usize,
-    suffix: usize,
-    suffix_end: usize,
-    value: usize,
-    end: usize,
+pub(crate) struct Entry {
+    pub(crate) plen: usize,
+    pub(crate) suffix: usize,
+    pub(crate) suffix_end: usize,
+    pub(crate) value: usize,
+    pub(crate) end: usize,
 }
 
 impl Entry {
     /// Locate the entry at `pos`, whose predecessor's key is `prev_len`
     /// bytes long, checking every length against the page.
     #[inline]
-    fn at(page: &[u8], pos: usize, prev_len: usize) -> Result<Entry> {
+    pub(crate) fn at(page: &[u8], pos: usize, prev_len: usize) -> Result<Entry> {
         let mut p = pos;
         let plen = read_varint(page, &mut p)? as usize;
         let slen = read_varint(page, &mut p)? as usize;
@@ -86,7 +86,7 @@ impl Entry {
         })
     }
 
-    fn key_len(&self) -> usize {
+    pub(crate) fn key_len(&self) -> usize {
         self.plen + self.suffix_end - self.suffix
     }
 }
@@ -94,40 +94,41 @@ impl Entry {
 /// Where a forward search starts: entry `slot` at byte `pos`, after a key
 /// `prev_len` bytes long that is below the target and shares its first
 /// `shared` bytes (the first entry of a page starts after the empty key).
-struct Start {
-    slot: usize,
-    pos: usize,
-    prev_len: usize,
-    shared: usize,
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Start {
+    pub(crate) slot: usize,
+    pub(crate) pos: usize,
+    pub(crate) prev_len: usize,
+    pub(crate) shared: usize,
 }
 
-const FIRST: Start = Start {
+pub(crate) const FIRST: Start = Start {
     slot: 0,
     pos: LEAF_HEADER,
     prev_len: 0,
     shared: 0,
 };
 
+/// Where a forward search stopped: at the first entry whose key is `>=`
+/// the target, or past the last.
+pub(crate) struct Found {
+    /// Entry `at.slot` starts at `at.pos`; the key before it is below the
+    /// target, `at.prev_len` bytes long, and on a sorted page shares
+    /// exactly its first `at.shared` bytes with the target.
+    pub(crate) at: Start,
+    /// The entry at `at.slot`, how its key compares to the target, and how
+    /// many leading bytes the two share; `None` past the last entry.
+    pub(crate) entry: Option<(Entry, Ordering, usize)>,
+}
+
 /// Walk the `count` entries of `page` forward from `from` to the first
-/// whose key is `>= target`: its slot, and the entry with how its key
-/// compares to the target (`None` when every remaining key is below it, the
-/// slot then being `count`). See the module docs for why an entry whose
+/// whose key is `>= target`. See the module docs for why an entry whose
 /// `prefix_len` exceeds the shared prefix is passed without a compare.
-fn search(
-    page: &[u8],
-    count: usize,
-    from: Start,
-    target: &[u8],
-) -> Result<(usize, Option<(Entry, Ordering)>)> {
-    let Start {
-        mut slot,
-        mut pos,
-        mut prev_len,
-        mut shared,
-    } = from;
-    while slot < count {
-        let e = Entry::at(page, pos, prev_len)?;
-        if e.plen <= shared {
+pub(crate) fn search(page: &[u8], count: usize, from: Start, target: &[u8]) -> Result<Found> {
+    let mut at = from;
+    while at.slot < count {
+        let e = Entry::at(page, at.pos, at.prev_len)?;
+        if e.plen <= at.shared {
             // The key's first `plen` bytes are the target's.
             let suffix = &page[e.suffix..e.suffix_end];
             let rest = &target[e.plen..];
@@ -137,23 +138,26 @@ fn search(
                 (a, b) => a.is_some().cmp(&b.is_some()),
             };
             if order != Ordering::Less {
-                return Ok((slot, Some((e, order))));
+                return Ok(Found {
+                    at,
+                    entry: Some((e, order, e.plen + l)),
+                });
             }
-            shared = e.plen + l;
+            at.shared = e.plen + l;
         }
-        prev_len = e.key_len();
-        pos = e.end;
-        slot += 1;
+        at.prev_len = e.key_len();
+        at.pos = e.end;
+        at.slot += 1;
     }
-    Ok((count, None))
+    Ok(Found { at, entry: None })
 }
 
 /// The value stored under `key` in the leaf page `page`, if any: a forward
 /// search over the bytes in place, copying nothing but the value.
 pub(crate) fn leaf_get(page: &[u8], key: &[u8]) -> Result<Option<Vec<u8>>> {
     let (_, count) = header(page)?;
-    Ok(match search(page, count, FIRST, key)? {
-        (_, Some((e, Ordering::Equal))) => Some(page[e.value..e.end].to_vec()),
+    Ok(match search(page, count, FIRST, key)?.entry {
+        Some((e, Ordering::Equal, _)) => Some(page[e.value..e.end].to_vec()),
         _ => None,
     })
 }
@@ -368,13 +372,13 @@ impl LeafWalker {
         } else {
             FIRST
         };
-        let (slot, found) = search(self.bytes(), self.count, from, target)?;
-        if let Some((e, _)) = found {
+        let found = search(self.bytes(), self.count, from, target)?;
+        if let Some((e, _, _)) = found.entry {
             // The entry's first `plen` bytes are the target's.
             self.buf[self.key_at..self.key_at + e.plen].copy_from_slice(&target[..e.plen]);
             self.enter(e);
         }
-        self.slot = slot;
+        self.slot = found.at.slot;
         self.shared = 0;
         Ok(())
     }

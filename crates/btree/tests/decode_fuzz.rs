@@ -21,7 +21,15 @@
 //!   `>= t` — on a sorted page `LeafNode::search(t).unwrap_or_else(|i| i)`,
 //!   with front compression on and off (off, every `prefix_len` is 0, so
 //!   the walker's skip-by-`prefix_len` never fires), and on an unsorted
-//!   hostile page still without a panic and at a slot `<= len`.
+//!   hostile page still without a panic and at a slot `<= len`;
+//! * the [`LeafEditor`] writers use to edit a leaf in place, under front
+//!   compression on and off, opens exactly the pages the writer could have
+//!   written — a leaf `Node::decode` accepts, keys strictly ascending,
+//!   `encode(decode(page)) == page` — and refuses every other with a typed
+//!   [`Error::Corrupt`], never a panic, the bytes it was given unchanged;
+//!   on a page it opens, a put (new key or replace) and a remove of a
+//!   dozen seek targets write exactly what decode → edit → encode writes
+//!   (`tests/common`).
 //!
 //! Apart from the walker, the corpus goes only through API the
 //! `Vec<Entry>` decoder also had (`Node::decode`/`encode`/`count`,
@@ -30,9 +38,11 @@
 
 use std::sync::OnceLock;
 
-use btree::{BTree, BTreeConfig, Error, LeafNode, LeafWalker, Node};
+use btree::{BTree, BTreeConfig, Error, LeafEditor, LeafNode, LeafWalker, Node};
 use pagestore::{BufferPool, MemStore, PageId};
 use proptest::prelude::*;
+
+mod common;
 
 const PAGE: usize = 256;
 
@@ -112,8 +122,73 @@ fn check_seek(page: &[u8], leaf: &LeafNode) {
     }
 }
 
+/// The in-place editor on one page image (see the module docs).
+fn check_editor(page: &[u8]) {
+    for config in [
+        BTreeConfig::default(),
+        BTreeConfig::default().without_compression(),
+    ] {
+        let leaf = match Node::decode(page) {
+            Ok(Node::Leaf(leaf)) => Some(leaf),
+            _ => None,
+        };
+        let writable = leaf.as_ref().is_some_and(|leaf| {
+            let mut out = vec![0u8; page.len()];
+            (1..leaf.len()).all(|i| leaf.key(i - 1) < leaf.key(i))
+                && Node::Leaf(leaf.clone())
+                    .encode(&mut out, config.front_compression)
+                    .is_ok()
+                && out == page
+        });
+        let given = page.to_vec();
+        match LeafEditor::open(&given, &config) {
+            Ok(_) => assert!(writable, "the editor opened a page the writer cannot write"),
+            Err(Error::Corrupt(_)) => {
+                assert!(!writable, "the editor refused a page the writer wrote");
+                assert_eq!(given, page, "a refused page changed");
+                continue;
+            }
+            Err(e) => panic!("the editor failed with an untyped error: {e:?}"),
+        }
+        let leaf = leaf.expect("an opened page decodes");
+        // A dozen targets spread over the leaf, the empty key first.
+        let targets = targets(&leaf);
+        for (i, key) in targets.iter().step_by(targets.len() / 12 + 1).enumerate() {
+            let value = vec![0xA5; i % 7];
+            for value in [Some(&value[..]), None] {
+                let mut edited = page.to_vec();
+                let mut editor = LeafEditor::open(&edited, &config).unwrap();
+                let plan = match value {
+                    Some(v) => editor.put(&edited, key, v).unwrap(),
+                    None => editor.remove(&edited, key).unwrap(),
+                };
+                let (want, want_old, want_leaf) = common::reference(page, &config, key, value);
+                let Some(edit) = plan else {
+                    assert!(
+                        want.is_none() || (value.is_none() && want_old.is_none()),
+                        "the editor declined {key:?} → {value:?}"
+                    );
+                    continue;
+                };
+                assert_eq!(editor.apply(&mut edited, edit).unwrap(), want_old);
+                assert_eq!(Some(&edited), want.as_ref(), "{key:?} → {value:?}");
+                assert_eq!(
+                    editor.underfull(),
+                    common::underfull(
+                        &config,
+                        want_leaf.len(),
+                        want_leaf.encoded_size(config.front_compression),
+                        page.len()
+                    )
+                );
+            }
+        }
+    }
+}
+
 /// The decode contract on one page image.
 fn check(page: &[u8]) {
+    check_editor(page);
     match (Node::decode(page), walk(page)) {
         (Ok(Node::Leaf(leaf)), Ok((entries, next))) => {
             let want: Entries = (0..leaf.len())

@@ -266,11 +266,12 @@ pub fn schema_from_bytes(bytes: &[u8]) -> Result<Schema> {
 }
 
 /// Rebuilds an [`ObjectStore`] from decoded objects: objects are created as
-/// they arrive and their attributes set once all exist, so references may
-/// point forward.
+/// they arrive, with every attribute whose references resolve already; a
+/// reference may point forward, so one that does not is set once all
+/// objects exist.
 pub struct RecordLoader {
     store: ObjectStore,
-    attrs: Vec<(Oid, ClassId, AttrId, Value)>,
+    refs: Vec<(Oid, ClassId, AttrId, Value)>,
 }
 
 impl RecordLoader {
@@ -278,7 +279,7 @@ impl RecordLoader {
     pub fn new(schema: Schema) -> Self {
         RecordLoader {
             store: ObjectStore::new(schema),
-            attrs: Vec::new(),
+            refs: Vec::new(),
         }
     }
 
@@ -295,7 +296,17 @@ impl RecordLoader {
         for _ in 0..r.count(n, 4)? {
             let decl = ClassId(r.varint()?);
             let attr = AttrId(r.varint()?);
-            self.attrs.push((oid, decl, attr, get_value(&mut r)?));
+            let value = get_value(&mut r)?;
+            let ahead = match &value {
+                Value::Ref(t) => !self.store.exists(*t),
+                Value::RefSet(ts) => ts.iter().any(|t| !self.store.exists(*t)),
+                _ => false,
+            };
+            if ahead {
+                self.refs.push((oid, decl, attr, value));
+            } else {
+                set_decoded(&mut self.store, oid, decl, attr, value)?;
+            }
         }
         if r.pos != record.len() {
             return Err(corrupt("trailing bytes after an object record"));
@@ -303,19 +314,32 @@ impl RecordLoader {
         Ok(())
     }
 
-    /// Set every queued attribute and hand the store over.
+    /// Set every reference that pointed forward and hand the store over.
     pub fn finish(mut self) -> Result<ObjectStore> {
-        for (oid, decl, attr, value) in self.attrs {
-            let schema = self.store.schema();
-            let name = ((decl.0 as usize) < schema.num_classes())
-                .then(|| schema.own_attrs(decl).nth(attr.0 as usize))
-                .flatten()
-                .map(|(_, name, _)| name.to_string())
-                .ok_or_else(|| corrupt("object record names an undeclared attribute"))?;
-            self.store.set_attr(oid, &name, value)?;
+        for (oid, decl, attr, value) in self.refs {
+            set_decoded(&mut self.store, oid, decl, attr, value)?;
         }
         Ok(self.store)
     }
+}
+
+/// Set attribute `attr` declared by `decl`, as a record names it, through
+/// the store's checked [`ObjectStore::set_attr`].
+fn set_decoded(
+    store: &mut ObjectStore,
+    oid: Oid,
+    decl: ClassId,
+    attr: AttrId,
+    value: Value,
+) -> Result<()> {
+    let schema = store.schema();
+    let name = ((decl.0 as usize) < schema.num_classes())
+        .then(|| schema.own_attrs(decl).nth(attr.0 as usize))
+        .flatten()
+        .map(|(_, name, _)| name.to_string())
+        .ok_or_else(|| corrupt("object record names an undeclared attribute"))?;
+    store.set_attr(oid, &name, value)?;
+    Ok(())
 }
 
 impl ObjectStore {

@@ -3,7 +3,8 @@
 //! A commit writes what changed: the index leaves the mutation touched, the
 //! page of each object it touched, the meta page if a root or length moved,
 //! and the catalog and header only when schema or index definitions
-//! changed. None of that depends on how large the database is, and between
+//! changed. A recolour edits its three leaf entries where they lie (the
+//! colour's entry out and in, the object's record) and re-encodes no leaf. None of that depends on how large the database is, and between
 //! checkpoints all of it goes to `wal.log`. Timings on a shared box cannot
 //! gate that; these counts repeat exactly, so they can.
 
@@ -153,6 +154,8 @@ fn recolour_cost(n: usize) -> Cost {
         let log = std::fs::metadata(&wal).unwrap().len();
         let appends = telemetry::counter_value("pagestore.wal.appends");
         let allocations = telemetry::counter_value("pagestore.pool.allocations");
+        let edits = telemetry::counter_value("btree.leaf.in_place_edits");
+        let reencodes = telemetry::counter_value("btree.leaf.reencodes");
 
         let Some(Value::Str(old)) = db.store().attr(v, "Color").unwrap().cloned() else {
             panic!("vehicle without a colour");
@@ -162,6 +165,17 @@ fn recolour_cost(n: usize) -> Cost {
         db.set_attr(v, "Color", Value::Str(new.into())).unwrap();
         db.commit().unwrap();
 
+        // The colour's entry out and in, and the object's record replaced:
+        // each written into its leaf where it lies, no leaf decoded and
+        // encoded whole.
+        assert_eq!(
+            (
+                telemetry::counter_value("btree.leaf.in_place_edits") - edits,
+                telemetry::counter_value("btree.leaf.reencodes") - reencodes,
+            ),
+            (3, 0),
+            "{n} vehicles, step {step}: (leaf edits in place, leaves re-encoded)"
+        );
         cost.wal_appends += telemetry::counter_value("pagestore.wal.appends") - appends;
         cost.wal_bytes += std::fs::metadata(&wal).unwrap().len() - log;
         let after = other_files(&dir);
