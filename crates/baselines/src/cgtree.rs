@@ -278,8 +278,9 @@ impl CgTree {
     fn partition_of(&mut self, key: &[u8]) -> Result<(Vec<u8>, DirRecord)> {
         let mut probe = key.to_vec();
         probe.push(0x00);
-        let mut cur = self.dir.seek(&probe)?;
-        let Some((bound, rec)) = self.dir.cursor_entry(&mut cur)? else {
+        let view = self.dir.view();
+        let mut cur = view.seek(&probe)?;
+        let Some((bound, rec)) = view.cursor_entry(&mut cur)? else {
             return Err(Error::Corrupt("CG sentinel partition missing".into()));
         };
         Ok((bound, decode_record(&rec)?))
@@ -380,19 +381,20 @@ impl CgTree {
         // `set` is `old`, starting at the partition containing min_key.
         let mut probe = min_key.to_vec();
         probe.push(0x00);
-        let mut cur = self.dir.seek(&probe)?;
+        let view = self.dir.view();
+        let mut cur = view.seek(&probe)?;
         let mut prev_bound: Vec<u8> = Vec::new(); // lower bound of the first is unknown; treat as -inf
         let mut updates: Vec<(Vec<u8>, DirRecord)> = Vec::new();
         let mut inserts: Vec<(Vec<u8>, DirRecord)> = Vec::new();
         let mut seen_any = false;
-        while let Some((bound, rec)) = self.dir.cursor_entry(&mut cur)? {
+        while let Some((bound, rec)) = view.cursor_entry(&mut cur)? {
             let mut record = decode_record(&rec)?;
             let idx = record.iter().position(|(s, p)| *s == set && *p == old);
             match idx {
                 None if seen_any => break,
                 None => {
                     prev_bound = bound;
-                    self.dir.cursor_advance(&mut cur);
+                    cur.advance();
                     continue;
                 }
                 Some(idx) => {
@@ -416,7 +418,7 @@ impl CgTree {
                         updates.push((bound.clone(), record));
                     }
                     prev_bound = bound;
-                    self.dir.cursor_advance(&mut cur);
+                    cur.advance();
                 }
             }
         }
@@ -438,10 +440,11 @@ impl CgTree {
     /// Structural check: every partition's referenced pages hold the right
     /// set and the directory covers the key space. Returns partition count.
     pub fn check(&mut self) -> Result<usize> {
-        let mut cur = self.dir.seek(&[])?;
+        let view = self.dir.view();
+        let mut cur = view.seek(&[])?;
         let mut n = 0;
         let mut last: Option<Vec<u8>> = None;
-        while let Some((bound, rec)) = self.dir.cursor_entry(&mut cur)? {
+        while let Some((bound, rec)) = view.cursor_entry(&mut cur)? {
             if let Some(l) = &last {
                 if *l >= bound {
                     return Err(Error::Corrupt("directory bounds not increasing".into()));
@@ -462,7 +465,7 @@ impl CgTree {
             }
             last = Some(bound.clone());
             n += 1;
-            self.dir.cursor_advance(&mut cur);
+            cur.advance();
         }
         if last.as_deref() != Some(&SENTINEL[..]) {
             return Err(Error::Corrupt("sentinel partition missing".into()));
@@ -599,10 +602,11 @@ impl SetIndex for CgTree {
         let mut out = Vec::new();
         let mut probe = lo.to_vec();
         probe.push(0x00);
-        let mut cur = self.dir.seek(&probe)?;
+        let view = self.dir.view();
+        let mut cur = view.seek(&probe)?;
         let mut visited: HashSet<(SetId, PageId)> = HashSet::new();
         let mut prev_bound: Vec<u8> = Vec::new();
-        while let Some((bound, rec)) = self.dir.cursor_entry(&mut cur)? {
+        while let Some((bound, rec)) = view.cursor_entry(&mut cur)? {
             if !prev_bound.is_empty() && prev_bound.as_slice() >= hi {
                 break;
             }
@@ -631,7 +635,7 @@ impl SetIndex for CgTree {
                 }
             }
             prev_bound = bound;
-            self.dir.cursor_advance(&mut cur);
+            cur.advance();
         }
         out.sort();
         Ok((out, self.cost()))

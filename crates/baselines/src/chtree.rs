@@ -86,7 +86,7 @@ impl ChTree {
     }
 
     fn read_directory(&mut self, key: &[u8]) -> Result<Option<Directory>> {
-        let Some(v) = self.tree.get(key)? else {
+        let Some(v) = self.tree.view().get(key)? else {
             return Ok(None);
         };
         self.read_directory_value(&v).map(Some)
@@ -141,7 +141,7 @@ impl ChTree {
 
     fn write_directory(&mut self, key: &[u8], dir: &Directory) -> Result<()> {
         // Free a previous chain, if any.
-        if let Some(old) = self.tree.get(key)? {
+        if let Some(old) = self.tree.view().get(key)? {
             self.free_chain(&old)?;
         }
         if dir.is_empty() {
@@ -242,8 +242,8 @@ impl SetIndex for ChTree {
     ) -> Result<(Vec<(SetId, Oid)>, QueryCost)> {
         self.tree.pool().begin_query();
         let mut out = Vec::new();
-        let mut cur = self.tree.seek(lo)?;
-        while let Some((k, v)) = self.tree.cursor_entry(&mut cur)? {
+        let mut cur = self.tree.view().seek(lo)?;
+        while let Some((k, v)) = self.tree.view().cursor_entry(&mut cur)? {
             if k.as_slice() >= hi {
                 break;
             }
@@ -256,7 +256,7 @@ impl SetIndex for ChTree {
                     out.extend(oids.into_iter().map(|o| (set, o)));
                 }
             }
-            self.tree.cursor_advance(&mut cur);
+            cur.advance();
         }
         out.sort();
         Ok((out, self.cost()))

@@ -135,7 +135,7 @@ impl HTree {
                 continue;
             };
             tree.pool().begin_query();
-            for (k, _) in tree.range(lo, hi)? {
+            for (k, _) in tree.view().range(lo, hi)? {
                 let oid = Oid::from_bytes(k[k.len() - 4..].try_into().expect("posting key"));
                 out.push((set, oid));
             }

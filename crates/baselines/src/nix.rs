@@ -104,6 +104,7 @@ impl Nix {
         prefix.extend_from_slice(&oid.to_bytes());
         let parents = self
             .aux
+            .view()
             .prefix_scan(&prefix)?
             .into_iter()
             .map(|(k, _)| Oid::from_bytes(k[6..10].try_into().expect("aux key")))

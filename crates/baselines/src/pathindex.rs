@@ -64,6 +64,7 @@ impl NestedIndex {
         hi.push(0x01);
         let oids = self
             .tree
+            .view()
             .range(&lo, &hi)?
             .into_iter()
             .map(|(k, _)| Oid::from_bytes(k[k.len() - 4..].try_into().expect("key")))
@@ -142,6 +143,7 @@ impl PathIndex {
         hi.push(0x01);
         let paths = self
             .tree
+            .view()
             .range(&lo, &hi)?
             .into_iter()
             .map(|(k, _)| self.decode(&k))

@@ -9,6 +9,8 @@
 //! * range queries: NIX better (no redundant sub-class entries read);
 //! * end-of-path updates: NIX worse (it maintains two structures).
 //!
+//! EXPERIMENTS.md §6 records which of them the counts bear out.
+//!
 //! Usage: `cargo run --release -p bench --bin nixcmp`
 
 use baselines::{Nix, SetId};
@@ -113,16 +115,27 @@ fn main() {
         }
     }
 
+    // Probe an age the data holds: the president of the first company.
+    let president = db
+        .store()
+        .follow_ref(companies[0], "President")
+        .unwrap()
+        .unwrap();
+    let probe_age = match db.store().attr(president, "Age").unwrap() {
+        Some(Value::Int(a)) => *a,
+        _ => unreachable!(),
+    };
+
     println!("# U-index vs NIX — combined class-hierarchy/path queries");
     println!(
-        "{} vehicles; U-index tree pages: {}, NIX pages (primary + auxiliary): {}\n",
+        "{} vehicles; U-index tree pages: {}, NIX pages (primary + auxiliary): {}; \
+         probe age {probe_age} (the first company's president)\n",
         n_vehicles,
         db.index().tree().pool().live_pages(),
         nix.total_pages()
     );
     println!("{:<44} {:>9} {:>9}", "query", "U-index", "NIX");
 
-    let probe_age = 45i64;
     let key = (probe_age as u64).to_be_bytes().to_vec();
     let all_vehicle_sets: Vec<SetId> = [vehicle, automobile, compact, truck]
         .iter()
@@ -142,7 +155,9 @@ fn main() {
     let (_, nx) = nix.exact(&key, &sets).unwrap();
     println!(
         "{:<44} {:>9} {:>9}",
-        "vehicles (whole sub-tree), age = 45", u.pages_read, nx.pages
+        format!("vehicles (whole sub-tree), age = {probe_age}"),
+        u.pages_read,
+        nx.pages
     );
 
     // 2. Single dispersed sub-class (Truck).
@@ -156,20 +171,16 @@ fn main() {
     let (_, nx) = nix.exact(&key, &[set_of(&path_classes, truck)]).unwrap();
     println!(
         "{:<44} {:>9} {:>9}",
-        "trucks only, age = 45", u.pages_read, nx.pages
+        format!("trucks only, age = {probe_age}"),
+        u.pages_read,
+        nx.pages
     );
 
-    // 3. Mid-path restriction: vehicles of ONE company with president age
-    //    45. U-index: clustered skip. NIX: read all vehicles of the value,
-    //    then check each one's parent in the auxiliary structure.
-    let target_company = companies
-        .iter()
-        .copied()
-        .find(|&c| {
-            let p = db.store().follow_ref(c, "President").unwrap().unwrap();
-            db.store().attr(p, "Age").unwrap() == Some(&Value::Int(probe_age))
-        })
-        .expect("some company has a 45-year-old president");
+    // 3. Mid-path restriction: vehicles of ONE company (the first, whose
+    //    president has the probe age). U-index: clustered skip. NIX: read
+    //    all vehicles of the value, then check each one's parent in the
+    //    auxiliary structure.
+    let target_company = companies[0];
     let (hits, u) = db
         .query_with_stats(
             &Query::on(idx)
@@ -189,7 +200,9 @@ fn main() {
     }
     println!(
         "{:<44} {:>9} {:>9}",
-        "vehicles of one company, age = 45", u.pages_read, nix_pages
+        format!("vehicles of one company, age = {probe_age}"),
+        u.pages_read,
+        nix_pages
     );
     assert_eq!(hits.len(), kept, "U-index and NIX agree on the result");
 
@@ -220,10 +233,5 @@ fn main() {
         db.index().tree().pool().live_pages(),
         nix.total_pages(),
         nix.total_pages() / db.index().tree().pool().live_pages().max(1)
-    );
-    println!(
-        "\n§4.4 predictions checked: sub-tree and mid-path-restricted queries favor \
-         the U-index; dispersed single classes and value ranges favor NIX; NIX pays \
-         double storage for its auxiliary structures."
     );
 }

@@ -6,7 +6,7 @@ use pagestore::{Error, Result};
 ///
 /// # Panics
 /// Panics if `buf` is too short (callers size it with [`varint_len`]).
-pub fn write_varint(buf: &mut [u8], pos: &mut usize, mut v: u32) {
+pub(crate) fn write_varint(buf: &mut [u8], pos: &mut usize, mut v: u32) {
     loop {
         let byte = (v & 0x7F) as u8;
         v >>= 7;
@@ -21,7 +21,7 @@ pub fn write_varint(buf: &mut [u8], pos: &mut usize, mut v: u32) {
 }
 
 /// Size in bytes of `v` as a varint.
-pub fn varint_len(v: u32) -> usize {
+pub(crate) fn varint_len(v: u32) -> usize {
     match v {
         0..=0x7F => 1,
         0x80..=0x3FFF => 2,
@@ -34,7 +34,7 @@ pub fn varint_len(v: u32) -> usize {
 /// Read a LEB128 varint at `*pos`, advancing it. The one-byte form — every
 /// length in a page of short keys — takes one branch.
 #[inline]
-pub fn read_varint(buf: &[u8], pos: &mut usize) -> Result<u32> {
+pub(crate) fn read_varint(buf: &[u8], pos: &mut usize) -> Result<u32> {
     match buf.get(*pos) {
         Some(&byte) if byte < 0x80 => {
             *pos += 1;

@@ -528,62 +528,3 @@ impl<S: PageStore> ReadView<'_, S> {
         Ok(out)
     }
 }
-
-/// Convenience wrappers so existing single-threaded call sites keep their
-/// original shapes: each one builds a live [`ReadView`] and delegates.
-impl<S: PageStore> BTree<S> {
-    /// Point lookup: the value stored under `key`, if any.
-    pub fn get(&self, key: &[u8]) -> Result<Option<Vec<u8>>> {
-        self.view().get(key)
-    }
-
-    /// Whether `key` is present.
-    pub fn contains(&self, key: &[u8]) -> Result<bool> {
-        self.view().contains(key)
-    }
-
-    /// See [`ReadView::seek`].
-    pub fn seek(&self, key: &[u8]) -> Result<Cursor> {
-        self.view().seek(key)
-    }
-
-    /// See [`ReadView::seek_first`].
-    pub fn seek_first(&self) -> Result<Cursor> {
-        self.view().seek_first()
-    }
-
-    /// See [`ReadView::reseek`].
-    pub fn reseek(&self, cur: &mut Cursor, key: &[u8]) -> Result<()> {
-        self.view().reseek(cur, key)
-    }
-
-    /// See [`ReadView::cursor_entry_ref`].
-    pub fn cursor_entry_ref(&self, cur: &mut Cursor) -> Result<Option<EntryRef>> {
-        self.view().cursor_entry_ref(cur)
-    }
-
-    /// See [`ReadView::cursor_entry`].
-    pub fn cursor_entry(&self, cur: &mut Cursor) -> Result<Option<(Vec<u8>, Vec<u8>)>> {
-        self.view().cursor_entry(cur)
-    }
-
-    /// See [`ReadView::cursor_advance`].
-    pub fn cursor_advance(&self, cur: &mut Cursor) {
-        cur.advance();
-    }
-
-    /// See [`ReadView::range`].
-    pub fn range(&self, lo: &[u8], hi: &[u8]) -> Result<Vec<(Vec<u8>, Vec<u8>)>> {
-        self.view().range(lo, hi)
-    }
-
-    /// See [`ReadView::prefix_scan`].
-    pub fn prefix_scan(&self, prefix: &[u8]) -> Result<Vec<(Vec<u8>, Vec<u8>)>> {
-        self.view().prefix_scan(prefix)
-    }
-
-    /// See [`ReadView::scan_all`].
-    pub fn scan_all(&self) -> Result<Vec<(Vec<u8>, Vec<u8>)>> {
-        self.view().scan_all()
-    }
-}

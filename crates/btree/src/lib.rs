@@ -34,10 +34,11 @@
 //!     tree.insert(format!("key{i:04}").as_bytes(), &i.to_le_bytes()).unwrap();
 //! }
 //! assert_eq!(tree.len(), 100);
-//! let got = tree.get(b"key0042").unwrap().unwrap();
+//! let view = tree.view();
+//! let got = view.get(b"key0042").unwrap().unwrap();
 //! assert_eq!(got, 42u32.to_le_bytes());
-//! let mut cur = tree.seek(b"key0098").unwrap();
-//! let (k, _) = tree.cursor_entry(&mut cur).unwrap().unwrap();
+//! let mut cur = view.seek(b"key0098").unwrap();
+//! let (k, _) = view.cursor_entry(&mut cur).unwrap().unwrap();
 //! assert_eq!(k, b"key0098");
 //! ```
 

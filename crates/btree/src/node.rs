@@ -60,9 +60,9 @@ const TAG_INTERIOR: u8 = 0;
 pub(crate) const TAG_LEAF: u8 = 1;
 
 /// Fixed header size of a leaf page (tag + next pointer + count).
-pub const LEAF_HEADER: usize = 1 + 4 + 2;
+pub(crate) const LEAF_HEADER: usize = 1 + 4 + 2;
 /// Fixed header size of an interior page (tag + count + first child).
-pub const INTERIOR_HEADER: usize = 1 + 2 + 4;
+pub(crate) const INTERIOR_HEADER: usize = 1 + 2 + 4;
 
 /// Smallest encoded leaf entry: three one-byte varints, empty key and value.
 const MIN_LEAF_ENTRY: usize = 3;

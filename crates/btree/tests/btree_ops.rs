@@ -21,9 +21,9 @@ fn val(i: u32) -> Vec<u8> {
 fn empty_tree_behaviour() {
     let mut t = new_tree(256, BTreeConfig::default());
     assert!(t.is_empty());
-    assert_eq!(t.get(b"anything").unwrap(), None);
+    assert_eq!(t.view().get(b"anything").unwrap(), None);
     assert_eq!(t.delete(b"anything").unwrap(), None);
-    assert_eq!(t.scan_all().unwrap(), vec![]);
+    assert_eq!(t.view().scan_all().unwrap(), vec![]);
     let stats = t.verify().unwrap();
     assert_eq!(stats.height, 1);
     assert_eq!(stats.entries, 0);
@@ -33,7 +33,7 @@ fn empty_tree_behaviour() {
 fn single_entry() {
     let mut t = new_tree(256, BTreeConfig::default());
     assert_eq!(t.insert(b"k", b"v").unwrap(), None);
-    assert_eq!(t.get(b"k").unwrap(), Some(b"v".to_vec()));
+    assert_eq!(t.view().get(b"k").unwrap(), Some(b"v".to_vec()));
     assert_eq!(t.len(), 1);
     assert_eq!(t.insert(b"k", b"w").unwrap(), Some(b"v".to_vec()));
     assert_eq!(t.len(), 1, "replace does not grow");
@@ -52,9 +52,9 @@ fn sequential_inserts_and_lookups() {
     let stats = t.verify().unwrap();
     assert!(stats.height >= 3, "small pages force a deep tree");
     for i in (0..2000).step_by(37) {
-        assert_eq!(t.get(&key(i)).unwrap(), Some(val(i)));
+        assert_eq!(t.view().get(&key(i)).unwrap(), Some(val(i)));
     }
-    assert_eq!(t.get(b"key-99999999x").unwrap(), None);
+    assert_eq!(t.view().get(b"key-99999999x").unwrap(), None);
 }
 
 #[test]
@@ -64,7 +64,7 @@ fn reverse_order_inserts() {
         t.insert(&key(i), &val(i)).unwrap();
     }
     t.verify().unwrap();
-    let all = t.scan_all().unwrap();
+    let all = t.view().scan_all().unwrap();
     assert_eq!(all.len(), 1000);
     for (i, (k, _)) in all.iter().enumerate() {
         assert_eq!(k, &key(i as u32));
@@ -151,7 +151,7 @@ fn entry_capacity_mode_matches_paper_geometry() {
     assert!(stats.leaf_nodes >= 200, "leaves: {}", stats.leaf_nodes);
     assert!(stats.leaf_nodes <= 400, "leaves: {}", stats.leaf_nodes);
     for i in (0..2000).step_by(101) {
-        assert!(t.contains(&key(i)).unwrap());
+        assert!(t.view().contains(&key(i)).unwrap());
     }
 }
 
@@ -163,7 +163,7 @@ fn compression_off_still_correct() {
     }
     t.verify().unwrap();
     for i in (0..1500).step_by(53) {
-        assert_eq!(t.get(&key(i)).unwrap(), Some(val(i)));
+        assert_eq!(t.view().get(&key(i)).unwrap(), Some(val(i)));
     }
 }
 
@@ -213,8 +213,8 @@ fn front_compression_cuts_leaves_of_uindex_shaped_keys() {
     };
     let with = build(BTreeConfig::default());
     let without = build(BTreeConfig::default().without_compression());
-    assert_eq!(with.scan_all().unwrap(), items);
-    assert_eq!(without.scan_all().unwrap(), items);
+    assert_eq!(with.view().scan_all().unwrap(), items);
+    assert_eq!(without.view().scan_all().unwrap(), items);
     let (with, without) = (with.verify().unwrap(), without.verify().unwrap());
     assert!(
         with.leaf_nodes * 5 <= without.leaf_nodes * 2,
@@ -231,17 +231,17 @@ fn cursor_seek_positions() {
         t.insert(&key(i), &val(i)).unwrap();
     }
     // Exact hit.
-    let mut c = t.seek(&key(500)).unwrap();
-    assert_eq!(t.cursor_entry(&mut c).unwrap().unwrap().0, key(500));
+    let mut c = t.view().seek(&key(500)).unwrap();
+    assert_eq!(t.view().cursor_entry(&mut c).unwrap().unwrap().0, key(500));
     // Between keys: lands on the next larger.
-    let mut c = t.seek(&key(501)).unwrap();
-    assert_eq!(t.cursor_entry(&mut c).unwrap().unwrap().0, key(510));
+    let mut c = t.view().seek(&key(501)).unwrap();
+    assert_eq!(t.view().cursor_entry(&mut c).unwrap().unwrap().0, key(510));
     // Before everything.
-    let mut c = t.seek(b"").unwrap();
-    assert_eq!(t.cursor_entry(&mut c).unwrap().unwrap().0, key(0));
+    let mut c = t.view().seek(b"").unwrap();
+    assert_eq!(t.view().cursor_entry(&mut c).unwrap().unwrap().0, key(0));
     // Past everything.
-    let mut c = t.seek(&key(100_000)).unwrap();
-    assert!(t.cursor_entry(&mut c).unwrap().is_none());
+    let mut c = t.view().seek(&key(100_000)).unwrap();
+    assert!(t.view().cursor_entry(&mut c).unwrap().is_none());
 }
 
 #[test]
@@ -250,17 +250,17 @@ fn range_and_prefix_scans() {
     for i in 0..500 {
         t.insert(&key(i), &val(i)).unwrap();
     }
-    let r = t.range(&key(100), &key(110)).unwrap();
+    let r = t.view().range(&key(100), &key(110)).unwrap();
     assert_eq!(r.len(), 10);
     assert_eq!(r[0].0, key(100));
     assert_eq!(r[9].0, key(109));
 
-    let p = t.prefix_scan(b"key-0000012").unwrap();
+    let p = t.view().prefix_scan(b"key-0000012").unwrap();
     assert_eq!(p.len(), 10); // key-00000120 ..= key-00000129
     assert!(p.iter().all(|(k, _)| k.starts_with(b"key-0000012")));
 
     // Empty range.
-    assert!(t.range(&key(300), &key(300)).unwrap().is_empty());
+    assert!(t.view().range(&key(300), &key(300)).unwrap().is_empty());
 }
 
 #[test]
@@ -270,7 +270,7 @@ fn bulk_load_matches_incremental() {
     let bulk = BTree::bulk_load(pool, BTreeConfig::default(), items.clone()).unwrap();
     let stats = bulk.verify().unwrap();
     assert_eq!(stats.entries, 5000);
-    assert_eq!(bulk.scan_all().unwrap(), items);
+    assert_eq!(bulk.view().scan_all().unwrap(), items);
 
     let mut incr = new_tree(512, BTreeConfig::default());
     for (k, v) in &items {
@@ -306,7 +306,7 @@ fn bulk_load_empty_and_tiny() {
     )
     .unwrap();
     assert_eq!(t.len(), 1);
-    assert_eq!(t.get(b"only").unwrap(), Some(b"one".to_vec()));
+    assert_eq!(t.view().get(b"only").unwrap(), Some(b"one".to_vec()));
     t.verify().unwrap();
 }
 
@@ -356,9 +356,9 @@ fn key_only_entries() {
     for i in 0..800 {
         t.insert(&key(i), &[]).unwrap();
     }
-    assert_eq!(t.get(&key(400)).unwrap(), Some(vec![]));
-    assert!(t.contains(&key(400)).unwrap());
-    assert!(!t.contains(b"nope").unwrap());
+    assert_eq!(t.view().get(&key(400)).unwrap(), Some(vec![]));
+    assert!(t.view().contains(&key(400)).unwrap());
+    assert!(!t.view().contains(b"nope").unwrap());
     t.verify().unwrap();
 }
 
@@ -372,12 +372,12 @@ fn query_page_accounting() {
 
     // A point lookup touches exactly `height` distinct pages.
     t.pool().begin_query();
-    t.get(&key(2500)).unwrap();
+    t.view().get(&key(2500)).unwrap();
     let q = t.pool().query_stats();
     assert_eq!(q.distinct_pages as usize, height);
 
     // A second lookup of the same key in the same query is free.
-    t.get(&key(2500)).unwrap();
+    t.view().get(&key(2500)).unwrap();
     assert_eq!(
         t.pool().query_stats().distinct_pages as usize,
         height,
@@ -386,7 +386,7 @@ fn query_page_accounting() {
 
     // A range scan touches height + extra leaves.
     t.pool().begin_query();
-    let r = t.range(&key(1000), &key(1200)).unwrap();
+    let r = t.view().range(&key(1000), &key(1200)).unwrap();
     assert_eq!(r.len(), 200);
     let scan_pages = t.pool().query_stats().distinct_pages as usize;
     assert!(scan_pages > height);
@@ -428,7 +428,7 @@ fn long_common_prefixes_across_splits() {
     }
     t.verify().unwrap();
     for i in (0..2000).step_by(71) {
-        assert!(t.contains(&mk(i)).unwrap());
+        assert!(t.view().contains(&mk(i)).unwrap());
     }
     for i in 0..2000 {
         assert!(t.delete(&mk(i)).unwrap().is_some());
@@ -452,7 +452,7 @@ fn binary_keys_with_zero_bytes() {
     }
     t.verify().unwrap();
     for k in &keys {
-        assert!(t.contains(k).unwrap());
+        assert!(t.view().contains(k).unwrap());
     }
 }
 
@@ -521,7 +521,7 @@ fn arena_nodes_match_model_through_splits_and_merges() {
             max_height = max_height.max(stats.height);
         }
         let all: Vec<(Vec<u8>, Vec<u8>)> = model.into_iter().collect();
-        assert_eq!(t.scan_all().unwrap(), all);
+        assert_eq!(t.view().scan_all().unwrap(), all);
         assert!(max_height >= 3, "interior nodes split too: {max_height}");
         let splits = telemetry::counter_value("btree.splits") - splits0;
         let merges = telemetry::counter_value("btree.merges") - merges0;
@@ -538,7 +538,7 @@ fn append_split_fills_leaves_on_ascending_inserts_only() {
             tree.insert(&key(i), &val(i)).unwrap();
         }
         for &i in keys {
-            assert_eq!(tree.get(&key(i)).unwrap(), Some(val(i)));
+            assert_eq!(tree.view().get(&key(i)).unwrap(), Some(val(i)));
         }
         tree.verify().unwrap().leaf_nodes
     };

@@ -5,7 +5,7 @@ use btree::{BTreeConfig, Capacity, LeafNode, Node};
 
 /// Whether a leaf of `count` entries encoding to `size` bytes fits a page
 /// of `page` bytes under `config`.
-pub fn fits(config: &BTreeConfig, count: usize, size: usize, page: usize) -> bool {
+pub(crate) fn fits(config: &BTreeConfig, count: usize, size: usize, page: usize) -> bool {
     match config.capacity {
         Capacity::Bytes => size <= page,
         Capacity::Entries(m) => count <= m && size <= page,
@@ -14,7 +14,7 @@ pub fn fits(config: &BTreeConfig, count: usize, size: usize, page: usize) -> boo
 
 /// Whether a non-root leaf of `count` entries encoding to `size` bytes
 /// should be rebalanced under `config`.
-pub fn underfull(config: &BTreeConfig, count: usize, size: usize, page: usize) -> bool {
+pub(crate) fn underfull(config: &BTreeConfig, count: usize, size: usize, page: usize) -> bool {
     match config.capacity {
         Capacity::Bytes => size < page / 4,
         Capacity::Entries(m) => count < (m / 2).max(1),
@@ -24,7 +24,7 @@ pub fn underfull(config: &BTreeConfig, count: usize, size: usize, page: usize) -
 /// The decoded-node path on a copy of `page`: the page it writes (`None`
 /// when the leaf would not fit and must split), the old value, and the
 /// edited leaf.
-pub fn reference(
+pub(crate) fn reference(
     page: &[u8],
     config: &BTreeConfig,
     key: &[u8],

@@ -71,7 +71,7 @@ fn crash_at_every_commit_boundary_recovers_verifiable_tree() {
         tree.verify()
             .unwrap_or_else(|e| panic!("crash {crash_after}: recovered tree unverifiable: {e}"));
         assert_eq!(tree.len(), len, "crash {crash_after}: committed len lost");
-        let got = tree.scan_all().unwrap();
+        let got = tree.view().scan_all().unwrap();
         let want: Vec<(Vec<u8>, Vec<u8>)> = want.into_iter().collect();
         assert_eq!(
             got, want,

@@ -36,8 +36,8 @@ fn root_keeps_its_decode_through_leaf_churn() {
     // leaves stream through.
     for i in (0..400u32).step_by(12) {
         let key = format!("{i:06}").into_bytes();
-        let mut cur = tree.seek(&key).unwrap();
-        let (k, _) = tree.cursor_entry(&mut cur).unwrap().unwrap();
+        let mut cur = tree.view().seek(&key).unwrap();
+        let (k, _) = tree.view().cursor_entry(&mut cur).unwrap().unwrap();
         assert_eq!(k, key);
         let frame = tree
             .pool()
@@ -57,9 +57,9 @@ fn eviction_keeps_lookups_correct() {
     let tree = build_tree(300, 16);
     for i in (0..300u32).rev() {
         let key = format!("{i:06}").into_bytes();
-        assert_eq!(tree.get(&key).unwrap(), Some(Vec::new()), "key {i}");
+        assert_eq!(tree.view().get(&key).unwrap(), Some(Vec::new()), "key {i}");
     }
-    assert_eq!(tree.scan_all().unwrap().len(), 300);
+    assert_eq!(tree.view().scan_all().unwrap().len(), 300);
 }
 
 /// Every leaf, in key order, as a forward pass over the tree sees them.
@@ -91,7 +91,7 @@ fn no_leaf_frame_holds_a_decode() {
         tree.pool().flush().unwrap();
         tree.pool().invalidate_cache().unwrap();
         match what {
-            "forward" => assert_eq!(tree.scan_all().unwrap().len(), 400),
+            "forward" => assert_eq!(tree.view().scan_all().unwrap().len(), 400),
             "parallel" => {
                 let view = tree.view();
                 let mut cur = view.seek_first().unwrap();
@@ -103,7 +103,7 @@ fn no_leaf_frame_holds_a_decode() {
             }
             "get" => {
                 for key in keys.iter().step_by(7) {
-                    assert_eq!(tree.get(key).unwrap(), Some(Vec::new()));
+                    assert_eq!(tree.view().get(key).unwrap(), Some(Vec::new()));
                 }
             }
             _ => {
@@ -137,7 +137,7 @@ fn page_write_invalidates_cached_decode() {
     let mut tree = build_tree(100, 4096);
     // A descent decodes the interiors it routes through: warm the parent
     // of the leaf holding key 000000.
-    let cur = tree.seek(b"000000").unwrap();
+    let cur = tree.view().seek(b"000000").unwrap();
     let parent = *cur.path_pages().last().expect("a tree of many leaves");
     drop(cur);
     let decoded = |tree: &BTree<MemStore>| tree.pool().peek(parent).unwrap().has_decoded();
@@ -155,7 +155,7 @@ fn page_write_invalidates_cached_decode() {
     }
     assert!(!decoded(&tree), "stale decode survived a page rewrite");
     for key in &inserted {
-        assert_eq!(tree.get(key).unwrap(), Some(b"new".to_vec()));
+        assert_eq!(tree.view().get(key).unwrap(), Some(b"new".to_vec()));
     }
     assert!(decoded(&tree), "reading decodes the new bytes");
 }
@@ -163,7 +163,7 @@ fn page_write_invalidates_cached_decode() {
 #[test]
 fn invalidate_cache_drops_decodes_with_frames() {
     let tree = build_tree(200, 4096);
-    assert_eq!(tree.scan_all().unwrap().len(), 200);
+    assert_eq!(tree.view().scan_all().unwrap().len(), 200);
     let root = tree.root();
     assert!(tree.pool().peek(root).unwrap().has_decoded());
     tree.pool().flush().unwrap();
@@ -175,6 +175,6 @@ fn invalidate_cache_drops_decodes_with_frames() {
     // Everything still reads back correctly from the store.
     for i in [0u32, 57, 123, 199] {
         let key = format!("{i:06}").into_bytes();
-        assert_eq!(tree.get(&key).unwrap(), Some(Vec::new()));
+        assert_eq!(tree.view().get(&key).unwrap(), Some(Vec::new()));
     }
 }

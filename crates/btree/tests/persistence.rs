@@ -33,13 +33,13 @@ fn build_flush_reopen() {
         tree.verify().unwrap();
         for i in (0..3000u32).step_by(97) {
             assert_eq!(
-                tree.get(format!("key-{i:06}").as_bytes()).unwrap(),
+                tree.view().get(format!("key-{i:06}").as_bytes()).unwrap(),
                 Some(i.to_le_bytes().to_vec()),
                 "key {i}"
             );
         }
         // Range scans traverse the leaf chain from disk.
-        let r = tree.range(b"key-001000", b"key-001100").unwrap();
+        let r = tree.view().range(b"key-001000", b"key-001100").unwrap();
         assert_eq!(r.len(), 100);
     }
     std::fs::remove_file(&path).ok();
@@ -95,7 +95,7 @@ fn small_buffer_pool_evicts_and_reloads() {
     assert!(stats.leaf_nodes > 8, "tree larger than the pool");
     for i in (0..2000u32).step_by(61) {
         assert_eq!(
-            tree.get(format!("k{i:06}").as_bytes()).unwrap(),
+            tree.view().get(format!("k{i:06}").as_bytes()).unwrap(),
             Some(i.to_be_bytes().to_vec())
         );
     }

@@ -82,11 +82,15 @@ fn run_model_checked(ops: Vec<Op>, config: BTreeConfig, page_size: usize, verify
                 assert_eq!(got, expected, "delete #{i}");
             }
             Op::Get(k) => {
-                assert_eq!(tree.get(&k).unwrap(), model.get(&k).cloned(), "get #{i}");
+                assert_eq!(
+                    tree.view().get(&k).unwrap(),
+                    model.get(&k).cloned(),
+                    "get #{i}"
+                );
             }
             Op::Range(a, b) => {
                 let (lo, hi) = if a <= b { (a, b) } else { (b, a) };
-                let got = tree.range(&lo, &hi).unwrap();
+                let got = tree.view().range(&lo, &hi).unwrap();
                 let expected: Vec<(Vec<u8>, Vec<u8>)> = model
                     .range(lo..hi)
                     .map(|(k, v)| (k.clone(), v.clone()))
@@ -104,7 +108,7 @@ fn run_model_checked(ops: Vec<Op>, config: BTreeConfig, page_size: usize, verify
     }
     let stats = tree.verify().unwrap();
     assert_eq!(stats.entries, model.len() as u64);
-    let all = tree.scan_all().unwrap();
+    let all = tree.view().scan_all().unwrap();
     let expected: Vec<(Vec<u8>, Vec<u8>)> =
         model.iter().map(|(k, v)| (k.clone(), v.clone())).collect();
     assert_eq!(all, expected);
@@ -156,10 +160,10 @@ proptest! {
         let pool = BufferPool::new(MemStore::new(128), 4096);
         let tree = BTree::bulk_load(pool, BTreeConfig::default(), items.clone()).unwrap();
         tree.verify().unwrap();
-        prop_assert_eq!(tree.scan_all().unwrap(), items);
+        prop_assert_eq!(tree.view().scan_all().unwrap(), items);
         // Spot-check point lookups.
         if let Some(first) = keys.pop_first() {
-            prop_assert!(tree.contains(&first).unwrap());
+            prop_assert!(tree.view().contains(&first).unwrap());
         }
     }
 
@@ -172,8 +176,8 @@ proptest! {
         let items: Vec<(Vec<u8>, Vec<u8>)> =
             keys.iter().map(|k| (k.clone(), vec![])).collect();
         let tree = BTree::bulk_load(pool, BTreeConfig::default(), items).unwrap();
-        let mut cur = tree.seek(&probe).unwrap();
-        let got = tree.cursor_entry(&mut cur).unwrap().map(|(k, _)| k);
+        let mut cur = tree.view().seek(&probe).unwrap();
+        let got = tree.view().cursor_entry(&mut cur).unwrap().map(|(k, _)| k);
         let expected = keys.range(probe..).next().cloned();
         prop_assert_eq!(got, expected);
     }

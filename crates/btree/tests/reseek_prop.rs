@@ -53,7 +53,7 @@ fn entry_at<S: pagestore::PageStore>(
     tree: &BTree<S>,
     cur: &mut btree::Cursor,
 ) -> Option<(Vec<u8>, Vec<u8>)> {
-    tree.cursor_entry(cur).unwrap()
+    tree.view().cursor_entry(cur).unwrap()
 }
 
 fn run_reseek_model(initial: Vec<(Vec<u8>, Vec<u8>)>, ops: Vec<Op>, config: BTreeConfig) {
@@ -64,7 +64,7 @@ fn run_reseek_model(initial: Vec<(Vec<u8>, Vec<u8>)>, ops: Vec<Op>, config: BTre
         model.insert(k.clone(), v.clone());
         tree.insert(&k, &v).unwrap();
     }
-    let mut cur = tree.seek(&[]).unwrap();
+    let mut cur = tree.view().seek(&[]).unwrap();
     for (i, op) in ops.into_iter().enumerate() {
         let op = match op {
             Op::Nudge { by, past } => {
@@ -87,9 +87,9 @@ fn run_reseek_model(initial: Vec<(Vec<u8>, Vec<u8>)>, ops: Vec<Op>, config: BTre
         match op {
             Op::Nudge { .. } => unreachable!("resolved above"),
             Op::Reseek(k) => {
-                tree.reseek(&mut cur, &k).unwrap();
+                tree.view().reseek(&mut cur, &k).unwrap();
                 let got = entry_at(&tree, &mut cur);
-                let mut fresh = tree.seek(&k).unwrap();
+                let mut fresh = tree.view().seek(&k).unwrap();
                 let want = entry_at(&tree, &mut fresh);
                 assert_eq!(got, want, "reseek #{i} diverges from fresh seek");
                 // And both agree with the model's view of "first >= k".
@@ -104,7 +104,7 @@ fn run_reseek_model(initial: Vec<(Vec<u8>, Vec<u8>)>, ops: Vec<Op>, config: BTre
                     if entry_at(&tree, &mut cur).is_none() {
                         break;
                     }
-                    tree.cursor_advance(&mut cur);
+                    tree.view().cursor_advance(&mut cur);
                 }
             }
             Op::Insert(k, v) => {
@@ -264,7 +264,7 @@ fn reseek_paths_and_costs() {
     // Initial descent: a full height of fetches, every one seen by the
     // pool.
     let before = moves();
-    let mut cur = tree.seek(b"000000").unwrap();
+    let mut cur = tree.view().seek(b"000000").unwrap();
     let moved = since(before);
     let height = moved.nodes;
     assert!(
@@ -275,7 +275,7 @@ fn reseek_paths_and_costs() {
 
     // Within-leaf: next key lives in the same leaf (4-entry leaves).
     let before = moves();
-    tree.reseek(&mut cur, b"000001").unwrap();
+    tree.view().reseek(&mut cur, b"000001").unwrap();
     let moved = since(before);
     assert_eq!(
         (
@@ -286,13 +286,13 @@ fn reseek_paths_and_costs() {
         ),
         (0, 0, 1, 0)
     );
-    let e = tree.cursor_entry(&mut cur).unwrap().unwrap();
+    let e = tree.view().cursor_entry(&mut cur).unwrap().unwrap();
     assert_eq!(e.0, b"000001");
 
     // Nearby target: the LCA re-descent must fetch fewer nodes than the
     // full height.
     let before = moves();
-    tree.reseek(&mut cur, b"000017").unwrap();
+    tree.view().reseek(&mut cur, b"000017").unwrap();
     let moved = since(before);
     assert_eq!(moved.descents, 1);
     assert_eq!(
@@ -304,12 +304,12 @@ fn reseek_paths_and_costs() {
         "near reseek paid a full descent: {} vs height {height}",
         moved.nodes
     );
-    let e = tree.cursor_entry(&mut cur).unwrap().unwrap();
+    let e = tree.view().cursor_entry(&mut cur).unwrap().unwrap();
     assert_eq!(e.0, b"000017");
 
     // Backward target: also via the retained path, same contract.
-    tree.reseek(&mut cur, b"000003").unwrap();
-    let e = tree.cursor_entry(&mut cur).unwrap().unwrap();
+    tree.view().reseek(&mut cur, b"000003").unwrap();
+    let e = tree.view().cursor_entry(&mut cur).unwrap().unwrap();
     assert_eq!(e.0, b"000003");
 
     // Mutation bumps the epoch: reseek must fall back to a full descent,
@@ -317,10 +317,10 @@ fn reseek_paths_and_costs() {
     // tree, so measure the post-mutation height with a fresh seek.)
     tree.insert(b"000003x", b"").unwrap();
     let before = moves();
-    tree.seek(b"000003x").unwrap();
+    tree.view().seek(b"000003x").unwrap();
     let new_height = since(before).nodes;
     let before = moves();
-    tree.reseek(&mut cur, b"000003x").unwrap();
+    tree.view().reseek(&mut cur, b"000003x").unwrap();
     let moved = since(before);
     assert_eq!(moved.descents, 1);
     assert_eq!(
@@ -328,6 +328,6 @@ fn reseek_paths_and_costs() {
         (new_height, new_height),
         "epoch-invalidated reseek must re-descend from the root"
     );
-    let e = tree.cursor_entry(&mut cur).unwrap().unwrap();
+    let e = tree.view().cursor_entry(&mut cur).unwrap().unwrap();
     assert_eq!(e.0, b"000003x");
 }

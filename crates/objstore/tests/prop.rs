@@ -1,6 +1,8 @@
 //! Property tests for the order-preserving value encoding: byte order must
 //! match semantic order for arbitrary values of each kind, and every
 //! encoding must round-trip (including when embedded in a longer buffer).
+//! The persistence decoders (schema section, records) answer hostile bytes
+//! with a typed error, never a panic.
 
 use objstore::Value;
 use proptest::prelude::*;

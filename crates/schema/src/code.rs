@@ -19,7 +19,7 @@ use crate::frac;
 
 /// Byte terminating each component. Must sort below the component alphabet
 /// and above the key field separator (0x00) used by the index layer.
-pub const COMPONENT_TERMINATOR: u8 = 0x01;
+pub(crate) const COMPONENT_TERMINATOR: u8 = 0x01;
 
 /// An encoded class code. Ordering (derived) is the index key ordering.
 #[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]

@@ -49,19 +49,19 @@ const RETAINED_BYTES: usize = 4 << 20;
 
 /// Frame type tags. Requests are < 0x80, responses >= 0x80.
 mod tag {
-    pub const QUERY: u8 = 0x01;
-    pub const PREPARE: u8 = 0x02;
-    pub const EXECUTE: u8 = 0x03;
-    pub const PING: u8 = 0x04;
-    pub const STATS: u8 = 0x05;
-    pub const TRACE: u8 = 0x06;
-    pub const ROW_BATCH: u8 = 0x81;
-    pub const DONE: u8 = 0x82;
-    pub const ERROR: u8 = 0x83;
-    pub const PONG: u8 = 0x84;
-    pub const PREPARED: u8 = 0x85;
-    pub const STATS_REPLY: u8 = 0x86;
-    pub const TRACE_REPLY: u8 = 0x87;
+    pub(super) const QUERY: u8 = 0x01;
+    pub(super) const PREPARE: u8 = 0x02;
+    pub(super) const EXECUTE: u8 = 0x03;
+    pub(super) const PING: u8 = 0x04;
+    pub(super) const STATS: u8 = 0x05;
+    pub(super) const TRACE: u8 = 0x06;
+    pub(super) const ROW_BATCH: u8 = 0x81;
+    pub(super) const DONE: u8 = 0x82;
+    pub(super) const ERROR: u8 = 0x83;
+    pub(super) const PONG: u8 = 0x84;
+    pub(super) const PREPARED: u8 = 0x85;
+    pub(super) const STATS_REPLY: u8 = 0x86;
+    pub(super) const TRACE_REPLY: u8 = 0x87;
 }
 
 /// Typed error codes carried by [`Frame::Error`].

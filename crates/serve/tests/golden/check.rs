@@ -44,7 +44,7 @@ fn key_paths(doc: &Json) -> BTreeSet<String> {
 
 /// Assert that `doc`'s key paths are exactly the lines of `golden_dir/name`.
 /// With `bless` set the file is rewritten instead.
-pub fn check_golden(golden_dir: &Path, name: &str, doc: &str, bless: bool) {
+pub(crate) fn check_golden(golden_dir: &Path, name: &str, doc: &str, bless: bool) {
     let actual: Vec<String> = key_paths(&json::parse(doc).expect("reply parses"))
         .into_iter()
         .collect();

@@ -2,7 +2,8 @@
 //! under proptest, then a deterministic malformed-input sweep — first
 //! against the decoder as a pure function, then against a live server.
 //! The contract: garbage in yields a typed error plus either a healthy
-//! connection (recoverable) or a clean close (fatal), and never a panic.
+//! connection (recoverable) or a clean close (fatal), and never a panic;
+//! hostile `RowBatch` bytes decode to `BadPayload`.
 
 use proptest::prelude::*;
 use serve::proto::{

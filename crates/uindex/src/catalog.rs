@@ -229,7 +229,7 @@ impl<S: PageStore> UIndex<S> {
     ) -> Result<(Self, Schema)> {
         let tree = BTree::open(pool, config, root, len);
         let prefix = CATALOG_ID.to_be_bytes().to_vec();
-        let entries = tree.prefix_scan(&prefix)?;
+        let entries = tree.view().prefix_scan(&prefix)?;
 
         // Pass 1: classes in code order (parents precede children because
         // codes are prefix-ordered — but class *ids* must keep their
@@ -461,7 +461,7 @@ pub(crate) fn decode_spec_list(bytes: &[u8]) -> Result<Vec<IndexSpec>> {
 /// Number of catalog entries currently stored (diagnostic).
 pub fn catalog_entry_count<S: PageStore>(index: &mut UIndex<S>) -> Result<usize> {
     let prefix = CATALOG_ID.to_be_bytes().to_vec();
-    Ok(index.tree_mut().prefix_scan(&prefix)?.len())
+    Ok(index.tree().view().prefix_scan(&prefix)?.len())
 }
 
 #[cfg(test)]

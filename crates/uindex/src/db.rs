@@ -619,6 +619,7 @@ impl<P: PageStore> Database<P> {
         let mut tree_keys: Vec<Vec<u8>> = self
             .index
             .tree()
+            .view()
             .scan_all()?
             .into_iter()
             .map(|(k, _)| k)

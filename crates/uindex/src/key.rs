@@ -21,7 +21,7 @@ use crate::error::{Error, Result};
 use crate::inline::InlineVec;
 
 /// Separator written after the value and after each class code.
-pub const FIELD_SEP: u8 = 0x00;
+pub(crate) const FIELD_SEP: u8 = 0x00;
 
 /// The value an index key holds: a [`Value`] without the references,
 /// which no key can hold. A string is an `Arc<str>`, so the hits of one

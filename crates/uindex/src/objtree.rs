@@ -106,7 +106,7 @@ impl<S: PageStore> ObjectTree<S> {
     }
 
     /// An empty tree (no header yet) in `pool`.
-    pub fn create(pool: Arc<BufferPool<S>>) -> Result<Self> {
+    pub(crate) fn create(pool: Arc<BufferPool<S>>) -> Result<Self> {
         Ok(ObjectTree {
             tree: BTree::create(pool, Self::config())?,
             header: Vec::new(),
@@ -115,7 +115,7 @@ impl<S: PageStore> ObjectTree<S> {
     }
 
     /// Attach to the tree the meta page names.
-    pub fn open(pool: Arc<BufferPool<S>>, root: PageId, len: u64) -> Self {
+    pub(crate) fn open(pool: Arc<BufferPool<S>>, root: PageId, len: u64) -> Self {
         ObjectTree {
             tree: BTree::open(pool, Self::config(), root, len),
             header: Vec::new(),
@@ -123,21 +123,21 @@ impl<S: PageStore> ObjectTree<S> {
         }
     }
 
-    pub fn root(&self) -> PageId {
+    pub(crate) fn root(&self) -> PageId {
         self.tree.root()
     }
 
-    pub fn len(&self) -> u64 {
+    pub(crate) fn len(&self) -> u64 {
         self.tree.len()
     }
 
     /// Every page the tree owns.
-    pub fn page_ids(&self) -> Result<Vec<PageId>> {
+    pub(crate) fn page_ids(&self) -> Result<Vec<PageId>> {
         Ok(self.tree.page_ids()?)
     }
 
     /// Read and structurally check every page of the tree.
-    pub fn verify(&self) -> Result<()> {
+    pub(crate) fn verify(&self) -> Result<()> {
         self.tree.verify()?;
         Ok(())
     }
@@ -182,7 +182,7 @@ impl<S: PageStore> ObjectTree<S> {
 
     /// Write the current record of each of `oids` (ascending), or remove
     /// it where `store` no longer has the object.
-    pub fn sync_objects(&mut self, store: &ObjectStore, oids: &[Oid]) -> Result<()> {
+    pub(crate) fn sync_objects(&mut self, store: &ObjectStore, oids: &[Oid]) -> Result<()> {
         // A bulk load arrives here as one call: encode it a slice at a
         // time, not as a second copy of the database.
         for oids in oids.chunks(1 << 10) {
@@ -204,7 +204,7 @@ impl<S: PageStore> ObjectTree<S> {
     /// the tree holds. Nothing is encoded when the schema's stamp and the
     /// spec count are the ones last written; returns whether the header
     /// had to be encoded and compared.
-    pub fn sync_header(&mut self, schema: &Schema, specs: &[IndexSpec]) -> Result<bool> {
+    pub(crate) fn sync_header(&mut self, schema: &Schema, specs: &[IndexSpec]) -> Result<bool> {
         let stamps = (schema.stamp(), specs.len());
         if self.header_stamps == Some(stamps) {
             return Ok(false);
@@ -219,7 +219,7 @@ impl<S: PageStore> ObjectTree<S> {
     }
 
     /// Rebuild the object store and the index definitions from the pages.
-    pub fn load(&mut self) -> Result<(ObjectStore, Vec<IndexSpec>)> {
+    pub(crate) fn load(&mut self) -> Result<(ObjectStore, Vec<IndexSpec>)> {
         let mut loading = Loading::default();
         let mut record: Vec<u8> = Vec::new();
         let mut open: Option<(u8, u32)> = None;

@@ -648,8 +648,9 @@ pub fn run_trials(seed: u64, trials: usize) -> TrialSummary {
             let prefix = EntryKey::index_prefix(id);
             let next_prefix = EntryKey::index_prefix(id + 1);
             let got: Vec<Vec<u8>> =
-                t.db.index_mut()
-                    .tree_mut()
+                t.db.index()
+                    .tree()
+                    .view()
                     .scan_all()
                     .expect("tree scan")
                     .into_iter()

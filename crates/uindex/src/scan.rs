@@ -39,7 +39,7 @@ use crate::query::{Assignment, OidSel, QueryHit};
 pub enum ScanAlgorithm {
     /// The paper's Algorithm 1: skip-seek over the B-tree, re-descending
     /// hierarchically from the lowest retained ancestor that covers each
-    /// skip target (see `BTree::reseek`).
+    /// skip target (see `ReadView::reseek`).
     Parallel,
     /// Naive forward scanning from the first relevant entry.
     Forward,
@@ -283,7 +283,7 @@ fn skip_to(target: &mut Vec<u8>, head: &[u8], tail: &[u8]) -> Advice {
 
 impl Matcher {
     /// The first key that could possibly match.
-    pub fn initial_seek(&self) -> Vec<u8> {
+    pub(crate) fn initial_seek(&self) -> Vec<u8> {
         let mut t = self.index_id.to_be_bytes().to_vec();
         if let Some((lo, _)) = self.value_ranges.first() {
             t.extend_from_slice(lo);
@@ -1341,6 +1341,7 @@ mod advise_props {
         let keys: Vec<Vec<u8>> =
             t.db.index()
                 .tree()
+                .view()
                 .scan_all()
                 .expect("tree scan")
                 .into_iter()

@@ -159,7 +159,7 @@ fn catalog_facts_cluster_by_code() {
     // All class-fact entries for the Vehicle hierarchy are contiguous.
     let mut prefix = uindex::CATALOG_ID.to_be_bytes().to_vec();
     prefix.push(1); // TAG_CLASS
-    let class_entries = index.tree_mut().prefix_scan(&prefix).unwrap();
+    let class_entries = index.tree_mut().view().prefix_scan(&prefix).unwrap();
     let in_range: Vec<bool> = class_entries
         .iter()
         .map(|(k, _)| {

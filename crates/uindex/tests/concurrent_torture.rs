@@ -8,6 +8,9 @@
 //! keyed by the tree epoch right after each mutation publishes; scanners
 //! pin a snapshot, wait for its epoch's answers to appear (the map insert
 //! can lag the publish by a few instructions), and compare.
+//!
+//! Reader clones on 1, 2, 4 and 8 threads, on both tiers, return per-query
+//! hits and stats identical to one thread's.
 
 use std::collections::BTreeMap;
 use std::path::PathBuf;

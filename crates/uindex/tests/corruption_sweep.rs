@@ -18,6 +18,15 @@ use uindex::{ClassSel, Database, IndexId, IndexSpec, Query, QueryHit, ScanAlgori
 /// The in-memory stack with a fault layer below the checksums.
 type FaultDb = Database<ChecksumStore<FaultStore<MemStore>>>;
 
+/// Only a test builds the fault layer in: the in-memory product stack,
+/// which `Database::in_memory` builds, is checksums over memory.
+#[test]
+fn the_in_memory_product_stack_has_no_fault_layer() {
+    let product = std::any::type_name::<uindex::DbStore>();
+    assert_eq!(product, std::any::type_name::<ChecksumStore<MemStore>>());
+    assert!(!product.contains("FaultStore"), "{product}");
+}
+
 const EMPLOYEES: usize = 50;
 const COMPANIES: usize = 50;
 const VEHICLES: usize = 4900;

@@ -106,7 +106,7 @@ fn btree_over_wal_crashes_at_every_commit_boundary() {
             model_c.len(),
             "entry count diverges after {crash_after} commits"
         );
-        let got: Vec<(Vec<u8>, Vec<u8>)> = tree.scan_all().unwrap();
+        let got: Vec<(Vec<u8>, Vec<u8>)> = tree.view().scan_all().unwrap();
         let want: Vec<(Vec<u8>, Vec<u8>)> = model_c
             .iter()
             .map(|(k, v)| (k.clone(), v.clone()))
@@ -138,7 +138,7 @@ fn read_faults_propagate_as_errors() {
     let mut saw_error = false;
     for i in 0..200u32 {
         let k = i.to_be_bytes();
-        match tree.get(&k) {
+        match tree.view().get(&k) {
             Ok(Some(v)) => assert_eq!(v, k),
             Ok(None) => panic!("inserted key {i} vanished"),
             Err(_) => saw_error = true,
@@ -149,7 +149,7 @@ fn read_faults_propagate_as_errors() {
     // With the schedule drained, every key is readable again.
     for i in 0..200u32 {
         let k = i.to_be_bytes();
-        assert_eq!(tree.get(&k).unwrap().as_deref(), Some(k.as_slice()));
+        assert_eq!(tree.view().get(&k).unwrap().as_deref(), Some(k.as_slice()));
     }
     tree.verify().unwrap();
 }
