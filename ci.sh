@@ -24,6 +24,16 @@ cargo test -q --offline
 echo "== cargo test (workspace; the root package ran above)"
 cargo test -q --workspace --offline --exclude uindex-oodb
 
+echo "== results are what the code prints (release experiment binaries at their defaults)"
+# The binaries are deterministic, so each published table in results/ must
+# be byte for byte what its binary prints now; the environment knobs that
+# shrink or repeat a run are cleared.
+cargo build -q --release --offline -p bench --bins
+for bin in table1 compare nixcmp fig5 fig6 fig7 fig8; do
+  env -u REPS -u OBJECTS -u VEHICLES "target/release/$bin" | cmp - "results/$bin.txt" \
+    || { echo "results: target/release/$bin does not print results/$bin.txt"; exit 1; }
+done
+
 echo "== explain smoke (CLI EXPLAIN ANALYZE end to end)"
 tmpdir=$(mktemp -d)
 trap 'rm -rf "$tmpdir"' EXIT

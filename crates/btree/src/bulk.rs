@@ -8,10 +8,10 @@
 
 use pagestore::{BufferPool, Error, PageId, PageRef, PageStore, Result};
 
-use crate::codec::{common_prefix_len, truncate_separator};
-use crate::config::{BTreeConfig, Capacity};
+use crate::codec::separator;
+use crate::config::{BTreeConfig, Packer};
 use crate::edit::LeafEditor;
-use crate::node::{entry_size, InternalNode, LeafNode, Node, INTERIOR_HEADER, LEAF_HEADER};
+use crate::node::{EntrySize, InternalNode, LeafNode, NodeKind};
 use crate::tree::{BTree, Loaded};
 
 impl<S: PageStore> BTree<S> {
@@ -39,27 +39,21 @@ impl<S: PageStore> BTree<S> {
             return Err(Error::Corrupt("bulk_replace requires an empty tree".into()));
         }
         self.bump_epoch();
-        let tree = self;
-        let config = *tree.config();
-        let empty_root = tree.root();
+        let config = *self.config();
         let compress = config.front_compression;
-        let page_size = tree.pool().page_size();
-        let max_entry = tree.max_entry_size();
+        let max_entry = self.max_entry_size();
 
         // ---- pack the leaf level (no page ids yet) ----
-        let mut leaves: Vec<LeafNode> = Vec::new();
+        let (mut leaves, mut seps) = (Vec::new(), Vec::new());
         let mut cur = LeafNode::new(PageId::NULL);
-        let mut cur_size = LEAF_HEADER;
-        let mut prev_key: Option<Vec<u8>> = None;
+        let mut packer = Packer::new::<LeafNode>(config, self.page_size());
+        let mut prev = Vec::new();
         let mut count: u64 = 0;
-
         for (key, value) in items {
-            if let Some(p) = &prev_key {
-                if p.as_slice() >= key.as_slice() {
-                    return Err(Error::Corrupt(
-                        "bulk_load input not strictly ascending".into(),
-                    ));
-                }
+            if count > 0 && prev >= key {
+                return Err(Error::Corrupt(
+                    "bulk_load input not strictly ascending".into(),
+                ));
             }
             if key.len() + value.len() > max_entry {
                 return Err(Error::EntryTooLarge {
@@ -67,130 +61,79 @@ impl<S: PageStore> BTree<S> {
                     max: max_entry,
                 });
             }
-            let plen = if compress && !cur.is_empty() {
-                common_prefix_len(prev_key.as_deref().unwrap_or(&[]), &key)
-            } else {
-                0
-            };
-            let esize = entry_size(plen, key.len(), Some(value.len()));
-            let full = match config.capacity {
-                Capacity::Bytes => !cur.is_empty() && cur_size + esize > page_size,
-                Capacity::Entries(m) => cur.len() >= m,
-            };
-            if full {
+            if packer.place(EntrySize::of(&prev, &key, Some(value.len()), compress)) {
+                seps.push(separator(&prev, &key, config.suffix_truncation));
                 leaves.push(std::mem::replace(&mut cur, LeafNode::new(PageId::NULL)));
-                cur_size = LEAF_HEADER + entry_size(0, key.len(), Some(value.len()));
-            } else {
-                cur_size += esize;
             }
             cur.push(&key, &value);
-            prev_key = Some(key);
+            prev = key;
             count += 1;
         }
-        if !cur.is_empty() || leaves.is_empty() {
-            leaves.push(cur);
-        }
-
-        // Redistribute an underfull tail leaf with its left neighbour.
-        if let [.., prev, tail] = leaves.as_mut_slice() {
-            if tree.is_underfull_size(tail.len(), tail.encoded_size(compress)) {
-                prev.append(tail);
-                if tree.fits_size(prev.len(), prev.encoded_size(compress)) {
-                    leaves.pop();
-                } else {
-                    let k = tree.leaf_split_index(prev)?;
-                    *tail = prev.split_off(k);
-                }
-            }
-        }
+        leaves.push(cur);
+        self.even_tail(&mut leaves, &mut seps)?;
 
         // Allocate ids, chain, write.
-        let mut leaf_ids = Vec::with_capacity(leaves.len());
-        for _ in 0..leaves.len() {
-            let (id, _) = tree.allocate_page()?;
-            leaf_ids.push(id);
-        }
-        // Separators between adjacent leaves.
-        let mut seps: Vec<Vec<u8>> = leaves
-            .windows(2)
-            .map(|w| {
-                let left_max = w[0].key(w[0].len() - 1);
-                let right_min = w[1].key(0);
-                if config.suffix_truncation {
-                    truncate_separator(left_max, right_min)
-                } else {
-                    right_min.to_vec()
-                }
-            })
-            .collect();
+        let mut level = (0..leaves.len())
+            .map(|_| Ok(self.allocate_page()?.0))
+            .collect::<Result<Vec<_>>>()?;
         for (i, mut leaf) in leaves.into_iter().enumerate() {
-            leaf.next = leaf_ids.get(i + 1).copied().unwrap_or(PageId::NULL);
-            tree.store_node(leaf_ids[i], &Node::Leaf(leaf))?;
+            leaf.next = level.get(i + 1).copied().unwrap_or(PageId::NULL);
+            self.store(level[i], &leaf)?;
         }
-        let mut level = leaf_ids;
 
         // ---- pack interior levels until a single root remains ----
         while level.len() > 1 {
-            let mut nodes: Vec<InternalNode> = Vec::new();
-            let mut proms: Vec<Vec<u8>> = Vec::new();
+            let (mut nodes, mut proms) = (Vec::new(), Vec::new());
             let mut cur = InternalNode::new(level[0]);
-            let mut cur_size = INTERIOR_HEADER;
-            let mut prev_sep: Option<&Vec<u8>> = None;
-            for (i, sep) in seps.iter().enumerate() {
-                let child = level[i + 1];
-                let plen = match (prev_sep, compress) {
-                    (Some(p), true) if !cur.is_empty() => common_prefix_len(p, sep),
-                    _ => 0,
-                };
-                let esize = entry_size(plen, sep.len(), None);
-                let full = match config.capacity {
-                    Capacity::Bytes => !cur.is_empty() && cur_size + esize > page_size,
-                    Capacity::Entries(m) => cur.len() >= m,
-                };
-                if full {
-                    nodes.push(std::mem::replace(&mut cur, InternalNode::new(child)));
+            let mut packer = Packer::new::<InternalNode>(config, self.page_size());
+            let mut prev: &[u8] = &[];
+            for (sep, &child) in seps.iter().zip(&level[1..]) {
+                if packer.place(EntrySize::of(prev, sep, None, compress)) {
                     proms.push(sep.clone());
-                    cur_size = INTERIOR_HEADER;
+                    nodes.push(std::mem::replace(&mut cur, InternalNode::new(child)));
                 } else {
                     cur.push(sep, child);
-                    cur_size += esize;
                 }
-                prev_sep = Some(sep);
+                prev = sep;
             }
             nodes.push(cur);
-
-            // Redistribute an underfull tail interior node.
-            if let [.., prev, tail] = nodes.as_mut_slice() {
-                if tree.is_underfull_size(tail.len(), tail.encoded_size(compress)) {
-                    let between = proms.pop().expect("promoted sep exists");
-                    prev.append(&between, tail);
-                    if tree.fits_size(prev.len(), prev.encoded_size(compress)) {
-                        nodes.pop();
-                    } else {
-                        let p = tree.internal_split_index(prev)?;
-                        let (promoted, right) = prev.split_off(p);
-                        *tail = right;
-                        proms.push(promoted);
-                    }
-                }
+            self.even_tail(&mut nodes, &mut proms)?;
+            level.clear();
+            for node in &nodes {
+                let (id, _) = self.allocate_page()?;
+                self.store(id, node)?;
+                level.push(id);
             }
-
-            let mut ids = Vec::with_capacity(nodes.len());
-            for node in nodes {
-                let (id, _) = tree.allocate_page()?;
-                tree.store_node(id, &Node::Internal(node))?;
-                ids.push(id);
-            }
-            level = ids;
             seps = proms;
         }
 
         // Install the root; drop the placeholder empty leaf if superseded.
-        let new_root = level[0];
+        let (empty_root, new_root) = (self.root(), level[0]);
         if new_root != empty_root {
-            tree.free_page(empty_root)?;
+            self.free_page(empty_root)?;
         }
-        tree.set_root_len(new_root, count);
+        self.set_root_len(new_root, count);
+        Ok(())
+    }
+
+    /// Merge an underfull last node of a packed level into its left
+    /// neighbour, or share their entries when they do not fit one node.
+    /// `seps` holds the separators between the level's nodes.
+    fn even_tail<N: NodeKind>(&self, nodes: &mut Vec<N>, seps: &mut Vec<Vec<u8>>) -> Result<()> {
+        if let [.., prev, tail] = nodes.as_mut_slice() {
+            if self.underfull(tail) {
+                let between = seps.pop().expect("a separator precedes the tail");
+                match self.join(prev, &between, tail, PageId::NULL)? {
+                    Some((sep, right)) => {
+                        *tail = right;
+                        seps.push(sep);
+                    }
+                    None => {
+                        nodes.pop();
+                    }
+                }
+            }
+        }
         Ok(())
     }
 
@@ -278,12 +221,9 @@ impl<S: PageStore> BTree<S> {
         let mut id = self.root();
         let mut upper = None;
         loop {
-            let node = match self.descend(id)? {
+            let int = match self.descend(id)? {
                 Loaded::Leaf(page) => return Ok((id, page, upper)),
-                Loaded::Interior(node) => node,
-            };
-            let Node::Internal(int) = &*node else {
-                unreachable!("only a page with the leaf tag decodes to a leaf");
+                Loaded::Interior(int) => int,
             };
             let child = int.route(key);
             if child < int.len() {

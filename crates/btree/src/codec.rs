@@ -21,6 +21,7 @@ pub(crate) fn write_varint(buf: &mut [u8], pos: &mut usize, mut v: u32) {
 }
 
 /// Size in bytes of `v` as a varint.
+#[inline]
 pub(crate) fn varint_len(v: u32) -> usize {
     match v {
         0..=0x7F => 1,
@@ -85,18 +86,20 @@ pub fn common_prefix_len(a: &[u8], b: &[u8]) -> usize {
         .count()
 }
 
-/// Shortest separator `t` with `left_max < t <= right_min`.
+/// The separator between a node ending in `left_max` and its right
+/// sibling, which starts with `right_min`: with `truncate`, the shortest
+/// `t` with `left_max < t <= right_min`, else `right_min` whole.
 ///
-/// This is prefix-B-tree suffix truncation: interior nodes only need enough
-/// of a key to route correctly, which keeps them dense. Requires
+/// Truncation is prefix-B-tree suffix truncation: interior nodes only need
+/// enough of a key to route correctly, which keeps them dense. Requires
 /// `left_max < right_min`.
-pub(crate) fn truncate_separator(left_max: &[u8], right_min: &[u8]) -> Vec<u8> {
+pub(crate) fn separator(left_max: &[u8], right_min: &[u8], truncate: bool) -> Vec<u8> {
     debug_assert!(left_max < right_min, "separator inputs out of order");
     let cp = common_prefix_len(left_max, right_min);
     // `right_min[..cp + 1]` always works: it differs from (or extends past)
     // `left_max` at position `cp` and is a prefix of `right_min`.
-    let end = (cp + 1).min(right_min.len());
-    right_min[..end].to_vec()
+    let end = if truncate { cp + 1 } else { right_min.len() };
+    right_min[..end.min(right_min.len())].to_vec()
 }
 
 #[cfg(test)]
@@ -156,13 +159,13 @@ mod tests {
     #[test]
     fn separator_truncation() {
         // Differ at first byte.
-        assert_eq!(truncate_separator(b"apple", b"banana"), b"b".to_vec());
+        assert_eq!(separator(b"apple", b"banana", true), b"b".to_vec());
         // Common prefix then divergence.
-        assert_eq!(truncate_separator(b"abcX", b"abcZ"), b"abcZ".to_vec());
+        assert_eq!(separator(b"abcX", b"abcZ", true), b"abcZ".to_vec());
         // Left is a strict prefix of right.
-        assert_eq!(truncate_separator(b"abc", b"abcdef"), b"abcd".to_vec());
+        assert_eq!(separator(b"abc", b"abcdef", true), b"abcd".to_vec());
         // Adjacent keys of length 1.
-        assert_eq!(truncate_separator(b"a", b"b"), b"b".to_vec());
+        assert_eq!(separator(b"a", b"b", true), b"b".to_vec());
     }
 
     #[test]
@@ -171,7 +174,7 @@ mod tests {
             .map(|i| format!("pre{:05}", i * 7).into_bytes())
             .collect();
         for w in keys.windows(2) {
-            let t = truncate_separator(&w[0], &w[1]);
+            let t = separator(&w[0], &w[1], true);
             assert!(w[0].as_slice() < t.as_slice());
             assert!(t.as_slice() <= w[1].as_slice());
         }

@@ -1,3 +1,7 @@
+use pagestore::{Error, Result};
+
+use crate::node::{EntrySize, NodeKind};
+
 /// How node capacity is measured.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Capacity {
@@ -87,6 +91,88 @@ impl BTreeConfig {
             Capacity::Bytes => size < page_size / 4,
             Capacity::Entries(_) => count < self.min_entries(),
         }
+    }
+
+    /// Where to split an over-full node of entries sized `sizes` behind a
+    /// `header`-byte header: the entry at the returned index opens the right
+    /// half, or moves up to the parent when `promotes`. Under
+    /// [`Capacity::Bytes`] both halves fit `page_size` and the larger is as
+    /// small as it can be (leftmost on a tie); under [`Capacity::Entries`]
+    /// the halves differ by at most one entry.
+    pub(crate) fn split_point(
+        &self,
+        sizes: &[EntrySize],
+        header: usize,
+        promotes: bool,
+        page_size: usize,
+    ) -> Result<usize> {
+        let n = sizes.len();
+        let up = usize::from(promotes);
+        if let Capacity::Entries(_) = self.capacity {
+            return Ok((n + 1 - up) / 2);
+        }
+        // before[i]: the bytes of entries 0..i, each behind its predecessor.
+        let mut before = vec![0; n + 1];
+        for (i, size) in sizes.iter().enumerate() {
+            before[i + 1] = before[i] + size.behind;
+        }
+        let mut best: Option<(usize, usize)> = None; // (larger half, index)
+        for k in 1..n.saturating_sub(up) {
+            // Each half's first entry is encoded alone.
+            let left = header + sizes[0].alone + before[k] - before[1];
+            let right = header + sizes[k + up].alone + before[n] - before[k + up + 1];
+            let worst = left.max(right);
+            if worst <= page_size && best.is_none_or(|(b, _)| worst < b) {
+                best = Some((worst, k));
+            }
+        }
+        best.map(|(_, k)| k)
+            .ok_or_else(|| Error::Corrupt("no valid split point: entry too large for page".into()))
+    }
+}
+
+/// Lays a level's entries out left to right, one at a time, in nodes filled
+/// to capacity: how bulk load packs every level of a tree.
+pub(crate) struct Packer {
+    config: BTreeConfig,
+    page_size: usize,
+    header: usize,
+    promotes: bool,
+    /// Encoded size and entry count of the node being filled.
+    size: usize,
+    count: usize,
+}
+
+impl Packer {
+    /// A packer for nodes of kind `N`, of which it needs the header size and
+    /// whether boundary entries move up (see [`BTreeConfig::split_point`]).
+    pub(crate) fn new<N: NodeKind>(config: BTreeConfig, page_size: usize) -> Self {
+        Packer {
+            config,
+            page_size,
+            header: N::HEADER,
+            promotes: N::PROMOTES,
+            size: N::HEADER,
+            count: 0,
+        }
+    }
+
+    /// Place the next entry. `true` when it is a boundary: the node being
+    /// filled is full, and the entry opens the next one or, when the
+    /// packer promotes, moves up to the parent ahead of it.
+    pub(crate) fn place(&mut self, e: EntrySize) -> bool {
+        let full = match self.config.capacity {
+            Capacity::Bytes => self.count > 0 && self.size + e.behind > self.page_size,
+            Capacity::Entries(m) => self.count >= m,
+        };
+        if full {
+            (self.size, self.count) = (self.header, 0);
+        }
+        if !(full && self.promotes) {
+            self.size += if self.count == 0 { e.alone } else { e.behind };
+            self.count += 1;
+        }
+        full
     }
 }
 

@@ -43,32 +43,16 @@ use std::sync::Arc;
 
 use pagestore::{Error, PageId, PageStore, Result};
 
-use crate::node::{InternalNode, Node};
-use crate::tree::{
-    load_page, metrics, BTree, Loaded, ReadForm, TreeReader, TreeShared, TreeSnapshot,
-};
+use crate::node::InternalNode;
+use crate::tree::{load_page, metrics, BTree, Loaded, TreeReader, TreeShared, TreeSnapshot};
 use crate::walk::{leaf_get, LeafWalker};
 
 /// One retained level of a cursor's descent path: an interior node plus
 /// the index of the child the descent took out of it.
 struct PathLevel {
     id: PageId,
-    node: Arc<Node>,
+    node: Arc<InternalNode>,
     child: usize,
-}
-
-impl PathLevel {
-    fn int(&self) -> &InternalNode {
-        interior(&self.node)
-    }
-}
-
-/// The interior node a page without the leaf tag decodes to.
-fn interior(node: &Node) -> &InternalNode {
-    match node {
-        Node::Internal(int) => int,
-        Node::Leaf(_) => unreachable!("only a page with the leaf tag decodes to a leaf"),
-    }
 }
 
 /// Whether the subtree reached by taking every level's child in `path`
@@ -81,12 +65,12 @@ fn covers(path: &[PathLevel], key: &[u8]) -> bool {
         .iter()
         .rev()
         .find(|lvl| lvl.child > 0)
-        .map(|lvl| lvl.int().sep(lvl.child - 1));
+        .map(|lvl| lvl.node.sep(lvl.child - 1));
     let hi = path
         .iter()
         .rev()
-        .find(|lvl| lvl.child < lvl.int().len())
-        .map(|lvl| lvl.int().sep(lvl.child));
+        .find(|lvl| lvl.child < lvl.node.len())
+        .map(|lvl| lvl.node.sep(lvl.child));
     lo.is_none_or(|lo| lo <= key) && hi.is_none_or(|hi| key < hi)
 }
 
@@ -161,14 +145,6 @@ impl EntryRef {
     /// The entry's value bytes.
     pub fn value(&self) -> &[u8] {
         &self.bytes[self.key_len..]
-    }
-}
-
-/// Hand a preserved leaf's bytes to `leaf`, or return the interior.
-fn visit_version<R>(v: ReadForm, leaf: impl FnOnce(&[u8]) -> Result<R>) -> Result<Loaded<R>> {
-    match v {
-        Loaded::Leaf(bytes) => Ok(Loaded::Leaf(leaf(&bytes)?)),
-        Loaded::Interior(node) => Ok(Loaded::Interior(node)),
     }
 }
 
@@ -255,12 +231,12 @@ impl<S: PageStore> ReadView<'_, S> {
         let tracker = &self.shared.tracker;
         if let Some(v) = tracker.lookup(id, e) {
             metrics(|m| m.version_reads.inc());
-            return visit_version(v, leaf);
+            return v.map_leaf(|bytes| leaf(&bytes));
         }
         let live = load_page(&self.shared.pool.fetch(id)?, &mut leaf)?;
         if let Some(v) = tracker.lookup(id, e) {
             metrics(|m| m.version_reads.inc());
-            return visit_version(v, leaf);
+            return v.map_leaf(|bytes| leaf(&bytes));
         }
         Ok(live)
     }
@@ -270,10 +246,7 @@ impl<S: PageStore> ReadView<'_, S> {
         let mut id = self.root;
         loop {
             match self.visit(id, |page| leaf_get(page, key))? {
-                Loaded::Interior(node) => {
-                    let int = interior(&node);
-                    id = int.child(int.route(key));
-                }
+                Loaded::Interior(int) => id = int.child(int.route(key)),
                 Loaded::Leaf(value) => return Ok(value),
             }
         }
@@ -324,8 +297,8 @@ impl<S: PageStore> ReadView<'_, S> {
             fetched += 1;
             match visit {
                 Loaded::Interior(node) => {
-                    let child = interior(&node).route(key);
-                    let next = interior(&node).child(child);
+                    let child = node.route(key);
+                    let next = node.child(child);
                     cur.path.push(PathLevel { id, node, child });
                     id = next;
                 }
@@ -385,8 +358,8 @@ impl<S: PageStore> ReadView<'_, S> {
             return self.seek_into(cur, key);
         };
         let lvl = &mut cur.path[depth];
-        lvl.child = lvl.int().route(key);
-        let child = lvl.int().child(lvl.child);
+        lvl.child = lvl.node.route(key);
+        let child = lvl.node.child(lvl.child);
         metrics(|m| m.reseek_lca.inc());
         self.descend(cur, depth + 1, child, key)
     }
@@ -491,37 +464,28 @@ impl<S: PageStore> ReadView<'_, S> {
 
     /// Collect all entries with `lo <= key < hi`.
     pub fn range(&self, lo: &[u8], hi: &[u8]) -> Result<Vec<(Vec<u8>, Vec<u8>)>> {
-        let mut out = Vec::new();
-        let mut cur = self.seek(lo)?;
-        while let Some((k, v)) = self.cursor_peek(&mut cur)? {
-            if k >= hi {
-                break;
-            }
-            out.push((k.to_vec(), v.to_vec()));
-            cur.advance();
-        }
-        Ok(out)
+        self.scan(lo, |k| k < hi)
     }
 
     /// Collect all entries whose key starts with `prefix`.
     pub fn prefix_scan(&self, prefix: &[u8]) -> Result<Vec<(Vec<u8>, Vec<u8>)>> {
-        let mut out = Vec::new();
-        let mut cur = self.seek(prefix)?;
-        while let Some((k, v)) = self.cursor_peek(&mut cur)? {
-            if !k.starts_with(prefix) {
-                break;
-            }
-            out.push((k.to_vec(), v.to_vec()));
-            cur.advance();
-        }
-        Ok(out)
+        self.scan(prefix, |k| k.starts_with(prefix))
     }
 
     /// Collect every entry in key order (test/debug helper).
     pub fn scan_all(&self) -> Result<Vec<(Vec<u8>, Vec<u8>)>> {
+        self.scan(&[], |_| true)
+    }
+
+    /// Collect the entries from the first key `>= from` on, as long as
+    /// `keep` holds for their keys.
+    fn scan(&self, from: &[u8], keep: impl Fn(&[u8]) -> bool) -> Result<Vec<(Vec<u8>, Vec<u8>)>> {
         let mut out = Vec::new();
-        let mut cur = self.seek_first()?;
+        let mut cur = self.seek(from)?;
         while let Some((k, v)) = self.cursor_peek(&mut cur)? {
+            if !keep(k) {
+                break;
+            }
             out.push((k.to_vec(), v.to_vec()));
             cur.advance();
         }

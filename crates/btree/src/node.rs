@@ -15,31 +15,28 @@
 //! key in the node (always 0 for the first entry, and for every entry when
 //! front compression is disabled).
 //!
-//! # The leaf codec boundary
+//! # The codec boundary
 //!
-//! The layout above has one encoder and three readers. [`Node::encode`]
-//! writes it whole. **Readers** of the tree — every `ReadView` operation —
-//! read a leaf where it lies, through [`crate::LeafWalker`] (`walk.rs`):
-//! one copy of the page and one key buffer patched from each entry's
-//! `prefix_len` on, no arena. They decode interior nodes only, for
-//! routing's binary search. **A writer edits a leaf in place** unless it
-//! splits or merges: `BTree::insert`, `BTree::delete` and
-//! `BTree::upsert_sorted` plan a one-key edit with a
-//! [`crate::LeafEditor`] (`edit.rs`), which rewrites the edited entry and
-//! its successor's `prefix_len`/suffix and moves the tail, leaving the
-//! bytes `encode` would have written. **The rest of the write path** — a
-//! leaf that splits, two leaves a delete merges or refills, bulk load,
-//! `verify` — decodes with [`Node::decode`] into an **arena**: one
-//! `Vec<u8>` holding every reconstructed (prefix-expanded) key — and, in a
-//! leaf, each key's value right behind it — plus one `Vec<u32>` offset
-//! table. Nothing outside this module sees either vector: code goes through
-//! `key(i)` / `value(i)` / `sep(i)` / `len()` / `search()`, writers through
-//! `insert_at` / `remove_at` / `split_off` / `append`. Decoding a leaf is
-//! two allocations whatever its entry count, and cloning one is two
-//! `memcpy`s. The readers check the same bounds: a walk accepts exactly the
-//! pages [`Node::decode`] accepts, and the editor exactly those of them the
-//! encoder could have written (`tests/decode_fuzz.rs`). The layout is byte
-//! for byte what it was when leaves were `Vec`s of owned entries.
+//! The layout above has one encoder, `NodeKind::encode`, which both node
+//! kinds share ([`Node::encode`] dispatches to it). **Readers** — every
+//! `ReadView` operation — read a leaf where it lies, through
+//! [`crate::LeafWalker`] (`walk.rs`), and decode an interior once per
+//! frame, as an [`InternalNode`], for routing's binary search. **A writer
+//! edits a leaf in place** unless it splits or merges: a
+//! [`crate::LeafEditor`] (`edit.rs`) rewrites the edited entry and its
+//! successor's `prefix_len`/suffix and moves the tail, leaving the bytes
+//! `encode` would have written. **Splits, merges, bulk load and `verify`**
+//! decode a leaf into a [`LeafNode`], take an interior from the frame's
+//! cache, and lay out either kind through `NodeKind`, over entry sizes: one
+//! split-point search (`BTreeConfig::split_point`) and one level packer
+//! (`config::Packer`). A decoded node is an **arena**: one `Vec<u8>` of
+//! every prefix-expanded key — in a leaf, each followed by its value — and
+//! one `Vec<u32>` offset table, reached only through `key(i)` / `value(i)`
+//! / `sep(i)` and the writers `insert_at` / `remove_at` / `split_off` /
+//! `append`. Decoding a leaf is two allocations whatever its entry count,
+//! and cloning one is two `memcpy`s. A walk accepts exactly the pages
+//! [`Node::decode`] accepts, and the editor exactly those of them the
+//! encoder could have written (`tests/decode_fuzz.rs`).
 //!
 //! **Decode bound.** [`Node::decode`] measures a page before it allocates:
 //! a first pass validates every length (`prefix_len` within the previous
@@ -54,7 +51,8 @@
 
 use pagestore::{Error, PageId, Result};
 
-use crate::codec::{common_prefix_len, read_varint, varint_len, write_varint};
+use crate::codec::{common_prefix_len, read_varint, separator, varint_len, write_varint};
+use crate::config::BTreeConfig;
 
 const TAG_INTERIOR: u8 = 0;
 pub(crate) const TAG_LEAF: u8 = 1;
@@ -167,6 +165,14 @@ impl LeafNode {
         }
     }
 
+    /// Decode a page with the leaf tag (bounds in the module docs).
+    pub(crate) fn decode(page: &[u8]) -> Result<LeafNode> {
+        let (next, count) = leaf_header(page)?;
+        let total = measure(page, LEAF_HEADER, count, true)?;
+        let slots = fill(page, LEAF_HEADER, count, total, true, |_| {})?;
+        Ok(LeafNode { slots, next })
+    }
+
     /// Number of entries.
     pub fn len(&self) -> usize {
         self.slots.len() / 2
@@ -243,15 +249,7 @@ impl LeafNode {
 
     /// Exact size of the encoded form.
     pub fn encoded_size(&self, compress: bool) -> usize {
-        let mut size = LEAF_HEADER;
-        let mut prev: &[u8] = &[];
-        for i in 0..self.len() {
-            let key = self.key(i);
-            let plen = shared_prefix(prev, key, compress);
-            size += entry_size(plen, key.len(), Some(self.value(i).len()));
-            prev = key;
-        }
-        size
+        NodeKind::encoded_size(self, compress)
     }
 }
 
@@ -274,6 +272,28 @@ impl InternalNode {
             seps: Slots::new(),
             children: vec![first_child],
         }
+    }
+
+    /// Decode a page without the leaf tag (bounds in the module docs): an
+    /// interior's, else [`Error::Corrupt`].
+    pub(crate) fn decode(page: &[u8]) -> Result<InternalNode> {
+        let tag = *page
+            .first()
+            .ok_or_else(|| Error::Corrupt("empty page".into()))?;
+        if tag != TAG_INTERIOR {
+            return Err(Error::Corrupt(format!("unknown node tag {tag}")));
+        }
+        if page.len() < INTERIOR_HEADER {
+            return Err(Error::Corrupt("interior header truncated".into()));
+        }
+        let count = u16::from_le_bytes(page[1..3].try_into().unwrap()) as usize;
+        let total = measure(page, INTERIOR_HEADER, count, false)?;
+        let mut children = Vec::with_capacity(count + 1);
+        children.push(PageId::from_bytes(page[3..7].try_into().unwrap()));
+        let seps = fill(page, INTERIOR_HEADER, count, total, false, |child| {
+            children.push(child)
+        })?;
+        Ok(InternalNode { seps, children })
     }
 
     /// Number of separators.
@@ -362,19 +382,6 @@ impl InternalNode {
         self.seps.append(&other.seps);
         self.children.extend_from_slice(&other.children);
     }
-
-    /// Exact size of the encoded form.
-    pub fn encoded_size(&self, compress: bool) -> usize {
-        let mut size = INTERIOR_HEADER;
-        let mut prev: &[u8] = &[];
-        for i in 0..self.len() {
-            let sep = self.sep(i);
-            let plen = shared_prefix(prev, sep, compress);
-            size += entry_size(plen, sep.len(), None);
-            prev = sep;
-        }
-        size
-    }
 }
 
 /// A decoded B-tree node.
@@ -387,11 +394,6 @@ pub enum Node {
 }
 
 impl Node {
-    /// A fresh empty leaf.
-    pub fn empty_leaf() -> Node {
-        Node::Leaf(LeafNode::new(PageId::NULL))
-    }
-
     /// Number of entries (leaf) or separators (interior).
     pub fn count(&self) -> usize {
         match self {
@@ -422,9 +424,87 @@ impl Node {
     /// Fails with [`Error::Corrupt`], leaving `page` untouched, if the
     /// encoding does not fit — callers must split before storing.
     pub fn encode(&self, page: &mut [u8], compress: bool) -> Result<()> {
-        if self.count() > u16::MAX as usize {
-            return Err(Error::Corrupt("too many entries in a node".into()));
+        match self {
+            Node::Leaf(l) => l.encode(page, compress),
+            Node::Internal(n) => n.encode(page, compress),
         }
+    }
+
+    /// Decode a node from page bytes (bounds in the module docs).
+    pub fn decode(page: &[u8]) -> Result<Node> {
+        if page.first() == Some(&TAG_LEAF) {
+            LeafNode::decode(page).map(Node::Leaf)
+        } else {
+            InternalNode::decode(page).map(Node::Internal)
+        }
+    }
+}
+
+/// One entry's encoded size: behind its predecessor in a node, and as a
+/// node's first entry, which shares no prefix.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct EntrySize {
+    pub(crate) behind: usize,
+    pub(crate) alone: usize,
+}
+
+impl EntrySize {
+    /// The size of `key` behind `prev`, with a `value_len`-byte value or
+    /// (`None`) a separator's child pointer.
+    pub(crate) fn of(prev: &[u8], key: &[u8], value_len: Option<usize>, compress: bool) -> Self {
+        EntrySize {
+            behind: entry_size(shared_prefix(prev, key, compress), key.len(), value_len),
+            alone: entry_size(0, key.len(), value_len),
+        }
+    }
+}
+
+/// A node kind as the writer lays it out: splits, merges and bulk load
+/// handle leaves and interiors through it, so that each layout decision is
+/// made once for both (`BTreeConfig::split_point`, `config::Packer`).
+pub(crate) trait NodeKind: Sized {
+    /// Fixed header bytes of a page of this kind.
+    const HEADER: usize;
+    /// Whether the entry at a boundary moves up to the parent: an
+    /// interior's separator does, a leaf's entry opens the node to its right.
+    const PROMOTES: bool;
+
+    /// Number of entries (separators, in an interior).
+    fn count(&self) -> usize;
+
+    /// Entry `i`'s key, and its value's length (`None`: a child pointer).
+    fn entry(&self, i: usize) -> (&[u8], Option<usize>);
+
+    /// Write the page header, with the entry count's bytes.
+    fn put_header(&self, page: &mut [u8], count: [u8; 2]);
+
+    /// Write what follows entry `i`'s key: its value, or its child.
+    fn put_payload(&self, i: usize, page: &mut [u8], pos: &mut usize);
+
+    /// Take in the entries of `right`, the next sibling; `between` is the
+    /// parent's separator between the two.
+    fn absorb(&mut self, between: &[u8], right: &Self);
+
+    /// Keep the entries before `at`, and return the separator the parent
+    /// gets and the node to the right, which is to live on page `right_id`.
+    fn split(&mut self, at: usize, right_id: PageId, config: &BTreeConfig) -> (Vec<u8>, Self);
+
+    /// Exact size of the encoded form.
+    fn encoded_size(&self, compress: bool) -> usize {
+        let mut prev: &[u8] = &[];
+        let mut size = Self::HEADER;
+        for i in 0..self.count() {
+            let (key, value_len) = self.entry(i);
+            size += entry_size(shared_prefix(prev, key, compress), key.len(), value_len);
+            prev = key;
+        }
+        size
+    }
+
+    /// Encode into `page` as [`Node::encode`] does.
+    fn encode(&self, page: &mut [u8], compress: bool) -> Result<()> {
+        let count = u16::try_from(self.count())
+            .map_err(|_| Error::Corrupt("too many entries in a node".into()))?;
         let size = self.encoded_size(compress);
         if size > page.len() {
             return Err(Error::Corrupt(format!(
@@ -432,67 +512,93 @@ impl Node {
                 page.len()
             )));
         }
-        let count = (self.count() as u16).to_le_bytes();
-        let mut pos;
+        self.put_header(page, count.to_le_bytes());
+        let mut pos = Self::HEADER;
         let mut prev: &[u8] = &[];
-        match self {
-            Node::Leaf(l) => {
-                page[0] = TAG_LEAF;
-                page[1..5].copy_from_slice(&l.next.to_bytes());
-                page[5..7].copy_from_slice(&count);
-                pos = LEAF_HEADER;
-                for i in 0..l.len() {
-                    put_key(page, &mut pos, prev, l.key(i), compress);
-                    prev = l.key(i);
-                    let value = l.value(i);
-                    write_varint(page, &mut pos, value.len() as u32);
-                    put(page, &mut pos, value);
-                }
-            }
-            Node::Internal(n) => {
-                page[0] = TAG_INTERIOR;
-                page[1..3].copy_from_slice(&count);
-                page[3..7].copy_from_slice(&n.child(0).to_bytes());
-                pos = INTERIOR_HEADER;
-                for i in 0..n.len() {
-                    put_key(page, &mut pos, prev, n.sep(i), compress);
-                    prev = n.sep(i);
-                    put(page, &mut pos, &n.child(i + 1).to_bytes());
-                }
-            }
+        for i in 0..self.count() {
+            let (key, _) = self.entry(i);
+            put_key(page, &mut pos, prev, key, compress);
+            self.put_payload(i, page, &mut pos);
+            prev = key;
         }
         debug_assert_eq!(pos, size, "encoded_size disagrees with encode");
         page[pos..].fill(0);
         Ok(())
     }
+}
 
-    /// Decode a node from page bytes (bounds in the module docs).
-    pub fn decode(page: &[u8]) -> Result<Node> {
-        let tag = *page
-            .first()
-            .ok_or_else(|| Error::Corrupt("empty page".into()))?;
-        match tag {
-            TAG_LEAF => {
-                let (next, count) = leaf_header(page)?;
-                let total = measure(page, LEAF_HEADER, count, true)?;
-                let slots = fill(page, LEAF_HEADER, count, total, true, |_| {})?;
-                Ok(Node::Leaf(LeafNode { slots, next }))
-            }
-            TAG_INTERIOR => {
-                if page.len() < INTERIOR_HEADER {
-                    return Err(Error::Corrupt("interior header truncated".into()));
-                }
-                let count = u16::from_le_bytes(page[1..3].try_into().unwrap()) as usize;
-                let total = measure(page, INTERIOR_HEADER, count, false)?;
-                let mut children = Vec::with_capacity(count + 1);
-                children.push(PageId::from_bytes(page[3..7].try_into().unwrap()));
-                let seps = fill(page, INTERIOR_HEADER, count, total, false, |child| {
-                    children.push(child)
-                })?;
-                Ok(Node::Internal(InternalNode { seps, children }))
-            }
-            t => Err(Error::Corrupt(format!("unknown node tag {t}"))),
-        }
+impl NodeKind for LeafNode {
+    const HEADER: usize = LEAF_HEADER;
+    const PROMOTES: bool = false;
+
+    fn count(&self) -> usize {
+        self.len()
+    }
+
+    #[inline]
+    fn entry(&self, i: usize) -> (&[u8], Option<usize>) {
+        (self.key(i), Some(self.value(i).len()))
+    }
+
+    fn put_header(&self, page: &mut [u8], count: [u8; 2]) {
+        page[0] = TAG_LEAF;
+        page[1..5].copy_from_slice(&self.next.to_bytes());
+        page[5..7].copy_from_slice(&count);
+    }
+
+    #[inline]
+    fn put_payload(&self, i: usize, page: &mut [u8], pos: &mut usize) {
+        let value = self.value(i);
+        write_varint(page, pos, value.len() as u32);
+        put(page, pos, value);
+    }
+
+    fn absorb(&mut self, _between: &[u8], right: &Self) {
+        self.append(right);
+        self.next = right.next;
+    }
+
+    fn split(&mut self, at: usize, right_id: PageId, config: &BTreeConfig) -> (Vec<u8>, Self) {
+        let right = self.split_off(at);
+        self.next = right_id;
+        let last = self.key(self.len() - 1);
+        (
+            separator(last, right.key(0), config.suffix_truncation),
+            right,
+        )
+    }
+}
+
+impl NodeKind for InternalNode {
+    const HEADER: usize = INTERIOR_HEADER;
+    const PROMOTES: bool = true;
+
+    fn count(&self) -> usize {
+        self.len()
+    }
+
+    #[inline]
+    fn entry(&self, i: usize) -> (&[u8], Option<usize>) {
+        (self.sep(i), None)
+    }
+
+    fn put_header(&self, page: &mut [u8], count: [u8; 2]) {
+        page[0] = TAG_INTERIOR;
+        page[1..3].copy_from_slice(&count);
+        page[3..7].copy_from_slice(&self.child(0).to_bytes());
+    }
+
+    #[inline]
+    fn put_payload(&self, i: usize, page: &mut [u8], pos: &mut usize) {
+        put(page, pos, &self.child(i + 1).to_bytes());
+    }
+
+    fn absorb(&mut self, between: &[u8], right: &Self) {
+        self.append(between, right);
+    }
+
+    fn split(&mut self, at: usize, _: PageId, _: &BTreeConfig) -> (Vec<u8>, Self) {
+        self.split_off(at)
     }
 }
 
@@ -628,29 +734,6 @@ pub(crate) fn entry_size(plen: usize, key_len: usize, value_len: Option<usize>) 
         None => size += 4, // child pointer
     }
     size
-}
-
-/// Per-entry encoded sizes used to pick byte-balanced split points.
-///
-/// `items` yields each key with its value length (`None` for a separator,
-/// which carries a child pointer instead). Returns
-/// `(compressed, uncompressed_first)`: `compressed[i]` is entry `i`'s size
-/// when preceded by entry `i-1`; `uncompressed_first[i]` is its size as the
-/// first entry of a node (prefix length 0).
-pub(crate) fn segment_sizes<'a, I>(items: I, compress: bool) -> (Vec<usize>, Vec<usize>)
-where
-    I: ExactSizeIterator<Item = (&'a [u8], Option<usize>)>,
-{
-    let mut compressed = Vec::with_capacity(items.len());
-    let mut first = Vec::with_capacity(items.len());
-    let mut prev: &[u8] = &[];
-    for (k, vlen) in items {
-        let plen = shared_prefix(prev, k, compress);
-        compressed.push(entry_size(plen, k.len(), vlen));
-        first.push(entry_size(0, k.len(), vlen));
-        prev = k;
-    }
-    (compressed, first)
 }
 
 /// The `Vec`-of-owned-entries decoder the arena decoder replaced, kept as
@@ -846,7 +929,7 @@ mod tests {
     #[test]
     fn empty_nodes_roundtrip() {
         let mut page = vec![0u8; 64];
-        let node = Node::empty_leaf();
+        let node = Node::Leaf(LeafNode::new(PageId::NULL));
         node.encode(&mut page, true).unwrap();
         assert_eq!(Node::decode(&page).unwrap(), node);
 

@@ -41,12 +41,9 @@ use std::sync::{Arc, Mutex, MutexGuard, RwLock};
 
 use pagestore::{BufferPool, Error, PageId, PageRef, PageStore, Result};
 
-use crate::codec::truncate_separator;
-use crate::config::{BTreeConfig, Capacity};
+use crate::config::BTreeConfig;
 use crate::edit::{LeafEdit, LeafEditor};
-use crate::node::{
-    segment_sizes, InternalNode, LeafNode, Node, INTERIOR_HEADER, LEAF_HEADER, TAG_LEAF,
-};
+use crate::node::{EntrySize, InternalNode, LeafNode, NodeKind, TAG_LEAF};
 
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|e| e.into_inner())
@@ -67,7 +64,7 @@ pub(crate) struct TreeMetrics {
     pub(crate) merges: telemetry::Counter,
     /// Inserts, replaces and deletes written into a leaf where it lies.
     pub(crate) leaf_edits: telemetry::Counter,
-    /// Leaves the writer decoded into a `Node` and wrote back whole.
+    /// Leaves the writer decoded into a `LeafNode` and wrote back whole.
     pub(crate) leaf_reencodes: telemetry::Counter,
     /// Snapshot reads served from the version store instead of live frames.
     pub(crate) version_reads: telemetry::Counter,
@@ -108,16 +105,17 @@ pub(crate) fn metrics<R>(f: impl FnOnce(&TreeMetrics) -> R) -> R {
 /// binary search, or whatever the reader made of a leaf's bytes.
 #[derive(Clone)]
 pub(crate) enum Loaded<L> {
-    Interior(Arc<Node>),
+    Interior(Arc<InternalNode>),
     Leaf(L),
 }
 
 impl<L> Loaded<L> {
-    pub(crate) fn interior(self) -> Option<Arc<Node>> {
-        match self {
-            Loaded::Interior(node) => Some(node),
-            Loaded::Leaf(_) => None,
-        }
+    /// The same page with its leaf's form turned into another by `leaf`.
+    pub(crate) fn map_leaf<R>(self, leaf: impl FnOnce(L) -> Result<R>) -> Result<Loaded<R>> {
+        Ok(match self {
+            Loaded::Interior(node) => Loaded::Interior(node),
+            Loaded::Leaf(l) => Loaded::Leaf(leaf(l)?),
+        })
     }
 }
 
@@ -134,7 +132,7 @@ pub(crate) fn load_page<L>(
     if bytes.first() == Some(&TAG_LEAF) {
         Ok(Loaded::Leaf(leaf(&bytes)?))
     } else {
-        Ok(Loaded::Interior(bytes.get_or_decode(Node::decode)?))
+        Ok(Loaded::Interior(bytes.get_or_decode(InternalNode::decode)?))
     }
 }
 
@@ -490,7 +488,7 @@ impl<S: PageStore> BTree<S> {
     pub fn create(pool: impl Into<Arc<BufferPool<S>>>, config: BTreeConfig) -> Result<Self> {
         let pool = pool.into();
         let (root, page) = pool.allocate()?;
-        Node::empty_leaf().encode(&mut page.write(), config.front_compression)?;
+        LeafNode::new(PageId::NULL).encode(&mut page.write(), config.front_compression)?;
         drop(page);
         Ok(Self::attach(pool, config, root, 0))
     }
@@ -631,61 +629,41 @@ impl<S: PageStore> BTree<S> {
         self.len = len;
     }
 
-    /// Load a node for the write path (readers walk leaves in place, see
-    /// `ReadView`): an interior from the frame's decode cache, a leaf
-    /// decoded afresh (see [`load_page`]). The page fetch is always
-    /// performed (and counted).
-    pub(crate) fn load_node(&self, id: PageId) -> Result<Arc<Node>> {
-        Ok(
-            match load_page(&self.shared.pool.fetch(id)?, Node::decode)? {
-                Loaded::Interior(node) => node,
-                Loaded::Leaf(node) => Arc::new(node),
-            },
-        )
-    }
-
-    /// The interior node at `id`, or `None` for a leaf, whose bytes are
-    /// not decoded.
-    pub(crate) fn load_interior(&self, id: PageId) -> Result<Option<Arc<Node>>> {
-        Ok(self.descend(id)?.interior())
+    /// Load a node for the write path: an interior from the frame's decode
+    /// cache, a leaf decoded afresh (readers walk leaves in place).
+    pub(crate) fn load(&self, id: PageId) -> Result<Loaded<LeafNode>> {
+        load_page(&self.shared.pool.fetch(id)?, LeafNode::decode)
     }
 
     /// Fetch `id` for a writer's descent: an interior from the frame's
     /// decode cache, a leaf as its page, to edit where it lies.
     pub(crate) fn descend(&self, id: PageId) -> Result<Loaded<PageRef>> {
         let page = self.shared.pool.fetch(id)?;
-        Ok(match load_page(&page, |_| Ok(()))? {
-            Loaded::Interior(node) => Loaded::Interior(node),
-            Loaded::Leaf(()) => Loaded::Leaf(page),
-        })
-    }
-
-    /// Load an owned node for mutation: a leaf as decoded, an interior
-    /// cloned out of the decode cache in two `memcpy`s.
-    pub(crate) fn load(&self, id: PageId) -> Result<Node> {
-        Ok(Arc::unwrap_or_clone(self.load_node(id)?))
+        load_page(&page, |_| Ok(()))?.map_leaf(|()| Ok(page))
     }
 
     /// Overwrite `id` with `node`, preserving the pre-image into the
     /// version store if this is the first write to a published page since
     /// the last publish.
-    pub(crate) fn store_node(&mut self, id: PageId, node: &Node) -> Result<()> {
+    pub(crate) fn store<N: NodeKind>(&mut self, id: PageId, node: &N) -> Result<()> {
         let page = self.shared.pool.fetch(id)?;
         self.preserve(id, &page)?;
         let mut bytes = page.write();
         node.encode(&mut bytes, self.config.front_compression)
     }
 
-    /// [`BTree::store_node`] for a leaf the writer decoded to split, merge
-    /// or redistribute it: the one path that still re-encodes a whole leaf.
-    fn reencode(&mut self, id: PageId, leaf: LeafNode) -> Result<()> {
-        metrics(|m| m.leaf_reencodes.inc());
-        self.store_node(id, &Node::Leaf(leaf))
+    /// [`BTree::store`] for a node a split, merge or redistribution wrote
+    /// whole; a leaf counts as one the writer re-encoded.
+    fn rewrite<N: NodeKind>(&mut self, id: PageId, node: &N) -> Result<()> {
+        if !N::PROMOTES {
+            metrics(|m| m.leaf_reencodes.inc());
+        }
+        self.store(id, node)
     }
 
     /// Apply `edit`, planned by `editor` on the leaf `page` (`id`), where
-    /// the leaf lies, preserving its pre-image as [`BTree::store_node`]
-    /// does. Returns the value the edit replaced or removed.
+    /// the leaf lies, preserving its pre-image as [`BTree::store`] does.
+    /// Returns the value the edit replaced or removed.
     pub(crate) fn edit_leaf(
         &mut self,
         id: PageId,
@@ -737,41 +715,53 @@ impl<S: PageStore> BTree<S> {
         Ok((id, page))
     }
 
-    fn page_size(&self) -> usize {
+    pub(crate) fn page_size(&self) -> usize {
         self.pool().page_size()
     }
 
-    pub(crate) fn fits(&self, node: &Node) -> bool {
-        self.fits_size(
-            node.count(),
-            node.encoded_size(self.config.front_compression),
-        )
+    /// Whether `node` fits its page.
+    pub(crate) fn fits<N: NodeKind>(&self, node: &N) -> bool {
+        let size = node.encoded_size(self.config.front_compression);
+        self.config.fits(node.count(), size, self.page_size())
     }
 
-    /// Whether a node of `count` entries encoding to `size` bytes fits.
-    pub(crate) fn fits_size(&self, count: usize, size: usize) -> bool {
-        self.config.fits(count, size, self.page_size())
+    /// Whether `node`, not the root, should be rebalanced.
+    pub(crate) fn underfull<N: NodeKind>(&self, node: &N) -> bool {
+        let size = node.encoded_size(self.config.front_compression);
+        self.config.underfull(node.count(), size, self.page_size())
     }
 
-    pub(crate) fn is_underfull_node(&self, node: &Node) -> bool {
-        self.is_underfull_size(
-            node.count(),
-            node.encoded_size(self.config.front_compression),
-        )
-    }
-
-    /// Whether a node of `count` entries encoding to `size` bytes should be
-    /// rebalanced.
-    pub(crate) fn is_underfull_size(&self, count: usize, size: usize) -> bool {
-        self.config.underfull(count, size, self.page_size())
-    }
-
-    fn separator(&self, left_max: &[u8], right_min: &[u8]) -> Vec<u8> {
-        if self.config.suffix_truncation {
-            truncate_separator(left_max, right_min)
-        } else {
-            right_min.to_vec()
+    /// Where to split the over-full `node` (see [`BTreeConfig::split_point`]).
+    pub(crate) fn split_point<N: NodeKind>(&self, node: &N) -> Result<usize> {
+        let compress = self.config.front_compression;
+        let mut sizes = Vec::with_capacity(node.count());
+        let mut prev: &[u8] = &[];
+        for i in 0..node.count() {
+            let (key, value_len) = node.entry(i);
+            sizes.push(EntrySize::of(prev, key, value_len, compress));
+            prev = key;
         }
+        let page_size = self.page_size();
+        self.config
+            .split_point(&sizes, N::HEADER, N::PROMOTES, page_size)
+    }
+
+    /// Join `left` and `right`, its next sibling on page `right_id`, across
+    /// `between`: `None` when all fit `left`, else `left` keeps the entries
+    /// before the split point and the separator and right half return.
+    pub(crate) fn join<N: NodeKind>(
+        &self,
+        left: &mut N,
+        between: &[u8],
+        right: &N,
+        right_id: PageId,
+    ) -> Result<Option<(Vec<u8>, N)>> {
+        left.absorb(between, right);
+        if self.fits(left) {
+            return Ok(None);
+        }
+        let at = self.split_point(left)?;
+        Ok(Some(left.split(at, right_id, &self.config)))
     }
 
     // ----- insert -------------------------------------------------------
@@ -786,18 +776,15 @@ impl<S: PageStore> BTree<S> {
             });
         }
         self.bump_epoch();
-        let result = self.insert_rec(self.root, key, value)?;
-        let old = match result {
+        let old = match self.insert_rec(self.root, key, value)? {
             Ins::Done(old) => old,
             Ins::Split { sep, right, old } => {
                 // Grow the tree: new root with the old root and the new
                 // right sibling as children.
-                let old_root = self.root;
                 let (new_root, page) = self.allocate_page()?;
-                let mut node = InternalNode::new(old_root);
+                let mut node = InternalNode::new(self.root);
                 node.push(&sep, right);
-                Node::Internal(node).encode(&mut page.write(), self.config.front_compression)?;
-                drop(page);
+                node.encode(&mut page.write(), self.config.front_compression)?;
                 self.root = new_root;
                 old
             }
@@ -812,39 +799,24 @@ impl<S: PageStore> BTree<S> {
         // Only the node that changes is written: the leaf always, in place
         // unless it splits, an interior node (copied out of the decode
         // cache) when its child split.
-        let node = match self.descend(id)? {
+        let int = match self.descend(id)? {
             Loaded::Leaf(page) => return self.insert_leaf(id, &page, key, value),
-            Loaded::Interior(node) => node,
-        };
-        let Node::Internal(int) = &*node else {
-            unreachable!("only a page with the leaf tag decodes to a leaf");
+            Loaded::Interior(int) => int,
         };
         let ci = int.route(key);
         match self.insert_rec(int.child(ci), key, value)? {
-            Ins::Done(old) => Ok(Ins::Done(old)),
             Ins::Split { sep, right, old } => {
-                let mut int = int.clone();
+                let mut int = Arc::unwrap_or_clone(int);
                 int.insert_at(ci, &sep, right);
-                let node = Node::Internal(int);
-                if self.fits(&node) {
-                    self.store_node(id, &node)?;
+                if self.fits(&int) {
+                    self.store(id, &int)?;
                     return Ok(Ins::Done(old));
                 }
-                let Node::Internal(mut int) = node else {
-                    unreachable!()
-                };
-                let promote = self.internal_split_index(&int)?;
-                let (promoted, right) = int.split_off(promote);
-                let (right_id, _) = self.allocate_page()?;
-                self.store_node(id, &Node::Internal(int))?;
-                self.store_node(right_id, &Node::Internal(right))?;
-                metrics(|m| m.splits.inc());
-                Ok(Ins::Split {
-                    sep: promoted,
-                    right: right_id,
-                    old,
-                })
+                let at = self.split_point(&int)?;
+                let (sep, right) = self.split(id, int, at)?;
+                Ok(Ins::Split { sep, right, old })
             }
+            done => Ok(done),
         }
     }
 
@@ -857,9 +829,7 @@ impl<S: PageStore> BTree<S> {
             drop(bytes);
             return Ok(Ins::Done(self.edit_leaf(id, page, &mut editor, edit)?));
         }
-        let Node::Leaf(mut leaf) = Node::decode(&bytes)? else {
-            unreachable!("the editor opened a leaf");
-        };
+        let mut leaf = LeafNode::decode(&bytes)?;
         drop(bytes);
         let old = match leaf.search(key) {
             Ok(i) => {
@@ -877,93 +847,21 @@ impl<S: PageStore> BTree<S> {
         // of half-empty ones.
         let last = leaf.len() - 1;
         let appended = old.is_none() && leaf.next.is_null() && leaf.key(last) == key;
-        let split_at = if self.config.append_split && appended && last > 0 {
-            last
-        } else {
-            self.leaf_split_index(&leaf)?
-        };
-        let right = leaf.split_off(split_at);
-        let (right_id, _) = self.allocate_page()?;
-        leaf.next = right_id;
-        let sep = self.separator(leaf.key(leaf.len() - 1), right.key(0));
-        self.reencode(id, leaf)?;
-        self.reencode(right_id, right)?;
+        let at = (self.config.append_split && appended && last > 0).then_some(last);
+        let at = at.map_or_else(|| self.split_point(&leaf), Ok)?;
+        let (sep, right) = self.split(id, leaf, at)?;
+        Ok(Ins::Split { sep, right, old })
+    }
+
+    /// Split the over-full node `n` of page `id` at `at` onto a new right
+    /// sibling: its page, and the separator the parent gets between them.
+    fn split<N: NodeKind>(&mut self, id: PageId, mut n: N, at: usize) -> Result<(Vec<u8>, PageId)> {
+        let (right, _) = self.allocate_page()?;
+        let (sep, right_node) = n.split(at, right, &self.config);
+        self.rewrite(id, &n)?;
+        self.rewrite(right, &right_node)?;
         metrics(|m| m.splits.inc());
-        Ok(Ins::Split {
-            sep,
-            right: right_id,
-            old,
-        })
-    }
-
-    /// Pick the index at which to split an over-full leaf so both halves fit
-    /// and are byte-balanced.
-    pub(crate) fn leaf_split_index(&self, leaf: &LeafNode) -> Result<usize> {
-        let n = leaf.len();
-        debug_assert!(n >= 2, "cannot split a leaf with < 2 entries");
-        if let Capacity::Entries(_) = self.config.capacity {
-            return Ok(n / 2 + (n % 2));
-        }
-        let (comp, first) = segment_sizes(
-            (0..n).map(|i| (leaf.key(i), Some(leaf.value(i).len()))),
-            self.config.front_compression,
-        );
-        // prefix[i] = sum of comp[0..i]
-        let mut prefix = vec![0usize; n + 1];
-        for i in 0..n {
-            prefix[i + 1] = prefix[i] + comp[i];
-        }
-        let total_comp = prefix[n];
-        let mut best: Option<(usize, usize)> = None; // (max_side, k)
-        for k in 1..n {
-            // left = header + first[0] + comp[1..k]; right similarly with
-            // entry k re-encoded uncompressed as its node's first entry.
-            let left_size = LEAF_HEADER + first[0] + (prefix[k] - prefix[1]);
-            let right_size = LEAF_HEADER + first[k] + (total_comp - prefix[k + 1]);
-            if left_size <= self.page_size() && right_size <= self.page_size() {
-                let worst = left_size.max(right_size);
-                if best.is_none_or(|(b, _)| worst < b) {
-                    best = Some((worst, k));
-                }
-            }
-        }
-        best.map(|(_, k)| k).ok_or_else(|| {
-            Error::Corrupt("no valid leaf split point: entry too large for page".into())
-        })
-    }
-
-    /// Pick the promote index for an over-full interior node.
-    pub(crate) fn internal_split_index(&self, int: &InternalNode) -> Result<usize> {
-        let n = int.len();
-        debug_assert!(n >= 3, "cannot split interior with < 3 separators");
-        if let Capacity::Entries(_) = self.config.capacity {
-            return Ok(n / 2);
-        }
-        let (comp, first) = segment_sizes(
-            (0..n).map(|i| (int.sep(i), None)),
-            self.config.front_compression,
-        );
-        let mut prefix = vec![0usize; n + 1];
-        for i in 0..n {
-            prefix[i + 1] = prefix[i] + comp[i];
-        }
-        let total = prefix[n];
-        let mut best: Option<(usize, usize)> = None;
-        // Promoting index p leaves seps[..p] on the left and seps[p+1..] on
-        // the right.
-        for p in 1..n - 1 {
-            let left_size = INTERIOR_HEADER + first[0] + (prefix[p] - prefix[1]);
-            let right_size = INTERIOR_HEADER + first[p + 1] + (total - prefix[p + 2]);
-            if left_size <= self.page_size() && right_size <= self.page_size() {
-                let worst = left_size.max(right_size);
-                if best.is_none_or(|(b, _)| worst < b) {
-                    best = Some((worst, p));
-                }
-            }
-        }
-        best.map(|(_, p)| p).ok_or_else(|| {
-            Error::Corrupt("no valid interior split point: separator too large".into())
-        })
+        Ok((sep, right))
     }
 
     // ----- delete -------------------------------------------------------
@@ -978,7 +876,7 @@ impl<S: PageStore> BTree<S> {
         };
         self.len -= 1;
         // Collapse the root if it became a pass-through interior node.
-        if let Some(Node::Internal(int)) = self.load_interior(self.root)?.as_deref() {
+        if let Loaded::Interior(int) = self.descend(self.root)? {
             if int.is_empty() {
                 let old_root = self.root;
                 self.root = int.child(0);
@@ -989,7 +887,7 @@ impl<S: PageStore> BTree<S> {
     }
 
     fn delete_rec(&mut self, id: PageId, key: &[u8]) -> Result<Del> {
-        let node = match self.descend(id)? {
+        let int = match self.descend(id)? {
             Loaded::Leaf(page) => {
                 // In place: an underfull leaf is merged or refilled by its
                 // parent, from the bytes this leaves.
@@ -1007,27 +905,22 @@ impl<S: PageStore> BTree<S> {
                     Del::Done(old)
                 });
             }
-            Loaded::Interior(node) => node,
-        };
-        let Node::Internal(int) = &*node else {
-            unreachable!("only a page with the leaf tag decodes to a leaf");
+            Loaded::Interior(int) => int,
         };
         let ci = int.route(key);
         match self.delete_rec(int.child(ci), key)? {
-            Del::NotFound => Ok(Del::NotFound),
-            Del::Done(v) => Ok(Del::Done(v)),
             Del::Underflow(v) => {
-                let mut int = int.clone();
+                let mut int = Arc::unwrap_or_clone(int);
                 self.rebalance_child(&mut int, ci)?;
-                let node = Node::Internal(int);
-                let under = self.is_underfull_node(&node);
-                self.store_node(id, &node)?;
+                let under = self.underfull(&int);
+                self.store(id, &int)?;
                 Ok(if under {
                     Del::Underflow(v)
                 } else {
                     Del::Done(v)
                 })
             }
+            other => Ok(other),
         }
     }
 
@@ -1040,51 +933,39 @@ impl<S: PageStore> BTree<S> {
         }
         // Pair the underfull child with its left sibling when possible so we
         // always merge right-into-left.
-        let (li, ri) = if ci > 0 { (ci - 1, ci) } else { (ci, ci + 1) };
-        let left_id = int.child(li);
-        let right_id = int.child(ri);
-        let left = self.load(left_id)?;
-        let right = self.load_node(right_id)?;
-        match (left, &*right) {
-            (Node::Leaf(mut l), Node::Leaf(r)) => {
-                l.append(r);
-                l.next = r.next;
-                if self.fits_size(l.len(), l.encoded_size(self.config.front_compression)) {
-                    self.reencode(left_id, l)?;
-                    self.free_page(right_id)?;
-                    int.remove_at(li);
-                    metrics(|m| m.merges.inc());
-                } else {
-                    let k = self.leaf_split_index(&l)?;
-                    let new_right = l.split_off(k);
-                    l.next = right_id;
-                    let sep = self.separator(l.key(l.len() - 1), new_right.key(0));
-                    self.reencode(left_id, l)?;
-                    self.reencode(right_id, new_right)?;
-                    int.set_sep(li, &sep);
-                }
+        let li = ci.saturating_sub(1);
+        match (self.load(int.child(li))?, self.load(int.child(li + 1))?) {
+            (Loaded::Leaf(left), Loaded::Leaf(right)) => self.merge_or_share(int, li, left, &right),
+            (Loaded::Interior(left), Loaded::Interior(right)) => {
+                self.merge_or_share(int, li, Arc::unwrap_or_clone(left), &right)
             }
-            (Node::Internal(mut l), Node::Internal(r)) => {
-                // Pull the parent separator down between the two sep lists.
-                l.append(int.sep(li), r);
-                let combined = Node::Internal(l);
-                if self.fits(&combined) {
-                    self.store_node(left_id, &combined)?;
-                    self.free_page(right_id)?;
-                    int.remove_at(li);
-                    metrics(|m| m.merges.inc());
-                } else {
-                    let Node::Internal(mut combined) = combined else {
-                        unreachable!()
-                    };
-                    let p = self.internal_split_index(&combined)?;
-                    let (promoted, new_right) = combined.split_off(p);
-                    self.store_node(left_id, &Node::Internal(combined))?;
-                    self.store_node(right_id, &Node::Internal(new_right))?;
-                    int.set_sep(li, &promoted);
-                }
+            _ => Err(Error::Corrupt("sibling nodes at different levels".into())),
+        }
+    }
+
+    /// Merge `left` and `right`, the decoded children `li` and `li + 1` of
+    /// `int`, into the left one when their entries fit one node, else share
+    /// the entries between the two.
+    fn merge_or_share<N: NodeKind>(
+        &mut self,
+        int: &mut InternalNode,
+        li: usize,
+        mut left: N,
+        right: &N,
+    ) -> Result<()> {
+        let (left_id, right_id) = (int.child(li), int.child(li + 1));
+        let shared = self.join(&mut left, int.sep(li), right, right_id)?;
+        self.rewrite(left_id, &left)?;
+        match shared {
+            Some((sep, right)) => {
+                self.rewrite(right_id, &right)?;
+                int.set_sep(li, &sep);
             }
-            _ => return Err(Error::Corrupt("sibling nodes at different levels".into())),
+            None => {
+                self.free_page(right_id)?;
+                int.remove_at(li);
+                metrics(|m| m.merges.inc());
+            }
         }
         Ok(())
     }

@@ -2,8 +2,7 @@
 
 use pagestore::{Error, PageId, PageStore, Result};
 
-use crate::node::Node;
-use crate::tree::BTree;
+use crate::tree::{BTree, Loaded};
 
 /// Shape statistics returned by [`BTree::verify`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -35,8 +34,12 @@ impl<S: PageStore> BTree<S> {
     ///   (`max(left) < sep <= min(right)`);
     /// * every node fits its capacity; non-root nodes are not drastically
     ///   underfull under [`crate::Capacity::Entries`];
-    /// * the leaf chain visits exactly the leaves in key order;
+    /// * the leaf chain visits exactly the leaves in key order: each
+    ///   leaf's `next` is the leaf after it in the tree, the last one's null;
     /// * the recorded length matches the actual entry count.
+    ///
+    /// Every page is read once, and the leaf chain is checked without
+    /// following it, so a chain that loops cannot stall the check.
     pub fn verify(&self) -> Result<TreeStats> {
         let mut stats = TreeStats {
             height: 0,
@@ -44,28 +47,16 @@ impl<S: PageStore> BTree<S> {
             leaf_nodes: 0,
             entries: 0,
         };
-        let mut leaves_in_order = Vec::new();
-        let root = self.root();
-        let height = self.verify_rec(root, None, None, true, &mut stats, &mut leaves_in_order)?;
-        stats.height = height;
-        // Check the leaf chain.
-        let mut chain = Vec::new();
-        let mut id = *leaves_in_order.first().expect("at least one leaf");
-        loop {
-            chain.push(id);
-            let node = self.load_node(id)?;
-            let Node::Leaf(leaf) = &*node else {
-                return Err(Error::Corrupt("leaf chain hit interior node".into()));
-            };
-            if leaf.next.is_null() {
-                break;
+        // Each leaf and its `next` pointer, in tree order.
+        let mut leaves = Vec::new();
+        stats.height = self.verify_rec(self.root(), None, None, true, &mut stats, &mut leaves)?;
+        for (i, &(id, next)) in leaves.iter().enumerate() {
+            let want = leaves.get(i + 1).map_or(PageId::NULL, |&(id, _)| id);
+            if next != want {
+                return Err(Error::Corrupt(format!(
+                    "leaf {id} chains to {next}, but the leaf after it in tree order is {want}"
+                )));
             }
-            id = leaf.next;
-        }
-        if chain != leaves_in_order {
-            return Err(Error::Corrupt(format!(
-                "leaf chain {chain:?} does not match tree order {leaves_in_order:?}"
-            )));
         }
         if stats.entries != self.len() {
             return Err(Error::Corrupt(format!(
@@ -83,7 +74,7 @@ impl<S: PageStore> BTree<S> {
         let mut ids = vec![self.root()];
         let mut next = 0;
         while next < ids.len() {
-            if let Some(Node::Internal(int)) = self.load_interior(ids[next])?.as_deref() {
+            if let Loaded::Interior(int) = self.descend(ids[next])? {
                 ids.extend_from_slice(int.children());
             }
             next += 1;
@@ -98,78 +89,52 @@ impl<S: PageStore> BTree<S> {
         upper: Option<&[u8]>, // exclusive bound: all keys < upper
         is_root: bool,
         stats: &mut TreeStats,
-        leaves: &mut Vec<PageId>,
+        leaves: &mut Vec<(PageId, PageId)>,
     ) -> Result<usize> {
-        let node = self.load_node(id)?;
-        if !self.fits(&node) {
-            return Err(Error::Corrupt(format!("node {id} over capacity")));
-        }
-        match &*node {
-            Node::Leaf(leaf) => {
+        let over = || Err(Error::Corrupt(format!("node {id} over capacity")));
+        let int = match self.load(id)? {
+            Loaded::Leaf(leaf) if !self.fits(&leaf) => return over(),
+            Loaded::Interior(int) if !self.fits(&*int) => return over(),
+            Loaded::Leaf(leaf) => {
                 stats.leaf_nodes += 1;
                 stats.entries += leaf.len() as u64;
-                leaves.push(id);
-                let mut prev: Option<&[u8]> = None;
-                for key in (0..leaf.len()).map(|i| leaf.key(i)) {
-                    if let Some(p) = prev {
-                        if p >= key {
-                            return Err(Error::Corrupt(format!(
-                                "leaf {id} keys not strictly increasing"
-                            )));
-                        }
-                    }
-                    if let Some(lo) = lower {
-                        if key < lo {
-                            return Err(Error::Corrupt(format!(
-                                "leaf {id} key below separator bound"
-                            )));
-                        }
-                    }
-                    if let Some(hi) = upper {
-                        if key >= hi {
-                            return Err(Error::Corrupt(format!(
-                                "leaf {id} key at/above separator bound"
-                            )));
-                        }
-                    }
-                    prev = Some(key);
-                }
-                Ok(1)
+                leaves.push((id, leaf.next));
+                let n = leaf.len();
+                let problem = if (1..n).any(|i| leaf.key(i - 1) >= leaf.key(i)) {
+                    "keys not strictly increasing"
+                } else if n > 0 && lower.is_some_and(|lo| leaf.key(0) < lo) {
+                    "key below separator bound"
+                } else if n > 0 && upper.is_some_and(|hi| leaf.key(n - 1) >= hi) {
+                    "key at/above separator bound"
+                } else {
+                    return Ok(1);
+                };
+                return Err(Error::Corrupt(format!("leaf {id} {problem}")));
             }
-            Node::Internal(int) => {
-                stats.internal_nodes += 1;
-                if int.is_empty() && !is_root {
-                    return Err(Error::Corrupt(format!("interior {id} shape invalid")));
-                }
-                for i in 1..int.len() {
-                    if int.sep(i - 1) >= int.sep(i) {
-                        return Err(Error::Corrupt(format!(
-                            "interior {id} separators not increasing"
-                        )));
-                    }
-                }
-                let mut child_height = None;
-                for (i, child) in int.children().iter().enumerate() {
-                    let lo = if i == 0 { lower } else { Some(int.sep(i - 1)) };
-                    let hi = if i == int.len() {
-                        upper
-                    } else {
-                        Some(int.sep(i))
-                    };
-                    let h = self.verify_rec(*child, lo, hi, false, stats, leaves)?;
-                    match child_height {
-                        None => child_height = Some(h),
-                        Some(prev) if prev != h => {
-                            return Err(Error::Corrupt(format!(
-                                "interior {id} children at different heights"
-                            )))
-                        }
-                        _ => {}
-                    }
-                }
-                Ok(child_height.expect("at least one child") + 1)
-            }
+            Loaded::Interior(int) => int,
+        };
+        stats.internal_nodes += 1;
+        if int.is_empty() && !is_root {
+            return Err(Error::Corrupt(format!("interior {id} shape invalid")));
         }
+        if (1..int.len()).any(|i| int.sep(i - 1) >= int.sep(i)) {
+            return Err(Error::Corrupt(format!(
+                "interior {id} separators not increasing"
+            )));
+        }
+        let mut child_height = None;
+        for (i, &child) in int.children().iter().enumerate() {
+            let lo = i.checked_sub(1).map(|j| int.sep(j)).or(lower);
+            let hi = (i < int.len()).then(|| int.sep(i)).or(upper);
+            let h = self.verify_rec(child, lo, hi, false, stats, leaves)?;
+            if child_height.is_some_and(|prev| prev != h) {
+                return Err(Error::Corrupt(format!(
+                    "interior {id} children at different heights"
+                )));
+            }
+            child_height = Some(h);
+        }
+        Ok(child_height.expect("at least one child") + 1)
     }
 }
 

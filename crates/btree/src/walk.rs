@@ -418,9 +418,7 @@ mod tests {
         let keys: [&[u8]; 7] = [b"a", b"ab", b"abc", b"abd", b"b", b"ba", b"bab"];
         for compress in [true, false] {
             let page = page_of(&keys, compress);
-            let Node::Leaf(leaf) = Node::decode(&page).unwrap() else {
-                unreachable!()
-            };
+            let leaf = LeafNode::decode(&page).unwrap();
             let mut w = LeafWalker::new();
             w.load(&page).unwrap();
             assert_eq!((w.len(), w.next_leaf()), (7, PageId(9)));

@@ -6,8 +6,10 @@
 //! answer.
 
 use std::collections::BTreeMap;
+use std::sync::mpsc;
+use std::time::Duration;
 
-use btree::{BTree, BTreeConfig};
+use btree::{BTree, BTreeConfig, Error, Node};
 use pagestore::{BufferPool, ChecksumStore, MemStore, PageStore, WalStore, TRAILER_LEN};
 
 const PS: usize = 256;
@@ -116,5 +118,44 @@ fn verify_surfaces_checksum_corruption() {
     assert!(
         err.to_string().contains(&victim.to_string()),
         "error must name the damaged page: {err}"
+    );
+}
+
+/// A leaf whose `next` pointer leads back to the first leaf still decodes,
+/// so only the chain itself is wrong. `verify` must refuse the tree with a
+/// typed corruption error, and in bounded time: a check that follows the
+/// chain never returns, and `DiskDatabase::open` verifies every index.
+#[test]
+fn verify_refuses_a_cyclic_leaf_chain() {
+    let pool = BufferPool::new(MemStore::new(PS), 64);
+    let items = (0..40).map(|i| (key(i), Vec::new()));
+    let tree = BTree::bulk_load(pool, BTreeConfig::with_max_entries(4), items).unwrap();
+    let view = tree.view();
+    let mut cur = view.seek_first().unwrap();
+    let mut leaves = Vec::new();
+    while view.cursor_peek(&mut cur).unwrap().is_some() {
+        if leaves.last() != Some(&cur.leaf_page()) {
+            leaves.push(cur.leaf_page());
+        }
+        cur.advance();
+    }
+    assert_eq!(leaves.len(), 10);
+
+    let last = tree.pool().fetch(leaves[9]).unwrap();
+    let Node::Leaf(mut leaf) = Node::decode(&last.read()).unwrap() else {
+        panic!("the cursor's page is not a leaf");
+    };
+    leaf.next = leaves[0];
+    Node::Leaf(leaf).encode(&mut last.write(), true).unwrap();
+    drop(last);
+
+    let (done, verdict) = mpsc::channel();
+    std::thread::spawn(move || done.send(tree.verify().map(|_| ())));
+    let verdict = verdict
+        .recv_timeout(Duration::from_secs(60))
+        .expect("verify did not return on a cyclic leaf chain");
+    assert!(
+        matches!(verdict, Err(Error::Corrupt(_))),
+        "expected a corruption error, got: {verdict:?}"
     );
 }

@@ -862,8 +862,8 @@ mod tests {
         let hits_before = telemetry::counter_value("pagestore.pool.hits");
         let misses_before = misses();
         let errors_before = telemetry::counter_value("pagestore.pool.read_errors");
-        let at = p.store_lock().ops();
-        p.store_lock().inject(at, Fault::IoError);
+        let at = p.store_lock().handle().ops();
+        p.store_lock().handle().inject(at, Fault::IoError);
         assert!(p.fetch(a).is_err());
         // The failed fetch reached no page: every access statistic must be
         // unchanged, cumulative and per-query alike.
@@ -896,8 +896,8 @@ mod tests {
         // (fetches, misses, write-backs)
         let counts = || (fetches(), misses(), writebacks());
         let pre_crash = counts();
-        let at = p.store_lock().ops();
-        p.store_lock().inject(at, Fault::Crash);
+        let at = p.store_lock().handle().ops();
+        p.store_lock().handle().inject(at, Fault::Crash);
         // Everything fails while crashed; counters must not move backwards
         // (or at all — no page access completes).
         assert!(p.fetch(ids[0]).is_err() || p.fetch(ids[1]).is_err());
@@ -906,7 +906,7 @@ mod tests {
         assert_eq!(crashed.1, pre_crash.1);
         // "Repair the disk" and recover: counters resume from where they
         // were, still monotonic.
-        p.store_lock().clear_faults();
+        p.store_lock().handle().clear_faults();
         for (i, id) in ids.iter().enumerate() {
             let page = p.fetch(*id).unwrap();
             assert_eq!(page.read()[0], i as u8);
@@ -933,8 +933,8 @@ mod tests {
         p.invalidate_cache().unwrap();
         let attempts_before = telemetry::counter_value("pagestore.pool.retries");
         let successes_before = telemetry::counter_value("pagestore.pool.retry_successes");
-        let at = p.store_lock().ops();
-        p.store_lock().inject(at, Fault::IoError);
+        let at = p.store_lock().handle().ops();
+        p.store_lock().handle().inject(at, Fault::IoError);
         // One-shot fault: the first attempt fails, the retry succeeds.
         let page = p.fetch(a).unwrap();
         assert_eq!(page.read()[0], 42);
@@ -959,9 +959,9 @@ mod tests {
         let (a, _) = p.allocate().unwrap();
         p.invalidate_cache().unwrap();
         let exhausted_before = telemetry::counter_value("pagestore.pool.retry_exhausted");
-        let at = p.store_lock().ops();
-        p.store_lock().inject(at, Fault::IoError);
-        p.store_lock().inject(at + 1, Fault::IoError);
+        let at = p.store_lock().handle().ops();
+        p.store_lock().handle().inject(at, Fault::IoError);
+        p.store_lock().handle().inject(at + 1, Fault::IoError);
         assert!(p.fetch(a).is_err());
         assert_eq!(
             telemetry::counter_value("pagestore.pool.retry_exhausted"),

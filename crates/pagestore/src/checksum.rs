@@ -424,20 +424,21 @@ mod tests {
         let mut out = vec![0u8; 128];
 
         // Transient read-side bit flip.
-        let at = s.inner().ops();
-        s.inner_mut().inject(at, Fault::BitFlip { bit: 77 });
+        let at = s.inner().handle().ops();
+        s.inner().handle().inject(at, Fault::BitFlip { bit: 77 });
         assert!(s.read(a, &mut out).unwrap_err().is_corruption());
         s.read(a, &mut out).unwrap(); // transient: page itself intact
 
         // Persistent write-side bit flip.
-        let at = s.inner().ops();
-        s.inner_mut().inject(at, Fault::BitFlip { bit: 3 });
+        let at = s.inner().handle().ops();
+        s.inner().handle().inject(at, Fault::BitFlip { bit: 3 });
         s.write(a, &[3u8; 128]).unwrap(); // silent success
         assert!(s.read(a, &mut out).unwrap_err().is_corruption());
 
         // Misdirected write: reading the victim reports page-id damage.
-        let at = s.inner().ops();
-        s.inner_mut()
+        let at = s.inner().handle().ops();
+        s.inner()
+            .handle()
             .inject(at, Fault::MisdirectedWrite { victim: b });
         s.write(a, &[4u8; 128]).unwrap(); // silent success
         match s.read(b, &mut out) {

@@ -201,32 +201,6 @@ impl<S: PageStore> FaultStore<S> {
         }
     }
 
-    /// Schedule `fault` to fire at counted operation number `at`.
-    pub fn inject(&mut self, at: u64, fault: Fault) {
-        self.handle().inject(at, fault);
-    }
-
-    /// Operations counted so far.
-    pub fn ops(&self) -> u64 {
-        self.handle().ops()
-    }
-
-    /// Scheduled faults that have not fired yet.
-    pub fn pending_faults(&self) -> usize {
-        self.handle().pending_faults()
-    }
-
-    /// Whether a [`Fault::Crash`] has fired.
-    pub fn crashed(&self) -> bool {
-        self.handle().crashed()
-    }
-
-    /// Drop all pending faults and clear the crashed flag ("repair the
-    /// disk"), e.g. before a recovery attempt.
-    pub fn clear_faults(&mut self) {
-        self.handle().clear_faults();
-    }
-
     /// The wrapped store, read-only.
     pub fn inner(&self) -> &S {
         &self.inner
@@ -463,7 +437,7 @@ mod tests {
         let mut out = vec![0u8; 128];
         s.read(a, &mut out).unwrap();
         assert_eq!(out[0], 7);
-        assert_eq!(s.ops(), 3);
+        assert_eq!(s.handle().ops(), 3);
         assert_eq!(s.live_pages(), 1);
         s.free(a).unwrap();
         assert_eq!(s.live_pages(), 0);
@@ -474,12 +448,16 @@ mod tests {
         let mut s = FaultStore::new(MemStore::new(128));
         let a = s.allocate().unwrap();
         s.write(a, &[1u8; 128]).unwrap();
-        s.inject(s.ops(), Fault::IoError);
+        s.handle().inject(s.handle().ops(), Fault::IoError);
         assert!(s.write(a, &[2u8; 128]).is_err());
         let mut out = vec![0u8; 128];
         s.read(a, &mut out).unwrap();
         assert_eq!(out[0], 1, "failed write must leave the page untouched");
-        assert_eq!(s.pending_faults(), 0, "fault fired and left the schedule");
+        assert_eq!(
+            s.handle().pending_faults(),
+            0,
+            "fault fired and left the schedule"
+        );
     }
 
     #[test]
@@ -487,7 +465,8 @@ mod tests {
         let mut s = FaultStore::new(MemStore::new(128));
         let a = s.allocate().unwrap();
         s.write(a, &[1u8; 128]).unwrap();
-        s.inject(s.ops(), Fault::TornWrite { bytes: 10 });
+        s.handle()
+            .inject(s.handle().ops(), Fault::TornWrite { bytes: 10 });
         assert!(s.write(a, &[2u8; 128]).is_err());
         let mut out = vec![0u8; 128];
         s.read(a, &mut out).unwrap();
@@ -500,10 +479,10 @@ mod tests {
         let mut s = FaultStore::new(MemStore::new(128));
         let a = s.allocate().unwrap();
         s.write(a, &[3u8; 128]).unwrap();
-        s.inject(s.ops(), Fault::Crash);
+        s.handle().inject(s.handle().ops(), Fault::Crash);
         let mut out = vec![0u8; 128];
         assert!(s.read(a, &mut out).is_err());
-        assert!(s.crashed());
+        assert!(s.handle().crashed());
         assert!(
             s.write(a, &[4u8; 128]).is_err(),
             "everything fails after a crash"
@@ -519,9 +498,9 @@ mod tests {
     fn clear_faults_repairs() {
         let mut s = FaultStore::new(MemStore::new(128));
         let a = s.allocate().unwrap();
-        s.inject(s.ops(), Fault::Crash);
+        s.handle().inject(s.handle().ops(), Fault::Crash);
         assert!(s.write(a, &[5u8; 128]).is_err());
-        s.clear_faults();
+        s.handle().clear_faults();
         s.write(a, &[5u8; 128]).unwrap();
         let mut out = vec![0u8; 128];
         s.read(a, &mut out).unwrap();
@@ -533,7 +512,8 @@ mod tests {
         let mut s = FaultStore::new(MemStore::new(128));
         let a = s.allocate().unwrap();
         s.write(a, &[0u8; 128]).unwrap();
-        s.inject(s.ops(), Fault::BitFlip { bit: 9 });
+        s.handle()
+            .inject(s.handle().ops(), Fault::BitFlip { bit: 9 });
         let mut out = vec![0u8; 128];
         s.read(a, &mut out).unwrap();
         assert_eq!(out[1], 0b10, "bit 9 of the returned copy flipped");
@@ -546,7 +526,8 @@ mod tests {
     fn bitflip_on_write_persists_damage() {
         let mut s = FaultStore::new(MemStore::new(128));
         let a = s.allocate().unwrap();
-        s.inject(s.ops(), Fault::BitFlip { bit: 0 });
+        s.handle()
+            .inject(s.handle().ops(), Fault::BitFlip { bit: 0 });
         s.write(a, &[0u8; 128]).unwrap();
         let mut out = vec![0u8; 128];
         s.read(a, &mut out).unwrap();
@@ -560,7 +541,8 @@ mod tests {
         let b = s.allocate().unwrap();
         s.write(a, &[1u8; 128]).unwrap();
         s.write(b, &[2u8; 128]).unwrap();
-        s.inject(s.ops(), Fault::MisdirectedWrite { victim: b });
+        s.handle()
+            .inject(s.handle().ops(), Fault::MisdirectedWrite { victim: b });
         s.write(a, &[9u8; 128]).unwrap();
         let mut out = vec![0u8; 128];
         s.read(a, &mut out).unwrap();
@@ -576,7 +558,7 @@ mod tests {
         let a = s.allocate().unwrap();
         s.write(a, &[1u8; 128]).unwrap();
         s.write(a, &[2u8; 128]).unwrap();
-        s.inject(s.ops(), Fault::StaleRead);
+        s.handle().inject(s.handle().ops(), Fault::StaleRead);
         let mut out = vec![0u8; 128];
         s.read(a, &mut out).unwrap();
         assert_eq!(out[0], 1, "read returned the pre-image of the last write");
@@ -589,7 +571,7 @@ mod tests {
         let mut s = FaultStore::new(MemStore::new(128));
         let a = s.allocate().unwrap();
         s.write(a, &[1u8; 128]).unwrap();
-        s.inject(s.ops(), Fault::StaleRead);
+        s.handle().inject(s.handle().ops(), Fault::StaleRead);
         let mut out = vec![0u8; 128];
         assert!(matches!(s.read(a, &mut out), Err(Error::Io(_))));
     }
@@ -625,7 +607,11 @@ mod tests {
 
         assert!(s.damage_now(a, Fault::IoError).is_err());
         assert!(s.damage_now(a, Fault::Crash).is_err());
-        assert_eq!(s.pending_faults(), 0, "damage_now bypasses the schedule");
+        assert_eq!(
+            s.handle().pending_faults(),
+            0,
+            "damage_now bypasses the schedule"
+        );
     }
 
     #[test]

@@ -70,8 +70,6 @@ pub struct WalStore<S: PageStore> {
     log_path: PathBuf,
     /// Uncheckpointed page contents (committed or not).
     overlay: HashMap<PageId, Option<Vec<u8>>>, // None = freed
-    /// Pages allocated since the last checkpoint, in order.
-    pending_allocs: Vec<PageId>,
     live_delta: isize,
     /// What the last [`WalStore::open`] replay found (None for `create`).
     recovery: Option<RecoveryReport>,
@@ -96,7 +94,6 @@ impl<S: PageStore> WalStore<S> {
             log,
             log_path: log_path.to_path_buf(),
             overlay: HashMap::new(),
-            pending_allocs: Vec::new(),
             live_delta: 0,
             recovery: None,
             group_commit: 1,
@@ -119,7 +116,6 @@ impl<S: PageStore> WalStore<S> {
             log,
             log_path: log_path.to_path_buf(),
             overlay: HashMap::new(),
-            pending_allocs: Vec::new(),
             live_delta: 0,
             recovery: None,
             group_commit: 1,
@@ -193,7 +189,6 @@ impl<S: PageStore> WalStore<S> {
                             self.overlay
                                 .insert(page, Some(vec![0u8; self.inner.page_size()]));
                             self.live_delta += 1;
-                            self.pending_allocs.push(page);
                         }
                         OP_FREE => {
                             self.overlay.insert(page, None);
@@ -306,7 +301,6 @@ impl<S: PageStore> WalStore<S> {
         }
         self.inner.sync()?;
         self.overlay.clear();
-        self.pending_allocs.clear();
         self.live_delta = 0;
         self.log.set_len(0)?;
         self.log.seek(SeekFrom::Start(0))?;
@@ -356,7 +350,6 @@ impl<S: PageStore> PageStore for WalStore<S> {
         self.append(OP_ALLOC, id, &[])?;
         self.overlay
             .insert(id, Some(vec![0u8; self.inner.page_size()]));
-        self.pending_allocs.push(id);
         Ok(id)
     }
 

@@ -170,8 +170,8 @@ fn checkpoint_fault_sweep(fault: Fault, tag: &str) {
         expected.remove(&freed.0);
         wal.commit().unwrap();
 
-        let base = wal.inner().ops();
-        wal.inner_mut().inject(base + k, fault);
+        let base = wal.inner().handle().ops();
+        wal.inner().handle().inject(base + k, fault);
         match wal.checkpoint() {
             Ok(()) => {
                 // Every checkpoint operation (write, free, sync) propagates
@@ -179,12 +179,12 @@ fn checkpoint_fault_sweep(fault: Fault, tag: &str) {
                 // before reaching op base+k: the sweep has covered every
                 // injection point.
                 assert_eq!(
-                    wal.inner().pending_faults(),
+                    wal.inner().handle().pending_faults(),
                     1,
                     "{tag}/{k}: fault swallowed"
                 );
                 completed_clean = true;
-                wal.inner_mut().clear_faults();
+                wal.inner().handle().clear_faults();
                 verify(&mut wal, &expected, freed, tag, k);
                 assert_eq!(
                     std::fs::metadata(&path).unwrap().len(),
@@ -196,7 +196,7 @@ fn checkpoint_fault_sweep(fault: Fault, tag: &str) {
                 if k % 2 == 0 {
                     // Repair the disk and retry: re-applying the overlay is
                     // idempotent, so the second checkpoint must succeed.
-                    wal.inner_mut().clear_faults();
+                    wal.inner().handle().clear_faults();
                     wal.checkpoint()
                         .unwrap_or_else(|e| panic!("{tag}/{k}: retry after repair failed: {e}"));
                     verify(&mut wal, &expected, freed, tag, k);

@@ -131,9 +131,12 @@ fn read_faults_propagate_as_errors() {
     }
     // A tiny pool guarantees lookups must read from the store; fault the
     // next several reads.
-    let base = tree.pool().store_lock().ops();
+    let base = tree.pool().store_lock().handle().ops();
     for j in 0..8 {
-        tree.pool().store_lock().inject(base + j, Fault::IoError);
+        tree.pool()
+            .store_lock()
+            .handle()
+            .inject(base + j, Fault::IoError);
     }
     let mut saw_error = false;
     for i in 0..200u32 {
@@ -145,7 +148,7 @@ fn read_faults_propagate_as_errors() {
         }
     }
     assert!(saw_error, "faulted reads must surface as errors");
-    assert_eq!(tree.pool().store_lock().pending_faults(), 0);
+    assert_eq!(tree.pool().store_lock().handle().pending_faults(), 0);
     // With the schedule drained, every key is readable again.
     for i in 0..200u32 {
         let k = i.to_be_bytes();
