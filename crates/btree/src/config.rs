@@ -95,10 +95,12 @@ impl BTreeConfig {
 
     /// Where to split an over-full node of entries sized `sizes` behind a
     /// `header`-byte header: the entry at the returned index opens the right
-    /// half, or moves up to the parent when `promotes`. Under
-    /// [`Capacity::Bytes`] both halves fit `page_size` and the larger is as
-    /// small as it can be (leftmost on a tie); under [`Capacity::Entries`]
-    /// the halves differ by at most one entry.
+    /// half, or moves up to the parent when `promotes`. Both halves fit
+    /// `page_size` (and, under [`Capacity::Entries`], hold at most the
+    /// capacity). Under [`Capacity::Bytes`] the larger half is as small as
+    /// it can be (leftmost on a tie); under [`Capacity::Entries`] the halves
+    /// differ by at most one entry when their bytes allow, and are chosen
+    /// as under [`Capacity::Bytes`] when they do not.
     pub(crate) fn split_point(
         &self,
         sizes: &[EntrySize],
@@ -108,22 +110,39 @@ impl BTreeConfig {
     ) -> Result<usize> {
         let n = sizes.len();
         let up = usize::from(promotes);
-        if let Capacity::Entries(_) = self.capacity {
-            return Ok((n + 1 - up) / 2);
-        }
         // before[i]: the bytes of entries 0..i, each behind its predecessor.
         let mut before = vec![0; n + 1];
         for (i, size) in sizes.iter().enumerate() {
             before[i + 1] = before[i] + size.behind;
         }
-        let mut best: Option<(usize, usize)> = None; // (larger half, index)
-        for k in 1..n.saturating_sub(up) {
+        // The larger half's bytes when entries 0..k stay left, if both
+        // halves are non-empty and fit.
+        let larger_half = |k: usize| {
+            if k == 0 || k + up >= n {
+                return None;
+            }
             // Each half's first entry is encoded alone.
             let left = header + sizes[0].alone + before[k] - before[1];
             let right = header + sizes[k + up].alone + before[n] - before[k + up + 1];
+            let counts_fit = match self.capacity {
+                Capacity::Bytes => true,
+                Capacity::Entries(m) => k <= m && n - k - up <= m,
+            };
             let worst = left.max(right);
-            if worst <= page_size && best.is_none_or(|(b, _)| worst < b) {
-                best = Some((worst, k));
+            (counts_fit && worst <= page_size).then_some(worst)
+        };
+        if let Capacity::Entries(_) = self.capacity {
+            let k = (n + 1 - up) / 2;
+            if larger_half(k).is_some() {
+                return Ok(k);
+            }
+        }
+        let mut best: Option<(usize, usize)> = None; // (larger half, index)
+        for k in 1..n.saturating_sub(up) {
+            if let Some(worst) = larger_half(k) {
+                if best.is_none_or(|(b, _)| worst < b) {
+                    best = Some((worst, k));
+                }
             }
         }
         best.map(|(_, k)| k)
@@ -158,12 +177,14 @@ impl Packer {
     }
 
     /// Place the next entry. `true` when it is a boundary: the node being
-    /// filled is full, and the entry opens the next one or, when the
+    /// filled is full (under [`Capacity::Entries`], when either its entry
+    /// count or its page is), and the entry opens the next one or, when the
     /// packer promotes, moves up to the parent ahead of it.
     pub(crate) fn place(&mut self, e: EntrySize) -> bool {
+        let bytes_full = self.count > 0 && self.size + e.behind > self.page_size;
         let full = match self.config.capacity {
-            Capacity::Bytes => self.count > 0 && self.size + e.behind > self.page_size,
-            Capacity::Entries(m) => self.count >= m,
+            Capacity::Bytes => bytes_full,
+            Capacity::Entries(m) => bytes_full || self.count >= m,
         };
         if full {
             (self.size, self.count) = (self.header, 0);

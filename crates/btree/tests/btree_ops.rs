@@ -319,6 +319,50 @@ fn bulk_load_entry_capacity() {
     assert_eq!(stats.entries, 997);
 }
 
+/// Bulk load `items` into `page_size`-byte pages under `config`: the tree
+/// verifies and scans equal to the one inserting them one by one builds.
+fn bulk_load_equals_inserts(page_size: usize, config: BTreeConfig, items: &[(Vec<u8>, Vec<u8>)]) {
+    let pool = BufferPool::new(MemStore::new(page_size), 4096);
+    let bulk = BTree::bulk_load(pool, config, items.to_vec()).unwrap();
+    assert_eq!(bulk.verify().unwrap().entries, items.len() as u64);
+    let mut incr = new_tree(page_size, config);
+    for (k, v) in items {
+        incr.insert(k, v).unwrap();
+    }
+    incr.verify().unwrap();
+    assert_eq!(
+        bulk.view().scan_all().unwrap(),
+        incr.view().scan_all().unwrap()
+    );
+    assert_eq!(bulk.view().scan_all().unwrap(), items);
+}
+
+#[test]
+fn bulk_load_entry_capacity_breaks_full_pages_too() {
+    // Ten of these entries encode to 157 bytes uncompressed: under an entry
+    // capacity the page still bounds a node, on bulk load as on inserts.
+    let config = BTreeConfig::with_max_entries(10).without_compression();
+    let items: Vec<(Vec<u8>, Vec<u8>)> = (0..100u32).map(|i| (key(i), vec![])).collect();
+    bulk_load_equals_inserts(128, config, &items);
+}
+
+#[test]
+fn bulk_load_entry_capacity_evens_a_byte_heavy_tail() {
+    // Ten small entries fill a leaf by count; the three large ones behind
+    // them fill the next by bytes but leave it underfull by count. Evening
+    // the tail by count alone would put three small entries in front of
+    // the large ones: 140 bytes.
+    let config = BTreeConfig::with_max_entries(10).without_compression();
+    let mut items: Vec<(Vec<u8>, Vec<u8>)> =
+        (0..10u8).map(|i| (vec![b'a', b'0' + i], vec![])).collect();
+    for (first, len) in [(b'b', 42), (b'c', 42), (b'd', 25)] {
+        let mut k = vec![first];
+        k.resize(len, b'x');
+        items.push((k, vec![]));
+    }
+    bulk_load_equals_inserts(128, config, &items);
+}
+
 #[test]
 fn batch_insert_counts_new_keys() {
     let mut t = new_tree(512, BTreeConfig::default());

@@ -77,6 +77,10 @@ fn install_signal_handlers() {
     }
     const SIGINT: i32 = 2;
     const SIGTERM: i32 = 15;
+    // SAFETY: `signal` is libc's, declared with its C signature (an `int`
+    // and a handler the width of a pointer, returning the previous one);
+    // the handler is an `extern "C" fn(i32)` that lives for the whole
+    // program and only stores to an atomic, which is async-signal-safe.
     unsafe {
         signal(SIGINT, on_signal as extern "C" fn(i32) as usize);
         signal(SIGTERM, on_signal as extern "C" fn(i32) as usize);

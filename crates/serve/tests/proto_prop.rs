@@ -419,6 +419,44 @@ fn malformed_sweep_decoder() {
     }
 }
 
+#[test]
+fn a_bit_flipped_anywhere_in_a_full_row_batch_is_bad_crc() {
+    // A full batch is long enough for every part of the CRC: the folding
+    // kernel's 64-byte blocks and 16-byte steps, and the table loop's tail.
+    let rows: Vec<WireRow> = (0..BATCH_ROWS as u32)
+        .map(|i| WireRow {
+            key: format!("key-{i}").into_bytes().into(),
+            assignment: vec![Some(i), None].into(),
+        })
+        .collect();
+    assert_eq!(rows.len(), 512);
+    let clean = proto::encode_frame(&Frame::RowBatch { rows });
+    let len = clean.len() - HEADER_LEN;
+    let (blocks_end, lanes_end) = (len / 64 * 64, len / 16 * 16);
+    assert!(
+        blocks_end < lanes_end && lanes_end < len,
+        "a {len}-byte payload has no 16-byte fold tail or no table tail"
+    );
+    for (place, at) in [
+        ("the first 64-byte block", 5),
+        ("a middle block", blocks_end / 2 + 3),
+        ("the 16-byte fold tail", blocks_end + 1),
+        ("the last byte", len - 1),
+    ] {
+        let mut buf = clean.clone();
+        buf[HEADER_LEN + at] ^= 0x04;
+        match proto::decode_frame(&buf, DEFAULT_MAX_PAYLOAD) {
+            Err(e @ ProtoError::BadCrc { .. }) => assert!(e.is_fatal()),
+            other => panic!("a bit flipped in {place} (byte {at} of {len}) gave {other:?}"),
+        }
+        let mut cursor = std::io::Cursor::new(buf);
+        match proto::read_frame(&mut cursor, DEFAULT_MAX_PAYLOAD) {
+            Err(ProtoError::BadCrc { .. }) => {}
+            other => panic!("a bit flipped in {place} streamed gave {other:?}"),
+        }
+    }
+}
+
 /// A stream that hands over its bytes in scripted chunks, failing a read
 /// with `Interrupted` (a signal arriving mid-`read`) between chunks.
 struct InterruptedReader {

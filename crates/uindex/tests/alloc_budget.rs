@@ -1,8 +1,8 @@
 //! The scan path's allocation budget, as a test instead of a comment.
 //!
-//! A counting global allocator (the one `unsafe` block this PR adds; it
-//! only forwards to the system allocator) counts `alloc`/`realloc` calls
-//! per thread, and four budgets are pinned:
+//! A counting global allocator (an `unsafe impl` that only forwards to
+//! the system allocator) counts `alloc`/`realloc` calls per thread, and
+//! four budgets are pinned:
 //!
 //! * **examining an entry allocates nothing** — a `Forward` scan over
 //!   10 000 and over 20 000 non-matching entries of a warm index performs
