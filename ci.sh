@@ -92,7 +92,7 @@ for nodb in "$tmpdir/nodb" "$tmpdir/missing"; do
   if nodb_err=$("$churn_bin" query "$nodb" "color: Color = 'Red'" 2>&1); then
     echo "refusals: query on $nodb succeeded"; exit 1
   fi
-  echo "$nodb_err" | grep -q "$nodb is not a database directory: no meta.bin" \
+  echo "$nodb_err" | grep -q "$nodb is not a database directory: no pages.db" \
     || { echo "refusals: wrong message for $nodb: $nodb_err"; exit 1; }
 done
 retired_flag=--disk

@@ -62,7 +62,7 @@ impl<S: PageStore> BTree<S> {
                 });
             }
             if packer.place(EntrySize::of(&prev, &key, Some(value.len()), compress)) {
-                seps.push(separator(&prev, &key, config.suffix_truncation));
+                seps.push(separator(&prev, &key, compress));
                 leaves.push(std::mem::replace(&mut cur, LeafNode::new(PageId::NULL)));
             }
             cur.push(&key, &value);

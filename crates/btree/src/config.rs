@@ -20,11 +20,10 @@ pub enum Capacity {
 pub struct BTreeConfig {
     /// Node capacity model.
     pub capacity: Capacity,
-    /// Front-compress keys within nodes (§3.2). Turning this off is the
-    /// storage-cost ablation.
+    /// Front-compress keys within nodes (§3.2), and store the shortest
+    /// distinguishing separators in interior nodes. Turning this off is
+    /// the storage-cost ablation.
     pub front_compression: bool,
-    /// Store shortest distinguishing separators in interior nodes.
-    pub suffix_truncation: bool,
     /// Split an over-full *last* leaf behind its last entry when that entry
     /// is the one just inserted, instead of in the middle. Keys that arrive
     /// in ascending order (OIDs) then fill every leaf; keys that arrive in
@@ -37,7 +36,6 @@ impl Default for BTreeConfig {
         BTreeConfig {
             capacity: Capacity::Bytes,
             front_compression: true,
-            suffix_truncation: true,
             append_split: false,
         }
     }
@@ -56,7 +54,6 @@ impl BTreeConfig {
     /// Disable front compression (ablation A2 in DESIGN.md).
     pub fn without_compression(mut self) -> Self {
         self.front_compression = false;
-        self.suffix_truncation = false;
         self
     }
 
@@ -206,7 +203,6 @@ mod tests {
         let c = BTreeConfig::default();
         assert_eq!(c.capacity, Capacity::Bytes);
         assert!(c.front_compression);
-        assert!(c.suffix_truncation);
     }
 
     #[test]

@@ -563,7 +563,7 @@ impl NodeKind for LeafNode {
         self.next = right_id;
         let last = self.key(self.len() - 1);
         (
-            separator(last, right.key(0), config.suffix_truncation),
+            separator(last, right.key(0), config.front_compression),
             right,
         )
     }

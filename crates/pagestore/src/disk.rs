@@ -123,4 +123,26 @@ mod tests {
         assert_eq!(out[0], 9);
         std::fs::remove_dir_all(&dir).ok();
     }
+
+    #[test]
+    fn replay_counts_live_pages_like_live_page_ids() {
+        // A replayed allocation is counted by the inner store already, and
+        // a replayed free of a checkpointed page must still be subtracted.
+        let dir = tmpdir("live_after_replay");
+        let b = {
+            let mut s = create(&dir, 128).unwrap();
+            let a = s.allocate().unwrap();
+            s.write(a, &[1u8; 128]).unwrap();
+            s.checkpoint().unwrap();
+            let b = s.allocate().unwrap();
+            s.write(b, &[2u8; 128]).unwrap();
+            s.free(a).unwrap();
+            s.commit().unwrap();
+            b
+        };
+        let s = open(&dir).unwrap();
+        assert_eq!(s.live_page_ids(), vec![b]);
+        assert_eq!(s.live_pages(), s.live_page_ids().len());
+        std::fs::remove_dir_all(&dir).ok();
+    }
 }

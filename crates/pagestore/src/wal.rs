@@ -70,7 +70,6 @@ pub struct WalStore<S: PageStore> {
     log_path: PathBuf,
     /// Uncheckpointed page contents (committed or not).
     overlay: HashMap<PageId, Option<Vec<u8>>>, // None = freed
-    live_delta: isize,
     /// What the last [`WalStore::open`] replay found (None for `create`).
     recovery: Option<RecoveryReport>,
     /// Fsync the log every `group_commit`-th commit (1 = every commit).
@@ -94,7 +93,6 @@ impl<S: PageStore> WalStore<S> {
             log,
             log_path: log_path.to_path_buf(),
             overlay: HashMap::new(),
-            live_delta: 0,
             recovery: None,
             group_commit: 1,
             commits_since_fsync: 0,
@@ -116,7 +114,6 @@ impl<S: PageStore> WalStore<S> {
             log,
             log_path: log_path.to_path_buf(),
             overlay: HashMap::new(),
-            live_delta: 0,
             recovery: None,
             group_commit: 1,
             commits_since_fsync: 0,
@@ -188,11 +185,9 @@ impl<S: PageStore> WalStore<S> {
                             }
                             self.overlay
                                 .insert(page, Some(vec![0u8; self.inner.page_size()]));
-                            self.live_delta += 1;
                         }
                         OP_FREE => {
                             self.overlay.insert(page, None);
-                            self.live_delta -= 1;
                         }
                         _ => unreachable!("replay admits known ops only"),
                     }
@@ -301,7 +296,6 @@ impl<S: PageStore> WalStore<S> {
         }
         self.inner.sync()?;
         self.overlay.clear();
-        self.live_delta = 0;
         self.log.set_len(0)?;
         self.log.seek(SeekFrom::Start(0))?;
         self.log.sync_data()?;
@@ -362,7 +356,6 @@ impl<S: PageStore> PageStore for WalStore<S> {
         }
         self.append(OP_FREE, id, &[])?;
         self.overlay.insert(id, None);
-        self.live_delta -= 1;
         Ok(())
     }
 
@@ -411,7 +404,17 @@ impl<S: PageStore> PageStore for WalStore<S> {
     }
 
     fn live_pages(&self) -> usize {
-        (self.inner.live_pages() as isize + self.live_delta.min(0)) as usize
+        // The count `live_page_ids` lists: an overlay page the inner store
+        // lacks adds one, an overlay free of a page it holds takes one.
+        let mut live = self.inner.live_pages();
+        for (page, data) in &self.overlay {
+            match (data.is_some(), self.inner.contains(*page)) {
+                (true, false) => live += 1,
+                (false, true) => live -= 1,
+                _ => {}
+            }
+        }
+        live
     }
 
     fn live_page_ids(&self) -> Vec<PageId> {

@@ -18,7 +18,7 @@ pub enum Error {
     BadQuery(String),
     /// Key bytes that failed to decode (index corruption).
     BadKey(String),
-    /// The directory holds no database: it has no `meta.bin`.
+    /// The directory holds no database: it has no `pages.db`.
     NotADatabase(std::path::PathBuf),
 }
 
@@ -36,7 +36,7 @@ impl fmt::Display for Error {
                 f,
                 "{} is not a database directory: no {} in it",
                 dir.display(),
-                crate::disk::DB_META_FILE
+                pagestore::disk::PAGES_FILE
             ),
         }
     }

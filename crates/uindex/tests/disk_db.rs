@@ -187,7 +187,7 @@ fn check_with_unstaged_mutations_then_a_drop_reopens_content_clean() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// A directory without a `meta.bin` — missing, empty, or holding only the
+/// A directory without a `pages.db` — missing, empty, or holding only the
 /// two files of the retired snapshot layout — is refused by name.
 #[test]
 fn a_directory_that_is_not_a_database_is_refused_by_name() {
@@ -209,10 +209,59 @@ fn a_directory_that_is_not_a_database_is_refused_by_name() {
         );
         let message = err.to_string();
         assert!(
-            message.contains(dir.to_str().unwrap()) && message.contains("meta.bin"),
+            message.contains(dir.to_str().unwrap()) && message.contains("pages.db"),
             "{shape}: {message}"
         );
     }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The options a database was created with come back from its meta page,
+/// whether it was closed or dropped without a commit.
+#[test]
+fn the_meta_page_brings_back_the_create_time_options() {
+    let dir = tmpdir("options");
+    let options = DiskOptions {
+        page_size: 256,
+        pool_pages: 32,
+        config: btree::BTreeConfig::with_max_entries(10).without_compression(),
+        group_commit: 1,
+        checkpoint_every: 0,
+    };
+    let mut db = DiskDatabase::create(vehicle_schema(), &dir, options).unwrap();
+    populate(&mut db, 40);
+    db.commit().unwrap();
+    db.close().unwrap();
+    let (mut db, report) = DiskDatabase::open(&dir).unwrap();
+    assert!(report.clean(), "{report:?}");
+    assert_eq!(*db.options(), options, "after close");
+    let vehicle = db.schema().class_by_name("Vehicle").unwrap();
+    let v = db.create_object(vehicle).unwrap();
+    db.set_attr(v, "Color", Value::Str("Red".into())).unwrap();
+    drop(db); // no commit
+    let (db, report) = DiskDatabase::open(&dir).unwrap();
+    assert!(report.clean(), "{report:?}");
+    assert_eq!(*db.options(), options, "after a drop without commit");
+    assert_eq!(db.store().len(), 40 + NON_VEHICLES);
+    drop(db);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The page file, its free-list manifest and the log are the whole
+/// database: nothing else is written beside them.
+#[test]
+fn a_database_directory_holds_its_page_file_manifest_and_log_only() {
+    let dir = tmpdir("three_files");
+    let mut db = DiskDatabase::create(vehicle_schema(), &dir, small_options()).unwrap();
+    populate(&mut db, 20);
+    db.commit().unwrap();
+    db.close().unwrap();
+    let mut names: Vec<String> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().into_string().unwrap())
+        .collect();
+    names.sort();
+    assert_eq!(names, ["pages.db", "pages.db.free", "wal.log"]);
     std::fs::remove_dir_all(&dir).ok();
 }
 
