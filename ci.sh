@@ -53,6 +53,15 @@ v3 = Automobile Color='Blue' MadeBy=@c1
 EOF
 cargo run -q --release --offline -p uindex-cli -- \
   new "$tmpdir/db" "$tmpdir/smoke.uschema" "$tmpdir/smoke.udata"
+# The definitions as a fresh process reads them back from disk: every
+# section of `info` but the B-tree line (a bulk-loaded tree is shaped
+# differently), compared again after `repair` below.
+definitions() {
+  cargo run -q --release --offline -p uindex-cli -- info "$tmpdir/db" | grep -v '^B-tree:'
+}
+info_new=$(definitions)
+echo "$info_new" | grep -q '^classes:' && echo "$info_new" | grep -q '^indexes:' \
+  || { echo "info smoke: no classes or indexes section: $info_new"; exit 1; }
 explain_json=$(cargo run -q --release --offline -p uindex-cli -- \
   explain "$tmpdir/db" "explain analyze color: Color = 'Red'" --json)
 echo "$explain_json" | grep -q '"plan"' || { echo "explain smoke: no plan in JSON"; exit 1; }
@@ -67,6 +76,8 @@ check_out=$(cargo run -q --release --offline -p uindex-cli -- check "$tmpdir/db"
 echo "$check_out" | grep -q 'status:  clean' || { echo "check smoke: db not clean"; exit 1; }
 repair_out=$(cargo run -q --release --offline -p uindex-cli -- repair "$tmpdir/db")
 echo "$repair_out" | grep -q 'rebuilt index' || { echo "repair smoke: no rebuild"; exit 1; }
+[ "$(definitions)" = "$info_new" ] \
+  || { echo "repair smoke: definitions differ after repair: $(definitions)"; exit 1; }
 cargo run -q --release --offline -p uindex-cli -- check "$tmpdir/db" > /dev/null \
   || { echo "repair smoke: post-repair check failed"; exit 1; }
 

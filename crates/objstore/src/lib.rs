@@ -24,7 +24,7 @@ mod value;
 
 pub use object::{Object, ObjectStore};
 pub use oid::Oid;
-pub use persist::{schema_from_bytes, schema_to_bytes, RecordLoader};
+pub use persist::RecordLoader;
 pub use value::{Value, ValueKind};
 
 use std::fmt;
@@ -73,12 +73,6 @@ impl fmt::Display for Error {
 }
 
 impl std::error::Error for Error {}
-
-impl From<schema::Error> for Error {
-    fn from(e: schema::Error) -> Self {
-        Error::UnknownAttr(format!("schema error during reload: {e}"))
-    }
-}
 
 /// Result alias for object-store operations.
 pub type Result<T> = std::result::Result<T, Error>;

@@ -7,10 +7,12 @@
 //!   comparing two stores and for sizing one; nothing reads it back;
 //! * the **record** ([`ObjectStore::record_bytes`] / [`RecordLoader::push`]):
 //!   one object without its OID, ids as varints — the unit the durable tier
-//!   keeps in pages, beside a schema section ([`schema_to_bytes`] /
-//!   [`schema_from_bytes`]) of its own.
+//!   keeps in pages. The schema those records conform to is kept beside
+//!   them by whoever stores them (the durable tier: as the index catalog's
+//!   records, in its object tree's header); this crate has no schema
+//!   decoder.
 //!
-//! The decoders treat their input as hostile: every count is checked
+//! The record decoder treats its input as hostile: every count is checked
 //! against the bytes that remain before anything is allocated for it, and
 //! every id against the schema before it is used as an index. Damage
 //! surfaces as a typed [`Error`], never a panic.
@@ -183,86 +185,6 @@ fn put_schema(buf: &mut Vec<u8>, schema: &Schema) {
             put_u32(buf, target);
         }
     }
-}
-
-fn get_schema(r: &mut Reader) -> Result<Schema> {
-    struct RawClass {
-        name: String,
-        parents: Vec<u32>,
-        attrs: Vec<(String, u8, u32)>,
-    }
-    // Smallest class: empty name (4) + no parents (4) + no attrs (4);
-    // smallest attr: empty name (4) + tag (1) + target (4).
-    let n_classes = r.u32()?;
-    let n_classes = r.count(n_classes, 12)?;
-    let mut raw = Vec::with_capacity(n_classes);
-    for _ in 0..n_classes {
-        let name = r.str()?;
-        let np = r.u32()?;
-        let np = r.count(np, 4)?;
-        let mut parents = Vec::with_capacity(np);
-        for _ in 0..np {
-            parents.push(r.u32()?);
-        }
-        let na = r.u32()?;
-        let na = r.count(na, 9)?;
-        let mut attrs = Vec::with_capacity(na);
-        for _ in 0..na {
-            let aname = r.str()?;
-            let tag = r.u8()?;
-            let target = r.u32()?;
-            attrs.push((aname, tag, target));
-        }
-        raw.push(RawClass {
-            name,
-            parents,
-            attrs,
-        });
-    }
-    let mut schema = Schema::new();
-    for c in &raw {
-        match c.parents.first() {
-            None => schema.add_class(&c.name)?,
-            Some(&p) => schema.add_subclass(&c.name, ClassId(p))?,
-        };
-    }
-    for (i, c) in raw.iter().enumerate() {
-        for &extra in c.parents.iter().skip(1) {
-            schema.add_parent(ClassId(i as u32), ClassId(extra))?;
-        }
-    }
-    for (i, c) in raw.iter().enumerate() {
-        for (aname, tag, target) in &c.attrs {
-            let ty = match tag {
-                0 => AttrType::Int,
-                1 => AttrType::Str,
-                2 => AttrType::Float,
-                3 => AttrType::Bool,
-                4 => AttrType::Ref(ClassId(*target)),
-                5 => AttrType::RefSet(ClassId(*target)),
-                _ => return Err(corrupt("bad attr tag")),
-            };
-            schema.add_attr(ClassId(i as u32), aname, ty)?;
-        }
-    }
-    Ok(schema)
-}
-
-/// The schema section on its own.
-pub fn schema_to_bytes(schema: &Schema) -> Vec<u8> {
-    let mut buf = Vec::new();
-    put_schema(&mut buf, schema);
-    buf
-}
-
-/// Inverse of [`schema_to_bytes`]; the whole input must be the section.
-pub fn schema_from_bytes(bytes: &[u8]) -> Result<Schema> {
-    let mut r = Reader { buf: bytes, pos: 0 };
-    let schema = get_schema(&mut r)?;
-    if r.pos != bytes.len() {
-        return Err(corrupt("trailing bytes after the schema section"));
-    }
-    Ok(schema)
 }
 
 /// Rebuilds an [`ObjectStore`] from decoded objects: objects are created as

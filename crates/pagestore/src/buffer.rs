@@ -253,17 +253,11 @@ fn with_query_state<R>(pool_id: u64, f: impl FnOnce(&mut QueryState) -> R) -> R 
 pub struct RetryPolicy {
     /// Total read attempts, including the first. `1` disables retry.
     pub max_attempts: u32,
-    /// Sleep before the first retry; doubles on each further retry.
-    /// [`std::time::Duration::ZERO`] (the default) never sleeps.
-    pub backoff: std::time::Duration,
 }
 
 impl Default for RetryPolicy {
     fn default() -> Self {
-        RetryPolicy {
-            max_attempts: 1,
-            backoff: std::time::Duration::ZERO,
-        }
+        RetryPolicy { max_attempts: 1 }
     }
 }
 
@@ -443,10 +437,6 @@ impl<S: PageStore> BufferPool<S> {
                 }
                 Err(Error::Io(_)) if attempt < retry.max_attempts => {
                     metrics(|m| m.retry_attempts.inc());
-                    if !retry.backoff.is_zero() {
-                        let shift = (attempt - 1).min(10);
-                        std::thread::sleep(retry.backoff * (1u32 << shift));
-                    }
                     attempt += 1;
                 }
                 Err(e) => {
@@ -921,10 +911,7 @@ mod tests {
     fn retry_policy_recovers_transient_io_error() {
         use crate::fault::{Fault, FaultStore};
         let p = BufferPool::new(FaultStore::new(MemStore::new(128)), 2);
-        p.set_retry_policy(RetryPolicy {
-            max_attempts: 3,
-            ..RetryPolicy::default()
-        });
+        p.set_retry_policy(RetryPolicy { max_attempts: 3 });
         let (a, page) = p.allocate().unwrap();
         page.write()[0] = 42;
         drop(page);
@@ -952,10 +939,7 @@ mod tests {
     fn retry_policy_gives_up_after_max_attempts() {
         use crate::fault::{Fault, FaultStore};
         let p = BufferPool::new(FaultStore::new(MemStore::new(128)), 2);
-        p.set_retry_policy(RetryPolicy {
-            max_attempts: 2,
-            ..RetryPolicy::default()
-        });
+        p.set_retry_policy(RetryPolicy { max_attempts: 2 });
         let (a, _) = p.allocate().unwrap();
         p.invalidate_cache().unwrap();
         let exhausted_before = telemetry::counter_value("pagestore.pool.retry_exhausted");
@@ -973,10 +957,7 @@ mod tests {
     fn corruption_is_never_retried() {
         use crate::checksum::{ChecksumStore, TRAILER_LEN};
         let p = BufferPool::new(ChecksumStore::new(MemStore::new(128 + TRAILER_LEN)), 2);
-        p.set_retry_policy(RetryPolicy {
-            max_attempts: 5,
-            ..RetryPolicy::default()
-        });
+        p.set_retry_policy(RetryPolicy { max_attempts: 5 });
         let (a, page) = p.allocate().unwrap();
         page.write()[0] = 1;
         drop(page);

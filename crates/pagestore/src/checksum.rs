@@ -65,18 +65,31 @@ pub struct ChecksumStore<S: PageStore> {
     scratch: Vec<u8>,
 }
 
+/// Refuse an exposed page size — what the layers above a
+/// [`ChecksumStore`] see — below [`PAGE_SIZE_MIN`], with a typed error a
+/// constructor returns before it builds or touches any store.
+pub fn check_page_size(exposed: usize) -> Result<()> {
+    if exposed < PAGE_SIZE_MIN {
+        return Err(Error::PageSizeTooSmall {
+            size: exposed,
+            min: PAGE_SIZE_MIN,
+        });
+    }
+    Ok(())
+}
+
 impl<S: PageStore> ChecksumStore<S> {
     /// Wrap `inner`, reserving [`TRAILER_LEN`] bytes per page.
     ///
     /// # Panics
     /// Panics if the exposed page size (`inner.page_size() - TRAILER_LEN`)
-    /// would fall below [`PAGE_SIZE_MIN`].
+    /// would fall below [`PAGE_SIZE_MIN`]; a constructor taking the size
+    /// from its caller refuses it first with [`check_page_size`].
     pub fn new(inner: S) -> Self {
-        let exposed = inner.page_size() - TRAILER_LEN;
-        assert!(
-            exposed >= PAGE_SIZE_MIN,
-            "exposed page size {exposed} below minimum {PAGE_SIZE_MIN}"
-        );
+        let exposed = inner.page_size().saturating_sub(TRAILER_LEN);
+        if let Err(e) = check_page_size(exposed) {
+            panic!("exposed {e}");
+        }
         let scratch = vec![0u8; inner.page_size()];
         ChecksumStore {
             inner,

@@ -25,7 +25,7 @@
 
 use std::path::Path;
 
-use crate::checksum::{ChecksumStore, TRAILER_LEN};
+use crate::checksum::{check_page_size, ChecksumStore, TRAILER_LEN};
 use crate::error::Result;
 use crate::fault::FaultStore;
 use crate::file::FileStore;
@@ -43,6 +43,7 @@ pub const WAL_FILE: &str = "wal.log";
 /// Create a fresh disk stack in `dir` (created if missing), truncating
 /// any existing store there. `page_size` is the exposed page size.
 pub fn create(dir: &Path, page_size: usize) -> Result<DiskStack> {
+    check_page_size(page_size)?;
     std::fs::create_dir_all(dir)?;
     let file = FileStore::create(&dir.join(PAGES_FILE), page_size + TRAILER_LEN)?;
     let stack = ChecksumStore::new(FaultStore::new(file));

@@ -33,6 +33,9 @@ pub enum Error {
     /// An entry (key plus value) larger than one node can hold: refused
     /// before the tree changes. A caller mistake, not damage.
     EntryTooLarge { len: usize, max: usize },
+    /// A page size below [`crate::PAGE_SIZE_MIN`] asked of a constructor:
+    /// refused before any store is built. A caller mistake, not damage.
+    PageSizeTooSmall { size: usize, min: usize },
 }
 
 impl Error {
@@ -67,6 +70,9 @@ impl fmt::Display for Error {
             }
             Error::EntryTooLarge { len, max } => {
                 write!(f, "entry of {len} bytes exceeds max entry size {max}")
+            }
+            Error::PageSizeTooSmall { size, min } => {
+                write!(f, "page size {size} below minimum {min}")
             }
         }
     }

@@ -44,7 +44,7 @@ mod store;
 mod wal;
 
 pub use buffer::{BufferPool, PageReadGuard, PageRef, PageWriteGuard, QueryStats, RetryPolicy};
-pub use checksum::{ChecksumStore, ScrubReport, Scrubbable, TRAILER_LEN};
+pub use checksum::{check_page_size, ChecksumStore, ScrubReport, Scrubbable, TRAILER_LEN};
 pub use crc::crc32;
 pub use error::{Error, Result};
 pub use fault::{Fault, FaultHandle, FaultStore};

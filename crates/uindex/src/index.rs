@@ -5,7 +5,7 @@ use std::sync::Arc;
 use btree::{BTree, BTreeConfig, TreeStats};
 use objstore::{ObjectStore, Oid, Value};
 use pagestore::{BufferPool, MemStore, PageStore};
-use schema::{ClassId, Encoding, Schema, Stamp};
+use schema::{ClassId, Encoding, Schema};
 
 use crate::error::{Error, Result};
 use crate::key::{EntryKey, KeyValue, PathElem};
@@ -23,13 +23,6 @@ pub struct UIndex<S: PageStore> {
     tree: BTree<S>,
     encoding: Encoding,
     specs: Vec<IndexSpec>,
-    /// The catalog entries the tree holds, sorted, as last written by
-    /// [`UIndex::save_catalog`] or read by [`UIndex::open_with_catalog`].
-    pub(crate) catalog: Vec<(Vec<u8>, Vec<u8>)>,
-    /// Schema stamp, encoding stamp and spec count of the definitions
-    /// [`UIndex::save_catalog`] last wrote; `None` until it first succeeds
-    /// on this value, so a new, reopened or rebuilt index compares by value.
-    pub(crate) catalog_stamps: Option<(Stamp, Stamp, usize)>,
 }
 
 impl UIndex<MemStore> {
@@ -53,20 +46,16 @@ impl<S: PageStore> UIndex<S> {
             tree: BTree::create(pool, config)?,
             encoding,
             specs: Vec::new(),
-            catalog: Vec::new(),
-            catalog_stamps: None,
         })
     }
 
-    /// Assemble from parts: a tree holding no catalog entries, or (the
-    /// reload path, which then records them) the ones just read from it.
+    /// Assemble from an existing tree and the definitions it was built
+    /// under.
     pub(crate) fn from_parts(tree: BTree<S>, encoding: Encoding, specs: Vec<IndexSpec>) -> Self {
         UIndex {
             tree,
             encoding,
             specs,
-            catalog: Vec::new(),
-            catalog_stamps: None,
         }
     }
 
@@ -105,6 +94,7 @@ impl<S: PageStore> UIndex<S> {
     /// Entries are **not** built; call [`UIndex::build`] or use
     /// [`crate::Database`], which maintains entries incrementally.
     pub fn define(&mut self, schema: &Schema, mut spec: IndexSpec) -> Result<IndexId> {
+        schema::check_name(&spec.name)?;
         if self.specs.iter().any(|s| s.name == spec.name) {
             return Err(Error::BadSpec(format!(
                 "duplicate index name {:?}",
