@@ -7,7 +7,8 @@
 //! evolution (Fig. 4) by fractional insertion, never renaming existing
 //! classes.
 
-use std::collections::{BTreeMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet, HashSet};
+use std::ops::Bound::{Excluded, Unbounded};
 
 use crate::code::ClassCode;
 use crate::error::{Error, Result};
@@ -169,20 +170,31 @@ impl Encoding {
                 }
             }
         }
-        if lo.is_none() && hi.is_none() {
-            // Unconstrained: place after the last existing root.
-            lo = self
-                .by_code
-                .values()
-                .filter_map(|&c| self.code(c))
-                .filter(|c| c.depth() == 1)
-                .map(|c| c.last_component().to_vec())
-                .max();
-        }
         if let (Some(l), Some(h)) = (&lo, &hi) {
             if l >= h {
                 return Err(Error::NoRoomForRoot(class));
             }
+        }
+        // Narrow the open side to the existing root next to the given one,
+        // so that no existing root lies between the bounds and the new
+        // component cannot be one of theirs. Unconstrained, the new root
+        // goes after the last one.
+        let roots: BTreeSet<Vec<u8>> = self
+            .by_code
+            .values()
+            .filter_map(|&c| self.code(c))
+            .filter(|c| c.depth() == 1)
+            .map(|c| c.last_component().to_vec())
+            .collect();
+        match (&lo, &hi) {
+            (Some(l), _) => {
+                let above = roots.range::<Vec<u8>, _>((Excluded(l), Unbounded)).next();
+                if let Some(next) = above.filter(|&n| hi.as_ref().is_none_or(|h| n < h)) {
+                    hi = Some(next.clone());
+                }
+            }
+            (None, Some(h)) => lo = roots.range::<Vec<u8>, _>(..h).next_back().cloned(),
+            (None, None) => lo = roots.last().cloned(),
         }
         let comp = frac::between(lo.as_deref(), hi.as_deref());
         self.set(class, ClassCode::root(&comp));

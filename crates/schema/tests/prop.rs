@@ -154,4 +154,35 @@ proptest! {
             enc.verify(&s, &HashSet::new()).unwrap();
         }
     }
+
+    /// Evolution: a new root that references an existing class, is
+    /// referenced by one, or both, gets a code no other class holds — or,
+    /// when the two bounds cross, `NoRoomForRoot` — and keeps all
+    /// properties.
+    #[test]
+    fn new_roots_take_codes_of_their_own(
+        recipe in arb_recipe(),
+        additions in proptest::collection::vec((0usize..40, 0usize..40, 0u8..3), 1..10),
+    ) {
+        let (mut s, mut ids) = build_schema(&recipe);
+        let mut enc = Encoding::generate(&s).unwrap();
+        for (step, (target, source, sides)) in additions.into_iter().enumerate() {
+            let id = s.add_class(&format!("root{step}")).unwrap();
+            if sides != 1 {
+                let target = ids[target % ids.len()];
+                s.add_attr(id, "To", AttrType::Ref(target)).unwrap();
+            }
+            if sides != 0 {
+                let source = ids[source % ids.len()];
+                s.add_attr(source, &format!("to{step}"), AttrType::Ref(id)).unwrap();
+            }
+            match enc.assign_class(&s, id) {
+                Ok(_) => ids.push(id),
+                Err(schema::Error::NoRoomForRoot(_)) if sides == 2 => break,
+                Err(e) => panic!("step {step}: {e}"),
+            }
+            prop_assert_eq!(enc.iter().count(), ids.len(), "one class per code");
+            enc.verify(&s, &HashSet::new()).unwrap();
+        }
+    }
 }

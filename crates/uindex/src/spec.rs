@@ -135,6 +135,10 @@ impl IndexSpec {
         if self.positions.is_empty() {
             return Err(Error::BadSpec("index needs at least one position".into()));
         }
+        // The catalog records the count as a `u16`.
+        if self.positions.len() > usize::from(u16::MAX) {
+            return Err(Error::BadSpec("index has too many positions".into()));
+        }
         if self.positions[0].parent.is_some() || self.positions[0].via.is_some() {
             return Err(Error::BadSpec(
                 "position 0 must be the attribute owner".into(),
