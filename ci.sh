@@ -43,6 +43,7 @@ class Company { Name: str, President: ref Employee }
 class Vehicle { Color: str, MadeBy: ref Company }
 class Automobile < Vehicle {}
 index color = hierarchy Vehicle Color
+index age = path Vehicle.MadeBy.President Age
 EOF
 cat > "$tmpdir/smoke.udata" <<'EOF'
 e1 = Employee Age=50
@@ -70,6 +71,27 @@ echo "$explain_json" | grep -q '"index": "color"' || { echo "explain smoke: empt
 explain_text=$(cargo run -q --release --offline -p uindex-cli -- \
   explain "$tmpdir/db" "color: Color = 'Red'")
 echo "$explain_text" | grep -q '^Execution' || { echo "explain smoke: no Execution section"; exit 1; }
+
+echo "== one distinct (forward and parallel agree; explain counts the rows query prints)"
+# Every vehicle is made by c1, whose president is e1: three entries for
+# Age = 50, and one row once distinct through Company.
+# `query` prints its rows on stdout and a summary line on stderr.
+rows() {
+  cargo run -q --release --offline -p uindex-cli -- query "$tmpdir/db" "$1" 2> /dev/null
+}
+forward_rows=$(rows "age: Age = 50 distinct Company forward")
+parallel_rows=$(rows "age: Age = 50 distinct Company")
+[ -n "$parallel_rows" ] && [ "$(echo "$parallel_rows" | wc -l)" -eq 1 ] \
+  || { echo "distinct smoke: parallel printed not one row: $parallel_rows"; exit 1; }
+[ "$forward_rows" = "$parallel_rows" ] \
+  || { echo "distinct smoke: forward printed $forward_rows, parallel $parallel_rows"; exit 1; }
+for stmt in "age: Age = 50" "age: Age = 50 distinct Company forward" "color: Color = 'Red'"; do
+  printed=$(rows "$stmt" | wc -l)
+  counted=$(cargo run -q --release --offline -p uindex-cli -- explain "$tmpdir/db" "$stmt" --json \
+    | sed -n 's/.*"hits": \([0-9][0-9]*\).*/\1/p')
+  [ "$counted" = "$printed" ] \
+    || { echo "distinct smoke: explain counts $counted hits for '$stmt', query prints $printed"; exit 1; }
+done
 
 echo "== integrity check smoke (CLI check/repair on the smoke db)"
 check_out=$(cargo run -q --release --offline -p uindex-cli -- check "$tmpdir/db")

@@ -53,6 +53,9 @@ pub enum Error {
     StillReferenced(Oid),
     /// Class id not part of the schema.
     UnknownClass(ClassId),
+    /// A stored object record that does not decode, and what is wrong
+    /// with it.
+    Corrupt(String),
 }
 
 impl fmt::Display for Error {
@@ -68,6 +71,7 @@ impl fmt::Display for Error {
             Error::BadReference(o) => write!(f, "bad reference to {o}"),
             Error::StillReferenced(o) => write!(f, "object {o} is still referenced"),
             Error::UnknownClass(c) => write!(f, "unknown class {c:?}"),
+            Error::Corrupt(what) => write!(f, "damaged object record: {what}"),
         }
     }
 }

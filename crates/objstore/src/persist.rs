@@ -27,7 +27,7 @@ use crate::{Error, Result};
 const MAGIC: &[u8; 8] = b"UIDXOBJ1";
 
 fn corrupt(what: &str) -> Error {
-    Error::UnknownAttr(what.into())
+    Error::Corrupt(what.into())
 }
 
 fn put_u32(buf: &mut Vec<u8>, v: u32) {

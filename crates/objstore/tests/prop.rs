@@ -117,7 +117,7 @@ proptest! {
 // (The schema beside the records is the durable tier's header, whose
 // decoder `uindex`'s object-tree tests hold to the same.)
 
-use objstore::{ObjectStore, Oid, RecordLoader};
+use objstore::{Error, ObjectStore, Oid, RecordLoader};
 use schema::{AttrType, Schema};
 
 fn persisted_sample() -> ObjectStore {
@@ -200,6 +200,23 @@ fn forged_counts_are_refused_before_allocating() {
     assert!(loader
         .push(Oid(9), &[1, 0x80, 0x80, 0x80, 0x80, 0x01])
         .is_err());
+}
+
+#[test]
+fn every_truncated_record_is_reported_as_damage() {
+    let db = persisted_sample();
+    for victim in db.oids() {
+        let record = db.record_bytes(victim).unwrap();
+        for cut in 0..record.len() {
+            let mut loader = RecordLoader::new(db.schema().clone());
+            let err = loader.push(Oid(9), &record[..cut]).unwrap_err();
+            assert!(
+                matches!(err, Error::Corrupt(_)),
+                "{victim} cut at {cut} of {}: {err:?}",
+                record.len()
+            );
+        }
+    }
 }
 
 proptest! {

@@ -214,11 +214,13 @@ pub(crate) fn decode(records: &[Record]) -> Result<(Schema, Encoding, Vec<IndexS
                 });
             }
             TAG_SUP | TAG_ATTR => {
-                // Clustered at their class, whose record sorts first.
-                let class = classes
-                    .iter_mut()
-                    .find(|c| c.code == code)
-                    .ok_or_else(bad)?;
+                // Records sort by tag first, so every class record came
+                // before this one, in owner order: `classes` is sorted by
+                // `code`.
+                let at = classes
+                    .binary_search_by(|c| c.code.cmp(&code))
+                    .map_err(|_| bad())?;
+                let class = &mut classes[at];
                 if tag == TAG_SUP {
                     let parent = v.get(..4).ok_or_else(bad)?;
                     class

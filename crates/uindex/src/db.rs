@@ -28,7 +28,7 @@ use crate::error::Result;
 use crate::exec::{run_guarded, Fallback};
 use crate::index::{IndexId, Planner, UIndex};
 use crate::query::{Query, QueryHit};
-use crate::scan::{QueryTrace, ScanStats};
+use crate::scan::{QueryTrace, RowSink, ScanStats};
 use crate::spec::{IndexSpec, SpecBuilder};
 
 /// The page-store stack under an in-memory [`Database`] index: checksum
@@ -542,34 +542,31 @@ impl<P: PageStore> Database<P> {
     /// Compare the tree's entry keys with a fresh recomputation from the
     /// object store.
     fn content_matches_store(&self) -> Result<bool> {
-        let mut tree_keys: Vec<Vec<u8>> = self
-            .index
-            .tree()
-            .view()
-            .scan_all()?
-            .into_iter()
-            .map(|(k, _)| k)
-            .collect();
-        tree_keys.sort();
-        let mut expected: Vec<Vec<u8>> = Vec::new();
+        let planner = self.planner();
+        let mut expected = Vec::new();
+        // Each index's keys ascend and start with its id, so the
+        // concatenation is in the tree's order.
         for id in 0..self.index.specs().len() as IndexId {
-            for e in crate::oracle::all_entries(self.planner(), &self.store, id)? {
-                expected.push(e.encode());
-            }
+            expected.extend(planner.all_keys(&self.store, id)?);
         }
-        expected.sort();
-        Ok(tree_keys == expected)
+        let tree = self.index.tree().view().scan_all()?;
+        Ok(tree.into_iter().map(|(k, _)| k).eq(expected))
     }
 
     /// Run `q` on the live tree through the one guarded read path, with the
-    /// object store and the quarantine flag as its fallback: corruption
-    /// quarantines the index and answers degraded, exhausted I/O answers
-    /// degraded without a quarantine, a quarantined index is not read. The
-    /// returned flag reports whether the degraded path answered. The run
-    /// is timed as a `query` span with a `plan` child (the scan adds
-    /// `descend` and `scan`), which lands in the trace of an answer the
-    /// index gave.
-    pub fn query_traced_guarded(&self, q: &Query) -> Result<(Vec<QueryHit>, QueryTrace, bool)> {
+    /// object store and the quarantine flag as its fallback, handing every
+    /// match to `sink`: corruption quarantines the index and answers
+    /// degraded, exhausted I/O answers degraded without a quarantine, a
+    /// quarantined index is not read, and a query the planner refuses is
+    /// refused either way. The returned flag reports whether the degraded
+    /// path answered. The run is timed as a `query` span with a `plan`
+    /// child (the scan adds `descend` and `scan`), which lands in the trace
+    /// of an answer the index gave.
+    pub fn query_traced_guarded<K: RowSink>(
+        &self,
+        q: &Query,
+        sink: &mut K,
+    ) -> Result<(QueryTrace, bool)> {
         let planner = self.planner();
         let fallback = Fallback {
             planner,
@@ -577,13 +574,12 @@ impl<P: PageStore> Database<P> {
             quarantined: &self.quarantined,
         };
         let view = self.index.tree().view();
-        let mut hits = Vec::new();
         let root = telemetry::Span::enter("query");
         let matcher = {
             let _plan = telemetry::Span::enter("plan");
             planner.matcher(q)
         };
-        let result = run_guarded(&view, matcher, Some(fallback), q, &mut hits);
+        let result = run_guarded(&view, matcher, Some(fallback), q, sink);
         drop(root);
         // The freshly closed "query" root is the last finished span; keep it
         // in the trace and drop older undrained roots.
@@ -595,14 +591,14 @@ impl<P: PageStore> Database<P> {
         if !degraded {
             trace.span = span;
         }
-        Ok((hits, trace, degraded))
+        Ok((trace, degraded))
     }
 
     // ----- queries ---------------------------------------------------------
 
     /// Run a query, returning the hits.
     pub fn query(&self, q: &Query) -> Result<Vec<QueryHit>> {
-        Ok(self.query_traced_guarded(q)?.0)
+        Ok(self.query_with_stats(q)?.0)
     }
 
     /// Parse and run a [`crate::uql`] query string.
@@ -613,7 +609,8 @@ impl<P: PageStore> Database<P> {
 
     /// Run a query, returning hits and scan cost counters.
     pub fn query_with_stats(&self, q: &Query) -> Result<(Vec<QueryHit>, ScanStats)> {
-        let (hits, trace, _) = self.query_traced_guarded(q)?;
+        let mut hits = Vec::new();
+        let (trace, _) = self.query_traced_guarded(q, &mut hits)?;
         Ok((hits, trace.stats))
     }
 

@@ -110,16 +110,14 @@ impl Default for DiskOptions {
 }
 
 /// What [`DiskDatabase::open`] found while bringing the store up: WAL
-/// replay, checksum scrub, tree verification, and whether the index had
-/// to be rebuilt from the objects.
+/// replay, checksum scrub, and whether the index had to be rebuilt from
+/// the objects.
 #[derive(Debug)]
 pub struct OpenReport {
     /// WAL replay outcome (None only if the log was missing entirely).
     pub recovery: Option<RecoveryReport>,
     /// Checksum scrub over the page file after replay + checkpoint.
     pub scrub: ScrubReport,
-    /// Whether the tree passed structural verification before serving.
-    pub tree_ok: bool,
     /// Whether the index was rebuilt from the object pages (scrub damage
     /// outside them, or failed verification).
     pub rebuilt: bool,
@@ -128,7 +126,7 @@ pub struct OpenReport {
 impl OpenReport {
     /// Whether the store came up from its own files, no salvage needed.
     pub fn clean(&self) -> bool {
-        self.tree_ok && !self.rebuilt && self.scrub.clean()
+        !self.rebuilt && self.scrub.clean()
     }
 }
 
@@ -325,7 +323,6 @@ impl DiskDatabase {
         let mut report = OpenReport {
             recovery,
             scrub,
-            tree_ok: false,
             rebuilt: false,
         };
 
@@ -344,7 +341,6 @@ impl DiskDatabase {
         // With the objects safe, whatever the scrub flagged is index (or
         // unreachable) — and then no page of the old index is read at all.
         let sound = report.scrub.clean() && index.verify().is_ok();
-        report.tree_ok = true;
         let this = if sound {
             Self::assemble(store, index, objects, dir, options)
         } else {

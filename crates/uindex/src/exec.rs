@@ -3,6 +3,11 @@
 //! query through, and the reader handles themselves, which query a
 //! `Database` from other threads against epoch snapshots.
 //!
+//! Every answer — from the tree, or degraded, from the index's keys
+//! recomputed from the object store — is the query's [`Matcher`] judging
+//! stored key bytes, and reaches the caller's [`RowSink`] as rows of those
+//! bytes; the test oracle ([`crate::oracle`]) judges none of them.
+//!
 //! The reader owns everything a query needs — a [`TreeReader`] into the
 //! shared tree plus cloned metadata (specs, encoding, schema) — so it is
 //! `Send + Clone` and never touches the `Database` again after
@@ -40,24 +45,25 @@ pub(crate) struct Fallback<'a> {
 /// degraded path answered. Planning is the caller's, so a caller that
 /// traces can time it: the writer handle does, readers do not.
 ///
-/// The fault policy, with a `fallback`:
+/// A query the planner refuses is refused, with or without a fallback and
+/// whether or not the index is quarantined. The fault policy, with a
+/// `fallback`:
 ///
-/// * a set quarantine flag answers degraded without touching the tree
-///   (or looking at the plan);
+/// * a set quarantine flag answers degraded without touching the tree;
 /// * detected **corruption** sets the flag (every handle on the database
 ///   sees it) and answers degraded;
 /// * an **I/O error** — the buffer pool's bounded retries already
 ///   exhausted — answers degraded *without* quarantining, so the next
 ///   query tries the index again;
-/// * anything else (bad queries, planning errors) propagates.
+/// * anything else propagates.
 ///
 /// Without a fallback every error propagates. A degraded answer is the
-/// brute-force evaluation of [`crate::oracle::eval`] — slower, but immune
-/// to index damage, and proven hit-for-hit equal to the scans by the
-/// oracle's trial harness. A fault can strike after the scan handed over
-/// some rows, so the sink is restarted before the degraded answer enters
-/// it. On an error the sink holds whatever the scan handed over; discard
-/// it.
+/// same matcher run over the index's keys recomputed from the object store
+/// ([`Planner::all_keys`], [`scan::match_keys`]) — slower, but immune to
+/// index damage, and no tree page is read. A fault can strike after the
+/// scan handed over some rows, so the sink is restarted before the
+/// degraded answer enters it. On an error the sink holds whatever the scan
+/// handed over; discard it.
 pub(crate) fn run_guarded<S: PageStore, K: RowSink>(
     view: &ReadView<'_, S>,
     matcher: Result<Matcher>,
@@ -65,14 +71,13 @@ pub(crate) fn run_guarded<S: PageStore, K: RowSink>(
     q: &Query,
     sink: &mut K,
 ) -> Result<(QueryTrace, bool)> {
-    let scan = |matcher: Result<Matcher>, sink: &mut K| {
-        scan::execute_traced(view, &matcher?, q.algorithm, q.distinct_upto, sink)
-    };
+    let matcher = matcher?;
+    let scan = |sink: &mut K| scan::execute_traced(view, &matcher, q.algorithm, sink);
     let Some(fallback) = fallback else {
-        return Ok((scan(matcher, sink)?, false));
+        return Ok((scan(sink)?, false));
     };
     if !fallback.quarantined.load(Ordering::Acquire) {
-        match scan(matcher, sink) {
+        match scan(sink) {
             Ok(trace) => return Ok((trace, false)),
             Err(Error::Page(e)) if e.is_corruption() => {
                 fallback.quarantined.store(true, Ordering::Release);
@@ -84,12 +89,8 @@ pub(crate) fn run_guarded<S: PageStore, K: RowSink>(
         sink.restart();
     }
     telemetry::counter("uindex.degraded.queries").inc();
-    let hits = crate::oracle::eval(fallback.planner, fallback.store, q)?;
-    let hits = match q.distinct_upto {
-        Some(pos) => crate::oracle::distinct_filter(&hits, pos),
-        None => hits,
-    };
-    scan::feed_hits(&hits, sink)?;
+    let keys = fallback.planner.all_keys(fallback.store, q.index)?;
+    scan::match_keys(&matcher, &keys, sink)?;
     Ok((QueryTrace::default(), true))
 }
 

@@ -12,7 +12,7 @@ use std::fmt::Write as _;
 
 use crate::db::Database;
 use crate::query::{OidSel, Query, ValuePred};
-use crate::scan::{QueryTrace, ScanAlgorithm};
+use crate::scan::{QueryTrace, Row, RowSink, ScanAlgorithm};
 use crate::Result;
 
 /// Plan row for one path position.
@@ -86,6 +86,20 @@ fn render_oid_sel(o: &OidSel) -> String {
     }
 }
 
+/// A sink that only counts its rows: the report needs no hit.
+struct RowCount(usize);
+
+impl RowSink for RowCount {
+    fn row(&mut self, _: &Row<'_>) -> Result<()> {
+        self.0 += 1;
+        Ok(())
+    }
+
+    fn restart(&mut self) {
+        self.0 = 0;
+    }
+}
+
 /// Execute `q` on `db` and build the report.
 pub(crate) fn explain<P: pagestore::PageStore>(
     db: &Database<P>,
@@ -107,7 +121,8 @@ pub(crate) fn explain<P: pagestore::PageStore>(
     }
     let value = render_value_pred(&q.value);
     let value_ranges = matcher.value_ranges.len();
-    let (hits, trace, degraded) = db.query_traced_guarded(q)?;
+    let mut hits = RowCount(0);
+    let (trace, degraded) = db.query_traced_guarded(q, &mut hits)?;
     Ok(ExplainReport {
         index: index_name,
         algorithm: algorithm_name(q.algorithm),
@@ -115,7 +130,7 @@ pub(crate) fn explain<P: pagestore::PageStore>(
         value_ranges,
         distinct_upto: q.distinct_upto,
         positions,
-        hits: hits.len(),
+        hits: hits.0,
         trace,
         degraded,
     })

@@ -136,9 +136,10 @@ impl<S: PageStore> UIndex<S> {
     /// Build index `id` from the current store contents (incremental
     /// inserts; see [`UIndex::build_all`] for the packed bulk path).
     pub fn build(&mut self, store: &ObjectStore, id: IndexId) -> Result<u64> {
-        let keys = self.planner(store.schema()).build_keys(store, id)?;
+        let keys = self.planner(store.schema()).all_keys(store, id)?;
         let n = keys.len() as u64;
-        self.tree.insert_batch(keys)?;
+        self.tree
+            .insert_batch(keys.into_iter().map(|k| (k, Vec::new())).collect())?;
         Ok(n)
     }
 
@@ -146,13 +147,16 @@ impl<S: PageStore> UIndex<S> {
     /// The tree must be empty.
     pub fn build_all(&mut self, store: &ObjectStore) -> Result<u64> {
         let planner = self.planner(store.schema());
-        let mut keys: Vec<(Vec<u8>, Vec<u8>)> = Vec::new();
+        let mut keys = Vec::new();
+        // Each index's keys ascend and start with its id: the run ascends.
         for id in 0..self.specs.len() as IndexId {
-            keys.extend(planner.build_keys(store, id)?);
+            keys.extend(
+                planner
+                    .all_keys(store, id)?
+                    .into_iter()
+                    .map(|k| (k, Vec::new())),
+            );
         }
-        // In place: equal elements are identical pairs, and `dedup` follows.
-        keys.sort_unstable();
-        keys.dedup();
         let n = keys.len() as u64;
         self.tree.bulk_replace(keys)?;
         Ok(n)
@@ -206,7 +210,7 @@ impl<S: PageStore> UIndex<S> {
 /// [`crate::DatabaseReader::planner`] lend it out, and everything that
 /// reads only metadata takes it: index lookup by id or name, query
 /// planning, [`crate::uql::parse`], and the object-store walks behind
-/// maintenance and [`crate::oracle::eval`].
+/// maintenance, the degraded query path and [`crate::oracle::eval`].
 #[derive(Clone, Copy)]
 pub struct Planner<'a> {
     pub(crate) specs: &'a [IndexSpec],
@@ -228,24 +232,6 @@ impl<'a> Planner<'a> {
             .map(|i| i as IndexId)
     }
 
-    /// The encoded keys of every entry of index `id`, anchor by anchor,
-    /// from the current store contents (what a build inserts).
-    fn build_keys(&self, store: &ObjectStore, id: IndexId) -> Result<Vec<(Vec<u8>, Vec<u8>)>> {
-        let spec = self.spec(id)?;
-        let anchors = if spec.include_subclasses {
-            store.extent_deep(spec.positions[0].class)
-        } else {
-            store.extent(spec.positions[0].class)
-        };
-        let mut keys = Vec::new();
-        for a in anchors {
-            for (key, _) in self.entries_for_anchor(store, id, a)? {
-                keys.push((key, Vec::new()));
-            }
-        }
-        Ok(keys)
-    }
-
     // ----- entry enumeration ---------------------------------------------
     //
     // These walk the object store only, which is what makes the degraded
@@ -262,16 +248,16 @@ impl<'a> Planner<'a> {
         }
     }
 
-    /// All entries anchored at `anchor` (a would-be position-0 object),
-    /// computed from the current store state, each with its encoded key,
-    /// in key order. Empty if the object is out of scope or has no value
-    /// for the indexed attribute.
-    pub(crate) fn entries_for_anchor(
+    /// The encoded keys, ascending, of all entries anchored at `anchor` (a
+    /// would-be position-0 object), computed from the current store state.
+    /// Empty if the object is out of scope or has no value for the indexed
+    /// attribute.
+    fn entries_for_anchor(
         &self,
         store: &ObjectStore,
         id: IndexId,
         anchor: Oid,
-    ) -> Result<Vec<(Vec<u8>, EntryKey)>> {
+    ) -> Result<Vec<Vec<u8>>> {
         let spec = self.spec(id)?;
         if !store.exists(anchor) {
             return Ok(Vec::new());
@@ -295,10 +281,25 @@ impl<'a> Planner<'a> {
         }
         // Multi-branch specs can produce duplicate single-position chains;
         // normalize.
-        let mut keyed: Vec<_> = out.into_iter().map(|e| (e.encode(), e)).collect();
-        keyed.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-        keyed.dedup_by(|a, b| a.0 == b.0);
-        Ok(keyed)
+        let mut keys: Vec<_> = out.iter().map(EntryKey::encode).collect();
+        keys.sort_unstable();
+        keys.dedup();
+        Ok(keys)
+    }
+
+    /// The encoded keys of every entry of index `id`, ascending and without
+    /// duplicates, recomputed object by object from the current store
+    /// contents — never read from the tree: what a build inserts, what a
+    /// degraded query answers from, and what [`crate::Database::check`]
+    /// holds the tree to.
+    pub(crate) fn all_keys(&self, store: &ObjectStore, id: IndexId) -> Result<Vec<Vec<u8>>> {
+        let mut keys = Vec::new();
+        for oid in store.oids() {
+            keys.extend(self.entries_for_anchor(store, id, oid)?);
+        }
+        keys.sort_unstable();
+        keys.dedup();
+        Ok(keys)
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -660,6 +661,7 @@ impl<'a> Planner<'a> {
             index_id: q.index,
             value_ranges,
             positions,
+            distinct_upto: q.distinct_upto,
         })
     }
 }

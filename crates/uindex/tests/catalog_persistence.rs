@@ -5,7 +5,7 @@
 use btree::BTreeConfig;
 use objstore::{ObjectStore, Value};
 use pagestore::{BufferPool, FileStore};
-use schema::{AttrType, Encoding, Schema};
+use schema::{AttrType, ClassCode, ClassId, Encoding, Schema};
 use uindex::{catalog_entry_count, ClassSel, IndexSpec, Query, UIndex, ValuePred};
 
 fn tmp(name: &str) -> std::path::PathBuf {
@@ -172,4 +172,45 @@ fn catalog_facts_cluster_by_code() {
     let first = in_range.iter().position(|&b| b).unwrap();
     let last = in_range.iter().rposition(|&b| b).unwrap();
     assert!(in_range[first..=last].iter().all(|&b| b));
+}
+
+#[test]
+fn a_wide_schema_round_trips_through_the_catalog() {
+    let mut schema = Schema::new();
+    let root = schema.add_class("Root").unwrap();
+    // Four-letter sibling components: `Encoding::generate` would give the
+    // last of 20 000 siblings a code of kilobytes.
+    let mut encoding = Encoding::default();
+    let root_code = ClassCode::root(b"N");
+    encoding.set_raw(root, root_code.clone());
+    for i in 0..20_000u32 {
+        let class = schema.add_subclass(&format!("S{i}"), root).unwrap();
+        schema
+            .add_attr(class, &format!("A{i}"), AttrType::Int)
+            .unwrap();
+        let comp: Vec<u8> = (0..4)
+            .rev()
+            .map(|d| b'B' + (i / 25u32.pow(d) % 25) as u8)
+            .collect();
+        encoding.set_raw(class, root_code.child(&comp));
+    }
+    let pool = BufferPool::new(pagestore::MemStore::new(1024), 1 << 14);
+    let mut index = UIndex::new(pool, BTreeConfig::default(), encoding.clone()).unwrap();
+    assert_eq!(index.save_catalog(&schema).unwrap(), 60_001);
+    let (root_page, len) = (index.tree().root(), index.tree().len());
+    let (back, back_schema) =
+        UIndex::open_with_catalog(index.into_pool(), BTreeConfig::default(), root_page, len)
+            .unwrap();
+    assert_eq!(back_schema.num_classes(), schema.num_classes());
+    for c in (0..20_001).map(ClassId) {
+        assert_eq!(back_schema.class_name(c), schema.class_name(c));
+        assert_eq!(back_schema.parents(c), schema.parents(c));
+        let attrs = |s: &Schema| {
+            s.own_attrs(c)
+                .map(|(_, n, t)| (n.to_string(), t))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(attrs(&back_schema), attrs(&schema));
+        assert_eq!(back.encoding().code(c), encoding.code(c));
+    }
 }

@@ -131,9 +131,9 @@ fn query_set(f: &Fixture) -> Vec<Query> {
 
 /// Run every query under every scan algorithm; all algorithms must agree
 /// per query, and the per-query answers are returned for later equality
-/// checks against degraded and post-repair runs. Forward scans do not
-/// skip, so distinct queries are normalized through the oracle's
-/// [`uindex::oracle::distinct_filter`] (a no-op on already-deduped hits).
+/// checks against degraded and post-repair runs. Distinct queries also go
+/// through the oracle's [`uindex::oracle::distinct_filter`], a no-op on
+/// hits every algorithm already deduplicated.
 fn answers(db: &mut FaultDb, queries: &[Query]) -> Vec<Vec<QueryHit>> {
     let mut out = Vec::new();
     for q in queries {
@@ -267,7 +267,8 @@ fn quarantine_degrade_repair_cycle() {
         // Quarantined: every query degrades to an object-store scan and
         // must still produce exactly the clean answers.
         for (q, want) in queries.iter().zip(&clean) {
-            let (hits, _, degraded) = f.db.query_traced_guarded(q).unwrap();
+            let mut hits = Vec::new();
+            let (_, degraded) = f.db.query_traced_guarded(q, &mut hits).unwrap();
             assert!(degraded, "{round}: quarantined query used the index");
             assert_eq!(&hits, want, "{round}: degraded answer diverged: {q:?}");
         }
@@ -322,7 +323,8 @@ fn total_index_loss_auto_quarantines_mid_query() {
 
     // No check() ran: the query itself must hit the corruption (the root
     // is damaged like everything else), quarantine, and fall back.
-    let (hits, _, degraded) = f.db.query_traced_guarded(&queries[0]).unwrap();
+    let mut hits = Vec::new();
+    let (_, degraded) = f.db.query_traced_guarded(&queries[0], &mut hits).unwrap();
     assert!(degraded, "query on a fully damaged index did not degrade");
     assert!(
         f.db.quarantined(),

@@ -7,7 +7,7 @@
 //! escaped NUL among them), one- and two-element paths, carried and not —
 //! each hit must equal [`EntryKey::decode`] of the key the scan handed
 //! over, print the same, carry the row's assignment, and equal the
-//! brute-force answer the degraded path gives (`oracle::eval`). Hits that
+//! brute-force answer (`oracle::eval`). Hits that
 //! differ only in their last OID must share one string.
 
 use std::collections::BTreeSet;

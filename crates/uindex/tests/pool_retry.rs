@@ -183,7 +183,8 @@ fn disk_writer_degrades_on_exhausted_retries_without_quarantine() {
     // Three consecutive failures exhaust the pool's 3 bounded attempts.
     h.inject_burst(h.ops(), 3, Fault::IoError);
 
-    let (hits, _, degraded) = db.query_traced_guarded(&red_query(id)).unwrap();
+    let mut hits = Vec::new();
+    let (_, degraded) = db.query_traced_guarded(&red_query(id), &mut hits).unwrap();
     assert!(degraded, "exhausted retries must degrade, not fail");
     assert_eq!(hits, healthy, "degraded answers must match healthy ones");
     assert!(
@@ -200,7 +201,8 @@ fn disk_writer_degrades_on_exhausted_retries_without_quarantine() {
     );
 
     // The faults are gone; the very next query uses the index again.
-    let (hits2, _, degraded2) = db.query_traced_guarded(&red_query(id)).unwrap();
+    let mut hits2 = Vec::new();
+    let (_, degraded2) = db.query_traced_guarded(&red_query(id), &mut hits2).unwrap();
     assert!(!degraded2, "no quarantine, so the index path is retried");
     assert_eq!(hits2, healthy);
     db.close().unwrap();

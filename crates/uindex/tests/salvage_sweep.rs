@@ -230,8 +230,7 @@ fn a_crash_anywhere_in_repair_keeps_every_object() {
         assert!(repaired.is_err(), "op {op}: repair outlived a crashed disk");
         drop(db);
         let what = format!("crash at repair's page-file op {op}");
-        let (db, report) = DiskDatabase::open(&work).unwrap_or_else(|e| panic!("{what}: {e}"));
-        assert!(report.tree_ok, "{what}: {report:?}");
+        let (db, _) = DiskDatabase::open(&work).unwrap_or_else(|e| panic!("{what}: {e}"));
         assert_eq!(db.store().to_bytes(), pristine.objects, "{what}: objects");
         assert_oracle_equal(&db, &what);
         crashes += 1;

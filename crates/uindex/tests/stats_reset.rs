@@ -53,8 +53,9 @@ fn consecutive_queries_do_not_accumulate() {
         let mut q = skipping_query(idx, auto);
         q.algorithm = alg;
 
-        let (hits1, trace1, degraded1) = db.query_traced_guarded(&q).unwrap();
-        let (hits2, trace2, degraded2) = db.query_traced_guarded(&q).unwrap();
+        let (mut hits1, mut hits2) = (Vec::new(), Vec::new());
+        let (trace1, degraded1) = db.query_traced_guarded(&q, &mut hits1).unwrap();
+        let (trace2, degraded2) = db.query_traced_guarded(&q, &mut hits2).unwrap();
         assert!(!degraded1 && !degraded2, "{alg:?}: the index answered");
 
         assert_eq!(hits1, hits2, "{alg:?}: same query, same hits");
@@ -85,8 +86,9 @@ fn consecutive_queries_do_not_accumulate() {
         let (fresh, fidx, fauto) = build_db();
         let mut fq = skipping_query(fidx, fauto);
         fq.algorithm = alg;
-        let (_, _warmup, _) = fresh.query_traced_guarded(&fq).unwrap();
-        let (fhits, ftrace, fdegraded) = fresh.query_traced_guarded(&fq).unwrap();
+        let (mut warmup, mut fhits) = (Vec::new(), Vec::new());
+        fresh.query_traced_guarded(&fq, &mut warmup).unwrap();
+        let (ftrace, fdegraded) = fresh.query_traced_guarded(&fq, &mut fhits).unwrap();
         assert!(!fdegraded, "{alg:?}: the fresh index answered");
         assert_eq!(hits2, fhits, "{alg:?}: deterministic build, same hits");
         assert_eq!(

@@ -108,6 +108,7 @@ pub fn uql_families() -> Vec<&'static str> {
         "age: Age between 40 and 60",
         "age: Age >= 65",
         "age: Age <= 30 distinct Company",
+        "age: Age <= 30 distinct Company forward",
         "age: Age between 30 and 50 and Company in [AutoCompany*]",
         "age: Age = 45 and Vehicle in [Truck*]",
     ]
