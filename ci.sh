@@ -18,6 +18,9 @@ cargo fmt --check
 echo "== cargo clippy (deny warnings)"
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
+echo "== cargo doc (deny warnings: every intra-doc link resolves to a public item)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+
 echo "== cargo test (root package, tier-1)"
 cargo test -q --offline
 

@@ -107,11 +107,22 @@ impl Encoding {
         self.by_code.iter().map(|(b, c)| (b.as_slice(), *c))
     }
 
-    /// The byte range `[lo, hi)` covering the class and its entire coded
-    /// sub-tree.
-    pub fn subtree_range(&self, class: ClassId) -> Option<(Vec<u8>, Vec<u8>)> {
+    /// The byte range `[lo, hi)` of the codes of `class` and, with
+    /// `with_subclasses`, of its entire coded sub-tree: the one rule for
+    /// the region a class selects in a key's path.
+    pub fn range(&self, class: ClassId, with_subclasses: bool) -> Option<(Vec<u8>, Vec<u8>)> {
         let code = self.code(class)?;
-        Some((code.as_bytes().to_vec(), code.subtree_end()))
+        let lo = code.as_bytes().to_vec();
+        let hi = if with_subclasses {
+            code.subtree_end()
+        } else {
+            // Only the code itself: it is followed by a key's 0x00
+            // separator, and every other code sorts outside.
+            let mut hi = lo.clone();
+            hi.push(0x00);
+            hi
+        };
+        Some((lo, hi))
     }
 
     /// Schema evolution, Fig. 4a: assign a code to a newly added class whose
@@ -379,12 +390,19 @@ mod tests {
     fn subtree_range_isolates_hierarchy() {
         let (s, ids) = paper_schema();
         let enc = Encoding::generate(&s).unwrap();
-        let (lo, hi) = enc.subtree_range(ids[4]).unwrap(); // Vehicle
+        let (lo, hi) = enc.range(ids[4], true).unwrap(); // Vehicle
         for (i, &id) in ids.iter().enumerate() {
             let code = enc.code(id).unwrap().as_bytes();
             let inside = code >= lo.as_slice() && code < hi.as_slice();
             let is_vehicle_family = s.is_subclass_of(id, ids[4]);
             assert_eq!(inside, is_vehicle_family, "class index {i}");
+            // Without its sub-classes a class selects its own code alone.
+            let (lo, hi) = enc.range(id, false).unwrap();
+            for &other in &ids {
+                let code = enc.code(other).unwrap().as_bytes();
+                let inside = code >= lo.as_slice() && code < hi.as_slice();
+                assert_eq!(inside, other == id, "class index {i}");
+            }
         }
     }
 
@@ -420,7 +438,7 @@ mod tests {
             assert_eq!(enc.code(id), enc0.code(id));
         }
         // The new code is still inside Vehicle's range and after Truck.
-        let (lo, hi) = enc.subtree_range(ids[4]).unwrap();
+        let (lo, hi) = enc.range(ids[4], true).unwrap();
         assert!(code.as_bytes() >= lo.as_slice() && code.as_bytes() < hi.as_slice());
         assert!(code.as_bytes() > enc.code(ids[6]).unwrap().as_bytes());
         enc.verify(&s, &HashSet::new()).unwrap();

@@ -109,7 +109,7 @@ proptest! {
         enc.verify(&s, &HashSet::new()).unwrap();
         // Sub-tree ranges isolate descendants, for every class.
         for &c in &ids {
-            let (lo, hi) = enc.subtree_range(c).unwrap();
+            let (lo, hi) = enc.range(c, true).unwrap();
             for &d in &ids {
                 let code = enc.code(d).unwrap().as_bytes();
                 let inside = code >= lo.as_slice() && code < hi.as_slice();
@@ -148,7 +148,7 @@ proptest! {
                 prop_assert_eq!(enc.code(c).unwrap().as_bytes(), before[i].as_slice());
             }
             // The new code sits inside its parent's region.
-            let (lo, hi) = enc.subtree_range(parent).unwrap();
+            let (lo, hi) = enc.range(parent, true).unwrap();
             let code = enc.code(id).unwrap().as_bytes();
             prop_assert!(code >= lo.as_slice() && code < hi.as_slice());
             enc.verify(&s, &HashSet::new()).unwrap();

@@ -26,7 +26,7 @@
 //! ```
 //!
 //! A class whose code is not assigned yet (schema evolution assigns codes
-//! lazily) is recorded all the same, keyed by [`uncoded_owner`] in place
+//! lazily) is recorded all the same, keyed by `uncoded_owner` in place
 //! of its code: no class is missing from the catalog, so its class ids stay
 //! dense, and a reopened class without a code is still pending.
 

@@ -216,7 +216,7 @@ impl<P: PageStore> DatabaseReader<P> {
             .is_some_and(|f| f.quarantined.load(Ordering::Acquire))
     }
 
-    /// Run `q` against `snap` through [`run_guarded`] with the reader's
+    /// Run `q` against `snap` through `run_guarded` with the reader's
     /// armed fallback (none for a plain [`crate::Database::reader`]),
     /// handing every match to `sink`. Returns the scan counters and
     /// whether the degraded path answered.

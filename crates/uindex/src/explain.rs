@@ -1,8 +1,9 @@
 //! EXPLAIN ANALYZE: translated-plan description plus executed trace.
 //!
-//! [`explain`] runs the query for real (ANALYZE semantics — there is no
-//! plan-only mode, because translation is cheap and the interesting numbers
-//! are the executed costs) and packages the plan the translator produced
+//! [`crate::Database::explain_query`] runs the query for real (ANALYZE
+//! semantics — there is no plan-only mode, because translation is cheap
+//! and the interesting numbers are the executed costs) and packages the
+//! plan the translator produced
 //! and the executed [`QueryTrace`] — the query's [`crate::ScanStats`], the
 //! registry-derived breakdowns and the per-phase span tree — into an
 //! [`ExplainReport`] renderable as aligned text or JSON. The output

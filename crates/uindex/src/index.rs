@@ -8,7 +8,7 @@ use pagestore::{BufferPool, MemStore, PageStore};
 use schema::{ClassId, Encoding, Schema};
 
 use crate::error::{Error, Result};
-use crate::key::{EntryKey, KeyValue, PathElem};
+use crate::key::{write_key, EntryKey, KeyValue};
 use crate::query::{ClassSel, OidSel, Query, QueryHit};
 use crate::scan::{Matcher, PosConstraint, ScanStats};
 use crate::spec::IndexSpec;
@@ -234,10 +234,13 @@ impl<'a> Planner<'a> {
 
     // ----- entry enumeration ---------------------------------------------
     //
-    // These walk the object store only, which is what makes the degraded
-    // query path possible: when the tree is quarantined or faulting, the
+    // Every entry comes from one walk over the object store, `EntryWalk`,
+    // which never reads the tree: that is what makes the degraded query
+    // path possible, since when the tree is quarantined or faulting the
     // metadata and the store still give the exact entry set a healthy
-    // index would contain.
+    // index would contain. Builds, `check()` and degraded answers start it
+    // at position 0 of every object; maintenance starts it at every
+    // position of the one object a mutation touches.
 
     fn class_in_scope(&self, spec: &IndexSpec, pos: usize, class: ClassId) -> bool {
         let pc = spec.positions[pos].class;
@@ -248,153 +251,20 @@ impl<'a> Planner<'a> {
         }
     }
 
-    /// The encoded keys, ascending, of all entries anchored at `anchor` (a
-    /// would-be position-0 object), computed from the current store state.
-    /// Empty if the object is out of scope or has no value for the indexed
-    /// attribute.
-    fn entries_for_anchor(
-        &self,
-        store: &ObjectStore,
-        id: IndexId,
-        anchor: Oid,
-    ) -> Result<Vec<Vec<u8>>> {
-        let spec = self.spec(id)?;
-        if !store.exists(anchor) {
-            return Ok(Vec::new());
-        }
-        let class = store.class_of(anchor)?;
-        if !self.class_in_scope(spec, 0, class) {
-            return Ok(Vec::new());
-        }
-        let obj = store.get(anchor)?;
-        // Converted once: every entry of the anchor shares the value.
-        let Some(Ok(value)) = obj.get(spec.attr.0, spec.attr.1).map(KeyValue::try_from) else {
-            return Ok(Vec::new());
-        };
-        let chains = self.chains(spec);
-
-        let mut out = Vec::new();
-        for chain in &chains {
-            let mut stack: Vec<Vec<(usize, Oid)>> = vec![vec![(0, anchor)]];
-            // Depth-first instantiation along the chain.
-            self.instantiate_chain(store, spec, chain, 1, &mut stack, &value, id, &mut out)?;
-        }
-        // Multi-branch specs can produce duplicate single-position chains;
-        // normalize.
-        let mut keys: Vec<_> = out.iter().map(EntryKey::encode).collect();
-        keys.sort_unstable();
-        keys.dedup();
-        Ok(keys)
-    }
-
     /// The encoded keys of every entry of index `id`, ascending and without
     /// duplicates, recomputed object by object from the current store
     /// contents — never read from the tree: what a build inserts, what a
     /// degraded query answers from, and what [`crate::Database::check`]
     /// holds the tree to.
     pub(crate) fn all_keys(&self, store: &ObjectStore, id: IndexId) -> Result<Vec<Vec<u8>>> {
+        let walk = EntryWalk::new(*self, store, id)?;
         let mut keys = Vec::new();
         for oid in store.oids() {
-            keys.extend(self.entries_for_anchor(store, id, oid)?);
+            walk.entries_through(0, oid, &mut keys)?;
         }
         keys.sort_unstable();
         keys.dedup();
         Ok(keys)
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn instantiate_chain(
-        &self,
-        store: &ObjectStore,
-        spec: &IndexSpec,
-        chain: &[usize],
-        depth: usize,
-        stack: &mut Vec<Vec<(usize, Oid)>>,
-        value: &KeyValue,
-        id: IndexId,
-        out: &mut Vec<EntryKey>,
-    ) -> Result<()> {
-        if depth == chain.len() {
-            // Emit one entry from the current assignment.
-            let assignment: Vec<(usize, Oid)> =
-                stack.iter().map(|lvl| *lvl.last().expect("set")).collect();
-            let mut path: Vec<PathElem> = Vec::with_capacity(assignment.len());
-            for (pos, oid) in &assignment {
-                let class = store.class_of(*oid)?;
-                let code = self
-                    .encoding
-                    .code(class)
-                    .ok_or_else(|| Error::BadSpec(format!("class {class:?} has no code")))?;
-                let _ = pos;
-                path.push(PathElem {
-                    code: code.as_bytes().into(),
-                    oid: *oid,
-                });
-            }
-            out.push(EntryKey {
-                index_id: id,
-                value: value.clone(),
-                path: path.into(),
-            });
-            return Ok(());
-        }
-        let pos = chain[depth];
-        let step = &spec.positions[pos];
-        let (via_decl, via_attr) = step.via.expect("non-root position");
-        let parent_pos = step.parent.expect("non-root position");
-        // The object currently assigned to the parent position.
-        let parent_oid = stack
-            .iter()
-            .flat_map(|lvl| lvl.last())
-            .find(|(p, _)| *p == parent_pos)
-            .map(|(_, o)| *o)
-            .expect("parent assigned before child");
-        // Candidates: objects referencing parent_oid via the spec's attr,
-        // with a class in this position's scope.
-        let mut candidates: Vec<Oid> = store
-            .referrers(parent_oid)
-            .into_iter()
-            .filter(|(_, decl, attr)| (*decl, *attr) == (via_decl, via_attr))
-            .map(|(src, _, _)| src)
-            .filter(|src| {
-                store
-                    .class_of(*src)
-                    .map(|c| self.class_in_scope(spec, pos, c))
-                    .unwrap_or(false)
-            })
-            .collect();
-        candidates.sort_unstable();
-        candidates.dedup();
-        for cand in candidates {
-            stack.push(vec![(pos, cand)]);
-            self.instantiate_chain(store, spec, chain, depth + 1, stack, value, id, out)?;
-            stack.pop();
-        }
-        Ok(())
-    }
-
-    /// Root-to-leaf chains of the spec's position forest.
-    fn chains(&self, spec: &IndexSpec) -> Vec<Vec<usize>> {
-        let n = spec.positions.len();
-        let mut has_child = vec![false; n];
-        for p in &spec.positions {
-            if let Some(parent) = p.parent {
-                has_child[parent] = true;
-            }
-        }
-        (0..n)
-            .filter(|&i| !has_child[i])
-            .map(|leaf| {
-                let mut chain = vec![leaf];
-                let mut cur = leaf;
-                while let Some(p) = spec.positions[cur].parent {
-                    chain.push(p);
-                    cur = p;
-                }
-                chain.reverse();
-                chain
-            })
-            .collect()
     }
 
     /// The encoded keys, ascending, of all entries of index `id` that
@@ -406,86 +276,14 @@ impl<'a> Planner<'a> {
         id: IndexId,
         oid: Oid,
     ) -> Result<Vec<Vec<u8>>> {
-        let spec = self.spec(id)?;
-        if !store.exists(oid) {
-            return Ok(Vec::new());
+        let walk = EntryWalk::new(*self, store, id)?;
+        let mut keys = Vec::new();
+        for pos in 0..walk.spec.positions.len() {
+            walk.entries_through(pos, oid, &mut keys)?;
         }
-        let class = store.class_of(oid)?;
-        let chains = self.chains(spec);
-        let mut out = Vec::new();
-        for pos in 0..spec.positions.len() {
-            if !self.class_in_scope(spec, pos, class) {
-                continue;
-            }
-            for chain in chains.iter().filter(|c| c.contains(&pos)) {
-                let pi = chain.iter().position(|&x| x == pos).expect("contains");
-                for up in self.enumerate_up(store, spec, chain, pi, oid)? {
-                    let anchor = up[0].1;
-                    let obj = store.get(anchor)?;
-                    let Some(Ok(value)) = obj.get(spec.attr.0, spec.attr.1).map(KeyValue::try_from)
-                    else {
-                        continue;
-                    };
-                    let mut stack: Vec<Vec<(usize, Oid)>> =
-                        up.into_iter().map(|x| vec![x]).collect();
-                    self.instantiate_chain(
-                        store,
-                        spec,
-                        chain,
-                        pi + 1,
-                        &mut stack,
-                        &value,
-                        id,
-                        &mut out,
-                    )?;
-                }
-            }
-        }
-        let mut keys: Vec<_> = out.iter().map(EntryKey::encode).collect();
         keys.sort_unstable();
         keys.dedup();
         Ok(keys)
-    }
-
-    /// Assignments for `chain[0..=pi]` whose last element is `oid` at
-    /// position `chain[pi]`, found by following the via references from
-    /// `oid` towards the anchor.
-    fn enumerate_up(
-        &self,
-        store: &ObjectStore,
-        spec: &IndexSpec,
-        chain: &[usize],
-        pi: usize,
-        oid: Oid,
-    ) -> Result<Vec<Vec<(usize, Oid)>>> {
-        if pi == 0 {
-            return Ok(vec![vec![(chain[0], oid)]]);
-        }
-        let pos = chain[pi];
-        let step = &spec.positions[pos];
-        let (decl, attr) = step.via.expect("non-root position");
-        let parent_pos = step.parent.expect("non-root position");
-        let obj = store.get(oid)?;
-        let targets: Vec<Oid> = match obj.get(decl, attr) {
-            Some(Value::Ref(t)) => vec![*t],
-            Some(Value::RefSet(ts)) => ts.clone(),
-            _ => Vec::new(),
-        };
-        let mut out = Vec::new();
-        for t in targets {
-            if !store.exists(t) {
-                continue;
-            }
-            let tc = store.class_of(t)?;
-            if !self.class_in_scope(spec, parent_pos, tc) {
-                continue;
-            }
-            for mut up in self.enumerate_up(store, spec, chain, pi - 1, t)? {
-                up.push((pos, oid));
-                out.push(up);
-            }
-        }
-        Ok(out)
     }
 
     fn resolve_class_sel(
@@ -496,22 +294,13 @@ impl<'a> Planner<'a> {
     ) -> Result<()> {
         match sel {
             ClassSel::Any => out.push(region.clone()),
-            ClassSel::Exact(c) => {
-                let code = self
+            ClassSel::Exact(c) | ClassSel::SubTree(c) => {
+                let with_subclasses = matches!(sel, ClassSel::SubTree(_));
+                let range = self
                     .encoding
-                    .code(*c)
+                    .range(*c, with_subclasses)
                     .ok_or_else(|| Error::BadQuery(format!("class {c:?} has no code")))?;
-                let lo = code.as_bytes().to_vec();
-                let mut hi = lo.clone();
-                hi.push(0x00);
-                out.push((lo, hi));
-            }
-            ClassSel::SubTree(c) => {
-                let (lo, hi) = self
-                    .encoding
-                    .subtree_range(*c)
-                    .ok_or_else(|| Error::BadQuery(format!("class {c:?} has no code")))?;
-                out.push((lo, hi));
+                out.push(range);
             }
             ClassSel::AnyOf(sels) => {
                 for s in sels {
@@ -593,21 +382,10 @@ impl<'a> Planner<'a> {
         let value_ranges = self.value_ranges(q)?;
         let mut positions = Vec::with_capacity(spec.positions.len());
         for (i, step) in spec.positions.iter().enumerate() {
-            let region = if spec.include_subclasses {
-                self.encoding
-                    .subtree_range(step.class)
-                    .ok_or_else(|| Error::BadSpec("class has no code".into()))?
-            } else {
-                let code = self
-                    .encoding
-                    .code(step.class)
-                    .ok_or_else(|| Error::BadSpec("class has no code".into()))?
-                    .as_bytes()
-                    .to_vec();
-                let mut hi = code.clone();
-                hi.push(0x00);
-                (code, hi)
-            };
+            let region = self
+                .encoding
+                .range(step.class, spec.include_subclasses)
+                .ok_or_else(|| Error::BadSpec("class has no code".into()))?;
             let pred = q.preds.iter().find(|(p, _)| *p == i).map(|(_, p)| p);
             let (class_ranges, oids, required) = match pred {
                 None => (vec![region.clone()], OidSel::Any, false),
@@ -663,5 +441,139 @@ impl<'a> Planner<'a> {
             positions,
             distinct_upto: q.distinct_upto,
         })
+    }
+}
+
+/// One enumeration of index `id`'s entries in `store`, with what it holds
+/// fixed. An entry instantiates one chain of the spec's position forest —
+/// a run of positions from position 0 to a position without children —
+/// with one object per position, each referencing the previous one
+/// through the position's via attribute, and the anchor (position 0's
+/// object) holding a value for the indexed attribute.
+struct EntryWalk<'a> {
+    planner: Planner<'a>,
+    store: &'a ObjectStore,
+    spec: &'a IndexSpec,
+    id: IndexId,
+    /// Each position's children, the positions naming it as parent; a
+    /// position without any ends a chain.
+    children: Vec<Vec<usize>>,
+}
+
+/// The chain a walk is on, position 0 first: each object's class-code
+/// bytes and OID, so a position's parent is the previous element.
+type Chain<'a> = Vec<(&'a [u8], Oid)>;
+
+impl<'a> EntryWalk<'a> {
+    fn new(planner: Planner<'a>, store: &'a ObjectStore, id: IndexId) -> Result<Self> {
+        let spec = planner.spec(id)?;
+        let mut children = vec![Vec::new(); spec.positions.len()];
+        for (pos, step) in spec.positions.iter().enumerate() {
+            if let Some(parent) = step.parent {
+                children[parent].push(pos);
+            }
+        }
+        Ok(EntryWalk {
+            planner,
+            store,
+            spec,
+            id,
+            children,
+        })
+    }
+
+    /// Append to `out` the key of every entry in which `oid` holds
+    /// position `pos`: up from `oid` to the anchor along the via
+    /// references, then down every chain through `pos`.
+    fn entries_through(&self, pos: usize, oid: Oid, out: &mut Vec<Vec<u8>>) -> Result<()> {
+        let Some(code) = self.code_at(pos, oid)? else {
+            return Ok(());
+        };
+        let parent_of = |p: &usize| self.spec.positions[*p].parent;
+        let depth = std::iter::successors(parent_of(&pos), parent_of).count();
+        let mut chain = vec![(code, oid); depth + 1];
+        self.up(pos, depth, pos, &mut chain, out)
+    }
+
+    /// The class code of `oid` if it is live and its class is in scope at
+    /// `pos`.
+    fn code_at(&self, pos: usize, oid: Oid) -> Result<Option<&'a [u8]>> {
+        let Ok(class) = self.store.class_of(oid) else {
+            return Ok(None);
+        };
+        if !self.planner.class_in_scope(self.spec, pos, class) {
+            return Ok(None);
+        }
+        let code = self.planner.encoding.code(class);
+        let code = code.ok_or_else(|| Error::BadSpec(format!("class {class:?} has no code")))?;
+        Ok(Some(code.as_bytes()))
+    }
+
+    /// With `chain[depth]` holding position `pos`, fill `chain[..depth]`
+    /// with every run of objects the via references lead up to the anchor,
+    /// and go down from position `start`, the end of the filled chain.
+    fn up(
+        &self,
+        pos: usize,
+        depth: usize,
+        start: usize,
+        chain: &mut Chain<'a>,
+        out: &mut Vec<Vec<u8>>,
+    ) -> Result<()> {
+        let step = &self.spec.positions[pos];
+        let Some(parent) = step.parent else {
+            let anchor = self.store.get(chain[0].1)?;
+            // Converted once: every entry of the anchor shares the value.
+            let value = anchor.get(self.spec.attr.0, self.spec.attr.1);
+            let Some(Ok(value)) = value.map(KeyValue::try_from) else {
+                return Ok(());
+            };
+            return self.down(start, &value, chain, out);
+        };
+        let (decl, attr) = step.via.expect("a position with a parent has a via");
+        let targets = match self.store.get(chain[depth].1)?.get(decl, attr) {
+            Some(Value::Ref(t)) => std::slice::from_ref(t),
+            Some(Value::RefSet(ts)) => ts.as_slice(),
+            _ => &[],
+        };
+        for &target in targets {
+            if let Some(code) = self.code_at(parent, target)? {
+                chain[depth - 1] = (code, target);
+                self.up(parent, depth - 1, start, chain, out)?;
+            }
+        }
+        Ok(())
+    }
+
+    /// With the chain ending at position `pos`, extend it by every object
+    /// that references its last one through a child position's via, and
+    /// write each finished chain's key to `out`.
+    fn down(
+        &self,
+        pos: usize,
+        value: &KeyValue,
+        chain: &mut Chain<'a>,
+        out: &mut Vec<Vec<u8>>,
+    ) -> Result<()> {
+        if self.children[pos].is_empty() {
+            out.push(write_key(self.id, value, chain.iter().copied()));
+            return Ok(());
+        }
+        let (_, last) = *chain.last().expect("the anchor is set");
+        let referrers = self.store.referrers(last);
+        for &child in &self.children[pos] {
+            let via = self.spec.positions[child].via;
+            for &(src, decl, attr) in &referrers {
+                if via != Some((decl, attr)) {
+                    continue;
+                }
+                if let Some(code) = self.code_at(child, src)? {
+                    chain.push((code, src));
+                    self.down(child, value, chain, out)?;
+                    chain.pop();
+                }
+            }
+        }
+        Ok(())
     }
 }

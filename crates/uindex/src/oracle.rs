@@ -1,14 +1,17 @@
 //! Differential correctness oracle for the U-index: the tests' reference,
 //! which no product path calls.
 //!
-//! The scan machinery in [`crate::scan`] answers queries by translating
-//! them into *byte-range* constraints over encoded keys and skip-seeking
-//! through the shared B-tree; the degraded path runs the same matcher over
-//! keys recomputed from the object store. This module answers the same
-//! queries a different way — by judging the recomputed entries with only
+//! The crate's scan machinery answers queries by translating them into
+//! *byte-range* constraints over encoded keys and skip-seeking through the
+//! shared B-tree; the degraded path runs the same matcher over keys
+//! recomputed from the object store. This module answers the same queries
+//! a different way — by judging the recomputed entries with only
 //! *semantic* operations (schema sub-class tests, [`Value`] comparisons,
 //! OID set membership) — so the judge it checks and the judge it is share
-//! no logic that could fail in the same direction.
+//! no logic that could fail in the same direction. The entries it judges
+//! are the product's recomputation, and the trials hold that to
+//! [`reference_keys`], which derives the entry set from the objects by
+//! other means.
 //!
 //! On top of the evaluator sits a seeded trial driver
 //! ([`run_trials`]): each trial generates a random schema (1–3 class
@@ -23,9 +26,11 @@
 //! * the parallel scan never reads more pages than the forward scan;
 //! * a [`crate::DatabaseReader`] over the same database answers with the
 //!   same hits, `ScanStats` and degraded flag as the writer handle;
-//! * the tree passes [`crate::UIndex::verify`] and its entry set equals a
-//!   full recomputation from the store (checking the incremental
-//!   maintenance diffs);
+//! * the tree passes [`crate::UIndex::verify`], and its entry set, the
+//!   product's recomputation from the store and, object by object, the
+//!   entries maintenance finds involving it all equal [`reference_keys`]:
+//!   an enumeration of the entry set that shares no code with the
+//!   product's;
 //! * `distinct_through` at every position, under both algorithms, equals
 //!   the oracle-side deduplication of the unrestricted hit list
 //!   ([`distinct_filter`]);
@@ -46,7 +51,7 @@ use crate::db::Database;
 use crate::error::Result;
 use crate::exec::{run_guarded, Fallback};
 use crate::index::{IndexId, Planner};
-use crate::key::{EntryKey, KeyValue};
+use crate::key::{EntryKey, KeyValue, PathElem};
 use crate::query::{ClassSel, OidSel, PosPred, Query, QueryHit, ValuePred};
 use crate::scan::ScanAlgorithm;
 use crate::spec::IndexSpec;
@@ -156,7 +161,7 @@ fn pos_required(q: &Query, pos: usize) -> bool {
 
 /// Decide semantically whether `entry` satisfies `q`, returning the
 /// per-position assignment on a match — the ground truth that
-/// [`crate::scan`]'s byte-range matcher must agree with.
+/// the scan's byte-range matcher must agree with.
 pub fn entry_matches(
     schema: &Schema,
     encoding: &Encoding,
@@ -200,6 +205,142 @@ pub fn entry_matches(
         return None;
     }
     Some(assignment)
+}
+
+// ----- reference entry enumeration ---------------------------------------
+
+/// The encoded keys of every entry of index `id` (defined by `spec` under
+/// `encoding`), ascending and without duplicates, derived from `store`
+/// without the product's entry walk: each chain of the spec's position
+/// forest is instantiated one position at a time from the anchors in
+/// scope that hold a value, and a position's objects are found by reading
+/// every live object's via attribute forward. It never reads the store's
+/// reverse references, and decides scope by this module's own rule.
+pub fn reference_keys(
+    encoding: &Encoding,
+    spec: &IndexSpec,
+    id: IndexId,
+    store: &ObjectStore,
+) -> Result<Vec<Vec<u8>>> {
+    let schema = store.schema();
+    let in_scope_at = |pos: usize, oid: Oid| {
+        store
+            .class_of(oid)
+            .is_ok_and(|c| in_scope(schema, spec, pos, c))
+    };
+    let value_of = |oid: Oid| -> Result<Option<KeyValue>> {
+        let value = store.get(oid)?.get(spec.attr.0, spec.attr.1);
+        Ok(value.and_then(|v| KeyValue::try_from(v).ok()))
+    };
+    let mut keys = Vec::new();
+    // A chain runs from position 0 to a position no other one names as
+    // its parent.
+    let n = spec.positions.len();
+    for leaf in (0..n).filter(|&p| spec.positions.iter().all(|s| s.parent != Some(p))) {
+        let mut chain = vec![leaf];
+        while let Some(parent) = spec.positions[chain[0]].parent {
+            chain.insert(0, parent);
+        }
+        // Every instantiation of the chain's positions so far.
+        let mut rows: Vec<Vec<Oid>> = Vec::new();
+        for oid in store.oids().filter(|&o| in_scope_at(0, o)) {
+            if value_of(oid)?.is_some() {
+                rows.push(vec![oid]);
+            }
+        }
+        for &pos in &chain[1..] {
+            let (decl, attr) = spec.positions[pos].via.expect("non-root position");
+            let mut longer = Vec::new();
+            for row in &rows {
+                let parent = *row.last().expect("a row holds its anchor");
+                for oid in store.oids().filter(|&o| in_scope_at(pos, o)) {
+                    let refers = match store.get(oid)?.get(decl, attr) {
+                        Some(Value::Ref(t)) => *t == parent,
+                        Some(Value::RefSet(ts)) => ts.contains(&parent),
+                        _ => false,
+                    };
+                    if refers {
+                        longer.push([row.as_slice(), &[oid]].concat());
+                    }
+                }
+            }
+            rows = longer;
+        }
+        for row in rows {
+            let mut path = Vec::with_capacity(row.len());
+            for &oid in &row {
+                let class = store.class_of(oid)?;
+                let code = encoding.code(class).expect("a class in scope has a code");
+                path.push(PathElem {
+                    code: code.as_bytes().into(),
+                    oid,
+                });
+            }
+            let entry = EntryKey {
+                index_id: id,
+                value: value_of(row[0])?.expect("anchors hold a value"),
+                path: path.into(),
+            };
+            keys.push(entry.encode());
+        }
+    }
+    keys.sort_unstable();
+    keys.dedup();
+    Ok(keys)
+}
+
+/// Check index `id` of `db` against [`reference_keys`]: the product's
+/// recomputation ([`Planner`]'s `all_keys`), the maintained tree's
+/// entries, and for every live object the entries maintenance finds
+/// involving it — the reference keys whose path holds the object.
+fn check_entry_set(db: &Database, id: IndexId, tseed: u64) {
+    let store = db.store();
+    let spec = &db.index().specs()[usize::from(id)];
+    let reference = reference_keys(db.index().encoding(), spec, id, store)
+        .unwrap_or_else(|e| panic!("reference enumeration failed (seed {tseed:#x}): {e}"));
+    let planner = db.planner();
+    let walked = planner.all_keys(store, id).expect("entry walk");
+    assert_eq!(
+        walked, reference,
+        "index {id}: the entry walk diverges from the reference enumeration (seed {tseed:#x})"
+    );
+    let prefix = EntryKey::index_prefix(id);
+    let next_prefix = EntryKey::index_prefix(id + 1);
+    let stored: Vec<Vec<u8>> = db
+        .index()
+        .tree()
+        .view()
+        .scan_all()
+        .expect("tree scan")
+        .into_iter()
+        .map(|(k, _)| k)
+        .filter(|k| k.as_slice() >= prefix.as_slice() && k.as_slice() < next_prefix.as_slice())
+        .collect();
+    assert_eq!(
+        stored, reference,
+        "index {id}: maintained tree entries diverge from the reference \
+         enumeration (seed {tseed:#x})"
+    );
+    let entries: Vec<EntryKey> = reference
+        .iter()
+        .map(|k| EntryKey::decode(k).expect("reference key decodes"))
+        .collect();
+    for oid in store.oids() {
+        let want: Vec<Vec<u8>> = reference
+            .iter()
+            .zip(&entries)
+            .filter(|(_, e)| e.path.iter().any(|elem| elem.oid == oid))
+            .map(|(k, _)| k.clone())
+            .collect();
+        let got = planner
+            .entries_involving(store, id, oid)
+            .expect("involved entries");
+        assert_eq!(
+            got, want,
+            "index {id}: entries involving {oid:?} diverge from the reference \
+             enumeration (seed {tseed:#x})"
+        );
+    }
 }
 
 // ----- brute-force evaluation --------------------------------------------
@@ -268,12 +409,18 @@ pub fn distinct_filter(hits: &[QueryHit], pos: usize) -> Vec<QueryHit> {
 // ----- random trial generation -------------------------------------------
 
 /// A generated database plus the metadata queries are drawn from.
+///
+/// With three hierarchies, hierarchy 2 also references hierarchy 0
+/// directly (attribute `R0`), and a multi-path index merges the paths
+/// from hierarchies 1 and 2 to hierarchy 0: a position forest with two
+/// chains.
 pub struct TrialDb {
     /// The database under test.
     pub db: Database,
     /// Indexes defined in it.
     pub indexes: Vec<IndexId>,
-    /// Classes grouped by hierarchy; hierarchy `i > 0` references `i - 1`.
+    /// Classes grouped by hierarchy; hierarchy `i > 0` references `i - 1`,
+    /// and hierarchy 2 references hierarchy 0 as well.
     pub hierarchies: Vec<Vec<ClassId>>,
     /// The indexed attribute's type, per hierarchy.
     pub vtypes: Vec<AttrType>,
@@ -328,6 +475,9 @@ pub fn gen_trial(seed: u64) -> Result<TrialDb> {
             };
             schema.add_attr(root, "R", ty)?;
         }
+        if h == 2 {
+            schema.add_attr(root, "R0", AttrType::Ref(hierarchies[0][0]))?;
+        }
         hierarchies.push(classes);
     }
 
@@ -335,25 +485,31 @@ pub fn gen_trial(seed: u64) -> Result<TrialDb> {
 
     // Index definitions, registered at random points of the mutation
     // stream so both bulk build and incremental maintenance run.
-    let mut builders: Vec<crate::spec::SpecBuilder> = Vec::new();
+    let mut builders: Vec<IndexSpec> = Vec::new();
     for (h, classes) in hierarchies.iter().enumerate() {
-        builders.push(IndexSpec::class_hierarchy(
-            &format!("ch{h}"),
-            classes[0],
-            "V",
-        ));
+        let b = IndexSpec::class_hierarchy(&format!("ch{h}"), classes[0], "V");
+        builders.push(b.build(db.schema())?);
     }
     if n_hier >= 2 {
         let refs: Vec<&str> = vec!["R"; n_hier - 1];
         let b = IndexSpec::path("path", hierarchies[n_hier - 1][0], &refs, "V");
-        builders.push(if rng.chance(1, 3) {
+        let b = if rng.chance(1, 3) {
             b.exact_classes()
         } else {
             b
-        });
+        };
+        builders.push(b.build(db.schema())?);
     }
     if n_hier == 3 {
-        builders.push(IndexSpec::path("path_mid", hierarchies[1][0], &["R"], "V"));
+        let b = IndexSpec::path("path_mid", hierarchies[1][0], &["R"], "V");
+        builders.push(b.build(db.schema())?);
+        let exact = rng.chance(1, 3);
+        let branch = |name: &str, top: ClassId, via: &str| {
+            let b = IndexSpec::path(name, top, &[via], "V");
+            if exact { b.exact_classes() } else { b }.build(db.schema())
+        };
+        let multi = branch("multi", hierarchies[1][0], "R")?;
+        builders.push(multi.merge(&branch("multi", hierarchies[2][0], "R0")?)?);
     }
     builders.reverse(); // pop() takes them in declaration order
     let mut indexes = Vec::new();
@@ -391,6 +547,9 @@ pub fn gen_trial(seed: u64) -> Result<TrialDb> {
                     };
                     db.set_attr(oid, "R", v)?;
                 }
+                if h == 2 && !oids_by_hier[0].is_empty() && rng.chance(1, 2) {
+                    db.set_attr(oid, "R0", Value::Ref(*rng.pick(&oids_by_hier[0])))?;
+                }
             }
             // Overwrite a value (index entry migration).
             5 | 6 => {
@@ -427,14 +586,14 @@ pub fn gen_trial(seed: u64) -> Result<TrialDb> {
             }
             // Define the next pending index over whatever data exists.
             _ => {
-                if let Some(b) = builders.pop() {
-                    indexes.push(db.define_index(b)?);
+                if let Some(spec) = builders.pop() {
+                    indexes.push(db.define_index_spec(spec)?);
                 }
             }
         }
     }
-    while let Some(b) = builders.pop() {
-        indexes.push(db.define_index(b)?);
+    while let Some(spec) = builders.pop() {
+        indexes.push(db.define_index_spec(spec)?);
     }
 
     Ok(TrialDb {
@@ -531,6 +690,8 @@ pub struct TrialSummary {
     pub bad_queries: u64,
     /// `distinct_through` cross-checks performed.
     pub distinct_checks: u64,
+    /// Trials with a multi-path index: a position forest with two chains.
+    pub branching_trials: u64,
 }
 
 /// Cumulative telemetry registry values sampled around one query: what the
@@ -658,38 +819,25 @@ pub fn run_trials(seed: u64, trials: usize) -> TrialSummary {
         let mut t = gen_trial(tseed)
             .unwrap_or_else(|e| panic!("trial generation failed (seed {tseed:#x}): {e}"));
 
-        // Structural ground truth: the tree is well-formed and its entry
-        // set equals a from-scratch recomputation per index.
+        // Structural ground truth: the tree is well-formed, and per index
+        // its entries and the product's enumerations equal the reference.
         t.db.index_mut()
             .verify()
             .unwrap_or_else(|e| panic!("tree verify failed (seed {tseed:#x}): {e}"));
-        let ids = t.indexes.clone();
-        for &id in &ids {
-            let want: Vec<Vec<u8>> = all_entries(t.db.planner(), t.db.store(), id)
-                .expect("oracle entry enumeration")
-                .iter()
-                .map(EntryKey::encode)
-                .collect();
-            let prefix = EntryKey::index_prefix(id);
-            let next_prefix = EntryKey::index_prefix(id + 1);
-            let got: Vec<Vec<u8>> =
-                t.db.index()
-                    .tree()
-                    .view()
-                    .scan_all()
-                    .expect("tree scan")
-                    .into_iter()
-                    .map(|(k, _)| k)
-                    .filter(|k| {
-                        k.as_slice() >= prefix.as_slice() && k.as_slice() < next_prefix.as_slice()
-                    })
-                    .collect();
-            assert_eq!(
-                got, want,
-                "index {id}: maintained tree entries diverge from full \
-                 recomputation (seed {tseed:#x})"
-            );
+        for &id in &t.indexes {
+            check_entry_set(&t.db, id, tseed);
         }
+        let specs = t.db.index().specs();
+        let branching = specs.iter().any(|spec| {
+            (0..spec.positions.len()).any(|p| {
+                spec.positions
+                    .iter()
+                    .filter(|s| s.parent == Some(p))
+                    .count()
+                    > 1
+            })
+        });
+        sum.branching_trials += u64::from(branching);
 
         // The reader handle, taken after the trial's last mutation, must
         // answer every query exactly as the writer handle does.

@@ -230,20 +230,11 @@ impl IndexSpec {
         }
         // Position code regions must be pairwise disjoint so entry elements
         // can be attributed to positions unambiguously.
-        let mut regions: Vec<(Vec<u8>, Vec<u8>)> = Vec::with_capacity(sorted.len());
-        for s in &sorted {
-            let (lo, hi) = if self.include_subclasses {
-                encoding
-                    .subtree_range(s.class)
-                    .ok_or_else(|| Error::BadSpec("class has no code".into()))?
-            } else {
-                let c = code_of(s.class)?;
-                let mut hi = c.clone();
-                hi.push(0x00);
-                (c, hi)
-            };
-            regions.push((lo, hi));
-        }
+        let regions = sorted
+            .iter()
+            .map(|s| encoding.range(s.class, self.include_subclasses))
+            .collect::<Option<Vec<_>>>()
+            .ok_or_else(|| Error::BadSpec("class has no code".into()))?;
         for w in regions.windows(2) {
             if w[1].0 < w[0].1 {
                 return Err(Error::BadSpec(

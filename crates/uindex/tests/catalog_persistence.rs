@@ -151,7 +151,7 @@ fn catalog_facts_cluster_by_code() {
     let schema = sample_schema();
     let vehicle = schema.class_by_name("Vehicle").unwrap();
     let encoding = Encoding::generate(&schema).unwrap();
-    let (lo, hi) = encoding.subtree_range(vehicle).unwrap();
+    let (lo, hi) = encoding.range(vehicle, true).unwrap();
     let pool = BufferPool::new(pagestore::MemStore::new(1024), 1 << 14);
     let mut index = UIndex::new(pool, BTreeConfig::default(), encoding).unwrap();
     index.save_catalog(&schema).unwrap();

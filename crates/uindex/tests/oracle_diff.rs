@@ -17,6 +17,10 @@ fn differential_oracle_60_trials() {
         sum.distinct_checks > 0,
         "distinct path never exercised: {sum:?}"
     );
+    assert!(
+        sum.branching_trials > 0,
+        "no trial had a multi-path index: {sum:?}"
+    );
 }
 
 #[test]

@@ -23,7 +23,7 @@ pub fn schema() -> (Schema, VehicleClasses) {
     build_schema()
 }
 
-/// Populate `db` (already constructed over the [`schema`]) with the
+/// Populate `db` (already constructed over the [`schema()`]) with the
 /// supporting employee/company population, two UQL-addressable indexes
 /// (`color`: CH on `Vehicle.Color`; `age`: path
 /// `Vehicle/ManufacturedBy/President.Age`), and `n_vehicles` vehicles.
