@@ -12,22 +12,36 @@ cd "$(dirname "$0")"
 # RUST_TEST_THREADS=1 must not serialize them.
 unset RUST_TEST_THREADS
 
-echo "== cargo fmt --check"
+# Each `==` step's wall seconds go to the log when the next step starts
+# (and, for the last, before the closing line).
+step_name=""
+step_start=$SECONDS
+step_done() {
+  [ -z "$step_name" ] || echo "-- $((SECONDS - step_start)) s: $step_name"
+}
+step() {
+  step_done
+  step_name=$1
+  step_start=$SECONDS
+  echo "== $1"
+}
+
+step "cargo fmt --check"
 cargo fmt --check
 
-echo "== cargo clippy (deny warnings)"
+step "cargo clippy (deny warnings)"
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
-echo "== cargo doc (deny warnings: every intra-doc link resolves to a public item)"
+step "cargo doc (deny warnings: every intra-doc link resolves to a public item)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
-echo "== cargo test (root package, tier-1)"
+step "cargo test (root package, tier-1)"
 cargo test -q --offline
 
-echo "== cargo test (workspace; the root package ran above)"
+step "cargo test (workspace; the root package ran above)"
 cargo test -q --workspace --offline --exclude uindex-oodb
 
-echo "== results are what the code prints (release experiment binaries at their defaults)"
+step "results are what the code prints (release experiment binaries at their defaults)"
 # The binaries are deterministic, so each published table in results/ must
 # be byte for byte what its binary prints now; the environment knobs that
 # shrink or repeat a run are cleared.
@@ -37,7 +51,7 @@ for bin in table1 compare nixcmp fig5 fig6 fig7 fig8; do
     || { echo "results: target/release/$bin does not print results/$bin.txt"; exit 1; }
 done
 
-echo "== explain smoke (CLI EXPLAIN ANALYZE end to end)"
+step "explain smoke (CLI EXPLAIN ANALYZE end to end)"
 tmpdir=$(mktemp -d)
 trap 'rm -rf "$tmpdir"' EXIT
 cat > "$tmpdir/smoke.uschema" <<'EOF'
@@ -75,7 +89,7 @@ explain_text=$(cargo run -q --release --offline -p uindex-cli -- \
   explain "$tmpdir/db" "color: Color = 'Red'")
 echo "$explain_text" | grep -q '^Execution' || { echo "explain smoke: no Execution section"; exit 1; }
 
-echo "== one distinct (forward and parallel agree; explain counts the rows query prints)"
+step "one distinct (forward and parallel agree; explain counts the rows query prints)"
 # Every vehicle is made by c1, whose president is e1: three entries for
 # Age = 50, and one row once distinct through Company.
 # `query` prints its rows on stdout and a summary line on stderr.
@@ -96,7 +110,7 @@ for stmt in "age: Age = 50" "age: Age = 50 distinct Company forward" "color: Col
     || { echo "distinct smoke: explain counts $counted hits for '$stmt', query prints $printed"; exit 1; }
 done
 
-echo "== integrity check smoke (CLI check/repair on the smoke db)"
+step "integrity check smoke (CLI check/repair on the smoke db)"
 check_out=$(cargo run -q --release --offline -p uindex-cli -- check "$tmpdir/db")
 echo "$check_out" | grep -q 'status:  clean' || { echo "check smoke: db not clean"; exit 1; }
 repair_out=$(cargo run -q --release --offline -p uindex-cli -- repair "$tmpdir/db")
@@ -106,7 +120,7 @@ echo "$repair_out" | grep -q 'rebuilt index' || { echo "repair smoke: no rebuild
 cargo run -q --release --offline -p uindex-cli -- check "$tmpdir/db" > /dev/null \
   || { echo "repair smoke: post-repair check failed"; exit 1; }
 
-echo "== crash smoke (SIGKILL a writer mid-commit, reopen, check)"
+step "crash smoke (SIGKILL a writer mid-commit, reopen, check)"
 # Run the binary directly (not via cargo) so the SIGKILL hits the writer
 # itself; kill it as soon as commits are flowing, i.e. mid-commit-stream.
 churn_bin=target/release/uindex-cli
@@ -122,7 +136,7 @@ check_out=$(cargo run -q --release --offline -p uindex-cli -- check "$tmpdir/db"
 echo "$check_out" | grep -q 'status:  clean' \
   || { echo "crash smoke: post-SIGKILL check failed"; exit 1; }
 
-echo "== refusals (a directory that is not a database; the retired tier flag)"
+step "refusals (a directory that is not a database; the retired tier flag)"
 mkdir "$tmpdir/nodb"
 for nodb in "$tmpdir/nodb" "$tmpdir/missing"; do
   if nodb_err=$("$churn_bin" query "$nodb" "color: Color = 'Red'" 2>&1); then
@@ -140,7 +154,7 @@ echo "$flag_err" | grep -q 'unknown argument "--disk"' \
   || { echo "refusals: wrong message for the retired flag: $flag_err"; exit 1; }
 [ ! -e "$tmpdir/flagdb" ] || { echo "refusals: the refused new left a directory"; exit 1; }
 
-echo "== serve smoke (wire protocol server + oracle-checked load generator)"
+step "serve smoke (wire protocol server + oracle-checked load generator)"
 cargo run -q --release --offline -p bench --bin loadgen -- --save-db "$tmpdir/servedb"
 serve_bin=target/release/uindex-cli
 "$serve_bin" serve "$tmpdir/servedb" --port 0 --shutdown-file "$tmpdir/serve.stop" \
@@ -180,7 +194,7 @@ touch "$tmpdir/serve.stop"
 wait "$serve_pid" || { echo "serve smoke: server exited non-zero"; exit 1; }
 grep -q "^served " "$tmpdir/serve.log" || { echo "serve smoke: no shutdown summary"; exit 1; }
 
-echo "== SIGTERM drain smoke (signal -> drain -> shutdown summary)"
+step "SIGTERM drain smoke (signal -> drain -> shutdown summary)"
 "$serve_bin" serve "$tmpdir/servedb" --port 0 \
   > "$tmpdir/drain.log" 2> "$tmpdir/drain.err" &
 drain_pid=$!
@@ -195,13 +209,14 @@ grep -q "signal received; draining" "$tmpdir/drain.err" \
 grep -q "^served " "$tmpdir/drain.log" \
   || { echo "drain smoke: no shutdown summary"; cat "$tmpdir/drain.log"; exit 1; }
 
-echo "== chaos drill (SIGKILL a real serve process mid-load, restart, repoint)"
+step "chaos drill (SIGKILL a real serve process mid-load, restart, repoint)"
 drill_out=$(timeout 300 cargo run -q --release --offline -p bench --bin loadgen -- \
   --chaos-drill --cli-bin "$serve_bin")
 echo "$drill_out" | grep -q "after restart" \
   || { echo "chaos drill: no restart ledger"; echo "$drill_out"; exit 1; }
 
-echo "== benchmark smoke (benchmark/ is its own workspace: keep its frozen product surface compiling and correct)"
+step "benchmark smoke (benchmark/ is its own workspace: keep its frozen product surface compiling and correct)"
 bash benchmark/run.sh --smoke > /dev/null
 
+step_done
 echo "CI green."

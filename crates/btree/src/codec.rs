@@ -93,13 +93,13 @@ pub fn common_prefix_len(a: &[u8], b: &[u8]) -> usize {
 /// Truncation is prefix-B-tree suffix truncation: interior nodes only need
 /// enough of a key to route correctly, which keeps them dense. Requires
 /// `left_max < right_min`.
-pub(crate) fn separator(left_max: &[u8], right_min: &[u8], truncate: bool) -> Vec<u8> {
+pub(crate) fn separator<'a>(left_max: &[u8], right_min: &'a [u8], truncate: bool) -> &'a [u8] {
     debug_assert!(left_max < right_min, "separator inputs out of order");
     let cp = common_prefix_len(left_max, right_min);
     // `right_min[..cp + 1]` always works: it differs from (or extends past)
     // `left_max` at position `cp` and is a prefix of `right_min`.
     let end = if truncate { cp + 1 } else { right_min.len() };
-    right_min[..end.min(right_min.len())].to_vec()
+    &right_min[..end.min(right_min.len())]
 }
 
 #[cfg(test)]
@@ -159,13 +159,13 @@ mod tests {
     #[test]
     fn separator_truncation() {
         // Differ at first byte.
-        assert_eq!(separator(b"apple", b"banana", true), b"b".to_vec());
+        assert_eq!(separator(b"apple", b"banana", true), b"b");
         // Common prefix then divergence.
-        assert_eq!(separator(b"abcX", b"abcZ", true), b"abcZ".to_vec());
+        assert_eq!(separator(b"abcX", b"abcZ", true), b"abcZ");
         // Left is a strict prefix of right.
-        assert_eq!(separator(b"abc", b"abcdef", true), b"abcd".to_vec());
+        assert_eq!(separator(b"abc", b"abcdef", true), b"abcd");
         // Adjacent keys of length 1.
-        assert_eq!(separator(b"a", b"b", true), b"b".to_vec());
+        assert_eq!(separator(b"a", b"b", true), b"b");
     }
 
     #[test]
@@ -175,8 +175,8 @@ mod tests {
             .collect();
         for w in keys.windows(2) {
             let t = separator(&w[0], &w[1], true);
-            assert!(w[0].as_slice() < t.as_slice());
-            assert!(t.as_slice() <= w[1].as_slice());
+            assert!(w[0].as_slice() < t);
+            assert!(t <= w[1].as_slice());
         }
     }
 }

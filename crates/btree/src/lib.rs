@@ -52,6 +52,7 @@ mod tree;
 mod verify;
 mod walk;
 
+pub use bulk::{KeyBuffer, SortedEntries};
 pub use codec::common_prefix_len;
 pub use config::{BTreeConfig, Capacity};
 pub use cursor::{Cursor, EntryRef, ReadView};

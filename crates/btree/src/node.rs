@@ -17,26 +17,28 @@
 //!
 //! # The codec boundary
 //!
-//! The layout above has one encoder, `NodeKind::encode`, which both node
-//! kinds share ([`Node::encode`] dispatches to it). **Readers** — every
+//! The layout above has one encoder, `Encode::encode`, which both node
+//! kinds share ([`Node::encode`] dispatches to it), and bulk load writes
+//! its leaves through, straight from the sorted input. **Readers** — every
 //! `ReadView` operation — read a leaf where it lies, through
 //! [`crate::LeafWalker`] (`walk.rs`), and decode an interior once per
 //! frame, as an [`InternalNode`], for routing's binary search. **A writer
 //! edits a leaf in place** unless it splits or merges: a
 //! [`crate::LeafEditor`] (`edit.rs`) rewrites the edited entry and its
 //! successor's `prefix_len`/suffix and moves the tail, leaving the bytes
-//! `encode` would have written. **Splits, merges, bulk load and `verify`**
-//! decode a leaf into a [`LeafNode`], take an interior from the frame's
-//! cache, and lay out either kind through `NodeKind`, over entry sizes: one
+//! `encode` would have written. **Splits, merges and `verify`** decode a
+//! leaf into a [`LeafNode`], take an interior from the frame's cache, and
+//! lay out either kind through `NodeKind`, over entry sizes: one
 //! split-point search (`BTreeConfig::split_point`) and one level packer
-//! (`config::Packer`). A decoded node is an **arena**: one `Vec<u8>` of
-//! every prefix-expanded key — in a leaf, each followed by its value — and
-//! one `Vec<u32>` offset table, reached only through `key(i)` / `value(i)`
-//! / `sep(i)` and the writers `insert_at` / `remove_at` / `split_off` /
-//! `append`. Decoding a leaf is two allocations whatever its entry count,
-//! and cloning one is two `memcpy`s. A walk accepts exactly the pages
-//! [`Node::decode`] accepts, and the editor exactly those of them the
-//! encoder could have written (`tests/decode_fuzz.rs`).
+//! (`config::Packer`), which bulk load runs over its input's entries
+//! without decoding or staging a leaf. A decoded node is an **arena**: one
+//! `Vec<u8>` of every prefix-expanded key — in a leaf, each followed by its
+//! value — and one `Vec<u32>` offset table, reached only through `key(i)` /
+//! `value(i)` / `sep(i)` and the writers `insert_at` / `remove_at` /
+//! `split_off` / `append`. Decoding a leaf is two allocations whatever its
+//! entry count, and cloning one is two `memcpy`s. A walk accepts exactly
+//! the pages [`Node::decode`] accepts, and the editor exactly those of them
+//! the encoder could have written (`tests/decode_fuzz.rs`).
 //!
 //! **Decode bound.** [`Node::decode`] measures a page before it allocates:
 //! a first pass validates every length (`prefix_len` within the previous
@@ -249,7 +251,7 @@ impl LeafNode {
 
     /// Exact size of the encoded form.
     pub fn encoded_size(&self, compress: bool) -> usize {
-        NodeKind::encoded_size(self, compress)
+        Encode::encoded_size(self, compress)
     }
 }
 
@@ -459,15 +461,13 @@ impl EntrySize {
     }
 }
 
-/// A node kind as the writer lays it out: splits, merges and bulk load
-/// handle leaves and interiors through it, so that each layout decision is
-/// made once for both (`BTreeConfig::split_point`, `config::Packer`).
-pub(crate) trait NodeKind: Sized {
+/// A node as the page encoder reads it: a header, then entries in key
+/// order, each a key and its payload (a leaf's value, an interior's child).
+/// `encode` is the one encoder every page goes through — a decoded node's,
+/// and bulk load's leaves, which it reads straight from the sorted input.
+pub(crate) trait Encode {
     /// Fixed header bytes of a page of this kind.
     const HEADER: usize;
-    /// Whether the entry at a boundary moves up to the parent: an
-    /// interior's separator does, a leaf's entry opens the node to its right.
-    const PROMOTES: bool;
 
     /// Number of entries (separators, in an interior).
     fn count(&self) -> usize;
@@ -480,14 +480,6 @@ pub(crate) trait NodeKind: Sized {
 
     /// Write what follows entry `i`'s key: its value, or its child.
     fn put_payload(&self, i: usize, page: &mut [u8], pos: &mut usize);
-
-    /// Take in the entries of `right`, the next sibling; `between` is the
-    /// parent's separator between the two.
-    fn absorb(&mut self, between: &[u8], right: &Self);
-
-    /// Keep the entries before `at`, and return the separator the parent
-    /// gets and the node to the right, which is to live on page `right_id`.
-    fn split(&mut self, at: usize, right_id: PageId, config: &BTreeConfig) -> (Vec<u8>, Self);
 
     /// Exact size of the encoded form.
     fn encoded_size(&self, compress: bool) -> usize {
@@ -527,9 +519,25 @@ pub(crate) trait NodeKind: Sized {
     }
 }
 
-impl NodeKind for LeafNode {
+/// A node kind as the writer lays it out: splits, merges and bulk load
+/// handle leaves and interiors through it, so that each layout decision is
+/// made once for both (`BTreeConfig::split_point`, `config::Packer`).
+pub(crate) trait NodeKind: Encode + Sized {
+    /// Whether the entry at a boundary moves up to the parent: an
+    /// interior's separator does, a leaf's entry opens the node to its right.
+    const PROMOTES: bool;
+
+    /// Take in the entries of `right`, the next sibling; `between` is the
+    /// parent's separator between the two.
+    fn absorb(&mut self, between: &[u8], right: &Self);
+
+    /// Keep the entries before `at`, and return the separator the parent
+    /// gets and the node to the right, which is to live on page `right_id`.
+    fn split(&mut self, at: usize, right_id: PageId, config: &BTreeConfig) -> (Vec<u8>, Self);
+}
+
+impl Encode for LeafNode {
     const HEADER: usize = LEAF_HEADER;
-    const PROMOTES: bool = false;
 
     fn count(&self) -> usize {
         self.len()
@@ -541,17 +549,17 @@ impl NodeKind for LeafNode {
     }
 
     fn put_header(&self, page: &mut [u8], count: [u8; 2]) {
-        page[0] = TAG_LEAF;
-        page[1..5].copy_from_slice(&self.next.to_bytes());
-        page[5..7].copy_from_slice(&count);
+        put_leaf_header(page, self.next, count);
     }
 
     #[inline]
     fn put_payload(&self, i: usize, page: &mut [u8], pos: &mut usize) {
-        let value = self.value(i);
-        write_varint(page, pos, value.len() as u32);
-        put(page, pos, value);
+        put_value(page, pos, self.value(i));
     }
+}
+
+impl NodeKind for LeafNode {
+    const PROMOTES: bool = false;
 
     fn absorb(&mut self, _between: &[u8], right: &Self) {
         self.append(right);
@@ -563,15 +571,14 @@ impl NodeKind for LeafNode {
         self.next = right_id;
         let last = self.key(self.len() - 1);
         (
-            separator(last, right.key(0), config.front_compression),
+            separator(last, right.key(0), config.front_compression).to_vec(),
             right,
         )
     }
 }
 
-impl NodeKind for InternalNode {
+impl Encode for InternalNode {
     const HEADER: usize = INTERIOR_HEADER;
-    const PROMOTES: bool = true;
 
     fn count(&self) -> usize {
         self.len()
@@ -592,6 +599,10 @@ impl NodeKind for InternalNode {
     fn put_payload(&self, i: usize, page: &mut [u8], pos: &mut usize) {
         put(page, pos, &self.child(i + 1).to_bytes());
     }
+}
+
+impl NodeKind for InternalNode {
+    const PROMOTES: bool = true;
 
     fn absorb(&mut self, between: &[u8], right: &Self) {
         self.append(between, right);
@@ -610,6 +621,21 @@ pub(crate) fn leaf_header(page: &[u8]) -> Result<(PageId, usize)> {
     let next = PageId::from_bytes(page[1..5].try_into().expect("four bytes"));
     let count = u16::from_le_bytes(page[5..7].try_into().expect("two bytes")) as usize;
     Ok((next, count))
+}
+
+/// Write a leaf page's header: the tag, the `next` pointer and the entry
+/// count's bytes.
+pub(crate) fn put_leaf_header(page: &mut [u8], next: PageId, count: [u8; 2]) {
+    page[0] = TAG_LEAF;
+    page[1..5].copy_from_slice(&next.to_bytes());
+    page[5..7].copy_from_slice(&count);
+}
+
+/// Write a leaf entry's value behind its key: its length, then its bytes.
+#[inline]
+pub(crate) fn put_value(page: &mut [u8], pos: &mut usize, value: &[u8]) {
+    write_varint(page, pos, value.len() as u32);
+    put(page, pos, value);
 }
 
 pub(crate) fn put(page: &mut [u8], pos: &mut usize, bytes: &[u8]) {

@@ -43,7 +43,7 @@ use pagestore::{BufferPool, Error, PageId, PageRef, PageStore, Result};
 
 use crate::config::BTreeConfig;
 use crate::edit::{LeafEdit, LeafEditor};
-use crate::node::{EntrySize, InternalNode, LeafNode, NodeKind, TAG_LEAF};
+use crate::node::{Encode, EntrySize, InternalNode, LeafNode, NodeKind, TAG_LEAF};
 
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|e| e.into_inner())
@@ -645,7 +645,7 @@ impl<S: PageStore> BTree<S> {
     /// Overwrite `id` with `node`, preserving the pre-image into the
     /// version store if this is the first write to a published page since
     /// the last publish.
-    pub(crate) fn store<N: NodeKind>(&mut self, id: PageId, node: &N) -> Result<()> {
+    pub(crate) fn store<N: Encode>(&mut self, id: PageId, node: &N) -> Result<()> {
         let page = self.shared.pool.fetch(id)?;
         self.preserve(id, &page)?;
         let mut bytes = page.write();

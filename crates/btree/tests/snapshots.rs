@@ -125,7 +125,7 @@ fn a_walk_over_a_preserved_leaf_sees_its_pre_image() {
 fn snapshot_survives_total_rewrite() {
     let mut tree = small_tree();
     let original: Vec<(Vec<u8>, Vec<u8>)> = (0..500).map(|i| (key(i), b"orig".to_vec())).collect();
-    tree.bulk_replace(original.clone()).unwrap();
+    tree.bulk_replace(&original).unwrap();
     tree.enable_snapshots();
     let reader = tree.reader();
     let snap = reader.snapshot();
@@ -160,7 +160,7 @@ fn snapshot_survives_total_rewrite() {
 #[test]
 fn reclamation_frees_everything_after_last_snapshot_drops() {
     let mut tree = small_tree();
-    tree.bulk_replace((0..500).map(|i| (key(i), Vec::new())))
+    tree.bulk_replace(&(0..500).map(|i| (key(i), Vec::new())).collect::<Vec<_>>())
         .unwrap();
     tree.enable_snapshots();
     let reader = tree.reader();
@@ -248,7 +248,7 @@ fn long_held_snapshot_pins_pages_not_epochs() {
 #[test]
 fn refresh_reverts_deferred_frees_from_structural_churn() {
     let mut tree = small_tree();
-    tree.bulk_replace((0..600).map(|i| (key(i), Vec::new())))
+    tree.bulk_replace(&(0..600).map(|i| (key(i), Vec::new())).collect::<Vec<_>>())
         .unwrap();
     tree.enable_snapshots();
     let reader = tree.reader();

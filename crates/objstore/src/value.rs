@@ -141,11 +141,11 @@ impl Value {
     pub fn encode_str_ordered(s: &str, out: &mut Vec<u8>) {
         out.push(TAG_STR);
         // 0x00 bytes escaped as 0x00 0xFF; terminated with 0x00.
-        for &b in s.as_bytes() {
-            out.push(b);
-            if b == 0 {
-                out.push(0xFF);
+        for (i, run) in s.as_bytes().split(|&b| b == 0).enumerate() {
+            if i > 0 {
+                out.extend_from_slice(&[0x00, 0xFF]);
             }
+            out.extend_from_slice(run);
         }
         out.push(0x00);
     }

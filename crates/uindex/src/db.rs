@@ -16,7 +16,7 @@ use std::collections::{BTreeSet, HashSet};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use btree::BTreeConfig;
+use btree::{BTreeConfig, KeyBuffer};
 use objstore::{ObjectStore, Oid, Value};
 use pagestore::{
     BufferPool, ChecksumStore, FaultStore, MemStore, PageId, PageStore, RetryPolicy, ScrubReport,
@@ -373,7 +373,7 @@ impl<P: PageStore> Database<P> {
     /// entries containing `oid` — exactly the entries a mutation of `oid`
     /// can add or remove in it. A key too large for one B-tree entry is
     /// refused here, before the tree sees it.
-    fn involved_entries(&self, oid: Oid, ids: &[IndexId]) -> Result<Vec<Vec<Vec<u8>>>> {
+    fn involved_entries(&self, oid: Oid, ids: &[IndexId]) -> Result<Vec<KeyBuffer>> {
         let max = self.index.tree().max_entry_size();
         let mut out = Vec::with_capacity(ids.len());
         for &id in ids {
@@ -389,12 +389,12 @@ impl<P: PageStore> Database<P> {
 
     /// Delete the keys only `before` has and insert the ones only `after`
     /// has, index by index (both sides ascending), then publish.
-    fn apply_diff(&mut self, before: Vec<Vec<Vec<u8>>>, after: Vec<Vec<Vec<u8>>>) -> Result<()> {
+    fn apply_diff(&mut self, before: Vec<KeyBuffer>, after: Vec<KeyBuffer>) -> Result<()> {
         for (b, a) in before.iter().zip(&after) {
-            for key in b.iter().filter(|k| a.binary_search(k).is_err()) {
+            for key in b.iter().filter(|k| !a.contains(k)) {
                 self.index.tree_mut().delete(key)?;
             }
-            for key in a.iter().filter(|k| b.binary_search(k).is_err()) {
+            for key in a.iter().filter(|k| !b.contains(k)) {
                 self.index.tree_mut().insert(key, &[])?;
             }
         }
@@ -439,7 +439,7 @@ impl<P: PageStore> Database<P> {
         self.store.delete(oid, force)?;
         self.touch(oid);
         // The object no longer exists, so no entry can involve it.
-        let after = vec![Vec::new(); before.len()];
+        let after = vec![KeyBuffer::new(); before.len()];
         self.apply_diff(before, after)?;
         Ok(())
     }
@@ -547,10 +547,11 @@ impl<P: PageStore> Database<P> {
         // Each index's keys ascend and start with its id, so the
         // concatenation is in the tree's order.
         for id in 0..self.index.specs().len() as IndexId {
-            expected.extend(planner.all_keys(&self.store, id)?);
+            expected.push(planner.all_keys(&self.store, id)?);
         }
         let tree = self.index.tree().view().scan_all()?;
-        Ok(tree.into_iter().map(|(k, _)| k).eq(expected))
+        let tree = tree.iter().map(|(k, _)| k.as_slice());
+        Ok(tree.eq(expected.iter().flat_map(KeyBuffer::iter)))
     }
 
     /// Run `q` on the live tree through the one guarded read path, with the

@@ -90,7 +90,7 @@ pub(crate) fn run_guarded<S: PageStore, K: RowSink>(
     }
     telemetry::counter("uindex.degraded.queries").inc();
     let keys = fallback.planner.all_keys(fallback.store, q.index)?;
-    scan::match_keys(&matcher, &keys, sink)?;
+    scan::match_keys(&matcher, keys.iter(), sink)?;
     Ok((QueryTrace::default(), true))
 }
 

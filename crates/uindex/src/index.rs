@@ -2,7 +2,7 @@
 
 use std::sync::Arc;
 
-use btree::{BTree, BTreeConfig, TreeStats};
+use btree::{BTree, BTreeConfig, KeyBuffer, TreeStats};
 use objstore::{ObjectStore, Oid, Value};
 use pagestore::{BufferPool, MemStore, PageStore};
 use schema::{ClassId, Encoding, Schema};
@@ -137,43 +137,41 @@ impl<S: PageStore> UIndex<S> {
     /// inserts; see [`UIndex::build_all`] for the packed bulk path).
     pub fn build(&mut self, store: &ObjectStore, id: IndexId) -> Result<u64> {
         let keys = self.planner(store.schema()).all_keys(store, id)?;
-        let n = keys.len() as u64;
-        self.tree
-            .insert_batch(keys.into_iter().map(|k| (k, Vec::new())).collect())?;
-        Ok(n)
+        self.tree.upsert_sorted(&keys, |_, _| {})?;
+        Ok(keys.len() as u64)
     }
 
     /// Build **all** registered indexes at once with a packed bulk load.
     /// The tree must be empty.
     pub fn build_all(&mut self, store: &ObjectStore) -> Result<u64> {
         let planner = self.planner(store.schema());
-        let mut keys = Vec::new();
-        // Each index's keys ascend and start with its id: the run ascends.
+        let mut keys = KeyBuffer::new();
         for id in 0..self.specs.len() as IndexId {
-            keys.extend(
-                planner
-                    .all_keys(store, id)?
-                    .into_iter()
-                    .map(|k| (k, Vec::new())),
-            );
+            planner.walk_keys(store, id, &mut keys)?;
         }
-        let n = keys.len() as u64;
-        self.tree.bulk_replace(keys)?;
-        Ok(n)
+        self.bulk_load_keys(keys)
     }
 
-    /// Bulk-load explicit entries into an empty tree (used by experiment
-    /// harnesses that synthesize entries without an object store).
+    /// Bulk-load explicit entries, in any order and possibly repeated,
+    /// into an empty tree (used by experiment harnesses that synthesize
+    /// entries without an object store).
     pub fn bulk_load_entries(&mut self, entries: &[EntryKey]) -> Result<u64> {
-        let mut keys: Vec<(Vec<u8>, Vec<u8>)> = Vec::with_capacity(entries.len());
+        let mut keys = KeyBuffer::with_capacity(entries.len(), 0);
         for e in entries {
-            keys.push((e.encode(), Vec::new()));
+            keys.push_with(|out| e.encode_into(out));
         }
-        keys.sort_unstable();
-        keys.dedup();
-        let n = keys.len() as u64;
-        self.tree.bulk_replace(keys)?;
-        Ok(n)
+        self.bulk_load_keys(keys)
+    }
+
+    /// Bulk-load entry keys, in any order and possibly repeated, into an
+    /// empty tree: the keys are sorted as fixed-width records, their
+    /// duplicates dropped, and the leaves packed straight from the buffer
+    /// ([`BTree::bulk_replace`]). Write each key with [`crate::write_key`]
+    /// (or [`EntryKey::encode_into`]). Returns the number of entries.
+    pub fn bulk_load_keys(&mut self, mut keys: KeyBuffer) -> Result<u64> {
+        keys.sort();
+        self.tree.bulk_replace(&keys)?;
+        Ok(keys.len() as u64)
     }
 
     // ----- querying ------------------------------------------------------
@@ -256,15 +254,20 @@ impl<'a> Planner<'a> {
     /// contents — never read from the tree: what a build inserts, what a
     /// degraded query answers from, and what [`crate::Database::check`]
     /// holds the tree to.
-    pub(crate) fn all_keys(&self, store: &ObjectStore, id: IndexId) -> Result<Vec<Vec<u8>>> {
-        let walk = EntryWalk::new(*self, store, id)?;
-        let mut keys = Vec::new();
-        for oid in store.oids() {
-            walk.entries_through(0, oid, &mut keys)?;
-        }
-        keys.sort_unstable();
-        keys.dedup();
+    pub(crate) fn all_keys(&self, store: &ObjectStore, id: IndexId) -> Result<KeyBuffer> {
+        let mut keys = KeyBuffer::new();
+        self.walk_keys(store, id, &mut keys)?;
+        keys.sort();
         Ok(keys)
+    }
+
+    /// Append to `keys`, unsorted, the key of every entry of index `id`.
+    fn walk_keys(&self, store: &ObjectStore, id: IndexId, keys: &mut KeyBuffer) -> Result<()> {
+        let walk = EntryWalk::new(*self, store, id)?;
+        for oid in store.oids() {
+            walk.entries_through(0, oid, keys)?;
+        }
+        Ok(())
     }
 
     /// The encoded keys, ascending, of all entries of index `id` that
@@ -275,14 +278,13 @@ impl<'a> Planner<'a> {
         store: &ObjectStore,
         id: IndexId,
         oid: Oid,
-    ) -> Result<Vec<Vec<u8>>> {
+    ) -> Result<KeyBuffer> {
         let walk = EntryWalk::new(*self, store, id)?;
-        let mut keys = Vec::new();
+        let mut keys = KeyBuffer::new();
         for pos in 0..walk.spec.positions.len() {
             walk.entries_through(pos, oid, &mut keys)?;
         }
-        keys.sort_unstable();
-        keys.dedup();
+        keys.sort();
         Ok(keys)
     }
 
@@ -485,7 +487,7 @@ impl<'a> EntryWalk<'a> {
     /// Append to `out` the key of every entry in which `oid` holds
     /// position `pos`: up from `oid` to the anchor along the via
     /// references, then down every chain through `pos`.
-    fn entries_through(&self, pos: usize, oid: Oid, out: &mut Vec<Vec<u8>>) -> Result<()> {
+    fn entries_through(&self, pos: usize, oid: Oid, out: &mut KeyBuffer) -> Result<()> {
         let Some(code) = self.code_at(pos, oid)? else {
             return Ok(());
         };
@@ -518,7 +520,7 @@ impl<'a> EntryWalk<'a> {
         depth: usize,
         start: usize,
         chain: &mut Chain<'a>,
-        out: &mut Vec<Vec<u8>>,
+        out: &mut KeyBuffer,
     ) -> Result<()> {
         let step = &self.spec.positions[pos];
         let Some(parent) = step.parent else {
@@ -553,10 +555,10 @@ impl<'a> EntryWalk<'a> {
         pos: usize,
         value: &KeyValue,
         chain: &mut Chain<'a>,
-        out: &mut Vec<Vec<u8>>,
+        out: &mut KeyBuffer,
     ) -> Result<()> {
         if self.children[pos].is_empty() {
-            out.push(write_key(self.id, value, chain.iter().copied()));
+            out.push_with(|key| write_key(key, self.id, value, chain.iter().copied()));
             return Ok(());
         }
         let (_, last) = *chain.last().expect("the anchor is set");
@@ -575,5 +577,71 @@ impl<'a> EntryWalk<'a> {
             }
         }
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::key::PathElem;
+    use proptest::prelude::*;
+
+    fn arb_entry() -> impl Strategy<Value = EntryKey> {
+        // Strings over a small alphabet holding NUL (escaped in the key),
+        // from empty to past the sort record's 24 bytes; codes of one to
+        // three non-zero bytes; a few OIDs, so that entries repeat.
+        let text = proptest::collection::vec(prop_oneof![Just('\0'), Just('a'), Just('b')], 0..30);
+        let value = prop_oneof![
+            text.prop_map(|t| KeyValue::Str(t.into_iter().collect::<String>().into())),
+            (-3..3i64).prop_map(KeyValue::Int),
+        ];
+        let code = proptest::collection::vec(1..4u8, 1..4);
+        let path = proptest::collection::vec((code, 0..4u32), 1..3);
+        (0..2u16, value, path).prop_map(|(index_id, value, path)| EntryKey {
+            index_id,
+            value,
+            path: path
+                .into_iter()
+                .map(|(code, oid)| PathElem {
+                    code: code.as_slice().into(),
+                    oid: Oid(oid),
+                })
+                .collect(),
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(300))]
+
+        /// A bulk load of unordered, repeated entries stores exactly the
+        /// byte-sorted, deduplicated set of their keys.
+        #[test]
+        fn bulk_load_orders_and_dedups_as_a_byte_sort_does(
+            entries in proptest::collection::vec(arb_entry(), 0..120),
+            repeats in proptest::collection::vec(0..120usize, 0..40),
+        ) {
+            let mut entries = entries;
+            for &r in &repeats {
+                if let Some(e) = entries.get(r % entries.len().max(1)).cloned() {
+                    entries.push(e);
+                }
+            }
+            let mut want: Vec<Vec<u8>> = entries.iter().map(EntryKey::encode).collect();
+            want.sort_unstable();
+            want.dedup();
+            let mut index = UIndex::in_memory(Encoding::default()).unwrap();
+            let loaded = index.bulk_load_entries(&entries).unwrap();
+            prop_assert_eq!(loaded, want.len() as u64);
+            index.verify().unwrap();
+            let stored: Vec<Vec<u8>> = index
+                .tree()
+                .view()
+                .scan_all()
+                .unwrap()
+                .into_iter()
+                .map(|(k, _)| k)
+                .collect();
+            prop_assert_eq!(stored, want);
+        }
     }
 }

@@ -284,22 +284,25 @@ pub struct EntryKey {
     pub path: Path,
 }
 
-/// The crate's one key writer: the key of the entry of index `index_id`
-/// with `value` and the path elements `path` (class-code bytes and OID, in
-/// key order). [`EntryKey::encode`] and the entry walk behind
-/// [`crate::Database`]'s maintenance both write through it.
-pub(crate) fn write_key<'c>(
+/// The crate's one key writer: append to `out` the key of the entry of
+/// index `index_id` with `value` and the path elements `path` (class-code
+/// bytes and OID, in key order). [`EntryKey::encode`], the entry walk
+/// behind [`crate::Database`]'s maintenance and builds, and a harness that
+/// bulk-loads keys into a [`btree::KeyBuffer`] without building an
+/// [`EntryKey`] all write through it.
+pub fn write_key<'c>(
+    out: &mut Vec<u8>,
     index_id: u16,
     value: &KeyValue,
     path: impl ExactSizeIterator<Item = (&'c [u8], Oid)>,
-) -> Vec<u8> {
+) {
     let value_len = match value {
         KeyValue::Str(s) => s.len() + 2,
         _ => 9,
     };
-    let mut out = Vec::with_capacity(2 + value_len + 1 + path.len() * 12);
+    out.reserve(2 + value_len + 1 + path.len() * 12);
     out.extend_from_slice(&index_id.to_be_bytes());
-    value.encode_into(&mut out);
+    value.encode_into(out);
     out.push(FIELD_SEP);
     for (code, oid) in path {
         debug_assert!(!code.contains(&FIELD_SEP));
@@ -307,14 +310,20 @@ pub(crate) fn write_key<'c>(
         out.push(FIELD_SEP);
         out.extend_from_slice(&oid.to_bytes());
     }
-    out
 }
 
 impl EntryKey {
     /// Serialize to the B-tree key bytes.
     pub fn encode(&self) -> Vec<u8> {
+        let mut out = Vec::new();
+        self.encode_into(&mut out);
+        out
+    }
+
+    /// Append the B-tree key bytes to `out`.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
         let path = self.path.iter().map(|e| (&*e.code, e.oid));
-        write_key(self.index_id, &self.value, path)
+        write_key(out, self.index_id, &self.value, path);
     }
 
     /// Decode B-tree key bytes.

@@ -299,7 +299,12 @@ fn check_entry_set(db: &Database, id: IndexId, tseed: u64) {
     let reference = reference_keys(db.index().encoding(), spec, id, store)
         .unwrap_or_else(|e| panic!("reference enumeration failed (seed {tseed:#x}): {e}"));
     let planner = db.planner();
-    let walked = planner.all_keys(store, id).expect("entry walk");
+    let walked: Vec<Vec<u8>> = planner
+        .all_keys(store, id)
+        .expect("entry walk")
+        .iter()
+        .map(<[u8]>::to_vec)
+        .collect();
     assert_eq!(
         walked, reference,
         "index {id}: the entry walk diverges from the reference enumeration (seed {tseed:#x})"
@@ -332,9 +337,12 @@ fn check_entry_set(db: &Database, id: IndexId, tseed: u64) {
             .filter(|(_, e)| e.path.iter().any(|elem| elem.oid == oid))
             .map(|(k, _)| k.clone())
             .collect();
-        let got = planner
+        let got: Vec<Vec<u8>> = planner
             .entries_involving(store, id, oid)
-            .expect("involved entries");
+            .expect("involved entries")
+            .iter()
+            .map(<[u8]>::to_vec)
+            .collect();
         assert_eq!(
             got, want,
             "index {id}: entries involving {oid:?} diverge from the reference \
@@ -356,7 +364,7 @@ pub fn all_entries(
     planner
         .all_keys(store, id)?
         .iter()
-        .map(|k| EntryKey::decode(k))
+        .map(EntryKey::decode)
         .collect()
 }
 

@@ -675,13 +675,13 @@ pub(crate) fn execute_traced<S: PageStore, K: RowSink>(
 /// The brute-force pass: judge `keys`, ascending, one by one, handing every
 /// match to `sink` — how an answer computed without the tree reaches a
 /// sink. Like a forward scan it never skips, except past a distinct target.
-pub(crate) fn match_keys<K: RowSink>(
+pub(crate) fn match_keys<'k, K: RowSink>(
     matcher: &Matcher,
-    keys: &[Vec<u8>],
+    keys: impl Iterator<Item = &'k [u8]>,
     sink: &mut K,
 ) -> Result<()> {
     let mut scratch = ScanScratch::default();
-    let mut keys = keys.iter().peekable();
+    let mut keys = keys.peekable();
     while let Some(key) = keys.next() {
         match matcher.advise_with(key, 0, &mut scratch)? {
             Advice::Match { carried } => {
@@ -692,7 +692,7 @@ pub(crate) fn match_keys<K: RowSink>(
                     carried,
                 })?;
                 if matcher.skip_past_match(key, &mut scratch) {
-                    while keys.next_if(|k| **k < scratch.target).is_some() {}
+                    while keys.next_if(|k| *k < scratch.target.as_slice()).is_some() {}
                 }
             }
             Advice::Step | Advice::SkipTo => {}

@@ -5,7 +5,7 @@
 use std::collections::HashMap;
 
 use baselines::{QueryCost, SetId, SetIndex};
-use btree::BTreeConfig;
+use btree::{BTreeConfig, KeyBuffer};
 use objstore::{Oid, Value};
 use pagestore::{BufferPool, MemStore, PageId, PageStore, Result as PageResult};
 use rand::rngs::StdRng;
@@ -138,23 +138,29 @@ impl<P: PageStore> UIndexSet<P> {
         })
     }
 
-    /// Build from postings with a packed bulk load on the given pool. The
-    /// entries of one key share one value, made once.
+    /// Build from postings with a packed bulk load on the given pool. Each
+    /// posting's key is written once, straight into one buffer; the
+    /// postings of one key share one value, made once.
     pub fn build_with_pool(
         pool: BufferPool<P>,
         num_sets: u16,
         postings: &[(Vec<u8>, SetId, Oid)],
     ) -> PageResult<Self> {
         let mut out = Self::with_pool(pool, num_sets)?;
-        let mut values: HashMap<&[u8], KeyValue> = HashMap::new();
-        let entries: Vec<EntryKey> = postings
+        let encoding = out.index.encoding();
+        let codes: Vec<&[u8]> = out
+            .classes
             .iter()
-            .map(|(k, s, o)| {
-                let value = values.entry(k).or_insert_with(|| Self::key_value(k));
-                out.entry(value.clone(), *s, *o)
-            })
+            .map(|&c| encoding.code(c).expect("all classes coded").as_bytes())
             .collect();
-        out.index.bulk_load_entries(&entries).map_err(corrupt)?;
+        let mut values: HashMap<&[u8], KeyValue> = HashMap::new();
+        let mut keys = KeyBuffer::with_capacity(postings.len(), postings.len() * 24);
+        for (k, s, o) in postings {
+            let value = values.entry(k).or_insert_with(|| Self::key_value(k));
+            let path = std::iter::once((codes[s.0 as usize], *o));
+            keys.push_with(|key| uindex::write_key(key, out.id, value, path));
+        }
+        out.index.bulk_load_keys(keys).map_err(corrupt)?;
         Ok(out)
     }
 
