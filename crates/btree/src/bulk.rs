@@ -353,10 +353,10 @@ impl<S: PageStore> BTree<S> {
     /// each node's entries end. A node starts where the one before it ends
     /// or, when `N` promotes, one entry later: that entry moves up to the
     /// parent. The `Packer` fills each node to capacity; a last node left
-    /// underfull is joined with its left neighbour as a delete's merge
-    /// would: one node when their entries fit, else split again at
-    /// `split_point`. Fails on keys out of strictly ascending order or an
-    /// entry larger than the tree takes.
+    /// underfull shares the entries of its left neighbour, split again at
+    /// `split_point`, as a delete's merge does with two nodes that do not
+    /// fit one. Fails on keys out of strictly ascending order or an entry
+    /// larger than the tree takes.
     fn pack_level<'a, N: NodeKind>(
         &self,
         len: usize,
@@ -410,12 +410,9 @@ impl<S: PageStore> BTree<S> {
         };
         let tail = before + up - start;
         if config.underfull(sizes.len() - tail, node_size(tail), page_size) {
-            if config.fits(sizes.len(), node_size(0), page_size) {
-                ends.remove(k - 2);
-            } else {
-                ends[k - 2] =
-                    start + config.split_point(&sizes, N::HEADER, N::PROMOTES, page_size)?;
-            }
+            // The two never fit one node: the packer closed the first
+            // because the entry after it did not fit, so they share.
+            ends[k - 2] = start + config.split_point(&sizes, N::HEADER, N::PROMOTES, page_size)?;
         }
         Ok(ends)
     }
