@@ -41,6 +41,9 @@ cargo test -q --offline
 step "cargo test (workspace; the root package ran above)"
 cargo test -q --workspace --offline --exclude uindex-oodb
 
+step "size count (non-blank product and test lines, #[cfg(test)] items as test)"
+cargo test -q --offline -p bench --test size_count -- --nocapture print_product_and_test_lines
+
 step "results are what the code prints (release experiment binaries at their defaults)"
 # The binaries are deterministic, so each published table in results/ must
 # be byte for byte what its binary prints now; the environment knobs that

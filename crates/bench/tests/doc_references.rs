@@ -44,7 +44,7 @@ const ALLOWED: &[(&str, &[&str])] = &[
     ]),
     ("fields of the on-page leaf entry, which the codec reads into locals", &["prefix_len", "suffix_len"]),
     ("a field reached through a variable or a JSON object", &["db.reader", "leaf.next", "live.queries"]),
-    ("a file named by how the program builds it, not by a literal", &["pages.db.free"]),
+    ("a file of a retired on-disk format, named to say so", &["pages.db.free"]),
 ];
 
 /// Source extensions that mark a token as a file name.

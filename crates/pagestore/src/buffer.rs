@@ -1,6 +1,6 @@
 use std::any::Any;
 use std::cell::RefCell;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{BTreeSet, HashMap, HashSet};
 use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, RwLock, RwLockReadGuard, RwLockWriteGuard};
@@ -545,6 +545,17 @@ impl<S: PageStore> BufferPool<S> {
         // (e.g. an unallocated id or an I/O error) leaves stats truthful.
         lock(&self.store).free(id)?;
         metrics(|m| m.frees.inc());
+        Ok(())
+    }
+
+    /// Free every live page of the store that `keep` does not name,
+    /// without reading it: what a replaced tree leaves behind, or what a
+    /// reopened store holds that its roots no longer reach.
+    pub fn free_unreachable(&self, keep: &HashSet<PageId>) -> Result<()> {
+        let live = lock(&self.store).live_page_ids();
+        for id in live.into_iter().filter(|id| !keep.contains(id)) {
+            self.free(id)?;
+        }
         Ok(())
     }
 

@@ -6,7 +6,7 @@
 //! WalStore          crash safety: committed batches replay on reopen
 //!   ChecksumStore   silent-damage detection: per-page CRC trailers
 //!     FaultStore    deterministic fault injection (pass-through in prod)
-//!       FileStore   pages + free-list manifest on disk
+//!       FileStore   pages on disk; the free list lives in memory
 //! ```
 //!
 //! The WAL sits *above* the checksum layer so every page that reaches the
@@ -18,7 +18,10 @@
 //! test that injects faults there builds its own stack.
 //!
 //! [`create`] and [`open`] build the whole stack over a directory holding
-//! [`PAGES_FILE`] (plus its `.free` manifest sidecar) and [`WAL_FILE`].
+//! [`PAGES_FILE`] and [`WAL_FILE`]. Neither file records which pages are
+//! free: after [`open`] every slot of the page file is live, and the owner
+//! of the roots frees what they do not reach
+//! ([`crate::BufferPool::free_unreachable`]).
 //! The `page_size` given to [`create`] is the *exposed* size — the one
 //! the B-tree sees and the experiments' page counts are measured in; the
 //! file's physical pages are [`TRAILER_LEN`] bytes larger.
@@ -126,11 +129,12 @@ mod tests {
     }
 
     #[test]
-    fn replay_counts_live_pages_like_live_page_ids() {
-        // A replayed allocation is counted by the inner store already, and
-        // a replayed free of a checkpointed page must still be subtracted.
+    fn reopen_holds_every_slot_live_until_the_owner_frees_the_rest() {
+        // A free is not logged: after the reopen the checkpointed `a` is
+        // live again beside the replayed `b`, until the owner of the roots
+        // frees what they do not reach.
         let dir = tmpdir("live_after_replay");
-        let b = {
+        let (a, b) = {
             let mut s = create(&dir, 128).unwrap();
             let a = s.allocate().unwrap();
             s.write(a, &[1u8; 128]).unwrap();
@@ -139,11 +143,18 @@ mod tests {
             s.write(b, &[2u8; 128]).unwrap();
             s.free(a).unwrap();
             s.commit().unwrap();
-            b
+            (a, b)
         };
         let s = open(&dir).unwrap();
+        assert_eq!(s.live_page_ids(), vec![a, b]);
+        let pool = crate::BufferPool::new(s, 8);
+        pool.free_unreachable(&[b].into_iter().collect()).unwrap();
+        let mut s = pool.into_store();
         assert_eq!(s.live_page_ids(), vec![b]);
-        assert_eq!(s.live_pages(), s.live_page_ids().len());
+        assert_eq!(s.live_pages(), 1);
+        s.checkpoint().unwrap();
+        let report = checksum_layer(&mut s).scrub();
+        assert!(report.clean() && report.pages == 1, "{report:?}");
         std::fs::remove_dir_all(&dir).ok();
     }
 }

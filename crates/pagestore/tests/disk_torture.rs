@@ -5,16 +5,19 @@
 //! of the last committed state, and that a checkpoint after recovery
 //! leaves every on-disk page with a valid checksum trailer.
 //!
-//! This extends the PR-1/PR-4 `fault_torture` pattern from `MemStore` to
-//! the durable tier: a "crash" here drops the whole stack (losing the WAL
-//! overlay and the `FileStore`'s in-memory free list) and rebuilds it from
-//! nothing but the files via [`pagestore::disk::open`].
+//! This extends the `fault_torture` pattern from `MemStore` to the durable
+//! tier: a "crash" here drops the whole stack (losing the WAL overlay and
+//! the `FileStore`'s in-memory free list) and rebuilds it from nothing but
+//! the files via [`pagestore::disk::open`]. Neither file records which
+//! pages are free, so every reopen is handed the shadow's committed live
+//! set through [`BufferPool::free_unreachable`], as a database hands it
+//! the pages its roots reach.
 
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::path::{Path, PathBuf};
 
-use pagestore::disk::{self, WAL_FILE};
-use pagestore::{PageId, PageStore};
+use pagestore::disk::{self, DiskStack, WAL_FILE};
+use pagestore::{BufferPool, PageId, PageStore};
 
 /// Exposed page size: the checksum layer adds its 16-byte trailer below.
 const PS: usize = 112;
@@ -85,6 +88,15 @@ struct Shadow {
     freed: HashSet<u32>,
 }
 
+/// Reopen the stack in `dir` and free every page but `live`.
+fn reopen(dir: &Path, live: &BTreeSet<u32>, what: &str) -> DiskStack {
+    let stack = disk::open(dir).unwrap_or_else(|e| panic!("{what}: reopen failed: {e}"));
+    let pool = BufferPool::new(stack, 8);
+    pool.free_unreachable(&live.iter().map(|&id| PageId(id)).collect())
+        .unwrap();
+    pool.into_store()
+}
+
 /// Run `ops[..crash_at]` against a fresh disk stack in `dir`, crash
 /// (drop everything), reopen from the files, and assert the recovered
 /// state matches the shadow of the last commit. Odd boundaries also get a
@@ -139,8 +151,8 @@ fn crash_and_check(dir: &Path, ops: &[Op], crash_at: usize) {
         f.write_all(&[0xDB, 0x01, 0xFF, 0x3C, 0x77]).unwrap();
     }
 
-    let mut recovered = disk::open(dir)
-        .unwrap_or_else(|e| panic!("reopen after crash at op {crash_at} failed: {e}"));
+    let want_live: BTreeSet<u32> = committed.pages.keys().copied().collect();
+    let mut recovered = reopen(dir, &want_live, &format!("crash at op {crash_at}"));
     assert!(
         recovered.recovery().is_some(),
         "crash at op {crash_at}: open must produce a recovery report"
@@ -162,7 +174,6 @@ fn crash_and_check(dir: &Path, ops: &[Op], crash_at: usize) {
         );
     }
     let live: BTreeSet<u32> = recovered.live_page_ids().into_iter().map(|p| p.0).collect();
-    let want_live: BTreeSet<u32> = committed.pages.keys().copied().collect();
     assert_eq!(
         live, want_live,
         "crash at op {crash_at}: live page set diverged from shadow"
@@ -180,8 +191,11 @@ fn crash_and_check(dir: &Path, ops: &[Op], crash_at: usize) {
 
     // Second-generation reopen: the checkpointed file alone (log is
     // truncated) must reproduce the same state.
-    let mut second = disk::open(dir)
-        .unwrap_or_else(|e| panic!("second reopen after crash at op {crash_at} failed: {e}"));
+    let mut second = reopen(
+        dir,
+        &want_live,
+        &format!("second reopen after crash at op {crash_at}"),
+    );
     assert_eq!(
         second.recovery().map(|r| r.replayed_batches),
         Some(0),
@@ -199,13 +213,12 @@ fn crash_and_check(dir: &Path, ops: &[Op], crash_at: usize) {
     let live2: BTreeSet<u32> = second.live_page_ids().into_iter().map(|p| p.0).collect();
     assert_eq!(
         live2, want_live,
-        "crash at op {crash_at}: exact free-list reopen diverged from shadow"
+        "crash at op {crash_at}: live set diverged from shadow after checkpointed reopen"
     );
 }
 
 /// Crash at every op boundary of a commit-only script (no mid-script
-/// checkpoints): recovery leans entirely on WAL replay plus the
-/// manifest's truncate-unsynced-tail logic.
+/// checkpoints): recovery leans entirely on WAL replay.
 #[test]
 fn crash_at_every_op_boundary_recovers_last_commit() {
     let ops = script(0xD15C_0001, 48, false);
@@ -217,8 +230,8 @@ fn crash_at_every_op_boundary_recovers_last_commit() {
 }
 
 /// Crash at every op boundary of a script with interleaved checkpoints:
-/// recovery must reconcile durable file state (exact free-list manifest)
-/// with post-checkpoint log batches.
+/// recovery must reconcile durable file state with post-checkpoint log
+/// batches.
 #[test]
 fn crash_at_every_op_boundary_with_checkpoints() {
     let ops = script(0xD15C_0002, 48, true);

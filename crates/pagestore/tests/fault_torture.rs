@@ -1,14 +1,23 @@
 //! WAL recovery torture: sweep a crash across *every* operation boundary
 //! of a scripted workload and a fault across *every* backing-store
 //! operation of a checkpoint, asserting the reopened store always matches
-//! a shadow model of the last committed state.
+//! a shadow model of the last committed state. The log records no frees:
+//! a reopened store is handed the shadow's committed live set through
+//! [`BufferPool::free_unreachable`], as a database hands it its roots.
 
 use std::collections::{HashMap, HashSet};
 use std::path::PathBuf;
 
-use pagestore::{Fault, FaultStore, MemStore, PageStore, WalStore};
+use pagestore::{BufferPool, Fault, FaultStore, MemStore, PageId, PageStore, WalStore};
 
 const PS: usize = 128;
+
+/// Free every page of `store` that `live` does not name.
+fn keep_only<S: PageStore>(store: S, live: impl Iterator<Item = u32>) -> S {
+    let pool = BufferPool::new(store, 8);
+    pool.free_unreachable(&live.map(PageId).collect()).unwrap();
+    pool.into_store()
+}
 
 fn tmp(name: &str) -> PathBuf {
     let mut p = std::env::temp_dir();
@@ -121,8 +130,9 @@ fn crash_at_every_op_boundary_recovers_last_commit() {
                 .unwrap();
             f.write_all(&[0xDB, 0x01, 0xFF, 0x3C, 0x77]).unwrap();
         }
-        let mut recovered = WalStore::open(inner, &path)
+        let recovered = WalStore::open(inner, &path)
             .unwrap_or_else(|e| panic!("reopen after crash at op {crash_at} failed: {e}"));
+        let mut recovered = keep_only(recovered, committed.pages.keys().copied());
         let mut buf = vec![0u8; PS];
         for (&id, want) in &committed.pages {
             recovered
@@ -204,8 +214,9 @@ fn checkpoint_fault_sweep(fault: Fault, tag: &str) {
                     // Crash instead: unwrap down to the bare memory store
                     // (losing the overlay) and replay the log.
                     let mem = wal.into_inner().into_inner();
-                    let mut rec = WalStore::open(mem, &path)
+                    let rec = WalStore::open(mem, &path)
                         .unwrap_or_else(|e| panic!("{tag}/{k}: reopen failed: {e}"));
+                    let mut rec = keep_only(rec, expected.keys().copied());
                     verify(&mut rec, &expected, freed, tag, k);
                 }
             }

@@ -12,14 +12,14 @@
 //! yet the paper's price: an involved index is enumerated twice, and each
 //! changed key is its own descent.
 
-use std::collections::{BTreeSet, HashSet};
+use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use btree::{BTreeConfig, KeyBuffer};
 use objstore::{ObjectStore, Oid, Value};
 use pagestore::{
-    BufferPool, ChecksumStore, FaultStore, MemStore, PageId, PageStore, RetryPolicy, ScrubReport,
+    BufferPool, ChecksumStore, FaultStore, MemStore, PageStore, RetryPolicy, ScrubReport,
     Scrubbable, TRAILER_LEN,
 };
 use schema::{AttrId, ClassId, Encoding, Schema};
@@ -451,7 +451,7 @@ impl<P: PageStore> Database<P> {
     pub fn repair(&mut self) -> Result<u64> {
         let n = self.rebuild_index()?;
         let keep = self.index.tree().page_ids()?.into_iter().collect();
-        free_unreachable(self.index.tree().pool(), &keep)?;
+        self.index.tree().pool().free_unreachable(&keep)?;
         Ok(n)
     }
 }
@@ -482,19 +482,6 @@ pub(crate) fn build_index<P: PageStore>(
     index.build_all(store)?;
     index.verify()?;
     Ok(index)
-}
-
-/// Free every live page of `pool`'s store that `keep` does not name —
-/// what a replaced tree leaves behind — without reading it.
-pub(crate) fn free_unreachable<P: PageStore>(
-    pool: &BufferPool<P>,
-    keep: &HashSet<PageId>,
-) -> Result<()> {
-    let live = pool.store_lock().live_page_ids();
-    for id in live.into_iter().filter(|id| !keep.contains(id)) {
-        pool.free(id)?;
-    }
-    Ok(())
 }
 
 // ----- integrity: check / degraded queries -----------------------------------

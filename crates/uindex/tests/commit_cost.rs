@@ -8,9 +8,9 @@
 //! None of that depends on how large the database is (the counts are the
 //! same at 2 000 and at 20 000 vehicles), and between checkpoints all of
 //! it goes to `wal.log`. A checkpointing commit writes one marker and one
-//! log fsync before its page writes, one page-file fsync, and no manifest
-//! unless a page was allocated or freed. Timings on a shared box cannot
-//! gate that; these counts repeat exactly, so they can.
+//! log fsync before its page writes and one page-file fsync, whether or
+//! not a page was allocated or freed. Timings on a shared box cannot gate
+//! that; these counts repeat exactly, so they can.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::os::unix::fs::MetadataExt;
@@ -333,7 +333,6 @@ struct Durability {
     wal_fsyncs: u64,
     wal_checkpoints: u64,
     file_fsyncs: u64,
-    manifest_writes: u64,
 }
 
 fn durability() -> Durability {
@@ -344,7 +343,6 @@ fn durability() -> Durability {
         wal_fsyncs: c("pagestore.wal.fsyncs"),
         wal_checkpoints: c("pagestore.wal.checkpoints"),
         file_fsyncs: c("pagestore.file.fsyncs"),
-        manifest_writes: c("pagestore.file.manifest_writes"),
     }
 }
 
@@ -357,7 +355,6 @@ impl std::ops::Sub for Durability {
             wal_fsyncs: self.wal_fsyncs - o.wal_fsyncs,
             wal_checkpoints: self.wal_checkpoints - o.wal_checkpoints,
             file_fsyncs: self.file_fsyncs - o.file_fsyncs,
-            manifest_writes: self.manifest_writes - o.manifest_writes,
         }
     }
 }
@@ -394,12 +391,7 @@ fn a_checkpoint_pays_for_its_data() {
                     "{}: {cost:?}",
                     what(step)
                 );
-                assert_eq!(
-                    (cost.file_fsyncs, cost.manifest_writes),
-                    (1, 0),
-                    "{}: a recolour neither allocates nor frees: {cost:?}",
-                    what(step)
-                );
+                assert_eq!(cost.file_fsyncs, 1, "{}: {cost:?}", what(step));
             } else {
                 assert_eq!(
                     cost.wal_fsyncs,
@@ -407,13 +399,13 @@ fn a_checkpoint_pays_for_its_data() {
                     "{}",
                     what(step)
                 );
-                assert_eq!((cost.file_fsyncs, cost.manifest_writes), (0, 0));
+                assert_eq!(cost.file_fsyncs, 0, "{}", what(step));
             }
         }
 
         // A page allocated (new vehicles split the object tree's last
-        // leaf) or freed (deleted vehicles empty leaves) is written down
-        // in the manifest at the next checkpoint, and only there.
+        // leaf) or freed (deleted vehicles empty leaves) costs the next
+        // checkpoint nothing more: one page-file fsync, as ever.
         let vehicle = db.schema().class_by_name("Vehicle").unwrap();
         for change in ["allocate", "free"] {
             let (allocations, frees) = (
@@ -441,19 +433,17 @@ fn a_checkpoint_pays_for_its_data() {
             }
             let staged = durability() - before;
             assert_eq!(
-                (staged.checkpoints, staged.manifest_writes),
+                (staged.checkpoints, staged.file_fsyncs),
                 (0, 0),
                 "{group_commit}, {change}: before the checkpoint"
             );
             db.commit().unwrap();
             let cost = durability() - before;
             assert_eq!(
-                (cost.checkpoints, cost.manifest_writes),
+                (cost.checkpoints, cost.file_fsyncs),
                 (1, 1),
-                "{group_commit}, {change}: at the checkpoint"
+                "{group_commit}, {change}: at the checkpoint: {cost:?}"
             );
-            // Manifest (file + directory) and header fsyncs on top.
-            assert!(cost.file_fsyncs > 1, "{group_commit}, {change}: {cost:?}");
         }
         drop(db);
         let (db, report) = DiskDatabase::open(&dir).unwrap();

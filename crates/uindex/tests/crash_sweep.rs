@@ -18,14 +18,17 @@
 //!
 //! Every reopen must come up `clean() && !rebuilt` holding exactly the
 //! shadow's state at the last commit that survived: objects byte-equal,
-//! every index answering like the brute-force oracle, `check()` clean.
+//! every index answering like the brute-force oracle, `check()` clean —
+//! and its live pages exactly page 0 and the pages of the two trees: no
+//! page leaked, none the roots reach freed.
 //! Objects, index and meta page have no way to disagree — there is one log
 //! and one commit marker — and this is the test that says so.
 
+use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 
 use objstore::{ObjectStore, Oid, Value};
-use pagestore::Fault;
+use pagestore::{Fault, PageId, PageStore};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use schema::{AttrType, ClassId, Schema};
@@ -317,12 +320,31 @@ fn run_script(dir: &Path, seed: u64, crash: Option<CrashAt>) -> Outcome {
     Outcome::Finished(stretches, checkpoints)
 }
 
+/// The live pages of `db`'s store are page 0 and the pages of its two
+/// trees, no more and no fewer.
+fn assert_live_is_reachable(db: &DiskDatabase, what: &str) {
+    let mut reachable: BTreeSet<PageId> = db.object_pages().unwrap().into_iter().collect();
+    reachable.extend(db.index().tree().page_ids().unwrap());
+    reachable.insert(PageId(0));
+    let live: BTreeSet<PageId> = db
+        .index()
+        .tree()
+        .pool()
+        .store_lock()
+        .live_page_ids()
+        .into_iter()
+        .collect();
+    assert_eq!(live, reachable, "{what}: live pages");
+}
+
 /// Reopen `dir` and hold it to one of `allowed` (returning which): clean,
-/// not rebuilt, objects byte-equal, indexes oracle-equal, `check()` clean.
+/// not rebuilt, every live page reachable and every reachable page live,
+/// objects byte-equal, indexes oracle-equal, `check()` clean.
 fn reopen_and_verify(dir: &Path, allowed: &[&Committed], what: &str) -> usize {
     let (mut db, report) =
         DiskDatabase::open(dir).unwrap_or_else(|e| panic!("{what}: open failed: {e}"));
     assert!(report.clean() && !report.rebuilt, "{what}: {report:?}");
+    assert_live_is_reachable(&db, what);
     let objects = db.store().to_bytes();
     let which = allowed
         .iter()
@@ -465,7 +487,8 @@ const EVERY: usize = 4;
 const WINDOWS: usize = 6;
 
 enum Triggered {
-    /// Ran to the end: per checkpoint, whether it rewrote the manifest.
+    /// Ran to the end: per checkpoint, whether a page was allocated or
+    /// freed since the one before.
     Finished(Vec<bool>),
     /// The injected crash fired inside a checkpointing commit: what the
     /// commit before it held, what it commits, and whether its marker
@@ -534,7 +557,12 @@ fn run_triggered(dir: &Path, seed: u64, crash: Option<CrashAt>) -> Triggered {
         indexes: 0,
     };
     let wal = dir.join("wal.log");
-    let mut manifests = Vec::new();
+    let pages_moved = || {
+        telemetry::counter_value("pagestore.pool.allocations")
+            + telemetry::counter_value("pagestore.pool.frees")
+    };
+    let mut moved_before = pages_moved();
+    let mut moved = Vec::new();
     for commit in 0..EVERY * WINDOWS {
         let window = commit / EVERY;
         for _ in 0..6 {
@@ -547,7 +575,6 @@ fn run_triggered(dir: &Path, seed: u64, crash: Option<CrashAt>) -> Triggered {
             handle.inject(handle.ops() + c.op, Fault::Crash);
         }
         let log_before = std::fs::metadata(&wal).unwrap().len();
-        let manifest_writes = telemetry::counter_value("pagestore.file.manifest_writes");
         let result = w.db.commit();
         if dying.is_some() {
             return match (result.is_err(), handle.crashed()) {
@@ -562,24 +589,24 @@ fn run_triggered(dir: &Path, seed: u64, crash: Option<CrashAt>) -> Triggered {
         result.unwrap();
         last = w.committed();
         if checkpointing {
-            manifests
-                .push(telemetry::counter_value("pagestore.file.manifest_writes") > manifest_writes);
+            moved.push(pages_moved() > moved_before);
+            moved_before = pages_moved();
         }
     }
-    Triggered::Finished(manifests)
+    Triggered::Finished(moved)
 }
 
 #[test]
 fn a_crash_at_every_page_file_op_of_a_commit_triggered_checkpoint_keeps_the_commit() {
     let dir = tmpdir("triggered");
     let seed = 0x7216_6E12;
-    let Triggered::Finished(manifests) = run_triggered(&dir, seed, None) else {
+    let Triggered::Finished(moved) = run_triggered(&dir, seed, None) else {
         panic!("no crash was asked for");
     };
-    assert_eq!(manifests.len(), WINDOWS);
+    assert_eq!(moved.len(), WINDOWS);
     assert!(
-        manifests.contains(&true) && manifests.contains(&false),
-        "the script must reach checkpoints with and without a manifest write: {manifests:?}"
+        moved.contains(&true) && moved.contains(&false),
+        "the script must reach checkpoints with and without a page allocated or freed: {moved:?}"
     );
     let (mut in_checkpoint, mut in_stage) = (0, 0);
     for checkpoint in 0..WINDOWS {

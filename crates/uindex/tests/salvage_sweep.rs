@@ -9,7 +9,8 @@
 //! * an **index** page: the open reports `rebuilt`, loses no object, answers
 //!   every query like the oracle — and never fetched the damaged page (the
 //!   pool's read-error counter, which any fetch of it would move, stands
-//!   still);
+//!   still); its live pages are then exactly page 0 and the pages of the
+//!   two trees;
 //! * the **meta** page or an **object** page: a typed error. Never a panic,
 //!   never a wrong answer.
 //!
@@ -117,6 +118,23 @@ fn build(name: &str) -> Pristine {
     pristine
 }
 
+/// The live pages of `db`'s store are page 0 and the pages of its two
+/// trees: the wreck is freed, and nothing the roots reach is.
+fn assert_live_is_reachable(db: &DiskDatabase, what: &str) {
+    let mut reachable: BTreeSet<PageId> = db.object_pages().unwrap().into_iter().collect();
+    reachable.extend(db.index().tree().page_ids().unwrap());
+    reachable.insert(PageId(0));
+    let live: BTreeSet<PageId> = db
+        .index()
+        .tree()
+        .pool()
+        .store_lock()
+        .live_page_ids()
+        .into_iter()
+        .collect();
+    assert_eq!(live, reachable, "{what}: live pages");
+}
+
 /// Every index answers like the oracle, straight through the index.
 fn assert_oracle_equal(db: &DiskDatabase, what: &str) {
     assert_eq!(db.index().specs().len(), 2, "{what}: index definitions");
@@ -174,6 +192,7 @@ fn damage_to_each_page_rebuilds_the_index_or_is_a_typed_error() {
                     "{what}: the damaged page was fetched"
                 );
                 assert_eq!(db.store().to_bytes(), pristine.objects, "{what}: objects");
+                assert_live_is_reachable(&db, &what);
                 assert_oracle_equal(&db, &what);
                 // The wreck is gone: a full check finds nothing to flag.
                 let check = db.check().unwrap();
@@ -207,6 +226,7 @@ fn damage_to_each_page_rebuilds_the_index_or_is_a_typed_error() {
     drop(db);
     let (db, report) = DiskDatabase::open(&work).unwrap();
     assert!(report.clean() && !report.rebuilt, "{report:?}");
+    assert_live_is_reachable(&db, "the open after a rebuild");
     assert_eq!(db.store().to_bytes(), pristine.objects);
     std::fs::remove_dir_all(&work).ok();
     std::fs::remove_dir_all(&pristine.dir).ok();
@@ -232,6 +252,7 @@ fn a_crash_anywhere_in_repair_keeps_every_object() {
         let what = format!("crash at repair's page-file op {op}");
         let (db, _) = DiskDatabase::open(&work).unwrap_or_else(|e| panic!("{what}: {e}"));
         assert_eq!(db.store().to_bytes(), pristine.objects, "{what}: objects");
+        assert_live_is_reachable(&db, &what);
         assert_oracle_equal(&db, &what);
         crashes += 1;
     }

@@ -177,10 +177,12 @@ impl<P: PageStore> UIndexSet<P> {
 
     /// Attach to a previously [`persist`](UIndexSet::persist)ed index on a
     /// reopened store: the schema and spec come back from the in-tree
-    /// catalog.
+    /// catalog, and every page the tree does not reach is freed, unread.
     pub fn open(pool: BufferPool<P>, root: PageId, len: u64) -> PageResult<Self> {
         let (index, schema) =
             UIndex::open_with_catalog(pool, BTreeConfig::default(), root, len).map_err(corrupt)?;
+        let keep = index.tree().page_ids()?.into_iter().collect();
+        index.tree().pool().free_unreachable(&keep)?;
         let id = index
             .planner(&schema)
             .index_by_name("key")
