@@ -1,5 +1,7 @@
 //! Structural invariant checking, used heavily by the property tests.
 
+use std::collections::HashSet;
+
 use pagestore::{Error, PageId, PageStore, Result};
 
 use crate::tree::{BTree, Loaded};
@@ -80,6 +82,21 @@ impl<S: PageStore> BTree<S> {
             next += 1;
         }
         Ok(ids)
+    }
+
+    /// Whether the tree reaches any page of `ids`, found without fetching
+    /// one of them: a walk from the root that stops short of each.
+    pub fn reaches(&self, ids: &HashSet<PageId>) -> Result<bool> {
+        let mut todo = vec![self.root()];
+        while let Some(id) = todo.pop() {
+            if ids.contains(&id) {
+                return Ok(true);
+            }
+            if let Loaded::Interior(int) = self.descend(id)? {
+                todo.extend_from_slice(int.children());
+            }
+        }
+        Ok(false)
     }
 
     fn verify_rec(

@@ -241,7 +241,12 @@ impl<S: PageStore> PageStore for ChecksumStore<S> {
         Self::stamp(&mut full, id, 0);
         let res = self.inner.write(id, &full);
         self.scratch = full;
-        res?;
+        if let Err(e) = res {
+            // Hand the slot back: an id nobody holds would be a page no
+            // log names.
+            let _ = self.inner.free(id);
+            return Err(e);
+        }
         self.epochs.insert(id, 0);
         Ok(id)
     }
@@ -314,6 +319,16 @@ mod tests {
 
     fn fresh() -> ChecksumStore<MemStore> {
         ChecksumStore::new(MemStore::new(128 + TRAILER_LEN))
+    }
+
+    #[test]
+    fn a_failed_stamp_hands_the_slot_back() {
+        let mut s = ChecksumStore::new(FaultStore::new(MemStore::new(128 + TRAILER_LEN)));
+        let at = s.inner().handle().ops();
+        s.inner().handle().inject(at + 1, Fault::IoError);
+        assert!(s.allocate().is_err(), "the stamp failed");
+        assert_eq!(s.live_pages(), 0);
+        assert_eq!(s.allocate().unwrap(), PageId(0), "the slot is reused");
     }
 
     #[test]
